@@ -1,21 +1,21 @@
 """Multi-device serving benchmark: one node, 1/2/4/8 pooled GPUs.
 
-A :class:`~repro.serve.pool.DevicePool` routes coalesced launch groups
-across the member devices of a :class:`~repro.device.node.Node`; each
-device advances its own simulated timeline, so the pool's makespan (the
-latest member clock once every device is idle) shrinks as devices are
-added while the *results stay bitwise identical* — the pool changes
-where work runs, never what it computes.
+A :class:`~repro.serve.service.SolverService` built on a
+:class:`~repro.device.node.Node` routes coalesced launch groups across
+its member devices; each device advances its own simulated timeline, so
+the node's makespan (the latest member clock once every device is idle)
+shrinks as devices are added while the *results stay bitwise identical*
+— placement changes where work runs, never what it computes.
 
 Two phases:
 
 * **scaling** — the paper-style mixed workload (independent
   ``factor_solve`` requests, local sizes ~ U[lo, hi]) served by the
-  same pool code at 1, 2, 4 and 8 devices.  Throughput is requests per
+  same service code at 1, 2, 4 and 8 devices.  Throughput is requests per
   simulated second of node makespan.  Gates: every device count
   returns bitwise-identical solutions to the 1-device run, and the
-  4-device pool delivers **>= 3x** the 1-device throughput.
-* **budget** — sparse sessions opened under a pool-wide
+  4-device service delivers **>= 3x** the 1-device throughput.
+* **budget** — sparse sessions opened under a node-wide
   ``sparse_memory_budget`` split evenly into per-device
   :class:`~repro.serve.session.MemoryArbiter` shares.  Gate: no
   device's resident factor bytes ever exceed its arbiter share.
@@ -44,7 +44,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.device import A100, Node  # noqa: E402
-from repro.serve import CoalescingPolicy, DevicePool  # noqa: E402
+from repro.serve import CoalescingPolicy, SolverService  # noqa: E402
 
 DEVICE_COUNTS = (1, 2, 4, 8)
 SPEEDUP_GATE = 3.0          # 4-device throughput vs 1-device
@@ -61,8 +61,8 @@ def dense_workload(n_reqs, lo, hi, seed):
 
 
 def serve(node, work, *, max_batch=8, budget=None):
-    svc = DevicePool(node, policy=CoalescingPolicy(max_batch=max_batch),
-                     sparse_memory_budget=budget, start=False)
+    svc = SolverService(node, policy=CoalescingPolicy(max_batch=max_batch),
+                        sparse_memory_budget=budget, start=False)
     host_t0 = time.perf_counter()
     futs = [svc.submit_factor_solve(a, b) for a, b in work]
     while any(not f.done() for f in futs):
@@ -110,8 +110,8 @@ def run_budget(n_sessions, seed):
     rng = np.random.default_rng(seed)
     budget = 64 << 20
     node = Node(A100(), 4)
-    svc = DevicePool(node, policy=CoalescingPolicy(max_batch=4),
-                     sparse_memory_budget=budget, start=False)
+    svc = SolverService(node, policy=CoalescingPolicy(max_batch=4),
+                        sparse_memory_budget=budget, start=False)
     share = svc._slots[0].arbiter.share()
     sessions, peak, ok = [], 0, True
     for i in range(n_sessions):
@@ -158,7 +158,7 @@ def main() -> int:
     gate_ok = speedup4 >= SPEEDUP_GATE and budget["respected"]
 
     lines = [
-        "Multi-device pooled serving "
+        "Multi-device serving "
         f"({n} factor_solve requests, sizes U[{lo},{hi}))",
         f"{'devices':>8} {'sim s':>12} {'req/s':>12} {'speedup':>8}",
     ]

@@ -110,7 +110,7 @@ def run_service(a, ref_lu, *, with_breaker: bool, warm: int, storm: int,
     with dev.fault_scope(plan):
         for _ in range(storm):
             storm_lat.append(round_trip())
-            opened = opened or svc.breaker.state != "closed"
+            opened = opened or breaker.state != "closed"
     storm_snap = svc.stats.snapshot()
 
     compiled_before = storm_snap["compiled_dispatches"]
@@ -137,7 +137,7 @@ def run_service(a, ref_lu, *, with_breaker: bool, warm: int, storm: int,
         "kernel_reexecs": snap["kernel_reexecs"],
         "degraded_dispatches": snap["degraded_dispatches"],
         "compiled_resumed": snap["compiled_dispatches"] - compiled_before,
-        "probes": svc.breaker.probes,
+        "probes": breaker.probes,
         "warm_p99": float(np.percentile(warm_lat, 99)),
         "storm_p50": float(np.percentile(all_lat, 50)),
         "storm_p99_all": float(np.percentile(all_lat, 99)),

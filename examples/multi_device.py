@@ -7,12 +7,13 @@ ScaLAPACK or SLATE.  This walks the single-node, multi-GPU realisation:
 1. build a :class:`~repro.device.node.Node` — four simulated A100s
    joined by NVLink-class peer-to-peer links;
 2. factor a 3-D problem **sharded** across the node
-   (``SparseLU.factor(backend="sharded")``) and check the factors are
-   bitwise identical to the single-device run;
+   (``SparseLU.factor(backend="sharded")``) and check the factors
+   against the single-device run (bitwise on grid Laplacians like this
+   one);
 3. solve against the sharded factors as usual;
 4. serve a mixed workload through a
-   :class:`~repro.serve.pool.DevicePool` and watch the per-device
-   counters and the throughput scaling.
+   :class:`~repro.serve.service.SolverService` built on the node and
+   watch the per-device counters and the throughput scaling.
 
 Run:  python examples/multi_device.py
 """
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.device import A100, Device, Node
-from repro.serve import CoalescingPolicy, DevicePool
+from repro.serve import CoalescingPolicy, SolverService
 from repro.sparse import SparseLU
 
 
@@ -60,27 +61,27 @@ b = rng.standard_normal(a.shape[0])
 x, info = lu.solve(b)
 print(f"solve: backward error {info.final_residual:.2e}\n")
 
-# --- 4. pooled serving ----------------------------------------------------
+# --- 4. serving on the node ----------------------------------------------
 work = []
 for _ in range(128):
     n = int(rng.integers(16, 64))
     m = rng.standard_normal((n, n)) + n * np.eye(n)
     work.append((m, rng.standard_normal(n)))
 
-print("pooled serving, 128 mixed factor_solve requests:")
+print("serving on a node, 128 mixed factor_solve requests:")
 base = None
 for n_dev in (1, 2, 4):
-    pool_node = Node(A100(), n_dev)
-    pool = DevicePool(pool_node, policy=CoalescingPolicy(max_batch=8),
-                      start=False)
-    futs = [pool.submit_factor_solve(m, rhs) for m, rhs in work]
+    serve_node = Node(A100(), n_dev)
+    svc = SolverService(serve_node, policy=CoalescingPolicy(max_batch=8),
+                        start=False)
+    futs = [svc.submit_factor_solve(m, rhs) for m, rhs in work]
     while any(not f.done() for f in futs):
-        pool.run_once()
+        svc.run_once()
     xs = [f.result()[0] for f in futs]
-    thr = len(work) / pool_node.synchronize()
+    thr = len(work) / serve_node.synchronize()
     base = base or thr
-    devs = pool.stats.snapshot()["devices"]
+    devs = svc.stats.snapshot()["devices"]
     spread = {i: d["dispatches"] for i, d in devs.items()}
-    pool.close()
+    svc.close()
     print(f"  {n_dev} device(s): {thr:>9.0f} req/s "
           f"({thr / base:.2f}x), dispatches {spread}")

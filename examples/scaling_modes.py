@@ -8,9 +8,11 @@ Demonstrates the two §III-A mechanisms for problems that outgrow a GPU:
 2. **Distributed memory** — "the assembly tree is split in multiple
    subtrees, each of which is assigned to a single MPI rank and
    corresponding GPU, while the top log P levels ... [use] ScaLAPACK
-   (CPU-only) or SLATE".
+   (CPU-only) or SLATE" — modeled as a multi-device node whose
+   device-to-device link is an MPI-style network.
 
-Both modes produce bit-identical factors to the plain single-device run.
+On this grid Laplacian both modes produce bit-identical factors to the
+plain single-device run.
 
 Run:  python examples/scaling_modes.py
 """
@@ -19,9 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.analysis import format_table
-from repro.device import A100, Device
-from repro.sparse import multifrontal_factor_distributed, \
-    multifrontal_factor_gpu, nested_dissection, plan_traversals, \
+from repro.device import A100, Device, Link, Node
+from repro.sparse import multifrontal_factor_gpu, \
+    multifrontal_factor_sharded, nested_dissection, plan_traversals, \
     symbolic_analysis
 
 
@@ -61,20 +63,22 @@ print(format_table(
     ["memory budget", "traversals", "factor ms", "transfers", "identical"],
     rows, title="out-of-core traversals vs device memory budget"))
 
-# --- distributed: rank-per-subtree -----------------------------------------
+# --- distributed: rank-per-subtree, one GPU per rank ----------------------
+network = Link(bandwidth=25e9, latency=5e-6)     # an MPI-style interconnect
 rows = []
 for p in (1, 2, 4, 8):
-    res = multifrontal_factor_distributed(A100(), ap, symb, p)
+    res = multifrontal_factor_sharded(Node(A100(), p, p2p_link=network),
+                                      ap, symb)
     same = all(np.array_equal(f1.f11, f2.f11) for f1, f2 in
                zip(ref.factors.fronts, res.factors.fronts))
-    rows.append([p, max(res.per_rank_seconds) * 1e3,
+    rows.append([p, max(res.per_device_seconds) * 1e3,
                  res.gather_seconds * 1e3, res.top_seconds * 1e3,
-                 res.comm_bytes // 1024,
+                 res.elapsed * 1e3, res.link_bytes // 1024,
                  f"{res.assignment.imbalance:.2f}", same])
 print()
 print(format_table(
-    ["ranks", "local ms (max)", "gather ms", "top ms", "comm KB",
-     "imbalance", "identical"],
+    ["ranks", "local ms (max)", "gather ms", "top ms", "makespan ms",
+     "link KB", "imbalance", "identical"],
     rows, title="distributed factorization (rank-per-subtree + top part)"))
 
 print("\nThe subtree phase scales with ranks; the top of the tree and the "

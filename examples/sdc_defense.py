@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from repro.batched import IrrBatch, irr_getrf
 from repro.device import A100, PERSISTENT, Device, FaultPlan, FaultRule
 from repro.errors import CorruptionDetected
-from repro.serve import CoalescingPolicy, SolverService
+from repro.serve import CircuitBreaker, CoalescingPolicy, SolverService
 from repro.sparse import (multifrontal_factor_gpu, nested_dissection,
                           symbolic_analysis)
 
@@ -114,8 +114,10 @@ print(f"  report: {res.report.summary()}")
 print("\n=== 4. circuit breaker under a corruption storm ===")
 a = rng.standard_normal((48, 48)) + 48 * np.eye(48)
 dev = Device(A100())
+breaker = CircuitBreaker()
 svc = SolverService(dev, policy=CoalescingPolicy(
-    max_batch=4, compile_hot=True, hot_threshold=2), start=False)
+    max_batch=4, compile_hot=True, hot_threshold=2), start=False,
+    breaker=breaker)
 ref_handle = svc.factor(a)
 
 
@@ -146,7 +148,7 @@ for _ in range(20):   # storm over: probes close the breaker
     assert np.array_equal(h.lu, ref_handle.lu)
 snap = svc.stats.snapshot()
 print(f"  after storm  : breaker={snap['breaker_state']!r} "
-      f"probes={svc.breaker.probes} "
+      f"probes={breaker.probes} "
       f"compiled dispatches resumed="
       f"{snap['compiled_dispatches'] > before}")
 svc.close()

@@ -23,8 +23,8 @@ the receiving device cannot consume bytes the sender has not produced.
 Per-device link-byte counters feed the serving stats.
 
 Timing only: transfers move no numerics (the host store is the data
-plane, as in the rest of the simulator), so sharded execution stays
-bitwise identical to single-device execution by construction.
+plane, as in the rest of the simulator), so a transfer never changes
+the numbers it carries.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Public surface::
 
     from repro.serve import SolverService, CoalescingPolicy
 
-    svc = SolverService(Device(A100()))
+    svc = SolverService(Device(A100()))        # or Node(A100(), 4)
     fut = svc.submit_factor_solve(A, b)        # thread-safe
     x, handle = fut.result()
     x2 = svc.solve(handle, b2)                 # sync convenience
@@ -22,14 +22,13 @@ tuning, and :class:`~repro.serve.stats.ServiceStats` for observability.
 
 from .autotune import AutotuneConfig, OnlineAutotuner, TuneAction, Window
 from .health import CircuitBreaker, HealthMonitor
-from .pool import DevicePool
 from .scheduler import AdmissionQueue, CoalescingPolicy, DispatchPolicy, \
     ServiceFuture
 from .service import FactorHandle, SolverService
 from .session import MemoryArbiter, ServeSession
 from .stats import DispatchRecord, LatencyHistogram, ServiceStats
 
-__all__ = ["SolverService", "DevicePool", "CoalescingPolicy",
+__all__ = ["SolverService", "CoalescingPolicy",
            "DispatchPolicy",
            "ServiceFuture", "FactorHandle", "ServeSession",
            "MemoryArbiter", "ServiceStats", "DispatchRecord",

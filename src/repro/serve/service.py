@@ -22,6 +22,20 @@ funnels every kernel through one thread while callers block on
 futures.  Construct with ``start=False`` and drive :meth:`run_once`
 for deterministic single-threaded tests.
 
+Devices
+-------
+The service serves one :class:`~repro.device.simulator.Device` or every
+member of a :class:`~repro.device.node.Node`, and owns one slot per
+device: batch engine (plan cache), circuit breaker, memory arbiter (the
+sparse budget split evenly) and compiled-program store.  Each coalesced
+group runs whole on one slot, chosen cheapest rule first: a sparse solve
+goes to the device holding its session; a hot getrf signature replays
+where its program lives; anything else goes to the device whose
+simulated clock is furthest behind, skipping open breakers unless every
+breaker is open.  Member devices share one spec, so results are bitwise
+identical at every device count — placement changes where work runs,
+never what it computes.
+
 Isolation
 ---------
 Failures are per-request.  A pivot breakdown poisons only its own
@@ -50,7 +64,8 @@ from ..batched.interface import IrrBatch
 from ..batched.program import CompileError, GuardTripped, PayloadMismatch, \
     compile_workload
 from ..batched.trsm import TRSM_BASE_NB
-from ..device.memory import DeviceOutOfMemory
+from ..device.memory import DeviceOutOfMemory, validate_memory_budget
+from ..device.node import Node
 from ..device.simulator import Device
 from ..errors import CorruptionDetected, FactorizationError, \
     KernelLaunchError, ResourceExhausted, TransferError
@@ -177,67 +192,105 @@ def _validate_policy(policy) -> None:
             f"missing {sorted(missing)}")
 
 
+class _Slot:
+    """Everything one device owns: its engine (plan cache), circuit
+    breaker, memory arbiter, compiled-program stores and the sparse
+    sessions it hosts."""
+
+    __slots__ = ("index", "device", "engine", "breaker", "arbiter",
+                 "programs", "sig_seen", "uncompilable", "sessions")
+
+    def __init__(self, index: int, device: Device, breaker: CircuitBreaker,
+                 arbiter: MemoryArbiter, cache_capacity: int | None):
+        self.index = index
+        self.device = device
+        # One engine for the service's lifetime: every dispatch reuses
+        # the same DCWI plan cache, so recurring shapes re-plan nothing.
+        self.engine = BatchEngine("bucketed",
+                                  cache=PlanCache(capacity=cache_capacity))
+        self.breaker = breaker
+        self.arbiter = arbiter
+        # Hot-signature workload programs (policy.compile_hot): dispatch
+        # signature -> compiled program, LRU by last replay.
+        self.programs: OrderedDict[tuple, object] = OrderedDict()
+        self.sig_seen: dict[tuple, int] = {}
+        self.uncompilable: set[tuple] = set()
+        self.sessions: list[ServeSession] = []
+
+
 class SolverService:
-    """Thread-safe serving front-end over one simulated device.
+    """Thread-safe serving front-end over one device or a whole node.
 
     Parameters
     ----------
     device:
         The :class:`~repro.device.simulator.Device` all dispatches run
-        on.  The service's dispatcher thread is the device's single
-        launch owner; don't launch kernels on it from other threads
-        while the service is live.
+        on, or a :class:`~repro.device.node.Node` whose member devices
+        share the traffic (see "Devices" in the module docstring).  The
+        dispatcher thread is the single launch owner of every device;
+        don't launch kernels on them from other threads while the
+        service is live.
     policy:
         The :class:`~repro.serve.scheduler.CoalescingPolicy` batching
         knobs.  ``CoalescingPolicy(max_batch=1)`` is the
         one-request-per-launch reference configuration.
     sparse_memory_budget:
-        One shared device-byte budget split evenly across open sparse
-        sessions by the :class:`~repro.serve.session.MemoryArbiter`
-        (``None`` = unbudgeted residency).
+        One device-byte budget split evenly across devices, and on each
+        device across its open sparse sessions, by a per-device
+        :class:`~repro.serve.session.MemoryArbiter` (``None`` =
+        unbudgeted residency).
     start:
         Start the dispatcher thread immediately.  ``start=False`` +
         :meth:`run_once` gives deterministic inline dispatch for tests.
     breaker:
-        The :class:`~repro.serve.health.CircuitBreaker` guarding the
-        dispatch fast path (a default-configured one when omitted).
-        It is fed the recovery-log fault delta of every dispatch; when
-        it opens, dispatches degrade (compiled replay off, and at
-        severity 2 new sparse sessions go to the host backend) until a
-        half-open probe comes back clean.  Degradation is observable —
-        ``stats.snapshot()["breaker_state"]`` / ``["degraded_reason"]``
-        — never raised at request callers.
+        The :class:`~repro.serve.health.CircuitBreaker` guarding a
+        one-device service's dispatch fast path (a default-configured
+        one when omitted; each device of a node always gets a default
+        one, and passing ``breaker=`` with a node raises ``TypeError``).
+        It is fed the recovery-log fault delta of every dispatch on its
+        device; when it opens, dispatches degrade (compiled replay off,
+        and at severity 2 new sparse sessions go to the host backend)
+        until a half-open probe comes back clean.  Degradation is
+        observable — ``stats.snapshot()["breaker_state"]`` /
+        ``["degraded_reason"]``, per device under ``["devices"]`` —
+        never raised at request callers.
     """
 
-    def __init__(self, device: Device, *,
+    def __init__(self, device: Device | Node, *,
                  policy: DispatchPolicy | None = None,
                  sparse_memory_budget: int | None = None,
                  start: bool = True, clock=time.monotonic,
                  breaker: CircuitBreaker | None = None):
+        if isinstance(device, Node):
+            if breaker is not None:
+                raise TypeError("breaker= configures a one-device service; "
+                                "each device of a Node gets its own")
+            devices = list(device)
+        elif isinstance(device, Device):
+            devices = [device]
+        else:
+            raise TypeError(f"SolverService needs a Device or a Node, "
+                            f"got {type(device).__name__}")
         self.device = device
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._policy_lock = threading.Lock()
         self._policy = policy if policy is not None else CoalescingPolicy()
         _validate_policy(self._policy)
         self.stats = ServiceStats()
         self._clock = clock
-        self.arbiter = MemoryArbiter(sparse_memory_budget,
-                                     stats=self.stats)
         self._queue = AdmissionQueue(self.stats, clock=clock)
-        # One engine for the service's lifetime: every dispatch reuses
-        # the same DCWI plan cache, so recurring shapes re-plan nothing.
-        # The cache is LRU-bounded by policy.plan_cache_capacity and its
-        # hit/miss/eviction counters surface through stats.snapshot().
-        self._engine = BatchEngine(
-            "bucketed",
-            cache=PlanCache(capacity=getattr(
-                self._policy, "plan_cache_capacity", None)))
-        self.stats.attach_plan_cache(self._engine.cache)
-        # Hot-signature workload programs (policy.compile_hot): dispatch
-        # signature -> compiled program, LRU by last replay.
-        self._programs: OrderedDict[tuple, object] = OrderedDict()
-        self._sig_seen: dict[tuple, int] = {}
-        self._uncompilable: set[tuple] = set()
+        total = validate_memory_budget(sparse_memory_budget,
+                                       name="sparse memory budget")
+        share = None if total is None else max(1, total // len(devices))
+        # plan caches are LRU-bounded by policy.plan_cache_capacity; their
+        # summed hit/miss/eviction counters surface in stats.snapshot()
+        capacity = getattr(self._policy, "plan_cache_capacity", None)
+        self._slots = [
+            _Slot(i, dev,
+                  breaker if breaker is not None else CircuitBreaker(),
+                  MemoryArbiter(share, stats=self.stats), capacity)
+            for i, dev in enumerate(devices)]
+        for slot in self._slots:
+            self.stats.attach_plan_cache(slot.engine.cache)
         self._serial = 0
         self._serial_lock = threading.Lock()
         self._thread: threading.Thread | None = None
@@ -305,9 +358,10 @@ class SolverService:
             self._thread = None
         else:
             self._drain_inline()
-        for prog in self._programs.values():
-            prog.free()
-        self._programs.clear()
+        for slot in self._slots:
+            for prog in slot.programs.values():
+                prog.free()
+            slot.programs.clear()
 
     def __enter__(self) -> "SolverService":
         return self
@@ -589,24 +643,26 @@ class SolverService:
         """
         if policy is None:
             policy = self.policy
+        slot = self._place(group, policy)
+        device, breaker = slot.device, slot.breaker
         waits = [r.waited() for r in group]
         t0 = time.perf_counter()
-        dev_t0 = self.device.host_time
-        mark = self.device.recovery_log.mark()
+        dev_t0 = device.host_time
+        mark = device.recovery_log.mark()
         corr0 = self.stats.corruptions_detected
-        was_open = self.breaker.state == "open"
+        was_open = breaker.state == "open"
         try:
             kind = group[0].key[0]
             if kind == "getrf":
-                record = self._dispatch_dense(group, self._run_getrf_group,
-                                              policy)
+                record = self._dispatch_dense(
+                    slot, group, self._run_getrf_group, policy)
             elif kind == "getrs":
-                record = self._dispatch_dense(group, self._run_getrs_group,
-                                              policy)
+                record = self._dispatch_dense(
+                    slot, group, self._run_getrs_group, policy)
             elif kind == "sparse-open":
-                record = self._dispatch_sparse_open(group)
+                record = self._dispatch_sparse_open(slot, group)
             else:
-                record = self._dispatch_sparse_solve(group, policy)
+                record = self._dispatch_sparse_solve(slot, group, policy)
         except BaseException as exc:  # noqa: BLE001 - resolve, re-raise
             elapsed = time.perf_counter() - t0
             for r in group:
@@ -616,19 +672,24 @@ class SolverService:
                 self.stats.on_done(False, elapsed)
             raise
         record = dataclasses.replace(
-            record, sim_seconds=self.device.synchronize() - dev_t0)
+            record, sim_seconds=device.synchronize() - dev_t0)
         # feed the circuit breaker: this dispatch's recovery-log delta
         # (every repair action the stack recorded on its behalf) plus
         # the typed corruptions the ladder caught.
-        delta = self.device.recovery_log.since(mark).counts()
+        delta = device.recovery_log.since(mark).counts()
         self.stats.on_kernel_reexec(delta.get("kernel-reexec", 0))
         faults = sum(delta.get(a, 0) for a in FAULT_ACTIONS) \
             + (self.stats.corruptions_detected - corr0)
         if was_open:
             self.stats.on_degraded_dispatch()
-        state = self.breaker.record(faults)
-        self.stats.on_breaker_state(state, self.breaker.last_degraded)
+        state = breaker.record(faults)
+        self.stats.on_breaker_state(state, breaker.last_degraded)
         self.stats.on_dispatch(record, waits)
+        self.stats.on_device_dispatch(slot.index, record)
+        self.stats.on_device_breaker(slot.index, state, degraded=was_open)
+        self.stats.on_device_link(slot.index, self._staged_nbytes(group))
+        self.stats.on_device_resident(slot.index,
+                                      self._resident_nbytes(slot))
         elapsed = time.perf_counter() - t0
         for r in group:
             if not r.future.done():
@@ -637,11 +698,68 @@ class SolverService:
             self.stats.on_done(r.future.exception() is None, elapsed)
         return record
 
+    def _place(self, group: list[Request], policy: DispatchPolicy) -> _Slot:
+        """The slot one coalesced group runs on (the placement rules of
+        the module docstring; a one-device service has only one)."""
+        slots = self._slots
+        if len(slots) == 1:
+            return slots[0]
+        kind = group[0].key[0]
+        if kind == "sparse-solve":
+            home = group[0].payload["session"].device
+            for slot in slots:
+                if slot.device is home:
+                    return slot
+        elif kind == "getrf" and getattr(policy, "compile_hot", False):
+            sig = self._group_signature(group, policy)
+            for slot in slots:
+                if sig in slot.programs:
+                    return slot
+        healthy = [s for s in slots if s.breaker.state != "open"]
+        return min(healthy or slots,
+                   key=lambda s: (s.device.host_time, s.index))
+
+    @staticmethod
+    def _staged_nbytes(group: list[Request]) -> int:
+        """Host payload bytes this group stages onto its device (the
+        matrices, right-hand sides and re-uploaded dense factors)."""
+        total = 0
+        for r in group:
+            for key in ("a", "b2", "b"):
+                v = r.payload.get(key)
+                if v is None:
+                    continue
+                if sp.issparse(v):
+                    total += v.data.nbytes + v.indices.nbytes + \
+                        v.indptr.nbytes
+                else:
+                    total += v.nbytes
+            h = r.payload.get("handle")
+            if h is not None:
+                total += h.lu.nbytes
+        return total
+
+    @staticmethod
+    def _resident_nbytes(slot: _Slot) -> int:
+        """Factor bytes currently device-resident for the slot's open
+        sparse sessions (closed sessions are pruned as a side effect)."""
+        slot.sessions = [s for s in slot.sessions if not s.closed]
+        return sum(s.solver.solve_cache.resident_nbytes
+                   for s in slot.sessions
+                   if s.solver.solve_cache is not None)
+
     @staticmethod
     def _fail(req: Request, error: BaseException) -> None:
         req.future._resolve(error=error)
 
-    def _dispatch_dense(self, group: list[Request], runner,
+    def _caught(self, exc: BaseException) -> BaseException:
+        """Count a caught :class:`CorruptionDetected` (the breaker's
+        fault signal); returns ``exc`` for the caller to fail with."""
+        if isinstance(exc, CorruptionDetected):
+            self.stats.on_corruption()
+        return exc
+
+    def _dispatch_dense(self, slot: _Slot, group: list[Request], runner,
                         policy: DispatchPolicy) -> DispatchRecord:
         """Retry-then-isolate ladder around one dense batch runner.
 
@@ -654,28 +772,24 @@ class SolverService:
         kind = group[0].key[0]
         for attempt in range(policy.dispatch_retries + 1):
             try:
-                launches, occupancy = runner(group, policy)
+                launches, occupancy = runner(slot, group, policy)
                 return DispatchRecord(kind, len(group), launches,
                                       occupancy, attempt, False)
             except _SYSTEM_ERRORS as exc:
-                if isinstance(exc, CorruptionDetected):
-                    self.stats.on_corruption()
-                continue
+                self._caught(exc)
         launches = 0
         occs = []
         for req in group:
             done = False
             for attempt in range(policy.dispatch_retries + 1):
                 try:
-                    solo_launches, occ = runner([req], policy)
+                    solo_launches, occ = runner(slot, [req], policy)
                     launches += solo_launches
                     occs.append(occ)
                     done = True
                     break
                 except _SYSTEM_ERRORS as exc:
-                    if isinstance(exc, CorruptionDetected):
-                        self.stats.on_corruption()
-                    last = exc
+                    last = self._caught(exc)
             if not done:
                 self._fail(req, last)
         occupancy = sum(occs) / len(occs) if occs else 0.0
@@ -683,33 +797,28 @@ class SolverService:
                               policy.dispatch_retries + 1, True)
 
     # -- dense runners ---------------------------------------------------
-    def _run_getrf_group(self, group: list[Request],
-                         policy: DispatchPolicy | None = None
-                         ) -> tuple[int, float]:
+    def _run_getrf_group(self, slot: _Slot, group: list[Request],
+                         policy: DispatchPolicy) -> tuple[int, float]:
         """One coalesced getrf (+ embedded getrs for factor_solve).
 
         Resolves every member future on success.  On a device fault the
         partial device state is freed and *no* future is touched — the
         caller's ladder retries from the pristine host payloads.
         """
-        if policy is None:
-            policy = self.policy
-        if policy.compile_hot and self.breaker.allow_compiled():
-            compiled = self._run_getrf_compiled(group, policy)
+        if policy.compile_hot and slot.breaker.allow_compiled():
+            compiled = self._run_getrf_compiled(slot, group, policy)
             if compiled is not None:
                 return compiled
-        device = self.device
+        device, engine = slot.device, slot.engine
         lu_kwargs = self._effective_lu_kwargs(group, policy)
         dtype = np.dtype(group[0].key[1])
-        mixed = "mixed" in group[0].key
         launch0 = device.profiler.launch_count
         batch = IrrBatch.from_host_packed(device,
                                    [r.payload["a"] for r in group],
                                    dtype=dtype)
         try:
             occupancy = self._occupancy(batch)
-            pivots = irr_getrf(device, batch, engine=self._engine,
-                               **lu_kwargs)
+            pivots = irr_getrf(device, batch, engine=engine, **lu_kwargs)
             # factor_solve members with clean factors: sub-batch the
             # solve step by order class (bitwise getrs affinity: one
             # shared base-case class at <= TRSM_BASE_NB, exact order
@@ -737,8 +846,7 @@ class SolverService:
                     pending.append((idxs, rhs))
                     view = _PivotView([pivots.ipiv[i] for i in idxs],
                                       pivots.info[idxs])
-                    irr_getrs(device, fsub, view, rhs,
-                              engine=self._engine)
+                    irr_getrs(device, fsub, view, rhs, engine=engine)
                 device.synchronize()
                 for idxs, rhs in pending:
                     sols = rhs.to_host()
@@ -747,40 +855,66 @@ class SolverService:
             finally:
                 for _, rhs in pending:
                     rhs.free()
-            bad: list[int] = []
-            if mixed and xs:
-                # FP64 finisher over the still-resident reduced factors
-                items = [(i, group[i].payload["a_ref"],
-                          group[i].payload["b_ref"], xs[i]) for i in xs]
-                xs, bad = self._refine_members(batch, pivots.ipiv, items)
-            lu_host = batch.to_host()
+            # the finisher refines against the still-resident factors
+            self._finish_getrf(slot, group, policy, batch.to_host(),
+                               pivots, xs, batch)
         finally:
             batch.free()
+        return device.profiler.launch_count - launch0, occupancy
 
+    def _finish_getrf(self, slot: _Slot, group: list[Request],
+                      policy: DispatchPolicy, lus, piv, xs: dict,
+                      fbatch: IrrBatch | None) -> None:
+        """Shared tail of the bucketed and compiled getrf runners:
+        handles → mixed refinement → FP64 fallback → resolve.
+
+        ``lus``/``piv`` are the host factors and the pivot surface
+        (``ipiv``/``info``/``n_replaced``/``min_pivot``/``growth``);
+        ``xs`` maps member index → solution of each clean factor_solve
+        member.  Mixed members refine against ``fbatch``, the reduced
+        factors still device-resident (``None``: uploaded from the
+        handles for the refinement only); broken or stagnating ones take
+        the solo FP64 fallback."""
+        mixed = "mixed" in group[0].key
         handles = [FactorHandle(
-            lu_host[i], pivots.ipiv[i].copy(),
-            int(pivots.info[i]), int(pivots.n_replaced[i]),
-            float(pivots.min_pivot[i]), float(pivots.growth[i]),
+            lus[i], np.array(piv.ipiv[i]),
+            int(piv.info[i]), int(piv.n_replaced[i]),
+            float(piv.min_pivot[i]), float(piv.growth[i]),
             precision="fp32" if mixed else "fp64",
             a_ref=group[i].payload.get("a_ref"))
             for i in range(len(group))]
         failures: dict[int, BaseException] = {}
         if mixed:
+            items = [(i, group[i].payload["a_ref"],
+                      group[i].payload["b_ref"], xs[i])
+                     for i in xs if handles[i].info == 0]
+            bad: list[int] = []
+            if items:
+                owned = fbatch is None
+                if owned:
+                    fbatch = IrrBatch.from_host_packed(
+                        slot.device, [h.lu for h in handles],
+                        dtype=np.dtype(group[0].key[1]))
+                try:
+                    refined, bad = self._refine_members(
+                        slot, fbatch, [h.ipiv for h in handles], items)
+                    xs.update(refined)
+                finally:
+                    if owned:
+                        fbatch.free()
+            lu_kwargs = self._effective_lu_kwargs(group, policy)
             for i, (req, h) in enumerate(zip(group, handles)):
                 if h.info != 0 or i in bad:
                     try:
                         xs[i] = self._dense_precision_fallback(
-                            h, req.payload.get("b_ref"), lu_kwargs)
+                            slot, h, req.payload.get("b_ref"), lu_kwargs)
                     except FactorizationError as exc:
                         failures[i] = exc
-        launches = device.profiler.launch_count - launch0
-
         for i, req in enumerate(group):
             if i in failures:
                 self._fail(req, failures[i])
             else:
                 self._resolve_getrf_member(req, handles[i], xs.get(i))
-        return launches, occupancy
 
     def _resolve_getrf_member(self, req: Request, handle: FactorHandle,
                               x: np.ndarray | None) -> None:
@@ -832,25 +966,26 @@ class SolverService:
             for r in group)
         return base + (members, getattr(policy, "panel_regime", None))
 
-    def _compiled_program_for(self, group: list[Request],
+    def _compiled_program_for(self, slot: _Slot, group: list[Request],
                               policy: DispatchPolicy):
-        """The hot-signature program for this group, compiling it when
-        the signature crosses ``policy.hot_threshold``; ``None`` while
-        cold or when the signature cannot be compiled."""
+        """The slot's hot-signature program for this group, compiling it
+        when the signature crosses ``policy.hot_threshold``; ``None``
+        while cold or when the signature cannot be compiled."""
         sig = self._group_signature(group, policy)
-        if sig in self._uncompilable:
+        if sig in slot.uncompilable:
             return None
-        prog = self._programs.get(sig)
+        programs, sig_seen = slot.programs, slot.sig_seen
+        prog = programs.get(sig)
         if prog is not None:
-            self._programs.move_to_end(sig)
+            programs.move_to_end(sig)
             return prog
-        seen = self._sig_seen.pop(sig, 0) + 1
-        self._sig_seen[sig] = seen    # re-insert: newest position
+        seen = sig_seen.pop(sig, 0) + 1
+        sig_seen[sig] = seen    # re-insert: newest position
         if seen < policy.hot_threshold:
             # bound the cold-signature tracker like the program store:
             # high-diversity traffic must not grow state without limit
-            while len(self._sig_seen) > 32 * policy.max_programs:
-                self._sig_seen.pop(next(iter(self._sig_seen)))
+            while len(sig_seen) > 32 * policy.max_programs:
+                sig_seen.pop(next(iter(sig_seen)))
             return None
         dtype = np.dtype(group[0].key[1])
         lu_kwargs = self._effective_lu_kwargs(group, policy)
@@ -858,39 +993,39 @@ class SolverService:
         try:
             if any(r.kind == "factor_solve" for r in group):
                 prog = compile_workload(
-                    self.device, "factor_solve", shapes, dtype=dtype,
+                    slot.device, "factor_solve", shapes, dtype=dtype,
                     rhs_shapes=[r.payload["b2"].shape
                                 if r.kind == "factor_solve" else None
                                 for r in group],
-                    lu_kwargs=lu_kwargs, engine=self._engine,
+                    lu_kwargs=lu_kwargs, engine=slot.engine,
                     solve_grouping="order_class")
             else:
-                prog = compile_workload(self.device, "getrf", shapes,
+                prog = compile_workload(slot.device, "getrf", shapes,
                                         dtype=dtype, lu_kwargs=lu_kwargs,
-                                        engine=self._engine)
+                                        engine=slot.engine)
         except CompileError:
-            self._uncompilable.add(sig)
-            while len(self._uncompilable) > 32 * policy.max_programs:
-                self._uncompilable.pop()
+            slot.uncompilable.add(sig)
+            while len(slot.uncompilable) > 32 * policy.max_programs:
+                slot.uncompilable.pop()
             return None
-        self._programs[sig] = prog
-        self._sig_seen.pop(sig, None)
+        programs[sig] = prog
+        sig_seen.pop(sig, None)
         self.stats.on_program_compiled()
-        while len(self._programs) > policy.max_programs:
-            _, old = self._programs.popitem(last=False)
+        while len(programs) > policy.max_programs:
+            _, old = programs.popitem(last=False)
             old.free()
         return prog
 
-    def _run_getrf_compiled(self, group: list[Request],
+    def _run_getrf_compiled(self, slot: _Slot, group: list[Request],
                             policy: DispatchPolicy
                             ) -> tuple[int, float] | None:
         """Serve one getrf group by program replay; ``None`` hands the
         group to the ordinary bucketed runner (signature cold or
         uncompilable, or the replay guard tripped on this payload)."""
-        prog = self._compiled_program_for(group, policy)
+        prog = self._compiled_program_for(slot, group, policy)
         if prog is None:
             return None
-        device = self.device
+        device = slot.device
         launch0 = device.profiler.launch_count
         payloads = {"a": [r.payload["a"] for r in group]}
         if prog.op == "factor_solve":
@@ -917,69 +1052,26 @@ class SolverService:
             # stale program (should not happen: programs are keyed by
             # signature) — drop it and fall back
             self.stats.on_compiled_fallback()
-            stale = [s for s, p in self._programs.items() if p is prog]
+            stale = [s for s, p in slot.programs.items() if p is prog]
             for s in stale:
-                self._programs.pop(s).free()
+                slot.programs.pop(s).free()
             return None
         self.stats.on_compiled_dispatch()
-        mixed = "mixed" in group[0].key
-        handles = [FactorHandle(
-            res.factors[i], res.ipiv[i],
-            int(res.info[i]), int(res.n_replaced[i]),
-            float(res.min_pivot[i]), float(res.growth[i]),
-            precision="fp32" if mixed else "fp64",
-            a_ref=group[i].payload.get("a_ref"))
-            for i in range(len(group))]
         xs = {} if res.solutions is None else \
             {i: x for i, x in enumerate(res.solutions) if x is not None}
-        failures: dict[int, BaseException] = {}
-        if mixed:
-            # same finisher as the bucketed path; the program's arena
-            # still holds the reduced factors device-resident, so the
-            # correction solves run against them with zero factor
-            # re-upload (the fallback re-uploads only when a program
-            # variant does not expose its batch)
-            items = [(i, group[i].payload["a_ref"],
-                      group[i].payload["b_ref"], xs[i])
-                     for i in xs if handles[i].info == 0]
-            bad: list[int] = []
-            if items:
-                fbatch = prog.factor_batch
-                owned = fbatch is None
-                if owned:
-                    fbatch = IrrBatch.from_host_packed(
-                        device, [h.lu for h in handles],
-                        dtype=np.dtype(group[0].key[1]))
-                try:
-                    refined, bad = self._refine_members(
-                        fbatch, [h.ipiv for h in handles], items)
-                    xs.update(refined)
-                finally:
-                    if owned:
-                        fbatch.free()
-            lu_kwargs = self._effective_lu_kwargs(group, policy)
-            for i, (req, h) in enumerate(zip(group, handles)):
-                if h.info != 0 or i in bad:
-                    try:
-                        xs[i] = self._dense_precision_fallback(
-                            h, req.payload.get("b_ref"), lu_kwargs)
-                    except FactorizationError as exc:
-                        failures[i] = exc
-        launches = device.profiler.launch_count - launch0
+        # the program's arena still holds the reduced factors
+        # device-resident, so mixed corrections re-upload no factors
+        # (unless a program variant does not expose its batch)
+        self._finish_getrf(slot, group, policy, res.factors, res, xs,
+                           prog.factor_batch)
         ms = np.array([r.payload["a"].shape[0] for r in group])
         ns = np.array([r.payload["a"].shape[1] for r in group])
         denom = len(group) * int(ms.max()) * int(ns.max())
         occupancy = float((ms * ns).sum()) / denom if denom else 1.0
-        for i, req in enumerate(group):
-            if i in failures:
-                self._fail(req, failures[i])
-            else:
-                self._resolve_getrf_member(req, handles[i], xs.get(i))
-        return launches, occupancy
+        return device.profiler.launch_count - launch0, occupancy
 
-    def _run_getrs_group(self, group: list[Request],
-                         policy: DispatchPolicy | None = None
-                         ) -> tuple[int, float]:
+    def _run_getrs_group(self, slot: _Slot, group: list[Request],
+                         policy: DispatchPolicy) -> tuple[int, float]:
         """One coalesced getrs over same-order handles (re-uploaded).
 
         Mixed (``precision="fp32"``) groups run the same batched sweep
@@ -987,7 +1079,7 @@ class SolverService:
         against each handle's reference matrix; members whose
         refinement stagnates take the solo FP64 fallback (which heals
         their handles for later solves)."""
-        device = self.device
+        device = slot.device
         dtype = np.dtype(group[0].key[1])
         mixed = "mixed" in group[0].key
         launch0 = device.profiler.launch_count
@@ -1004,8 +1096,7 @@ class SolverService:
                 occupancy = self._occupancy(rhs)
                 view = _PivotView([h.ipiv for h in handles],
                                   np.zeros(len(handles), dtype=np.int64))
-                irr_getrs(device, factored, view, rhs,
-                          engine=self._engine)
+                irr_getrs(device, factored, view, rhs, engine=slot.engine)
                 device.synchronize()
                 sols = rhs.to_host()
             finally:
@@ -1015,7 +1106,7 @@ class SolverService:
                           group[i].payload["b_ref"], sols[i])
                          for i in range(len(group))]
                 xs, bad = self._refine_members(
-                    factored, [h.ipiv for h in handles], items)
+                    slot, factored, [h.ipiv for h in handles], items)
                 sols = [xs[i] for i in range(len(group))]
         finally:
             factored.free()
@@ -1023,7 +1114,7 @@ class SolverService:
         for i in bad:
             try:
                 sols[i] = self._dense_precision_fallback(
-                    handles[i], group[i].payload["b_ref"])
+                    slot, handles[i], group[i].payload["b_ref"])
             except FactorizationError as exc:
                 failures[i] = exc
         launches = device.profiler.launch_count - launch0
@@ -1042,7 +1133,7 @@ class SolverService:
         return float(batch.total_elements()) / denom if denom else 1.0
 
     # -- mixed-precision finisher ----------------------------------------
-    def _refine_members(self, batch: IrrBatch, ipiv,
+    def _refine_members(self, slot: _Slot, batch: IrrBatch, ipiv,
                         items: list[tuple]) -> tuple[dict, list[int]]:
         """FP64 iterative-refinement finisher shared by every dense
         dispatch path (bucketed getrf, compiled replay, getrs groups).
@@ -1064,7 +1155,7 @@ class SolverService:
         still above it after :data:`ESCALATED_REFINE_STEPS` passes are
         returned as stagnated (the caller runs the FP64 fallback).
         """
-        device = batch.device
+        device = slot.device
         work = batch.dtype
         xs, arefs, brefs, denoms = {}, {}, {}, {}
         for i, a_ref, b_ref, x0 in items:
@@ -1092,7 +1183,7 @@ class SolverService:
             try:
                 view = _PivotView([ipiv[i] for i in active],
                                   np.zeros(len(active), dtype=np.int64))
-                irr_getrs(device, fsub, view, rhs, engine=self._engine)
+                irr_getrs(device, fsub, view, rhs, engine=slot.engine)
                 device.synchronize()
                 cs = rhs.to_host()
                 for j, i in enumerate(active):
@@ -1102,7 +1193,7 @@ class SolverService:
         bad = [i for i in active if err(i) > REFINE_TARGET]
         return xs, bad
 
-    def _dense_precision_fallback(self, handle: FactorHandle,
+    def _dense_precision_fallback(self, slot: _Slot, handle: FactorHandle,
                                   b_ref: np.ndarray | None,
                                   lu_kwargs: dict | None = None
                                   ) -> np.ndarray | None:
@@ -1114,20 +1205,19 @@ class SolverService:
         doomed reduced path — records a ``precision-fallback`` in the
         device's recovery log, and returns the FP64 solution when a
         right-hand side is given."""
-        device = self.device
+        device = slot.device
         a64 = handle.a_ref
         batch = IrrBatch.from_host_packed(device, [a64], dtype=a64.dtype)
         x = None
         try:
-            pivots = irr_getrf(device, batch, engine=self._engine,
+            pivots = irr_getrf(device, batch, engine=slot.engine,
                                **(lu_kwargs or {}))
             if b_ref is not None and pivots.info[0] == 0:
                 rhs = IrrBatch.from_host_packed(device, [b_ref],
                                                 dtype=a64.dtype)
                 try:
                     view = _PivotView([pivots.ipiv[0]], pivots.info[:1])
-                    irr_getrs(device, batch, view, rhs,
-                              engine=self._engine)
+                    irr_getrs(device, batch, view, rhs, engine=slot.engine)
                     device.synchronize()
                     x = rhs.to_host()[0]
                 finally:
@@ -1163,11 +1253,11 @@ class SolverService:
         if getattr(info, "fallback", False):
             self.stats.on_precision_fallback()
 
-    def _open_session(self, a, kwargs: dict) -> ServeSession:
+    def _open_session(self, slot: _Slot, a, kwargs: dict) -> ServeSession:
         factor_kw = dict(kwargs)
         pinned = "backend" in factor_kw
         backend = factor_kw.pop("backend", "batched")
-        if not pinned and self.breaker.force_host():
+        if not pinned and slot.breaker.force_host():
             # severity-2 degradation: the device is persistently
             # faulting, so sessions the caller did not pin to a backend
             # factor on the host (an explicit backend= always wins)
@@ -1176,25 +1266,27 @@ class SolverService:
         ctor_kw = {k: factor_kw.pop(k) for k in ("use_mc64", "leaf_size")
                    if k in factor_kw}
         solver = SparseLU(a, **ctor_kw).analyze()
-        device = None if backend == "cpu" else self.device
+        device = None if backend == "cpu" else slot.device
         solver.factor(backend=backend, device=device, **factor_kw)
-        return ServeSession(solver, self.device, self.arbiter)
+        session = ServeSession(solver, slot.device, slot.arbiter)
+        slot.sessions.append(session)
+        return session
 
-    def _dispatch_sparse_open(self, group: list[Request]
+    def _dispatch_sparse_open(self, slot: _Slot, group: list[Request]
                               ) -> DispatchRecord:
-        device = self.device
+        device = slot.device
         launch0 = device.profiler.launch_count
         for req in group:     # singleton keys: len(group) == 1
             try:
                 if req.kind == "sparse-factor":
-                    session = self._open_session(req.payload["a"],
+                    session = self._open_session(slot, req.payload["a"],
                                                  req.payload["kwargs"])
                     req.future._resolve(value=session)
                 else:  # sparse-factor-solve: one-shot
                     kw = dict(req.payload["kwargs"])
                     solve_kw = {k: kw.pop(k) for k in
                                 _SPARSE_SOLVE_KWARGS if k in kw}
-                    session = self._open_session(req.payload["a"], kw)
+                    session = self._open_session(slot, req.payload["a"], kw)
                     try:
                         x, info = session.solve_on_device(
                             req.payload["b"], **solve_kw)
@@ -1204,22 +1296,17 @@ class SolverService:
                     req.future._resolve(value=(x, info))
             except (*_SYSTEM_ERRORS, FactorizationError,
                     ValueError) as exc:
-                if isinstance(exc, CorruptionDetected):
-                    self.stats.on_corruption()
-                self._fail(req, exc)
+                self._fail(req, self._caught(exc))
         device.synchronize()
         return DispatchRecord("sparse-open", len(group),
                               device.profiler.launch_count - launch0,
                               1.0, 0, False)
 
-    def _dispatch_sparse_solve(self, group: list[Request],
-                               policy: DispatchPolicy | None = None
-                               ) -> DispatchRecord:
+    def _dispatch_sparse_solve(self, slot: _Slot, group: list[Request],
+                               policy: DispatchPolicy) -> DispatchRecord:
         """Sparse solves: per-request by default; same-session RHS
         stacking when the policy opts in (rounding-level identity)."""
-        if policy is None:
-            policy = self.policy
-        device = self.device
+        device = slot.device
         launch0 = device.profiler.launch_count
         session = group[0].payload["session"]
         kwargs = dict(group[0].payload["kwargs"])
@@ -1232,9 +1319,7 @@ class SolverService:
                     req.future._resolve(value=(x, info))
                 except (*_SYSTEM_ERRORS, FactorizationError,
                         RuntimeError) as exc:
-                    if isinstance(exc, CorruptionDetected):
-                        self.stats.on_corruption()
-                    self._fail(req, exc)
+                    self._fail(req, self._caught(exc))
         else:
             cols = []
             spans = []
@@ -1254,8 +1339,7 @@ class SolverService:
                         value=(xi[:, 0] if ndim == 1 else xi, info))
             except (*_SYSTEM_ERRORS, FactorizationError,
                     RuntimeError) as exc:
-                if isinstance(exc, CorruptionDetected):
-                    self.stats.on_corruption()
+                self._caught(exc)
                 for req in group:
                     self._fail(req, exc)
         device.synchronize()

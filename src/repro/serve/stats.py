@@ -198,7 +198,7 @@ class ServiceStats:
     retries_total: int = 0
     _ring: deque = field(default=None, repr=False, compare=False)
     _orders: deque = field(default=None, repr=False, compare=False)
-    _plan_cache: object = field(default=None, repr=False, compare=False)
+    _plan_caches: list = field(default=None, repr=False, compare=False)
     _devices: dict = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
@@ -209,6 +209,7 @@ class ServiceStats:
                              f"got {self.dispatch_history}")
         self._ring = deque(maxlen=self.dispatch_history)
         self._orders = deque(maxlen=_ORDER_RING)
+        self._plan_caches = []
         self._devices = {}
 
     # -- admission -----------------------------------------------------
@@ -272,10 +273,11 @@ class ServiceStats:
     # -- compiled workload programs --------------------------------------
     def attach_plan_cache(self, cache) -> None:
         """Surface a :class:`~repro.batched.engine.PlanCache`'s
-        hit/miss/eviction counters through :meth:`snapshot` (the cache
-        keeps its own lock; stats only read it)."""
+        hit/miss/eviction counters through :meth:`snapshot`, summed with
+        every cache attached before (one per device; each cache keeps
+        its own lock, stats only read it)."""
         with self._lock:
-            self._plan_cache = cache
+            self._plan_caches.append(cache)
 
     def on_program_compiled(self) -> None:
         with self._lock:
@@ -318,9 +320,9 @@ class ServiceStats:
             self.degraded_reason = None if degraded is None \
                 else str(degraded)
 
-    # -- multi-device pools ----------------------------------------------
+    # -- per-device counters ---------------------------------------------
     def _device(self, index: int) -> dict:
-        """The (locked-caller) per-device counter dict for one pool slot."""
+        """The (locked-caller) per-device counter dict for one slot."""
         d = self._devices.get(index)
         if d is None:
             d = self._devices[index] = {
@@ -332,7 +334,7 @@ class ServiceStats:
         return d
 
     def on_device_dispatch(self, index: int, record: DispatchRecord) -> None:
-        """Account one dispatch against the pool slot that executed it
+        """Account one dispatch against the device slot that executed it
         (the global :meth:`on_dispatch` aggregates still see it too)."""
         with self._lock:
             d = self._device(index)
@@ -413,6 +415,7 @@ class ServiceStats:
         even after the dispatch ring has wrapped.
         """
         with self._lock:
+            caches = self._plan_caches
             return {
                 "submitted": self.submitted,
                 "completed": self.completed,
@@ -447,12 +450,14 @@ class ServiceStats:
                 "degraded_dispatches": self.degraded_dispatches,
                 "breaker_state": self.breaker_state,
                 "degraded_reason": self.degraded_reason,
-                "plan_cache": (None if self._plan_cache is None else {
-                    "size": len(self._plan_cache),
-                    "capacity": self._plan_cache.capacity,
-                    "hits": self._plan_cache.hits,
-                    "misses": self._plan_cache.misses,
-                    "evictions": self._plan_cache.evictions,
+                "plan_cache": (None if not caches else {
+                    "size": sum(len(c) for c in caches),
+                    "capacity": (None if any(c.capacity is None
+                                             for c in caches)
+                                 else sum(c.capacity for c in caches)),
+                    "hits": sum(c.hits for c in caches),
+                    "misses": sum(c.misses for c in caches),
+                    "evictions": sum(c.evictions for c in caches),
                 }),
                 "wait": self.wait.snapshot(),
                 "exec": self.exec.snapshot(),

@@ -14,8 +14,6 @@ from .numeric.gpu_factor import GpuFactorResult, HYBRID_GEMM_CUTOFF, \
     STRUMPACK_BATCH_LIMIT, multifrontal_factor_gpu, plan_traversals
 from .numeric.gpu_solve import GpuSolveResult, multifrontal_solve_gpu
 from .numeric.solve_plan import DeviceFactorCache, SolvePlan
-from .distributed import DistributedFactorResult, \
-    multifrontal_factor_distributed
 from .numeric.shard import RankAssignment, ShardedFactorResult, \
     multifrontal_factor_sharded, partition_tree
 from .numeric.triangular import multifrontal_solve
@@ -39,7 +37,6 @@ __all__ = [
     "HYBRID_GEMM_CUTOFF", "STRUMPACK_BATCH_LIMIT",
     "plan_traversals", "multifrontal_solve_gpu", "GpuSolveResult",
     "SolvePlan", "DeviceFactorCache",
-    "multifrontal_factor_distributed", "DistributedFactorResult",
     "multifrontal_factor_sharded", "ShardedFactorResult",
     "partition_tree", "RankAssignment",
     "SparseCholesky", "CholeskyFactors",

@@ -304,7 +304,7 @@ class TestServeCorruptionStorm:
         assert snap["breaker_state"] == "closed"
         assert snap["degraded_reason"] is None
         assert snap["compiled_dispatches"] > before
-        assert svc.breaker.probes >= 1
+        assert svc._slots[0].breaker.probes >= 1
         svc.close()
         assert dev.allocated_bytes == 0
 
@@ -316,15 +316,15 @@ class TestServeCorruptionStorm:
         # is unit-tested in tests/serve/test_health.py; here we check
         # the service honours it)
         for _ in range(8):
-            svc.breaker.record(3)
-        while not svc.breaker.force_host():
-            svc.breaker.record(3)
+            svc._slots[0].breaker.record(3)
+        while not svc._slots[0].breaker.force_host():
+            svc._slots[0].breaker.record(3)
         a = grid2d(9, 9)
         fut = svc.submit_factor(a)
         svc.run_once()
         session = fut.result(0)
         # the session factored on the host: no device kernels ran
-        assert svc.breaker.force_host()
+        assert svc._slots[0].breaker.force_host()
         b = np.ones(81)
         x, info = svc.solve(session, b)
         assert np.abs(a @ x - b).max() < 1e-10

@@ -83,12 +83,12 @@ class TestHotSignatureCompilation:
         for rnd in range(3):
             mats, rhss = make_round(seed=rnd)
             submit_round(svc, mats, rhss)
-        misses0 = svc._engine.cache.misses
+        misses0 = svc._slots[0].engine.cache.misses
         allocs0 = dev.alloc_count
         mats, rhss = make_round(seed=77)
         futs = submit_round(svc, mats, rhss)
         assert all(f.exception(0) is None for f in futs)
-        assert svc._engine.cache.misses == misses0
+        assert svc._slots[0].engine.cache.misses == misses0
         assert dev.alloc_count == allocs0
         svc.close()
 
@@ -140,9 +140,9 @@ class TestHotSignatureCompilation:
             svc.submit_factor(a)
             svc.run_once()
         assert svc.stats.snapshot()["programs_compiled"] == 3
-        assert len(svc._programs) == 2
+        assert len(svc._slots[0].programs) == 2
         svc.close()
-        assert len(svc._programs) == 0
+        assert len(svc._slots[0].programs) == 0
 
     def test_getrf_only_group_compiles_and_matches(self):
         svc_ref = inline_service()

@@ -1,11 +1,11 @@
-"""DevicePool: pooled serving across a multi-device node — bitwise
-parity with the single-device service, plus routing and isolation."""
+"""SolverService over a multi-device node — bitwise parity with the
+one-device service, plus routing and isolation."""
 
 import numpy as np
 import pytest
 
 from repro.device import A100, Device, Node
-from repro.serve import CoalescingPolicy, DevicePool, SolverService
+from repro.serve import CircuitBreaker, CoalescingPolicy, SolverService
 
 pytestmark = pytest.mark.multidev
 
@@ -35,7 +35,7 @@ def make(n_devices, **kw):
     kw.setdefault("policy", CoalescingPolicy(max_batch=8))
     if n_devices == 1:
         return SolverService(Device(A100()), start=False, **kw)
-    return DevicePool(Node(A100(), n_devices), start=False, **kw)
+    return SolverService(Node(A100(), n_devices), start=False, **kw)
 
 
 class TestPooledParity:
@@ -84,20 +84,24 @@ class TestRouting:
 
     def test_sparse_sessions_stick_to_their_device(self, rng):
         svc = make(4, policy=CoalescingPolicy(max_batch=4))
+        node = svc.device
         mats = [sparse_grid(9 + i, 8, seed=i) for i in range(6)]
         sessions = [drain(svc, [svc.submit_factor(a)])[0] for a in mats]
-        homes = {s.sid: svc._session_device[s.sid] for s in sessions}
+        homes = {s.sid: node.index_of(s.device) for s in sessions}
         assert len(set(homes.values())) > 1      # spread over devices
         for s, a in zip(sessions, mats):
             b = rng.standard_normal(a.shape[0])
+            launches = [d.profiler.launch_count for d in node]
             (x, info), = drain(svc, [svc.submit_solve(s, b)])
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
-            # stickiness: solving never migrated the session
-            assert svc._session_device[s.sid] == homes[s.sid]
+            # stickiness: the solve ran on the session's home device only
+            ran = [i for i, d in enumerate(node)
+                   if d.profiler.launch_count != launches[i]]
+            assert ran == [homes[s.sid]]
         for s in sessions:
             s.close()
         svc.close()
-        assert svc.node.allocated_bytes == 0
+        assert node.allocated_bytes == 0
 
     def test_open_breaker_diverts_new_work(self):
         svc = make(4)
@@ -164,11 +168,28 @@ class TestBudgetsAndStats:
             assert d["mean_occupancy"] > 0
         svc.close()
 
+    def test_plan_cache_sums_every_device(self):
+        svc = make(4, policy=CoalescingPolicy(max_batch=2))
+        drain(svc, [svc.submit_factor_solve(a, b)
+                    for a, b in dense_workload(32)])
+        snap = svc.stats.snapshot()["plan_cache"]
+        caches = [slot.engine.cache for slot in svc._slots]
+        assert sum(c.misses > 0 for c in caches) > 1
+        assert snap["misses"] == sum(c.misses for c in caches)
+        assert snap["hits"] == sum(c.hits for c in caches)
+        assert snap["size"] == sum(len(c) for c in caches)
+        svc.close()
+
 
 class TestLifecycle:
-    def test_rejects_plain_device(self):
-        with pytest.raises(TypeError, match="Node"):
-            DevicePool(Device(A100()), start=False)
+    def test_rejects_neither_device_nor_node(self):
+        with pytest.raises(TypeError, match="Device or a Node"):
+            SolverService(A100(), start=False)
+
+    def test_breaker_needs_a_single_device(self):
+        with pytest.raises(TypeError, match="breaker"):
+            SolverService(Node(A100(), 2), breaker=CircuitBreaker(),
+                          start=False)
 
     def test_close_is_idempotent_and_frees_node(self):
         svc = make(4)
@@ -176,11 +197,11 @@ class TestLifecycle:
                     for a, b in dense_workload(8)])
         svc.close()
         svc.close()
-        assert svc.node.allocated_bytes == 0
+        assert svc.device.allocated_bytes == 0
 
     def test_threaded_pool_smoke(self):
         node = Node(A100(), 2)
-        svc = DevicePool(node, policy=CoalescingPolicy(max_batch=4))
+        svc = SolverService(node, policy=CoalescingPolicy(max_batch=4))
         try:
             futs = [svc.submit_factor_solve(a, b)
                     for a, b in dense_workload(8)]

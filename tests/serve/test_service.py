@@ -415,7 +415,7 @@ class TestSparseSessions:
         svc.run_once()
         x, info = fut.result(0)
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-12
-        assert svc.arbiter.n_active == 0       # one-shot session closed
+        assert svc._slots[0].arbiter.n_active == 0       # one-shot session closed
         svc.close()
 
     def test_rhs_stacking_opt_in(self):

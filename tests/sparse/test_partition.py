@@ -1,5 +1,7 @@
 """Property tests for :func:`partition_tree` (assembly-tree sharding)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,14 @@ def check_assignment(symb, assign, n_ranks):
             for c in symb.fronts[f].children:
                 if c in pos:
                     assert pos[c] < pos[f]
+    # the top part is exactly the top ceil(log2 P) levels, and subtrees
+    # stay whole: a ranked front's children live on its rank
+    top_levels = math.ceil(math.log2(n_ranks)) if n_ranks > 1 else 0
+    for fid, f in enumerate(symb.fronts):
+        r = assign.rank_of_front[fid]
+        assert (r < 0) == (f.level < top_levels)
+        if r >= 0:
+            assert all(assign.rank_of_front[c] == r for c in f.children)
     assert assign.imbalance >= 1.0
 
 
@@ -97,6 +107,8 @@ class TestPartitionProperties:
         assert len(busy) > 1
         total = sum(assign.rank_flops)
         assert max(assign.rank_flops) < total
+        assert assign.imbalance < 2.0
+        assert partition_tree(prepare(grid3d(7)), 4).imbalance < 2.0
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(4, 12), st.integers(4, 12), st.integers(1, 9))

@@ -18,12 +18,14 @@ module removes that overhead without changing a single bit of output:
 * **Shape-bucketed dispatch** (:class:`BatchEngine`): matrices whose
   inferred workload shapes match are stacked into one contiguous
   ``(bucket, m, n)`` array and executed with a single vectorized NumPy
-  call — one ``np.matmul`` per GEMM bucket, one vectorized elimination
-  per panel group.  Uniform small panel groups (every dimension ≤
-  ``INTERLEAVED_MAX_N``) route through the interleaved-layout elimination
-  core (:func:`~repro.batched.interleaved.interleaved_lu_core`), the fast
-  path the paper's §II credits to Kokkos/MKL-style interleaved kernels.
-  Singleton buckets fall back to the existing per-matrix path.
+  call — one ``np.matmul`` per GEMM bucket.  Panel launches group their
+  matrices by row class (uniform and mixed shapes alike) into zero-padded
+  batch-last ``(W, R, bs)`` slabs and run one right-looking elimination
+  per slab: per pivot column one pivot search, one row swap, one scale
+  and one rank-1 update of the whole trailing slab — the batch-last
+  layout of the interleaved solvers (paper §II), with every step
+  vectorized over the batch.  Singleton groups fall back to the
+  per-matrix reference kernel.
 
 Bitwise-identity contract
 -------------------------
@@ -32,9 +34,17 @@ Bitwise-identity contract
 
 * stacked 3-D ``np.matmul`` equals the per-matrix 2-D product (same
   elementwise FMA sequence per output element);
-* the padded/interleaved eliminations use only elementwise ops (argmax,
-  row swap, divide, rank-1 subtract), so each matrix's factors match the
-  scalar loop exactly;
+* the slab elimination applies, to every real element, the scalar
+  loop's elementwise sequence (argmax, row swap, divide, rank-1
+  subtract) in the same order, so each matrix's factors match exactly.
+  Zero padding keeps pad rows and columns out of every real value; a
+  matrix past its last pivot column masks only its pivot index and
+  divisor, and a matrix whose pivot broke down unrecovered has its
+  rank-1 factors zeroed for that column.  If a non-finite value leaks
+  into the padding and wins a pivot search, the slab is discarded and
+  its matrices re-run through the scalar kernel.  The running
+  ``min_pivot`` uses ``fmin``, which skips a NaN pivot exactly as the
+  scalar loop's ``<`` test does;
 * TRSM base-case solves stay **per matrix** in both engines: LAPACK's
   blocked ``trsm`` accumulation order cannot be reproduced bitwise by a
   stacked substitution, so bucketing only amortizes the inference and
@@ -53,12 +63,10 @@ import numpy as np
 
 from ..device.kernel import KernelCost, gemm_compute_ramp
 from .dcwi import WORKLOAD_NONE, infer_gemm_batch, infer_trsm_batch
-from .interleaved import INTERLEAVED_MAX_N, interleaved_lu_core
 from .panel import factor_panel_block
 
 __all__ = ["BatchEngine", "PlanCache", "resolve_engine",
-           "MIN_BUCKET", "PAD_BYTES_LIMIT", "GEMM_TILE",
-           "INTERLEAVED_MIN_BS"]
+           "MIN_BUCKET", "PAD_BYTES_LIMIT", "GEMM_TILE"]
 
 #: logical tile edge used for GEMM block-count accounting (shared with
 #: the naive loop in :mod:`repro.batched.gemm`).
@@ -77,22 +85,11 @@ PAD_BYTES_LIMIT = 1 << 28  # 256 MiB
 #: keeping the group count (and per-group dispatch overhead) small.
 ROW_CLASS = 32
 
-#: deferred-update block width of the padded panel: a block of finished
-#: steps is applied to every trailing column while its low columns are
-#: still cache-resident, so each trailing column streams once per block
-#: rather than once per step.
-_PANEL_KBLOCK = 8
-
 #: element count of one padded-panel batch chunk (~4 MiB of doubles).
-#: The whole chunk stays cache-resident across every column of the
-#: elimination, so its slab is streamed from main memory once per panel
-#: rather than once per column.
+#: The chunk and its rank-1 product scratch (at most the same size) stay
+#: cache-resident across every column of the elimination, so the slab is
+#: streamed from main memory once per panel rather than once per column.
 _PANEL_CHUNK_ELEMS = 1 << 19
-
-#: minimum members before a uniform small panel shape is routed through
-#: the interleaved core; below this the padded row-class group absorbs it
-#: (a near-empty interleaved call is pure dispatch overhead).
-INTERLEAVED_MIN_BS = 8
 
 
 class PlanCache:
@@ -195,8 +192,37 @@ class _TrsmPlan:
 
 
 class _PanelPlan:
-    __slots__ = ("inter_buckets", "pad_groups", "scalar_idx", "scalar_rows",
-                 "scalar_width", "scalar_npiv", "nbytes_elems", "blocks")
+    __slots__ = ("chunks", "scalar", "nbytes_elems", "blocks")
+
+
+class _PanelChunk:
+    """One padded ``(W, R, bs)`` slab of a row-class group, with the
+    per-column tables its elimination reads (all ``(P, bs)``)."""
+
+    __slots__ = ("idx", "binx", "members", "R", "W", "P", "act",
+                 "act_all", "room", "flop_tab", "flops", "base")
+
+    def __init__(self, j: int, idx: np.ndarray, rows: np.ndarray,
+                 width: np.ndarray, npiv: np.ndarray, R: int, W: int,
+                 P: int) -> None:
+        r, w, k = rows[idx], width[idx], npiv[idx]
+        cols = np.arange(P)[:, None]
+        r1 = r - cols - 1
+        self.idx, self.binx = idx, np.arange(len(idx))
+        self.members = list(zip(idx.tolist(), r.tolist(), w.tolist(),
+                                k.tolist()))
+        self.R, self.W, self.P = R, W, P
+        #: member still has a pivot at column c
+        self.act = cols < k
+        self.act_all = self.act.all(axis=1).tolist()
+        #: a pivot offset at or past this lands in the member's padding
+        #: (never reached by an inactive member, whose offset is masked)
+        self.room = np.where(self.act, r - cols, R)
+        #: the scalar loop's flops per (column, member) if it proceeds
+        self.flop_tab = np.where(self.act & (r1 > 0), r1 + 2 * r1 *
+                                 np.maximum(w - cols - 1, 0), 0)
+        self.flops = int(self.flop_tab.sum())
+        self.base = j + cols
 
 
 class _LaswpPlan:
@@ -546,52 +572,34 @@ class BatchEngine:
             p = _PanelPlan()
             p.nbytes_elems = int(np.sum(rows[active] * width[active]))
             p.blocks = len(active)
-            p.inter_buckets = []
-            p.pad_groups = []
-            rest_parts: list = []
-            if len(active):
-                shapes = np.stack(
-                    [rows[active], width[active], npiv[active]], axis=1)
-                uniq, inv = np.unique(shapes, axis=0, return_inverse=True)
-                inv = inv.ravel()
-                for u in range(len(uniq)):
-                    r, w, np_ = int(uniq[u, 0]), int(uniq[u, 1]), \
-                        int(uniq[u, 2])
-                    members = active[inv == u]
-                    if len(members) >= INTERLEAVED_MIN_BS and \
-                            max(r, w) <= INTERLEAVED_MAX_N:
-                        p.inter_buckets.append((r, w, np_, members))
-                    else:
-                        rest_parts.append(members)
+            p.chunks = []
             scalar_parts: list = []
-            if rest_parts:
-                rest = np.sort(np.concatenate(rest_parts))
-                # Row-class groups: pad each matrix only up to the next
-                # multiple of ROW_CLASS rows, so one huge matrix cannot
-                # force every small one to its height and the padding
-                # waste per matrix stays below one class step.
-                cls = _ceil_div(np.maximum(rows[rest], 1),
-                                ROW_CLASS) * ROW_CLASS
-                cls = np.maximum(cls, INTERLEAVED_MAX_N)
-                for c in np.unique(cls):
-                    members = rest[cls == c]
-                    r_g, w_g, p_g = rows[members], width[members], \
-                        npiv[members]
-                    pad_bytes = int(r_g.max()) * int(w_g.max()) * \
-                        len(members) * batch.itemsize
-                    if len(members) >= self.min_bucket and \
-                            pad_bytes <= self.pad_bytes_limit:
-                        p.pad_groups.append(
-                            (int(r_g.max()), int(w_g.max()),
-                             int(p_g.max()), members, r_g, w_g, p_g))
-                    else:
-                        scalar_parts.append(members)
-            scal = (np.sort(np.concatenate(scalar_parts)) if scalar_parts
-                    else np.empty(0, dtype=np.int64))
-            p.scalar_idx = scal
-            p.scalar_rows = rows[scal]
-            p.scalar_width = width[scal]
-            p.scalar_npiv = npiv[scal]
+            # Row-class groups: pad each matrix only up to the next
+            # multiple of ROW_CLASS rows, so one huge matrix cannot force
+            # every small one to its height and the padding waste per
+            # matrix stays below one class step.
+            cls = _ceil_div(rows[active], ROW_CLASS)
+            for c in np.unique(cls):
+                members = active[cls == c]
+                R, W, P = (int(rows[members].max()),
+                           int(width[members].max()),
+                           int(npiv[members].max()))
+                if len(members) < self.min_bucket or \
+                        R * W * len(members) * batch.itemsize > \
+                        self.pad_bytes_limit:
+                    scalar_parts.append(members)
+                    continue
+                # Batch-axis chunks sized to stay cache-resident across
+                # the whole column loop (matrices are independent, so
+                # chunking cannot change any value).
+                step = max(self.min_bucket, _PANEL_CHUNK_ELEMS // (R * W))
+                for s in range(0, len(members), step):
+                    p.chunks.append(_PanelChunk(
+                        j, members[s:s + step], rows, width, npiv, R, W, P))
+            scal = np.sort(np.concatenate(scalar_parts)) if scalar_parts \
+                else np.empty(0, dtype=np.int64)
+            p.scalar = list(zip(scal.tolist(), rows[scal].tolist(),
+                                width[scal].tolist(), npiv[scal].tolist()))
             return p
 
         return self.cache.get_or_build(key, build)
@@ -601,18 +609,11 @@ class BatchEngine:
         """Bucketed body of one fused-``irrGETF2`` launch."""
         plan = self._panel_plan(batch, j, ib)
         flops = 0.0
-        for (rows, width, npiv, idx) in plan.inter_buckets:
-            flops += self._panel_interleaved(batch, pivots, j, rows, width,
-                                             npiv, idx)
-        for (R, W, P, idx, rows, width, npiv) in plan.pad_groups:
-            flops += self._panel_padded(batch, pivots, j, idx,
-                                        rows, width, npiv, R, W, P)
-        for b in range(len(plan.scalar_idx)):
-            i = int(plan.scalar_idx[b])
-            a = batch.sub(i, j, j, int(plan.scalar_rows[b]),
-                          int(plan.scalar_width[b]))
+        for ch in plan.chunks:
+            flops += self._panel_chunk(batch, pivots, j, ch)
+        for i, rows, width, npiv in plan.scalar:
             flops += factor_panel_block(
-                a, int(plan.scalar_npiv[b]), pivots.ipiv[i],
+                batch.sub(i, j, j, rows, width), npiv, pivots.ipiv[i],
                 pivots.info, i, j, ctrl=pivots.ctrl)
         nbytes = float(plan.nbytes_elems) * batch.itemsize
         return KernelCost(
@@ -622,213 +623,112 @@ class BatchEngine:
             compute_ramp=min(1.0, ib / 16.0),
             peak_scale=batch.peak_scale)
 
-    def _panel_interleaved(self, batch, pivots, j: int, rows: int,
-                           width: int, npiv: int, idx: np.ndarray) -> int:
-        """Route one uniform small bucket through the interleaved core."""
-        bs = len(idx)
-        ctrl = pivots.ctrl
-        data = np.empty((rows, width, bs), dtype=batch.dtype)
-        for b in range(bs):
-            data[:, :, b] = batch.sub(int(idx[b]), j, j, rows, width)
-        ipiv, nz_counts, first_bad, n_rep, min_p = interleaved_lu_core(
-            data, npiv, thresh=ctrl.thresh[idx], repl=ctrl.repl[idx])
-        for b in range(bs):
-            i = int(idx[b])
-            batch.sub(i, j, j, rows, width)[...] = data[:, :, b]
-            pivots.ipiv[i][j:j + npiv] = j + ipiv[:, b]
-            if first_bad[b] and pivots.info[i] == 0:
-                pivots.info[i] = j + int(first_bad[b])
-        ctrl.n_replaced[idx] += n_rep
-        ctrl.min_pivot[idx] = np.minimum(ctrl.min_pivot[idx], min_p)
-        # Exact flop accounting: an unrecovered pivot breakdown skips its
-        # column's scaling and rank-1 update, exactly as in the scalar
-        # elimination (a replaced pivot proceeds and counts in full).
-        flops = 0
-        for c in range(npiv):
-            cnt = int(nz_counts[c])
-            if cnt and c + 1 < rows:
-                flops += cnt * (rows - c - 1)
-                if c + 1 < width:
-                    flops += 2 * cnt * (rows - c - 1) * (width - c - 1)
-        return flops
+    def _panel_chunk(self, batch, pivots, j: int, ch: _PanelChunk) -> int:
+        """Right-looking LU of one zero-padded row-class chunk.
 
-    def _panel_padded(self, batch, pivots, j: int, idx: np.ndarray,
-                      rows: np.ndarray, width: np.ndarray,
-                      npiv: np.ndarray, R: int, W: int, P: int) -> int:
-        """Mixed-shape row-class group: zero-padded vectorized LU.
-
-        The group lives in one batch-last ``(R, W, bs)`` scratch array
-        (the interleaved layout, so every cross-batch operation streams
-        over a contiguous axis).  Zero padding is self-protecting: pad
-        rows/columns contribute zero to every pivot search, scaling and
-        rank-1 update, so each matrix's factors are bitwise those of the
-        scalar elimination.  The elimination is evaluated in the deferred
-        (left-looking) order — bitwise identical to the right-looking
-        rank-1 sequence, but each column is finished in one cache-resident
-        pass instead of re-streaming the whole trailing slab per step.
-
-        The group is processed in batch-axis chunks sized to stay
-        cache-resident across the whole column loop (matrices are
-        independent, so chunking cannot change any value).
+        The chunk lives in one batch-last ``(W, R, bs)`` scratch slab
+        (column-major per matrix, so each column and each row of the
+        whole chunk is one strided view).  Each pivot column costs one
+        pivot search, one row swap, one scale and one rank-1 update of
+        the entire trailing slab into a product scratch no larger than
+        the chunk — the scalar loop's elementwise sequence, so every
+        real element gets bitwise the scalar result.  Diagnostics are
+        gathered into locals and, like the factors and pivots, scattered
+        back only after the whole chunk succeeded.
         """
-        flops = 0
-        chunk = max(self.min_bucket, _PANEL_CHUNK_ELEMS // max(R * W, 1))
-        for s0 in range(0, len(idx), chunk):
-            s1 = min(s0 + chunk, len(idx))
-            flops += self._panel_padded_chunk(
-                batch, pivots, j, idx[s0:s1], rows[s0:s1], width[s0:s1],
-                npiv[s0:s1], R, W, P)
-        return flops
-
-    def _panel_padded_chunk(self, batch, pivots, j: int, idx: np.ndarray,
-                            rows: np.ndarray, width: np.ndarray,
-                            npiv: np.ndarray, R: int, W: int,
-                            P: int) -> int:
-        bs = len(idx)
-        # Column-major group layout (W, R, bs): every per-column slice —
-        # pivot search, scaling and all deferred updates — is contiguous.
+        R, W, P = ch.R, ch.W, ch.P
+        bs = len(ch.idx)
         data = self._scratch("pad", W * R * bs,
                              batch.dtype).reshape(W, R, bs)
         data.fill(0.0)
-        for b in range(bs):
-            data[:width[b], :rows[b], b] = batch.sub(
-                int(idx[b]), j, j, int(rows[b]), int(width[b])).T
-        prod = self._scratch("prod", max(R - 1, 1) * bs, batch.dtype)
-        binx = np.arange(bs)
-        piv_store = np.empty((P, bs), dtype=np.int64)
-        # Local gathers of the breakdown state (threshold, replacement
-        # value, info, diagnostics); scattered back after the chunk.
+        for b, (i, r, w, _k) in enumerate(ch.members):
+            data[:w, :r, b] = batch.sub(i, j, j, r, w).T
+        prod = self._scratch("prod", (W - 1) * (R - 1) * bs, batch.dtype)
+        binx, idx = ch.binx, ch.idx
         ctrl = pivots.ctrl
-        brk = (ctrl.thresh[idx], ctrl.repl[idx], pivots.info[idx],
-               ctrl.n_replaced[idx], ctrl.min_pivot[idx])
-        # Per-column flop totals for the common all-pivots-nonzero case,
-        # computed in one vectorized shot; the loop falls back to the
-        # masked per-column sums only when a zero pivot appears.
-        cols = np.arange(P)[:, None]
-        r1m = rows[None, :] - cols - 1
-        w1m = width[None, :] - cols - 1
-        actm = (npiv[None, :] > cols) & (r1m > 0)
-        flops_tab = np.where(actm, r1m, 0).sum(axis=1) + \
-            2 * np.where(actm & (w1m > 0), r1m * w1m, 0).sum(axis=1)
-        flops = 0
-        nz_hist = np.empty((P, bs), dtype=bool)
-        plain = [False] * P      # step needed no mask: all active, nonzero
-
-        def update(colv, k):
-            # One deferred rank-1 column update.  Applying update k after
-            # the later row swaps is elementwise identical to the
-            # right-looking order: both operand columns carry the same
-            # row permutation, so every element receives the exact
-            # subtraction sequence of the scalar elimination.
-            low = data[k, k + 1:, :]
-            u = colv[k]
-            if not plain[k]:
-                m = nz_hist[k]
-                low = np.where(m, low, 0.0)
-                u = np.where(m, u, 0.0)
-            pv = prod[:(R - k - 1) * bs].reshape(R - k - 1, bs)
-            np.multiply(low, u, out=pv)
-            np.subtract(colv[k + 1:], pv, out=colv[k + 1:])
-
-        for k0 in range(0, P, _PANEL_KBLOCK):
-            k1 = min(k0 + _PANEL_KBLOCK, P)
-            for c in range(k0, k1):
-                self._panel_pivot_step(
-                    batch, j, c, k0, R, rows, width, npiv, data, prod,
-                    binx, piv_store, brk, nz_hist, plain, flops_tab,
-                    update)
-            # Apply the finished block of steps to the trailing columns
-            # while its low columns are still cache-resident; each
-            # trailing column is streamed once per block instead of once
-            # per step.
-            for c in range(k1, W):
-                colv = data[c]
-                for k in range(k0, k1):
-                    if k + 1 >= R:
-                        break
-                    update(colv, k)
+        thresh, repl = ctrl.thresh[idx], ctrl.repl[idx]
+        info, n_rep = pivots.info[idx], ctrl.n_replaced[idx]
+        min_piv = ctrl.min_pivot[idx]
+        offs = np.empty((P, bs), dtype=np.int64)
+        nz_tab = None        # ch.act minus unrecovered breakdowns
         for c in range(P):
-            if plain[c]:
-                flops += int(flops_tab[c])
+            col = data[c]
+            p = offs[c]
+            np.abs(col[c:]).argmax(axis=0, out=p)
+            act_all = ch.act_all[c]
+            if not act_all:
+                act = ch.act[c]
+                p *= act
+            if np.count_nonzero(p):
+                pr = p + c
+                row_c = data[:, c].copy()
+                data[:, c] = data[:, pr, binx]
+                data[:, pr, binx] = row_c
+            piv = col[c]
+            apiv = np.abs(piv)
+            bad = apiv < thresh
+            # fmin skips a NaN pivot as the scalar ``apiv < min`` does
+            if act_all:
+                np.fmin(min_piv, apiv, out=min_piv)
             else:
-                r1v = rows - c - 1
-                m1 = nz_hist[c] & (r1v > 0)
-                if m1.any():
-                    flops += int(np.sum(r1v[m1]))
-                    w1 = width - c - 1
-                    m2 = m1 & (w1 > 0)
-                    if m2.any():
-                        flops += int(2 * np.sum(r1v[m2] * w1[m2]))
-        for b in range(bs):
-            i = int(idx[b])
-            batch.sub(i, j, j, int(rows[b]), int(width[b]))[...] = \
-                data[:width[b], :rows[b], b].T
-            np_b = int(npiv[b])
-            pivots.ipiv[i][j:j + np_b] = piv_store[:np_b, b]
-        pivots.info[idx] = brk[2]
-        ctrl.n_replaced[idx] = brk[3]
-        ctrl.min_pivot[idx] = brk[4]
-        return flops
-
-    def _panel_pivot_step(self, batch, j, c, k0, R, rows, width, npiv,
-                          data, prod, binx, piv_store, brk, nz_hist,
-                          plain, flops_tab, update) -> None:
-        """Bring column ``c`` up to date, pivot, swap and scale it."""
-        thresh_loc, repl_loc, info_loc, nrep_loc, minp_loc = brk
-        colv = data[c]
-        for k in range(k0, c):
-            if k + 1 >= R:
-                break
-            update(colv, k)
-        act = npiv > c
-        act_all = bool(act.all())
-        p = np.argmax(np.abs(colv[c:]), axis=0)
-        if not act_all:
-            p = np.where(act, p, 0)
-        pr = c + p
-        piv_store[c] = j + pr
-        row_c = data[:, c, :].copy()                 # (W, bs)
-        row_p = data[:, pr, binx]                    # (W, bs) gather
-        if act_all:
-            data[:, c, :] = row_p
-            data[:, pr, binx] = row_c
-        else:
-            data[:, c, :] = np.where(act, row_p, row_c)
-            data[:, pr, binx] = np.where(act, row_c, row_p)
-        piv = colv[c]
-        apiv = np.abs(piv)
-        if act_all:
-            np.minimum(minp_loc, apiv, out=minp_loc)
-        else:
-            np.minimum(minp_loc, np.where(act, apiv, np.inf), out=minp_loc)
-        bad = (apiv < thresh_loc) & act
-        if bad.any():
-            rep = bad & (repl_loc > 0.0)
-            if rep.any():
-                # static pivoting: replace, keeping the sign/phase
-                scale = np.where(apiv > 0.0, apiv, 1.0)
-                sgn = np.where(apiv > 0.0, piv / scale, 1.0)
-                piv = np.where(rep, sgn * repl_loc, piv)
-                colv[c] = piv
-                nrep_loc += rep
-            unrec = bad & ~rep
-            newly = unrec & (info_loc == 0)
-            if newly.any():
-                info_loc[newly] = j + c + 1
-            nz = act & ~unrec
-        else:
-            nz = act
-        nz_all = bool(nz.all())
-        if R - c - 1 > 0:
-            # An unrecovered-breakdown column is either all zero below
-            # the diagonal (an exactly-zero pivot chosen by magnitude) or
-            # excluded from the division by the masked 1.0, so no select
-            # temporary is needed and nothing overflows.
-            inv = piv if nz_all else np.where(nz, piv, 1.0)
-            low = colv[c + 1:]
-            np.divide(low, inv, out=low)
-        nz_hist[c] = nz
-        plain[c] = nz_all
+                np.fmin(min_piv, np.where(act, apiv, np.inf), out=min_piv)
+                bad &= act
+            nz = None
+            if np.count_nonzero(bad):
+                rep = bad & (repl > 0.0)
+                if rep.any():
+                    # static pivoting: replace, keeping the sign/phase
+                    scale = np.where(apiv > 0.0, apiv, 1.0)
+                    sgn = np.where(apiv > 0.0, piv / scale, 1.0)
+                    piv = np.where(rep, sgn * repl, piv)
+                    col[c] = piv
+                    n_rep += rep
+                unrec = bad & ~rep
+                if unrec.any():
+                    info[unrec & (info == 0)] = j + c + 1
+                    if nz_tab is None:
+                        nz_tab = ch.act.copy()
+                    nz = nz_tab[c]
+                    nz &= ~unrec
+            if c + 1 == R:
+                continue
+            # Past its last pivot column a member's trailing rows or
+            # columns are all padding; only its divisor needs masking
+            # (0/0 would poison the padding).  An unrecovered breakdown
+            # also skips the member's scale and rank-1 update: with both
+            # factors zeroed its product is +0, which subtracts exactly.
+            mask = nz if nz is not None else (None if act_all else act)
+            low = col[c + 1:]
+            np.divide(low, piv if mask is None else np.where(mask, piv, 1.0),
+                      out=low)
+            if c + 1 == W:
+                continue
+            u = data[c + 1:, c]
+            if nz is not None:
+                low = np.where(nz, low, 0.0)
+                u = np.where(nz, u, 0.0)
+            pv = prod[:(W - c - 1) * (R - c - 1) * bs].reshape(
+                W - c - 1, R - c - 1, bs)
+            np.multiply(low, u[:, None], out=pv)
+            trail = data[c + 1:, c + 1:]
+            np.subtract(trail, pv, out=trail)
+        if (offs >= ch.room).any():
+            # A non-finite value reached the padding (0·inf) and won a
+            # pivot search the scalar loop never sees: discard the slab
+            # (nothing was written back) and factor the chunk per matrix.
+            return sum(factor_panel_block(
+                batch.sub(i, j, j, r, w), k, pivots.ipiv[i], pivots.info,
+                i, j, ctrl=ctrl) for i, r, w, k in ch.members)
+        piv_rows = offs + ch.base
+        for b, (i, r, w, k) in enumerate(ch.members):
+            batch.sub(i, j, j, r, w)[...] = data[:w, :r, b].T
+            pivots.ipiv[i][j:j + k] = piv_rows[:k, b]
+        pivots.info[idx] = info
+        ctrl.n_replaced[idx] = n_rep
+        ctrl.min_pivot[idx] = min_piv
+        if nz_tab is None:
+            return ch.flops
+        return int(ch.flop_tab[nz_tab].sum())
 
     # ------------------------------------------------------------------
     # rehearsed LASWP

@@ -150,7 +150,7 @@ def interleaved_lu_core(data: np.ndarray, k: int, *,
         data[p, :, batch_ix] = rows_c
         piv = data[c, c, :]                    # (bs,)
         apiv = np.abs(piv)
-        np.minimum(min_pivot, apiv, out=min_pivot)
+        np.fmin(min_pivot, apiv, out=min_pivot)   # skips NaN, as the scalar loop
         bad = apiv < thresh
         rep = bad & (repl > 0.0)
         if rep.any():

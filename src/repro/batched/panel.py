@@ -245,9 +245,8 @@ def fused_getf2(device: Device, batch: IrrBatch, pivots: PanelPivots,
     """One launch factoring every matrix's panel in shared memory.
 
     ``engine`` selects the host execution path of the launch body: the
-    bucketed engine groups matrices by inferred panel shape, routing
-    uniform small groups through the interleaved-layout elimination core
-    and the rest through one zero-padded vectorized elimination —
+    bucketed engine groups matrices by row class and factors each group
+    with one zero-padded, batch-vectorized right-looking elimination —
     bitwise-identical factors, pivots and cost.
     """
     smem = panel_shared_bytes(batch.max_m, j, ib, batch.itemsize)

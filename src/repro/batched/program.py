@@ -28,14 +28,14 @@ plus an op: ``getrf``, ``getrs``, ``trsm``, ``gemm`` or a
   H2D transfer per input buffer, exactly like
   :meth:`IrrBatch.from_host_packed`): zero plan-cache misses and zero new
   device allocations after the first execution.
-* **Lower uniform buckets** — a ``getrf`` signature whose matrices are
-  uniform, small (``max(m, n) <= INTERLEAVED_MAX_N``) and single-panel is
-  lowered to one struct-of-arrays launch over a persistent interleaved
-  ``(m, n, batch)`` array, running
+* **Lower uniform buckets** — a ``getrf`` signature of at least
+  ``INTERLEAVED_MIN_BS`` uniform, small (``max(m, n) <= INTERLEAVED_MAX_N``)
+  single-panel matrices is lowered to one struct-of-arrays launch over a
+  persistent interleaved ``(m, n, batch)`` array, running
   :func:`~repro.batched.interleaved.interleaved_lu_core` in place —
   bitwise identical factors, pivots, breakdown diagnostics and
-  ``KernelCost`` to the bucketed engine's interleaved panel bucket,
-  without the per-run copy into scratch.
+  ``KernelCost`` to the bucketed engine's panel launch, without the
+  per-run copy into scratch.
 * **Fuse adjacent launches** — runs of consecutive recorded launches
   (panel→LASWP→TRSM→GEMM chains, factor→solve) are merged into single
   launch records executing the captured closures back to back and
@@ -64,7 +64,7 @@ from ..device.simulator import Device
 from ..errors import CorruptionDetected, FactorizationError
 from .abft import ABFT_MAX_REEXEC, _LOOSE_FRAC, _SLACK, _abs_row_sum, \
     _lu_checksum, _mismatch, _row_sum
-from .engine import BatchEngine, INTERLEAVED_MIN_BS, resolve_engine
+from .engine import BatchEngine, resolve_engine
 from .gemm import irr_gemm
 from .getrf import DEFAULT_PANEL_WIDTH, irr_getrf
 from .getrs import irr_getrs
@@ -74,7 +74,13 @@ from .panel import PivotControl, _batch_abs_max, panel_shared_bytes
 from .trsm import TRSM_BASE_NB, irr_trsm
 
 __all__ = ["WorkloadProgram", "ProgramResult", "compile_workload",
-           "fuse_costs", "CompileError", "GuardTripped", "PayloadMismatch"]
+           "fuse_costs", "CompileError", "GuardTripped", "PayloadMismatch",
+           "INTERLEAVED_MIN_BS"]
+
+#: minimum members before a uniform small getrf signature is lowered to
+#: the persistent interleaved kernel; below this the ordinary recorded
+#: schedule is kept (a near-empty interleaved launch buys nothing).
+INTERLEAVED_MIN_BS = 8
 
 
 class CompileError(ValueError):
@@ -821,9 +827,8 @@ def _check_shapes(shapes, what: str) -> list[tuple[int, int]]:
 def _lowerable(shapes: list[tuple[int, int]], lu_kwargs: dict,
                device: Device, itemsize: int) -> bool:
     """True when the bucketed engine would execute this getrf signature
-    as exactly one fused-panel launch routed through one interleaved
-    bucket — the regime the program lowers to a persistent
-    struct-of-arrays kernel."""
+    as exactly one fused-panel launch over one uniform small group — the
+    regime the program lowers to a persistent struct-of-arrays kernel."""
     if not shapes or not set(lu_kwargs) <= _LU_KEYS:
         return False
     m, n = shapes[0]
@@ -977,7 +982,7 @@ def _compile_getrf_interleaved(device, shapes, dt, lu_kwargs, eng,
                                signature) -> WorkloadProgram:
     """Lower a uniform small single-panel getrf to one persistent
     struct-of-arrays launch (bitwise identical to the bucketed engine's
-    interleaved panel bucket, including cost and diagnostics)."""
+    panel launch, including cost and diagnostics)."""
     m, n = shapes[0]
     bs = len(shapes)
     nb = lu_kwargs.get("nb", "auto")
@@ -1000,9 +1005,9 @@ def _compile_getrf_interleaved(device, shapes, dt, lu_kwargs, eng,
     data = buf.dev.data
 
     def kernel() -> KernelCost:
-        # the engine's _panel_interleaved body, operating in place on
-        # the persistent interleaved array instead of copying through
-        # per-call scratch (same elementwise ops on the same values).
+        # the scalar elimination's elementwise ops on the same values,
+        # vectorized in place over the persistent interleaved array
+        # instead of copied through the engine's per-call slab scratch.
         ipiv, nz_counts, first_bad, n_rep, min_p = interleaved_lu_core(
             data, npiv, thresh=ctrl.thresh, repl=ctrl.repl)
         for b in range(bs):

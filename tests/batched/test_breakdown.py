@@ -15,6 +15,8 @@ from repro.batched.getrs import irr_getrs
 from repro.batched.panel import DEFAULT_REPLACE_SCALE
 from repro.errors import FactorizationError
 
+from .test_engine import records
+
 ENGINES = ("naive", "bucketed")
 PANELS = ("fused", "columnwise")
 
@@ -132,7 +134,7 @@ class TestEngineParityOnBreakdown:
     """The bucketed engine must emit bitwise-identical factors *and*
     diagnostics on batches containing broken/replaced pivots."""
 
-    def _mixed_batch(self, dev, rng):
+    def _mixed_batch(self, rng):
         mats = []
         for n in (3, 5, 5, 5, 9, 16, 16, 33):
             m = rng.standard_normal((n, n))
@@ -143,26 +145,56 @@ class TestEngineParityOnBreakdown:
         z[4, :] = 0.0
         mats.append(z)                        # zero row+col (singular)
         mats.append(np.zeros((4, 4)))         # all-zero matrix
-        return IrrBatch.from_host(dev, [m.copy() for m in mats])
+        return mats
 
+    def _uniform_nonfinite_batch(self, rng):
+        # A uniform 12x12 bucket with partial breakdowns (a zero column,
+        # a zero row), then a tall and a wide member, then an inf and a
+        # NaN member.  With nb=8 the second panel puts all of them in one
+        # row class, padded to the tall member's 32 rows.
+        mats = [rng.standard_normal((12, 12)) for _ in range(10)]
+        mats[3][:, 5] = 0.0
+        mats[6][9, :] = 0.0
+        mats += [rng.standard_normal((40, 12)), rng.standard_normal((12, 40))]
+        for bad in (np.inf, np.nan):
+            m = rng.standard_normal((12, 12))
+            m[7, 10] = bad
+            mats.append(m)
+        return mats
+
+    def _padding_nonfinite_batch(self, rng):
+        # The 2x2 member's inf reaches its padding as 0*inf = NaN while
+        # its real row holds -inf; the padding must never win a pivot.
+        return [np.array([[1.0, np.inf], [0.5, 2.0]]),
+                rng.standard_normal((5, 5))]
+
+    BATCHES = {"mixed": (_mixed_batch, "auto"),
+               "uniform-nonfinite": (_uniform_nonfinite_batch, 8),
+               "padding-nonfinite": (_padding_nonfinite_batch, "auto")}
+
+    @pytest.mark.parametrize("case", sorted(BATCHES))
     @pytest.mark.parametrize("static", [False, True])
     @pytest.mark.parametrize("pivot_tol", [0.0, 1e-8])
     def test_bitwise_identical_factors_and_diagnostics(
-            self, a100, mi100, rng, static, pivot_tol):
-        bn = self._mixed_batch(a100, np.random.default_rng(7))
-        bb = self._mixed_batch(mi100, np.random.default_rng(7))
-        pn = irr_getrf(a100, bn, engine="naive", pivot_tol=pivot_tol,
-                       static_pivot=static)
-        pb = irr_getrf(mi100, bb, engine="bucketed", pivot_tol=pivot_tol,
-                       static_pivot=static)
+            self, a100, mi100, case, static, pivot_tol):
+        build, nb = self.BATCHES[case]
+        mats = build(self, np.random.default_rng(7))
+        bn = IrrBatch.from_host(a100, [m.copy() for m in mats])
+        bb = IrrBatch.from_host(mi100, [m.copy() for m in mats])
+        with np.errstate(invalid="ignore", over="ignore"):
+            pn = irr_getrf(a100, bn, engine="naive", nb=nb,
+                           pivot_tol=pivot_tol, static_pivot=static)
+            pb = irr_getrf(mi100, bb, engine="bucketed", nb=nb,
+                           pivot_tol=pivot_tol, static_pivot=static)
         for xn, xb in zip(bn.to_host(), bb.to_host()):
-            assert np.array_equal(xn, xb)
+            assert np.array_equal(xn, xb, equal_nan=True)
         for ipn, ipb in zip(pn.ipiv, pb.ipiv):
             assert np.array_equal(ipn, ipb)
         assert np.array_equal(pn.info, pb.info)
         assert np.array_equal(pn.n_replaced, pb.n_replaced)
         assert np.array_equal(pn.min_pivot, pb.min_pivot)
-        assert np.array_equal(pn.growth, pb.growth)
+        assert np.array_equal(pn.growth, pb.growth, equal_nan=True)
+        assert records(a100) == records(mi100)
 
 
 class TestGetrsRefusal:

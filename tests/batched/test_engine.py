@@ -7,7 +7,7 @@ bitwise identical to the per-matrix reference loops and the simulated
 sweep that contract over mixed batches (0x0, 1x1, tall, wide, inner
 products), the full driver compositions (``irr_getrf``/``irr_getrs``)
 and the multifrontal level loop, then pin the engine's internal routing
-rules (interleaved buckets, plan-cache reuse).
+rules (row-class panel groups, plan-cache reuse).
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import pytest
 
 from repro.batched import BatchEngine, INTERLEAVED_MAX_N, IrrBatch, \
     PlanCache, irr_gemm, irr_getrf, irr_getrs, irr_trsm, resolve_engine
-from repro.batched.engine import INTERLEAVED_MIN_BS
 from repro.device import A100, Device
 
 
@@ -274,37 +273,48 @@ class TestEngineInternals:
         assert eng.cache.misses == misses_first  # no new plans
         assert eng.cache.hits >= misses_first
 
-    def test_uniform_small_bucket_routes_interleaved(self, rng):
+    def test_uniform_bucket_lands_in_one_padded_group(self, rng):
+        # Uniform small buckets join the row-class groups: one padded
+        # slab holds every member, nothing runs per matrix.
         eng = BatchEngine()
         dev = Device(A100())
         n = INTERLEAVED_MAX_N
         batch = IrrBatch.from_host(
-            dev, [rng.standard_normal((n, n))
-                  for _ in range(INTERLEAVED_MIN_BS + 2)])
+            dev, [rng.standard_normal((n, n)) for _ in range(10)])
         plan = eng._panel_plan(batch, 0, n)
-        assert len(plan.inter_buckets) == 1
-        assert len(plan.pad_groups) == 0
-        assert len(plan.scalar_idx) == 0
+        assert len(plan.chunks) == 1
+        ch = plan.chunks[0]
+        assert ch.idx.tolist() == list(range(10))
+        assert (ch.R, ch.W, ch.P) == (n, n, n)
+        assert plan.scalar == []
 
-    def test_oversize_bucket_not_interleaved(self, rng):
+    def test_lone_matrix_takes_scalar_path(self, rng):
+        # The only matrix of its row class runs the reference kernel;
+        # the pair in the other class still shares a slab.
         eng = BatchEngine()
         dev = Device(A100())
-        n = INTERLEAVED_MAX_N + 1
         batch = IrrBatch.from_host(
-            dev, [rng.standard_normal((n, n))
-                  for _ in range(INTERLEAVED_MIN_BS + 2)])
-        plan = eng._panel_plan(batch, 0, min(n, 32))
-        assert len(plan.inter_buckets) == 0
+            dev, [rng.standard_normal(s) for s in ((40, 40), (5, 5),
+                                                   (7, 7))])
+        plan = eng._panel_plan(batch, 0, 32)
+        assert plan.scalar == [(0, 40, 32, 32)]
+        assert [ch.idx.tolist() for ch in plan.chunks] == [[1, 2]]
 
-    def test_small_bucket_count_not_interleaved(self, rng):
+    def test_plan_has_no_interleaved_list(self, rng):
+        # Every active member lands in exactly one padded chunk or the
+        # scalar list; there is no third (interleaved) route.
         eng = BatchEngine()
         dev = Device(A100())
-        n = INTERLEAVED_MAX_N
+        shapes = [(12, 12)] * 10 + [(33, 33)] * 3 + [(3, 3)] * 9 + \
+            [(0, 0), (64, 8)]
         batch = IrrBatch.from_host(
-            dev, [rng.standard_normal((n, n))
-                  for _ in range(INTERLEAVED_MIN_BS - 1)])
-        plan = eng._panel_plan(batch, 0, n)
-        assert len(plan.inter_buckets) == 0
+            dev, [rng.standard_normal(s) for s in shapes])
+        plan = eng._panel_plan(batch, 0, 32)
+        assert set(type(plan).__slots__) == {"chunks", "scalar",
+                                             "nbytes_elems", "blocks"}
+        routed = sorted([i for ch in plan.chunks for i in ch.idx.tolist()]
+                        + [m[0] for m in plan.scalar])
+        assert routed == [i for i, s in enumerate(shapes) if min(s) > 0]
 
     def test_shared_cache_across_engines(self):
         cache = PlanCache()

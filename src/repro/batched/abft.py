@@ -14,6 +14,7 @@ re-checked on the outputs after the launch:
                           mirrored)
 ``irrGETRF`` (driver)     ``Pᵀ·L·(U·w) = A₀·w`` over the final packed
                           factors
+compiled solve replay     ``A₀·(X·w) = B₀·w`` per solution
 ========================  ============================================
 
 Checks are *O(n²)* per matrix against the kernels' *O(n³)* work, the
@@ -55,7 +56,7 @@ from ..device.kernel import KernelCost
 from ..errors import CorruptionDetected
 
 __all__ = ["ABFT_MAX_REEXEC", "verified_launch", "verified_getrf",
-           "gemm_check", "trsm_check", "getrf_check"]
+           "gemm_check", "trsm_check", "getrf_check", "solve_mismatch"]
 
 #: bounded re-execution budget: a checksum mismatch may trigger at most
 #: this many re-executions of its launch group before the corruption is
@@ -276,17 +277,19 @@ def _lu_checksum(fac: np.ndarray, ipiv: np.ndarray,
 class getrf_check:
     """Checksum invariant of one irrGETRF driver call.
 
-    Snapshots every input matrix (and its checksum ``A₀·w``) before the
-    factorization; verifies ``Pᵀ·L·(U·w) = A₀·w`` over the final packed
-    factors.  Broken members (``info != 0``) are excluded — they
-    surface through the breakdown report, not as corruption; members
-    with static-pivot replacements are checked against the loose
-    gross-corruption threshold (their identity is perturbed by design).
+    Takes ``snap``, the input matrices as they were before the
+    factorization (a snapshot, or a compiled program's staged payloads),
+    with their checksums ``A₀·w``; verifies ``Pᵀ·L·(U·w) = A₀·w`` over
+    the final packed factors in ``batch``.  Broken members
+    (``info != 0``) are excluded — they surface through the breakdown
+    report, not as corruption; members with static-pivot replacements
+    are checked against the loose gross-corruption threshold (their
+    identity is perturbed by design).
     """
 
-    def __init__(self, batch):
+    def __init__(self, batch, snap: list):
         self.batch = batch
-        self.snap = [batch.matrix(i).copy() for i in range(len(batch))]
+        self.snap = snap
         self.r0 = [_row_sum(s) for s in self.snap]
         self.r0a = [_abs_row_sum(s) for s in self.snap]
 
@@ -315,6 +318,25 @@ class getrf_check:
             if _mismatch(got, self.r0[i], tol):
                 return i
         return None
+
+
+def solve_mismatch(a0: np.ndarray, b0: np.ndarray, x: np.ndarray,
+                   loose: bool) -> bool:
+    """True when ``x`` fails the residual checksum ``A₀·(X·w) = B₀·w``.
+
+    Backward-stable solves satisfy it to ``O(n·eps·|A₀|·|X|)``
+    whatever the conditioning; ``loose`` adds the gross-corruption
+    threshold for factors perturbed by static-pivot replacement.
+    """
+    if x.size == 0:
+        return False
+    eps = _finfo(a0.dtype).eps
+    tiny = _finfo(a0.dtype).tiny
+    mag = np.abs(a0) @ _abs_row_sum(x) + _abs_row_sum(b0)
+    tol = _SLACK * eps * (a0.shape[0] + 8) * mag + _SLACK * tiny
+    if loose:
+        tol = tol + _LOOSE_FRAC * (mag + 1.0)
+    return _mismatch(a0 @ _row_sum(x), _row_sum(b0), tol)
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +381,8 @@ def verified_getrf(device, batch, run, *, name: str = "irrgetrf"):
     pivot state — the coarse re-execution rung for corruption inside
     launches that have no per-launch check (the fused panel kernel).
     """
-    check = getrf_check(batch)
+    check = getrf_check(batch, [batch.matrix(i).copy()
+                                for i in range(len(batch))])
     for attempt in range(ABFT_MAX_REEXEC + 1):
         pivots = run()
         bad = check.first_bad(pivots)

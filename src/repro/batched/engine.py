@@ -63,7 +63,7 @@ import numpy as np
 
 from ..device.kernel import KernelCost, gemm_compute_ramp
 from .dcwi import WORKLOAD_NONE, infer_gemm_batch, infer_trsm_batch
-from .panel import factor_panel_block
+from .panel import PanelPivots, factor_panel_block
 
 __all__ = ["BatchEngine", "PlanCache", "resolve_engine",
            "MIN_BUCKET", "PAD_BYTES_LIMIT", "GEMM_TILE"]
@@ -159,21 +159,19 @@ def resolve_engine(engine) -> "BatchEngine | None":
     """Normalize an ``engine=`` argument to a :class:`BatchEngine` or None.
 
     ``None`` / ``"naive"`` → None (per-matrix reference path);
-    ``"bucketed"`` / ``"compiled"`` → a fresh engine in that mode; a
-    :class:`BatchEngine` instance is passed through (or mapped to None
-    when its mode is ``"naive"``), so drivers can share one plan cache
-    across many kernel calls.  A ``"compiled"`` engine executes kernels
-    exactly like a bucketed one — the mode marks it as eligible for
-    ahead-of-time :mod:`repro.batched.program` compilation by drivers
-    that replay recurring workloads.
+    ``"bucketed"`` → a fresh bucketed engine; a :class:`BatchEngine`
+    instance is passed through (or mapped to None when its mode is
+    ``"naive"``), so drivers can share one plan cache across many kernel
+    calls.
     """
     if engine is None or engine == "naive":
         return None
     if isinstance(engine, BatchEngine):
         return engine if engine.bucketed else None
-    if engine in ("bucketed", "compiled"):
+    if engine == "bucketed":
         return BatchEngine(engine)
-    raise ValueError(f"unknown engine {engine!r}")
+    raise ValueError(f"unknown engine {engine!r}; choose 'bucketed', "
+                     f"'naive', None or a BatchEngine")
 
 
 def _ceil_div(x: np.ndarray, d: int) -> np.ndarray:
@@ -244,7 +242,7 @@ class BatchEngine:
                  min_bucket: int = MIN_BUCKET,
                  pad_bytes_limit: int = PAD_BYTES_LIMIT,
                  cache: PlanCache | None = None) -> None:
-        if mode not in ("bucketed", "naive", "compiled"):
+        if mode not in ("bucketed", "naive"):
             raise ValueError(f"unknown engine mode {mode!r}")
         self.mode = mode
         self.min_bucket = int(min_bucket)
@@ -279,9 +277,7 @@ class BatchEngine:
 
     @property
     def bucketed(self) -> bool:
-        # "compiled" engines execute single calls exactly like bucketed
-        # ones; the mode only opts drivers into program compilation.
-        return self.mode != "naive"
+        return self.mode == "bucketed"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"BatchEngine(mode={self.mode!r}, plans={len(self.cache)}, "
@@ -808,16 +804,18 @@ class BatchEngine:
         """Bucketed body of the ``irrgetrs:pivots`` launch.
 
         The rehearsed permutation depends only on the pivot sequences
-        and the row count, so it is memoized on the pivots object —
+        and the row count, so it is memoized on a :class:`PanelPivots` —
         repeated solves against one set of factors (the getrs analogue
-        of the solve plan) rehearse once and replay the gather.
+        of the solve plan) rehearse once and replay the gather; the
+        pivots' ``reset`` drops it when they are factored again.
         """
         memo = getattr(pivots, "_rehearsal", None)
         if memo is not None and memo[0] == rhs.max_m:
             _m, perm, swaps = memo
         else:
             perm, swaps = self._rehearse_permutation(pivots.ipiv, rhs.max_m)
-            pivots._rehearsal = (rhs.max_m, perm, swaps)
+            if isinstance(pivots, PanelPivots):
+                pivots._rehearsal = (rhs.max_m, perm, swaps)
         itemsize = rhs.itemsize
         nbytes = 0
         blocks = 0

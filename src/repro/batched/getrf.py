@@ -125,11 +125,30 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
     m_req = batch.max_m
     n_req = batch.max_n
     side = device.new_stream() if concurrent_swaps else None
+    pivots = None
+
+    def start() -> None:
+        # per-run pivot state from the current values: built on the
+        # first run, reset on an ABFT re-execution or a compiled replay
+        nonlocal pivots
+        if pivots is None:
+            pivots = PanelPivots(batch, pivot_tol=pivot_tol,
+                                 static_pivot=static_pivot,
+                                 replace_scale=replace_scale)
+        else:
+            pivots.reset(_batch_abs_max(batch))
+
+    def growth() -> None:
+        # Element growth factor max|LU| / max|A|, a stability diagnostic
+        # surfaced with the pivots.  Computed on the host after the last
+        # launch (engine-independent, so both engines report identical
+        # diagnostics); the guarded divide keeps empty matrices at 1.0.
+        ctrl = pivots.ctrl
+        np.divide(_batch_abs_max(batch), ctrl.anorm, out=ctrl.growth,
+                  where=ctrl.anorm > 0.0)
 
     def run() -> PanelPivots:
-        pivots = PanelPivots(batch, pivot_tol=pivot_tol,
-                             static_pivot=static_pivot,
-                             replace_scale=replace_scale)
+        device.host_step(start)
 
         for j in range(0, kmax, nb):
             ib = min(nb, kmax - j)
@@ -169,13 +188,7 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
                              batch, (j + ib, j + ib), stream=stream,
                              engine=engine)
 
-        # Element growth factor max|LU| / max|A|, a stability diagnostic
-        # surfaced with the pivots.  Computed on the host after the last
-        # launch (engine-independent, so both engines report identical
-        # diagnostics); the guarded divide keeps empty matrices at 1.0.
-        ctrl = pivots.ctrl
-        post = _batch_abs_max(batch)
-        np.divide(post, ctrl.anorm, out=ctrl.growth, where=ctrl.anorm > 0.0)
+        device.host_step(growth)
         return pivots
 
     if not device.verify_kernels:

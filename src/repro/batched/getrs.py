@@ -20,9 +20,43 @@ from ..errors import FactorizationError
 from .engine import resolve_engine
 from .interface import IrrBatch
 from .panel import PanelPivots
-from .trsm import irr_trsm
+from .trsm import TRSM_BASE_NB, irr_trsm
 
-__all__ = ["irr_getrs"]
+__all__ = ["irr_getrs", "PivotView", "order_classes"]
+
+
+class PivotView:
+    """The pivot surface :func:`irr_getrs` reads (``ipiv`` + ``info``),
+    for factors whose pivots come from elsewhere than one
+    :class:`PanelPivots` — a sub-batch of one, or host-held handles."""
+
+    def __init__(self, ipiv: list, info: np.ndarray):
+        self.ipiv = ipiv
+        self.info = info
+
+
+def order_classes(members: list[int], orders: list[int]
+                  ) -> list[list[int]]:
+    """Split ``members`` (with matrix orders ``orders``) into solve
+    sub-batches by TRSM order class, ascending: every order up to
+    :data:`~repro.batched.trsm.TRSM_BASE_NB` shares one class (one
+    base-case solve), larger orders get a class each — so each member's
+    solution is bitwise what solving it alone would give."""
+    by_order: dict[int, list[int]] = {}
+    for i, order in zip(members, orders):
+        by_order.setdefault(order if order > TRSM_BASE_NB else 0,
+                            []).append(i)
+    return [by_order[c] for c in sorted(by_order)]
+
+
+def _check_info(pivots) -> None:
+    if np.any(pivots.info != 0):
+        bad = np.nonzero(pivots.info != 0)[0]
+        raise FactorizationError(
+            f"cannot solve from broken-down LU factors: matrices "
+            f"{bad.tolist()} reported an unrecovered pivot breakdown "
+            "(pivots.info != 0); re-factor with static_pivot=True or "
+            "pass check_info=False")
 
 
 def irr_getrs(device: Device, factored: IrrBatch, pivots: PanelPivots,
@@ -52,13 +86,8 @@ def irr_getrs(device: Device, factored: IrrBatch, pivots: PanelPivots,
         raise NotImplementedError("only trans='N' is supported")
     if len(factored) != len(rhs):
         raise ValueError("factor and rhs batches must have equal size")
-    if check_info and np.any(pivots.info != 0):
-        bad = np.nonzero(pivots.info != 0)[0]
-        raise FactorizationError(
-            f"cannot solve from broken-down LU factors: matrices "
-            f"{bad.tolist()} reported an unrecovered pivot breakdown "
-            "(pivots.info != 0); re-factor with static_pivot=True or "
-            "pass check_info=False")
+    if check_info:
+        device.host_step(lambda: _check_info(pivots))
     if np.any(factored.m_vec != factored.n_vec) or \
             np.any(rhs.m_vec != factored.m_vec):
         for i in range(len(factored)):

@@ -25,7 +25,7 @@ from ..device.memory import DeviceArray
 from ..device.simulator import Device
 
 __all__ = ["interleaved_getrf", "interleave", "deinterleave",
-            "interleaved_lu_core", "InterleaveError", "INTERLEAVED_MAX_N"]
+           "InterleaveError", "INTERLEAVED_MAX_N"]
 
 #: the small-matrix regime the layout targets (STRUMPACK's naive batch
 #: kernels and the Kokkos/MKL interleaved kernels live below this, §II).
@@ -99,84 +99,6 @@ def deinterleave(packed: np.ndarray) -> list[np.ndarray]:
             for b in range(packed.shape[-1])]
 
 
-def interleaved_lu_core(data: np.ndarray, k: int, *,
-                        thresh: np.ndarray | None = None,
-                        repl: np.ndarray | None = None,
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]:
-    """The vectorized right-looking elimination on an interleaved batch.
-
-    ``data`` is ``(m, n, batch)``; ``k`` is the number of pivot columns
-    to eliminate (``min(m, n)`` for a full LU).  Every elimination step
-    is one vectorized operation across the whole batch — elementwise, so
-    each matrix's factors are bitwise identical to a scalar unblocked
-    elimination of the same matrix.  Factors overwrite ``data``.
-
-    A pivot with ``|pivot| < thresh[b]`` is a breakdown (``thresh``
-    defaults to the smallest normal number of the dtype, flagging exact
-    zeros and subnormals): where ``repl[b] > 0`` it is replaced by
-    ``±repl[b]`` keeping the sign/phase (static pivoting), otherwise the
-    column's scaling and update are skipped for that matrix.
-
-    Returns ``(ipiv, nz_counts, first_bad, n_replaced, min_pivot)``: the
-    ``(k, batch)`` pivot array, the per-column count of matrices that
-    proceeded (nonzero-or-replaced pivot, for exact flop accounting by
-    callers that exclude skipped columns), the per-matrix 1-based column
-    of the first *unrecovered* breakdown (0 = none, LAPACK ``info``
-    semantics), the per-matrix count of replaced pivots and the
-    per-matrix smallest ``|pivot|`` encountered.
-    """
-    m, n, bs = data.shape
-    ipiv = np.tile(np.arange(k, dtype=np.int64)[:, None], (1, bs))
-    nz_counts = np.zeros(k, dtype=np.int64)
-    first_bad = np.zeros(bs, dtype=np.int64)
-    n_replaced = np.zeros(bs, dtype=np.int64)
-    min_pivot = np.full(bs, np.inf)
-    if k == 0 or bs == 0:
-        return ipiv, nz_counts, first_bad, n_replaced, min_pivot
-    if thresh is None:
-        thresh = np.full(bs, float(np.finfo(data.dtype).tiny))
-    if repl is None:
-        repl = np.zeros(bs)
-    batch_ix = np.arange(bs)
-    for c in range(k):
-        # vectorized pivot search across the whole batch
-        p = np.argmax(np.abs(data[c:, c, :]), axis=0) + c   # (bs,)
-        ipiv[c, :] = p
-        # vectorized row interchange (rows c and p_b in every matrix)
-        rows_c = data[c, :, batch_ix]          # (bs, n)
-        rows_p = data[p, :, batch_ix]
-        data[c, :, batch_ix] = rows_p
-        data[p, :, batch_ix] = rows_c
-        piv = data[c, c, :]                    # (bs,)
-        apiv = np.abs(piv)
-        np.fmin(min_pivot, apiv, out=min_pivot)   # skips NaN, as the scalar loop
-        bad = apiv < thresh
-        rep = bad & (repl > 0.0)
-        if rep.any():
-            scale = np.where(apiv > 0.0, apiv, 1.0)
-            sgn = np.where(apiv > 0.0, piv / scale, 1.0)
-            piv = np.where(rep, sgn * repl, piv)
-            data[c, c, :] = piv
-            n_replaced += rep
-        nz = ~(bad & ~rep)
-        nz_counts[c] = int(np.count_nonzero(nz))
-        newly = (~nz) & (first_bad == 0)
-        if newly.any():
-            first_bad[newly] = c + 1
-        if c + 1 < m:
-            inv = np.where(nz, piv, 1.0)
-            data[c + 1:, c, :] = np.where(
-                nz[None, :], data[c + 1:, c, :] / inv[None, :],
-                data[c + 1:, c, :])
-            if c + 1 < n:
-                data[c + 1:, c + 1:, :] -= np.where(
-                    nz[None, None, :],
-                    data[c + 1:, c, :][:, None, :] *
-                    data[c, c + 1:, :][None, :, :], 0.0)
-    return ipiv, nz_counts, first_bad, n_replaced, min_pivot
-
-
 def interleaved_getrf(device: Device, packed: DeviceArray | np.ndarray, *,
                       stream=None) -> np.ndarray:
     """LU with partial pivoting on an interleaved uniform batch.
@@ -201,8 +123,31 @@ def interleaved_getrf(device: Device, packed: DeviceArray | np.ndarray, *,
             "use irr_getrf")
 
     def kernel() -> KernelCost:
-        core_ipiv = interleaved_lu_core(data, k)[0]
-        ipiv[...] = core_ipiv
+        # every elimination step is one vectorized operation across the
+        # whole batch — elementwise, so each matrix's factors are bitwise
+        # identical to a scalar unblocked elimination of that matrix.  A
+        # zero or subnormal pivot skips the column's scale and update.
+        tiny = np.finfo(data.dtype).tiny
+        batch_ix = np.arange(bs)
+        for c in range(k):
+            p = np.argmax(np.abs(data[c:, c, :]), axis=0) + c   # (bs,)
+            ipiv[c, :] = p
+            rows_c = data[c, :, batch_ix]          # (bs, n)
+            rows_p = data[p, :, batch_ix]
+            data[c, :, batch_ix] = rows_p
+            data[p, :, batch_ix] = rows_c
+            piv = data[c, c, :]                    # (bs,)
+            nz = ~(np.abs(piv) < tiny)
+            if c + 1 < m:
+                inv = np.where(nz, piv, 1.0)
+                data[c + 1:, c, :] = np.where(
+                    nz[None, :], data[c + 1:, c, :] / inv[None, :],
+                    data[c + 1:, c, :])
+                if c + 1 < n:
+                    data[c + 1:, c + 1:, :] -= np.where(
+                        nz[None, None, :],
+                        data[c + 1:, c, :][:, None, :] *
+                        data[c, c + 1:, :][None, :, :], 0.0)
         flops = 0.0
         for c in range(k):
             if c + 1 < m:

@@ -85,18 +85,22 @@ class PivotControl:
             replace_scale = default_replace_scale(dtype)
         if replace_scale <= 0.0:
             raise ValueError("replace_scale must be > 0")
-        real = np.finfo(np.dtype(dtype))
-        bs = len(anorm)
+        self.tiny = float(np.finfo(np.dtype(dtype)).tiny)
         self.pivot_tol = float(pivot_tol)
         self.static_pivot = bool(static_pivot)
         self.replace_scale = float(replace_scale)
+        self.reset(anorm)
+
+    def reset(self, anorm: np.ndarray) -> None:
+        """Thresholds and replacement values for ``anorm = max|A_i|``,
+        with fresh diagnostics — the state a factorization starts from."""
+        bs = len(anorm)
         self.anorm = np.asarray(anorm, dtype=np.float64)
-        self.thresh = np.maximum(float(real.tiny),
-                                 self.pivot_tol * self.anorm)
+        self.thresh = np.maximum(self.tiny, self.pivot_tol * self.anorm)
         # repl[i] == 0.0 disables replacement for matrix i (always when
         # static pivoting is off; also for an exactly-zero matrix, whose
         # breakdown is not recoverable by scaling its norm).
-        if static_pivot:
+        if self.static_pivot:
             self.repl = np.where(self.anorm > 0.0,
                                  self.replace_scale * self.anorm, 0.0)
         else:
@@ -141,6 +145,18 @@ class PanelPivots:
             _batch_abs_max(batch), batch.dtype, pivot_tol=pivot_tol,
             static_pivot=static_pivot, replace_scale=replace_scale)
         self.info = np.zeros(len(batch), dtype=np.int64)
+        #: permutation rehearsal the engine memoizes for repeated solves
+        #: (see ``BatchEngine.exec_apply_pivots``)
+        self._rehearsal = None
+
+    def reset(self, anorm: np.ndarray) -> None:
+        """Start a new factorization of matrices with ``max|A_i| =
+        anorm``: pivot control, ``info`` and the rehearsal memo as
+        freshly constructed (every pivot column rewrites its ``ipiv``
+        entry)."""
+        self.ctrl.reset(anorm)
+        self.info = np.zeros_like(self.info)
+        self._rehearsal = None
 
     @property
     def n_replaced(self) -> np.ndarray:

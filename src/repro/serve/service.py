@@ -59,11 +59,10 @@ import scipy.sparse as sp
 
 from ..batched.engine import BatchEngine, PlanCache
 from ..batched.getrf import irr_getrf
-from ..batched.getrs import irr_getrs
+from ..batched.getrs import PivotView, irr_getrs, order_classes
 from ..batched.interface import IrrBatch
 from ..batched.program import CompileError, GuardTripped, PayloadMismatch, \
     compile_workload
-from ..batched.trsm import TRSM_BASE_NB
 from ..device.memory import DeviceOutOfMemory, validate_memory_budget
 from ..device.node import Node
 from ..device.simulator import Device
@@ -118,15 +117,6 @@ def _pick_dtype(a: np.ndarray) -> np.dtype:
     if d in (np.float32, np.complex64, np.complex128):
         return np.dtype(d)
     return np.dtype(np.float64)
-
-
-class _PivotView:
-    """Adapter giving :func:`irr_getrs` the pivot surface it needs
-    (``ipiv`` + ``info``) for factors rehydrated from host handles."""
-
-    def __init__(self, ipiv: list, info: np.ndarray):
-        self.ipiv = ipiv
-        self.info = info
 
 
 class FactorHandle:
@@ -820,23 +810,17 @@ class SolverService:
             occupancy = self._occupancy(batch)
             pivots = irr_getrf(device, batch, engine=engine, **lu_kwargs)
             # factor_solve members with clean factors: sub-batch the
-            # solve step by order class (bitwise getrs affinity: one
-            # shared base-case class at <= TRSM_BASE_NB, exact order
-            # above) and reuse the still-resident factored arrays — no
-            # re-upload.
-            by_order: dict[int, list[int]] = {}
-            for i, r in enumerate(group):
-                if r.kind == "factor_solve" and pivots.info[i] == 0:
-                    order = int(batch.m_vec[i])
-                    ocls = order if order > TRSM_BASE_NB else 0
-                    by_order.setdefault(ocls, []).append(i)
+            # solve step by order class and reuse the still-resident
+            # factored arrays — no re-upload.
+            clean = [i for i, r in enumerate(group)
+                     if r.kind == "factor_solve" and pivots.info[i] == 0]
             xs: dict[int, np.ndarray] = {}
             pending: list[tuple[list[int], IrrBatch]] = []
             try:
                 # issue every order class's solve before the single
                 # synchronize — one sync covers all sub-groups
-                for order in sorted(by_order):
-                    idxs = by_order[order]
+                for idxs in order_classes(
+                        clean, [int(batch.m_vec[i]) for i in clean]):
                     fsub = IrrBatch(device,
                                     [batch.arrays[i] for i in idxs],
                                     batch.m_vec[idxs], batch.n_vec[idxs])
@@ -844,8 +828,8 @@ class SolverService:
                         device, [group[i].payload["b2"] for i in idxs],
                         dtype=dtype)
                     pending.append((idxs, rhs))
-                    view = _PivotView([pivots.ipiv[i] for i in idxs],
-                                      pivots.info[idxs])
+                    view = PivotView([pivots.ipiv[i] for i in idxs],
+                                     pivots.info[idxs])
                     irr_getrs(device, fsub, view, rhs, engine=engine)
                 device.synchronize()
                 for idxs, rhs in pending:
@@ -970,7 +954,8 @@ class SolverService:
                               policy: DispatchPolicy):
         """The slot's hot-signature program for this group, compiling it
         when the signature crosses ``policy.hot_threshold``; ``None``
-        while cold or when the signature cannot be compiled."""
+        while cold, when the signature cannot be compiled, or when the
+        compile's rehearsal was repaired (it is retried next time)."""
         sig = self._group_signature(group, policy)
         if sig in slot.uncompilable:
             return None
@@ -1007,6 +992,10 @@ class SolverService:
             slot.uncompilable.add(sig)
             while len(slot.uncompilable) > 32 * policy.max_programs:
                 slot.uncompilable.pop()
+            return None
+        if prog is None:
+            # a repair fired during the rehearsal: serve this group on
+            # the bucketed runner, compile again on the next hot dispatch
             return None
         programs[sig] = prog
         sig_seen.pop(sig, None)
@@ -1094,8 +1083,8 @@ class SolverService:
                                      dtype=dtype)
             try:
                 occupancy = self._occupancy(rhs)
-                view = _PivotView([h.ipiv for h in handles],
-                                  np.zeros(len(handles), dtype=np.int64))
+                view = PivotView([h.ipiv for h in handles],
+                                 np.zeros(len(handles), dtype=np.int64))
                 irr_getrs(device, factored, view, rhs, engine=slot.engine)
                 device.synchronize()
                 sols = rhs.to_host()
@@ -1181,8 +1170,8 @@ class SolverService:
                   for i in active]
             rhs = IrrBatch.from_host_packed(device, rs, dtype=work)
             try:
-                view = _PivotView([ipiv[i] for i in active],
-                                  np.zeros(len(active), dtype=np.int64))
+                view = PivotView([ipiv[i] for i in active],
+                                 np.zeros(len(active), dtype=np.int64))
                 irr_getrs(device, fsub, view, rhs, engine=slot.engine)
                 device.synchronize()
                 cs = rhs.to_host()
@@ -1216,7 +1205,7 @@ class SolverService:
                 rhs = IrrBatch.from_host_packed(device, [b_ref],
                                                 dtype=a64.dtype)
                 try:
-                    view = _PivotView([pivots.ipiv[0]], pivots.info[:1])
+                    view = PivotView([pivots.ipiv[0]], pivots.info[:1])
                     irr_getrs(device, batch, view, rhs, engine=slot.engine)
                     device.synchronize()
                     x = rhs.to_host()[0]

@@ -142,6 +142,21 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     raised once the traversal completes; ``breakdown="report"`` returns
     the quarantined factors with ``report.ok == False``.
     """
+    return _factor_gpu(
+        device, a_perm, symb, None, strategy=strategy, gemm_mode=gemm_mode,
+        hybrid_cutoff=hybrid_cutoff, laswp_variant=laswp_variant, nb=nb,
+        memory_budget=memory_budget, pivot_tol=pivot_tol,
+        static_pivot=static_pivot, replace_scale=replace_scale,
+        breakdown=breakdown, engine=engine, host_fallback=host_fallback)
+
+
+def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
+                hybrid_cutoff, laswp_variant, nb, memory_budget, pivot_tol,
+                static_pivot, replace_scale, breakdown, engine,
+                host_fallback) -> GpuFactorResult:
+    """:func:`multifrontal_factor_gpu`; a ``resident`` dict takes over
+    the device state of a successful single in-core traversal (see
+    :func:`_attempt_factorization`) instead of it being freed."""
     if strategy not in ("batched", "looped", "strumpack"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if gemm_mode not in ("irr", "vendor", "hybrid"):
@@ -174,7 +189,7 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
             host_factors, region, n_chunks = _attempt_factorization(
                 device, a_perm, symb, budget, a_dev_bytes, strategy,
                 gemm_mode, hybrid_cutoff, laswp_variant, nb, engine,
-                pivot_tol, static_pivot, replace_scale)
+                pivot_tol, static_pivot, replace_scale, resident)
             break
         except KernelLaunchError as exc:
             failure = exc       # already retried per level: persistent,
@@ -209,6 +224,18 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
             f"device factorization failed after exhausting its recovery "
             f"options ({recovery.summary()})", log=recovery) from failure
 
+    return factor_result(device, symb, host_factors, region, n_chunks,
+                         mark, pivot_tol=pivot_tol,
+                         static_pivot=static_pivot,
+                         replace_scale=replace_scale, breakdown=breakdown)
+
+
+def factor_result(device, symb, host_factors, region, n_chunks, mark, *,
+                  pivot_tol, static_pivot, replace_scale,
+                  breakdown) -> GpuFactorResult:
+    """The report-and-result tail of a device factorization: aggregate
+    the per-front diagnostics, attach the recovery slice since ``mark``
+    and raise on breakdown under ``breakdown="raise"``."""
     out = MultifrontalFactors(symb=symb)
     out.fronts = [host_factors[fid] for fid in range(len(symb.fronts))]
 
@@ -227,15 +254,44 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                            report=out.report)
 
 
+def download_fronts(symb, fids, buffers, pivots_of, diag_of,
+                    host_factors, host_schur=None, *,
+                    release: bool) -> None:
+    """Bring finished fronts' factors and diagnostics to the host (the
+    Schur blocks a later traversal needs into ``host_schur``);
+    ``release`` frees each front's buffer once it is down."""
+    fid_set = set(fids)
+    for fid in fids:
+        info = symb.fronts[fid]
+        s = info.sep_size
+        data = buffers[fid].to_host()
+        d_info, d_rep, d_minp, d_growth = diag_of.get(
+            fid, (0, 0, np.inf, 1.0))
+        host_factors[fid] = FrontFactors(
+            f11=data[:s, :s].copy(), ipiv=pivots_of[fid].copy(),
+            f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
+            info=d_info, n_replaced=d_rep, min_pivot=d_minp,
+            growth=d_growth)
+        if host_schur is not None and info.parent >= 0 \
+                and info.parent not in fid_set and info.upd_size:
+            host_schur[fid] = data[s:, s:].copy()
+        if release:
+            buffers.pop(fid).free()
+
+
 def _attempt_factorization(device, a_perm, symb, memory_budget,
                            a_dev_bytes, strategy, gemm_mode, hybrid_cutoff,
                            laswp_variant, nb, engine, pivot_tol,
-                           static_pivot, replace_scale) -> tuple:
+                           static_pivot, replace_scale, resident) -> tuple:
     """One full traversal under a given budget; exception-safe accounting.
 
     Any failure releases every device allocation this attempt made (the
     uploaded A, live front buffers) before propagating, so a failed
     attempt leaves ``device.allocated_bytes`` exactly where it started.
+    With a ``resident`` dict, a successful single in-core traversal
+    hands its device state over instead — ``buffers``, ``pivots_of``,
+    ``diag_of`` and the uploaded-A bytes ``a_dev_bytes`` — to a compiled
+    program that replays the traversal on them.
     """
     chunks = plan_traversals(symb, memory_budget,
                              itemsize=a_perm.dtype.itemsize)
@@ -246,26 +302,7 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
     diag_of: dict[int, tuple[int, int, float, float]] = {}
     host_schur: dict[int, np.ndarray] = {}
     host_factors: dict[int, FrontFactors] = {}
-
-    def flush_chunk(chunk: list[int]) -> None:
-        """Stream a finished traversal's results back to the host."""
-        chunk_set = set(chunk)
-        for fid in chunk:
-            info = symb.fronts[fid]
-            s = info.sep_size
-            data = buffers[fid].to_host()
-            d_info, d_rep, d_minp, d_growth = diag_of.get(
-                fid, (0, 0, np.inf, 1.0))
-            host_factors[fid] = FrontFactors(
-                f11=data[:s, :s].copy(), ipiv=pivots_of[fid],
-                f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
-                info=d_info, n_replaced=d_rep, min_pivot=d_minp,
-                growth=d_growth)
-            if info.parent >= 0 and info.parent not in chunk_set \
-                    and info.upd_size:
-                host_schur[fid] = data[s:, s:].copy()
-            buffers[fid].free()
-            del buffers[fid]
+    kept = False
 
     # Upload the sparse matrix (outside the timed factorization region,
     # as a solver would hold A on the device already).
@@ -283,16 +320,25 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
                                static_pivot=static_pivot,
                                replace_scale=replace_scale)
                 if streaming:
-                    flush_chunk(chunk)
+                    # stream the finished traversal back to the host
+                    download_fronts(symb, chunk, buffers, pivots_of,
+                                    diag_of, host_factors, host_schur,
+                                    release=True)
         if not streaming:
             # Factors stayed resident (as a solver keeping them for the
             # solve phase would); download outside the measured region.
-            flush_chunk(chunks[0])
+            download_fronts(symb, chunks[0], buffers, pivots_of, diag_of,
+                            host_factors, release=resident is None)
+            if resident is not None:
+                resident.update(buffers=buffers, pivots_of=pivots_of,
+                                diag_of=diag_of, a_dev_bytes=a_dev_bytes)
+                kept = True
         return host_factors, region, len(chunks)
     finally:
-        for arr in buffers.values():
-            arr.free()
-        device._release(a_dev_bytes)
+        if not kept:
+            for arr in buffers.values():
+                arr.free()
+            device._release(a_dev_bytes)
 
 
 def _host_fallback_result(device, a_perm, symb, mark, *, pivot_tol,
@@ -532,9 +578,14 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                   replace_scale=None) -> list[int]:
     infos = [symb.fronts[f] for f in fids]
     for fid, info in zip(fids, infos):
-        buffers[fid] = device.zeros((info.order, info.order),
+        buffers[fid] = device.empty((info.order, info.order),
                                     dtype=a_perm.dtype)
 
+    def zero_fill() -> None:
+        for fid in fids:
+            buffers[fid].data[...] = 0.0
+
+    device.host_step(zero_fill)
     consumed = _assemble_level(device, a_perm, symb, fids, buffers,
                                host_schur=host_schur)
 
@@ -724,7 +775,7 @@ def _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
                     replace_scale=replace_scale, engine=engine)
     for fid, ip in zip(fids, piv.ipiv):
         pivots_of[fid] = ip
-    _record_level_diag(diag_of, fids, piv)
+    device.host_step(lambda: _record_level_diag(diag_of, fids, piv))
     _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
                    piv, gemm_mode, hybrid_cutoff, engine=engine)
 
@@ -733,8 +784,7 @@ def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
                    piv, gemm_mode, hybrid_cutoff, *, engine=None) -> None:
     """The off-diagonal updates of one batched level (everything after
     the pivot-block LU): breakdown gating, pivot application to F12, the
-    two TRSMs and the Schur GEMM.  Split out of :func:`_level_batched`
-    so the compiled-workload path can record it as its own step run."""
+    two TRSMs and the Schur GEMM."""
     smax = int(s_vec.max()) if len(s_vec) else 0
     umax = int(u_vec.max()) if len(u_vec) else 0
     if umax == 0 or smax == 0:
@@ -744,7 +794,7 @@ def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
     # blocks, then run TRSM/GEMM on the clean survivors only.  piv.info
     # is bitwise identical between engines, so the gating (and every
     # downstream launch) is too.
-    bad = np.nonzero(piv.info != 0)[0]
+    bad = device.host_step(lambda: np.nonzero(piv.info != 0)[0].tolist())
     piv_list = piv.ipiv
     if len(bad):
         _quarantine_broken(device, bad, f12, f21, f22)

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..batched.engine import resolve_engine
+from ..batched.program import GuardTripped, PayloadMismatch
 from ..device.memory import DeviceOutOfMemory, validate_memory_budget
 from ..device.simulator import Device
 from ..errors import FactorizationError, KernelLaunchError, \
@@ -41,6 +42,8 @@ from .baselines import naive_loop_factor, strumpack_like_factor, \
 from .numeric.cpu_factor import multifrontal_factor_cpu
 from .numeric.gpu_factor import GpuFactorResult, multifrontal_factor_gpu
 from .numeric.gpu_solve import multifrontal_solve_gpu
+from .numeric.program import compile_factor_program, factor_policy, \
+    same_structure
 from .numeric.report import FactorReport, check_factors_ok
 from .numeric.shard import multifrontal_factor_sharded
 from .numeric.solve_plan import DeviceFactorCache, SolvePlan
@@ -329,14 +332,14 @@ class SparseLU:
         same-structure matrices (see :meth:`update_values`).
 
         Fallbacks keep the compiled mode safe to leave on: out-of-core
-        budgets and payloads whose replay trips a breakdown guard run
-        the ordinary bucketed path instead (recorded in the device's
-        recovery log as ``compiled-fallback``); a rehearsal that breaks
-        down yields no program, and the next factor() re-attempts
-        compilation.
+        budgets run the ordinary bucketed path, and so does a replay
+        under ABFT verification (``device.verify_kernels``; a program
+        has no per-launch checksums) or one whose payload trips a
+        breakdown guard or raises a device fault — recorded in the
+        device's recovery log as ``compiled-fallback``.  A compile call
+        the recovery ladder had to repair yields no program, and the
+        next factor() re-attempts compilation.
         """
-        from ..batched.program import GuardTripped, PayloadMismatch
-        from .numeric.program import compile_factor_program
         # Canonical index order: the compiled program's assemble closures
         # copy payload data positionally, so compile and every replay
         # must see the same per-row column order.  (The numerics are
@@ -346,44 +349,41 @@ class SparseLU:
         kw.pop("engine", None)
         if kw.pop("strategy", "batched") != "batched":
             raise ValueError("compiled factorization is batched-only")
-        if kw.get("memory_budget") is not None:
-            # out-of-core traversals re-plan chunks per run: not compiled
-            return multifrontal_factor_gpu(device, a_num, self.symb,
-                                           strategy="batched",
-                                           engine="bucketed", **kw)
-        kw.pop("memory_budget", None)
+        memory_budget = kw.pop("memory_budget", None)
+        breakdown = kw.pop("breakdown", "raise")
         host_fallback = kw.pop("host_fallback", True)
-        policy = (kw.get("gemm_mode", "hybrid"),
-                  int(kw.get("hybrid_cutoff", 256)),
-                  kw.get("laswp_variant", "rehearsed"),
-                  int(kw.get("nb", 32)),
-                  float(kw.get("pivot_tol", 0.0)),
-                  bool(kw.get("static_pivot", False)),
-                  None if kw.get("replace_scale") is None
-                  else float(kw["replace_scale"]))
+        policy = factor_policy(**kw)
 
+        def bucketed() -> GpuFactorResult:
+            return multifrontal_factor_gpu(
+                device, a_num, self.symb, strategy="batched",
+                engine="bucketed", memory_budget=memory_budget,
+                breakdown=breakdown, host_fallback=host_fallback, **policy)
+
+        if memory_budget is not None:
+            # out-of-core traversals re-plan chunks per run: not compiled
+            return bucketed()
         prog = self._factor_program
         if prog is not None and (prog.device is not device
                                  or not prog.matches(a_num, policy)):
             prog.free()
             prog = self._factor_program = None
-        if prog is not None:
+        if prog is None:
+            self._factor_program, res = compile_factor_program(
+                device, a_num, self.symb, policy, breakdown=breakdown,
+                host_fallback=host_fallback)
+            return res
+        if device.verify_kernels:
+            why = "ABFT verification is on"
+        else:
             try:
-                return prog.run(
-                    a_num, pivot_tol=policy[4],
-                    static_pivot=policy[5], replace_scale=policy[6],
-                    breakdown=kw.get("breakdown", "raise"))
-            except (GuardTripped, PayloadMismatch) as exc:
-                device.recovery_log.record(
-                    "compiled-fallback", site="SparseLU.factor",
-                    detail=f"{type(exc).__name__}: {exc}")
-                return multifrontal_factor_gpu(
-                    device, a_num, self.symb, strategy="batched",
-                    engine="bucketed", host_fallback=host_fallback, **kw)
-        program, res = compile_factor_program(device, a_num,
-                                              self.symb, **kw)
-        self._factor_program = program
-        return res
+                return prog.run(a_num, breakdown=breakdown)
+            except (GuardTripped, PayloadMismatch, DeviceOutOfMemory,
+                    KernelLaunchError, TransferError) as exc:
+                why = f"{type(exc).__name__}: {exc}"
+        device.recovery_log.record("compiled-fallback",
+                                   site="SparseLU.factor", detail=why)
+        return bucketed()
 
     def update_values(self, a_new: sp.spmatrix) -> "SparseLU":
         """Install new numeric values on the same sparsity structure.
@@ -404,9 +404,7 @@ class SparseLU:
                      else np.float64)
         a.sort_indices()
         self.a.sort_indices()
-        if a.shape != self.a.shape or a.dtype != self.a.dtype \
-                or not np.array_equal(a.indptr, self.a.indptr) \
-                or not np.array_equal(a.indices, self.a.indices):
+        if not same_structure(a, self.a):
             raise ValueError(
                 "update_values requires the same shape, dtype and "
                 "sparsity structure as the original matrix")

@@ -14,7 +14,8 @@ import pytest
 from repro.batched import CompileError, GuardTripped, IrrBatch, \
     PayloadMismatch, WorkloadProgram, compile_workload, fuse_costs, \
     irr_getrf, irr_getrs
-from repro.device import A100, Device
+from repro.batched.program import Recorder, replay
+from repro.device import A100, Device, FaultPlan, FaultRule
 from repro.device.kernel import KernelCost
 from repro.errors import FactorizationError
 from repro.workloads.random_batch import random_square_batch
@@ -168,7 +169,7 @@ class TestGetrfParity:
         prog.free()
 
 
-class TestInterleavedLowering:
+class TestSinglePanelSchedule:
     def test_uniform_small_batch_single_launch(self, rng):
         shapes = [(12, 12)] * 20
         p = [rng.standard_normal(s) for s in shapes]
@@ -182,12 +183,12 @@ class TestInterleavedLowering:
         for a, b in zip(res.ipiv, piv.ipiv):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(res.growth, piv.ctrl.growth)
-        # the lowered kernel's launch record equals the bucketed
-        # engine's single fused-panel record
+        # the replayed launch record equals the bucketed engine's
+        # single fused-panel record
         assert _records(dev)[-1:] == _records(bdev)[-1:]
         prog.free()
 
-    def test_lowered_breakdown_diagnostics(self, rng):
+    def test_single_launch_breakdown_diagnostics(self, rng):
         shapes = [(8, 8)] * 10
         p = [np.zeros((8, 8)) if i == 3 else rng.standard_normal((8, 8))
              for i in range(10)]
@@ -202,12 +203,77 @@ class TestInterleavedLowering:
         assert res.info[3] != 0
         prog.free()
 
-    def test_not_lowered_above_size_limit(self, rng):
+    def test_several_launches_above_panel_width(self, rng):
         shapes = [(48, 48)] * 20
         dev = Device(A100())
         prog = compile_workload(dev, "getrf", shapes)
         assert prog.n_launches > 1
         prog.free()
+
+
+class TestRepairedRehearsal:
+    @pytest.mark.sdc
+    def test_repaired_rehearsal_yields_no_program(self, rng):
+        # an ABFT re-execution during the rehearsal would be recorded
+        # as schedule: no program, and a later compile replays bitwise
+        shapes = [(48, 48)] * 4
+        dev = Device(A100())
+        plan = FaultPlan([FaultRule("corrupt", at=0, match="irrgemm")],
+                         seed=7)
+        base = dev.allocated_bytes
+        with dev.fault_scope(plan):
+            assert compile_workload(dev, "getrf", shapes) is None
+        assert dev.recovery_log.count("kernel-reexec") >= 1
+        assert dev.allocated_bytes == base
+        prog = compile_workload(dev, "getrf", shapes)
+        for _ in range(2):
+            p = [rng.standard_normal(s) for s in shapes]
+            res = prog.run(a=p)
+            _, facs, piv = _baseline_getrf(p)
+            for a, b in zip(res.factors, facs):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(res.growth, piv.ctrl.growth)
+        prog.free()
+
+
+class _ToyState:
+    def __init__(self):
+        self.flag = False
+        self.log = []
+
+
+def _toy_driver(dev, st):
+    """A driver with per-run host work, a branch check and launches."""
+    def launch(name):
+        def kernel():
+            st.log.append(name)
+            return KernelCost(flops=1.0, blocks=1)
+        dev.launch(name, kernel)
+
+    dev.host_step(lambda: st.log.append("reset"))
+    launch("toy:a")
+    if dev.host_step(lambda: st.flag):
+        launch("toy:flagged")
+    launch("toy:b")
+
+
+class TestHostStepHook:
+    def test_steps_replay_in_order_and_flipped_check_trips(self):
+        dev = Device(A100())
+        st = _ToyState()
+        with Recorder(dev) as rec:
+            _toy_driver(dev, st)
+        assert st.log == ["reset", "toy:a", "toy:b"]
+        st.log.clear()
+        n0 = dev.profiler.launch_count
+        replay(dev, rec.steps)
+        assert st.log == ["reset", "toy:a", "toy:b"]
+        assert dev.profiler.launch_count - n0 == 2
+        st.log.clear()
+        st.flag = True
+        with pytest.raises(GuardTripped):
+            replay(dev, rec.steps)
+        assert st.log == ["reset", "toy:a"]
 
 
 class TestFactorSolve:

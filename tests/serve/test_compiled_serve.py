@@ -12,7 +12,7 @@ the ordinary runner with per-request isolation intact.
 import numpy as np
 import pytest
 
-from repro.device import A100, Device
+from repro.device import A100, Device, FaultPlan, FaultRule
 from repro.errors import FactorizationError
 from repro.serve import CoalescingPolicy, SolverService
 
@@ -162,6 +162,42 @@ class TestHotSignatureCompilation:
                 np.testing.assert_array_equal(hr.lu, hg.lu)
                 np.testing.assert_array_equal(hr.ipiv, hg.ipiv)
         assert svc.stats.snapshot()["programs_compiled"] == 1
+        svc.close()
+        svc_ref.close()
+
+
+class TestRepairedRehearsal:
+    @pytest.mark.sdc
+    def test_repaired_compile_is_not_stored(self):
+        # a corrupt fault repaired during the hot signature's rehearsal:
+        # no program is kept, the signature stays compilable, and every
+        # answer before and after matches the uncompiled service
+        sizes = [40, 48, 40, 48]           # > 32: getrf runs irrGEMM
+        svc_ref = inline_service()
+        svc = inline_service(compile_hot=True, hot_threshold=2)
+        dev = svc._slots[0].device
+        plan = FaultPlan([FaultRule("corrupt", at=0, match="irrgemm")],
+                         seed=7)
+        for rnd in range(5):
+            rng = np.random.default_rng(rnd)
+            mats = [rng.standard_normal((m, m)) + 2.0 * m * np.eye(m)
+                    for m in sizes]
+            rhss = [rng.standard_normal((m, 2)) for m in sizes]
+            ref = [unpack(f) for f in submit_round(svc_ref, mats, rhss)]
+            if rnd == 1:
+                with dev.fault_scope(plan):
+                    futs = submit_round(svc, mats, rhss)
+                assert dev.recovery_log.count("kernel-reexec") >= 1
+                assert svc.stats.snapshot()["programs_compiled"] == 0
+            else:
+                futs = submit_round(svc, mats, rhss)
+            for (xr, hr), (xg, hg) in zip(ref, map(unpack, futs)):
+                if xr is not None:
+                    np.testing.assert_array_equal(xr, xg)
+                np.testing.assert_array_equal(hr.lu, hg.lu)
+        snap = svc.stats.snapshot()
+        assert snap["programs_compiled"] == 1
+        assert snap["compiled_dispatches"] == 3
         svc.close()
         svc_ref.close()
 

@@ -10,7 +10,7 @@ bucketed engine on every run.
 import numpy as np
 import pytest
 
-from repro.device import A100, Device
+from repro.device import A100, Device, FaultPlan, FaultRule, Node
 from repro.sparse.solver import SparseLU
 from repro.workloads.fronts import build_maxwell_workload
 
@@ -187,9 +187,90 @@ class TestCompiledGuards:
         with pytest.raises(ValueError, match="structure"):
             slu.update_values(a2.tocsr())
 
+    @pytest.mark.parametrize("backend", ["looped", "strumpack", "sharded"])
+    def test_other_backends_reject_compiled_engine(self, maxwell, backend):
+        dev = Node(A100(), 2) if backend == "sharded" else Device(A100())
+        slu = SparseLU(maxwell.matrix, use_mc64=False)
+        with pytest.raises(ValueError, match="'bucketed', 'naive'"):
+            slu.factor(backend=backend, device=dev, engine="compiled")
+
     def test_non_batched_strategy_rejected(self, maxwell):
         dev = Device(A100())
         slu = SparseLU(maxwell.matrix, use_mc64=False)
         with pytest.raises(ValueError, match="batched"):
             slu.factor(backend="batched", device=dev, engine="compiled",
                        strategy="rightlooking")
+
+
+def one_fault(kind, match=""):
+    return FaultPlan([FaultRule(kind, at=0, match=match)], seed=7)
+
+
+@pytest.mark.chaos
+@pytest.mark.sdc
+class TestCompiledUnderFaults:
+    """The compile call is the ordinary traversal (recovery ladder and
+    ABFT included); replays fall back to it under verification or a
+    device fault.  Every answer stays bitwise the fault-free one."""
+
+    def fresh(self, maxwell):
+        dev = Device(A100())
+        slu = SparseLU(maxwell.matrix, use_mc64=False)
+        return dev, slu
+
+    def test_repaired_compile_yields_no_program(self, maxwell):
+        dev, slu = self.fresh(maxwell)
+        with dev.fault_scope(one_fault("corrupt", "irrgemm")):
+            slu.factor(backend="batched", device=dev, engine="compiled")
+        assert dev.recovery_log.count("kernel-reexec") >= 1
+        assert slu._factor_program is None
+        for seed in (7, 8):
+            a2 = perturbed(maxwell.matrix, seed=seed)
+            slu_ref, _ = factor_bucketed(a2, maxwell.rhs)
+            slu.update_values(a2)
+            slu.factor(backend="batched", device=dev, engine="compiled")
+            assert slu._factor_program is not None
+            assert_fronts_equal(slu_ref.factor_result.factors,
+                                slu.factor_result.factors)
+        assert slu._factor_program.runs == 1
+
+    def test_launch_fault_on_compile_and_replay(self, maxwell):
+        dev, slu = self.fresh(maxwell)
+        slu_ref, _ = factor_bucketed(maxwell.matrix, maxwell.rhs)
+        with dev.fault_scope(one_fault("launch")):
+            slu.factor(backend="batched", device=dev, engine="compiled")
+        assert dev.recovery_log.count("launch-retry") == 1
+        assert_fronts_equal(slu_ref.factor_result.factors,
+                            slu.factor_result.factors)
+        slu.factor(backend="batched", device=dev, engine="compiled")
+        assert slu._factor_program is not None
+        a2 = perturbed(maxwell.matrix, seed=5)
+        slu_ref, _ = factor_bucketed(a2, maxwell.rhs)
+        slu.update_values(a2)
+        with dev.fault_scope(one_fault("launch")):
+            slu.factor(backend="batched", device=dev, engine="compiled")
+        assert dev.recovery_log.count("compiled-fallback") == 1
+        assert_fronts_equal(slu_ref.factor_result.factors,
+                            slu.factor_result.factors)
+
+    def test_alloc_fault_on_compile(self, maxwell):
+        dev, slu = self.fresh(maxwell)
+        slu_ref, _ = factor_bucketed(maxwell.matrix, maxwell.rhs)
+        with dev.fault_scope(one_fault("alloc")):
+            slu.factor(backend="batched", device=dev, engine="compiled")
+        assert dev.recovery_log.count("chunk-shrink") == 1
+        assert_fronts_equal(slu_ref.factor_result.factors,
+                            slu.factor_result.factors)
+
+    def test_corrupt_fault_on_replay_falls_back(self, maxwell):
+        dev, slu = self.fresh(maxwell)
+        slu.factor(backend="batched", device=dev, engine="compiled")
+        a2 = perturbed(maxwell.matrix, seed=9)
+        slu_ref, _ = factor_bucketed(a2, maxwell.rhs)
+        slu.update_values(a2)
+        with dev.fault_scope(one_fault("corrupt", "irrgemm")):
+            slu.factor(backend="batched", device=dev, engine="compiled")
+        assert dev.recovery_log.count("compiled-fallback") == 1
+        assert dev.recovery_log.count("kernel-reexec") >= 1
+        assert_fronts_equal(slu_ref.factor_result.factors,
+                            slu.factor_result.factors)

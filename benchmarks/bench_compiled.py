@@ -130,9 +130,10 @@ def run_fig10(bs, mx, reps):
 # part 2: recurring serve traffic — compile_hot on vs off
 # ----------------------------------------------------------------------
 
-# four sizes spanning three TRSM order classes (<=32, 40, 64): the
-# bucketed path moves each solve group separately, the compiled program
-# packs everything into one arena transfer each way
+# four sizes on both sides of TRSM_BASE_NB (8 and 16 run the base
+# kernel, 40 and 64 recurse), all in one solve group: the bucketed path
+# moves factors and right-hand sides in separate transfers, the compiled
+# program packs everything into one arena transfer each way
 SERVE_SIZES = [8, 8, 8, 8, 16, 16, 16, 16, 40, 40, 40, 40, 64, 64, 64, 64]
 
 

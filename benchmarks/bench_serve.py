@@ -181,8 +181,7 @@ def run_slo(smoke: bool, seed: int) -> tuple[str, dict, int]:
                       "final_policy": {
                           k: v for k, v in tuned.policy.items()
                           if k in ("max_batch", "max_wait",
-                                   "hot_threshold", "panel_regime",
-                                   "trsm_class_cutoff")},
+                                   "hot_threshold", "panel_regime")},
                       "tuner": tuned.tuner},
             "gain": tuned.throughput / static.throughput
             if static.throughput else 0.0,

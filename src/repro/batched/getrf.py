@@ -60,11 +60,9 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
         Overwritten with the packed LU factors.
     nb:
         Panel width (the paper's 16–32 column design parameter).
-        ``"auto"`` picks the widest of 32/16/8 whose worst-case panel
-        (``M_max × nb`` doubles) fits the device's per-block shared
-        memory, so the fused ``irrGETF2`` kernel stays usable — the
-        shared-memory-capacity dependence §IV-E describes.  Falls back
-        to 32 (column-wise panels) when none fits.
+        ``"auto"`` is :data:`DEFAULT_PANEL_WIDTH` (32) for every batch;
+        the shared-memory-capacity dependence §IV-E describes is handled
+        per panel instead (see ``panel``).
     panel:
         ``"auto"`` switches from the fused shared-memory kernel to the
         column-wise path when the largest panel no longer fits (the

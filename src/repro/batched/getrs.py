@@ -20,9 +20,9 @@ from ..errors import FactorizationError
 from .engine import resolve_engine
 from .interface import IrrBatch
 from .panel import PanelPivots
-from .trsm import TRSM_BASE_NB, irr_trsm
+from .trsm import irr_trsm
 
-__all__ = ["irr_getrs", "PivotView", "order_classes"]
+__all__ = ["irr_getrs", "PivotView"]
 
 
 class PivotView:
@@ -33,20 +33,6 @@ class PivotView:
     def __init__(self, ipiv: list, info: np.ndarray):
         self.ipiv = ipiv
         self.info = info
-
-
-def order_classes(members: list[int], orders: list[int]
-                  ) -> list[list[int]]:
-    """Split ``members`` (with matrix orders ``orders``) into solve
-    sub-batches by TRSM order class, ascending: every order up to
-    :data:`~repro.batched.trsm.TRSM_BASE_NB` shares one class (one
-    base-case solve), larger orders get a class each — so each member's
-    solution is bitwise what solving it alone would give."""
-    by_order: dict[int, list[int]] = {}
-    for i, order in zip(members, orders):
-        by_order.setdefault(order if order > TRSM_BASE_NB else 0,
-                            []).append(i)
-    return [by_order[c] for c in sorted(by_order)]
 
 
 def _check_info(pivots) -> None:

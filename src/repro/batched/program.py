@@ -58,7 +58,7 @@ from ..errors import CorruptionDetected
 from .abft import ABFT_MAX_REEXEC, getrf_check, solve_mismatch
 from .engine import BatchEngine, resolve_engine
 from .getrf import irr_getrf
-from .getrs import PivotView, irr_getrs, order_classes
+from .getrs import PivotView, irr_getrs
 from .interface import IrrBatch
 
 __all__ = ["WorkloadProgram", "ProgramResult", "compile_workload",
@@ -586,8 +586,7 @@ class WorkloadProgram:
 def compile_workload(device: Device, op: str, shapes, *,
                      dtype=np.float64, rhs_shapes=None,
                      lu_kwargs: dict | None = None,
-                     engine=None, solve_grouping: str = "batch",
-                     fuse: bool = True) -> WorkloadProgram | None:
+                     engine=None, fuse: bool = True) -> WorkloadProgram | None:
     """Compile a traffic signature into a :class:`WorkloadProgram`.
 
     Returns ``None`` when the device's recovery log recorded an event
@@ -612,11 +611,6 @@ def compile_workload(device: Device, op: str, shapes, *,
         The LU policy of the factor step (same keys as
         :func:`~repro.batched.getrf.irr_getrf`).  ``concurrent_swaps``
         is rejected: its side-stream schedule cannot be replayed.
-    solve_grouping:
-        ``"batch"`` — one solve over every member with an RHS (the plain
-        ``irr_getrf``+``irr_getrs`` pipeline); ``"order_class"`` — solve
-        members sub-batched by TRSM order class exactly like
-        :class:`~repro.serve.service.SolverService` dispatch groups.
     fuse:
         Merge runs of adjacent launches into fused launch records.
     """
@@ -635,8 +629,7 @@ def compile_workload(device: Device, op: str, shapes, *,
                                rhs_shapes, dt, eng)
     elif op == "factor_solve":
         parts = _compile_factor_solve(device, _check_shapes(shapes, op),
-                                      rhs_shapes, dt, lu_kwargs, eng,
-                                      solve_grouping)
+                                      rhs_shapes, dt, lu_kwargs, eng)
     else:
         raise CompileError(f"unknown workload op {op!r}")
     signature, rec, arena, fields = parts
@@ -771,15 +764,12 @@ def _compile_getrs(device, shapes, rhs_shapes, dt, eng):
 
 
 # -- factor + solve pipeline -------------------------------------------
-def _compile_factor_solve(device, shapes, rhs_shapes, dt, lu_kwargs, eng,
-                          solve_grouping):
+def _compile_factor_solve(device, shapes, rhs_shapes, dt, lu_kwargs, eng):
     if rhs_shapes is None:
         raise CompileError("factor_solve compilation requires rhs_shapes "
                            "(entries may be None for factor-only members)")
     if len(rhs_shapes) != len(shapes):
         raise CompileError("factor_solve needs one rhs entry per matrix")
-    if solve_grouping not in ("batch", "order_class"):
-        raise CompileError(f"unknown solve_grouping {solve_grouping!r}")
     rhs_norm: list[tuple[int, int] | None] = []
     for i, rs in enumerate(rhs_shapes):
         if rs is None:
@@ -797,7 +787,7 @@ def _compile_factor_solve(device, shapes, rhs_shapes, dt, lu_kwargs, eng,
         rhs_norm.append((rm, rn))
     sel = [i for i, rs in enumerate(rhs_norm) if rs is not None]
     signature = ("factor_solve", dt.str, tuple(shapes), tuple(rhs_norm),
-                 tuple(sorted(lu_kwargs.items())), solve_grouping)
+                 tuple(sorted(lu_kwargs.items())))
 
     arena = _Arena(device, dt, _elements(shapes)
                    + _elements(rhs_norm[i] for i in sel))
@@ -809,18 +799,14 @@ def _compile_factor_solve(device, shapes, rhs_shapes, dt, lu_kwargs, eng,
         # the solve step takes the members whose factors are clean
         clean = device.host_step(
             lambda: [i for i in sel if pivots.info[i] == 0])
-        groups = [clean] if solve_grouping == "batch" else \
-            order_classes(clean, [shapes[i][1] for i in clean])
-        for idxs in groups:
-            if not idxs:
-                continue
-            rbuf = _PackedBuffer(arena, [rhs_norm[i] for i in idxs])
-            rbuf.load([np.ones(rhs_norm[i], dtype=dt) for i in idxs])
-            rhs_bufs.append((rbuf, idxs))
-            sub = np.asarray(idxs)
-            fsub = IrrBatch(device, [a_buf.batch.arrays[i] for i in idxs],
+        if clean:
+            rbuf = _PackedBuffer(arena, [rhs_norm[i] for i in clean])
+            rbuf.load([np.ones(rhs_norm[i], dtype=dt) for i in clean])
+            rhs_bufs.append((rbuf, clean))
+            sub = np.asarray(clean)
+            fsub = IrrBatch(device, [a_buf.batch.arrays[i] for i in clean],
                             a_buf.batch.m_vec[sub], a_buf.batch.n_vec[sub])
-            view = PivotView([pivots.ipiv[i] for i in idxs],
+            view = PivotView([pivots.ipiv[i] for i in clean],
                              pivots.info[sub])
             irr_getrs(device, fsub, view, rbuf.batch, engine=eng,
                       check_info=False)
@@ -842,8 +828,8 @@ def _compile_factor_solve(device, shapes, rhs_shapes, dt, lu_kwargs, eng,
         res = _lu_result(pivots, a_buf.download(download))
         res.solutions = [None] * len(shapes)
         if download:
-            # factors + every solution group live in one allocation:
-            # one packed D2H transfer brings the whole arena back
+            # factors and solutions live in one allocation: one packed
+            # D2H transfer brings the whole arena back
             arena.account_download(
                 a_buf.nbytes + sum(rb.nbytes for rb, _ in rhs_bufs))
             for rbuf, idxs in rhs_bufs:

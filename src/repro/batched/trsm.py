@@ -4,12 +4,13 @@ Two implementations:
 
 * :func:`irr_trsm` — the paper's contribution: a *recursive* blocked solve
   written entirely against required dimensions and pointer offsets.  The
-  host splits the triangular order in halves, recursing into the diagonal
-  blocks and turning the off-diagonal block into an :func:`irr_gemm`; the
-  base case is a single in-place substitution kernel.  Because the
-  expanded interface carries offsets as scalars, recursion requires *no*
-  workspace and *no* pointer-arithmetic kernels — the property §IV-D
-  credits for making the recursive scheme possible on irregular batches.
+  host splits the triangular order on a fixed power-of-two grid,
+  recursing into the diagonal blocks and turning the off-diagonal block
+  into an :func:`irr_gemm`; the base case is a single in-place
+  substitution kernel.  Because the expanded interface carries offsets
+  as scalars, recursion requires *no* workspace and *no*
+  pointer-arithmetic kernels — the property §IV-D credits for making the
+  recursive scheme possible on irregular batches.
 
 * :func:`magma_style_trsm` — the MAGMA-2.6.1 baseline the paper compares
   against (Fig 6): explicit inversion of the diagonal blocks so the sweep
@@ -157,6 +158,18 @@ def irr_trsm(device: Device, side: str, uplo: str, trans: str, diag: str,
     with ``X``.  All eight (side, uplo, trans) combinations are supported;
     ``diag='U'`` treats the diagonal as unit (the L factor of an LU).
 
+    An order above ``base_nb`` splits at the largest ``base_nb·2^k``
+    strictly below it, not at ``order // 2``.  Every recursion level then
+    cuts on one power-of-two grid anchored at the triangle's first row,
+    so a member's blocking — the base solves and GEMM updates it sees,
+    and their accumulation order — depends on its own order only, never
+    on the largest triangle sharing the launch.  Any partition of a
+    batch into launches therefore gives every member the same bits,
+    which is what lets the serving layer coalesce solves of any orders
+    and the sharded factorization split levels across devices without
+    losing bitwise parity.  (The §IV-E panel grid is anchored at
+    multiples of ``nb`` for the same reason.)
+
     ``engine`` selects the host execution path (see
     :mod:`repro.batched.engine`); the base-case numerics stay per-matrix
     in both engines — bucketing only removes inference/accounting
@@ -166,6 +179,8 @@ def irr_trsm(device: Device, side: str, uplo: str, trans: str, diag: str,
     engine = resolve_engine(engine)
     if m < 0 or n < 0:
         raise ValueError("required dimensions must be nonnegative")
+    if base_nb < 1:
+        raise ValueError(f"base_nb must be >= 1, got {base_nb}")
     if len(T) != len(B):
         raise ValueError("T and B batches must have equal batch size")
     order = m if side == "L" else n
@@ -178,9 +193,12 @@ def irr_trsm(device: Device, side: str, uplo: str, trans: str, diag: str,
                      f"{name}:base", eng=engine)
         return
 
-    # Split the required order; recurse on diagonal blocks, GEMM the
-    # off-diagonal one.  Offsets move by scalars only.
-    n1 = order // 2
+    # Split on the base_nb·2^k grid (see the docstring); recurse on the
+    # diagonal blocks, GEMM the off-diagonal one.  Offsets move by
+    # scalars only.
+    n1 = base_nb
+    while 2 * n1 < order:
+        n1 *= 2
     n2 = order - n1
     ti, tj = t_off
     bi, bj = b_off

@@ -4,10 +4,9 @@
 for *one batch whose sizes are known at run time*.  A serving system has
 a harder version of the same problem: the "batch" is the arrival process
 itself, its size distribution drifts, and the knobs that matter —
-``max_batch``, ``max_wait``, ``hot_threshold``, the panel regime, the
-solve-class cutoff — live in the
-:class:`~repro.serve.scheduler.DispatchPolicy`, not in a kernel call.
-This module closes that loop:
+``max_batch``, ``max_wait``, ``hot_threshold``, the panel regime — live
+in the :class:`~repro.serve.scheduler.DispatchPolicy`, not in a kernel
+call.  This module closes that loop:
 
 1. **Observe.**  :class:`OnlineAutotuner.step` diffs two
    :meth:`~repro.serve.stats.ServiceStats.snapshot` calls into an exact
@@ -34,11 +33,12 @@ Every knob the tuner touches changes *launch shapes only* — group
 composition, hold times, panel launch structure, compiled-replay
 thresholds.  None changes the bits of any individual result: the policy
 validation in :class:`~repro.serve.scheduler.CoalescingPolicy` restricts
-``panel_regime`` to the bitwise-identical pair and
-``trsm_class_cutoff`` to the base-kernel range, and the service's
-coalescing contract covers the rest.  ``bench_serve --slo`` checks
-exactly that: autotuned runs must beat the static policy on throughput
-*and* stay bitwise-equal to it, request by request.
+``panel_regime`` to the bitwise-identical pair, and the service's
+coalescing contract covers the rest — dense solves of any orders share
+one group per dtype, so there is no solve-grouping knob to tune.
+``bench_serve --slo`` checks exactly that: autotuned runs must beat the
+static policy on throughput *and* stay bitwise-equal to it, request by
+request.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..batched.trsm import TRSM_BASE_NB
 from ..batched.tuning import autotune_getrf, representative_orders
 from .stats import LatencyHistogram
 
@@ -306,14 +305,6 @@ class OnlineAutotuner:
         elif policy.compile_hot and w.compiled_dispatches == 0 \
                 and w.dispatches >= 8 and policy.hot_threshold > lo_h:
             want["hot_threshold"] = max(policy.hot_threshold - 1, lo_h)
-
-        # Solve-class cutoff: when every observed order fits the base
-        # kernel, the widest class groups maximally (bitwise-safe by
-        # construction); mixed traffic keeps the cutoff where it is.
-        omax = w.orders.get("max", 0)
-        if omax and omax <= TRSM_BASE_NB \
-                and policy.trsm_class_cutoff < TRSM_BASE_NB:
-            want["trsm_class_cutoff"] = TRSM_BASE_NB
 
         # Panel regime: measured, not inferred (see _trial_regime).
         if self._regime_choice is not None \

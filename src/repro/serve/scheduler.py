@@ -14,12 +14,12 @@ by a compatibility key computed at admission:
   the whole batch into the recursive panel split, whose blocking depends
   on ``max_m`` across the batch — those requests get singleton keys and
   dispatch alone.
-* **Dense solves** group by ``(dtype, order class)``: the irrTRSM
-  recursion splits the *required* order, so mixing orders would change
-  the blocking (and the accumulation order) of every member.  Orders at
-  or below the class cutoff share the single base-case kernel (whose
-  numerics run per matrix over local dims — bitwise-safe for any mix);
-  larger orders get exact-order keys.
+* **Dense solves** group by dtype alone — any mix of orders.  The
+  irrTRSM recursion cuts every triangle on one fixed power-of-two grid,
+  so a member's blocking depends on its own order, never on the
+  largest order in its group: a coalesced solve is bitwise-identical to
+  a one-request one.  (The fused-panel fit above is the one rule left
+  that depends on the whole batch.)
 * **Sparse solves** are singleton by default — stacking right-hand sides
   changes the BLAS accumulation width and the refinement's global
   residual norm, neither bitwise-safe.  ``coalesce_sparse_rhs=True``
@@ -53,7 +53,6 @@ import numpy as np
 
 from ..batched.getrf import DEFAULT_PANEL_WIDTH
 from ..batched.panel import panel_shared_bytes
-from ..batched.trsm import TRSM_BASE_NB
 from ..errors import DeadlineExceeded, RequestCancelled, ServiceOverloaded
 
 __all__ = ["DispatchPolicy", "CoalescingPolicy", "ServiceFuture",
@@ -67,8 +66,7 @@ _PENDING, _DISPATCHED, _DONE = "pending", "dispatched", "done"
 #: attributes and the two per-key hooks qualifies).
 _POLICY_ATTRS = ("max_batch", "max_wait", "max_queue", "dispatch_retries",
                  "coalesce_sparse_rhs", "compile_hot", "hot_threshold",
-                 "max_programs", "panel_regime", "trsm_class_cutoff",
-                 "slo_hold_fraction")
+                 "max_programs", "panel_regime", "slo_hold_fraction")
 
 
 @runtime_checkable
@@ -78,8 +76,8 @@ class DispatchPolicy(Protocol):
     A policy is consulted at three points, always through one
     atomically-read reference (see ``SolverService.set_policy``):
 
-    * **admission** — ``max_queue`` bounds the queue; ``trsm_class_cutoff``
-      and ``coalesce_sparse_rhs`` shape compatibility keys.
+    * **admission** — ``max_queue`` bounds the queue;
+      ``coalesce_sparse_rhs`` shapes compatibility keys.
     * **collection** — :meth:`group_limit` and :meth:`wait_budget` decide
       how large a group may grow and how long its oldest member may be
       held waiting for company.
@@ -103,7 +101,6 @@ class DispatchPolicy(Protocol):
     hot_threshold: int
     max_programs: int
     panel_regime: str | None
-    trsm_class_cutoff: int
     slo_hold_fraction: float
 
     def group_limit(self, key: tuple) -> int:
@@ -175,13 +172,6 @@ class CoalescingPolicy:
         knob is tunable without parity loss; ``"fused"`` is deliberately
         not offered here because it raises on batches outside the
         shared-memory regime.
-    trsm_class_cutoff:
-        Order at or below which dense solves share the base-case solve
-        class (one group key).  Tunable in ``[1, TRSM_BASE_NB]`` only:
-        within that range every grouped solve runs the single base-case
-        kernel whose numerics are per-matrix, so regrouping is
-        bitwise-safe; above ``TRSM_BASE_NB`` the recursion would split
-        the *group's* required order and change members' bits.
     slo_hold_fraction:
         Fraction of a request's soft latency objective (``slo=`` at
         submission) the scheduler may spend holding it for batching.
@@ -198,7 +188,6 @@ class CoalescingPolicy:
     max_programs: int = 32
     plan_cache_capacity: int | None = None
     panel_regime: str | None = None
-    trsm_class_cutoff: int = TRSM_BASE_NB
     slo_hold_fraction: float = 0.5
 
     def __post_init__(self):
@@ -226,12 +215,6 @@ class CoalescingPolicy:
                 f"panel_regime must be None, 'auto' or 'columnwise', got "
                 f"{self.panel_regime!r} ('fused' raises outside the "
                 f"shared-memory regime and is not a safe service default)")
-        if not 1 <= self.trsm_class_cutoff <= TRSM_BASE_NB:
-            raise ValueError(
-                f"trsm_class_cutoff must be in [1, {TRSM_BASE_NB}], got "
-                f"{self.trsm_class_cutoff}: above TRSM_BASE_NB the "
-                f"recursion would split the group's required order and "
-                f"coalesced solves would lose bitwise parity")
         if not 0.0 < self.slo_hold_fraction <= 1.0:
             raise ValueError(f"slo_hold_fraction must be in (0, 1], got "
                              f"{self.slo_hold_fraction}")
@@ -426,24 +409,14 @@ def getrf_key(m: int, n: int, dtype: np.dtype, lu_kwargs: dict,
     return key
 
 
-def getrs_key(order: int, dtype: np.dtype, *, mixed: bool = False,
-              cutoff: int = TRSM_BASE_NB) -> tuple:
-    """Group key for a dense solve: dtype + order *class* (shape-bucket
-    affinity).  The irrTRSM recursion splits the required order — the
-    group's max — so two orders share a launch group bitwise-safely only
-    when they produce identical blocking.  Orders above the class
-    ``cutoff`` get their own recursion tree (exact-order keys); every
-    order at or below the cutoff hits the single base-case kernel,
-    whose numerics run per matrix over local dims, so they all share
-    one class.  ``cutoff`` is policy-tunable within
-    ``[1, TRSM_BASE_NB]`` — any cutoff in that range keeps every class-0
-    group inside the base-case kernel, so regrouping under a swapped
-    policy never changes bits.  ``mixed`` separates solves against
-    reduced-precision (``precision="fp32"``) handles — they run the
-    FP64 refinement finisher after the batched sweep."""
-    cutoff = min(int(cutoff), TRSM_BASE_NB)
-    cls = int(order) if order > cutoff else 0
-    key = ("getrs", np.dtype(dtype).str, cls)
+def getrs_key(dtype: np.dtype, *, mixed: bool = False) -> tuple:
+    """Group key for a dense solve: one class per dtype.  Solves of any
+    orders share a launch group bitwise-safely, because the irrTRSM
+    recursion blocks each member on its own order (see
+    :func:`~repro.batched.trsm.irr_trsm`).  ``mixed`` separates solves
+    against reduced-precision (``precision="fp32"``) handles — they run
+    the FP64 refinement finisher after the batched sweep."""
+    key = ("getrs", np.dtype(dtype).str)
     if mixed:
         key += ("mixed",)
     return key

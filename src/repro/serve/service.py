@@ -59,7 +59,7 @@ import scipy.sparse as sp
 
 from ..batched.engine import BatchEngine, PlanCache
 from ..batched.getrf import irr_getrf
-from ..batched.getrs import PivotView, irr_getrs, order_classes
+from ..batched.getrs import PivotView, irr_getrs
 from ..batched.interface import IrrBatch
 from ..batched.program import CompileError, GuardTripped, PayloadMismatch, \
     compile_workload
@@ -533,21 +533,19 @@ class SolverService:
             raise FactorizationError(
                 f"cannot solve from broken-down LU factors (info="
                 f"{handle.info}); re-factor with static_pivot=True")
-        cutoff = policy.trsm_class_cutoff
         if handle.precision == "fp32":
             # mixed handle: the rhs is validated (and refined) against
             # the FP64 reference; the sweep runs in the reduced dtype
             b_ref, ndim = self._rhs_payload(b, handle.n,
                                             handle.a_ref.dtype)
-            key = getrs_key(handle.n, handle.dtype, mixed=True,
-                            cutoff=cutoff)
+            key = getrs_key(handle.dtype, mixed=True)
             return self._admit(Request(
                 "solve", key,
                 {"handle": handle, "b2": b_ref.astype(handle.dtype),
                  "b_ref": b_ref, "ndim": ndim}, deadline, slo=slo,
                 order=handle.n, clock=self._clock))
         b2, ndim = self._rhs_payload(b, handle.n, handle.dtype)
-        key = getrs_key(handle.n, handle.dtype, cutoff=cutoff)
+        key = getrs_key(handle.dtype)
         return self._admit(Request("solve", key,
                                    {"handle": handle, "b2": b2,
                                     "ndim": ndim}, deadline, slo=slo,
@@ -561,8 +559,8 @@ class SolverService:
         """Queue factor+solve as one request.  Dense resolves to
         ``(x, FactorHandle)``; sparse to ``(x, SolveInfo)`` (one-shot:
         the session is closed after the solve).  The factor step
-        coalesces with pending ``factor`` requests; the solve step
-        sub-batches by exact order within the dispatch.
+        coalesces with pending ``factor`` requests; the solve step runs
+        as one solve over every clean member of the dispatch.
         ``precision="fp32"`` behaves as in :meth:`submit_factor`; the
         returned solution is always refined to FP64 accuracy."""
         self._check_precision(precision)
@@ -809,35 +807,25 @@ class SolverService:
         try:
             occupancy = self._occupancy(batch)
             pivots = irr_getrf(device, batch, engine=engine, **lu_kwargs)
-            # factor_solve members with clean factors: sub-batch the
-            # solve step by order class and reuse the still-resident
-            # factored arrays — no re-upload.
+            # factor_solve members with clean factors: one solve over all
+            # of them, reusing the still-resident factored arrays — no
+            # re-upload.
             clean = [i for i, r in enumerate(group)
                      if r.kind == "factor_solve" and pivots.info[i] == 0]
             xs: dict[int, np.ndarray] = {}
-            pending: list[tuple[list[int], IrrBatch]] = []
-            try:
-                # issue every order class's solve before the single
-                # synchronize — one sync covers all sub-groups
-                for idxs in order_classes(
-                        clean, [int(batch.m_vec[i]) for i in clean]):
-                    fsub = IrrBatch(device,
-                                    [batch.arrays[i] for i in idxs],
-                                    batch.m_vec[idxs], batch.n_vec[idxs])
-                    rhs = IrrBatch.from_host_packed(
-                        device, [group[i].payload["b2"] for i in idxs],
-                        dtype=dtype)
-                    pending.append((idxs, rhs))
-                    view = PivotView([pivots.ipiv[i] for i in idxs],
-                                     pivots.info[idxs])
+            if clean:
+                fsub = IrrBatch(device, [batch.arrays[i] for i in clean],
+                                batch.m_vec[clean], batch.n_vec[clean])
+                rhs = IrrBatch.from_host_packed(
+                    device, [group[i].payload["b2"] for i in clean],
+                    dtype=dtype)
+                try:
+                    view = PivotView([pivots.ipiv[i] for i in clean],
+                                     pivots.info[clean])
                     irr_getrs(device, fsub, view, rhs, engine=engine)
-                device.synchronize()
-                for idxs, rhs in pending:
-                    sols = rhs.to_host()
-                    for j, i in enumerate(idxs):
-                        xs[i] = sols[j]
-            finally:
-                for _, rhs in pending:
+                    device.synchronize()
+                    xs = dict(zip(clean, rhs.to_host()))
+                finally:
                     rhs.free()
             # the finisher refines against the still-resident factors
             self._finish_getrf(slot, group, policy, batch.to_host(),
@@ -982,8 +970,7 @@ class SolverService:
                     rhs_shapes=[r.payload["b2"].shape
                                 if r.kind == "factor_solve" else None
                                 for r in group],
-                    lu_kwargs=lu_kwargs, engine=slot.engine,
-                    solve_grouping="order_class")
+                    lu_kwargs=lu_kwargs, engine=slot.engine)
             else:
                 prog = compile_workload(slot.device, "getrf", shapes,
                                         dtype=dtype, lu_kwargs=lu_kwargs,
@@ -1061,7 +1048,7 @@ class SolverService:
 
     def _run_getrs_group(self, slot: _Slot, group: list[Request],
                          policy: DispatchPolicy) -> tuple[int, float]:
-        """One coalesced getrs over same-order handles (re-uploaded).
+        """One coalesced getrs over handles of any orders (re-uploaded).
 
         Mixed (``precision="fp32"``) groups run the same batched sweep
         in the reduced dtype, then the shared FP64 refinement finisher
@@ -1135,11 +1122,11 @@ class SolverService:
         solve** over every active member in the working precision —
         N members of mixed orders refine for the launch cost of one
         sweep (the irregular kernels exist precisely so mixed sizes
-        share a launch).  Unlike the primary solves, corrections are
-        *not* order-class-grouped: a refined solution is bounded by
-        the FP64 backward-error target, not promised bitwise-stable
-        across coalescing compositions (native-precision requests keep
-        the bitwise contract).  Members that reach
+        share a launch).  Each member's correction solve is blocked on
+        its own order only (see :func:`~repro.batched.trsm.irr_trsm`)
+        and whether it stays active depends on its own residual only,
+        so a refined solution is bitwise the same whatever it was
+        coalesced with.  Members that reach
         :data:`~repro.sparse.solver.REFINE_TARGET` drop out; the ones
         still above it after :data:`ESCALATED_REFINE_STEPS` passes are
         returned as stagnated (the caller runs the FP64 fallback).

@@ -126,8 +126,9 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     the device's recovery log; the slice belonging to this call is
     attached as ``report.recovery``.  Recovered runs produce factors
     bitwise identical to a fault-free run (host fallback preserves the
-    math but not the batched kernels' operation order).  With
-    ``host_fallback=False`` an exhausted ladder raises a typed
+    math but not the batched kernels' operation order; a split front
+    batch keeps it up to the fused-panel fit, see :func:`_run_level`).
+    With ``host_fallback=False`` an exhausted ladder raises a typed
     :class:`~repro.errors.ResourceExhausted` carrying that log.
 
     ``pivot_tol``/``static_pivot``/``replace_scale`` set the pivot
@@ -443,7 +444,8 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     fault layer's per-operation counters mean a transient rule passes on
     the retry); a second OOM splits the front batch into halves, which
     halves the engine's transient packing footprint (per-front numerics
-    are batch-composition independent, the engines' bitwise contract).
+    are batch-composition independent, the engines' bitwise contract —
+    see the note below).
     Kernel-launch failures are retried up to :data:`_MAX_LEVEL_RETRIES`
     times, then treated as persistent.
 
@@ -459,6 +461,14 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     factors, identity pivots and the ``info = -2`` corruption sentinel,
     so the damage surfaces in the :class:`FactorReport` as a typed
     per-front failure rather than silently wrong numbers.
+
+    Composition independence has one batch-level exception, the
+    fused-panel fit (§IV-E): when the level's largest pivot block is too
+    tall for the fused ``irrGETF2`` panel in shared memory, every front
+    of the batch takes the recursive panel split sized on that largest
+    block, so a sub-batch without it may block its panels differently.
+    Every other kernel — irrTRSM included, which blocks each triangle on
+    one fixed grid — gives a front the same bits in any batch.
     """
     kw = dict(host_schur=host_schur, engine=engine, diag_of=diag_of,
               pivot_tol=pivot_tol, static_pivot=static_pivot,

@@ -21,19 +21,16 @@ This module is the single-node, multi-GPU realisation of that design:
   the top part is factored there with the batched kernels (the
   SLATE-like path) or costed with a ScaLAPACK-style CPU model.
 
-Parity with single-device execution, as tested: on one device the
-factors are always bitwise identical to
-:func:`~.gpu_factor.multifrontal_factor_gpu`; on 2–8 devices they are
-bitwise identical for grid Laplacians.  That rests on three invariants:
-per-front numerics independent of which fronts share a batch (the
-engines' documented contract), an extend-add that consumes children in
-``info.children`` order whatever buffer they arrive through, and
-byte-exact host round trips of Schur blocks.  The first does not hold
-on every matrix: on the Maxwell system (n=12) at 4 devices, 34 of 103
-fronts differ in their last bits, one in its pivot order.  The open fix
-is to find the batched kernel whose per-front result depends on the
-batch composition, make it independent, and pin a Maxwell case in
-``tests/sparse/test_shard.py``.
+Parity with single-device execution: at any device count the factors
+are bitwise identical to :func:`~.gpu_factor.multifrontal_factor_gpu`
+(tested on grid Laplacians at 1–8 devices and on the Maxwell system at
+2 and 4).  That rests on three invariants: per-front numerics
+independent of which fronts share a batch (the engines' documented
+contract — irrTRSM blocks every triangle on one fixed grid; the one
+batch-level rule left, the fused-panel fit, matters only for pivot
+blocks too tall for shared memory), an extend-add that consumes
+children in ``info.children`` order whatever buffer they arrive
+through, and byte-exact host round trips of Schur blocks.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ class _View:
 
 
 def _baseline_solve_subbatch(dev, batch, pivots, idxs, rhs_payloads):
-    """The serve-style per-class sub-batch solve on resident factors."""
+    """One solve over the members ``idxs`` on resident factors."""
     idx = np.asarray(idxs)
     sub = IrrBatch(dev, [batch.arrays[i] for i in idxs],
                    batch.m_vec[idx], batch.n_vec[idx])
@@ -283,14 +283,8 @@ class TestFactorSolve:
         piv = irr_getrf(dev, batch, engine="bucketed")
         sel = [i for i, b in enumerate(Bs) if b is not None]
         sols = {}
-        if grouping == "batch":
-            groups = [sel]
-        else:
-            by_order = {}
-            for i in sel:
-                n = As[i].shape[1]
-                by_order.setdefault(n if n > 32 else 0, []).append(i)
-            groups = [by_order[c] for c in sorted(by_order)]
+        # one launch over every member, or one launch per member
+        groups = [sel] if grouping == "batch" else [[i] for i in sel]
         for idxs in groups:
             out = _baseline_solve_subbatch(dev, batch, piv, idxs,
                                            [Bs[i] for i in idxs])
@@ -298,13 +292,12 @@ class TestFactorSolve:
                 sols[i] = x
         return sols
 
-    @pytest.mark.parametrize("grouping", ["batch", "order_class"])
+    @pytest.mark.parametrize("grouping", ["batch", "member"])
     def test_pipeline_parity(self, rng, grouping):
         As = [rng.standard_normal(s) for s in SQ]
         Bs = [rng.standard_normal(r) if r else None for r in RHS]
         dev = Device(A100())
-        prog = compile_workload(dev, "factor_solve", SQ, rhs_shapes=RHS,
-                                solve_grouping=grouping)
+        prog = compile_workload(dev, "factor_solve", SQ, rhs_shapes=RHS)
         res = prog.run(a=As, b=Bs)
         sols = self._baseline(As, Bs, grouping)
         for i, x in sols.items():

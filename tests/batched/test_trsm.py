@@ -48,15 +48,26 @@ class TestAllCombinations:
         dev = Device(A100())
         sizes = SIZES if side == "L" else [(r, m) for m, r in SIZES]
         ts, bs = make_tri_problem(rng, sizes, side=side, diag=diag)
-        T = IrrBatch.from_host(dev, ts)
-        B = IrrBatch.from_host(dev, [b.copy() for b in bs])
-        m = max(b.shape[0] for b in bs)
-        n = max(b.shape[1] for b in bs)
-        irr_trsm(dev, side, uplo, trans, diag, m, n, 1.0, T, (0, 0),
-                 B, (0, 0))
-        for t, b, x in zip(ts, bs, B.to_host()):
+
+        def solve(members):
+            T = IrrBatch.from_host(dev, [ts[i] for i in members])
+            B = IrrBatch.from_host(dev, [bs[i].copy() for i in members])
+            m = max(bs[i].shape[0] for i in members)
+            n = max(bs[i].shape[1] for i in members)
+            irr_trsm(dev, side, uplo, trans, diag, m, n, 1.0, T, (0, 0),
+                     B, (0, 0))
+            return dict(zip(members, B.to_host()))
+
+        xs = solve(list(range(len(bs))))
+        for i, (t, b) in enumerate(zip(ts, bs)):
             ref = reference_solve(t, b, side, uplo, trans, diag)
-            np.testing.assert_allclose(x, ref, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(xs[i], ref, rtol=1e-9, atol=1e-9)
+        # partition property: each member alone, and the batch as two
+        # launches with different required orders, give the one-launch bits
+        for part in ([[i] for i in range(len(bs))], [[0, 1, 4], [2, 3]]):
+            for members in part:
+                for i, x in solve(members).items():
+                    np.testing.assert_array_equal(x, xs[i])
 
 
 class TestMixedDtype:
@@ -133,6 +144,9 @@ class TestSemantics:
         with pytest.raises(ValueError, match="uplo"):
             irr_trsm(a100, "L", "X", "N", "N", 8, 3, 1.0, T, (0, 0),
                      B, (0, 0))
+        with pytest.raises(ValueError, match="base_nb"):
+            irr_trsm(a100, "L", "L", "N", "N", 8, 3, 1.0, T, (0, 0),
+                     B, (0, 0), base_nb=0)
 
     def test_recursion_reduces_to_base_and_gemm(self, a100, rng):
         ts, bs = make_tri_problem(rng, [(128, 4)])

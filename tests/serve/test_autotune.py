@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.batched.trsm import TRSM_BASE_NB
 from repro.batched.tuning import (autotune_getrf, representative_orders,
                                   size_distribution_summary)
 from repro.device import A100, Device
@@ -413,15 +412,10 @@ class TestPolicyHotSwap:
         assert p.group_limit(("getrf",)) == 4
         assert p.wait_budget(("getrf",)) == 1e-3
         assert p.replace(max_batch=8).max_batch == 8
-        assert "trsm_class_cutoff" in p.describe()
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="panel_regime"):
             CoalescingPolicy(panel_regime="fused")
-        with pytest.raises(ValueError, match="trsm_class_cutoff"):
-            CoalescingPolicy(trsm_class_cutoff=0)
-        with pytest.raises(ValueError, match="trsm_class_cutoff"):
-            CoalescingPolicy(trsm_class_cutoff=TRSM_BASE_NB + 1)
         with pytest.raises(ValueError, match="slo_hold_fraction"):
             CoalescingPolicy(slo_hold_fraction=0.0)
 
@@ -487,15 +481,17 @@ class TestPolicyHotSwap:
             assert np.array_equal(h0.lu, h1.lu)
             assert np.array_equal(h0.ipiv, h1.ipiv)
 
-    def test_trsm_cutoff_regroups_solves_without_changing_bits(self):
-        orders = (8, 20)
-        mats = [dense(n, seed=600 + n) for n in orders]
-        rhss = [np.random.default_rng(700 + n).standard_normal(n)
-                for n in orders]
+    def test_solves_group_by_dtype_only(self):
+        # orders on both sides of TRSM_BASE_NB, in two dtypes: one
+        # solve group per dtype, each bitwise equal to solo dispatch
+        orders = (8, 20, 40, 100)
+        mats = [dense(n, dtype, seed=600 + n)
+                for dtype in (np.float64, np.float32) for n in orders]
+        rhss = [np.random.default_rng(700 + i).standard_normal(
+            a.shape[0]).astype(a.dtype) for i, a in enumerate(mats)]
 
-        def solve_all(cutoff):
-            svc = inline_service(max_batch=8, max_wait=0.0,
-                                 trsm_class_cutoff=cutoff)
+        def solve_all(max_batch):
+            svc = inline_service(max_batch=max_batch, max_wait=0.0)
             handles = [svc.submit_factor(a) for a in mats]
             svc.run_once()
             handles = [f.result(0) for f in handles]
@@ -508,20 +504,18 @@ class TestPolicyHotSwap:
             svc.close()
             return xs, n_solve_dispatches
 
-        wide, n_wide = solve_all(TRSM_BASE_NB)    # one shared class
-        narrow, n_narrow = solve_all(4)           # exact-order classes
-        assert n_wide == 1
-        assert n_narrow == 2
-        for x0, x1 in zip(wide, narrow):
+        grouped, n_grouped = solve_all(16)
+        solo, n_solo = solve_all(1)
+        assert n_grouped == 2
+        assert n_solo == len(mats)
+        for x0, x1 in zip(grouped, solo):
             assert np.array_equal(x0, x1)
 
-    def test_getrs_key_cutoff_semantics(self):
-        f8 = np.float64
-        assert getrs_key(8, f8, cutoff=32) == getrs_key(20, f8, cutoff=32)
-        assert getrs_key(8, f8, cutoff=4) != getrs_key(20, f8, cutoff=4)
-        # cutoffs are clamped to the base-kernel range
-        assert getrs_key(8, f8, cutoff=10 * TRSM_BASE_NB) == \
-            getrs_key(8, f8, cutoff=TRSM_BASE_NB)
+    def test_getrs_key_is_one_class_per_dtype(self):
+        f8, f4 = np.float64, np.float32
+        assert getrs_key(f8) == ("getrs", np.dtype(f8).str)
+        assert getrs_key(f8) != getrs_key(f4)
+        assert getrs_key(f4, mixed=True) == getrs_key(f4) + ("mixed",)
 
 
 # ----------------------------------------------------------------------
@@ -713,18 +707,22 @@ class TestOnlineAutotuner:
         assert act.changes == {"max_batch": 16}
         svc.close()
 
-    def test_base_kernel_traffic_widens_trsm_class(self):
-        svc = inline_service(trsm_class_cutoff=4)
-        w = make_window(orders={"count": 30, "min": 8, "median": 12,
-                                "max": 24, "spread": 0.4})
+    def test_mixed_order_window_moves_no_solve_grouping_knob(self):
+        # solves of any orders share one group per dtype, so a window
+        # mixing base-kernel and recursive orders gives the tuner no
+        # grouping to widen; only the panel micro-trial (armed by the
+        # non-empty orders) may move a knob
+        svc = inline_service()
+        before = svc.policy.describe()
+        w = make_window(orders={"count": 30, "min": 8, "median": 40,
+                                "max": 200, "spread": 0.9})
         tuner = self.tuner_with_windows(svc, [w, make_window(
             orders=dict(w.orders))])
         tuner.step()
         act = tuner.step()
-        assert act.kind == "swap"
-        # (non-empty orders also arm the panel micro-trial, which may
-        # ride along in the same swap — the cutoff move is what this
-        # test pins down)
-        assert act.changes["trsm_class_cutoff"] == TRSM_BASE_NB
-        assert svc.policy.trsm_class_cutoff == TRSM_BASE_NB
+        assert set(act.changes) <= {"panel_regime"}
+        after = svc.policy.describe()
+        before.pop("panel_regime")
+        after.pop("panel_regime")
+        assert after == before
         svc.close()

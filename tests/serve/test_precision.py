@@ -58,8 +58,7 @@ class TestGroupKeys:
         assert base != mixed and "mixed" in mixed
 
     def test_mixed_discriminator_separates_getrs(self):
-        assert getrs_key(16, np.float32) != \
-            getrs_key(16, np.float32, mixed=True)
+        assert getrs_key(np.float32) != getrs_key(np.float32, mixed=True)
 
     def test_mixed_and_native_f4_do_not_coalesce(self):
         svc = inline_service(max_batch=8)
@@ -109,6 +108,25 @@ class TestDenseMixed:
         assert snap["refine_passes"] >= len(sizes)
         assert snap["precision_fallbacks"] == 0
         svc.close()
+
+    def test_coalescing_keeps_mixed_answers_bitwise(self):
+        # every refinement correction is blocked on its member's own
+        # order, so a coalesced answer is bitwise the solo answer
+        orders = [8, 24, 40, 48, 100, 150, 33, 64]
+        mats = [dense(n, seed=60 + n) for n in orders]
+        rhss = [np.random.default_rng(70 + n).standard_normal(n)
+                for n in orders]
+        results = {}
+        for max_batch in (1, 8):
+            svc = inline_service(max_batch=max_batch)
+            futs = [svc.submit_factor_solve(a, b, precision="fp32")
+                    for a, b in zip(mats, rhss)]
+            svc.run_once()
+            results[max_batch] = [f.result(0) for f in futs]
+            svc.close()
+        for (x1, h1), (x8, h8) in zip(results[1], results[8]):
+            assert np.array_equal(x1, x8)
+            assert np.array_equal(h1.lu, h8.lu)
 
     def test_handle_solve_runs_refinement(self):
         a = dense(20, seed=9)

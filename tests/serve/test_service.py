@@ -136,11 +136,10 @@ class TestDenseCoalescing:
             assert np.array_equal(h.lu, h_ref.lu)
         svc.close()
 
-    def test_solve_groups_by_order_class(self):
-        # Orders at or below TRSM_BASE_NB all hit the per-matrix base
-        # kernel, so mixed small orders share ONE getrs group; orders
-        # above it split by exact order (the irrTRSM recursion tree
-        # depends on the group's max order).
+    def test_solves_of_any_orders_share_one_group(self):
+        # irrTRSM blocks each member on its own order, so solves of
+        # base-kernel and recursive orders alike share ONE getrs group
+        # and stay bitwise equal to solving each alone.
         svc = inline_service(max_batch=8)
         h_small = [svc.submit_factor(dense(n, seed=i))
                    for i, n in enumerate([16, 24, 32])]
@@ -160,10 +159,9 @@ class TestDenseCoalescing:
 
         n0 = len(svc.stats.dispatches)
         futs = [svc.submit_solve(h, b) for h, b in zip(handles, rhss)]
-        # base class {16,24,32} + exact orders {40,40} and {48}
-        assert svc.run_once() == 3
+        assert svc.run_once() == 1
         recs = svc.stats.dispatches[n0:]
-        assert sorted(r.batch_size for r in recs) == [1, 2, 3]
+        assert [r.batch_size for r in recs] == [6]
         for fut, x_ref in zip(futs, refs):
             assert np.array_equal(fut.result(0), x_ref)
         svc.close()

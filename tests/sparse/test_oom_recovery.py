@@ -16,7 +16,7 @@ from repro.sparse import (DeviceFactorCache, SolvePlan, SparseLU,
                           symbolic_analysis)
 from repro.sparse.numeric.gpu_factor import plan_traversals
 
-from .util import grid2d, grid3d
+from .util import grid2d, grid3d, maxwell
 
 
 def prepare(a, leaf_size=16):
@@ -80,12 +80,16 @@ class TestOutOfCoreEdgeCases:
         assert [f for c in chunks for f in c] == list(range(len(symb.fronts)))
 
     def test_floor_budget_factorization_bitwise_identical(self):
-        _, ap, symb = prepare(grid2d(10, 10))
-        ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
-        res = multifrontal_factor_gpu(Device(A100()), ap, symb,
-                                      memory_budget=front_floor(symb))
-        assert res.counters["traversals"] > 1
-        assert_factors_equal(ref.factors, res.factors)
+        for a in (grid2d(10, 10), maxwell(7)):
+            _, ap, symb = prepare(a)
+            ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
+            # each budget cuts the levels into different chunk batches
+            for scale in (1, 2, 4):
+                res = multifrontal_factor_gpu(
+                    Device(A100()), ap, symb,
+                    memory_budget=scale * front_floor(symb))
+                assert res.counters["traversals"] > 1
+                assert_factors_equal(ref.factors, res.factors)
 
     def test_static_infeasibility_raises_eagerly(self):
         # "largest front needs X bytes" is a contract violation of the
@@ -148,15 +152,21 @@ class TestRecoveredRunsBitwiseIdentical:
         return multifrontal_factor_gpu(Device(A100()), ap, symb)
 
     def test_transient_alloc_failure_recovered(self):
-        _, ap, symb = prepare(grid2d(10, 10))
-        ref = self._reference(ap, symb)
-        dev = Device(A100())
-        with dev.fault_scope(FaultPlan([FaultRule("alloc", at=5)])) as inj:
-            res = multifrontal_factor_gpu(dev, ap, symb)
-        assert inj.n_injected == 1
-        assert_factors_equal(ref.factors, res.factors)
-        assert "alloc-retry" in res.report.recovery.actions
-        assert dev.allocated_bytes == 0
+        # (system, fault, injections, the rung that recovers): a second
+        # failure on the Maxwell level's retry splits its front batch
+        for a, rule, n_injected, action in (
+                (grid2d(10, 10), FaultRule("alloc", at=5), 1, "alloc-retry"),
+                (maxwell(7), FaultRule("alloc", at=23, times=2), 2,
+                 "level-split")):
+            _, ap, symb = prepare(a)
+            ref = self._reference(ap, symb)
+            dev = Device(A100())
+            with dev.fault_scope(FaultPlan([rule])) as inj:
+                res = multifrontal_factor_gpu(dev, ap, symb)
+            assert inj.n_injected == n_injected
+            assert_factors_equal(ref.factors, res.factors)
+            assert action in res.report.recovery.actions
+            assert dev.allocated_bytes == 0
 
     def test_transient_launch_failure_recovered(self):
         _, ap, symb = prepare(grid2d(10, 10))

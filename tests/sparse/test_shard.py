@@ -13,7 +13,7 @@ from repro.sparse import SparseLU, multifrontal_factor_gpu, \
     multifrontal_factor_sharded, multifrontal_solve, nested_dissection, \
     symbolic_analysis
 
-from .util import grid2d, grid3d
+from .util import grid2d, grid3d, maxwell
 
 pytestmark = pytest.mark.multidev
 
@@ -44,9 +44,14 @@ def assert_factors_equal(fa, fb):
 
 
 class TestShardedParity:
-    @pytest.mark.parametrize("n_devices", [1, 2, 4, 8])
-    def test_bitwise_parity_with_single_device(self, n_devices):
-        _, ap, symb = prepare(grid3d(7))
+    @pytest.mark.parametrize("n_devices,system", [
+        *(pytest.param(n, "grid", id=str(n)) for n in (1, 2, 4, 8)),
+        *(pytest.param(n, "maxwell", id=f"maxwell-{n}") for n in (2, 4))])
+    def test_bitwise_parity_with_single_device(self, n_devices, system):
+        # Maxwell at SparseLU's default leaf size: its levels split across
+        # devices into batches with different largest separators
+        _, ap, symb = prepare(grid3d(7)) if system == "grid" else \
+            prepare(maxwell(7), leaf_size=32)
         ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
         node = Node(A100(), n_devices)
         res = multifrontal_factor_sharded(node, ap, symb)

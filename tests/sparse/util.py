@@ -3,6 +3,8 @@
 import numpy as np
 import scipy.sparse as sp
 
+from repro import fem
+
 
 def grid2d(nx, ny, seed=0, diag=4.0):
     """Unsymmetric-valued 5-point grid operator (symmetric pattern)."""
@@ -63,3 +65,8 @@ def random_sparse(n, density=0.05, seed=0):
     a = a + a.T  # symmetric pattern (values stay unsymmetric enough)
     a = a + sp.diags(n * (1.0 + rng.random(n)))
     return sp.csr_matrix(a)
+
+
+def maxwell(n):
+    """The paper's Maxwell edge-element system on an n×n×n hex mesh."""
+    return fem.MaxwellProblem.build(fem.HexMesh(n, n, n)).reduced_system()[0]

@@ -36,9 +36,9 @@ validation in :class:`~repro.serve.scheduler.CoalescingPolicy` restricts
 ``panel_regime`` to the bitwise-identical pair, and the service's
 coalescing contract covers the rest — dense solves of any orders share
 one group per dtype, so there is no solve-grouping knob to tune.
-``bench_serve --slo`` checks exactly that: autotuned runs must beat the
-static policy on throughput *and* stay bitwise-equal to it, request by
-request.
+``benchmarks/test_gate_serve.py::test_gate_serve_slo`` checks exactly
+that: autotuned runs must beat the static policy on throughput *and*
+stay bitwise-equal to it, request by request.
 """
 
 from __future__ import annotations

@@ -158,19 +158,10 @@ def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
     """:func:`multifrontal_factor_gpu`; a ``resident`` dict takes over
     the device state of a successful single in-core traversal (see
     :func:`_attempt_factorization`) instead of it being freed."""
-    if strategy not in ("batched", "looped", "strumpack"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if gemm_mode not in ("irr", "vendor", "hybrid"):
-        raise ValueError(f"unknown gemm_mode {gemm_mode!r}")
-    if breakdown not in ("raise", "report"):
-        raise ValueError(f"unknown breakdown mode {breakdown!r}")
+    a_perm, a_dev_bytes = check_factor_args(
+        a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
+        breakdown=breakdown)
     memory_budget = validate_memory_budget(memory_budget)
-    a_perm = sp.csr_matrix(a_perm)
-    if a_perm.shape[0] != symb.n:
-        raise ValueError("matrix size does not match the symbolic analysis")
-
-    a_dev_bytes = a_perm.data.nbytes + a_perm.indices.nbytes + \
-        a_perm.indptr.nbytes
     engine = resolve_engine(engine)
     mark = device.recovery_log.mark()
 
@@ -229,6 +220,23 @@ def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
                          mark, pivot_tol=pivot_tol,
                          static_pivot=static_pivot,
                          replace_scale=replace_scale, breakdown=breakdown)
+
+
+def check_factor_args(a_perm, symb, *, strategy, gemm_mode,
+                      breakdown) -> tuple[sp.csr_matrix, int]:
+    """Validate the options every device factorization shares; return
+    ``a_perm`` as CSR and the bytes its device copy takes."""
+    if strategy not in ("batched", "looped", "strumpack"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if gemm_mode not in ("irr", "vendor", "hybrid"):
+        raise ValueError(f"unknown gemm_mode {gemm_mode!r}")
+    if breakdown not in ("raise", "report"):
+        raise ValueError(f"unknown breakdown mode {breakdown!r}")
+    a_perm = sp.csr_matrix(a_perm)
+    if a_perm.shape[0] != symb.n:
+        raise ValueError("matrix size does not match the symbolic analysis")
+    return a_perm, (a_perm.data.nbytes + a_perm.indices.nbytes
+                    + a_perm.indptr.nbytes)
 
 
 def factor_result(device, symb, host_factors, region, n_chunks, mark, *,

@@ -50,7 +50,8 @@ from ...errors import FactorizationError
 from ...recovery import RecoveryLog
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
-from .gpu_factor import HYBRID_GEMM_CUTOFF, _chunk_levels, _run_level
+from .gpu_factor import HYBRID_GEMM_CUTOFF, _chunk_levels, _run_level, \
+    check_factor_args, download_fronts
 from .report import FactorReport
 
 __all__ = ["partition_tree", "RankAssignment",
@@ -198,28 +199,20 @@ def multifrontal_factor_sharded(
     False``.  See the module docstring for the parity contract with
     the single-device path.
     """
-    if strategy not in ("batched", "looped", "strumpack"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if gemm_mode not in ("irr", "vendor", "hybrid"):
-        raise ValueError(f"unknown gemm_mode {gemm_mode!r}")
-    if breakdown not in ("raise", "report"):
-        raise ValueError(f"unknown breakdown mode {breakdown!r}")
+    a_perm, a_dev_bytes = check_factor_args(
+        a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
+        breakdown=breakdown)
     if top_mode not in ("slate", "scalapack"):
         raise ValueError(f"unknown top_mode {top_mode!r}")
     if not 0 <= top_device < len(node):
         raise ValueError(f"top_device {top_device} out of range for a "
                          f"{len(node)}-device node")
-    a_perm = sp.csr_matrix(a_perm)
-    if a_perm.shape[0] != symb.n:
-        raise ValueError("matrix size does not match the symbolic analysis")
 
     assign = partition_tree(symb, len(node))
     engine = resolve_engine(engine)
     marks = [dev.recovery_log.mark() for dev in node]
     start = node.makespan
     link_bytes0 = node.p2p_bytes + node.staged_bytes
-    a_dev_bytes = a_perm.data.nbytes + a_perm.indices.nbytes + \
-        a_perm.indptr.nbytes
 
     host_factors: dict[int, FrontFactors] = {}
     host_schur: dict[int, np.ndarray] = {}
@@ -237,7 +230,6 @@ def multifrontal_factor_sharded(
         buffers: dict = {}
         pivots_of: dict = {}
         diag_of: dict[int, tuple[int, int, float, float]] = {}
-        fid_set = set(fids)
         try:
             with device.timed_region() as region:
                 for level_fids in _chunk_levels(symb, fids):
@@ -248,22 +240,8 @@ def multifrontal_factor_sharded(
                                diag_of=diag_of, pivot_tol=pivot_tol,
                                static_pivot=static_pivot,
                                replace_scale=replace_scale)
-            for fid in fids:
-                info = symb.fronts[fid]
-                s = info.sep_size
-                data = buffers[fid].to_host()
-                d_info, d_rep, d_minp, d_growth = diag_of.get(
-                    fid, (0, 0, np.inf, 1.0))
-                host_factors[fid] = FrontFactors(
-                    f11=data[:s, :s].copy(), ipiv=pivots_of[fid],
-                    f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
-                    info=d_info, n_replaced=d_rep, min_pivot=d_minp,
-                    growth=d_growth)
-                if info.parent >= 0 and info.parent not in fid_set \
-                        and info.upd_size:
-                    host_schur[fid] = data[s:, s:].copy()
-                buffers[fid].free()
-                del buffers[fid]
+            download_fronts(symb, fids, buffers, pivots_of, diag_of,
+                            host_factors, host_schur, release=True)
         finally:
             for arr in buffers.values():
                 arr.free()

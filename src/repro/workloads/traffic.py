@@ -13,7 +13,7 @@ size mixes, closed feedback loops.  This module provides both halves:
   submitting, waiting for its result, thinking an exponential time, and
   submitting again — arrival rate adapts to service rate).  Three standard
   mixes (:data:`STANDARD_MIXES`: steady, bursty, heavy-tail) are the
-  acceptance surface of ``bench_serve --slo``.
+  acceptance surface of ``benchmarks/test_gate_serve.py``.
 * **Replay** — :func:`run_mix` replays a mix against a fresh
   :class:`~repro.serve.service.SolverService` in *virtual time*: a
   :class:`VirtualClock` is injected as the service clock, arrivals are
@@ -56,8 +56,8 @@ class RequestClass:
 
     ``slo`` is the class's soft latency objective in (virtual) seconds —
     requests carry it into the scheduler (SLO-aware admission caps their
-    hold time) and ``bench_serve --slo`` gates the class's measured p99
-    against it.  ``sampler`` picks orders ``"uniform"`` on
+    hold time) and ``benchmarks/test_gate_serve.py`` gates the class's
+    measured p99 against it.  ``sampler`` picks orders ``"uniform"`` on
     ``[order_lo, order_hi]`` or ``"lognormal"`` (heavy tail) with median
     ``order_lo`` clipped to ``order_hi``.
     """
@@ -333,7 +333,7 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
     return res
 
 
-#: The three acceptance traffic mixes of ``bench_serve --slo`` plus the
+#: The three acceptance traffic mixes of ``test_gate_serve_slo`` plus the
 #: closed-loop feedback mix.  Rates/SLOs are calibrated to the simulated
 #: device's cost model: steady fills groups by arrival, bursty stresses
 #: the hold budget, heavy-tail stresses group composition, closed-loop

@@ -13,11 +13,10 @@ Measured in simulated device seconds:
   and re-streams levels every solve; the FP32 cache (0.5x the bytes)
   stays resident.  Gate: >= 1.8x solves/sec.
 * **served dense traffic**: recurring large-front ``factor_solve``
-  rounds through :class:`SolverService` with the hot signature compiled
-  (arena-packed transfers), ``precision="fp32"`` per request vs the
-  FP64 default.  Steady-state rounds are transfer-dominated, so halving
-  the payload bytes shows up directly as throughput.  Gate: >= 1.5x
-  requests/sec.
+  rounds through :class:`SolverService` on its default bucketed path,
+  ``precision="fp32"`` per request vs the FP64 default.  Halving the
+  payload bytes and doubling the arithmetic peak show up directly as
+  throughput.  Gate: >= 1.5x requests/sec.
 
 Every solution from every mode must meet the FP64 backward-error target
 ``REFINE_TARGET``: the speedups only count because the answers are
@@ -71,14 +70,14 @@ def _warm(nx, reps):
 
 
 def _serve(order, batch, rounds, warmup=3):
-    """Recurring ``factor_solve`` rounds through the hot compiled path;
-    the warm-up rounds cover the bucketed cold starts and the compile."""
+    """Recurring ``factor_solve`` rounds through the service; the
+    warm-up rounds cover the plan-cache cold starts."""
     out = {}
     for prec in PRECISIONS:
         dev = Device(A100())
         svc = SolverService(dev, policy=CoalescingPolicy(
-            max_batch=max(64, batch), max_queue=max(256, batch),
-            compile_hot=True, hot_threshold=2), start=False)
+            max_batch=max(64, batch), max_queue=max(256, batch)),
+            start=False)
         kw = {} if prec == "fp64" else {"precision": "fp32"}
         sims, errs = [], []
         for rnd in range(rounds):
@@ -141,7 +140,7 @@ def test_gate_precision(archive):
           serve[p]["fallbacks"], f"{serve[p]['max_err']:.2e}"]
          for p in PRECISIONS],
         title=f"served dense traffic: {batch} x order {order} factor_solve "
-              f"per round, {rounds} rounds, hot compiled path (steady state "
+              f"per round, {rounds} rounds, bucketed path (steady state "
               "after 3 warm-up rounds)")
     archive("bench_precision", "\n".join([
         "mixed precision: FP32 factors + FP64 iterative refinement vs "

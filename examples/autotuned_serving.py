@@ -60,7 +60,6 @@ for name in ("steady", "closed-loop"):
     knobs = tuned.policy
     print(f"  final policy: max_batch={knobs['max_batch']} "
           f"max_wait={knobs['max_wait']:.2g}s "
-          f"hot_threshold={knobs['hot_threshold']} "
           f"panel_regime={knobs['panel_regime']}")
     for cls, entry in sorted(tuned.per_class.items()):
         slo = entry["slo"]

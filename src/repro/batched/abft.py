@@ -14,7 +14,6 @@ re-checked on the outputs after the launch:
                           mirrored)
 ``irrGETRF`` (driver)     ``Pᵀ·L·(U·w) = A₀·w`` over the final packed
                           factors
-compiled solve replay     ``A₀·(X·w) = B₀·w`` per solution
 ========================  ============================================
 
 Checks are *O(n²)* per matrix against the kernels' *O(n³)* work, the
@@ -56,7 +55,7 @@ from ..device.kernel import KernelCost
 from ..errors import CorruptionDetected
 
 __all__ = ["ABFT_MAX_REEXEC", "verified_launch", "verified_getrf",
-           "gemm_check", "trsm_check", "getrf_check", "solve_mismatch"]
+           "gemm_check", "trsm_check", "getrf_check"]
 
 #: bounded re-execution budget: a checksum mismatch may trigger at most
 #: this many re-executions of its launch group before the corruption is
@@ -318,25 +317,6 @@ class getrf_check:
             if _mismatch(got, self.r0[i], tol):
                 return i
         return None
-
-
-def solve_mismatch(a0: np.ndarray, b0: np.ndarray, x: np.ndarray,
-                   loose: bool) -> bool:
-    """True when ``x`` fails the residual checksum ``A₀·(X·w) = B₀·w``.
-
-    Backward-stable solves satisfy it to ``O(n·eps·|A₀|·|X|)``
-    whatever the conditioning; ``loose`` adds the gross-corruption
-    threshold for factors perturbed by static-pivot replacement.
-    """
-    if x.size == 0:
-        return False
-    eps = _finfo(a0.dtype).eps
-    tiny = _finfo(a0.dtype).tiny
-    mag = np.abs(a0) @ _abs_row_sum(x) + _abs_row_sum(b0)
-    tol = _SLACK * eps * (a0.shape[0] + 8) * mag + _SLACK * tiny
-    if loose:
-        tol = tol + _LOOSE_FRAC * (mag + 1.0)
-    return _mismatch(a0 @ _row_sum(x), _row_sum(b0), tol)
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,23 @@
 """Ahead-of-time compiled launch schedules for recurring batched workloads.
 
-Serve traffic and multifrontal level schedules repeat the same *shape
-signatures* endlessly, yet every dispatch re-runs DCWI inference,
+Recurring batches and multifrontal level schedules repeat the same
+*shape signatures* endlessly, yet every dispatch re-runs DCWI inference,
 bucketing, permutation rehearsal, packed-buffer construction and the
 per-launch Python orchestration of the drivers in this package.  All of
 that work is a pure function of the workload's shapes, so it can be
 done **once**, ahead of time.
 
-:func:`compile_workload` turns a traffic signature (a multiset of shapes
-plus an op: ``getrf``, ``getrs`` or a ``factor_solve`` pipeline) into a
-:class:`WorkloadProgram`:
+:func:`compile_workload` turns a batch signature (a multiset of shapes
+factored by ``getrf``) into a :class:`WorkloadProgram`:
 
-* **Record once** — the op's ordinary drivers (``irr_getrf`` /
-  ``irr_getrs`` on a bucketed :class:`~repro.batched.engine.BatchEngine`)
-  run once on a synthetic payload of the compiled shapes — the
-  *rehearsal* — while a recorder wraps the device's ``launch`` and
-  ``host_step`` entry points.  Every launch closure and every host step
-  the drivers issue (pivot-state reset, growth epilogue, ``check_info``,
-  branch checks) is captured, in order, into a fixed step list; a
-  replay re-executes them on the new payload, so the compiled path
-  follows the drivers with no copy of their host logic.  Multi-stream
+* **Record once** — the ordinary driver (``irr_getrf`` on a bucketed
+  :class:`~repro.batched.engine.BatchEngine`) runs once on a synthetic
+  payload of the compiled shapes — the *rehearsal* — while a recorder
+  wraps the device's ``launch`` and ``host_step`` entry points.  Every
+  launch closure and every host step the driver issues (pivot-state
+  reset, growth epilogue) is captured, in order, into a fixed step
+  list; a replay re-executes them on the new payload, so the compiled
+  path follows the driver with no copy of its host logic.  Multi-stream
   schedules (``concurrent_swaps``) have event dependencies the linear
   step list cannot express and are rejected with :class:`CompileError`.
 * **One guard rule** — a host step returns the value its driver branches
@@ -31,13 +29,13 @@ plus an op: ``getrf``, ``getrs`` or a ``factor_solve`` pipeline) into a
   recovery log records any event (an ABFT re-execution, a retried
   transfer) would record the repair as schedule, so it yields no
   program: :func:`compile_workload` returns ``None``.
-* **Preallocate once** — packed host staging and device buffers for every
-  input batch live in one arena allocated at compile time.
+* **Preallocate once** — packed host staging and device storage for the
+  batch live in one allocation made at compile time.
   ``program.run(...)`` only copies payload bytes (one packed H2D
   transfer) and replays: zero plan-cache misses and zero new device
   allocations after the first execution.
 * **Fuse adjacent launches** — runs of consecutive recorded launches
-  (panel→LASWP→TRSM→GEMM chains, factor→solve) are merged into single
+  (panel→LASWP→TRSM→GEMM chains) are merged into single
   launch records executing the captured closures back to back and
   summing their costs (:func:`fuse_costs`): flops/bytes/blocks totals
   are preserved exactly; only the launch *count* (and with it the
@@ -46,7 +44,6 @@ plus an op: ``getrf``, ``getrs`` or a ``factor_solve`` pipeline) into a
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +52,9 @@ from ..device.kernel import KernelCost
 from ..device.memory import DeviceArray
 from ..device.simulator import Device
 from ..errors import CorruptionDetected
-from .abft import ABFT_MAX_REEXEC, getrf_check, solve_mismatch
+from .abft import ABFT_MAX_REEXEC, getrf_check
 from .engine import BatchEngine, resolve_engine
 from .getrf import irr_getrf
-from .getrs import PivotView, irr_getrs
 from .interface import IrrBatch
 
 __all__ = ["WorkloadProgram", "ProgramResult", "compile_workload",
@@ -315,73 +311,30 @@ def compile_engine(engine) -> BatchEngine:
 # ----------------------------------------------------------------------
 # persistent buffers
 # ----------------------------------------------------------------------
-class _Arena:
-    """One owning device allocation + staging area for a whole program.
-
-    Every persistent buffer of a program reserves a contiguous range
-    here, so a run's payload bytes move host-to-device in ONE packed
-    transfer (:meth:`flush`, after the loaders have staged) and the
-    results come back in one device-to-host transfer
-    (:meth:`account_download`) — a single ``cudaMemcpy`` each way is
-    physically possible exactly because all buffers share one
-    allocation.  Compile-time rehearsal loads still transfer
-    per-buffer; only :meth:`WorkloadProgram.run` uses the packed path.
-    """
-
-    def __init__(self, device: Device, dtype, capacity: int):
-        self.device = device
-        self.dtype = np.dtype(dtype)
-        self.capacity = int(capacity)
-        self.used = 0
-        self.flat = device.empty((self.capacity,), dtype=self.dtype)
-        self.staging = np.empty(self.capacity, dtype=self.dtype)
-        #: payloads were staged since the last flush
-        self.dirty = False
-
-    def reserve(self, n: int) -> int:
-        off = self.used
-        self.used += int(n)
-        if self.used > self.capacity:
-            raise CompileError(
-                f"arena overflow: reserved {self.used} elements of "
-                f"{self.capacity}")
-        return off
-
-    def flush(self) -> None:
-        """One packed H2D transfer of the payloads staged this run."""
-        if self.dirty and self.capacity:
-            self.flat.copy_from_host(self.staging)
-        self.dirty = False
-
-    def account_download(self, nbytes: int) -> None:
-        if nbytes:
-            self.device._account_transfer(int(nbytes))
-
-    def free(self) -> None:
-        self.flat.free()
-
-
 class _PackedBuffer:
-    """Preallocated packed staging + device storage for one batch.
+    """One owning device allocation + staging area for a program's batch.
 
     Mirrors :meth:`IrrBatch.from_host_packed` — per-matrix device views
-    into one flat range of the program's arena — but the views and the
-    :class:`IrrBatch` wrapper are built once at compile time and reused
-    by every execution; run-time uploads coalesce into the arena's
-    single flush.
+    into one flat allocation — but the views and the :class:`IrrBatch`
+    wrapper are built once at compile time and reused by every
+    execution.  A run's payload bytes move host-to-device in ONE packed
+    transfer (:meth:`flush`, after :meth:`stage`) and the results come
+    back in one device-to-host transfer (:meth:`account_download`) — a
+    single ``cudaMemcpy`` each way is physically possible exactly
+    because every member shares one allocation.
     """
 
-    def __init__(self, arena: _Arena, shapes):
-        device = arena.device
-        self.arena = arena
+    def __init__(self, device: Device, dtype, shapes):
+        self.device = device
         self.shapes = [(int(m), int(n)) for (m, n) in shapes]
-        self.dtype = arena.dtype
+        self.dtype = np.dtype(dtype)
         sizes = [m * n for (m, n) in self.shapes]
         self.offsets = np.cumsum([0] + sizes).astype(np.int64)
         self.total = int(self.offsets[-1])
-        base = arena.reserve(self.total)
-        self.staging = arena.staging[base:base + self.total]
-        self.flat = arena.flat[base:base + self.total]
+        self.flat = device.empty((self.total,), dtype=self.dtype)
+        self.staging = np.empty(self.total, dtype=self.dtype)
+        #: payloads were staged since the last flush
+        self.dirty = False
         arrays = [DeviceArray(
             device,
             self.flat.data[int(o):int(o) + m * n].reshape((m, n)),
@@ -415,14 +368,27 @@ class _PackedBuffer:
                     f"got {a.dtype}")
             o = int(self.offsets[i])
             self.staging[o:o + a.size] = a.ravel()
-        self.arena.dirty = True
+        self.dirty = True
 
     def load(self, payloads) -> None:
-        """Stage + transfer immediately (one packed H2D for this
-        buffer; used at compile time)."""
+        """Stage + transfer immediately (used at compile time)."""
         self.stage(payloads, label="compile")
         if self.total:
             self.flat.copy_from_host(self.staging)
+
+    def flush(self) -> None:
+        """One packed H2D transfer of the payloads staged this run."""
+        if self.dirty and self.total:
+            self.flat.copy_from_host(self.staging)
+        self.dirty = False
+
+    def account_download(self, download: bool) -> None:
+        """Charge the one packed D2H transfer of a downloaded run."""
+        if download and self.total:
+            self.device._account_transfer(self.nbytes)
+
+    def free(self) -> None:
+        self.flat.free()
 
     def staged(self) -> list[np.ndarray]:
         """Host staging views of every member (the payloads as loaded —
@@ -431,8 +397,9 @@ class _PackedBuffer:
                 for (m, n), o in zip(self.shapes, self.offsets[:-1])]
 
     def download(self, download: bool = True) -> list[np.ndarray] | None:
-        """Host copies of every member (the arena accounts the D2H), or
-        ``None`` when the caller leaves the results on the device."""
+        """Host copies of every member (:meth:`account_download` charges
+        the D2H), or ``None`` when the caller leaves the results on the
+        device."""
         if not download:
             return None
         return [np.array(a.data, copy=True) for a in self.batch.arrays]
@@ -451,9 +418,6 @@ class ProgramResult:
     n_replaced: np.ndarray | None = None
     min_pivot: np.ndarray | None = None
     growth: np.ndarray | None = None
-    #: per-member solutions, aligned with the compiled batch; ``None``
-    #: entries are members without a right-hand side.
-    solutions: list | None = None
 
 
 class WorkloadProgram:
@@ -465,34 +429,22 @@ class WorkloadProgram:
     """
 
     def __init__(self, device: Device, op: str, signature: tuple,
-                 steps: list, *, arena: _Arena, inputs: dict, collect,
-                 engine: BatchEngine, optional=frozenset(),
-                 verifier=None, pivots=None,
-                 factor_batch: IrrBatch | None = None):
+                 steps: list, *, buf: _PackedBuffer, collect,
+                 engine: BatchEngine, verifier, pivots):
         self.device = device
         self.op = op
         self.signature = signature
         self.steps = steps
         self.engine = engine
         self.runs = 0
-        self._inputs = inputs          # name -> loader(payload)
-        self._optional = set(optional)
+        self._buf = buf
         self._collect = collect
-        self._arena = arena
         self._freed = False
         #: ABFT verifier ``() -> first bad member | None``, consulted
         #: after each execution when ``device.verify_kernels`` is on.
         self._verifier = verifier
         #: the rehearsal's pivot object, reset by every replay
         self._pivots = pivots
-        #: Device-resident factored batch after a :meth:`run` — set for
-        #: getrf / factor_solve programs, whose factors live in the
-        #: arena as an :class:`IrrBatch` (``None`` for getrs).
-        #: Contents are only meaningful until the next ``run``;
-        #: the serving layer's mixed-precision finisher reads it to run
-        #: correction solves against the resident factors without
-        #: re-uploading them.
-        self.factor_batch = factor_batch
 
     # -- inspection ----------------------------------------------------
     @property
@@ -516,34 +468,28 @@ class WorkloadProgram:
     def run(self, *, download: bool = True, **payloads) -> ProgramResult:
         """Replay the compiled schedule on new payload values.
 
-        Payload keyword names depend on the op (``a`` for matrices,
-        ``b`` for right-hand sides, ``ipiv`` / ``info`` for precomputed
-        pivots); ``download=False`` leaves factors and solutions on the
-        device (``None`` in the result).  Raises :class:`PayloadMismatch`
-        on any signature deviation and :class:`GuardTripped` when a
-        replay guard fails (caller falls back to the bucketed path for
-        this payload; ``info`` carries the replay's pivot codes).
+        The payload is ``a``, the matrices; ``download=False`` leaves
+        the factors on the device (``None`` in the result).  Raises
+        :class:`PayloadMismatch` on any signature deviation and
+        :class:`GuardTripped` when a replay guard fails (caller falls
+        back to the bucketed path for this payload; ``info`` carries the
+        replay's pivot codes).
         """
         if self._freed:
             raise RuntimeError("cannot run a freed WorkloadProgram")
-        required = set(self._inputs) - self._optional
-        given = set(payloads)
-        if not (required <= given and given <= set(self._inputs)):
+        if set(payloads) != {"a"}:
             raise PayloadMismatch(
-                f"{self.op} program expects payloads {sorted(required)} "
-                f"(optional: {sorted(self._optional)}), got {sorted(given)}")
-        for name, loader in self._inputs.items():
-            if name in given:
-                loader(payloads[name])
-        verify = self.device.verify_kernels and self._verifier is not None
+                f"{self.op} program expects payload ['a'], got "
+                f"{sorted(payloads)}")
+        self._buf.stage(payloads["a"])
+        verify = self.device.verify_kernels
         attempts = (ABFT_MAX_REEXEC + 1) if verify else 1
         for attempt in range(attempts):
-            self._arena.flush()
+            self._buf.flush()
             try:
                 replay(self.device, self.steps)
             except GuardTripped as exc:
-                if self._pivots is not None:
-                    exc.info = self._pivots.info.copy()
+                exc.info = self._pivots.info.copy()
                 raise
             self.device.synchronize()
             if not verify:
@@ -562,7 +508,7 @@ class WorkloadProgram:
                 "kernel-reexec", site=site, attempt=attempt + 1,
                 detail=f"checksum mismatch at member {bad}; re-staged "
                        f"payloads and re-executed the program")
-            self._arena.dirty = True
+            self._buf.dirty = True
         self.runs += 1
         return self._collect(download)
 
@@ -571,7 +517,7 @@ class WorkloadProgram:
         if self._freed:
             return
         self._freed = True
-        self._arena.free()
+        self._buf.free()
 
     def __enter__(self) -> "WorkloadProgram":
         return self
@@ -584,10 +530,9 @@ class WorkloadProgram:
 # compilation
 # ----------------------------------------------------------------------
 def compile_workload(device: Device, op: str, shapes, *,
-                     dtype=np.float64, rhs_shapes=None,
-                     lu_kwargs: dict | None = None,
+                     dtype=np.float64, lu_kwargs: dict | None = None,
                      engine=None, fuse: bool = True) -> WorkloadProgram | None:
-    """Compile a traffic signature into a :class:`WorkloadProgram`.
+    """Compile a batch signature into a :class:`WorkloadProgram`.
 
     Returns ``None`` when the device's recovery log recorded an event
     during the rehearsal: its launches contain the repair, so no
@@ -596,24 +541,19 @@ def compile_workload(device: Device, op: str, shapes, *,
     Parameters
     ----------
     op:
-        ``"getrf"`` — factor a batch (payload ``a``); ``"getrs"`` —
-        solve from precomputed factors (payloads ``a``, ``ipiv``, ``b``,
-        optional ``info``); ``"factor_solve"`` — factor then solve in
-        one schedule (payloads ``a``, ``b``; ``b`` entries may be
-        ``None`` for factor-only members).
+        ``"getrf"`` — factor a batch (payload ``a``).  Any other op
+        raises :class:`CompileError`.
     shapes:
         The signature's matrix shapes, one ``(m, n)`` per member.
-    rhs_shapes:
-        Right-hand-side shapes for ``getrs``/``factor_solve``
-        (``factor_solve`` accepts ``None`` entries for members without
-        a solve).
     lu_kwargs:
-        The LU policy of the factor step (same keys as
+        The LU policy of the factorization (same keys as
         :func:`~repro.batched.getrf.irr_getrf`).  ``concurrent_swaps``
         is rejected: its side-stream schedule cannot be replayed.
     fuse:
         Merge runs of adjacent launches into fused launch records.
     """
+    if op != "getrf":
+        raise CompileError(f"unknown workload op {op!r}")
     lu_kwargs = dict(lu_kwargs or {})
     if lu_kwargs.get("concurrent_swaps"):
         raise CompileError(
@@ -621,24 +561,39 @@ def compile_workload(device: Device, op: str, shapes, *,
             "they cannot be compiled into a static program")
     eng = compile_engine(engine)
     dt = np.dtype(dtype)
-    if op == "getrf":
-        parts = _compile_getrf(device, _check_shapes(shapes, op), dt,
-                               lu_kwargs, eng)
-    elif op == "getrs":
-        parts = _compile_getrs(device, _check_shapes(shapes, op),
-                               rhs_shapes, dt, eng)
-    elif op == "factor_solve":
-        parts = _compile_factor_solve(device, _check_shapes(shapes, op),
-                                      rhs_shapes, dt, lu_kwargs, eng)
-    else:
-        raise CompileError(f"unknown workload op {op!r}")
-    signature, rec, arena, fields = parts
+    buf = _PackedBuffer(device, dt, _check_shapes(shapes, op))
+    try:
+        with Recorder(device) as rec:
+            # well-conditioned rehearsal payload: identity never breaks down
+            buf.load([np.eye(m, n, dtype=dt) for (m, n) in shapes])
+            pivots = irr_getrf(device, buf.batch, engine=eng, **lu_kwargs)
+        device.synchronize()
+    except BaseException:
+        buf.free()
+        raise
     if rec.repaired:
-        arena.free()
+        buf.free()
         return None
+
+    def collect(download: bool) -> ProgramResult:
+        buf.account_download(download)
+        ctrl = pivots.ctrl
+        return ProgramResult(
+            factors=buf.download(download),
+            ipiv=[ip.copy() for ip in pivots.ipiv], info=pivots.info.copy(),
+            n_replaced=ctrl.n_replaced.copy(),
+            min_pivot=ctrl.min_pivot.copy(), growth=ctrl.growth.copy())
+
+    def verifier() -> int | None:
+        # the driver's factor checksum over the staged payloads
+        return getrf_check(buf.batch, buf.staged()).first_bad(pivots)
+
+    signature = ("getrf", dt.str, tuple(buf.shapes),
+                 tuple(sorted(lu_kwargs.items())))
     steps = fuse_steps(rec.steps) if fuse else rec.steps
-    return WorkloadProgram(device, op, signature, steps, arena=arena,
-                           engine=eng, **fields)
+    return WorkloadProgram(device, op, signature, steps, buf=buf,
+                           collect=collect, engine=eng, verifier=verifier,
+                           pivots=pivots)
 
 
 def _check_shapes(shapes, what: str) -> list[tuple[int, int]]:
@@ -649,208 +604,3 @@ def _check_shapes(shapes, what: str) -> list[tuple[int, int]]:
             raise CompileError(f"{what} shape {s} is negative")
         out.append((int(m), int(n)))
     return out
-
-
-def _elements(shapes) -> int:
-    return sum(m * n for (m, n) in shapes)
-
-
-def _synthetic_lu(m: int, n: int, dt: np.dtype) -> np.ndarray:
-    """Well-conditioned rehearsal payload (identity never breaks down)."""
-    return np.eye(m, n, dtype=dt)
-
-
-@contextmanager
-def _recording(device: Device, arena: _Arena):
-    """Record the drivers run inside; free the arena if they raise."""
-    try:
-        with Recorder(device) as rec:
-            yield rec
-        device.synchronize()
-    except BaseException:
-        arena.free()
-        raise
-
-
-def _lu_result(pivots, factors) -> ProgramResult:
-    ctrl = pivots.ctrl
-    return ProgramResult(
-        factors=factors, ipiv=[ip.copy() for ip in pivots.ipiv],
-        info=pivots.info.copy(), n_replaced=ctrl.n_replaced.copy(),
-        min_pivot=ctrl.min_pivot.copy(), growth=ctrl.growth.copy())
-
-
-def _factor_check(buf: _PackedBuffer, pivots):
-    """The driver's factor checksum over the staged payloads."""
-    return lambda: getrf_check(buf.batch, buf.staged()).first_bad(pivots)
-
-
-# -- getrf -------------------------------------------------------------
-def _compile_getrf(device, shapes, dt, lu_kwargs, eng):
-    signature = ("getrf", dt.str, tuple(shapes),
-                 tuple(sorted(lu_kwargs.items())))
-    arena = _Arena(device, dt, _elements(shapes))
-    buf = _PackedBuffer(arena, shapes)
-    with _recording(device, arena) as rec:
-        buf.load([_synthetic_lu(m, n, dt) for (m, n) in shapes])
-        pivots = irr_getrf(device, buf.batch, engine=eng, **lu_kwargs)
-
-    def collect(download: bool) -> ProgramResult:
-        arena.account_download(buf.nbytes if download else 0)
-        return _lu_result(pivots, buf.download(download))
-
-    return signature, rec, arena, dict(
-        inputs={"a": buf.stage}, collect=collect, pivots=pivots,
-        verifier=_factor_check(buf, pivots), factor_batch=buf.batch)
-
-
-# -- getrs -------------------------------------------------------------
-def _compile_getrs(device, shapes, rhs_shapes, dt, eng):
-    if rhs_shapes is None:
-        raise CompileError("getrs compilation requires rhs_shapes")
-    rhs_shapes = _check_shapes(rhs_shapes, "getrs rhs")
-    if len(rhs_shapes) != len(shapes):
-        raise CompileError("getrs needs one rhs shape per matrix")
-    for i, ((m, n), (rm, _rn)) in enumerate(zip(shapes, rhs_shapes)):
-        if m != n:
-            raise CompileError(f"getrs matrix {i} is not square: {m}x{n}")
-        if rm != n:
-            raise CompileError(
-                f"getrs rhs {i} has {rm} rows for order {n}")
-    signature = ("getrs", dt.str, tuple(shapes), tuple(rhs_shapes))
-
-    arena = _Arena(device, dt, _elements(rhs_shapes) + _elements(shapes))
-    # RHS first: the downloaded solutions occupy one leading range
-    b_buf = _PackedBuffer(arena, rhs_shapes)
-    a_buf = _PackedBuffer(arena, shapes)
-    view = PivotView([np.arange(n, dtype=np.int64) for (_m, n) in shapes],
-                     np.zeros(len(shapes), dtype=np.int64))
-    with _recording(device, arena) as rec:
-        a_buf.load([_synthetic_lu(m, n, dt) for (m, n) in shapes])
-        b_buf.load([np.ones(s, dtype=dt) for s in rhs_shapes])
-        irr_getrs(device, a_buf.batch, view, b_buf.batch, engine=eng)
-
-    def load_ipiv(ipiv_list) -> None:
-        if len(ipiv_list) != len(shapes):
-            raise PayloadMismatch(
-                f"ipiv: expected {len(shapes)} vectors, "
-                f"got {len(ipiv_list)}")
-        for i, ip in enumerate(ipiv_list):
-            arr = np.asarray(ip, dtype=np.int64)
-            if arr.shape != (shapes[i][1],):
-                raise PayloadMismatch(
-                    f"ipiv[{i}]: expected {shapes[i][1]} pivots, "
-                    f"got shape {arr.shape}")
-            view.ipiv[i] = arr
-
-    def load_info(info) -> None:
-        # None (the default) means clean factors; the recorded
-        # check_info step refuses broken ones
-        codes = np.zeros(len(shapes), dtype=np.int64) if info is None \
-            else np.asarray(info, dtype=np.int64)
-        if codes.shape != (len(shapes),):
-            raise PayloadMismatch(
-                f"info: expected {len(shapes)} codes, got {codes.shape}")
-        view.info[...] = codes
-
-    def collect(download: bool) -> ProgramResult:
-        arena.account_download(b_buf.nbytes if download else 0)
-        return ProgramResult(solutions=b_buf.download(download))
-
-    return signature, rec, arena, dict(
-        inputs={"info": load_info, "ipiv": load_ipiv, "a": a_buf.stage,
-                "b": b_buf.stage},
-        optional={"info"}, collect=collect)
-
-
-# -- factor + solve pipeline -------------------------------------------
-def _compile_factor_solve(device, shapes, rhs_shapes, dt, lu_kwargs, eng):
-    if rhs_shapes is None:
-        raise CompileError("factor_solve compilation requires rhs_shapes "
-                           "(entries may be None for factor-only members)")
-    if len(rhs_shapes) != len(shapes):
-        raise CompileError("factor_solve needs one rhs entry per matrix")
-    rhs_norm: list[tuple[int, int] | None] = []
-    for i, rs in enumerate(rhs_shapes):
-        if rs is None:
-            rhs_norm.append(None)
-            continue
-        (m, n) = shapes[i]
-        if m != n:
-            raise CompileError(
-                f"factor_solve member {i} has an RHS but a non-square "
-                f"matrix {m}x{n}")
-        rm, rn = int(rs[0]), int(rs[1])
-        if rm != n:
-            raise CompileError(
-                f"factor_solve rhs {i} has {rm} rows for order {n}")
-        rhs_norm.append((rm, rn))
-    sel = [i for i, rs in enumerate(rhs_norm) if rs is not None]
-    signature = ("factor_solve", dt.str, tuple(shapes), tuple(rhs_norm),
-                 tuple(sorted(lu_kwargs.items())))
-
-    arena = _Arena(device, dt, _elements(shapes)
-                   + _elements(rhs_norm[i] for i in sel))
-    a_buf = _PackedBuffer(arena, shapes)
-    rhs_bufs: list[tuple[_PackedBuffer, list[int]]] = []
-    with _recording(device, arena) as rec:
-        a_buf.load([_synthetic_lu(m, n, dt) for (m, n) in shapes])
-        pivots = irr_getrf(device, a_buf.batch, engine=eng, **lu_kwargs)
-        # the solve step takes the members whose factors are clean
-        clean = device.host_step(
-            lambda: [i for i in sel if pivots.info[i] == 0])
-        if clean:
-            rbuf = _PackedBuffer(arena, [rhs_norm[i] for i in clean])
-            rbuf.load([np.ones(rhs_norm[i], dtype=dt) for i in clean])
-            rhs_bufs.append((rbuf, clean))
-            sub = np.asarray(clean)
-            fsub = IrrBatch(device, [a_buf.batch.arrays[i] for i in clean],
-                            a_buf.batch.m_vec[sub], a_buf.batch.n_vec[sub])
-            view = PivotView([pivots.ipiv[i] for i in clean],
-                             pivots.info[sub])
-            irr_getrs(device, fsub, view, rbuf.batch, engine=eng,
-                      check_info=False)
-
-    def load_rhs(b_list) -> None:
-        if len(b_list) != len(shapes):
-            raise PayloadMismatch(
-                f"b: expected {len(shapes)} entries (None for factor-only "
-                f"members), got {len(b_list)}")
-        for i, b in enumerate(b_list):
-            if (b is None) != (rhs_norm[i] is None):
-                raise PayloadMismatch(
-                    f"b[{i}]: rhs presence does not match the compiled "
-                    f"signature")
-        for rbuf, idxs in rhs_bufs:
-            rbuf.stage([b_list[i] for i in idxs], label="b")
-
-    def collect(download: bool) -> ProgramResult:
-        res = _lu_result(pivots, a_buf.download(download))
-        res.solutions = [None] * len(shapes)
-        if download:
-            # factors and solutions live in one allocation: one packed
-            # D2H transfer brings the whole arena back
-            arena.account_download(
-                a_buf.nbytes + sum(rb.nbytes for rb, _ in rhs_bufs))
-            for rbuf, idxs in rhs_bufs:
-                for i, x in zip(idxs, rbuf.download()):
-                    res.solutions[i] = x
-        return res
-
-    check_factors = _factor_check(a_buf, pivots)
-
-    def verifier() -> int | None:
-        bad = check_factors()
-        if bad is not None:
-            return bad
-        a0 = a_buf.staged()
-        for rbuf, idxs in rhs_bufs:
-            for i, b0, x in zip(idxs, rbuf.staged(), rbuf.batch.arrays):
-                if pivots.info[i] == 0 and solve_mismatch(
-                        a0[i], b0, x.data, pivots.n_replaced[i] > 0):
-                    return i
-        return None
-
-    return signature, rec, arena, dict(
-        inputs={"a": a_buf.stage, "b": load_rhs}, collect=collect,
-        pivots=pivots, verifier=verifier, factor_batch=a_buf.batch)

@@ -262,11 +262,12 @@ class RequestCancelled(RuntimeError):
 class ServiceDegraded(RuntimeError):
     """The service circuit breaker opened on a sustained fault storm.
 
-    Never raised at request callers — requests keep completing on the
-    degraded dispatch ladder (compiled → bucketed → host fallback).
-    The instance is surfaced through ``ServiceStats.snapshot()``
-    (``breaker_state`` / ``degraded_reason``) so operators and the
-    online autotuner can observe *why* the fast path is off.
+    Never raised at request callers — requests keep completing while
+    degraded: on a node, placement skips the device; at severity 2, new
+    sparse sessions factor on the host.  The instance is surfaced
+    through ``ServiceStats.snapshot()`` (``breaker_state`` /
+    ``degraded_reason``) so operators and the online autotuner can
+    observe *why* the service is degraded.
 
     Attributes
     ----------

@@ -4,20 +4,20 @@
 for *one batch whose sizes are known at run time*.  A serving system has
 a harder version of the same problem: the "batch" is the arrival process
 itself, its size distribution drifts, and the knobs that matter —
-``max_batch``, ``max_wait``, ``hot_threshold``, the panel regime — live
-in the :class:`~repro.serve.scheduler.DispatchPolicy`, not in a kernel
-call.  This module closes that loop:
+``max_batch``, ``max_wait``, the panel regime — live in the
+:class:`~repro.serve.scheduler.DispatchPolicy`, not in a kernel call.
+This module closes that loop:
 
 1. **Observe.**  :class:`OnlineAutotuner.step` diffs two
    :meth:`~repro.serve.stats.ServiceStats.snapshot` calls into an exact
    :class:`Window` — arrival/completion rates, mean group size,
    occupancy, wait/exec histogram deltas (the snapshots carry raw bin
-   counts), compiled-replay fallback rate, shed work — plus the
-   run-time size-distribution summary of recent arrivals.
+   counts), shed work — plus the run-time size-distribution summary of
+   recent arrivals.
 2. **Decide.**  Signal rules propose one bounded knob move per window
-   (double/halve ``max_wait``/``max_batch``, step ``hot_threshold``);
-   the panel regime is chosen by a *measured micro-trial*: a synthetic
-   batch matching the observed size distribution
+   (double/halve ``max_wait``/``max_batch``); the panel regime is
+   chosen by a *measured micro-trial*: a synthetic batch matching the
+   observed size distribution
    (:func:`~repro.batched.tuning.representative_orders`) runs through
    :func:`~repro.batched.tuning.autotune_getrf` on a scratch device,
    and the faster regime wins.  A proposal must repeat for
@@ -30,9 +30,9 @@ call.  This module closes that loop:
    drops nothing) and the tuner holds still for ``cooldown`` windows.
 
 Every knob the tuner touches changes *launch shapes only* — group
-composition, hold times, panel launch structure, compiled-replay
-thresholds.  None changes the bits of any individual result: the policy
-validation in :class:`~repro.serve.scheduler.CoalescingPolicy` restricts
+composition, hold times, panel launch structure.  None changes the
+bits of any individual result: the policy validation in
+:class:`~repro.serve.scheduler.CoalescingPolicy` restricts
 ``panel_regime`` to the bitwise-identical pair, and the service's
 coalescing contract covers the rest — dense solves of any orders share
 one group per dtype, so there is no solve-grouping knob to tune.
@@ -72,7 +72,6 @@ class AutotuneConfig:
     rollback_tolerance: float = 0.15   #: fractional objective regression
     max_batch_bounds: tuple = (4, 256)
     max_wait_bounds: tuple = (1e-5, 5e-2)
-    hot_threshold_bounds: tuple = (2, 64)
     regime_trial_every: int = 8   #: windows between panel micro-trials
     regime_trial_orders: int = 8  #: synthetic batch size for the trial
     regime_trial_cap: int = 96    #: largest synthetic order trialed
@@ -100,8 +99,6 @@ class Window:
     wait_p50: float
     wait_p99: float
     exec_p50: float
-    compiled_dispatches: int
-    compiled_fallbacks: int
     queue_depth: int        #: at window end
     orders: dict = field(default_factory=dict)
 
@@ -124,11 +121,6 @@ class Window:
         """Fraction of the window the device spent dispatching."""
         return min(self.sim_seconds / self.seconds, 1.0) \
             if self.seconds > 0 else 0.0
-
-    @property
-    def fallback_rate(self) -> float:
-        served = self.compiled_dispatches + self.compiled_fallbacks
-        return self.compiled_fallbacks / served if served else 0.0
 
 
 def default_objective(w: Window) -> float:
@@ -220,10 +212,6 @@ class OnlineAutotuner:
             wait_p99=LatencyHistogram.quantile_of(wait_counts, wait_n,
                                                   0.99),
             exec_p50=LatencyHistogram.quantile_of(exec_counts, exec_n, 0.5),
-            compiled_dispatches=snap["compiled_dispatches"]
-            - before["compiled_dispatches"],
-            compiled_fallbacks=snap["compiled_fallbacks"]
-            - before["compiled_fallbacks"],
             queue_depth=snap["queue_depth"],
             orders=self.service.stats.order_summary(),
         )
@@ -295,16 +283,6 @@ class OnlineAutotuner:
                 # trade it back for latency (the rollback guard catches
                 # the case where the amortization WAS load-bearing)
                 want["max_wait"] = max(policy.max_wait / 2, lo_w)
-
-        # Compiled-replay pressure: frequent guard-tripped fallbacks
-        # mean signatures are compiled too eagerly; raise the bar.
-        lo_h, hi_h = cfg.hot_threshold_bounds
-        if policy.compile_hot and w.fallback_rate > 0.25 \
-                and policy.hot_threshold < hi_h:
-            want["hot_threshold"] = min(policy.hot_threshold * 2, hi_h)
-        elif policy.compile_hot and w.compiled_dispatches == 0 \
-                and w.dispatches >= 8 and policy.hot_threshold > lo_h:
-            want["hot_threshold"] = max(policy.hot_threshold - 1, lo_h)
 
         # Panel regime: measured, not inferred (see _trial_regime).
         if self._regime_choice is not None \

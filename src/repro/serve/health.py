@@ -2,7 +2,7 @@
 
 A service running on a degrading device pays for every fault twice:
 the recovery machinery (transfer retries with backoff, ABFT
-re-executions, whole-program re-runs) repairs the fault, but the repair
+re-executions, whole-batch retries) repairs the fault, but the repair
 *cost* lands on the latency of the request that happened to be in
 flight — and on a persistently faulty device that cost recurs on every
 dispatch.  The classes here bound that second payment:
@@ -13,22 +13,22 @@ dispatch.  The classes here bound that second payment:
   ``kernel-reexec``, ``launch-retry``, …) — every resilience action the
   stack already records, with no extra instrumentation in the kernels.
 * :class:`CircuitBreaker` turns that signal into a dispatch-path
-  decision.  **Closed** (healthy): the compiled fast path is allowed.
-  **Open**: the service degrades — severity 1 skips the compiled
-  replay (a whole-program ABFT re-run is the most expensive repair
-  rung; the bucketed path re-executes only the corrupted launch),
-  severity 2 additionally steers new *sparse* sessions to the host
-  backend (dense batches have no host path — they stay on the bucketed
-  device ladder, which still repairs or isolates every fault).
-  **Half-open**: after a cooldown measured in dispatches, one probe
-  dispatch runs the normal path; a clean probe closes the breaker, a
-  faulty probe re-opens it with the cooldown doubled (exponential
-  backoff, bounded) and the severity escalated.
+  decision.  **Closed**: the device serves normally.  **Open**: the
+  service degrades — on a :class:`~repro.device.node.Node`, placement
+  skips the device while another one is healthy, and at severity 2 new
+  *sparse* sessions go to the host backend (dense batches have no host
+  path — they stay on the bucketed device ladder, which still repairs
+  or isolates every fault).  **Half-open**: after a cooldown measured
+  in dispatches, one probe dispatch runs the normal path; a clean probe
+  closes the breaker, a faulty probe re-opens it with the cooldown
+  doubled (exponential backoff, bounded) and the severity escalated.
 
 The breaker is deliberately *dispatch-clocked*, not wall-clocked: the
 simulated device advances time only when work runs, so cooldowns are
 counted in dispatches and the whole state machine is deterministic
-under the seeded fault plans the chaos suites drive.
+under the seeded fault plans the chaos suites drive.  The dispatches
+are the service's, not only the device's own: a device that placement
+skips still counts down and gets its probe.
 
 Degradation is never surfaced as a request failure — requests keep
 completing on the degraded ladder.  The breaker's state and the typed
@@ -107,7 +107,7 @@ class HealthMonitor:
 #: breaker states
 _CLOSED, _OPEN, _HALF_OPEN = "closed", "open", "half-open"
 
-#: severity rungs: 1 = skip the compiled replay, 2 = additionally
+#: severity rungs: 1 = open (placement skips the device), 2 = also
 #: steer new sparse sessions to the host backend.
 MAX_SEVERITY = 2
 
@@ -136,7 +136,8 @@ class CircuitBreaker:
         Upper bound on the cooldown (in dispatches).
 
     Feed it one :meth:`record` per dispatch (the dispatch's fault-event
-    count); consult :meth:`allow_compiled` / :meth:`force_host` *before*
+    count; an open breaker only counts the dispatch toward its
+    cooldown); consult :attr:`state` / :meth:`force_host` *before*
     dispatching.  All methods are called from the single dispatcher
     thread — the breaker needs no lock of its own.
     """
@@ -169,11 +170,6 @@ class CircuitBreaker:
         self._remaining = 0
 
     # -- queries (before dispatch) --------------------------------------
-    def allow_compiled(self) -> bool:
-        """May this dispatch take the compiled fast path?  True when
-        closed and for the half-open probe; False while open."""
-        return self.state != _OPEN
-
     def force_host(self) -> bool:
         """Should new sparse sessions be steered to the host backend?
         Only at severity 2 while degraded (open); probes run the
@@ -195,7 +191,7 @@ class CircuitBreaker:
                 self._trip(1)
         elif self.state == _OPEN:
             # degraded dispatches tick the cooldown; their fault counts
-            # are not probe evidence (the fast path was not exercised)
+            # are not probe evidence (the normal path was not exercised)
             self._remaining -= 1
             if self._remaining <= 0:
                 self.state = _HALF_OPEN

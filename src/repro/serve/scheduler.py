@@ -65,8 +65,7 @@ _PENDING, _DISPATCHED, _DONE = "pending", "dispatched", "done"
 #: ``SolverService.set_policy`` — duck-typed, any object with these
 #: attributes and the two per-key hooks qualifies).
 _POLICY_ATTRS = ("max_batch", "max_wait", "max_queue", "dispatch_retries",
-                 "coalesce_sparse_rhs", "compile_hot", "hot_threshold",
-                 "max_programs", "panel_regime", "slo_hold_fraction")
+                 "coalesce_sparse_rhs", "panel_regime", "slo_hold_fraction")
 
 
 @runtime_checkable
@@ -81,8 +80,7 @@ class DispatchPolicy(Protocol):
     * **collection** — :meth:`group_limit` and :meth:`wait_budget` decide
       how large a group may grow and how long its oldest member may be
       held waiting for company.
-    * **dispatch** — ``dispatch_retries``, ``compile_hot`` /
-      ``hot_threshold`` / ``max_programs`` and ``panel_regime`` steer the
+    * **dispatch** — ``dispatch_retries`` and ``panel_regime`` steer the
       execution ladder.
 
     Every knob changes *launch shapes only*: any two policies must
@@ -97,9 +95,6 @@ class DispatchPolicy(Protocol):
     max_queue: int
     dispatch_retries: int
     coalesce_sparse_rhs: bool
-    compile_hot: bool
-    hot_threshold: int
-    max_programs: int
     panel_regime: str | None
     slo_hold_fraction: float
 
@@ -142,21 +137,6 @@ class CoalescingPolicy:
         Allow same-session sparse solves to stack their right-hand
         sides into one multi-column sweep.  Off by default: stacked
         solves match to rounding, not bitwise.
-    compile_hot:
-        Compile recurring dense dispatch signatures into
-        :class:`~repro.batched.program.WorkloadProgram` replays.  A
-        signature seen ``hot_threshold`` times gets a compiled program;
-        later identical groups replay it (payload copies only — no
-        planning, no allocation).  Results stay bitwise identical to
-        the bucketed dispatch path; a replay whose payload trips a
-        breakdown guard falls back to the ordinary runner for that
-        group.
-    hot_threshold:
-        Dispatches of one signature before it is considered hot and
-        compiled (``compile_hot=True`` only).
-    max_programs:
-        Bound on live compiled programs; least-recently-replayed
-        programs are freed when the store overflows.
     plan_cache_capacity:
         LRU bound for the service engine's DCWI plan cache (``None`` =
         unbounded, the historical behavior).  Long-lived services with
@@ -183,9 +163,6 @@ class CoalescingPolicy:
     max_queue: int = 256
     dispatch_retries: int = 2
     coalesce_sparse_rhs: bool = False
-    compile_hot: bool = False
-    hot_threshold: int = 3
-    max_programs: int = 32
     plan_cache_capacity: int | None = None
     panel_regime: str | None = None
     slo_hold_fraction: float = 0.5
@@ -200,12 +177,6 @@ class CoalescingPolicy:
         if self.dispatch_retries < 0:
             raise ValueError(f"dispatch_retries must be >= 0, "
                              f"got {self.dispatch_retries}")
-        if self.hot_threshold < 1:
-            raise ValueError(f"hot_threshold must be >= 1, "
-                             f"got {self.hot_threshold}")
-        if self.max_programs < 1:
-            raise ValueError(f"max_programs must be >= 1, "
-                             f"got {self.max_programs}")
         if self.plan_cache_capacity is not None \
                 and self.plan_cache_capacity < 1:
             raise ValueError(f"plan_cache_capacity must be >= 1 or None, "
@@ -391,8 +362,7 @@ def getrf_key(m: int, n: int, dtype: np.dtype, lu_kwargs: dict,
     ``mixed`` marks a reduced-precision (``precision="fp32"``) request:
     its dispatch carries an FP64 refinement finisher, so it must never
     coalesce with natively single-precision requests of the same device
-    dtype (the discriminator also keeps compiled hot-signature programs
-    separate).
+    dtype.
     """
     nb = lu_kwargs.get("nb", DEFAULT_PANEL_WIDTH)
     if nb == "auto":

@@ -26,15 +26,14 @@ Devices
 -------
 The service serves one :class:`~repro.device.simulator.Device` or every
 member of a :class:`~repro.device.node.Node`, and owns one slot per
-device: batch engine (plan cache), circuit breaker, memory arbiter (the
-sparse budget split evenly) and compiled-program store.  Each coalesced
-group runs whole on one slot, chosen cheapest rule first: a sparse solve
-goes to the device holding its session; a hot getrf signature replays
-where its program lives; anything else goes to the device whose
-simulated clock is furthest behind, skipping open breakers unless every
-breaker is open.  Member devices share one spec, so results are bitwise
-identical at every device count — placement changes where work runs,
-never what it computes.
+device: batch engine (plan cache), circuit breaker and memory arbiter
+(the sparse budget split evenly).  Each coalesced group runs whole on
+one slot: a sparse solve goes to the device holding its session;
+anything else goes to the device whose simulated clock is furthest
+behind, skipping open breakers unless every breaker is open.  Every
+dense group runs on the bucketed group runner.  Member devices share
+one spec, so results are bitwise identical at every device count —
+placement changes where work runs, never what it computes.
 
 Isolation
 ---------
@@ -52,7 +51,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,8 +59,6 @@ from ..batched.engine import BatchEngine, PlanCache
 from ..batched.getrf import irr_getrf
 from ..batched.getrs import PivotView, irr_getrs
 from ..batched.interface import IrrBatch
-from ..batched.program import CompileError, GuardTripped, PayloadMismatch, \
-    compile_workload
 from ..device.memory import DeviceOutOfMemory, validate_memory_budget
 from ..device.node import Node
 from ..device.simulator import Device
@@ -184,11 +180,10 @@ def _validate_policy(policy) -> None:
 
 class _Slot:
     """Everything one device owns: its engine (plan cache), circuit
-    breaker, memory arbiter, compiled-program stores and the sparse
-    sessions it hosts."""
+    breaker, memory arbiter and the sparse sessions it hosts."""
 
     __slots__ = ("index", "device", "engine", "breaker", "arbiter",
-                 "programs", "sig_seen", "uncompilable", "sessions")
+                 "sessions")
 
     def __init__(self, index: int, device: Device, breaker: CircuitBreaker,
                  arbiter: MemoryArbiter, cache_capacity: int | None):
@@ -200,11 +195,6 @@ class _Slot:
                                   cache=PlanCache(capacity=cache_capacity))
         self.breaker = breaker
         self.arbiter = arbiter
-        # Hot-signature workload programs (policy.compile_hot): dispatch
-        # signature -> compiled program, LRU by last replay.
-        self.programs: OrderedDict[tuple, object] = OrderedDict()
-        self.sig_seen: dict[tuple, int] = {}
-        self.uncompilable: set[tuple] = set()
         self.sessions: list[ServeSession] = []
 
 
@@ -233,14 +223,16 @@ class SolverService:
         Start the dispatcher thread immediately.  ``start=False`` +
         :meth:`run_once` gives deterministic inline dispatch for tests.
     breaker:
-        The :class:`~repro.serve.health.CircuitBreaker` guarding a
-        one-device service's dispatch fast path (a default-configured
-        one when omitted; each device of a node always gets a default
-        one, and passing ``breaker=`` with a node raises ``TypeError``).
+        The :class:`~repro.serve.health.CircuitBreaker` of a one-device
+        service (a default-configured one when omitted; each device of
+        a node always gets a default one, and passing ``breaker=`` with
+        a node raises ``TypeError``).
         It is fed the recovery-log fault delta of every dispatch on its
-        device; when it opens, dispatches degrade (compiled replay off,
-        and at severity 2 new sparse sessions go to the host backend)
-        until a half-open probe comes back clean.  Degradation is
+        device; when it opens, dispatches degrade (placement skips the
+        device while another is healthy, and at severity 2 new sparse
+        sessions go to the host backend) until a half-open probe comes
+        back clean.  Its cooldown counts the service's dispatches, so a
+        skipped device still gets its probe.  Degradation is
         observable — ``stats.snapshot()["breaker_state"]`` /
         ``["degraded_reason"]``, per device under ``["devices"]`` —
         never raised at request callers.
@@ -348,10 +340,6 @@ class SolverService:
             self._thread = None
         else:
             self._drain_inline()
-        for slot in self._slots:
-            for prog in slot.programs.values():
-                prog.free()
-            slot.programs.clear()
 
     def __enter__(self) -> "SolverService":
         return self
@@ -631,7 +619,7 @@ class SolverService:
         """
         if policy is None:
             policy = self.policy
-        slot = self._place(group, policy)
+        slot = self._place(group)
         device, breaker = slot.device, slot.breaker
         waits = [r.waited() for r in group]
         t0 = time.perf_counter()
@@ -675,6 +663,13 @@ class SolverService:
         self.stats.on_dispatch(record, waits)
         self.stats.on_device_dispatch(slot.index, record)
         self.stats.on_device_breaker(slot.index, state, degraded=was_open)
+        # an open breaker's cooldown counts every dispatch of the
+        # service: a device that placement skips half-opens all the same
+        # and takes a later group as its probe
+        for other in self._slots:
+            if other is not slot and other.breaker.state == "open":
+                self.stats.on_device_breaker(other.index,
+                                             other.breaker.record(0))
         self.stats.on_device_link(slot.index, self._staged_nbytes(group))
         self.stats.on_device_resident(slot.index,
                                       self._resident_nbytes(slot))
@@ -686,22 +681,16 @@ class SolverService:
             self.stats.on_done(r.future.exception() is None, elapsed)
         return record
 
-    def _place(self, group: list[Request], policy: DispatchPolicy) -> _Slot:
+    def _place(self, group: list[Request]) -> _Slot:
         """The slot one coalesced group runs on (the placement rules of
         the module docstring; a one-device service has only one)."""
         slots = self._slots
         if len(slots) == 1:
             return slots[0]
-        kind = group[0].key[0]
-        if kind == "sparse-solve":
+        if group[0].key[0] == "sparse-solve":
             home = group[0].payload["session"].device
             for slot in slots:
                 if slot.device is home:
-                    return slot
-        elif kind == "getrf" and getattr(policy, "compile_hot", False):
-            sig = self._group_signature(group, policy)
-            for slot in slots:
-                if sig in slot.programs:
                     return slot
         healthy = [s for s in slots if s.breaker.state != "open"]
         return min(healthy or slots,
@@ -793,10 +782,6 @@ class SolverService:
         partial device state is freed and *no* future is touched — the
         caller's ladder retries from the pristine host payloads.
         """
-        if policy.compile_hot and slot.breaker.allow_compiled():
-            compiled = self._run_getrf_compiled(slot, group, policy)
-            if compiled is not None:
-                return compiled
         device, engine = slot.device, slot.engine
         lu_kwargs = self._effective_lu_kwargs(group, policy)
         dtype = np.dtype(group[0].key[1])
@@ -828,26 +813,24 @@ class SolverService:
                 finally:
                     rhs.free()
             # the finisher refines against the still-resident factors
-            self._finish_getrf(slot, group, policy, batch.to_host(),
-                               pivots, xs, batch)
+            self._finish_getrf(slot, group, policy, batch, pivots, xs)
         finally:
             batch.free()
         return device.profiler.launch_count - launch0, occupancy
 
     def _finish_getrf(self, slot: _Slot, group: list[Request],
-                      policy: DispatchPolicy, lus, piv, xs: dict,
-                      fbatch: IrrBatch | None) -> None:
-        """Shared tail of the bucketed and compiled getrf runners:
-        handles → mixed refinement → FP64 fallback → resolve.
+                      policy: DispatchPolicy, batch: IrrBatch, piv,
+                      xs: dict) -> None:
+        """Tail of the getrf runner: handles → mixed refinement → FP64
+        fallback → resolve.
 
-        ``lus``/``piv`` are the host factors and the pivot surface
-        (``ipiv``/``info``/``n_replaced``/``min_pivot``/``growth``);
-        ``xs`` maps member index → solution of each clean factor_solve
-        member.  Mixed members refine against ``fbatch``, the reduced
-        factors still device-resident (``None``: uploaded from the
-        handles for the refinement only); broken or stagnating ones take
-        the solo FP64 fallback."""
+        ``batch``/``piv`` are the factored batch, still device-resident,
+        and its pivots; ``xs`` maps member index → solution of each
+        clean factor_solve member.  Mixed members refine against the
+        resident reduced factors; broken or stagnating ones take the
+        solo FP64 fallback."""
         mixed = "mixed" in group[0].key
+        lus = batch.to_host()
         handles = [FactorHandle(
             lus[i], np.array(piv.ipiv[i]),
             int(piv.info[i]), int(piv.n_replaced[i]),
@@ -862,18 +845,9 @@ class SolverService:
                      for i in xs if handles[i].info == 0]
             bad: list[int] = []
             if items:
-                owned = fbatch is None
-                if owned:
-                    fbatch = IrrBatch.from_host_packed(
-                        slot.device, [h.lu for h in handles],
-                        dtype=np.dtype(group[0].key[1]))
-                try:
-                    refined, bad = self._refine_members(
-                        slot, fbatch, [h.ipiv for h in handles], items)
-                    xs.update(refined)
-                finally:
-                    if owned:
-                        fbatch.free()
+                refined, bad = self._refine_members(
+                    slot, batch, [h.ipiv for h in handles], items)
+                xs.update(refined)
             lu_kwargs = self._effective_lu_kwargs(group, policy)
             for i, (req, h) in enumerate(zip(group, handles)):
                 if h.info != 0 or i in bad:
@@ -904,7 +878,6 @@ class SolverService:
                 x = x[:, 0]
             req.future._resolve(value=(x, handle))
 
-    # -- compiled hot-signature dispatch --------------------------------
     @staticmethod
     def _effective_lu_kwargs(group: list[Request],
                              policy: DispatchPolicy) -> dict:
@@ -919,132 +892,6 @@ class SolverService:
         if regime is not None:
             lu_kwargs.setdefault("panel", regime)
         return lu_kwargs
-
-    @staticmethod
-    def _group_signature(group: list[Request],
-                         policy: DispatchPolicy) -> tuple:
-        """Replayable identity of one getrf dispatch group: the
-        compatibility key (minus the solo serial) plus the ordered
-        member kinds/shapes, plus the policy's panel regime (a program
-        records its regime's launch schedule — a swap must recompile,
-        not replay the old shape).  Two groups with equal signatures run
-        the identical launch schedule, so one compiled program serves
-        both.
-        """
-        base = tuple(x for x in group[0].key if not isinstance(x, int))
-        members = tuple(
-            (r.kind, r.payload["a"].shape,
-             r.payload["b2"].shape if r.kind == "factor_solve" else None)
-            for r in group)
-        return base + (members, getattr(policy, "panel_regime", None))
-
-    def _compiled_program_for(self, slot: _Slot, group: list[Request],
-                              policy: DispatchPolicy):
-        """The slot's hot-signature program for this group, compiling it
-        when the signature crosses ``policy.hot_threshold``; ``None``
-        while cold, when the signature cannot be compiled, or when the
-        compile's rehearsal was repaired (it is retried next time)."""
-        sig = self._group_signature(group, policy)
-        if sig in slot.uncompilable:
-            return None
-        programs, sig_seen = slot.programs, slot.sig_seen
-        prog = programs.get(sig)
-        if prog is not None:
-            programs.move_to_end(sig)
-            return prog
-        seen = sig_seen.pop(sig, 0) + 1
-        sig_seen[sig] = seen    # re-insert: newest position
-        if seen < policy.hot_threshold:
-            # bound the cold-signature tracker like the program store:
-            # high-diversity traffic must not grow state without limit
-            while len(sig_seen) > 32 * policy.max_programs:
-                sig_seen.pop(next(iter(sig_seen)))
-            return None
-        dtype = np.dtype(group[0].key[1])
-        lu_kwargs = self._effective_lu_kwargs(group, policy)
-        shapes = [r.payload["a"].shape for r in group]
-        try:
-            if any(r.kind == "factor_solve" for r in group):
-                prog = compile_workload(
-                    slot.device, "factor_solve", shapes, dtype=dtype,
-                    rhs_shapes=[r.payload["b2"].shape
-                                if r.kind == "factor_solve" else None
-                                for r in group],
-                    lu_kwargs=lu_kwargs, engine=slot.engine)
-            else:
-                prog = compile_workload(slot.device, "getrf", shapes,
-                                        dtype=dtype, lu_kwargs=lu_kwargs,
-                                        engine=slot.engine)
-        except CompileError:
-            slot.uncompilable.add(sig)
-            while len(slot.uncompilable) > 32 * policy.max_programs:
-                slot.uncompilable.pop()
-            return None
-        if prog is None:
-            # a repair fired during the rehearsal: serve this group on
-            # the bucketed runner, compile again on the next hot dispatch
-            return None
-        programs[sig] = prog
-        sig_seen.pop(sig, None)
-        self.stats.on_program_compiled()
-        while len(programs) > policy.max_programs:
-            _, old = programs.popitem(last=False)
-            old.free()
-        return prog
-
-    def _run_getrf_compiled(self, slot: _Slot, group: list[Request],
-                            policy: DispatchPolicy
-                            ) -> tuple[int, float] | None:
-        """Serve one getrf group by program replay; ``None`` hands the
-        group to the ordinary bucketed runner (signature cold or
-        uncompilable, or the replay guard tripped on this payload)."""
-        prog = self._compiled_program_for(slot, group, policy)
-        if prog is None:
-            return None
-        device = slot.device
-        launch0 = device.profiler.launch_count
-        payloads = {"a": [r.payload["a"] for r in group]}
-        if prog.op == "factor_solve":
-            payloads["b"] = [r.payload["b2"]
-                             if r.kind == "factor_solve" else None
-                             for r in group]
-        try:
-            res = prog.run(**payloads)
-        except GuardTripped:
-            # a pivot breakdown invalidates the recorded solve schedule
-            # for THIS payload only — the bucketed runner isolates the
-            # broken member and still solves the rest
-            self.stats.on_compiled_fallback()
-            return None
-        except CorruptionDetected:
-            # the program's whole-replay ABFT budget is spent; the
-            # bucketed runner re-uploads the pristine payloads and
-            # verifies at per-launch granularity, repairing or isolating
-            # exactly the corrupted members
-            self.stats.on_corruption()
-            self.stats.on_compiled_fallback()
-            return None
-        except PayloadMismatch:
-            # stale program (should not happen: programs are keyed by
-            # signature) — drop it and fall back
-            self.stats.on_compiled_fallback()
-            stale = [s for s, p in slot.programs.items() if p is prog]
-            for s in stale:
-                slot.programs.pop(s).free()
-            return None
-        self.stats.on_compiled_dispatch()
-        xs = {} if res.solutions is None else \
-            {i: x for i, x in enumerate(res.solutions) if x is not None}
-        # the program's arena still holds the reduced factors
-        # device-resident, so mixed corrections re-upload no factors
-        # (unless a program variant does not expose its batch)
-        self._finish_getrf(slot, group, policy, res.factors, res, xs,
-                           prog.factor_batch)
-        ms = np.array([r.payload["a"].shape[0] for r in group])
-        ns = np.array([r.payload["a"].shape[1] for r in group])
-        denom = len(group) * int(ms.max()) * int(ns.max())
-        occupancy = float((ms * ns).sum()) / denom if denom else 1.0
-        return device.profiler.launch_count - launch0, occupancy
 
     def _run_getrs_group(self, slot: _Slot, group: list[Request],
                          policy: DispatchPolicy) -> tuple[int, float]:
@@ -1111,8 +958,8 @@ class SolverService:
     # -- mixed-precision finisher ----------------------------------------
     def _refine_members(self, slot: _Slot, batch: IrrBatch, ipiv,
                         items: list[tuple]) -> tuple[dict, list[int]]:
-        """FP64 iterative-refinement finisher shared by every dense
-        dispatch path (bucketed getrf, compiled replay, getrs groups).
+        """FP64 iterative-refinement finisher shared by the getrf and
+        getrs group runners.
 
         ``batch`` holds the reduced-precision factored arrays
         (device-resident, indexed like the dispatch group); ``items``

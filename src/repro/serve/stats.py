@@ -174,9 +174,6 @@ class ServiceStats:
     queue_depth: int = 0
     queue_peak: int = 0
     rebudgets: int = 0       #: sparse memory-arbiter budget recomputations
-    programs_compiled: int = 0    #: hot signatures compiled to programs
-    compiled_dispatches: int = 0  #: groups served by a program replay
-    compiled_fallbacks: int = 0   #: replays that fell back to bucketed
     precision_fallbacks: int = 0  #: reduced-precision work redone in FP64
     refine_passes: int = 0        #: iterative-refinement correction sweeps
     policy_swaps: int = 0         #: hot DispatchPolicy replacements
@@ -270,7 +267,7 @@ class ServiceStats:
         with self._lock:
             self.policy_swaps += 1
 
-    # -- compiled workload programs --------------------------------------
+    # -- plan caches -----------------------------------------------------
     def attach_plan_cache(self, cache) -> None:
         """Surface a :class:`~repro.batched.engine.PlanCache`'s
         hit/miss/eviction counters through :meth:`snapshot`, summed with
@@ -278,18 +275,6 @@ class ServiceStats:
         its own lock, stats only read it)."""
         with self._lock:
             self._plan_caches.append(cache)
-
-    def on_program_compiled(self) -> None:
-        with self._lock:
-            self.programs_compiled += 1
-
-    def on_compiled_dispatch(self) -> None:
-        with self._lock:
-            self.compiled_dispatches += 1
-
-    def on_compiled_fallback(self) -> None:
-        with self._lock:
-            self.compiled_fallbacks += 1
 
     # -- corruption defense / circuit breaker ----------------------------
     def on_corruption(self) -> None:
@@ -439,9 +424,6 @@ class ServiceStats:
                 "sim_seconds": self.sim_seconds_total,
                 "isolated_dispatches": self.isolated_dispatches,
                 "retries": self.retries_total,
-                "programs_compiled": self.programs_compiled,
-                "compiled_dispatches": self.compiled_dispatches,
-                "compiled_fallbacks": self.compiled_fallbacks,
                 "precision_fallbacks": self.precision_fallbacks,
                 "refine_passes": self.refine_passes,
                 "policy_swaps": self.policy_swaps,

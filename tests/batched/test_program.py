@@ -276,7 +276,26 @@ class TestHostStepHook:
         assert st.log == ["reset", "toy:a"]
 
 
+def _replay_solve(prog, As, Bs, groups):
+    """Factor ``As`` by program replay, then solve each index group of
+    ``groups`` with the ordinary bucketed getrs on the replayed factors
+    (one launch sequence per group)."""
+    res = prog.run(a=As)
+    dev = Device(A100())
+    batch = IrrBatch.from_host_packed(dev, res.factors)
+    sols = {}
+    for idxs in groups:
+        out = _baseline_solve_subbatch(dev, batch, res, idxs,
+                                       [Bs[i] for i in idxs])
+        sols.update(zip(idxs, out))
+    return sols
+
+
 class TestFactorSolve:
+    """Factor by ``getrf`` program replay, solve by the ordinary
+    driver: the pipeline the service runs, with the factor step
+    compiled."""
+
     def _baseline(self, As, Bs, grouping):
         dev = Device(A100())
         batch = IrrBatch.from_host_packed(dev, As)
@@ -294,79 +313,54 @@ class TestFactorSolve:
 
     @pytest.mark.parametrize("grouping", ["batch", "member"])
     def test_pipeline_parity(self, rng, grouping):
+        # the replayed factors solved in one launch sequence match the
+        # bucketed pipeline solved per member, and vice versa
         As = [rng.standard_normal(s) for s in SQ]
         Bs = [rng.standard_normal(r) if r else None for r in RHS]
         dev = Device(A100())
-        prog = compile_workload(dev, "factor_solve", SQ, rhs_shapes=RHS)
-        res = prog.run(a=As, b=Bs)
-        sols = self._baseline(As, Bs, grouping)
-        for i, x in sols.items():
-            np.testing.assert_array_equal(res.solutions[i], x)
-        assert res.solutions[1] is None      # factor-only member
-        assert res.solutions[5] is None
-        prog.free()
-
-    def test_guard_trips_on_breakdown_payload(self, rng):
-        As = [rng.standard_normal(s) for s in SQ]
-        Bs = [rng.standard_normal(r) if r else None for r in RHS]
-        dev = Device(A100())
-        prog = compile_workload(dev, "factor_solve", SQ, rhs_shapes=RHS)
-        As[0] = np.zeros((17, 17))
-        with pytest.raises(GuardTripped) as ei:
-            prog.run(a=As, b=Bs)
-        assert ei.value.info is not None
-        assert ei.value.info[0] != 0
-        prog.free()
-
-    def test_replay_after_guard_trip(self, rng):
-        # a tripped guard must not poison the program for later payloads
-        As = [rng.standard_normal(s) for s in SQ]
-        Bs = [rng.standard_normal(r) if r else None for r in RHS]
-        dev = Device(A100())
-        prog = compile_workload(dev, "factor_solve", SQ, rhs_shapes=RHS)
-        bad = list(As)
-        bad[0] = np.zeros((17, 17))
-        with pytest.raises(GuardTripped):
-            prog.run(a=bad, b=Bs)
-        res = prog.run(a=As, b=Bs)
-        sols = self._baseline(As, Bs, "batch")
-        for i, x in sols.items():
-            np.testing.assert_array_equal(res.solutions[i], x)
+        prog = compile_workload(dev, "getrf", SQ)
+        sel = [i for i, b in enumerate(Bs) if b is not None]
+        groups = [[i] for i in sel] if grouping == "batch" else [sel]
+        sols = _replay_solve(prog, As, Bs, groups)
+        assert sorted(sols) == sel     # factor-only members solve nothing
+        for i, x in self._baseline(As, Bs, grouping).items():
+            np.testing.assert_array_equal(sols[i], x)
         prog.free()
 
 
 class TestGetrs:
+    """Solves from a ``getrf`` program's factors and pivots."""
+
     def test_parity_with_pipeline(self, rng):
         As = [rng.standard_normal((17, 17)) for _ in range(6)]
         Bs = [rng.standard_normal((17, 3)) for _ in range(6)]
         bdev = Device(A100())
         fb = IrrBatch.from_host_packed(bdev, As)
         piv = irr_getrf(bdev, fb, engine="bucketed")
-        bdev.synchronize()
-        factors = fb.to_host()
         rb = IrrBatch.from_host_packed(bdev, Bs)
         irr_getrs(bdev, fb, piv, rb, engine="bucketed")
         bdev.synchronize()
         xs = rb.to_host()
 
         dev = Device(A100())
-        prog = compile_workload(dev, "getrs", [(17, 17)] * 6,
-                                rhs_shapes=[(17, 3)] * 6)
-        res = prog.run(a=factors, ipiv=piv.ipiv, b=Bs, info=piv.info)
-        for a, b in zip(res.solutions, xs):
-            np.testing.assert_array_equal(a, b)
+        prog = compile_workload(dev, "getrf", [(17, 17)] * 6)
+        sols = _replay_solve(prog, As, Bs, [list(range(6))])
+        for i, x in enumerate(xs):
+            np.testing.assert_array_equal(sols[i], x)
         prog.free()
 
     def test_broken_info_refused(self, rng):
         As = [rng.standard_normal((5, 5)) for _ in range(4)]
+        As[2] = np.zeros((5, 5))
         Bs = [rng.standard_normal((5, 1)) for _ in range(4)]
         dev = Device(A100())
-        prog = compile_workload(dev, "getrs", [(5, 5)] * 4,
-                                rhs_shapes=[(5, 1)] * 4)
-        info = np.zeros(4, dtype=np.int64)
-        info[2] = 3
+        prog = compile_workload(dev, "getrf", [(5, 5)] * 4)
+        res = prog.run(a=As)
+        assert res.info[2] != 0
+        fb = IrrBatch.from_host_packed(dev, res.factors)
+        rb = IrrBatch.from_host_packed(dev, Bs)
         with pytest.raises(FactorizationError, match="broken-down"):
-            prog.run(a=As, ipiv=[np.arange(5)] * 4, b=Bs, info=info)
+            irr_getrs(dev, fb, res, rb, engine="bucketed")
         prog.free()
 
 

@@ -594,8 +594,7 @@ def make_window(**kw):
                     completed=50, failed=0, expired=0, rejected=0,
                     dispatches=10, coalesced=100, launches=40,
                     occupancy=0.8, wait_p50=1e-3, wait_p99=1e-3,
-                    exec_p50=1e-3, compiled_dispatches=0,
-                    compiled_fallbacks=0, queue_depth=0, orders={})
+                    exec_p50=1e-3, queue_depth=0, orders={})
     defaults.update(kw)
     return Window(**defaults)
 

@@ -1,19 +1,20 @@
-"""Hot-signature compiled dispatch in :class:`SolverService`.
+"""Served dense groups against compiled ``getrf`` replay.
 
-``CoalescingPolicy(compile_hot=True)`` lets the service recognize
-recurring dense dispatch signatures and swap the bucketed group runner
-for a :class:`~repro.batched.program.WorkloadProgram` replay.  The
-contract: results stay bitwise identical to the ``compile_hot=False``
-service on identical traffic, replays touch neither the plan cache nor
-the allocator, and a payload that trips the replay guard falls back to
-the ordinary runner with per-request isolation intact.
+:class:`SolverService` serves every dense group on the bucketed group
+runner and keeps no compiled program.  A
+:class:`~repro.batched.program.WorkloadProgram` recorded for a served
+group's shapes must still replay the served factors, pivots and
+diagnostics bitwise: that is the contract any later change relies on if
+it replays recurring group signatures.  The service's own plan cache is
+checked here too: it is bounded by ``plan_cache_capacity`` and its
+counters surface in the stats snapshot.
 """
 
 import numpy as np
 import pytest
 
+from repro.batched.program import compile_workload
 from repro.device import A100, Device, FaultPlan, FaultRule
-from repro.errors import FactorizationError
 from repro.serve import CoalescingPolicy, SolverService
 
 pytestmark = [pytest.mark.serve, pytest.mark.compiled]
@@ -21,11 +22,11 @@ pytestmark = [pytest.mark.serve, pytest.mark.compiled]
 SIZES = [8, 12, 16, 20, 24, 16, 8, 12]
 
 
-def make_round(seed):
+def make_round(seed, sizes=SIZES):
     rng = np.random.default_rng(seed)
     mats = [rng.standard_normal((m, m)) + 2.0 * m * np.eye(m)
-            for m in SIZES]
-    rhss = [rng.standard_normal((m, 2)) for m in SIZES]
+            for m in sizes]
+    rhss = [rng.standard_normal((m, 2)) for m in sizes]
     return mats, rhss
 
 
@@ -37,7 +38,7 @@ def inline_service(device=None, **policy_kw):
 
 
 def submit_round(svc, mats, rhss):
-    """Alternate factor_solve / factor members (one mixed signature)."""
+    """Alternate factor_solve / factor members (one coalesced group)."""
     futs = []
     for i, (a, b) in enumerate(zip(mats, rhss)):
         if i % 2 == 0:
@@ -53,151 +54,116 @@ def unpack(fut):
     return v if isinstance(v, tuple) else (None, v)
 
 
+def assert_replays_served(res, handles):
+    """The program's replay equals the served handles bit for bit."""
+    for i, h in enumerate(handles):
+        np.testing.assert_array_equal(res.factors[i], h.lu)
+        np.testing.assert_array_equal(res.ipiv[i], h.ipiv)
+        assert (res.info[i], res.n_replaced[i], res.min_pivot[i],
+                res.growth[i]) == (h.info, h.n_replaced, h.min_pivot,
+                                   h.growth)
+
+
 class TestHotSignatureCompilation:
     def test_bitwise_identical_to_uncompiled_service(self):
-        svc_ref = inline_service()
-        svc = inline_service(compile_hot=True, hot_threshold=2)
+        svc = inline_service()
+        prog = compile_workload(Device(A100()), "getrf",
+                                [(m, m) for m in SIZES])
         for rnd in range(5):
             mats, rhss = make_round(seed=rnd)
-            ref = [unpack(f) for f in submit_round(svc_ref, mats, rhss)]
-            got = [unpack(f) for f in submit_round(svc, mats, rhss)]
-            for (xr, hr), (xg, hg) in zip(ref, got):
-                if xr is None:
-                    assert xg is None
-                else:
-                    np.testing.assert_array_equal(xr, xg)
-                np.testing.assert_array_equal(hr.lu, hg.lu)
-                np.testing.assert_array_equal(hr.ipiv, hg.ipiv)
-                assert (hr.info, hr.n_replaced, hr.min_pivot, hr.growth) \
-                    == (hg.info, hg.n_replaced, hg.min_pivot, hg.growth)
-        snap = svc.stats.snapshot()
-        assert snap["programs_compiled"] == 1
-        assert snap["compiled_dispatches"] == 4   # rounds 2..5
-        assert snap["compiled_fallbacks"] == 0
+            served = [unpack(f) for f in submit_round(svc, mats, rhss)]
+            assert_replays_served(prog.run(a=mats),
+                                  [h for _, h in served])
+        prog.free()
         svc.close()
-        svc_ref.close()
 
     def test_replay_zero_misses_zero_allocs(self):
+        # recurring groups re-plan nothing on the service's engine, and
+        # a program recorded with that engine replays with no planning
+        # and no allocation
         dev = Device(A100())
-        svc = inline_service(device=dev, compile_hot=True, hot_threshold=2)
-        for rnd in range(3):
-            mats, rhss = make_round(seed=rnd)
-            submit_round(svc, mats, rhss)
-        misses0 = svc._slots[0].engine.cache.misses
-        allocs0 = dev.alloc_count
+        svc = inline_service(device=dev)
+        engine = svc._slots[0].engine
+        submit_round(svc, *make_round(seed=0))
+        misses0 = engine.cache.misses
+        for rnd in range(1, 3):
+            submit_round(svc, *make_round(seed=rnd))
+        assert engine.cache.misses == misses0
+        prog = compile_workload(dev, "getrf", [(m, m) for m in SIZES],
+                                engine=engine)
+        prog.run(a=make_round(seed=3)[0])
+        misses0, allocs0 = engine.cache.misses, dev.alloc_count
         mats, rhss = make_round(seed=77)
-        futs = submit_round(svc, mats, rhss)
-        assert all(f.exception(0) is None for f in futs)
-        assert svc._slots[0].engine.cache.misses == misses0
+        res = prog.run(a=mats)
+        assert engine.cache.misses == misses0
         assert dev.alloc_count == allocs0
+        futs = submit_round(svc, mats, rhss)
+        assert_replays_served(res, [unpack(f)[1] for f in futs])
+        prog.free()
         svc.close()
 
     def test_cold_signatures_stay_uncompiled(self):
-        svc = inline_service(compile_hot=True, hot_threshold=3)
-        mats, rhss = make_round(seed=0)
-        submit_round(svc, mats, rhss)
-        submit_round(svc, mats, rhss)
-        assert svc.stats.snapshot()["programs_compiled"] == 0
+        # however often a signature recurs, the service runs it on the
+        # bucketed runner: the same launches every time, and no device
+        # memory held between dispatches
+        dev = Device(A100())
+        svc = inline_service(device=dev)
+        launches = []
+        for _ in range(4):
+            n0 = dev.profiler.launch_count
+            futs = submit_round(svc, *make_round(seed=0))
+            assert all(f.exception(0) is None for f in futs)
+            launches.append(dev.profiler.launch_count - n0)
+            assert dev.allocated_bytes == 0
+        assert len(set(launches)) == 1
+        assert not any(r.name.startswith("fused[")
+                       for r in dev.profiler.records)
         svc.close()
-
-    def test_guard_fallback_isolates_broken_member(self):
-        svc = inline_service(compile_hot=True, hot_threshold=2)
-        for rnd in range(3):
-            mats, rhss = make_round(seed=rnd)
-            submit_round(svc, mats, rhss)
-        # hot now; a breakdown payload must fall back, fail only its
-        # own request, and still serve the rest of the group
-        mats, rhss = make_round(seed=9)
-        mats[0] = np.zeros_like(mats[0])
-        futs = submit_round(svc, mats, rhss)
-        assert isinstance(futs[0].exception(0), FactorizationError)
-        assert all(f.exception(0) is None for f in futs[1:])
-        snap = svc.stats.snapshot()
-        assert snap["compiled_fallbacks"] == 1
-
-        # the fallback round matches the uncompiled service bitwise
-        svc_ref = inline_service()
-        mats_r, rhss_r = make_round(seed=9)
-        mats_r[0] = np.zeros_like(mats_r[0])
-        futs_ref = submit_round(svc_ref, mats_r, rhss_r)
-        for fr, fg in zip(futs_ref[1:], futs[1:]):
-            (xr, hr), (xg, hg) = unpack(fr), unpack(fg)
-            if xr is not None:
-                np.testing.assert_array_equal(xr, xg)
-            np.testing.assert_array_equal(hr.lu, hg.lu)
-        svc.close()
-        svc_ref.close()
-
-    def test_program_store_is_bounded_lru(self):
-        svc = inline_service(compile_hot=True, hot_threshold=1,
-                             max_programs=2)
-        # three distinct hot signatures with threshold 1: every round
-        # compiles; the store must keep only the 2 most recent
-        for sizes_seed in range(3):
-            rng = np.random.default_rng(sizes_seed)
-            m = 8 + 4 * sizes_seed
-            a = rng.standard_normal((m, m)) + 2.0 * m * np.eye(m)
-            svc.submit_factor(a)
-            svc.run_once()
-        assert svc.stats.snapshot()["programs_compiled"] == 3
-        assert len(svc._slots[0].programs) == 2
-        svc.close()
-        assert len(svc._slots[0].programs) == 0
 
     def test_getrf_only_group_compiles_and_matches(self):
-        svc_ref = inline_service()
-        svc = inline_service(compile_hot=True, hot_threshold=2)
+        svc = inline_service()
+        prog = compile_workload(Device(A100()), "getrf",
+                                [(m, m) for m in SIZES])
         for rnd in range(4):
-            rng = np.random.default_rng(rnd)
-            mats = [rng.standard_normal((m, m)) + 2.0 * m * np.eye(m)
-                    for m in SIZES]
-            futs_ref, futs = [], []
-            for a in mats:
-                futs_ref.append(svc_ref.submit_factor(a))
-                futs.append(svc.submit_factor(a))
-            svc_ref.run_once()
+            mats, _ = make_round(seed=rnd)
+            futs = [svc.submit_factor(a) for a in mats]
             svc.run_once()
-            for fr, fg in zip(futs_ref, futs):
-                hr, hg = fr.result(0), fg.result(0)
-                np.testing.assert_array_equal(hr.lu, hg.lu)
-                np.testing.assert_array_equal(hr.ipiv, hg.ipiv)
-        assert svc.stats.snapshot()["programs_compiled"] == 1
+            assert_replays_served(prog.run(a=mats),
+                                  [f.result(0) for f in futs])
+        prog.free()
         svc.close()
-        svc_ref.close()
 
 
 class TestRepairedRehearsal:
     @pytest.mark.sdc
     def test_repaired_compile_is_not_stored(self):
-        # a corrupt fault repaired during the hot signature's rehearsal:
-        # no program is kept, the signature stays compilable, and every
-        # answer before and after matches the uncompiled service
+        # a corrupt fault is repaired in a served dispatch and in a
+        # program's rehearsal alike: the served answers match the
+        # fault-free service, the repaired rehearsal keeps no program,
+        # and a later compile replays the served factors bitwise
         sizes = [40, 48, 40, 48]           # > 32: getrf runs irrGEMM
+        shapes = [(m, m) for m in sizes]
         svc_ref = inline_service()
-        svc = inline_service(compile_hot=True, hot_threshold=2)
+        svc = inline_service()
         dev = svc._slots[0].device
         plan = FaultPlan([FaultRule("corrupt", at=0, match="irrgemm")],
                          seed=7)
-        for rnd in range(5):
-            rng = np.random.default_rng(rnd)
-            mats = [rng.standard_normal((m, m)) + 2.0 * m * np.eye(m)
-                    for m in sizes]
-            rhss = [rng.standard_normal((m, 2)) for m in sizes]
-            ref = [unpack(f) for f in submit_round(svc_ref, mats, rhss)]
-            if rnd == 1:
-                with dev.fault_scope(plan):
-                    futs = submit_round(svc, mats, rhss)
-                assert dev.recovery_log.count("kernel-reexec") >= 1
-                assert svc.stats.snapshot()["programs_compiled"] == 0
-            else:
-                futs = submit_round(svc, mats, rhss)
-            for (xr, hr), (xg, hg) in zip(ref, map(unpack, futs)):
-                if xr is not None:
-                    np.testing.assert_array_equal(xr, xg)
-                np.testing.assert_array_equal(hr.lu, hg.lu)
-        snap = svc.stats.snapshot()
-        assert snap["programs_compiled"] == 1
-        assert snap["compiled_dispatches"] == 3
+        mats, rhss = make_round(seed=1, sizes=sizes)
+        ref = [unpack(f) for f in submit_round(svc_ref, mats, rhss)]
+        with dev.fault_scope(plan):
+            got = [unpack(f) for f in submit_round(svc, mats, rhss)]
+        assert dev.recovery_log.count("kernel-reexec") >= 1
+        for (xr, hr), (xg, hg) in zip(ref, got):
+            if xr is not None:
+                np.testing.assert_array_equal(xr, xg)
+            np.testing.assert_array_equal(hr.lu, hg.lu)
+        cdev = Device(A100())
+        with cdev.fault_scope(plan):
+            assert compile_workload(cdev, "getrf", shapes) is None
+        assert cdev.allocated_bytes == 0
+        prog = compile_workload(cdev, "getrf", shapes)
+        assert_replays_served(prog.run(a=mats), [h for _, h in got])
+        prog.free()
         svc.close()
         svc_ref.close()
 
@@ -227,36 +193,24 @@ class TestBoundedPlanCache:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="plan_cache_capacity"):
             CoalescingPolicy(plan_cache_capacity=0)
-        with pytest.raises(ValueError, match="hot_threshold"):
-            CoalescingPolicy(hot_threshold=0)
-        with pytest.raises(ValueError, match="max_programs"):
-            CoalescingPolicy(max_programs=0)
 
 
 class TestServeReplayTraffic:
     def test_500_request_replay_parity(self):
-        """The acceptance traffic: 500 requests of recurring signatures
-        through a compiled service match the uncompiled service
-        bitwise."""
-        svc_ref = inline_service()
-        svc = inline_service(compile_hot=True, hot_threshold=2)
+        """500 requests of one recurring signature: a program recorded
+        once replays every served round's factors bitwise."""
+        svc = inline_service()
+        prog = compile_workload(Device(A100()), "getrf",
+                                [(m, m) for m in SIZES])
         n_requests = 0
         rnd = 0
         while n_requests < 500:
             mats, rhss = make_round(seed=rnd % 7)
-            ref = [unpack(f) for f in submit_round(svc_ref, mats, rhss)]
-            got = [unpack(f) for f in submit_round(svc, mats, rhss)]
-            for (xr, hr), (xg, hg) in zip(ref, got):
-                if xr is not None:
-                    np.testing.assert_array_equal(xr, xg)
-                np.testing.assert_array_equal(hr.lu, hg.lu)
-                np.testing.assert_array_equal(hr.ipiv, hg.ipiv)
-                assert hr.info == hg.info
+            served = [unpack(f) for f in submit_round(svc, mats, rhss)]
+            assert_replays_served(prog.run(a=mats),
+                                  [h for _, h in served])
             n_requests += len(mats)
             rnd += 1
-        snap = svc.stats.snapshot()
-        assert snap["programs_compiled"] >= 1
-        assert snap["compiled_dispatches"] > 0
-        assert snap["compiled_fallbacks"] == 0
+        assert svc.stats.snapshot()["failed"] == 0
+        prog.free()
         svc.close()
-        svc_ref.close()

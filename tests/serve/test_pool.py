@@ -118,6 +118,26 @@ class TestRouting:
             assert svc._slots[i].breaker.state == "closed"
         svc.close()
 
+    def test_skipped_open_breaker_half_opens_and_serves_again(self):
+        # an open breaker's cooldown counts the service's dispatches, so
+        # a device that placement skips still half-opens, takes the
+        # next group as its probe, and closes on a clean one
+        svc = make(2)
+        b0 = svc._slots[0].breaker
+        for _ in range(b0.min_observations):
+            b0.record(1)
+        assert b0.state == "open"
+        a = np.random.default_rng(3).standard_normal((16, 16)) \
+            + 16 * np.eye(16)
+        for _ in range(200):
+            svc.factor(a)
+        assert b0.state == "closed"
+        assert b0.probes == 1
+        devs = svc.stats.snapshot()["devices"]
+        assert devs[0]["breaker_state"] == "closed"
+        assert devs[0]["dispatches"] == devs[1]["dispatches"] == 100
+        svc.close()
+
     def test_all_breakers_open_still_serves(self):
         svc = make(2)
         for slot in svc._slots:

@@ -14,6 +14,7 @@ place and bumping the ``precision_fallbacks`` counter.
 import numpy as np
 import pytest
 
+from repro.batched.program import compile_workload
 from repro.device import A100, Device
 from repro.serve import CoalescingPolicy, ServeSession, SolverService
 from repro.serve.scheduler import getrf_key, getrs_key
@@ -203,9 +204,13 @@ class TestDenseMixed:
 
 class TestCompiledMixed:
     def test_hot_mixed_signature_compiles_and_refines(self):
+        # a recurring fp32 signature is served on the bucketed runner,
+        # refined to the FP64 target every round, and a float32 getrf
+        # program recorded for it replays the served reduced factors
         sizes = [10, 18, 10]
-        svc = inline_service(max_batch=8, compile_hot=True,
-                             hot_threshold=2)
+        svc = inline_service(max_batch=8)
+        prog = compile_workload(Device(A100()), "getrf",
+                                [(n, n) for n in sizes], dtype=np.float32)
         for rnd in range(3):
             mats = [dense(n, seed=rnd * 10 + n) for n in sizes]
             rhss = [np.random.default_rng(rnd * 7 + n).standard_normal(n)
@@ -213,13 +218,15 @@ class TestCompiledMixed:
             futs = [svc.submit_factor_solve(a, b, precision="fp32")
                     for a, b in zip(mats, rhss)]
             svc.run_once()
-            for a, b, fut in zip(mats, rhss, futs):
+            res = prog.run(a=[a.astype(np.float32) for a in mats])
+            for i, (a, b, fut) in enumerate(zip(mats, rhss, futs)):
                 x, h = fut.result(0)
                 assert h.precision == "fp32"
                 assert backward_error(a, x, b) <= REFINE_TARGET
-        snap = svc.stats.snapshot()
-        assert snap["programs_compiled"] == 1
-        assert snap["compiled_dispatches"] >= 1
+                np.testing.assert_array_equal(res.factors[i], h.lu)
+                np.testing.assert_array_equal(res.ipiv[i], h.ipiv)
+        assert svc.stats.snapshot()["dispatches"] == 3
+        prog.free()
         svc.close()
 
 

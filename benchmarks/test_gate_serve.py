@@ -117,7 +117,7 @@ def test_gate_serve_slo(archive):
     cfg = AutotuneConfig(min_requests=12, min_dispatches=2)
 
     def tuner(svc, clock):
-        return OnlineAutotuner(svc, clock=clock, config=cfg, seed=SLO_SEED)
+        return OnlineAutotuner(svc, clock=clock, config=cfg)
 
     rows, missed = [], {}
     for name, mix in STANDARD_MIXES.items():

@@ -32,7 +32,7 @@ cfg = AutotuneConfig(min_requests=12, min_dispatches=2)
 
 
 def tuner_factory(svc, clock):
-    return OnlineAutotuner(svc, clock=clock, config=cfg, seed=SEED)
+    return OnlineAutotuner(svc, clock=clock, config=cfg)
 
 
 for name in ("steady", "closed-loop"):
@@ -59,8 +59,7 @@ for name in ("steady", "closed-loop"):
           f"{t['rollbacks']} rollbacks")
     knobs = tuned.policy
     print(f"  final policy: max_batch={knobs['max_batch']} "
-          f"max_wait={knobs['max_wait']:.2g}s "
-          f"panel_regime={knobs['panel_regime']}")
+          f"max_wait={knobs['max_wait']:.2g}s")
     for cls, entry in sorted(tuned.per_class.items()):
         slo = entry["slo"]
         print(f"  class {cls:>14}: p50={entry['p50'] * 1e3:6.2f} ms  "

@@ -26,13 +26,6 @@ Two failure-handling rules keep the tuner honest:
   crash: the result carries the default configuration, an empty trial
   table and ``exhausted=True``, so a caller can fall back to the kernel
   defaults (which self-select a feasible path at run time).
-
-The same sampled-trial machinery generalizes beyond one batch: the online
-autotuner (:mod:`repro.serve.autotune`) feeds *observed traffic*
-size-distribution summaries (from
-:meth:`~repro.serve.stats.ServiceStats.order_summary`) through
-:func:`autotune_getrf` via synthetic representative batches — see
-:func:`representative_orders`.
 """
 
 from __future__ import annotations
@@ -47,8 +40,7 @@ from ..errors import InfeasibleConfig
 from .getrf import irr_getrf
 from .interface import IrrBatch
 
-__all__ = ["autotune_getrf", "TuningResult", "size_distribution_summary",
-           "representative_orders"]
+__all__ = ["autotune_getrf", "TuningResult", "size_distribution_summary"]
 
 #: candidate grid: the §IV-E design parameter plus the §IV-F/§VI variants
 _CANDIDATES = [
@@ -99,28 +91,6 @@ def size_distribution_summary(m_vec, n_vec) -> dict:
         "spread": float((np.percentile(k, 75) - np.percentile(k, 25)) /
                         max(np.median(k), 1.0)),
     }
-
-
-def representative_orders(summary: dict, count: int = 12,
-                          seed: int = 0) -> list[int]:
-    """Synthesize a batch of orders matching a size-distribution summary.
-
-    The inverse of :func:`size_distribution_summary`, coarse by design:
-    a log-triangular draw spanning ``[min, max]`` peaked at the median
-    reproduces the summary's location and spread well enough for
-    relative candidate ranking, which is all a tuner trial needs.  Used
-    by the online autotuner to replay *observed traffic* shapes through
-    the sampled-trial machinery without retaining request payloads.
-    """
-    lo = max(int(summary.get("min", 0)), 1)
-    hi = max(int(summary.get("max", 0)), lo)
-    med = min(max(float(summary.get("median", lo)) or lo, lo), hi)
-    if hi == lo:
-        return [lo] * count
-    rng = np.random.default_rng(seed)
-    draws = rng.triangular(np.log(lo), np.log(med) if med > lo
-                           else np.log(lo), np.log(hi), size=count)
-    return [int(round(x)) for x in np.exp(draws)]
 
 
 def autotune_getrf(spec: DeviceSpec, matrices: list[np.ndarray], *,

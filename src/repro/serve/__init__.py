@@ -13,8 +13,7 @@ Public surface::
 
 See :class:`~repro.serve.service.SolverService` for the threading and
 isolation contracts, :class:`~repro.serve.scheduler.CoalescingPolicy`
-for the batching knobs (a hot-swappable
-:class:`~repro.serve.scheduler.DispatchPolicy` — see
+for the three hot-swappable batching knobs (see
 :meth:`SolverService.set_policy`),
 :class:`~repro.serve.autotune.OnlineAutotuner` for closed-loop policy
 tuning, and :class:`~repro.serve.stats.ServiceStats` for observability.
@@ -22,15 +21,13 @@ tuning, and :class:`~repro.serve.stats.ServiceStats` for observability.
 
 from .autotune import AutotuneConfig, OnlineAutotuner, TuneAction, Window
 from .health import CircuitBreaker, HealthMonitor
-from .scheduler import AdmissionQueue, CoalescingPolicy, DispatchPolicy, \
-    ServiceFuture
+from .scheduler import AdmissionQueue, CoalescingPolicy, ServiceFuture
 from .service import FactorHandle, SolverService
 from .session import MemoryArbiter, ServeSession
 from .stats import DispatchRecord, LatencyHistogram, ServiceStats
 
-__all__ = ["SolverService", "CoalescingPolicy",
-           "DispatchPolicy",
-           "ServiceFuture", "FactorHandle", "ServeSession",
+__all__ = ["SolverService", "CoalescingPolicy", "ServiceFuture",
+           "FactorHandle", "ServeSession",
            "MemoryArbiter", "ServiceStats", "DispatchRecord",
            "LatencyHistogram", "AdmissionQueue", "OnlineAutotuner",
            "AutotuneConfig", "TuneAction", "Window",

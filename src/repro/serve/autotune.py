@@ -3,39 +3,32 @@
 :mod:`repro.batched.tuning` answers the paper's open auto-tuning problem
 for *one batch whose sizes are known at run time*.  A serving system has
 a harder version of the same problem: the "batch" is the arrival process
-itself, its size distribution drifts, and the knobs that matter —
-``max_batch``, ``max_wait``, the panel regime — live in the
-:class:`~repro.serve.scheduler.DispatchPolicy`, not in a kernel call.
+itself, and its size distribution drifts.  The paper's irregular kernels
+let any mix of sizes share one launch, so once the admission keys make
+grouping bitwise-safe a served group needs only two decisions — how many
+requests to group and how long to hold them, ``max_batch`` and
+``max_wait`` of the :class:`~repro.serve.scheduler.CoalescingPolicy`.
 This module closes that loop:
 
 1. **Observe.**  :class:`OnlineAutotuner.step` diffs two
    :meth:`~repro.serve.stats.ServiceStats.snapshot` calls into an exact
    :class:`Window` — arrival/completion rates, mean group size,
    occupancy, wait/exec histogram deltas (the snapshots carry raw bin
-   counts), shed work — plus the run-time size-distribution summary of
-   recent arrivals.
+   counts), shed work.
 2. **Decide.**  Signal rules propose one bounded knob move per window
-   (double/halve ``max_wait``/``max_batch``); the panel regime is
-   chosen by a *measured micro-trial*: a synthetic batch matching the
-   observed size distribution
-   (:func:`~repro.batched.tuning.representative_orders`) runs through
-   :func:`~repro.batched.tuning.autotune_getrf` on a scratch device,
-   and the faster regime wins.  A proposal must repeat for
-   ``hysteresis`` consecutive windows before it is applied — one noisy
-   window never moves a knob.
+   (double/halve ``max_wait``/``max_batch``).  A proposal must repeat
+   for ``hysteresis`` consecutive windows before it is applied — one
+   noisy window never moves a knob.
 3. **Guard.**  Every applied move records the pre-swap policy and the
    pre-swap objective.  If the next full window's objective regresses
    by more than ``rollback_tolerance``, the previous policy is restored
    (:class:`~repro.serve.service.SolverService.set_policy` is atomic and
    drops nothing) and the tuner holds still for ``cooldown`` windows.
 
-Every knob the tuner touches changes *launch shapes only* — group
-composition, hold times, panel launch structure.  None changes the
-bits of any individual result: the policy validation in
-:class:`~repro.serve.scheduler.CoalescingPolicy` restricts
-``panel_regime`` to the bitwise-identical pair, and the service's
-coalescing contract covers the rest — dense solves of any orders share
-one group per dtype, so there is no solve-grouping knob to tune.
+Both knobs change *launch shapes only* — group composition and hold
+times.  Neither changes the bits of any individual result: the
+admission keys of :mod:`repro.serve.scheduler` make every grouping
+bitwise-safe, and no knob enters a key.
 ``benchmarks/test_gate_serve.py::test_gate_serve_slo`` checks exactly
 that: autotuned runs must beat the static policy on throughput *and*
 stay bitwise-equal to it, request by request.
@@ -44,11 +37,8 @@ stay bitwise-equal to it, request by request.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from ..batched.tuning import autotune_getrf, representative_orders
 from .stats import LatencyHistogram
 
 __all__ = ["AutotuneConfig", "Window", "TuneAction", "OnlineAutotuner",
@@ -72,18 +62,14 @@ class AutotuneConfig:
     rollback_tolerance: float = 0.15   #: fractional objective regression
     max_batch_bounds: tuple = (4, 256)
     max_wait_bounds: tuple = (1e-5, 5e-2)
-    regime_trial_every: int = 8   #: windows between panel micro-trials
-    regime_trial_orders: int = 8  #: synthetic batch size for the trial
-    regime_trial_cap: int = 96    #: largest synthetic order trialed
 
 
 @dataclass
 class Window:
     """One observation window: the exact difference of two stats
-    snapshots plus the arrival-size summary, in rates the objective can
-    consume.  ``sim_seconds`` is simulated device time actually spent
-    dispatching; ``seconds`` is the observing clock's span (virtual
-    under the traffic simulator)."""
+    snapshots, in rates the objective can consume.  ``sim_seconds`` is
+    simulated device time actually spent dispatching; ``seconds`` is the
+    observing clock's span (virtual under the traffic simulator)."""
 
     seconds: float
     sim_seconds: float
@@ -100,7 +86,6 @@ class Window:
     wait_p99: float
     exec_p50: float
     queue_depth: int        #: at window end
-    orders: dict = field(default_factory=dict)
 
     @property
     def arrival_rate(self) -> float:
@@ -169,21 +154,18 @@ class OnlineAutotuner:
     """
 
     def __init__(self, service, *, config: AutotuneConfig | None = None,
-                 objective=None, clock=None, seed: int = 0):
+                 objective=None, clock=None):
         self.service = service
         self.config = config or AutotuneConfig()
         self.objective = objective or default_objective
         self._clock = clock if clock is not None else \
             getattr(service, "_clock", time.monotonic)
-        self._seed = seed
         self._last_snap = service.stats.snapshot()
         self._last_t = self._clock()
         self.history: list[TuneAction] = []
         self._votes: dict[str, int] = {}
         self._cooldown = 0
-        self._windows_seen = 0
         self._pending_guard: tuple | None = None  # (policy, objective)
-        self._regime_choice: str | None = None
 
     # -- observation ---------------------------------------------------
     def _observe(self) -> Window:
@@ -213,35 +195,7 @@ class OnlineAutotuner:
                                                   0.99),
             exec_p50=LatencyHistogram.quantile_of(exec_counts, exec_n, 0.5),
             queue_depth=snap["queue_depth"],
-            orders=self.service.stats.order_summary(),
         )
-
-    # -- panel-regime micro-trial --------------------------------------
-    def _trial_regime(self, orders_summary: dict) -> str | None:
-        """Measure fused-auto vs column-wise panels on a synthetic batch
-        matching the observed size distribution; the faster regime wins.
-        Returns ``None`` when the trial is degenerate (no orders seen or
-        every candidate infeasible)."""
-        if not orders_summary.get("count"):
-            return None
-        cfg = self.config
-        orders = [min(o, cfg.regime_trial_cap) for o in
-                  representative_orders(orders_summary,
-                                        count=cfg.regime_trial_orders,
-                                        seed=self._seed)]
-        rng = np.random.default_rng(self._seed)
-        mats = []
-        for n in orders:
-            a = rng.standard_normal((n, n))
-            a += n * np.eye(n)        # diagonally dominant: no breakdown
-            mats.append(a)
-        result = autotune_getrf(
-            self.service.device.spec, mats,
-            sample_size=len(mats), seed=self._seed,
-            candidates=[{"panel": "auto"}, {"panel": "columnwise"}])
-        if result.exhausted:
-            return None
-        return result.best["panel"]
 
     # -- proposal rules ------------------------------------------------
     def _proposals(self, w: Window, policy) -> dict:
@@ -283,11 +237,6 @@ class OnlineAutotuner:
                 # trade it back for latency (the rollback guard catches
                 # the case where the amortization WAS load-bearing)
                 want["max_wait"] = max(policy.max_wait / 2, lo_w)
-
-        # Panel regime: measured, not inferred (see _trial_regime).
-        if self._regime_choice is not None \
-                and policy.panel_regime != self._regime_choice:
-            want["panel_regime"] = self._regime_choice
         return want
 
     # -- the loop ------------------------------------------------------
@@ -298,7 +247,6 @@ class OnlineAutotuner:
         changed) and appends it to :attr:`history`.
         """
         w = self._observe()
-        self._windows_seen += 1
         obj = self.objective(w)
         policy = self.service.policy
         cfg = self.config
@@ -326,10 +274,6 @@ class OnlineAutotuner:
             action = TuneAction("hold", {}, obj, w)
             self.history.append(action)
             return action
-
-        # periodic measured micro-trial for the panel regime
-        if self._windows_seen % cfg.regime_trial_every == 1:
-            self._regime_choice = self._trial_regime(w.orders)
 
         want = self._proposals(w, policy)
 

@@ -1,4 +1,4 @@
-"""Admission queue and dispatch policy for the solver service.
+"""Admission queue and batching policy for the solver service.
 
 The scheduler answers one question: *which pending requests may share a
 single batched launch group without changing anyone's bits?*  Grouping is
@@ -20,21 +20,19 @@ by a compatibility key computed at admission:
   largest order in its group: a coalesced solve is bitwise-identical to
   a one-request one.  (The fused-panel fit above is the one rule left
   that depends on the whole batch.)
-* **Sparse solves** are singleton by default — stacking right-hand sides
-  changes the BLAS accumulation width and the refinement's global
-  residual norm, neither bitwise-safe.  ``coalesce_sparse_rhs=True``
-  opts a session into same-session RHS stacking (results then match to
-  rounding, not bitwise).
+* **Sparse solves** are singletons — stacking right-hand sides changes
+  the BLAS accumulation width and the refinement's global residual
+  norm, neither bitwise-safe.
 
-*How long to hold a group open* is the :class:`DispatchPolicy`'s call.
-:class:`CoalescingPolicy` is the static implementation — fixed
-``max_batch``/``max_wait`` knobs — and the online autotuner
+*How many requests to group and how long to hold them* are the two
+batching knobs of :class:`CoalescingPolicy` (``max_batch``,
+``max_wait``; ``max_queue`` bounds admission).  The online autotuner
 (:mod:`repro.serve.autotune`) swaps refined instances in atomically
 between dispatches (:meth:`~repro.serve.service.SolverService.set_policy`)
 without dropping queued work.  Admission is SLO-aware: a request
 submitted with ``slo=`` caps its own hold time at
-``slo_hold_fraction · slo``, so batching never spends a request's whole
-latency budget waiting for company.
+:data:`SLO_HOLD_FRACTION` of ``slo``, so batching never spends a
+request's whole latency budget waiting for company.
 
 The queue is bounded (admission raises
 :class:`~repro.errors.ServiceOverloaded` when full), FIFO per key, and
@@ -46,8 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace as _dc_replace
-from typing import Protocol, runtime_checkable
+from dataclasses import asdict, dataclass, replace as _dc_replace
 
 import numpy as np
 
@@ -55,66 +52,27 @@ from ..batched.getrf import DEFAULT_PANEL_WIDTH
 from ..batched.panel import panel_shared_bytes
 from ..errors import DeadlineExceeded, RequestCancelled, ServiceOverloaded
 
-__all__ = ["DispatchPolicy", "CoalescingPolicy", "ServiceFuture",
-           "Request", "AdmissionQueue"]
+__all__ = ["CoalescingPolicy", "ServiceFuture", "Request",
+           "AdmissionQueue"]
 
 #: Future/request states.
 _PENDING, _DISPATCHED, _DONE = "pending", "dispatched", "done"
 
-#: Attribute surface a hot-swappable policy must provide (validated by
-#: ``SolverService.set_policy`` — duck-typed, any object with these
-#: attributes and the two per-key hooks qualifies).
-_POLICY_ATTRS = ("max_batch", "max_wait", "max_queue", "dispatch_retries",
-                 "coalesce_sparse_rhs", "panel_regime", "slo_hold_fraction")
-
-
-@runtime_checkable
-class DispatchPolicy(Protocol):
-    """What the service and queue ask of a batching policy.
-
-    A policy is consulted at three points, always through one
-    atomically-read reference (see ``SolverService.set_policy``):
-
-    * **admission** — ``max_queue`` bounds the queue;
-      ``coalesce_sparse_rhs`` shapes compatibility keys.
-    * **collection** — :meth:`group_limit` and :meth:`wait_budget` decide
-      how large a group may grow and how long its oldest member may be
-      held waiting for company.
-    * **dispatch** — ``dispatch_retries`` and ``panel_regime`` steer the
-      execution ladder.
-
-    Every knob changes *launch shapes only*: any two policies must
-    produce bitwise-identical per-request results (the service's
-    coalescing contract guarantees this for group composition; the
-    remaining knobs are restricted to bit-stable ranges — see
-    :class:`CoalescingPolicy`).  That is what makes hot-swapping safe.
-    """
-
-    max_batch: int
-    max_wait: float
-    max_queue: int
-    dispatch_retries: int
-    coalesce_sparse_rhs: bool
-    panel_regime: str | None
-    slo_hold_fraction: float
-
-    def group_limit(self, key: tuple) -> int:
-        """Largest group size for requests sharing ``key``."""
-        ...
-
-    def wait_budget(self, key: tuple) -> float:
-        """Longest hold (seconds) for the oldest request under ``key``."""
-        ...
+#: Fraction of a request's soft latency objective (``slo=`` at
+#: submission) the scheduler may spend holding it for batching; the
+#: remainder is headroom for execution.
+SLO_HOLD_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
 class CoalescingPolicy:
-    """Static batching knobs of the service (a pure value; safe to share).
+    """The service's batching knobs (a pure value; safe to share).
 
-    The reference :class:`DispatchPolicy` implementation: every knob is a
-    constant, :meth:`group_limit`/:meth:`wait_budget` ignore the key.
     The online autotuner derives refined instances via :meth:`replace`
-    and installs them with ``SolverService.set_policy``.
+    and installs them with ``SolverService.set_policy``.  No knob
+    changes the bits of a served answer: the admission keys make any
+    grouping bitwise-safe, so any two policies produce bitwise-identical
+    per-request results.  That is what makes hot-swapping safe.
 
     Attributes
     ----------
@@ -129,43 +87,11 @@ class CoalescingPolicy:
     max_queue:
         Admission bound; a full queue rejects with
         :class:`~repro.errors.ServiceOverloaded`.
-    dispatch_retries:
-        Whole-batch retries (from pristine host inputs) on a transient
-        device fault before the group falls back to per-request
-        isolation runs.
-    coalesce_sparse_rhs:
-        Allow same-session sparse solves to stack their right-hand
-        sides into one multi-column sweep.  Off by default: stacked
-        solves match to rounding, not bitwise.
-    plan_cache_capacity:
-        LRU bound for the service engine's DCWI plan cache (``None`` =
-        unbounded, the historical behavior).  Long-lived services with
-        unbounded shape diversity should set this.  Applied when the
-        service constructs its engine; a hot swap does not resize the
-        live cache.
-    panel_regime:
-        Dispatch-time default for the dense panel path when a request
-        does not pin ``panel=`` itself: ``None`` (leave the kernel
-        default, ``"auto"``), ``"auto"`` or ``"columnwise"``.  The fused
-        and column-wise panel kernels are bitwise-identical (same
-        elimination arithmetic, different launch structure), so this
-        knob is tunable without parity loss; ``"fused"`` is deliberately
-        not offered here because it raises on batches outside the
-        shared-memory regime.
-    slo_hold_fraction:
-        Fraction of a request's soft latency objective (``slo=`` at
-        submission) the scheduler may spend holding it for batching.
-        The remainder is headroom for execution.
     """
 
     max_batch: int = 32
     max_wait: float = 2e-3
     max_queue: int = 256
-    dispatch_retries: int = 2
-    coalesce_sparse_rhs: bool = False
-    plan_cache_capacity: int | None = None
-    panel_regime: str | None = None
-    slo_hold_fraction: float = 0.5
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -174,36 +100,14 @@ class CoalescingPolicy:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
-        if self.dispatch_retries < 0:
-            raise ValueError(f"dispatch_retries must be >= 0, "
-                             f"got {self.dispatch_retries}")
-        if self.plan_cache_capacity is not None \
-                and self.plan_cache_capacity < 1:
-            raise ValueError(f"plan_cache_capacity must be >= 1 or None, "
-                             f"got {self.plan_cache_capacity}")
-        if self.panel_regime not in (None, "auto", "columnwise"):
-            raise ValueError(
-                f"panel_regime must be None, 'auto' or 'columnwise', got "
-                f"{self.panel_regime!r} ('fused' raises outside the "
-                f"shared-memory regime and is not a safe service default)")
-        if not 0.0 < self.slo_hold_fraction <= 1.0:
-            raise ValueError(f"slo_hold_fraction must be in (0, 1], got "
-                             f"{self.slo_hold_fraction}")
-
-    # -- DispatchPolicy hooks ------------------------------------------
-    def group_limit(self, key: tuple) -> int:
-        return self.max_batch
-
-    def wait_budget(self, key: tuple) -> float:
-        return self.max_wait
 
     def replace(self, **changes) -> "CoalescingPolicy":
         """A copy with ``changes`` applied (validation re-runs)."""
         return _dc_replace(self, **changes)
 
     def describe(self) -> dict:
-        """The tunable knobs as a plain dict (stable across swaps)."""
-        return {k: getattr(self, k) for k in _POLICY_ATTRS}
+        """The knobs as a plain dict (stable across swaps)."""
+        return asdict(self)
 
 
 class ServiceFuture:
@@ -310,17 +214,14 @@ class Request:
     dropped with :class:`~repro.errors.DeadlineExceeded`.  ``slo`` is
     the *soft* latency objective: it never drops work, it only caps how
     long the scheduler may hold the request for batching (see
-    :meth:`AdmissionQueue.collect`).  ``order`` is the request's
-    characteristic problem size (min(m, n) / solve order), recorded for
-    the run-time size-distribution summary the autotuner reads.
+    :meth:`AdmissionQueue.collect`).
     """
 
     __slots__ = ("kind", "key", "payload", "future", "t_submit",
-                 "deadline", "t_deadline", "slo", "order", "cls", "_clock")
+                 "deadline", "t_deadline", "slo", "_clock")
 
     def __init__(self, kind: str, key: tuple, payload: dict,
                  deadline: float | None, *, slo: float | None = None,
-                 order: int | None = None, cls: str | None = None,
                  clock=time.monotonic):
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0, got {deadline}")
@@ -336,8 +237,6 @@ class Request:
         self.t_deadline = None if deadline is None else \
             self.t_submit + deadline
         self.slo = slo
-        self.order = order
-        self.cls = cls
 
     def waited(self, now: float | None = None) -> float:
         return (self._clock() if now is None else now) - self.t_submit
@@ -393,11 +292,9 @@ def getrs_key(dtype: np.dtype, *, mixed: bool = False) -> tuple:
 
 
 def sparse_key(session_id: int, solve_kwargs: tuple, *,
-               coalesce: bool, serial: int) -> tuple:
-    """Group key for a sparse solve: singleton unless the policy opts
-    the session into RHS stacking (same session + same solve kwargs)."""
-    if coalesce:
-        return ("sparse-solve", session_id, solve_kwargs)
+               serial: int) -> tuple:
+    """Group key for a sparse solve: always a singleton (stacking
+    right-hand sides is not bitwise-safe)."""
     return ("sparse-solve", session_id, solve_kwargs, "solo", serial)
 
 
@@ -431,7 +328,7 @@ class AdmissionQueue:
                 self._stats.on_reject()
                 raise ServiceOverloaded(len(self._q), max_queue)
             self._q.append(req)
-            self._stats.on_submit(len(self._q), req.order)
+            self._stats.on_submit(len(self._q))
             self._cond.notify_all()
 
     def stop(self) -> None:
@@ -462,16 +359,15 @@ class AdmissionQueue:
             keep.append(req)
         self._q = keep
 
-    def _hold_budget(self, req: Request, policy: DispatchPolicy) -> float:
-        """How long ``req`` may be held waiting for company: the
-        policy's wait budget, capped by the request's soft latency
+    def _hold_budget(self, req: Request, policy: CoalescingPolicy) -> float:
+        """How long ``req`` may be held waiting for company:
+        ``policy.max_wait``, capped by the request's soft latency
         objective (SLO-aware admission — batching never spends more
-        than ``slo_hold_fraction`` of a request's latency budget in the
-        queue)."""
-        budget = float(policy.wait_budget(req.key))
+        than :data:`SLO_HOLD_FRACTION` of a request's latency budget in
+        the queue)."""
+        budget = float(policy.max_wait)
         if req.slo is not None:
-            frac = getattr(policy, "slo_hold_fraction", 0.5)
-            budget = min(budget, frac * req.slo)
+            budget = min(budget, SLO_HOLD_FRACTION * req.slo)
         return budget
 
     def _take_locked(self, group: list[Request]) -> list[Request]:
@@ -487,14 +383,14 @@ class AdmissionQueue:
         self._stats.on_depth(len(self._q))
         return taken
 
-    def collect(self, policy: DispatchPolicy, *, block: bool = True
+    def collect(self, policy: CoalescingPolicy, *, block: bool = True
                 ) -> list[Request] | None:
         """Remove and return the next dispatchable group, FIFO by oldest.
 
         Blocks (when ``block``) until work arrives or :meth:`stop`.
         Holds the oldest compatible request at most its hold budget
-        (``policy.wait_budget`` capped by the request's SLO) while
-        waiting for the group to fill to ``policy.group_limit``.
+        (``policy.max_wait`` capped by the request's SLO) while waiting
+        for the group to fill to ``policy.max_batch``.
         Returns ``None`` when stopped (or, with ``block=False``, when
         the queue is empty).
 
@@ -518,8 +414,7 @@ class AdmissionQueue:
                 while True:   # grow head's group until full/ripe
                     now = self._clock()
                     group = [r for r in self._q if r.key == head.key]
-                    limit = policy.group_limit(head.key)
-                    if len(group) >= limit:
+                    if len(group) >= policy.max_batch:
                         break
                     remaining = self._hold_budget(head, policy) - \
                         (now - head.t_submit)
@@ -539,17 +434,16 @@ class AdmissionQueue:
                 if not group:
                     continue      # iterate, never recurse
 
-                taken = self._take_locked(group[:policy.group_limit(
-                    head.key)])
+                taken = self._take_locked(group[:policy.max_batch])
                 if not taken:     # every member lost a cancellation race
                     continue      # iterate, never recurse
                 return taken
 
     # -- virtual-time collection (traffic simulation) -------------------
-    def collect_ready(self, policy: DispatchPolicy,
+    def collect_ready(self, policy: CoalescingPolicy,
                       now: float | None = None) -> list[Request] | None:
         """Non-blocking: the oldest group that is *ripe* at ``now`` —
-        full to its group limit, or its head's hold budget spent.
+        full to ``max_batch``, or its head's hold budget spent.
         ``None`` when nothing is ripe yet.
 
         This is the discrete-event twin of :meth:`collect`: the traffic
@@ -567,21 +461,20 @@ class AdmissionQueue:
                     if head.key in seen:
                         continue
                     seen.add(head.key)
-                    limit = policy.group_limit(head.key)
                     group = [r for r in self._q if r.key == head.key]
-                    ripe = len(group) >= limit or \
+                    ripe = len(group) >= policy.max_batch or \
                         (now - head.t_submit) >= \
                         self._hold_budget(head, policy)
                     if not ripe:
                         continue
-                    taken = self._take_locked(group[:limit])
+                    taken = self._take_locked(group[:policy.max_batch])
                     if taken:
                         return taken
                     break         # cancellation race: rescan from top
                 else:
                     return None
 
-    def next_ripe(self, policy: DispatchPolicy,
+    def next_ripe(self, policy: CoalescingPolicy,
                   now: float | None = None) -> float | None:
         """Earliest time at which some queued group becomes ripe
         (``now`` for already-full groups); ``None`` when the queue is
@@ -598,7 +491,7 @@ class AdmissionQueue:
                 if head.key in seen:
                     continue
                 seen.add(head.key)
-                if counts[head.key] >= policy.group_limit(head.key):
+                if counts[head.key] >= policy.max_batch:
                     t = now
                 else:
                     t = head.t_submit + self._hold_budget(head, policy)

@@ -67,8 +67,8 @@ from ..errors import CorruptionDetected, FactorizationError, \
 from ..sparse.solver import ESCALATED_REFINE_STEPS, REFINE_TARGET, \
     SparseLU, _REDUCED_OF
 from .health import FAULT_ACTIONS, CircuitBreaker
-from .scheduler import _POLICY_ATTRS, AdmissionQueue, CoalescingPolicy, \
-    DispatchPolicy, Request, ServiceFuture, getrf_key, getrs_key, sparse_key
+from .scheduler import AdmissionQueue, CoalescingPolicy, Request, \
+    ServiceFuture, getrf_key, getrs_key, sparse_key
 from .session import MemoryArbiter, ServeSession
 from .stats import DispatchRecord, ServiceStats
 
@@ -80,6 +80,14 @@ __all__ = ["SolverService", "FactorHandle"]
 #: never feed a retry.
 _SYSTEM_ERRORS = (KernelLaunchError, TransferError, DeviceOutOfMemory,
                   ResourceExhausted, CorruptionDetected)
+
+#: Whole-batch retries (from pristine host inputs) on a transient device
+#: fault before a group falls back to per-request isolation runs.
+DISPATCH_RETRIES = 2
+
+#: LRU bound of each device's DCWI plan cache.  Coalesced groups rarely
+#: repeat a size vector, so an unbounded cache grows with traffic.
+PLAN_CACHE_CAPACITY = 1024
 
 #: LU policy keywords a dense factor request may carry (all pass through
 #: to :func:`~repro.batched.getrf.irr_getrf` and are part of the
@@ -164,20 +172,6 @@ class FactorHandle:
                 f"info={self.info}, n_replaced={self.n_replaced})")
 
 
-def _validate_policy(policy) -> None:
-    """Duck-typed check that ``policy`` covers the DispatchPolicy
-    surface; a hot swap must fail loudly *before* it is installed, not
-    at the next dispatch."""
-    missing = [a for a in _POLICY_ATTRS if not hasattr(policy, a)]
-    for meth in ("group_limit", "wait_budget"):
-        if not callable(getattr(policy, meth, None)):
-            missing.append(f"{meth}()")
-    if missing:
-        raise TypeError(
-            f"{type(policy).__name__} does not implement DispatchPolicy: "
-            f"missing {sorted(missing)}")
-
-
 class _Slot:
     """Everything one device owns: its engine (plan cache), circuit
     breaker, memory arbiter and the sparse sessions it hosts."""
@@ -186,13 +180,13 @@ class _Slot:
                  "sessions")
 
     def __init__(self, index: int, device: Device, breaker: CircuitBreaker,
-                 arbiter: MemoryArbiter, cache_capacity: int | None):
+                 arbiter: MemoryArbiter):
         self.index = index
         self.device = device
         # One engine for the service's lifetime: every dispatch reuses
         # the same DCWI plan cache, so recurring shapes re-plan nothing.
-        self.engine = BatchEngine("bucketed",
-                                  cache=PlanCache(capacity=cache_capacity))
+        self.engine = BatchEngine(
+            "bucketed", cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
         self.breaker = breaker
         self.arbiter = arbiter
         self.sessions: list[ServeSession] = []
@@ -239,7 +233,7 @@ class SolverService:
     """
 
     def __init__(self, device: Device | Node, *,
-                 policy: DispatchPolicy | None = None,
+                 policy: CoalescingPolicy | None = None,
                  sparse_memory_budget: int | None = None,
                  start: bool = True, clock=time.monotonic,
                  breaker: CircuitBreaker | None = None):
@@ -256,20 +250,21 @@ class SolverService:
         self.device = device
         self._policy_lock = threading.Lock()
         self._policy = policy if policy is not None else CoalescingPolicy()
-        _validate_policy(self._policy)
+        if not isinstance(self._policy, CoalescingPolicy):
+            raise TypeError(f"policy must be a CoalescingPolicy, got "
+                            f"{type(self._policy).__name__}")
         self.stats = ServiceStats()
         self._clock = clock
         self._queue = AdmissionQueue(self.stats, clock=clock)
         total = validate_memory_budget(sparse_memory_budget,
                                        name="sparse memory budget")
         share = None if total is None else max(1, total // len(devices))
-        # plan caches are LRU-bounded by policy.plan_cache_capacity; their
+        # plan caches are LRU-bounded by PLAN_CACHE_CAPACITY; their
         # summed hit/miss/eviction counters surface in stats.snapshot()
-        capacity = getattr(self._policy, "plan_cache_capacity", None)
         self._slots = [
             _Slot(i, dev,
                   breaker if breaker is not None else CircuitBreaker(),
-                  MemoryArbiter(share, stats=self.stats), capacity)
+                  MemoryArbiter(share, stats=self.stats))
             for i, dev in enumerate(devices)]
         for slot in self._slots:
             self.stats.attach_plan_cache(slot.engine.cache)
@@ -284,31 +279,32 @@ class SolverService:
     # policy (hot-swappable)
     # ------------------------------------------------------------------
     @property
-    def policy(self) -> DispatchPolicy:
-        """The live dispatch policy (read atomically; see
+    def policy(self) -> CoalescingPolicy:
+        """The live batching policy (read atomically; see
         :meth:`set_policy`)."""
         with self._policy_lock:
             return self._policy
 
     @policy.setter
-    def policy(self, new: DispatchPolicy) -> None:
+    def policy(self, new: CoalescingPolicy) -> None:
         self.set_policy(new)
 
-    def set_policy(self, new: DispatchPolicy) -> DispatchPolicy:
-        """Atomically install ``new`` as the dispatch policy; returns
-        the policy it replaced.
+    def set_policy(self, new: CoalescingPolicy) -> CoalescingPolicy:
+        """Atomically install ``new`` as the batching policy; returns
+        the policy it replaced (``TypeError`` unless ``new`` is a
+        :class:`~repro.serve.scheduler.CoalescingPolicy`).
 
         Safe at any time, from any thread, with work in flight: every
-        admission/collection/dispatch cycle reads the policy reference
-        exactly once and threads that snapshot through, so a dispatch
-        never sees half of one policy and half of another.  Queued
-        requests are **not** dropped or re-keyed — compatibility keys
-        are fixed at admission, and every key computed under any valid
-        policy stays bitwise-safe under every other (stale keys can at
-        most fragment groups, never corrupt one).  The swap takes full
-        effect from the next collection cycle.
+        admission and collection cycle reads the policy reference
+        exactly once, so a collection never sees half of one policy and
+        half of another.  Queued requests are **not** dropped or
+        re-keyed — compatibility keys are fixed at admission and no
+        policy knob enters them.  The swap takes full effect from the
+        next collection cycle.
         """
-        _validate_policy(new)
+        if not isinstance(new, CoalescingPolicy):
+            raise TypeError(f"policy must be a CoalescingPolicy, got "
+                            f"{type(new).__name__}")
         with self._policy_lock:
             old, self._policy = self._policy, new
         self.stats.on_policy_swap()
@@ -358,20 +354,18 @@ class SolverService:
     def _drain_inline(self) -> int:
         n = 0
         while True:
-            policy = self.policy        # one atomic read per cycle
-            group = self._queue.collect(policy, block=False)
+            group = self._queue.collect(self.policy, block=False)
             if group is None:
                 return n
-            self._safe_dispatch(group, policy)
+            self._safe_dispatch(group)
             n += 1
 
     def _run(self) -> None:
         while True:
-            policy = self.policy        # one atomic read per cycle
-            group = self._queue.collect(policy)
+            group = self._queue.collect(self.policy)
             if group is None:
                 return
-            self._safe_dispatch(group, policy)
+            self._safe_dispatch(group)
 
     # ------------------------------------------------------------------
     # submission
@@ -449,7 +443,7 @@ class SolverService:
         :class:`~repro.errors.DeadlineExceeded`; ``slo`` is the *soft*
         latency objective — it never drops work, it only caps how long
         the scheduler may hold this request for batching
-        (``policy.slo_hold_fraction`` of it).
+        (:data:`~repro.serve.scheduler.SLO_HOLD_FRACTION` of it).
 
         ``precision="fp32"`` factors in the reduced working precision
         (float32 / complex64): dense handles keep the FP64 matrix for
@@ -468,7 +462,6 @@ class SolverService:
             return self._admit(Request("sparse-factor", key,
                                        {"a": a.copy(), "kwargs": kwargs},
                                        deadline, slo=slo,
-                                       order=a.shape[0],
                                        clock=self._clock))
         self._check_kwargs(kwargs, _LU_KWARGS, "LU")
         host, dtype = self._dense_payload(a, need_square=False)
@@ -480,7 +473,6 @@ class SolverService:
                                    {"a": host, "a_ref": a_ref,
                                     "lu_kwargs": kwargs},
                                    deadline, slo=slo,
-                                   order=min(host.shape),
                                    clock=self._clock))
 
     def submit_solve(self, handle, b, *, deadline: float | None = None,
@@ -492,21 +484,17 @@ class SolverService:
         ``(x, SolveInfo)``.  Broken dense factors are refused here,
         synchronously — they can never produce a solution.
         """
-        policy = self.policy            # one atomic read per admission
         if isinstance(handle, ServeSession):
             self._check_kwargs(kwargs, _SPARSE_SOLVE_KWARGS,
                                "sparse solve")
             if handle.closed:
                 raise RuntimeError(f"session {handle.sid} is closed")
             key = sparse_key(handle.sid, tuple(sorted(kwargs.items())),
-                             coalesce=policy.coalesce_sparse_rhs,
                              serial=self._next_serial())
-            b = np.asarray(b)
             return self._admit(Request(
                 "sparse-solve", key,
-                {"session": handle, "b": np.array(b, copy=True),
-                 "kwargs": kwargs}, deadline, slo=slo, order=b.shape[0],
-                clock=self._clock))
+                {"session": handle, "b": np.array(np.asarray(b), copy=True),
+                 "kwargs": kwargs}, deadline, slo=slo, clock=self._clock))
         if not isinstance(handle, FactorHandle):
             raise TypeError(f"expected FactorHandle or ServeSession, "
                             f"got {type(handle).__name__}")
@@ -531,13 +519,13 @@ class SolverService:
                 "solve", key,
                 {"handle": handle, "b2": b_ref.astype(handle.dtype),
                  "b_ref": b_ref, "ndim": ndim}, deadline, slo=slo,
-                order=handle.n, clock=self._clock))
+                clock=self._clock))
         b2, ndim = self._rhs_payload(b, handle.n, handle.dtype)
         key = getrs_key(handle.dtype)
         return self._admit(Request("solve", key,
                                    {"handle": handle, "b2": b2,
                                     "ndim": ndim}, deadline, slo=slo,
-                                   order=handle.n, clock=self._clock))
+                                   clock=self._clock))
 
     def submit_factor_solve(self, a, b, *,
                             deadline: float | None = None,
@@ -561,8 +549,7 @@ class SolverService:
             return self._admit(Request(
                 "sparse-factor-solve", key,
                 {"a": a.copy(), "b": np.array(np.asarray(b), copy=True),
-                 "kwargs": kwargs}, deadline, slo=slo, order=a.shape[0],
-                clock=self._clock))
+                 "kwargs": kwargs}, deadline, slo=slo, clock=self._clock))
         self._check_kwargs(kwargs, _LU_KWARGS, "LU")
         host, dtype = self._dense_payload(a, need_square=True)
         b_ref, ndim = self._rhs_payload(b, host.shape[0], dtype)
@@ -576,8 +563,7 @@ class SolverService:
                                     "b_ref": b_ref if a_ref is not None
                                     else None, "ndim": ndim,
                                     "lu_kwargs": kwargs}, deadline,
-                                   slo=slo, order=host.shape[0],
-                                   clock=self._clock))
+                                   slo=slo, clock=self._clock))
 
     # -- sync convenience ----------------------------------------------
     def _await(self, fut, timeout):
@@ -604,21 +590,14 @@ class SolverService:
     # ------------------------------------------------------------------
     # dispatch (single dispatcher thread)
     # ------------------------------------------------------------------
-    def _safe_dispatch(self, group: list[Request],
-                       policy: DispatchPolicy | None = None
-                       ) -> DispatchRecord:
+    def _safe_dispatch(self, group: list[Request]) -> DispatchRecord:
         """Dispatch one group; guarantee every member's future resolves.
 
-        ``policy`` is the snapshot the collection cycle read — one
-        object for the whole cycle, so a concurrent hot swap cannot
-        split its knobs across a dispatch.  Returns the
-        :class:`DispatchRecord`, stamped with the *simulated* device
-        seconds the dispatch consumed (host-clock delta across a final
-        ``synchronize()``) — the currency the traffic simulator and the
-        autotuner's objective run on.
+        Returns the :class:`DispatchRecord`, stamped with the
+        *simulated* device seconds the dispatch consumed (host-clock
+        delta across a final ``synchronize()``) — the currency the
+        traffic simulator and the autotuner's objective run on.
         """
-        if policy is None:
-            policy = self.policy
         slot = self._place(group)
         device, breaker = slot.device, slot.breaker
         waits = [r.waited() for r in group]
@@ -630,15 +609,15 @@ class SolverService:
         try:
             kind = group[0].key[0]
             if kind == "getrf":
-                record = self._dispatch_dense(
-                    slot, group, self._run_getrf_group, policy)
+                record = self._dispatch_dense(slot, group,
+                                              self._run_getrf_group)
             elif kind == "getrs":
-                record = self._dispatch_dense(
-                    slot, group, self._run_getrs_group, policy)
+                record = self._dispatch_dense(slot, group,
+                                              self._run_getrs_group)
             elif kind == "sparse-open":
                 record = self._dispatch_sparse_open(slot, group)
             else:
-                record = self._dispatch_sparse_solve(slot, group, policy)
+                record = self._dispatch_sparse_solve(slot, group)
         except BaseException as exc:  # noqa: BLE001 - resolve, re-raise
             elapsed = time.perf_counter() - t0
             for r in group:
@@ -736,8 +715,8 @@ class SolverService:
             self.stats.on_corruption()
         return exc
 
-    def _dispatch_dense(self, slot: _Slot, group: list[Request], runner,
-                        policy: DispatchPolicy) -> DispatchRecord:
+    def _dispatch_dense(self, slot: _Slot, group: list[Request], runner
+                        ) -> DispatchRecord:
         """Retry-then-isolate ladder around one dense batch runner.
 
         Launch faults fire *before* kernel numerics and every attempt
@@ -747,9 +726,9 @@ class SolverService:
         keep faulting fail.
         """
         kind = group[0].key[0]
-        for attempt in range(policy.dispatch_retries + 1):
+        for attempt in range(DISPATCH_RETRIES + 1):
             try:
-                launches, occupancy = runner(slot, group, policy)
+                launches, occupancy = runner(slot, group)
                 return DispatchRecord(kind, len(group), launches,
                                       occupancy, attempt, False)
             except _SYSTEM_ERRORS as exc:
@@ -758,9 +737,9 @@ class SolverService:
         occs = []
         for req in group:
             done = False
-            for attempt in range(policy.dispatch_retries + 1):
+            for attempt in range(DISPATCH_RETRIES + 1):
                 try:
-                    solo_launches, occ = runner(slot, [req], policy)
+                    solo_launches, occ = runner(slot, [req])
                     launches += solo_launches
                     occs.append(occ)
                     done = True
@@ -771,11 +750,11 @@ class SolverService:
                 self._fail(req, last)
         occupancy = sum(occs) / len(occs) if occs else 0.0
         return DispatchRecord(kind, len(group), launches, occupancy,
-                              policy.dispatch_retries + 1, True)
+                              DISPATCH_RETRIES + 1, True)
 
     # -- dense runners ---------------------------------------------------
-    def _run_getrf_group(self, slot: _Slot, group: list[Request],
-                         policy: DispatchPolicy) -> tuple[int, float]:
+    def _run_getrf_group(self, slot: _Slot, group: list[Request]
+                         ) -> tuple[int, float]:
         """One coalesced getrf (+ embedded getrs for factor_solve).
 
         Resolves every member future on success.  On a device fault the
@@ -783,7 +762,6 @@ class SolverService:
         caller's ladder retries from the pristine host payloads.
         """
         device, engine = slot.device, slot.engine
-        lu_kwargs = self._effective_lu_kwargs(group, policy)
         dtype = np.dtype(group[0].key[1])
         launch0 = device.profiler.launch_count
         batch = IrrBatch.from_host_packed(device,
@@ -791,7 +769,8 @@ class SolverService:
                                    dtype=dtype)
         try:
             occupancy = self._occupancy(batch)
-            pivots = irr_getrf(device, batch, engine=engine, **lu_kwargs)
+            pivots = irr_getrf(device, batch, engine=engine,
+                               **group[0].payload["lu_kwargs"])
             # factor_solve members with clean factors: one solve over all
             # of them, reusing the still-resident factored arrays — no
             # re-upload.
@@ -813,14 +792,13 @@ class SolverService:
                 finally:
                     rhs.free()
             # the finisher refines against the still-resident factors
-            self._finish_getrf(slot, group, policy, batch, pivots, xs)
+            self._finish_getrf(slot, group, batch, pivots, xs)
         finally:
             batch.free()
         return device.profiler.launch_count - launch0, occupancy
 
     def _finish_getrf(self, slot: _Slot, group: list[Request],
-                      policy: DispatchPolicy, batch: IrrBatch, piv,
-                      xs: dict) -> None:
+                      batch: IrrBatch, piv, xs: dict) -> None:
         """Tail of the getrf runner: handles → mixed refinement → FP64
         fallback → resolve.
 
@@ -848,12 +826,12 @@ class SolverService:
                 refined, bad = self._refine_members(
                     slot, batch, [h.ipiv for h in handles], items)
                 xs.update(refined)
-            lu_kwargs = self._effective_lu_kwargs(group, policy)
             for i, (req, h) in enumerate(zip(group, handles)):
                 if h.info != 0 or i in bad:
                     try:
                         xs[i] = self._dense_precision_fallback(
-                            slot, h, req.payload.get("b_ref"), lu_kwargs)
+                            slot, h, req.payload.get("b_ref"),
+                            req.payload["lu_kwargs"])
                     except FactorizationError as exc:
                         failures[i] = exc
         for i, req in enumerate(group):
@@ -878,23 +856,8 @@ class SolverService:
                 x = x[:, 0]
             req.future._resolve(value=(x, handle))
 
-    @staticmethod
-    def _effective_lu_kwargs(group: list[Request],
-                             policy: DispatchPolicy) -> dict:
-        """The group's LU kwargs with the policy's dispatch-time panel
-        regime applied.  A request that pinned ``panel=`` itself always
-        wins; the regime fills the default only.  Safe to vary across
-        swaps: the fused and column-wise panel kernels run the same
-        elimination arithmetic (bitwise-identical results), they differ
-        only in launch structure."""
-        lu_kwargs = dict(group[0].payload["lu_kwargs"])
-        regime = getattr(policy, "panel_regime", None)
-        if regime is not None:
-            lu_kwargs.setdefault("panel", regime)
-        return lu_kwargs
-
-    def _run_getrs_group(self, slot: _Slot, group: list[Request],
-                         policy: DispatchPolicy) -> tuple[int, float]:
+    def _run_getrs_group(self, slot: _Slot, group: list[Request]
+                         ) -> tuple[int, float]:
         """One coalesced getrs over handles of any orders (re-uploaded).
 
         Mixed (``precision="fp32"``) groups run the same batched sweep
@@ -1125,46 +1088,19 @@ class SolverService:
                               device.profiler.launch_count - launch0,
                               1.0, 0, False)
 
-    def _dispatch_sparse_solve(self, slot: _Slot, group: list[Request],
-                               policy: DispatchPolicy) -> DispatchRecord:
-        """Sparse solves: per-request by default; same-session RHS
-        stacking when the policy opts in (rounding-level identity)."""
+    def _dispatch_sparse_solve(self, slot: _Slot, group: list[Request]
+                               ) -> DispatchRecord:
         device = slot.device
         launch0 = device.profiler.launch_count
-        session = group[0].payload["session"]
-        kwargs = dict(group[0].payload["kwargs"])
-        if len(group) == 1 or not policy.coalesce_sparse_rhs:
-            for req in group:
-                try:
-                    x, info = req.payload["session"].solve_on_device(
-                        req.payload["b"], **req.payload["kwargs"])
-                    self._note_sparse_info(info)
-                    req.future._resolve(value=(x, info))
-                except (*_SYSTEM_ERRORS, FactorizationError,
-                        RuntimeError) as exc:
-                    self._fail(req, self._caught(exc))
-        else:
-            cols = []
-            spans = []
-            for req in group:
-                b = req.payload["b"]
-                b2 = b if b.ndim == 2 else b[:, None]
-                spans.append((len(cols), len(cols) + b2.shape[1],
-                              b.ndim))
-                cols.extend(b2.T)
-            stacked = np.array(cols).T
+        for req in group:     # singleton keys: len(group) == 1
             try:
-                x, info = session.solve_on_device(stacked, **kwargs)
+                x, info = req.payload["session"].solve_on_device(
+                    req.payload["b"], **req.payload["kwargs"])
                 self._note_sparse_info(info)
-                for req, (lo, hi, ndim) in zip(group, spans):
-                    xi = x[:, lo:hi]
-                    req.future._resolve(
-                        value=(xi[:, 0] if ndim == 1 else xi, info))
+                req.future._resolve(value=(x, info))
             except (*_SYSTEM_ERRORS, FactorizationError,
                     RuntimeError) as exc:
-                self._caught(exc)
-                for req in group:
-                    self._fail(req, exc)
+                self._fail(req, self._caught(exc))
         device.synchronize()
         return DispatchRecord("sparse-solve", len(group),
                               device.profiler.launch_count - launch0,

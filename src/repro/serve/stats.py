@@ -150,11 +150,6 @@ class DispatchRecord:
     sim_seconds: float = 0.0  #: simulated host seconds the dispatch consumed
 
 
-#: recent request orders kept for the run-time size-distribution summary
-#: the autotuner keys on (a reservoir, not an exact history).
-_ORDER_RING = 512
-
-
 @dataclass
 class ServiceStats:
     """Aggregated service counters; every mutator is thread-safe.
@@ -176,7 +171,7 @@ class ServiceStats:
     rebudgets: int = 0       #: sparse memory-arbiter budget recomputations
     precision_fallbacks: int = 0  #: reduced-precision work redone in FP64
     refine_passes: int = 0        #: iterative-refinement correction sweeps
-    policy_swaps: int = 0         #: hot DispatchPolicy replacements
+    policy_swaps: int = 0         #: hot CoalescingPolicy replacements
     corruptions_detected: int = 0  #: CorruptionDetected caught dispatching
     kernel_reexecs: int = 0       #: ABFT re-execution rungs consumed
     degraded_dispatches: int = 0  #: dispatches run with the breaker open
@@ -194,7 +189,6 @@ class ServiceStats:
     isolated_dispatches: int = 0
     retries_total: int = 0
     _ring: deque = field(default=None, repr=False, compare=False)
-    _orders: deque = field(default=None, repr=False, compare=False)
     _plan_caches: list = field(default=None, repr=False, compare=False)
     _devices: dict = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
@@ -205,19 +199,16 @@ class ServiceStats:
             raise ValueError(f"dispatch_history must be >= 1, "
                              f"got {self.dispatch_history}")
         self._ring = deque(maxlen=self.dispatch_history)
-        self._orders = deque(maxlen=_ORDER_RING)
         self._plan_caches = []
         self._devices = {}
 
     # -- admission -----------------------------------------------------
-    def on_submit(self, depth: int, order: int | None = None) -> None:
+    def on_submit(self, depth: int) -> None:
         with self._lock:
             self.submitted += 1
             self.queue_depth = depth
             if depth > self.queue_peak:
                 self.queue_peak = depth
-            if order is not None:
-                self._orders.append(int(order))
 
     def on_reject(self) -> None:
         with self._lock:
@@ -382,15 +373,6 @@ class ServiceStats:
             if not self.dispatch_count:
                 return 0.0
             return self.occupancy_total / self.dispatch_count
-
-    def order_summary(self) -> dict:
-        """Size-distribution summary of recently admitted requests (the
-        run-time analogue of
-        :func:`~repro.batched.tuning.size_distribution_summary`)."""
-        from ..batched.tuning import size_distribution_summary
-        with self._lock:
-            orders = list(self._orders)
-        return size_distribution_summary(orders, orders)
 
     def snapshot(self) -> dict:
         """Point-in-time copy of every counter (safe to serialize).

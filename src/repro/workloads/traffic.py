@@ -311,7 +311,7 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
         clock.now = max(clock.now, ripe_t)
         group = svc._queue.collect_ready(policy_now, clock.now)
         if group is not None:
-            record = svc._safe_dispatch(group, policy_now)
+            record = svc._safe_dispatch(group)
             clock.advance(record.sim_seconds)
             res.dispatches += 1
             harvest()

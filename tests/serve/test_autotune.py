@@ -16,25 +16,25 @@ autotuner PR —
 * :meth:`~repro.serve.scheduler.ServiceFuture.result` raises a fresh,
   context-chained copy per waiter —
 
-plus feature tests for the tentpole: hot-swappable dispatch policies,
-SLO-aware hold budgets, the virtual-time traffic replay, and the
+plus feature tests for the tentpole: hot-swappable ``CoalescingPolicy``
+knobs, SLO-aware hold budgets, the virtual-time traffic replay, and the
 :class:`~repro.serve.autotune.OnlineAutotuner` decision loop
 (hysteresis, swap, rollback, cooldown).
 """
 
 import threading
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.batched.tuning import (autotune_getrf, representative_orders,
-                                  size_distribution_summary)
+from repro.batched.tuning import autotune_getrf
 from repro.device import A100, Device
 from repro.errors import (DeadlineExceeded, InfeasibleConfig,
                           RequestCancelled, ServiceOverloaded)
-from repro.serve import (AutotuneConfig, CoalescingPolicy, DispatchPolicy,
-                         LatencyHistogram, OnlineAutotuner, SolverService)
+from repro.serve import (AutotuneConfig, CoalescingPolicy, LatencyHistogram,
+                         OnlineAutotuner, SolverService)
 from repro.serve.autotune import Window, default_objective
 from repro.serve.scheduler import (AdmissionQueue, Request, ServiceFuture,
                                    getrs_key)
@@ -110,21 +110,6 @@ class TestTunerInfeasibility:
     def test_infeasible_is_a_valueerror_subclass(self):
         # backward compatibility: callers catching ValueError still work
         assert issubclass(InfeasibleConfig, ValueError)
-
-
-class TestRepresentativeOrders:
-    def test_draws_span_the_summary(self):
-        orders = [8, 12, 16, 16, 24, 48, 96]
-        summary = size_distribution_summary(orders, orders)
-        draws = representative_orders(summary, count=64, seed=5)
-        assert len(draws) == 64
-        assert all(summary["min"] <= d <= summary["max"] for d in draws)
-        # deterministic under a fixed seed
-        assert draws == representative_orders(summary, count=64, seed=5)
-
-    def test_degenerate_summary(self):
-        summary = size_distribution_summary([16] * 4, [16] * 4)
-        assert representative_orders(summary, count=6) == [16] * 6
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +297,7 @@ class TestAdmissionHardening:
         clock = VirtualClock()
         q, stats = fresh_queue(clock=clock)
         policy = CoalescingPolicy(max_batch=8, max_wait=10e-3,
-                                  max_queue=256, slo_hold_fraction=0.5)
+                                  max_queue=256)
         r = self.request(clock=clock, slo=4e-3)
         q.push(r, policy.max_queue)
         # hold capped at 0.5 · slo = 2 ms, well under max_wait
@@ -403,26 +388,42 @@ class TestFutureExceptionIsolation:
 
 
 # ----------------------------------------------------------------------
-# tentpole: pluggable, hot-swappable dispatch policies
+# tentpole: hot-swappable CoalescingPolicy knobs
 # ----------------------------------------------------------------------
 class TestPolicyHotSwap:
     def test_coalescing_policy_satisfies_protocol(self):
-        assert isinstance(CoalescingPolicy(), DispatchPolicy)
         p = CoalescingPolicy(max_batch=4, max_wait=1e-3)
-        assert p.group_limit(("getrf",)) == 4
-        assert p.wait_budget(("getrf",)) == 1e-3
-        assert p.replace(max_batch=8).max_batch == 8
+        assert p.describe() == {"max_batch": 4, "max_wait": 1e-3,
+                                "max_queue": 256}
+        q = p.replace(max_batch=8)
+        assert q.max_batch == 8
+        assert q.describe() == {**p.describe(), "max_batch": 8}
+        assert p.max_batch == 4               # a pure value: p unchanged
+        with pytest.raises(ValueError, match="max_batch"):
+            p.replace(max_batch=0)            # validation re-runs
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match="panel_regime"):
-            CoalescingPolicy(panel_regime="fused")
-        with pytest.raises(ValueError, match="slo_hold_fraction"):
-            CoalescingPolicy(slo_hold_fraction=0.0)
+        with pytest.raises(ValueError, match="max_batch"):
+            CoalescingPolicy(max_batch=0)
+        with pytest.raises(ValueError, match="max_wait"):
+            CoalescingPolicy(max_wait=-1e-3)
+        with pytest.raises(ValueError, match="max_queue"):
+            CoalescingPolicy(max_queue=0)
 
     def test_set_policy_rejects_non_policies(self):
         svc = inline_service()
+        # no duck typing: an object carrying every public attribute and
+        # method of a real policy is refused all the same
+        real = CoalescingPolicy()
+        look_alike = types.SimpleNamespace(**{
+            name: getattr(real, name) for name in dir(real)
+            if not name.startswith("_")})
+        for bad in (object(), look_alike):
+            with pytest.raises(TypeError):
+                svc.set_policy(bad)
         with pytest.raises(TypeError):
-            svc.set_policy(object())
+            SolverService(Device(A100()), policy=look_alike, start=False)
+        assert svc.stats.policy_swaps == 0
         svc.close()
 
     def test_hot_swap_preserves_queued_work_and_bits(self):
@@ -461,25 +462,6 @@ class TestPolicyHotSwap:
         assert svc.policy.max_wait == 0.0
         assert svc.stats.policy_swaps == 1
         svc.close()
-
-    def test_panel_regime_is_bitwise_neutral(self):
-        mats = [dense(n, seed=400 + n) for n in (8, 24, 40, 16)]
-        rhss = [np.random.default_rng(500 + n).standard_normal(n)
-                for n in (8, 24, 40, 16)]
-
-        results = {}
-        for regime in (None, "columnwise"):
-            svc = inline_service(max_batch=8, panel_regime=regime)
-            futs = [svc.submit_factor_solve(a, b)
-                    for a, b in zip(mats, rhss)]
-            svc.run_once()
-            results[regime] = [f.result(0) for f in futs]
-            svc.close()
-        for (x0, h0), (x1, h1) in zip(results[None],
-                                      results["columnwise"]):
-            assert np.array_equal(x0, x1)
-            assert np.array_equal(h0.lu, h1.lu)
-            assert np.array_equal(h0.ipiv, h1.ipiv)
 
     def test_solves_group_by_dtype_only(self):
         # orders on both sides of TRSM_BASE_NB, in two dtypes: one
@@ -577,7 +559,7 @@ class TestTrafficReplay:
         tuned = run_mix(
             mix, policy=base, seed=11, tune_every=5e-3,
             autotuner=lambda svc, clock: OnlineAutotuner(
-                svc, clock=clock, config=cfg, seed=11))
+                svc, clock=clock, config=cfg))
         assert tuned.tuner is not None
         assert tuned.tuner["windows"] > 0
         assert tuned.completed == static.completed == mix.count
@@ -594,15 +576,14 @@ def make_window(**kw):
                     completed=50, failed=0, expired=0, rejected=0,
                     dispatches=10, coalesced=100, launches=40,
                     occupancy=0.8, wait_p50=1e-3, wait_p99=1e-3,
-                    exec_p50=1e-3, queue_depth=0, orders={})
+                    exec_p50=1e-3, queue_depth=0)
     defaults.update(kw)
     return Window(**defaults)
 
 
 class TestOnlineAutotuner:
     CFG = AutotuneConfig(min_requests=1, min_dispatches=1, hysteresis=2,
-                         cooldown=2, rollback_tolerance=0.15,
-                         regime_trial_every=10_000)
+                         cooldown=2, rollback_tolerance=0.15)
 
     def tuner_with_windows(self, svc, windows):
         tuner = OnlineAutotuner(svc, config=self.CFG)
@@ -707,21 +688,16 @@ class TestOnlineAutotuner:
         svc.close()
 
     def test_mixed_order_window_moves_no_solve_grouping_knob(self):
-        # solves of any orders share one group per dtype, so a window
-        # mixing base-kernel and recursive orders gives the tuner no
-        # grouping to widen; only the panel micro-trial (armed by the
-        # non-empty orders) may move a knob
+        # solves of any orders share one group per dtype, so the tuner
+        # has no grouping knob to move: two calm windows (no shed work,
+        # no backlog, groups far from the cap) hold every knob still
         svc = inline_service()
         before = svc.policy.describe()
-        w = make_window(orders={"count": 30, "min": 8, "median": 40,
-                                "max": 200, "spread": 0.9})
-        tuner = self.tuner_with_windows(svc, [w, make_window(
-            orders=dict(w.orders))])
-        tuner.step()
+        tuner = self.tuner_with_windows(svc, [make_window(),
+                                              make_window()])
+        assert tuner.step().kind == "hold"
         act = tuner.step()
-        assert set(act.changes) <= {"panel_regime"}
-        after = svc.policy.describe()
-        before.pop("panel_regime")
-        after.pop("panel_regime")
-        assert after == before
+        assert act.kind == "hold" and act.changes == {}
+        assert svc.policy.describe() == before
+        assert svc.stats.policy_swaps == 0
         svc.close()

@@ -6,16 +6,17 @@ runner and keeps no compiled program.  A
 group's shapes must still replay the served factors, pivots and
 diagnostics bitwise: that is the contract any later change relies on if
 it replays recurring group signatures.  The service's own plan cache is
-checked here too: it is bounded by ``plan_cache_capacity`` and its
+checked here too: it is bounded by ``PLAN_CACHE_CAPACITY`` and its
 counters surface in the stats snapshot.
 """
 
 import numpy as np
 import pytest
 
+from repro.batched.engine import PlanCache
 from repro.batched.program import compile_workload
 from repro.device import A100, Device, FaultPlan, FaultRule
-from repro.serve import CoalescingPolicy, SolverService
+from repro.serve import CoalescingPolicy, SolverService, service
 
 pytestmark = [pytest.mark.serve, pytest.mark.compiled]
 
@@ -169,8 +170,9 @@ class TestRepairedRehearsal:
 
 
 class TestBoundedPlanCache:
-    def test_capacity_and_counters_in_snapshot(self):
-        svc = inline_service(plan_cache_capacity=2)
+    def test_capacity_and_counters_in_snapshot(self, monkeypatch):
+        monkeypatch.setattr(service, "PLAN_CACHE_CAPACITY", 2)
+        svc = inline_service()
         rng = np.random.default_rng(0)
         for m in (8, 12, 16, 20, 24):
             svc.factor(rng.standard_normal((m, m)) + 3.0 * m * np.eye(m))
@@ -181,18 +183,18 @@ class TestBoundedPlanCache:
         assert snap["misses"] > 0
         svc.close()
 
-    def test_unbounded_by_default(self):
+    def test_bounded_by_default(self):
         svc = inline_service()
         rng = np.random.default_rng(0)
         svc.factor(rng.standard_normal((8, 8)) + 24 * np.eye(8))
         snap = svc.stats.snapshot()["plan_cache"]
-        assert snap["capacity"] is None
+        assert snap["capacity"] == service.PLAN_CACHE_CAPACITY
         assert snap["evictions"] == 0
         svc.close()
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match="plan_cache_capacity"):
-            CoalescingPolicy(plan_cache_capacity=0)
+        with pytest.raises(ValueError, match="capacity"):
+            PlanCache(capacity=0)
 
 
 class TestServeReplayTraffic:

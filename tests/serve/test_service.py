@@ -416,30 +416,6 @@ class TestSparseSessions:
         assert svc._slots[0].arbiter.n_active == 0       # one-shot session closed
         svc.close()
 
-    def test_rhs_stacking_opt_in(self):
-        a = grid2d(8, 8)
-        rng = np.random.default_rng(7)
-        b1, b2 = rng.standard_normal(64), rng.standard_normal(64)
-        svc = inline_service(max_batch=4, coalesce_sparse_rhs=True)
-        fut = svc.submit_factor(a, backend="cpu")
-        svc.run_once()
-        sess = fut.result(0)
-        n0 = len(svc.stats.dispatches)
-        fa = svc.submit_solve(sess, b1)
-        fb = svc.submit_solve(sess, b2)
-        svc.run_once()
-        recs = svc.stats.dispatches[n0:]
-        assert len(recs) == 1 and recs[0].batch_size == 2
-        xa, _ = fa.result(0)
-        xb, _ = fb.result(0)
-        ref = SparseLU(a).analyze().factor(backend="cpu")
-        np.testing.assert_allclose(xa, ref.solve(b1)[0], rtol=1e-12,
-                                   atol=1e-14)
-        np.testing.assert_allclose(xb, ref.solve(b2)[0], rtol=1e-12,
-                                   atol=1e-14)
-        sess.close()
-        svc.close()
-
 
 class TestStats:
     def test_latency_histogram(self):

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from ..errors import TransferError
+from .kernel import KernelCost
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .simulator import Device
@@ -83,8 +84,7 @@ def _digest(data: np.ndarray) -> bytes:
 
 
 def _transfer_h2d(device: "Device", dest: np.ndarray, src: np.ndarray, *,
-                  verify: bool, site: str, account_empty: bool = True
-                  ) -> None:
+                  verify: bool, site: str) -> None:
     """Copy ``src`` into device-resident ``dest`` with bounded retries.
 
     Each attempt pays the bus (latency + bandwidth) exactly like the
@@ -93,8 +93,7 @@ def _transfer_h2d(device: "Device", dest: np.ndarray, src: np.ndarray, *,
     """
     want = _digest(src) if verify else None
     for attempt in range(1, MAX_TRANSFER_ATTEMPTS + 1):
-        if src.nbytes or account_empty:
-            device._account_transfer(src.nbytes)
+        device._account_transfer(src.nbytes)
         dest[...] = src
         if device._injector is not None and dest.size:
             device._injector.on_transfer("h2d", dest, site)
@@ -239,44 +238,91 @@ class DeviceArray:
                 f"shape={self.data.shape}, dtype={self.data.dtype})")
 
 
-def pack_to_device(device: "Device", blocks: Sequence[np.ndarray],
-                   dtype=None) -> DeviceArray:
-    """Stack equal-shape host blocks and upload them in ONE H2D transfer.
+def pack_to_device(device: "Device", blocks: Sequence,
+                   dtype=None) -> "DeviceArray | list[DeviceArray]":
+    """Stack blocks into ONE device allocation with ONE copy.
 
-    Returns a ``(len(blocks), *block_shape)`` :class:`DeviceArray`.  A
-    per-block ``from_host`` loop would charge the PCIE latency once per
-    block; packing host-side first pays it once for the whole stack —
-    the transfer pattern a pinned staging buffer gives a real solver.
-    An empty ``blocks`` list or zero-sized blocks allocate without any
-    transfer accounting (nothing crosses the bus).
+    ``blocks`` is a sequence of equal-shape blocks, returned as one
+    ``(len(blocks), *block_shape)`` :class:`DeviceArray`; or a list of
+    such lists, returned as a list of stacked views (one per inner
+    list) into one allocation, each view's ``base`` owning it.
 
-    Capacity is claimed *before* the host stack is built and released if
-    stacking or the transfer fails, so a mid-construction error leaves
-    ``device.allocated_bytes`` untouched.
+    Host blocks are stacked host-side and uploaded in one H2D transfer:
+    a per-block ``from_host`` loop would charge the PCIE latency once
+    per block, a staged stack pays it once (the transfer pattern a
+    pinned staging buffer gives a real solver).  Blocks already on
+    ``device`` (:class:`DeviceArray` views) are copied by one device
+    kernel, ``solve:pack``, and nothing crosses the bus.  Empty or
+    zero-sized blocks allocate without any transfer or launch.
+
+    Capacity is claimed *before* the stack is built and released if
+    stacking, the transfer or the copy kernel fails, so a failed pack
+    leaves ``device.allocated_bytes`` untouched.
     """
-    if not blocks:
-        shape: tuple[int, ...] = (0, 0, 0)
-        dt = np.dtype(dtype or np.float64)
+    nested = bool(blocks) and isinstance(blocks[0], (list, tuple))
+    stacks = [list(st) for st in blocks] if nested else [list(blocks)]
+    flat = [b for st in stacks for b in st]
+    on_device = [isinstance(b, DeviceArray) for b in flat]
+    if any(on_device) and not all(on_device):
+        raise ValueError("pack_to_device needs all-host or all-device "
+                         "blocks")
+    on_device = any(on_device)
+    if on_device and any(b.device is not device for b in flat):
+        raise ValueError("pack_to_device: a block lives on another device")
+    data = [b.data if on_device else np.asarray(b) for b in flat]
+    if dtype is not None:
+        dt = np.dtype(dtype)
+    elif data:
+        dt = np.result_type(*(d.dtype for d in data))
     else:
-        first = np.asarray(blocks[0])
-        shape = (len(blocks),) + first.shape
-        dt = np.dtype(dtype) if dtype is not None else \
-            np.result_type(*(np.asarray(b).dtype for b in blocks))
-    nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
+        dt = np.dtype(np.float64)
+    shapes, at = [], 0
+    for st in stacks:
+        part = data[at:at + len(st)]
+        if any(d.shape != part[0].shape for d in part):
+            raise ValueError("pack_to_device: the blocks of one stack "
+                             "must share a shape")
+        shapes.append((len(part),) + part[0].shape if part else (0, 0, 0))
+        at += len(part)
+    sizes = [int(np.prod(shape, dtype=np.int64)) for shape in shapes]
+    nbytes = sum(sizes) * dt.itemsize
     device._claim(nbytes, site="pack_to_device")
     try:
-        if not blocks:
-            stacked = np.empty(shape, dtype=dt)
-        else:
-            host = np.stack([np.asarray(b, dtype=dt) for b in blocks])
-            stacked = np.empty(shape, dtype=dt)
-            _transfer_h2d(device, stacked, host,
+        buf = np.empty(sum(sizes), dtype=dt)
+
+        def copy(dest: np.ndarray) -> None:
+            off = 0
+            for d in data:
+                dest[off:off + d.size].reshape(d.shape)[...] = d
+                off += d.size
+
+        if on_device and nbytes:
+            def kernel() -> KernelCost:
+                copy(buf)
+                # a streaming copy, one thread per element
+                return KernelCost(bytes_read=nbytes, bytes_written=nbytes,
+                                  blocks=-(-sum(sizes) // 256),
+                                  threads_per_block=256, kernel_class="swap")
+
+            device.launch("solve:pack", kernel)
+        elif nbytes:
+            staged = np.empty_like(buf)
+            copy(staged)
+            _transfer_h2d(device, buf, staged,
                           verify=device.verify_transfers,
-                          site="pack_to_device", account_empty=False)
+                          site="pack_to_device")
     except BaseException:
         device._release(nbytes)
         raise
-    return DeviceArray(device, stacked)
+    if not nested:
+        return DeviceArray(device, buf.reshape(shapes[0]))
+    owner = DeviceArray(device, buf)
+    views, off = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(DeviceArray(device, buf[off:off + size].reshape(shape),
+                                 base=owner))
+        off += size
+    return views
 
 
 def total_nbytes(shapes: Iterable[Sequence[int]], dtype) -> int:

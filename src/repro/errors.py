@@ -29,6 +29,9 @@ never a bare :class:`MemoryError` and never silent garbage.  Each error
 carries enough context (site, attempt count, the
 :class:`~repro.recovery.RecoveryLog` of actions already taken) for a
 caller to decide whether to re-run, re-budget, or re-host the work.
+:class:`FactorsReleased` marks factors whose blocks lived only in a
+device store that was dropped without a download: re-factor to use
+them again.
 
 Service failures
 ----------------
@@ -61,7 +64,7 @@ import numpy as np
 __all__ = ["FactorizationError", "PrecisionFallback", "TransferError",
            "KernelLaunchError", "ResourceExhausted", "CorruptionDetected",
            "ServiceOverloaded", "DeadlineExceeded", "RequestCancelled",
-           "ServiceDegraded", "InfeasibleConfig"]
+           "ServiceDegraded", "InfeasibleConfig", "FactorsReleased"]
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -133,6 +136,19 @@ class TransferError(RuntimeError):
         self.site = site
         self.direction = direction
         self.attempts = attempts
+
+
+class FactorsReleased(RuntimeError):
+    """Factor blocks were read after their device store was released.
+
+    A device factorization can leave its factors packed on the device
+    (``SparseLU.factor(backend="batched")``); the host copy is
+    downloaded on first read.  ``SparseLU.factor()``,
+    ``SparseLU.update_values()`` and ``ServeSession.close()`` drop that
+    store without downloading it, so reading the blocks of factors that
+    were never downloaded raises this error instead of returning stale
+    or missing data.
+    """
 
 
 class KernelLaunchError(RuntimeError):

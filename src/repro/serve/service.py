@@ -1055,6 +1055,12 @@ class SolverService:
         device = None if backend == "cpu" else slot.device
         solver.factor(backend=backend, device=device, **factor_kw)
         session = ServeSession(solver, slot.device, slot.arbiter)
+        # the factorization leaves its factors on the device: keep them
+        # there only within the session's share of the sparse budget
+        cache, share = solver.solve_cache, session.budget
+        if cache is not None and share is not None \
+                and cache.resident_nbytes > share:
+            cache.free()
         slot.sessions.append(session)
         return session
 

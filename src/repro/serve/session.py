@@ -127,8 +127,10 @@ class ServeSession:
     def close(self) -> None:
         """Release the session's device residency and its budget share.
 
-        Idempotent.  The remaining sessions' shares grow on their next
-        solve (the arbiter re-splits on unregister).
+        Idempotent.  The factors are dropped with the cache, without a
+        download (a closed session never solves again).  The remaining
+        sessions' shares grow on their next solve (the arbiter re-splits
+        on unregister).
         """
         if self._closed:
             return
@@ -137,7 +139,7 @@ class ServeSession:
         cache = self.solver.solve_cache
         if cache is not None:
             with cache.exclusive():
-                cache.free()
+                cache.release()
 
     def __enter__(self) -> "ServeSession":
         return self

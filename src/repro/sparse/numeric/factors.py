@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,57 @@ class FrontFactors:
     growth: float = 1.0
 
 
-@dataclass
 class MultifrontalFactors:
     """All front factors, in the symbolic postorder.
 
     ``report`` carries the factorization-wide breakdown diagnostics
     (``None`` for factors produced by paths that predate the robustness
     layer, e.g. the comparator baselines).
+
+    A device factorization given a solve store (``store=``) leaves the
+    blocks on the device, packed in that
+    :class:`~repro.sparse.numeric.solve_plan.DeviceFactorCache`; only
+    each front's pivots and diagnostics are on the host.  The first read
+    of :attr:`fronts` downloads the blocks, once.  Once the store is
+    released without that download, reading :attr:`fronts` raises
+    :class:`~repro.errors.FactorsReleased`.
     """
 
-    symb: SymbolicFactorization
-    fronts: list[FrontFactors] = field(default_factory=list)
-    report: "FactorReport | None" = None
+    def __init__(self, symb: SymbolicFactorization,
+                 fronts: list[FrontFactors] | None = None,
+                 report: "FactorReport | None" = None, *, dtype=None):
+        self.symb = symb
+        self._fronts = [] if fronts is None else fronts
+        self.report = report
+        #: the device store still holding some blocks, else ``None``
+        self.store = None
+        self._dtype = None if dtype is None else np.dtype(dtype)
+
+    @property
+    def fronts(self) -> list[FrontFactors]:
+        """Every front's blocks on the host (downloaded on first read)."""
+        store = self.store      # read once: another thread may clear it
+        if store is not None:
+            store.download()
+            self.store = None
+        return self._fronts
+
+    @fronts.setter
+    def fronts(self, fronts: list[FrontFactors]) -> None:
+        self._fronts = fronts
+        self.store = None
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The working dtype of the blocks (read without a download)."""
+        if self._dtype is not None:
+            return self._dtype
+        return self._fronts[0].f11.dtype if self._fronts \
+            else np.dtype(np.float64)
+
+    def pivots(self, fids) -> list[np.ndarray]:
+        """The pivot vectors of ``fids``; they are always on the host."""
+        return [self._fronts[f].ipiv for f in fids]
 
     def nnz(self) -> int:
         return sum(f.f11.size + f.f12.size + f.f21.size

@@ -47,6 +47,7 @@ from ...errors import CorruptionDetected, FactorizationError, \
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
 from .report import FactorReport
+from .solve_plan import DeviceFactorCache
 
 __all__ = ["multifrontal_factor_gpu", "GpuFactorResult", "plan_traversals",
            "HYBRID_GEMM_CUTOFF", "STRUMPACK_BATCH_LIMIT"]
@@ -92,7 +93,9 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                             replace_scale: float | None = None,
                             breakdown: str = "raise",
                             engine="bucketed",
-                            host_fallback: bool = True) -> GpuFactorResult:
+                            host_fallback: bool = True,
+                            store: DeviceFactorCache | None = None
+                            ) -> GpuFactorResult:
     """Factor the permuted sparse matrix on the simulated device.
 
     ``engine`` selects the host execution path for the batched kernels
@@ -142,25 +145,40 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     :class:`~repro.errors.FactorizationError` carrying the report is
     raised once the traversal completes; ``breakdown="report"`` returns
     the quarantined factors with ``report.ok == False``.
+
+    ``store`` is an output argument: an empty
+    :class:`~repro.sparse.numeric.solve_plan.DeviceFactorCache` on
+    ``device``, laid out by a ``SolveLayout`` of ``symb``, with
+    ``factors=None``.  A single in-core traversal then packs each
+    level's F11/F21/F12 into it device to device once the level's
+    parents have assembled, and frees the level's fronts (at most two
+    adjacent levels of fronts are alive at once); the returned factors'
+    blocks stay in the store until something reads ``factors.fronts``.
+    The packs run inside the timed region, so ``elapsed`` includes
+    them, and the factors never cross the bus.  Out-of-core runs and
+    the host-fallback rung return host factors as without a store.
+    Either way the store then backs the returned factors, ready to
+    serve solves; a factorization that raises releases it.
     """
     return _factor_gpu(
         device, a_perm, symb, None, strategy=strategy, gemm_mode=gemm_mode,
         hybrid_cutoff=hybrid_cutoff, laswp_variant=laswp_variant, nb=nb,
         memory_budget=memory_budget, pivot_tol=pivot_tol,
         static_pivot=static_pivot, replace_scale=replace_scale,
-        breakdown=breakdown, engine=engine, host_fallback=host_fallback)
+        breakdown=breakdown, engine=engine, host_fallback=host_fallback,
+        store=store)
 
 
 def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
                 hybrid_cutoff, laswp_variant, nb, memory_budget, pivot_tol,
                 static_pivot, replace_scale, breakdown, engine,
-                host_fallback) -> GpuFactorResult:
+                host_fallback, store=None) -> GpuFactorResult:
     """:func:`multifrontal_factor_gpu`; a ``resident`` dict takes over
     the device state of a successful single in-core traversal (see
     :func:`_attempt_factorization`) instead of it being freed."""
     a_perm, a_dev_bytes = check_factor_args(
         a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
-        breakdown=breakdown)
+        breakdown=breakdown, store=store, devices=(device,))
     memory_budget = validate_memory_budget(memory_budget)
     engine = resolve_engine(engine)
     mark = device.recovery_log.mark()
@@ -181,7 +199,7 @@ def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
             host_factors, region, n_chunks = _attempt_factorization(
                 device, a_perm, symb, budget, a_dev_bytes, strategy,
                 gemm_mode, hybrid_cutoff, laswp_variant, nb, engine,
-                pivot_tol, static_pivot, replace_scale, resident)
+                pivot_tol, static_pivot, replace_scale, resident, store)
             break
         except KernelLaunchError as exc:
             failure = exc       # already retried per level: persistent,
@@ -208,10 +226,13 @@ def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
             device.recovery_log.record(
                 "host-fallback", site="gpu_factor",
                 detail=f"{type(failure).__name__}: {failure}")
-            return _host_fallback_result(
+            res = _host_fallback_result(
                 device, a_perm, symb, mark, pivot_tol=pivot_tol,
                 static_pivot=static_pivot, replace_scale=replace_scale,
                 breakdown=breakdown)
+            if store is not None:
+                store.bind(res.factors)
+            return res
         raise ResourceExhausted(
             f"device factorization failed after exhausting its recovery "
             f"options ({recovery.summary()})", log=recovery) from failure
@@ -219,13 +240,15 @@ def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
     return factor_result(device, symb, host_factors, region, n_chunks,
                          mark, pivot_tol=pivot_tol,
                          static_pivot=static_pivot,
-                         replace_scale=replace_scale, breakdown=breakdown)
+                         replace_scale=replace_scale, breakdown=breakdown,
+                         dtype=a_perm.dtype, store=store)
 
 
-def check_factor_args(a_perm, symb, *, strategy, gemm_mode,
-                      breakdown) -> tuple[sp.csr_matrix, int]:
+def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
+                      store=None, devices=()) -> tuple[sp.csr_matrix, int]:
     """Validate the options every device factorization shares; return
-    ``a_perm`` as CSR and the bytes its device copy takes."""
+    ``a_perm`` as CSR and the bytes its device copy takes.  A ``store``
+    must be a fresh one on one of ``devices``, laid out for ``symb``."""
     if strategy not in ("batched", "looped", "strumpack"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if gemm_mode not in ("irr", "vendor", "hybrid"):
@@ -235,25 +258,28 @@ def check_factor_args(a_perm, symb, *, strategy, gemm_mode,
     a_perm = sp.csr_matrix(a_perm)
     if a_perm.shape[0] != symb.n:
         raise ValueError("matrix size does not match the symbolic analysis")
+    if store is not None and (store.factors is not None
+                              or store.layout.symb is not symb
+                              or all(store.device is not d
+                                     for d in devices)):
+        raise ValueError("store must be an empty DeviceFactorCache "
+                         "(factors=None) on the factorization's device, "
+                         "laid out by a SolveLayout of this analysis")
     return a_perm, (a_perm.data.nbytes + a_perm.indices.nbytes
                     + a_perm.indptr.nbytes)
 
 
 def factor_result(device, symb, host_factors, region, n_chunks, mark, *,
-                  pivot_tol, static_pivot, replace_scale,
-                  breakdown) -> GpuFactorResult:
+                  pivot_tol, static_pivot, replace_scale, breakdown,
+                  dtype=None, store=None) -> GpuFactorResult:
     """The report-and-result tail of a device factorization: aggregate
     the per-front diagnostics, attach the recovery slice since ``mark``
-    and raise on breakdown under ``breakdown="raise"``."""
-    out = MultifrontalFactors(symb=symb)
-    out.fronts = [host_factors[fid] for fid in range(len(symb.fronts))]
-
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
-    out.report.recovery = device.recovery_log.since(mark)
-    if breakdown == "raise" and not out.report.ok:
-        raise FactorizationError(out.report.summary(), out.report)
+    and raise on breakdown under ``breakdown="raise"`` (releasing the
+    ``store``); else the store backs the returned factors."""
+    out = finish_factors(symb, host_factors, device.recovery_log.since(mark),
+                         pivot_tol=pivot_tol, static_pivot=static_pivot,
+                         replace_scale=replace_scale, breakdown=breakdown,
+                         dtype=dtype, store=store)
 
     counters = {k: region[k] for k in region if k != "elapsed"}
     counters["traversals"] = n_chunks
@@ -263,24 +289,45 @@ def factor_result(device, symb, host_factors, region, n_chunks, mark, *,
                            report=out.report)
 
 
+def finish_factors(symb, host_factors, recovery, *, pivot_tol,
+                   static_pivot, replace_scale, breakdown, dtype,
+                   store) -> MultifrontalFactors:
+    """The factors of a finished traversal with their report and its
+    ``recovery`` log.  Under ``breakdown="raise"`` a breakdown raises
+    and releases the ``store``; else the store backs the factors."""
+    out = MultifrontalFactors(
+        symb, [host_factors[fid] for fid in range(len(symb.fronts))],
+        dtype=dtype)
+    out.report = FactorReport.from_factors(
+        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
+        replace_scale=replace_scale)
+    out.report.recovery = recovery
+    if breakdown == "raise" and not out.report.ok:
+        if store is not None:
+            store.release()
+        raise FactorizationError(out.report.summary(), out.report)
+    if store is not None:
+        store.bind(out)
+    return out
+
+
 def download_fronts(symb, fids, buffers, pivots_of, diag_of,
                     host_factors, host_schur=None, *,
                     release: bool) -> None:
     """Bring finished fronts' factors and diagnostics to the host (the
     Schur blocks a later traversal needs into ``host_schur``);
-    ``release`` frees each front's buffer once it is down."""
+    ``release`` frees each front's buffer once it is down.  Fronts
+    already in ``host_factors`` (packed into a store) are skipped."""
     fid_set = set(fids)
     for fid in fids:
+        if fid in host_factors:
+            continue
         info = symb.fronts[fid]
         s = info.sep_size
         data = buffers[fid].to_host()
-        d_info, d_rep, d_minp, d_growth = diag_of.get(
-            fid, (0, 0, np.inf, 1.0))
-        host_factors[fid] = FrontFactors(
-            f11=data[:s, :s].copy(), ipiv=pivots_of[fid].copy(),
-            f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
-            info=d_info, n_replaced=d_rep, min_pivot=d_minp,
-            growth=d_growth)
+        host_factors[fid] = _front_record(
+            fid, pivots_of, diag_of, f11=data[:s, :s].copy(),
+            f12=data[:s, s:].copy(), f21=data[s:, :s].copy())
         if host_schur is not None and info.parent >= 0 \
                 and info.parent not in fid_set and info.upd_size:
             host_schur[fid] = data[s:, s:].copy()
@@ -288,15 +335,90 @@ def download_fronts(symb, fids, buffers, pivots_of, diag_of,
             buffers.pop(fid).free()
 
 
+def _front_record(fid, pivots_of, diag_of, *, f11, f12,
+                  f21) -> FrontFactors:
+    d_info, d_rep, d_minp, d_growth = diag_of.get(fid, (0, 0, np.inf, 1.0))
+    return FrontFactors(f11=f11, ipiv=pivots_of[fid].copy(), f12=f12,
+                        f21=f21, info=d_info, n_replaced=d_rep,
+                        min_pivot=d_minp, growth=d_growth)
+
+
+def factor_levels(device, symb, fids, run_level, buffers, pivots_of,
+                  diag_of, host_factors, store=None) -> None:
+    """Factor ``fids`` level by level, deepest first, through
+    ``run_level(level_fids)``.
+
+    With a ``store`` on ``device``, a tree level that runs here whole,
+    and whose parent level does too, is packed into the store once the
+    next level (its parents') has committed — a retried parent level
+    re-reads the children's Schur blocks, so not earlier.  Its fronts
+    then keep only pivots and diagnostics on the host, and its front
+    buffers are freed: at most two adjacent levels of fronts are alive
+    at once.  Other levels keep their buffers for the caller.
+    """
+    packs = store is not None and store.device is device
+    in_run = set(fids)
+    by_depth = {symb.fronts[lev[0]].level: lev for lev in symb.levels()}
+
+    def whole(depth) -> bool:
+        return all(f in in_run for f in by_depth.get(depth, ()))
+
+    pending = None
+    for level_fids in _chunk_levels(symb, fids):
+        run_level(level_fids)
+        if pending is not None:
+            _pack_level(device, symb, pending, buffers, pivots_of, diag_of,
+                        host_factors, store)
+        depth = symb.fronts[level_fids[0]].level
+        pending = level_fids if packs and whole(depth) \
+            and whole(depth - 1) else None
+    if pending is not None:
+        _pack_level(device, symb, pending, buffers, pivots_of, diag_of,
+                    host_factors, store)
+
+
+def _pack_level(device, symb, fids, buffers, pivots_of, diag_of,
+                host_factors, store) -> None:
+    """Pack one finished tree level into the store, record its fronts
+    (blocks pending in the store; a front without a separator has only
+    empty blocks) and free their buffers.  A rejected pack launch is
+    retried like a level transaction's."""
+    li = store.layout.level_of_depth.get(symb.fronts[fids[0]].level)
+    for attempt in range(1, _MAX_LEVEL_RETRIES + 1):
+        try:
+            if li is not None:
+                store.pack(li, buffers)
+            break
+        except KernelLaunchError as exc:
+            if attempt >= _MAX_LEVEL_RETRIES:
+                raise
+            device.recovery_log.record("launch-retry", site=exc.kernel,
+                                       attempt=attempt, detail=str(exc))
+    for fid in fids:
+        info = symb.fronts[fid]
+        front = buffers.pop(fid)
+        if info.sep_size:
+            blocks = dict(f11=None, f12=None, f21=None)
+        else:
+            u, dt = info.upd_size, front.dtype
+            blocks = dict(f11=np.empty((0, 0), dt), f12=np.empty((0, u), dt),
+                          f21=np.empty((u, 0), dt))
+        host_factors[fid] = _front_record(fid, pivots_of, diag_of, **blocks)
+        front.free()
+
+
 def _attempt_factorization(device, a_perm, symb, memory_budget,
                            a_dev_bytes, strategy, gemm_mode, hybrid_cutoff,
                            laswp_variant, nb, engine, pivot_tol,
-                           static_pivot, replace_scale, resident) -> tuple:
+                           static_pivot, replace_scale, resident,
+                           store) -> tuple:
     """One full traversal under a given budget; exception-safe accounting.
 
     Any failure releases every device allocation this attempt made (the
-    uploaded A, live front buffers) before propagating, so a failed
-    attempt leaves ``device.allocated_bytes`` exactly where it started.
+    uploaded A, live front buffers, levels packed into ``store``)
+    before propagating, so a failed attempt leaves
+    ``device.allocated_bytes`` exactly where it started.  A single
+    in-core traversal packs into ``store`` (see :func:`factor_levels`).
     With a ``resident`` dict, a successful single in-core traversal
     hands its device state over instead — ``buffers``, ``pivots_of``,
     ``diag_of`` and the uploaded-A bytes ``a_dev_bytes`` — to a compiled
@@ -305,6 +427,8 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
     chunks = plan_traversals(symb, memory_budget,
                              itemsize=a_perm.dtype.itemsize)
     streaming = len(chunks) > 1
+    if streaming:
+        store = None
 
     buffers: dict[int, DeviceArray] = {}
     pivots_of: dict[int, np.ndarray] = {}
@@ -313,6 +437,13 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
     host_factors: dict[int, FrontFactors] = {}
     kept = False
 
+    def run_level(level_fids) -> None:
+        _run_level(device, a_perm, symb, level_fids, buffers, pivots_of,
+                   strategy, gemm_mode, hybrid_cutoff, laswp_variant, nb,
+                   host_schur=host_schur, engine=engine, diag_of=diag_of,
+                   pivot_tol=pivot_tol, static_pivot=static_pivot,
+                   replace_scale=replace_scale)
+
     # Upload the sparse matrix (outside the timed factorization region,
     # as a solver would hold A on the device already).
     device._claim(a_dev_bytes, site="gpu_factor:a_csr")
@@ -320,14 +451,8 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
         device._account_transfer(a_dev_bytes)
         with device.timed_region() as region:
             for chunk in chunks:
-                for level_fids in _chunk_levels(symb, chunk):
-                    _run_level(device, a_perm, symb, level_fids, buffers,
-                               pivots_of, strategy, gemm_mode,
-                               hybrid_cutoff, laswp_variant, nb,
-                               host_schur=host_schur, engine=engine,
-                               diag_of=diag_of, pivot_tol=pivot_tol,
-                               static_pivot=static_pivot,
-                               replace_scale=replace_scale)
+                factor_levels(device, symb, chunk, run_level, buffers,
+                              pivots_of, diag_of, host_factors, store)
                 if streaming:
                     # stream the finished traversal back to the host
                     download_fronts(symb, chunk, buffers, pivots_of,
@@ -343,6 +468,10 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
                                 diag_of=diag_of, a_dev_bytes=a_dev_bytes)
                 kept = True
         return host_factors, region, len(chunks)
+    except BaseException:
+        if store is not None:
+            store.release()
+        raise
     finally:
         if not kept:
             for arr in buffers.values():
@@ -607,9 +736,9 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     consumed = _assemble_level(device, a_perm, symb, fids, buffers,
                                host_schur=host_schur)
 
-    # Children buffers have been consumed by the extend-add; the factor
-    # blocks were already harvested... they are still needed for download,
-    # so buffers are retained until the end of the factorization.
+    # Children buffers stay alive until this level commits (a retry
+    # re-reads their Schur blocks); factor_levels then packs them into a
+    # store or keeps them for the download.
 
     if strategy == "batched":
         _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,

@@ -87,10 +87,8 @@ def _upload_level(device: Device, factors: MultifrontalFactors,
 def _promote_rhs(factors: MultifrontalFactors,
                  b: np.ndarray) -> tuple[np.ndarray, bool]:
     """Copy ``b`` promoted against the factor dtype; report 1-D squeeze."""
-    bh = np.array(b, dtype=np.result_type(
-        np.asarray(b).dtype,
-        factors.fronts[0].f11.dtype if factors.fronts else np.float64),
-        copy=True)
+    bh = np.array(b, dtype=np.result_type(np.asarray(b).dtype,
+                                          factors.dtype), copy=True)
     squeeze = bh.ndim == 1
     if squeeze:
         bh = bh[:, None]
@@ -239,7 +237,7 @@ def _solve_planned(device: Device, factors: MultifrontalFactors,
     eng = plan.engine
     nrhs_total = bh.shape[1]
     itemsize = bh.dtype.itemsize
-    block = nrhs_total if rhs_block is None else max(int(rhs_block), 1)
+    block = max(nrhs_total if rhs_block is None else int(rhs_block), 1)
 
     x_dev = device.from_host(bh)
     levels = plan.levels
@@ -258,7 +256,7 @@ def _solve_planned(device: Device, factors: MultifrontalFactors,
 
     try:
         with device.timed_region() as region:
-            for c0 in range(0, max(nrhs_total, 1), block):
+            for c0 in range(0, nrhs_total, block):
                 c1 = min(c0 + block, nrhs_total)
                 nrhs = c1 - c0
                 xb = x_dev.data[:, c0:c1]
@@ -323,10 +321,12 @@ def multifrontal_solve_gpu(device: Device, factors: MultifrontalFactors,
     ``engine="naive"`` (or ``None``) runs the streamed per-front
     reference path; the default bucketed engine runs the plan-driven
     path.  A ``plan`` must come from :class:`SolvePlan` over these
-    ``factors``; a ``cache`` must wrap that plan (its engine is used for
-    the TRSM calls, so plan-cache state persists across solves).  With no
-    ``cache``, a one-shot streaming cache is used and freed — repeated
-    callers should hold both and pass them in (``SparseLU.solve`` does).
+    ``factors`` (its engine is used for the TRSM calls, so plan-cache
+    state persists across solves); a ``cache`` must share its layout —
+    built over that plan, or the store the factorization packed into.
+    With no ``cache``, a one-shot streaming cache is used and freed —
+    repeated callers should hold both and pass them in
+    (``SparseLU.solve`` does).
 
     Factors whose :class:`FactorReport` records an unrecovered pivot
     breakdown are refused with a :class:`~repro.errors.FactorizationError`

@@ -46,13 +46,13 @@ from ...batched.engine import resolve_engine
 from ...device.node import Node
 from ...device.simulator import Device
 from ...device.spec import XEON_6140_2S
-from ...errors import FactorizationError
 from ...recovery import RecoveryLog
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
-from .gpu_factor import HYBRID_GEMM_CUTOFF, _chunk_levels, _run_level, \
-    check_factor_args, download_fronts
+from .gpu_factor import HYBRID_GEMM_CUTOFF, _run_level, \
+    check_factor_args, download_fronts, factor_levels, finish_factors
 from .report import FactorReport
+from .solve_plan import DeviceFactorCache
 
 __all__ = ["partition_tree", "RankAssignment",
            "multifrontal_factor_sharded", "ShardedFactorResult"]
@@ -177,7 +177,8 @@ def multifrontal_factor_sharded(
         pivot_tol: float = 0.0, static_pivot: bool = False,
         replace_scale: float | None = None, breakdown: str = "raise",
         engine="bucketed", top_mode: str = "slate",
-        top_device: int = 0) -> ShardedFactorResult:
+        top_device: int = 0,
+        store: DeviceFactorCache | None = None) -> ShardedFactorResult:
     """Factor the permuted sparse matrix across the node's devices.
 
     Subtrees run on concurrent per-device timelines through the same
@@ -198,10 +199,21 @@ def multifrontal_factor_sharded(
     ``"report"`` returns the quarantined factors with ``report.ok ==
     False``.  See the module docstring for the parity contract with
     the single-device path.
+
+    ``store`` is the output argument of
+    :func:`~repro.sparse.numeric.gpu_factor.multifrontal_factor_gpu`,
+    on one of the node's devices (normally ``node[top_device]``).  The
+    rule is per level: a level whose fronts all ran on the store's
+    device, together with their parents, is packed there as on one
+    device; any other level is downloaded.  So on a 1-device node every
+    level is packed (the same launches as ``multifrontal_factor_gpu``),
+    on a 4-device node the top part's depths 0–1 are, and with
+    ``top_mode="scalapack"`` (the top part runs on a scratch device)
+    none is.
     """
     a_perm, a_dev_bytes = check_factor_args(
         a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
-        breakdown=breakdown)
+        breakdown=breakdown, store=store, devices=list(node))
     if top_mode not in ("slate", "scalapack"):
         raise ValueError(f"unknown top_mode {top_mode!r}")
     if not 0 <= top_device < len(node):
@@ -221,25 +233,29 @@ def multifrontal_factor_sharded(
         """Factor one device's fronts; stream results to the host store.
 
         Identical level transactions to the single-device traversal
-        (same engine, same pivot policy, same recovery ladder); the
-        download/harvest happens outside the timed region, as the
-        single-device path does.
+        (same engine, same pivot policy, same recovery ladder, the same
+        packs into ``store``); the download/harvest of the other levels
+        happens outside the timed region, as the single-device path
+        does.
         """
         if not fids:
             return 0.0
         buffers: dict = {}
         pivots_of: dict = {}
         diag_of: dict[int, tuple[int, int, float, float]] = {}
+
+        def run_level(level_fids) -> None:
+            _run_level(device, a_perm, symb, level_fids, buffers,
+                       pivots_of, strategy, gemm_mode, hybrid_cutoff,
+                       laswp_variant, nb, host_schur=host_schur,
+                       engine=engine, diag_of=diag_of, pivot_tol=pivot_tol,
+                       static_pivot=static_pivot,
+                       replace_scale=replace_scale)
+
         try:
             with device.timed_region() as region:
-                for level_fids in _chunk_levels(symb, fids):
-                    _run_level(device, a_perm, symb, level_fids, buffers,
-                               pivots_of, strategy, gemm_mode,
-                               hybrid_cutoff, laswp_variant, nb,
-                               host_schur=host_schur, engine=engine,
-                               diag_of=diag_of, pivot_tol=pivot_tol,
-                               static_pivot=static_pivot,
-                               replace_scale=replace_scale)
+                factor_levels(device, symb, fids, run_level, buffers,
+                              pivots_of, diag_of, host_factors, store)
             download_fronts(symb, fids, buffers, pivots_of, diag_of,
                             host_factors, host_schur, release=True)
         finally:
@@ -295,21 +311,21 @@ def multifrontal_factor_sharded(
                 top_seconds = flops / (rate * max(eff, 1e-3))
                 run_fronts(Device(node.spec), assign.top_fronts)
                 node[top_device].host_compute(top_seconds)
+    except BaseException:
+        if store is not None:
+            store.release()
+        raise
     finally:
         for d in claimed:
             node[d]._release(a_dev_bytes)
 
-    out = MultifrontalFactors(symb=symb)
-    out.fronts = [host_factors[fid] for fid in range(len(symb.fronts))]
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
     events: list = []
     for dev, mark in zip(node, marks):
         events.extend(dev.recovery_log.since(mark).events)
-    out.report.recovery = RecoveryLog(events)
-    if breakdown == "raise" and not out.report.ok:
-        raise FactorizationError(out.report.summary(), out.report)
+    out = finish_factors(symb, host_factors, RecoveryLog(events),
+                         pivot_tol=pivot_tol, static_pivot=static_pivot,
+                         replace_scale=replace_scale, breakdown=breakdown,
+                         dtype=a_perm.dtype, store=store)
 
     return ShardedFactorResult(
         factors=out, assignment=assign,

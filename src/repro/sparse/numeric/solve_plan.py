@@ -7,22 +7,30 @@ it re-uploaded every factor level, re-applied pivots row-by-row in
 Python, and scatter-updated front-by-front with ``np.subtract.at``.
 This module precomputes everything that depends only on the factors:
 
-* :class:`SolvePlan` — built once per factorization.  Per level it
-  stores the *rehearsed* pivot permutation (the row-by-row swap loop
-  becomes one fancy-index gather, reusing the rehearsal machinery of
-  :class:`~repro.batched.engine.BatchEngine`), the concatenated
-  update-index arrays with segment boundaries, the conflict-free scatter
-  *rounds* (see below) and the shape buckets for the ``f21 @ y`` /
-  ``f12 @ x`` update GEMMs.
+* :class:`SolveLayout` — built once per symbolic analysis.  Per level
+  it stores the concatenated update-index arrays with segment
+  boundaries, the conflict-free scatter *rounds* (see below) and the
+  shape buckets for the ``f21 @ y`` / ``f12 @ x`` update GEMMs.  None
+  of it depends on pivots, so it serves every factorization of one
+  analysis, and a factorization can pack into a cache laid out by it
+  before any pivot is known.
+
+* :class:`SolvePlan` — built once per factorization over a layout.  It
+  adds the *rehearsed* pivot permutation per level (the row-by-row swap
+  loop becomes one fancy-index gather, reusing the rehearsal machinery
+  of :class:`~repro.batched.engine.BatchEngine`).
 
 * :class:`DeviceFactorCache` — keeps the factor blocks device-resident
   across solves: per level, the ``f11`` pivot blocks as an
   :class:`~repro.batched.interface.IrrBatch` (for irrTRSM) and the
-  ``f21``/``f12`` blocks packed into contiguous per-bucket stacks, each
-  uploaded in **one** H2D transfer.  A ``memory_budget`` keeps only the
-  levels that fit resident; the rest fall back to the seed's streaming
-  uploads (upload, use, free) — mirroring the out-of-core factorization
-  mode.
+  ``f21``/``f12`` blocks packed into contiguous per-bucket stacks.  It
+  fills either from host factors (each level part uploaded on first
+  use, one H2D transfer per bucket and per ``f11`` block) or, as the
+  *store* of a device factorization, by device-to-device packs of the
+  factorization's own fronts (one copy per level part, no transfer at
+  all).  A ``memory_budget`` keeps only the levels that fit resident;
+  the rest fall back to the seed's streaming uploads (upload, use,
+  free) — mirroring the out-of-core factorization mode.
 
 Bitwise-identity contract
 -------------------------
@@ -47,7 +55,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,11 +64,13 @@ from ...batched.interface import IrrBatch
 from ...device.memory import DeviceOutOfMemory, pack_to_device, \
     validate_memory_budget
 from ...device.simulator import Device
+from ...errors import FactorsReleased
+from ..symbolic.analysis import SymbolicFactorization
 from .factors import MultifrontalFactors
 from .report import check_factors_ok
 
-__all__ = ["SolvePlan", "DeviceFactorCache", "LevelSolvePlan",
-           "SolveBucket", "LevelFactorBlocks"]
+__all__ = ["SolveLayout", "SolvePlan", "DeviceFactorCache",
+           "LevelSolvePlan", "SolveBucket", "LevelFactorBlocks"]
 
 
 @dataclass
@@ -91,16 +101,16 @@ class SolveBucket:
 
 @dataclass
 class LevelSolvePlan:
-    """Precomputed execution structure of one assembly-tree level."""
+    """Precomputed execution structure of one assembly-tree level.
+
+    A :class:`SolveLayout` level carries the structure only; its
+    :class:`SolvePlan` copy adds the rehearsed pivot gather.
+    """
 
     fids: list[int]           #: fronts with ``sep_size > 0``, front order
     sep_m: np.ndarray         #: per-front separator sizes (int64)
     sep_starts: np.ndarray    #: per-front first global sep row
     max_sep: int
-    # rehearsed pivot application: one gather replaces the swap loops
-    piv_dst: np.ndarray       #: global rows that move (destinations)
-    piv_src: np.ndarray       #: their source rows after all swaps
-    swaps_total: int          #: off-diagonal pivot count (cost parity)
     # update structure (fronts with ``upd_size > 0`` only)
     upd_rows: np.ndarray      #: concatenated global update rows
     rounds: list[tuple[np.ndarray, np.ndarray]]  #: (rows, positions)
@@ -109,10 +119,21 @@ class LevelSolvePlan:
     sum_us: int = 0           #: Σ upd·sep over active fronts
     sum_u: int = 0            #: Σ upd over active fronts
     sum_s_active: int = 0     #: Σ sep over active fronts
+    # rehearsed pivot application: one gather replaces the swap loops
+    piv_dst: np.ndarray = field(      #: global rows that move
+        default_factory=lambda: np.empty(0, dtype=np.int64))
+    piv_src: np.ndarray = field(      #: their source rows after all swaps
+        default_factory=lambda: np.empty(0, dtype=np.int64))
+    swaps_total: int = 0      #: off-diagonal pivot count (cost parity)
 
     @property
     def nfronts(self) -> int:
         return len(self.fids)
+
+    @property
+    def elements(self) -> int:
+        """Factor elements the level holds (f11 + f21 + f12)."""
+        return int(np.sum(self.sep_m * self.sep_m) + 2 * self.sum_us)
 
 
 def _build_rounds(upd_rows: np.ndarray
@@ -141,53 +162,41 @@ def _build_rounds(upd_rows: np.ndarray
             for r in range(n_rounds)]
 
 
-class SolvePlan:
-    """Per-level execution plan built once from the numeric factors.
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    Owns a :class:`~repro.batched.engine.BatchEngine` so the TRSM/DCWI
-    plans cached during the first solve are reused by every later solve
-    (including the refinement passes of one ``SparseLU.solve`` call).
+
+class SolveLayout:
+    """The per-level structure of the solve sweeps, from the symbolic
+    analysis alone.
+
+    Levels hold the fronts with ``sep_size > 0``, deepest level first;
+    ``level_of_depth`` maps a tree depth (``FrontInfo.level``) to its
+    level index.  :class:`~repro.sparse.solver.SparseLU` builds one per
+    :meth:`~repro.sparse.solver.SparseLU.analyze` and reuses it across
+    ``update_values``.
     """
 
-    def __init__(self, factors: MultifrontalFactors, *,
-                 engine: BatchEngine | None = None):
-        check_factors_ok(factors, "build a solve plan")
-        self.factors = factors
-        self.symb = factors.symb
-        self.engine = engine if isinstance(engine, BatchEngine) \
-            else BatchEngine()
-        self.dtype = (factors.fronts[0].f11.dtype if factors.fronts
-                      else np.dtype(np.float64))
+    def __init__(self, symb: SymbolicFactorization):
+        self.symb = symb
         self.levels: list[LevelSolvePlan] = []
-        for fids in self.symb.levels():
-            fids = [f for f in fids if self.symb.fronts[f].sep_size > 0]
+        self.level_of_depth: dict[int, int] = {}
+        for fids in symb.levels():
+            depth = symb.fronts[fids[0]].level
+            fids = [f for f in fids if symb.fronts[f].sep_size > 0]
             if fids:
+                self.level_of_depth[depth] = len(self.levels)
                 self.levels.append(self._build_level(fids))
 
-    # ------------------------------------------------------------------
     def _build_level(self, fids: list[int]) -> LevelSolvePlan:
-        symb, factors = self.symb, self.factors
-        infos = [symb.fronts[f] for f in fids]
+        infos = [self.symb.fronts[f] for f in fids]
         sep_m = np.array([i.sep_size for i in infos], dtype=np.int64)
         sep_starts = np.array([i.sep_begin for i in infos], dtype=np.int64)
-
-        # Rehearse every front's swap sequence into one permutation.
-        perm, swaps = BatchEngine._rehearse_permutation(
-            [factors.fronts[f].ipiv for f in fids], int(sep_m.max()))
-        dst_parts, src_parts = [], []
-        for i, info in enumerate(infos):
-            s = info.sep_size
-            moved = np.nonzero(perm[i, :s] != np.arange(s))[0]
-            if len(moved):
-                dst_parts.append(info.sep_begin + moved)
-                src_parts.append(info.sep_begin + perm[i, moved])
-        cat = lambda parts: (np.concatenate(parts) if parts  # noqa: E731
-                             else np.empty(0, dtype=np.int64))
 
         # Active fronts (upd_size > 0): concatenated update rows, the
         # scatter rounds, and the (u, s) shape buckets.
         act = [(i, info) for i, info in enumerate(infos) if info.upd_size]
-        upd_rows = cat([info.upd for _i, info in act])
+        upd_rows = _cat([info.upd for _i, info in act])
         seg_starts = np.zeros(len(act), dtype=np.int64)
         if act:
             sizes = np.array([info.upd_size for _i, info in act],
@@ -197,8 +206,6 @@ class SolvePlan:
         lp = LevelSolvePlan(
             fids=fids, sep_m=sep_m, sep_starts=sep_starts,
             max_sep=int(sep_m.max()),
-            piv_dst=cat(dst_parts), piv_src=cat(src_parts),
-            swaps_total=int(swaps.sum()),
             upd_rows=upd_rows, rounds=_build_rounds(upd_rows))
         if act:
             shapes = np.array([[info.upd_size, info.sep_size]
@@ -225,12 +232,52 @@ class SolvePlan:
             lp.sum_s_active = int(np.sum(shapes[:, 1]))
         return lp
 
+
+class SolvePlan:
+    """Per-level execution plan built once from the numeric factors.
+
+    Rehearses the factors' pivots over a :class:`SolveLayout` (built
+    here unless one is passed).  Owns a
+    :class:`~repro.batched.engine.BatchEngine` so the TRSM/DCWI plans
+    cached during the first solve are reused by every later solve
+    (including the refinement passes of one ``SparseLU.solve`` call).
+    """
+
+    def __init__(self, factors: MultifrontalFactors, *,
+                 engine: BatchEngine | None = None,
+                 layout: SolveLayout | None = None):
+        check_factors_ok(factors, "build a solve plan")
+        self.factors = factors
+        self.symb = factors.symb
+        if layout is None:
+            layout = SolveLayout(self.symb)
+        elif layout.symb is not self.symb:
+            raise ValueError("the layout belongs to another symbolic "
+                             "analysis")
+        self.layout = layout
+        self.engine = engine if isinstance(engine, BatchEngine) \
+            else BatchEngine()
+        self.dtype = factors.dtype
+        self.levels = [self._rehearse(lp) for lp in layout.levels]
+
+    def _rehearse(self, lp: LevelSolvePlan) -> LevelSolvePlan:
+        """The layout level plus its rehearsed pivot gather: every
+        front's swap sequence becomes one permutation."""
+        perm, swaps = BatchEngine._rehearse_permutation(
+            self.factors.pivots(lp.fids), lp.max_sep)
+        dst_parts, src_parts = [], []
+        for i, (s, start) in enumerate(zip(lp.sep_m, lp.sep_starts)):
+            moved = np.nonzero(perm[i, :s] != np.arange(s))[0]
+            if len(moved):
+                dst_parts.append(start + moved)
+                src_parts.append(start + perm[i, moved])
+        return replace(lp, piv_dst=_cat(dst_parts), piv_src=_cat(src_parts),
+                       swaps_total=int(swaps.sum()))
+
     # ------------------------------------------------------------------
     def level_nbytes(self, lp: LevelSolvePlan) -> int:
         """Device bytes a resident level holds (f11 + stacked f21/f12)."""
-        itemsize = np.dtype(self.dtype).itemsize
-        return int(itemsize * (np.sum(lp.sep_m * lp.sep_m)
-                               + 2 * lp.sum_us))
+        return np.dtype(self.dtype).itemsize * lp.elements
 
     def total_nbytes(self) -> int:
         return sum(self.level_nbytes(lp) for lp in self.levels)
@@ -246,7 +293,8 @@ class LevelFactorBlocks:
     ``f11`` is an :class:`IrrBatch` (consumed by irrTRSM); ``f21_stacks``
     / ``f12_stacks`` are per-bucket contiguous 3-D stacks, parallel to
     ``LevelSolvePlan.buckets``.  Parts are uploaded lazily: a streamed
-    forward pass needs only ``f11`` + ``f21``.
+    forward pass needs only ``f11`` + ``f21``.  A packed level part is
+    one allocation whose members are views (their ``base`` owns it).
     """
 
     def __init__(self) -> None:
@@ -256,15 +304,12 @@ class LevelFactorBlocks:
 
     def free(self) -> None:
         """Release the level's device memory (idempotent)."""
-        if self.f11 is not None:
-            self.f11.free()
-            self.f11 = None
+        arrays = list(self.f11.arrays) if self.f11 is not None else []
         for stacks in (self.f21_stacks, self.f12_stacks):
-            if stacks is not None:
-                for arr in stacks:
-                    arr.free()
-        self.f21_stacks = None
-        self.f12_stacks = None
+            arrays += stacks or []
+        for arr in arrays:
+            (arr.base or arr).free()
+        self.f11 = self.f21_stacks = self.f12_stacks = None
 
     def __enter__(self) -> "LevelFactorBlocks":
         return self
@@ -273,9 +318,32 @@ class LevelFactorBlocks:
         self.free()
 
 
+class _ReleasedStore:
+    """A factors' ``store`` once :meth:`DeviceFactorCache.release`
+    dropped blocks only the store held: reading them raises.  It also
+    breaks the factors <-> store cycle, so the old factors' host blocks
+    are freed as soon as nothing else holds them."""
+
+    def download(self) -> None:
+        raise FactorsReleased("factor blocks were released on the device "
+                              "without a download; re-factor")
+
+
+def _download_part(views: list) -> list[np.ndarray]:
+    """One D2H transfer of a packed level part, split host-side into
+    arrays shaped like its ``views``."""
+    flat = views[0].base.to_host()
+    out, off = [], 0
+    for v in views:
+        out.append(flat[off:off + v.data.size].reshape(v.shape))
+        off += v.data.size
+    return out
+
+
 class DeviceFactorCache:
     """Device-resident factor storage shared across repeated solves.
 
+    ``plan`` is a :class:`SolvePlan` or its :class:`SolveLayout`.
     ``memory_budget=None`` keeps every level resident (the first solve
     uploads each level once; later solves — including iterative
     refinement — perform **zero** factor uploads).  A positive integer
@@ -285,6 +353,18 @@ class DeviceFactorCache:
     Non-resident levels are streamed per use exactly like the seed path
     (the internal ``_stream_all`` flag forces that mode for one-shot
     solves).
+
+    As a factorization's *store* (``factors=None``, passed as
+    ``store=`` to :func:`~repro.sparse.numeric.gpu_factor.
+    multifrontal_factor_gpu` or :func:`~repro.sparse.numeric.shard.
+    multifrontal_factor_sharded`), the cache is filled by
+    :meth:`pack` instead: each level's blocks are copied device to
+    device from the factorization's fronts, and the cache then backs
+    the factors it returns.  Those levels exist only on the device until
+    :meth:`download` brings them to the host factors — on the first read
+    of ``factors.fronts``, and before :meth:`free`, a budget or device
+    change (``SparseLU`` frees the old cache) or an :meth:`evict_lru`
+    drops them.  :meth:`release` drops them without a download.
 
     Under memory pressure the cache *spills*: when an upload hits a
     :class:`~repro.device.memory.DeviceOutOfMemory`, the least recently
@@ -297,27 +377,32 @@ class DeviceFactorCache:
     :class:`~repro.sparse.solver.SparseLU` handle may be solved from
     several threads (a serving layer multiplexes many sessions onto one
     device).  Every mutating entry point (:meth:`acquire`,
-    :meth:`evict_lru`, :meth:`free`) takes the cache's re-entrant lock,
-    and a whole solve brackets itself with :meth:`exclusive` so a
-    concurrent solve on the same handle cannot interleave its uploads
-    with this solve's evictions (the interleaving that used to corrupt
-    residency bookkeeping).  The lock serializes solves per handle;
-    distinct handles (distinct caches) proceed independently.
+    :meth:`evict_lru`, :meth:`free`, :meth:`download`,
+    :meth:`release`) takes the cache's re-entrant lock, and a whole
+    solve brackets itself with :meth:`exclusive` so a concurrent solve
+    on the same handle cannot interleave its uploads with this solve's
+    evictions (the interleaving that used to corrupt residency
+    bookkeeping).  The lock serializes solves per handle; distinct
+    handles (distinct caches) proceed independently.
     """
 
-    def __init__(self, device: Device, factors: MultifrontalFactors,
-                 plan: SolvePlan, *, memory_budget: int | None = None,
+    def __init__(self, device: Device,
+                 factors: MultifrontalFactors | None,
+                 plan: "SolvePlan | SolveLayout", *,
+                 memory_budget: int | None = None,
                  _stream_all: bool = False):
         check_factors_ok(factors, "cache factors on the device")
         self.device = device
         self.factors = factors
-        self.plan = plan
+        self.layout = plan.layout if isinstance(plan, SolvePlan) else plan
         self.memory_budget = validate_memory_budget(memory_budget)
         self._stream_all = bool(_stream_all)
         self.uploads = 0          #: level-part upload events
         self.hits = 0             #: resident re-uses
         self.evictions = 0        #: OOM-pressure spills
         self._resident: dict[int, LevelFactorBlocks] = {}
+        self._packed: set[int] = set()    # resident, not on the host
+        self._lost: set[int] = set()      # released while packed
         self._tick = 0
         self._last_use: dict[int, int] = {}
         self._lock = threading.RLock()
@@ -334,16 +419,18 @@ class DeviceFactorCache:
             yield self
 
     # ------------------------------------------------------------------
+    def _level_nbytes(self, li: int) -> int:
+        return self.factors.dtype.itemsize * self.layout.levels[li].elements
+
     def _choose_resident(self) -> set[int]:
         if self._stream_all:
             return set()
-        sizes = [(self.plan.level_nbytes(lp), li)
-                 for li, lp in enumerate(self.plan.levels)]
         if self.memory_budget is None:
-            return {li for _nb, li in sizes}
+            return set(range(len(self.layout.levels)))
         chosen: set[int] = set()
         used = 0
-        for nb, li in sorted(sizes):
+        for nb, li in sorted((self._level_nbytes(li), li)
+                             for li in range(len(self.layout.levels))):
             if used + nb <= self.memory_budget:
                 chosen.add(li)
                 used += nb
@@ -352,24 +439,25 @@ class DeviceFactorCache:
     def evict_lru(self, *, exclude: int | None = None) -> int | None:
         """Spill the least recently used uploaded level; return its index.
 
-        The level's device blocks are freed (the host copy is
-        authoritative) and the level drops out of the resident set, so
-        later acquires stream it.  Returns ``None`` when nothing is
-        uploaded to evict.
+        The level's device blocks are freed (downloaded to the host
+        factors first if they exist only here) and the level drops out
+        of the resident set, so later acquires stream it.  Returns
+        ``None`` when nothing is uploaded to evict.
         """
         with self._lock:
             candidates = [li for li in self._resident if li != exclude]
             if not candidates:
                 return None
             li = min(candidates, key=lambda li: self._last_use.get(li, -1))
+            if li in self._packed:
+                self._download_level(li)
             self._resident.pop(li).free()
             self._resident_set.discard(li)
             self._last_use.pop(li, None)
             self.evictions += 1
         self.device.recovery_log.record(
             "cache-evict", site="DeviceFactorCache",
-            detail=f"level {li} "
-                   f"({self.plan.level_nbytes(self.plan.levels[li])} bytes)")
+            detail=f"level {li} ({self._level_nbytes(li)} bytes)")
         return li
 
     @property
@@ -378,31 +466,131 @@ class DeviceFactorCache:
 
     @property
     def resident_nbytes(self) -> int:
-        return sum(self.plan.level_nbytes(self.plan.levels[li])
-                   for li in self._resident_set)
+        return sum(self._level_nbytes(li) for li in self._resident_set)
 
     # ------------------------------------------------------------------
-    def _upload_f11(self, lp: LevelSolvePlan) -> IrrBatch:
+    def pack(self, li: int, buffers) -> None:
+        """Pack level ``li`` from a factorization's front buffers.
+
+        ``buffers`` maps front ids to their ``(order, order)`` device
+        arrays.  Each level part (the f11 blocks, the f21 stacks, the
+        f12 stacks) takes one :func:`pack_to_device` call: one
+        allocation, one device-to-device copy.  The level is then
+        resident and exists only here until :meth:`download`.  A failed
+        pack leaves nothing behind.
+        """
+        lp = self.layout.levels[li]
+        blocks = LevelFactorBlocks()
+        try:
+            f11 = pack_to_device(self.device, [
+                [buffers[f][:s, :s]] for f, s in zip(lp.fids, lp.sep_m)])
+            blocks.f11 = IrrBatch(self.device, [st[0] for st in f11],
+                                  lp.sep_m, lp.sep_m)
+            blocks.f21_stacks, blocks.f12_stacks = [], []
+            if lp.buckets:
+                blocks.f21_stacks = pack_to_device(self.device, [
+                    [buffers[f][b.s:, :b.s] for f in b.fids]
+                    for b in lp.buckets])
+                blocks.f12_stacks = pack_to_device(self.device, [
+                    [buffers[f][:b.s, b.s:] for f in b.fids]
+                    for b in lp.buckets])
+        except BaseException:
+            blocks.free()
+            raise
+        with self._lock:
+            self._resident[li] = blocks
+            self._packed.add(li)
+
+    def _download_level(self, li: int) -> None:
+        """D2H level ``li``'s packed parts (one transfer each) into its
+        fronts' host records, each block its own array as a per-front
+        download gives; the level stays resident."""
+        lp = self.layout.levels[li]
+        blocks = self._resident[li]
+        f11 = _download_part(blocks.f11.arrays)
+        f21 = _download_part(blocks.f21_stacks) if lp.buckets else []
+        f12 = _download_part(blocks.f12_stacks) if lp.buckets else []
+        records = self.factors._fronts
+        for f, blk in zip(lp.fids, f11):
+            rec = records[f]
+            rec.f11 = blk.copy()
+            rec.f21 = np.empty((0, blk.shape[0]), dtype=blk.dtype)
+            rec.f12 = np.empty((blk.shape[0], 0), dtype=blk.dtype)
+        for b, s21, s12 in zip(lp.buckets, f21, f12):
+            for j, f in enumerate(b.fids):
+                records[f].f21 = s21[j].copy()
+                records[f].f12 = s12[j].copy()
+        self._packed.discard(li)
+
+    def bind(self, factors: MultifrontalFactors) -> None:
+        """Make this store back ``factors``, the result of the
+        factorization that packed into it: while levels exist only
+        here, reading ``factors.fronts`` downloads them."""
+        with self._lock:
+            self.factors = factors
+            factors.store = self if self._packed else None
+
+    def download(self) -> None:
+        """Bring every level that exists only on the device to the host
+        factors (one D2H transfer per level part, once); the levels stay
+        resident.  Raises :class:`~repro.errors.FactorsReleased` when
+        :meth:`release` dropped such levels, and the typed
+        :class:`~repro.errors.TransferError` when a transfer keeps
+        failing (the levels not yet down stay packed)."""
+        with self._lock:
+            if self._lost:
+                raise FactorsReleased(
+                    f"{len(self._lost)} factor level(s) were released on "
+                    f"the device without a download; re-factor")
+            self._download_packed()
+
+    def _download_packed(self) -> None:
+        for li in sorted(self._packed):
+            self._download_level(li)
+
+    def release(self) -> None:
+        """Free all device memory without downloading.  Levels that
+        existed only on the device are lost: reading the blocks of the
+        factors they back raises :class:`~repro.errors.FactorsReleased`.
+        """
+        with self._lock:
+            if self.factors is not None and self._packed:
+                self._lost |= self._packed
+                self.factors.store = _ReleasedStore()
+            self._packed.clear()
+            self._free_resident()
+
+    # ------------------------------------------------------------------
+    def _host_fronts(self, li: int) -> list:
+        """Level ``li``'s host records.  Read directly, so streaming a
+        level never downloads the levels still packed here."""
+        if li in self._lost:
+            raise FactorsReleased(
+                f"factor level {li} was released on the device without "
+                f"a download; re-factor")
+        return [self.factors._fronts[f] for f in self.layout.levels[li].fids]
+
+    def _upload_f11(self, li: int) -> IrrBatch:
+        lp = self.layout.levels[li]
         arrays = []
         try:
-            for f in lp.fids:
-                arrays.append(
-                    self.device.from_host(self.factors.fronts[f].f11))
+            for rec in self._host_fronts(li):
+                arrays.append(self.device.from_host(rec.f11))
         except BaseException:
             for a in arrays:
                 a.free()
             raise
         return IrrBatch(self.device, arrays, lp.sep_m, lp.sep_m)
 
-    def _upload_stacks(self, lp: LevelSolvePlan, which: str) -> list:
+    def _upload_stacks(self, li: int, which: str) -> list:
         """Pack one bucket's f21/f12 blocks and upload in one transfer."""
+        records = self.factors._fronts
         stacks = []
         try:
-            for b in lp.buckets:
-                blocks = [getattr(self.factors.fronts[f], which)
-                          for f in b.fids]
+            for b in self.layout.levels[li].buckets:
+                blocks = [getattr(records[f], which) for f in b.fids]
                 stacks.append(pack_to_device(self.device, blocks,
-                                             dtype=self.plan.dtype))
+                                             dtype=self.factors.dtype))
         except BaseException:
             for s in stacks:
                 s.free()
@@ -411,15 +599,14 @@ class DeviceFactorCache:
 
     def _acquire_once(self, li: int,
                       part: str) -> tuple[LevelFactorBlocks, bool]:
-        lp = self.plan.levels[li]
         if li in self._resident_set:
             blocks = self._resident.get(li)
             if blocks is None:
                 blocks = LevelFactorBlocks()
                 try:
-                    blocks.f11 = self._upload_f11(lp)
-                    blocks.f21_stacks = self._upload_stacks(lp, "f21")
-                    blocks.f12_stacks = self._upload_stacks(lp, "f12")
+                    blocks.f11 = self._upload_f11(li)
+                    blocks.f21_stacks = self._upload_stacks(li, "f21")
+                    blocks.f12_stacks = self._upload_stacks(li, "f12")
                 except BaseException:
                     blocks.free()
                     raise
@@ -432,11 +619,11 @@ class DeviceFactorCache:
             return blocks, False
         blocks = LevelFactorBlocks()
         try:
-            blocks.f11 = self._upload_f11(lp)
+            blocks.f11 = self._upload_f11(li)
             if part == "fwd":
-                blocks.f21_stacks = self._upload_stacks(lp, "f21")
+                blocks.f21_stacks = self._upload_stacks(li, "f21")
             else:
-                blocks.f12_stacks = self._upload_stacks(lp, "f12")
+                blocks.f12_stacks = self._upload_stacks(li, "f12")
         except BaseException:
             blocks.free()
             raise
@@ -465,15 +652,20 @@ class DeviceFactorCache:
                         raise
 
     def free(self) -> None:
-        """Release all resident device memory (the cache stays usable)."""
+        """Release all resident device memory (the cache stays usable):
+        levels that exist only on the device are downloaded first."""
         with self._lock:
-            for blocks in self._resident.values():
-                blocks.free()
-            self._resident.clear()
-            self._last_use.clear()
+            self._download_packed()
+            self._free_resident()
+
+    def _free_resident(self) -> None:
+        for blocks in self._resident.values():
+            blocks.free()
+        self._resident.clear()
+        self._last_use.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"DeviceFactorCache(levels={len(self.plan.levels)}, "
+        return (f"DeviceFactorCache(levels={len(self.layout.levels)}, "
                 f"resident={len(self._resident_set)}, "
-                f"uploads={self.uploads}, hits={self.hits}, "
-                f"evictions={self.evictions})")
+                f"packed={len(self._packed)}, uploads={self.uploads}, "
+                f"hits={self.hits}, evictions={self.evictions})")

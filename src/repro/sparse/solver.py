@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from ..batched.engine import resolve_engine
 from ..batched.program import GuardTripped, PayloadMismatch
 from ..device.memory import DeviceOutOfMemory, validate_memory_budget
+from ..device.node import Node
 from ..device.simulator import Device
 from ..errors import FactorizationError, KernelLaunchError, \
     PrecisionFallback, ResourceExhausted, TransferError
@@ -46,7 +47,7 @@ from .numeric.program import compile_factor_program, factor_policy, \
     same_structure
 from .numeric.report import FactorReport, check_factors_ok
 from .numeric.shard import multifrontal_factor_sharded
-from .numeric.solve_plan import DeviceFactorCache, SolvePlan
+from .numeric.solve_plan import DeviceFactorCache, SolveLayout, SolvePlan
 from .numeric.triangular import multifrontal_solve
 from .ordering.mc64 import mc64
 from .ordering.nested_dissection import DEFAULT_LEAF_SIZE, nested_dissection
@@ -133,6 +134,7 @@ class SparseLU:
         self.leaf_size = leaf_size
         self._analyzed = False
         self._factored = False
+        self._layout: SolveLayout | None = None
         self.factor_result: GpuFactorResult | None = None
         self.factor_report: FactorReport | None = None
         self._solve_state: tuple | None = None
@@ -168,8 +170,26 @@ class SparseLU:
         self.nd = nested_dissection(self.a_pre, leaf_size=self.leaf_size)
         self.a_perm = self.a_pre[self.nd.perm][:, self.nd.perm].tocsr()
         self.symb = symbolic_analysis(self.a_perm, self.nd)
+        self._layout = None
         self._analyzed = True
         return self
+
+    def _solve_layout(self) -> SolveLayout:
+        """The solve layout of this analysis: built on first use, kept
+        across :meth:`update_values` (it does not depend on values)."""
+        if self._layout is None:
+            self._layout = SolveLayout(self.symb)
+        return self._layout
+
+    def _drop_solve_state(self) -> None:
+        """Release the solve cache without downloading it: factors it
+        still held become unreadable
+        (:class:`~repro.errors.FactorsReleased`).  Taken under the solve
+        lock so a concurrent device solve finishes its sweep first."""
+        with self._solve_lock:
+            if self._solve_state is not None:
+                self._solve_state[3].release()
+                self._solve_state = None
 
     # ------------------------------------------------------------------
     # phase 2
@@ -191,6 +211,16 @@ class SparseLU:
         the factors are bitwise identical to ``backend="batched"`` on a
         single device, and :meth:`solve` works as usual (pass one of the
         node's member devices, or no device for the host path).
+
+        ``backend="batched"`` (without ``engine="compiled"`` or a
+        ``memory_budget``) and ``backend="sharded"`` keep the factors on
+        the device, already in the layout the solve reads: the
+        factorization packs each level into the
+        :class:`DeviceFactorCache` that becomes :attr:`solve_cache`
+        (on ``node[top_device]`` for a node), so device solves there
+        upload nothing.  ``factors.fronts`` downloads the host blocks
+        on first read; see :class:`~repro.sparse.numeric.factors.
+        MultifrontalFactors`.
 
         ``precision="fp32"`` factors in the reduced working precision
         (float32, or complex64 for complex matrices): the permuted
@@ -218,7 +248,9 @@ class SparseLU:
         raised :class:`~repro.errors.FactorizationError` still leaves
         the report behind for inspection, but the solver stays
         un-factored and any cached solve plan / device factor cache from
-        a previous factorization is invalidated up front.
+        a previous factorization is released up front, without a
+        download (the previous factors' blocks are then unreadable if
+        they were never read).
         """
         if not self._analyzed:
             self.analyze()
@@ -231,13 +263,8 @@ class SparseLU:
         native = self.a_perm.dtype
         work = _REDUCED_OF[native] if precision == "fp32" else native
         # Invalidate eagerly: a failed re-factorization must not leave a
-        # stale plan/cache (or stale factors) serving solves.  Taken
-        # under the solve lock so a concurrent device solve finishes its
-        # sweep before the cache is freed out from under it.
-        with self._solve_lock:
-            if self._solve_state is not None:
-                self._solve_state[3].free()
-                self._solve_state = None
+        # stale plan/cache (or stale factors) serving solves.
+        self._drop_solve_state()
         self._factored = False
         self.factor_report = None
         self.precision = "fp32" if work != native else "fp64"
@@ -284,33 +311,50 @@ class SparseLU:
             self.factors = multifrontal_factor_cpu(a_num, self.symb, **kw)
             self.factor_result = None
             return
+        store = None
         if backend == "sharded":
-            from ..device.node import Node
             if not isinstance(device, Node):
                 raise ValueError(
                     "backend 'sharded' needs a multi-device Node "
                     "(repro.device.Node) as its device")
+            top = kw.get("top_device", 0)
+            if 0 <= top < len(device):
+                store = self._new_store(device[top])
             res = multifrontal_factor_sharded(device, a_num, self.symb,
-                                              **kw)
-            self.factors = res.factors
-            self.factor_result = res
-            return
-        if device is None:
-            raise ValueError(f"backend {backend!r} needs a device")
-        if backend == "batched":
-            if kw.get("engine") == "compiled":
-                res = self._factor_compiled_gpu(device, a_num, **kw)
-            else:
-                res = multifrontal_factor_gpu(device, a_num, self.symb,
-                                              strategy="batched", **kw)
-        elif backend == "looped":
-            res = naive_loop_factor(device, a_num, self.symb, **kw)
-        elif backend == "strumpack":
-            res = strumpack_like_factor(device, a_num, self.symb, **kw)
+                                              store=store, **kw)
         else:
-            res = superlu_like_factor(device, a_num, self.symb, **kw)
+            if device is None:
+                raise ValueError(f"backend {backend!r} needs a device")
+            if isinstance(device, Node):
+                raise ValueError(
+                    f"backend {backend!r} runs on one Device: pass one of "
+                    f"the node's devices (node[i]), or backend='sharded' "
+                    f"to factor across the node")
+            if backend == "batched":
+                if kw.get("engine") == "compiled":
+                    res = self._factor_compiled_gpu(device, a_num, **kw)
+                else:
+                    if kw.get("memory_budget") is None:
+                        store = self._new_store(device)
+                    res = multifrontal_factor_gpu(
+                        device, a_num, self.symb, strategy="batched",
+                        store=store, **kw)
+            elif backend == "looped":
+                res = naive_loop_factor(device, a_num, self.symb, **kw)
+            elif backend == "strumpack":
+                res = strumpack_like_factor(device, a_num, self.symb, **kw)
+            else:
+                res = superlu_like_factor(device, a_num, self.symb, **kw)
         self.factors = res.factors
         self.factor_result = res
+        if store is not None:
+            # the store becomes the solve cache of its device (unbudgeted)
+            self._solve_state = (store.device, None, None, store)
+
+    def _new_store(self, device: Device) -> DeviceFactorCache:
+        """An empty solve store on ``device`` for a factorization to
+        pack its levels into."""
+        return DeviceFactorCache(device, None, self._solve_layout())
 
     def _log_precision_fallback(self, device: Device | None, site: str,
                                 detail: str) -> RecoveryLog | None:
@@ -389,11 +433,13 @@ class SparseLU:
         """Install new numeric values on the same sparsity structure.
 
         The orderings and symbolic analysis are value-independent, so
-        they are kept; the solver drops back to un-factored and the next
-        :meth:`factor` call — with ``engine="compiled"`` — replays the
-        compiled level schedule instead of re-planning it.  Raises
-        :class:`ValueError` when the structure differs or MC64 scaling
-        is enabled (its permutation/scalings are value-dependent).
+        they are kept (the solve layout too); the solver drops back to
+        un-factored, releasing the solve cache without a download, and
+        the next :meth:`factor` call — with ``engine="compiled"`` —
+        replays the compiled level schedule instead of re-planning it.
+        Raises :class:`ValueError` when the structure differs or MC64
+        scaling is enabled (its permutation/scalings are
+        value-dependent).
         """
         if self.use_mc64:
             raise ValueError(
@@ -412,10 +458,7 @@ class SparseLU:
         if self._analyzed:
             self.a_pre = a
             self.a_perm = self.a_pre[self.nd.perm][:, self.nd.perm].tocsr()
-        with self._solve_lock:
-            if self._solve_state is not None:
-                self._solve_state[3].free()
-                self._solve_state = None
+        self._drop_solve_state()
         self._factored = False
         self.factor_result = None
         self.factor_report = None
@@ -431,18 +474,22 @@ class SparseLU:
 
         The plan depends only on the factors, so one plan serves every
         device/budget; the cache is rebuilt (and its device memory
-        freed) when the device or budget changes.  ``factor()``
-        invalidates both.
+        freed, levels that exist only there downloaded first) when the
+        device or budget changes.  The store a device factorization
+        installs gets its plan on first use.  ``factor()`` releases
+        both.
         """
         st = self._solve_state
+        plan = st[2] if st is not None and st[2] is not None else \
+            SolvePlan(self.factors, engine=engine,
+                      layout=self._solve_layout())
         if st is not None and st[0] is device and st[1] == memory_budget:
-            return st[2], st[3]
-        plan = st[2] if st is not None else \
-            SolvePlan(self.factors, engine=engine)
-        if st is not None:
-            st[3].free()
-        cache = DeviceFactorCache(device, self.factors, plan,
-                                  memory_budget=memory_budget)
+            cache = st[3]
+        else:
+            if st is not None:
+                st[3].free()
+            cache = DeviceFactorCache(device, self.factors, plan,
+                                      memory_budget=memory_budget)
         self._solve_state = (device, memory_budget, plan, cache)
         return plan, cache
 
@@ -570,11 +617,17 @@ class SparseLU:
         :class:`SolvePlan` + :class:`DeviceFactorCache` on first use and
         reuse them for every later solve against the same factors —
         including the refinement passes of this call — so repeated
-        solves pay no per-solve setup.  ``memory_budget`` bounds the
+        solves pay no per-solve setup.  After a device factorization
+        that cache is the factorization's own store, so solves on its
+        device upload no factors at all.  ``memory_budget`` bounds the
         cache's device bytes (``None`` = keep all factor levels
         resident); ``rhs_block`` blocks many-column ``b`` through the
         sweeps.  ``engine="naive"`` streams factors per solve (the
-        bitwise-identical reference path).
+        bitwise-identical reference path).  ``device`` must be one
+        :class:`Device`; on a :class:`~repro.device.node.Node`, pass
+        one of its devices (``node[i]``).  ``b`` must have ``n`` rows
+        (1-D, or 2-D with any number of columns, zero included); both
+        are checked before any work (:class:`ValueError`).
 
         Resource recovery: when the device path exhausts its options —
         a :class:`~repro.errors.ResourceExhausted`, a persistent
@@ -619,6 +672,13 @@ class SparseLU:
         """
         if not self._factored:
             raise RuntimeError("factor() must run before solve()")
+        if isinstance(device, Node):
+            raise ValueError("solve runs on one Device: pass one of the "
+                             "node's devices (node[i])")
+        b = np.asarray(b)
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(f"right-hand side has shape {b.shape}, "
+                             f"expected {self.n} rows")
         refine_steps = int(refine_steps)
         if refine_steps < 0:
             raise ValueError(
@@ -627,13 +687,17 @@ class SparseLU:
         check_factors_ok(self.factors, "solve")
         report = getattr(self.factors, "report", None)
         perturbed = report is not None and report.total_replaced > 0
-        b = np.asarray(b)
         b = b.astype(np.result_type(self.a.dtype, b.dtype), copy=False)
         # Device solves serialize on the handle (see ``_solve_lock``):
         # the shared plan / factor cache admit one logical solve at a
         # time, so a concurrent solve cannot interleave its cache
         # eviction with this one's upload.  Host-only solves are
-        # read-only over the factors and run lock-free.
+        # read-only over the factors and run lock-free, once the first
+        # one has downloaded factors a device factorization left in its
+        # store (that drives the device, so it serializes too).
+        if device is None and self.factors.store is not None:
+            with self._solve_lock:
+                self.factors.fronts
         with self._solve_lock if device is not None else nullcontext():
             eng = resolve_engine(engine)
             mark = device.recovery_log.mark() if device is not None else 0

@@ -73,6 +73,28 @@ class TestDeviceArraySemantics:
         assert stack.dtype == np.complex128
 
 
+    def test_pack_to_device_device_blocks_one_kernel(self, a100):
+        # blocks already on the device: one copy kernel, no bus transfer;
+        # nested lists give one stacked view per list, one allocation
+        src = a100.from_host(np.arange(24.0).reshape(4, 6))
+        t0, n0 = a100.profiler.transfer_count, a100.profiler.launch_count
+        bytes0 = a100.allocated_bytes
+        f11, f21 = pack_to_device(a100, [[src[:2, :2]],
+                                         [src[2:, :2], src[2:, 2:4]]])
+        assert a100.profiler.transfer_count == t0
+        assert a100.profiler.launch_count == n0 + 1
+        assert f11.shape == (1, 2, 2) and f21.shape == (2, 2, 2)
+        assert f11.base is f21.base
+        np.testing.assert_array_equal(f21.data[1], src.data[2:, 2:4])
+        assert a100.allocated_bytes - bytes0 == 12 * 8
+        f21.base.free()
+        assert a100.allocated_bytes == bytes0
+        with pytest.raises(ValueError, match="all-host or all-device"):
+            pack_to_device(a100, [src[:2, :2], np.ones((2, 2))])
+        with pytest.raises(ValueError, match="share a shape"):
+            pack_to_device(a100, [src[:2, :2], src[:3, :2]])
+
+
 class TestProfilerAccounting:
     def test_snapshot_diff_isolates_region(self, a100):
         a100.launch("x", None, KernelCost(flops=1e6, blocks=4))

@@ -172,6 +172,20 @@ class TestBudgetsAndStats:
             s.close()
         svc.close()
 
+    def test_opened_session_holds_no_more_than_its_share(self, rng):
+        # the factorization leaves the factors on the device; a session
+        # whose share cannot hold them keeps them on the host instead
+        svc = make(1, sparse_memory_budget=4096)
+        s, = drain(svc, [svc.submit_factor(sparse_grid(12, 9))])
+        slot = svc._slots[0]
+        assert s.solver.solve_cache.resident_nbytes > slot.arbiter.share()
+        assert slot.device.allocated_bytes == 0
+        (x, info), = drain(svc, [svc.submit_solve(s, rng.standard_normal(
+            108))])
+        assert info.final_residual < 1e-13
+        s.close()
+        svc.close()
+
     def test_snapshot_device_schema(self):
         svc = make(2)
         drain(svc, [svc.submit_factor_solve(a, b)

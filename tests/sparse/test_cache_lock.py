@@ -10,6 +10,7 @@ the solves stay bitwise-identical to sequential execution and the
 device accounting stays exact.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -101,6 +102,39 @@ class TestSharedHandleSolves:
         _run_threads(worker)
         solver.solve_cache.free()
         assert dev.allocated_bytes == 0
+
+
+class TestStoreBackedHandle:
+    def test_host_and_device_solves_share_one_download(self):
+        # The factorization's store backs the handle: the first host
+        # solve downloads it while device solves sweep the same levels.
+        def factored():
+            s = SparseLU(grid2d(12, 12)).analyze()
+            s.factor(backend="batched", device=Device(A100()))
+            return s
+
+        solver, ref = factored(), factored()
+        dev = solver.solve_cache.device
+        held = dev.allocated_bytes
+        rng = np.random.default_rng(5)
+        rhs = [rng.standard_normal(144) for _ in range(N_THREADS)]
+        want = [ref.solve(b, device=ref.solve_cache.device)[0] if t % 2
+                else ref.solve(b)[0] for t, b in enumerate(rhs)]
+
+        def worker(tid):
+            for _ in range(N_SOLVES):
+                x, _info = solver.solve(rhs[tid],
+                                        device=dev if tid % 2 else None)
+                assert np.array_equal(x, want[tid])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert dev.allocated_bytes == held
+        assert solver.solve_cache.uploads == 0
 
 
 class TestCacheExclusive:

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.device import A100, Device
+from repro.device import A100, Device, Node
 from repro.sparse import SparseLU
 
 from .util import grid2d, grid3d, random_sparse
@@ -56,6 +56,48 @@ class TestPipeline:
         s = SparseLU(a).factor()
         x, info = s.solve(rng.standard_normal(36))
         assert info.final_residual < 1e-13
+
+
+class TestArgumentChecks:
+    """Bad devices and right-hand sides fail with one ValueError up
+    front, before any device work."""
+
+    def test_node_as_factor_device(self):
+        node = Node(A100(), 2)
+        s = SparseLU(grid2d(6, 6)).analyze()
+        with pytest.raises(ValueError, match=r"node\[i\].*'sharded'"):
+            s.factor(backend="batched", device=node)
+        assert all(d.profiler.launch_count == 0 for d in node)
+
+    def test_node_as_solve_device(self, rng):
+        node = Node(A100(), 2)
+        s = SparseLU(grid2d(6, 6)).factor()
+        with pytest.raises(ValueError, match=r"node\[i\]"):
+            s.solve(rng.standard_normal(36), device=node)
+        x, _ = s.solve(rng.standard_normal(36), device=node[1])
+        assert x.shape == (36,)
+
+    @pytest.mark.parametrize("rows", [35, 37])
+    @pytest.mark.parametrize("on_device", [False, True])
+    def test_rhs_row_count(self, rng, rows, on_device):
+        dev = Device(A100())
+        s = SparseLU(grid2d(6, 6)).analyze()
+        s.factor(backend="batched", device=dev)
+        launches = dev.profiler.launch_count
+        with pytest.raises(ValueError, match="expected 36 rows"):
+            s.solve(rng.standard_normal((rows, 2)),
+                    device=dev if on_device else None)
+        assert dev.profiler.launch_count == launches
+
+    @pytest.mark.parametrize("on_device", [False, True])
+    def test_zero_column_rhs(self, on_device):
+        dev = Device(A100())
+        s = SparseLU(grid2d(6, 6)).analyze()
+        s.factor(backend="batched", device=dev)
+        x, info = s.solve(np.zeros((36, 0)),
+                          device=dev if on_device else None)
+        assert x.shape == (36, 0)
+        assert info.final_residual == 0.0
 
 
 class TestMc64Integration:

@@ -73,7 +73,7 @@ def irr_getrs(device: Device, factored: IrrBatch, pivots: PanelPivots,
     if len(factored) != len(rhs):
         raise ValueError("factor and rhs batches must have equal size")
     if check_info:
-        device.host_step(lambda: _check_info(pivots))
+        _check_info(pivots)
     if np.any(factored.m_vec != factored.n_vec) or \
             np.any(rhs.m_vec != factored.m_vec):
         for i in range(len(factored)):

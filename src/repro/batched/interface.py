@@ -28,6 +28,41 @@ __all__ = ["IrrBatch", "Offsets"]
 #: A scalar (row, col) pointer-offset pair, the ``(Ai, Aj)`` of the paper.
 Offsets = tuple[int, int]
 
+#: The data types a batch may hold.
+_DTYPES = (np.float32, np.float64, np.complex64, np.complex128)
+
+
+def _host_matrices(matrices: Iterable[np.ndarray],
+                   dtype) -> tuple[list[np.ndarray], np.dtype]:
+    """The host matrices as 2-D arrays of one supported device dtype.
+
+    ``dtype`` when given; else float32 and complex inputs keep theirs
+    and everything else is promoted to float64.  Everything is checked
+    before any upload: a real ``dtype`` for complex input raises
+    :class:`TypeError` (the cast would drop the imaginary part), and
+    mixed or unsupported dtypes raise :class:`ValueError`.
+    """
+    mats = []
+    for m in matrices:
+        m = np.asarray(m)
+        if dtype is None:
+            dt = m.dtype if m.dtype in (np.float32, np.complex64,
+                                        np.complex128) else np.float64
+        else:
+            dt = np.dtype(dtype)
+            if np.iscomplexobj(m) and dt.kind != "c":
+                raise TypeError(f"cannot cast complex input to {dt}: "
+                                f"the imaginary part would be dropped")
+        mats.append(np.atleast_2d(m.astype(dt, copy=False)))
+    dtypes = {m.dtype for m in mats}
+    if len(dtypes) > 1:
+        raise ValueError(f"mixed data types in one batch: {dtypes}")
+    dt = dtypes.pop() if dtypes else \
+        np.dtype(np.float64 if dtype is None else dtype)
+    if dt not in _DTYPES:
+        raise ValueError(f"unsupported data type {dt}")
+    return mats, dt
+
 
 class IrrBatch:
     """A nonuniform batch of matrices resident on one device.
@@ -65,8 +100,7 @@ class IrrBatch:
         if len(dtypes) > 1:
             raise ValueError(f"mixed data types in one batch: {dtypes}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
-        if dtype not in (np.float32, np.float64, np.complex64,
-                         np.complex128):
+        if dtype not in _DTYPES:
             raise ValueError(f"unsupported data type {dtype}")
         self.device = device
         self.arrays = list(arrays)
@@ -81,20 +115,13 @@ class IrrBatch:
                   dtype=None) -> "IrrBatch":
         """Upload a list of host matrices (sizes may all differ).
 
-        ``dtype`` selects the device precision (``float32``/``float64``);
-        by default float32 inputs stay float32 and everything else is
-        promoted to float64.
+        ``dtype`` selects the device precision; by default float32 and
+        complex inputs keep their dtype and everything else is promoted
+        to float64.  A real ``dtype`` for complex input raises
+        :class:`TypeError`; mixed or unsupported dtypes raise
+        :class:`ValueError` before anything is uploaded.
         """
-        def pick(m):
-            if dtype is not None:
-                return dtype
-            kind = np.asarray(m).dtype
-            if kind in (np.float32, np.complex64, np.complex128):
-                return kind
-            return np.float64
-
-        mats = [np.atleast_2d(np.asarray(m, dtype=pick(m)))
-                for m in matrices]
+        mats, _ = _host_matrices(matrices, dtype)
         arrays = []
         try:
             for m in mats:
@@ -120,24 +147,10 @@ class IrrBatch:
         once instead of once per matrix), and exposed as per-matrix
         *views* into the packed device allocation.  Values — and hence
         every downstream kernel's numerics — are identical to
-        :meth:`from_host`; only the transfer schedule differs.  All
-        matrices must share one device dtype (pass ``dtype`` to force
-        it).
+        :meth:`from_host`, and so is the dtype rule; only the transfer
+        schedule differs.
         """
-        def pick(m):
-            if dtype is not None:
-                return dtype
-            kind = np.asarray(m).dtype
-            if kind in (np.float32, np.complex64, np.complex128):
-                return kind
-            return np.float64
-
-        mats = [np.atleast_2d(np.asarray(m, dtype=pick(m)))
-                for m in matrices]
-        dtypes = {m.dtype for m in mats}
-        if len(dtypes) > 1:
-            raise ValueError(f"packed upload needs one dtype, got {dtypes}")
-        dt = dtypes.pop() if dtypes else np.dtype(dtype or np.float64)
+        mats, dt = _host_matrices(matrices, dtype)
         total = sum(m.size for m in mats)
         flat = np.empty(total, dtype=dt)
         offsets = []

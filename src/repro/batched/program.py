@@ -1,11 +1,11 @@
 """Ahead-of-time compiled launch schedules for recurring batched workloads.
 
-Recurring batches and multifrontal level schedules repeat the same
-*shape signatures* endlessly, yet every dispatch re-runs DCWI inference,
-bucketing, permutation rehearsal, packed-buffer construction and the
-per-launch Python orchestration of the drivers in this package.  All of
-that work is a pure function of the workload's shapes, so it can be
-done **once**, ahead of time.
+Recurring batches repeat the same *shape signatures* endlessly, yet
+every dispatch re-runs DCWI inference, bucketing, permutation
+rehearsal, packed-buffer construction and the per-launch Python
+orchestration of the drivers in this package.  All of that work is a
+pure function of the workload's shapes, so it can be done **once**,
+ahead of time.
 
 :func:`compile_workload` turns a batch signature (a multiset of shapes
 factored by ``getrf``) into a :class:`WorkloadProgram`:

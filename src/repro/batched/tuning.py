@@ -8,10 +8,10 @@ auto-tuning techniques based on the distributions of sizes in a single
 batch."
 
 This module implements the natural first answer: *measure a sketch of the
-batch*.  The size distribution is summarized (it is known at run time —
-the local-dimension vectors are on the host), a small random sub-batch is
-sampled per candidate configuration, and the candidate with the best
-modeled throughput wins.  Because the sub-batch preserves the size
+batch*.  The size distribution is known at run time (the local-dimension
+vectors are on the host), so a small random sub-batch is sampled per
+candidate configuration, and the candidate with the best modeled
+throughput wins.  Because the sub-batch preserves the size
 distribution, the winner transfers to the full batch; the sampling cost
 is a few percent of one full factorization.
 
@@ -40,7 +40,7 @@ from ..errors import InfeasibleConfig
 from .getrf import irr_getrf
 from .interface import IrrBatch
 
-__all__ = ["autotune_getrf", "TuningResult", "size_distribution_summary"]
+__all__ = ["autotune_getrf", "TuningResult"]
 
 #: candidate grid: the §IV-E design parameter plus the §IV-F/§VI variants
 _CANDIDATES = [
@@ -75,22 +75,6 @@ class TuningResult:
     def speedup_over_worst(self) -> float:
         times = [t for _, t in self.trials]
         return max(times) / min(times) if times else 1.0
-
-
-def size_distribution_summary(m_vec, n_vec) -> dict:
-    """The run-time size statistics the tuner keys on."""
-    k = np.minimum(np.asarray(m_vec), np.asarray(n_vec))
-    if len(k) == 0:
-        return {"count": 0, "min": 0, "median": 0, "max": 0, "spread": 0.0}
-    return {
-        "count": int(len(k)),
-        "min": int(k.min()),
-        "median": float(np.median(k)),
-        "max": int(k.max()),
-        #: irregularity measure: interquartile range over the median
-        "spread": float((np.percentile(k, 75) - np.percentile(k, 25)) /
-                        max(np.median(k), 1.0)),
-    }
 
 
 def autotune_getrf(spec: DeviceSpec, matrices: list[np.ndarray], *,

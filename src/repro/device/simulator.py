@@ -7,8 +7,8 @@ Execution model
 :class:`~repro.device.memory.DeviceArray` data, so every numerical result
 is real.  Callers must keep data-dependent kernels on one stream (FIFO
 semantics); the eager execution order then coincides with a legal device
-schedule.  ``Device.host_step(fn)`` runs the host work and branch checks
-drivers do between launches (no simulated cost).
+schedule.  ``Device.host_step(fn)`` runs host work a driver does between
+launches (no simulated cost).
 
 *Timing layer.*  Each launch appends a :class:`LaunchRecord` carrying its
 host issue time (the host clock advances by ``launch_overhead_host`` per
@@ -335,14 +335,13 @@ class Device:
     def host_step(self, fn: Callable[[], object]) -> object:
         """Run one step of a driver's per-run host work; return its value.
 
-        Drivers send through here the host work between their launches
-        that every run must repeat (pivot-state reset, growth epilogue,
-        front zero-fill, diagnostics) and the value-dependent checks
-        their launch sequence branches on (``check_info``, breakdown
-        gating).  A check returns the plain value it branches on; pure
-        work returns ``None``.  The ordinary path just calls ``fn``; a
+        ``irr_getrf`` sends its pivot-state reset and growth epilogue
+        through here: the ordinary path just calls ``fn``, and a
         :mod:`repro.batched.program` recorder captures each step in
-        order with the launches, so a compiled replay repeats it.
+        order with the launches, so a compiled ``getrf`` replay repeats
+        it.  A step that a launch sequence branches on returns the plain
+        value it branches on (the replay guard); pure work returns
+        ``None``.
         """
         return fn()
 

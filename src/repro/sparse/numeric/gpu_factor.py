@@ -160,22 +160,6 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     Either way the store then backs the returned factors, ready to
     serve solves; a factorization that raises releases it.
     """
-    return _factor_gpu(
-        device, a_perm, symb, None, strategy=strategy, gemm_mode=gemm_mode,
-        hybrid_cutoff=hybrid_cutoff, laswp_variant=laswp_variant, nb=nb,
-        memory_budget=memory_budget, pivot_tol=pivot_tol,
-        static_pivot=static_pivot, replace_scale=replace_scale,
-        breakdown=breakdown, engine=engine, host_fallback=host_fallback,
-        store=store)
-
-
-def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
-                hybrid_cutoff, laswp_variant, nb, memory_budget, pivot_tol,
-                static_pivot, replace_scale, breakdown, engine,
-                host_fallback, store=None) -> GpuFactorResult:
-    """:func:`multifrontal_factor_gpu`; a ``resident`` dict takes over
-    the device state of a successful single in-core traversal (see
-    :func:`_attempt_factorization`) instead of it being freed."""
     a_perm, a_dev_bytes = check_factor_args(
         a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
         breakdown=breakdown, store=store, devices=(device,))
@@ -199,7 +183,7 @@ def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
             host_factors, region, n_chunks = _attempt_factorization(
                 device, a_perm, symb, budget, a_dev_bytes, strategy,
                 gemm_mode, hybrid_cutoff, laswp_variant, nb, engine,
-                pivot_tol, static_pivot, replace_scale, resident, store)
+                pivot_tol, static_pivot, replace_scale, store)
             break
         except KernelLaunchError as exc:
             failure = exc       # already retried per level: persistent,
@@ -237,11 +221,16 @@ def _factor_gpu(device, a_perm, symb, resident, *, strategy, gemm_mode,
             f"device factorization failed after exhausting its recovery "
             f"options ({recovery.summary()})", log=recovery) from failure
 
-    return factor_result(device, symb, host_factors, region, n_chunks,
-                         mark, pivot_tol=pivot_tol,
-                         static_pivot=static_pivot,
+    out = finish_factors(symb, host_factors, device.recovery_log.since(mark),
+                         pivot_tol=pivot_tol, static_pivot=static_pivot,
                          replace_scale=replace_scale, breakdown=breakdown,
                          dtype=a_perm.dtype, store=store)
+    counters = {k: region[k] for k in region if k != "elapsed"}
+    counters["traversals"] = n_chunks
+    return GpuFactorResult(factors=out, elapsed=region["elapsed"],
+                           counters=counters,
+                           breakdown=device.profiler.by_prefix(),
+                           report=out.report)
 
 
 def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
@@ -269,26 +258,6 @@ def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
                     + a_perm.indptr.nbytes)
 
 
-def factor_result(device, symb, host_factors, region, n_chunks, mark, *,
-                  pivot_tol, static_pivot, replace_scale, breakdown,
-                  dtype=None, store=None) -> GpuFactorResult:
-    """The report-and-result tail of a device factorization: aggregate
-    the per-front diagnostics, attach the recovery slice since ``mark``
-    and raise on breakdown under ``breakdown="raise"`` (releasing the
-    ``store``); else the store backs the returned factors."""
-    out = finish_factors(symb, host_factors, device.recovery_log.since(mark),
-                         pivot_tol=pivot_tol, static_pivot=static_pivot,
-                         replace_scale=replace_scale, breakdown=breakdown,
-                         dtype=dtype, store=store)
-
-    counters = {k: region[k] for k in region if k != "elapsed"}
-    counters["traversals"] = n_chunks
-    return GpuFactorResult(factors=out, elapsed=region["elapsed"],
-                           counters=counters,
-                           breakdown=device.profiler.by_prefix(),
-                           report=out.report)
-
-
 def finish_factors(symb, host_factors, recovery, *, pivot_tol,
                    static_pivot, replace_scale, breakdown, dtype,
                    store) -> MultifrontalFactors:
@@ -312,12 +281,11 @@ def finish_factors(symb, host_factors, recovery, *, pivot_tol,
 
 
 def download_fronts(symb, fids, buffers, pivots_of, diag_of,
-                    host_factors, host_schur=None, *,
-                    release: bool) -> None:
+                    host_factors, host_schur=None) -> None:
     """Bring finished fronts' factors and diagnostics to the host (the
-    Schur blocks a later traversal needs into ``host_schur``);
-    ``release`` frees each front's buffer once it is down.  Fronts
-    already in ``host_factors`` (packed into a store) are skipped."""
+    Schur blocks a later traversal needs into ``host_schur``) and free
+    each front's buffer once it is down.  Fronts already in
+    ``host_factors`` (packed into a store) are skipped."""
     fid_set = set(fids)
     for fid in fids:
         if fid in host_factors:
@@ -331,8 +299,7 @@ def download_fronts(symb, fids, buffers, pivots_of, diag_of,
         if host_schur is not None and info.parent >= 0 \
                 and info.parent not in fid_set and info.upd_size:
             host_schur[fid] = data[s:, s:].copy()
-        if release:
-            buffers.pop(fid).free()
+        buffers.pop(fid).free()
 
 
 def _front_record(fid, pivots_of, diag_of, *, f11, f12,
@@ -410,8 +377,7 @@ def _pack_level(device, symb, fids, buffers, pivots_of, diag_of,
 def _attempt_factorization(device, a_perm, symb, memory_budget,
                            a_dev_bytes, strategy, gemm_mode, hybrid_cutoff,
                            laswp_variant, nb, engine, pivot_tol,
-                           static_pivot, replace_scale, resident,
-                           store) -> tuple:
+                           static_pivot, replace_scale, store) -> tuple:
     """One full traversal under a given budget; exception-safe accounting.
 
     Any failure releases every device allocation this attempt made (the
@@ -419,10 +385,6 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
     before propagating, so a failed attempt leaves
     ``device.allocated_bytes`` exactly where it started.  A single
     in-core traversal packs into ``store`` (see :func:`factor_levels`).
-    With a ``resident`` dict, a successful single in-core traversal
-    hands its device state over instead — ``buffers``, ``pivots_of``,
-    ``diag_of`` and the uploaded-A bytes ``a_dev_bytes`` — to a compiled
-    program that replays the traversal on them.
     """
     chunks = plan_traversals(symb, memory_budget,
                              itemsize=a_perm.dtype.itemsize)
@@ -435,7 +397,6 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
     diag_of: dict[int, tuple[int, int, float, float]] = {}
     host_schur: dict[int, np.ndarray] = {}
     host_factors: dict[int, FrontFactors] = {}
-    kept = False
 
     def run_level(level_fids) -> None:
         _run_level(device, a_perm, symb, level_fids, buffers, pivots_of,
@@ -456,27 +417,21 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
                 if streaming:
                     # stream the finished traversal back to the host
                     download_fronts(symb, chunk, buffers, pivots_of,
-                                    diag_of, host_factors, host_schur,
-                                    release=True)
+                                    diag_of, host_factors, host_schur)
         if not streaming:
             # Factors stayed resident (as a solver keeping them for the
             # solve phase would); download outside the measured region.
             download_fronts(symb, chunks[0], buffers, pivots_of, diag_of,
-                            host_factors, release=resident is None)
-            if resident is not None:
-                resident.update(buffers=buffers, pivots_of=pivots_of,
-                                diag_of=diag_of, a_dev_bytes=a_dev_bytes)
-                kept = True
+                            host_factors)
         return host_factors, region, len(chunks)
     except BaseException:
         if store is not None:
             store.release()
         raise
     finally:
-        if not kept:
-            for arr in buffers.values():
-                arr.free()
-            device._release(a_dev_bytes)
+        for arr in buffers.values():
+            arr.free()
+        device._release(a_dev_bytes)
 
 
 def _host_fallback_result(device, a_perm, symb, mark, *, pivot_tol,
@@ -728,11 +683,8 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
         buffers[fid] = device.empty((info.order, info.order),
                                     dtype=a_perm.dtype)
 
-    def zero_fill() -> None:
-        for fid in fids:
-            buffers[fid].data[...] = 0.0
-
-    device.host_step(zero_fill)
+    for fid in fids:
+        buffers[fid].data[...] = 0.0
     consumed = _assemble_level(device, a_perm, symb, fids, buffers,
                                host_schur=host_schur)
 
@@ -922,7 +874,7 @@ def _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
                     replace_scale=replace_scale, engine=engine)
     for fid, ip in zip(fids, piv.ipiv):
         pivots_of[fid] = ip
-    device.host_step(lambda: _record_level_diag(diag_of, fids, piv))
+    _record_level_diag(diag_of, fids, piv)
     _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
                    piv, gemm_mode, hybrid_cutoff, engine=engine)
 
@@ -941,7 +893,7 @@ def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
     # blocks, then run TRSM/GEMM on the clean survivors only.  piv.info
     # is bitwise identical between engines, so the gating (and every
     # downstream launch) is too.
-    bad = device.host_step(lambda: np.nonzero(piv.info != 0)[0].tolist())
+    bad = np.nonzero(piv.info != 0)[0]
     piv_list = piv.ipiv
     if len(bad):
         _quarantine_broken(device, bad, f12, f21, f22)

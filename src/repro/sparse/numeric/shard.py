@@ -257,7 +257,7 @@ def multifrontal_factor_sharded(
                 factor_levels(device, symb, fids, run_level, buffers,
                               pivots_of, diag_of, host_factors, store)
             download_fronts(symb, fids, buffers, pivots_of, diag_of,
-                            host_factors, host_schur, release=True)
+                            host_factors, host_schur)
         finally:
             for arr in buffers.values():
                 arr.free()

@@ -31,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..batched.engine import resolve_engine
-from ..batched.program import GuardTripped, PayloadMismatch
 from ..device.memory import DeviceOutOfMemory, validate_memory_budget
 from ..device.node import Node
 from ..device.simulator import Device
@@ -43,8 +42,6 @@ from .baselines import naive_loop_factor, strumpack_like_factor, \
 from .numeric.cpu_factor import multifrontal_factor_cpu
 from .numeric.gpu_factor import GpuFactorResult, multifrontal_factor_gpu
 from .numeric.gpu_solve import multifrontal_solve_gpu
-from .numeric.program import compile_factor_program, factor_policy, \
-    same_structure
 from .numeric.report import FactorReport, check_factors_ok
 from .numeric.shard import multifrontal_factor_sharded
 from .numeric.solve_plan import DeviceFactorCache, SolveLayout, SolvePlan
@@ -143,9 +140,6 @@ class SparseLU:
         self._work_dtype = self.a.dtype
         self._precision_fallback = True
         self._factor_call: tuple | None = None
-        # compiled level schedule (backend="batched", engine="compiled"):
-        # survives re-factors of same-structure matrices.
-        self._factor_program = None
         # Serializes device solves on this handle: two concurrent
         # solve() calls share one SolvePlan/DeviceFactorCache, and an
         # unsynchronized pair could interleave one call's cache eviction
@@ -212,15 +206,21 @@ class SparseLU:
         single device, and :meth:`solve` works as usual (pass one of the
         node's member devices, or no device for the host path).
 
-        ``backend="batched"`` (without ``engine="compiled"`` or a
-        ``memory_budget``) and ``backend="sharded"`` keep the factors on
-        the device, already in the layout the solve reads: the
-        factorization packs each level into the
-        :class:`DeviceFactorCache` that becomes :attr:`solve_cache`
-        (on ``node[top_device]`` for a node), so device solves there
-        upload nothing.  ``factors.fronts`` downloads the host blocks
-        on first read; see :class:`~repro.sparse.numeric.factors.
-        MultifrontalFactors`.
+        ``backend`` picks the kernel strategy, so ``strategy=`` is
+        rejected (:class:`ValueError`).  ``engine=``, on the backends
+        that take one, is ``"bucketed"`` (default), ``"naive"`` or a
+        :class:`~repro.batched.engine.BatchEngine`.
+
+        ``backend="batched"`` (without a ``memory_budget``) and
+        ``backend="sharded"`` keep the factors on the device, already in
+        the layout the solve reads: the factorization packs each level
+        into the :class:`DeviceFactorCache` that becomes
+        :attr:`solve_cache` (on ``node[top_device]`` for a node), so
+        device solves there upload nothing.  ``factors.fronts``
+        downloads the host blocks on first read; see
+        :class:`~repro.sparse.numeric.factors.MultifrontalFactors`.
+        To re-factor new values on the same structure, call
+        :meth:`update_values` and then this method again.
 
         ``precision="fp32"`` factors in the reduced working precision
         (float32, or complex64 for complex matrices): the permuted
@@ -260,6 +260,10 @@ class SparseLU:
         if precision not in (None, "fp64", "fp32"):
             raise ValueError(f"unknown precision {precision!r}; "
                              f"choose 'fp32', 'fp64' or None")
+        if "strategy" in kw:
+            raise ValueError(
+                "SparseLU.factor takes no strategy=: backend= picks the "
+                "kernel strategy ('batched', 'looped', 'strumpack', ...)")
         native = self.a_perm.dtype
         work = _REDUCED_OF[native] if precision == "fp32" else native
         # Invalidate eagerly: a failed re-factorization must not leave a
@@ -331,14 +335,10 @@ class SparseLU:
                     f"the node's devices (node[i]), or backend='sharded' "
                     f"to factor across the node")
             if backend == "batched":
-                if kw.get("engine") == "compiled":
-                    res = self._factor_compiled_gpu(device, a_num, **kw)
-                else:
-                    if kw.get("memory_budget") is None:
-                        store = self._new_store(device)
-                    res = multifrontal_factor_gpu(
-                        device, a_num, self.symb, strategy="batched",
-                        store=store, **kw)
+                if kw.get("memory_budget") is None:
+                    store = self._new_store(device)
+                res = multifrontal_factor_gpu(device, a_num, self.symb,
+                                              store=store, **kw)
             elif backend == "looped":
                 res = naive_loop_factor(device, a_num, self.symb, **kw)
             elif backend == "strumpack":
@@ -369,77 +369,18 @@ class SparseLU:
         log.record("precision-fallback", site=site, detail=detail)
         return log
 
-    def _factor_compiled_gpu(self, device: Device, a_num: sp.spmatrix,
-                             **kw) -> GpuFactorResult:
-        """``backend="batched", engine="compiled"``: compile the level
-        schedule on the first factorization, replay it on re-factors of
-        same-structure matrices (see :meth:`update_values`).
-
-        Fallbacks keep the compiled mode safe to leave on: out-of-core
-        budgets run the ordinary bucketed path, and so does a replay
-        under ABFT verification (``device.verify_kernels``; a program
-        has no per-launch checksums) or one whose payload trips a
-        breakdown guard or raises a device fault — recorded in the
-        device's recovery log as ``compiled-fallback``.  A compile call
-        the recovery ladder had to repair yields no program, and the
-        next factor() re-attempts compilation.
-        """
-        # Canonical index order: the compiled program's assemble closures
-        # copy payload data positionally, so compile and every replay
-        # must see the same per-row column order.  (The numerics are
-        # order-independent — assembly densifies — so this is safe.)
-        a_num.sort_indices()
-        kw = dict(kw)
-        kw.pop("engine", None)
-        if kw.pop("strategy", "batched") != "batched":
-            raise ValueError("compiled factorization is batched-only")
-        memory_budget = kw.pop("memory_budget", None)
-        breakdown = kw.pop("breakdown", "raise")
-        host_fallback = kw.pop("host_fallback", True)
-        policy = factor_policy(**kw)
-
-        def bucketed() -> GpuFactorResult:
-            return multifrontal_factor_gpu(
-                device, a_num, self.symb, strategy="batched",
-                engine="bucketed", memory_budget=memory_budget,
-                breakdown=breakdown, host_fallback=host_fallback, **policy)
-
-        if memory_budget is not None:
-            # out-of-core traversals re-plan chunks per run: not compiled
-            return bucketed()
-        prog = self._factor_program
-        if prog is not None and (prog.device is not device
-                                 or not prog.matches(a_num, policy)):
-            prog.free()
-            prog = self._factor_program = None
-        if prog is None:
-            self._factor_program, res = compile_factor_program(
-                device, a_num, self.symb, policy, breakdown=breakdown,
-                host_fallback=host_fallback)
-            return res
-        if device.verify_kernels:
-            why = "ABFT verification is on"
-        else:
-            try:
-                return prog.run(a_num, breakdown=breakdown)
-            except (GuardTripped, PayloadMismatch, DeviceOutOfMemory,
-                    KernelLaunchError, TransferError) as exc:
-                why = f"{type(exc).__name__}: {exc}"
-        device.recovery_log.record("compiled-fallback",
-                                   site="SparseLU.factor", detail=why)
-        return bucketed()
-
     def update_values(self, a_new: sp.spmatrix) -> "SparseLU":
         """Install new numeric values on the same sparsity structure.
 
         The orderings and symbolic analysis are value-independent, so
         they are kept (the solve layout too); the solver drops back to
-        un-factored, releasing the solve cache without a download, and
-        the next :meth:`factor` call — with ``engine="compiled"`` —
-        replays the compiled level schedule instead of re-planning it.
-        Raises :class:`ValueError` when the structure differs or MC64
-        scaling is enabled (its permutation/scalings are
-        value-dependent).
+        un-factored, releasing the solve cache without a download.  The
+        next :meth:`factor` call re-factors on the kept analysis: on
+        the default device path its factors land in a fresh solve cache
+        of the same layout, so device memory returns to its
+        post-factor level and solves upload no factors.  Raises
+        :class:`ValueError` when the structure differs or MC64 scaling
+        is enabled (its permutation/scalings are value-dependent).
         """
         if self.use_mc64:
             raise ValueError(
@@ -450,7 +391,9 @@ class SparseLU:
                      else np.float64)
         a.sort_indices()
         self.a.sort_indices()
-        if not same_structure(a, self.a):
+        if a.shape != self.a.shape or a.dtype != self.a.dtype or \
+                not np.array_equal(a.indptr, self.a.indptr) or \
+                not np.array_equal(a.indices, self.a.indices):
             raise ValueError(
                 "update_values requires the same shape, dtype and "
                 "sparsity structure as the original matrix")

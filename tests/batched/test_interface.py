@@ -106,3 +106,48 @@ class TestTransfersAndCopy:
     def test_1d_host_input_promoted(self, a100):
         b = IrrBatch.from_host(a100, [np.ones(5)])
         assert b.matrix(0).shape == (1, 5)
+
+
+BOTH = pytest.mark.parametrize("ctor", ["from_host", "from_host_packed"])
+
+
+class TestDtypeRule:
+    """One dtype rule for both host constructors, checked before any
+    upload."""
+
+    @BOTH
+    def test_rejected_dtype_uploads_nothing(self, a100, ctor):
+        before = a100.allocated_bytes
+        mats = [np.ones((5, 5)), np.ones((2, 2))]
+        with pytest.raises(ValueError, match="unsupported data type"):
+            getattr(IrrBatch, ctor)(a100, mats, dtype=np.int32)
+        assert a100.allocated_bytes == before
+
+    @BOTH
+    def test_mixed_dtypes_upload_nothing(self, a100, ctor):
+        before = a100.allocated_bytes
+        mats = [np.ones((3, 3), dtype=np.float32), np.ones((3, 3))]
+        with pytest.raises(ValueError, match="mixed data types"):
+            getattr(IrrBatch, ctor)(a100, mats)
+        assert a100.allocated_bytes == before
+
+    @BOTH
+    def test_real_dtype_for_complex_input_raises(self, a100, ctor):
+        before = a100.allocated_bytes
+        z = np.array([[1.0 + 2.0j, 0.0], [0.0, 1.0]])
+        for dt in (np.float64, np.float32):
+            with pytest.raises(TypeError, match="imaginary"):
+                getattr(IrrBatch, ctor)(a100, [z], dtype=dt)
+        assert a100.allocated_bytes == before
+
+    @BOTH
+    def test_default_and_explicit_dtypes(self, a100, ctor):
+        make = getattr(IrrBatch, ctor)
+        z = np.array([[1.0 + 2.0j]])
+        assert make(a100, [z]).dtype == np.complex128
+        assert make(a100, [z], dtype=np.complex64).dtype == np.complex64
+        assert make(a100, [np.ones((2, 2), np.float32)]).dtype == \
+            np.float32
+        assert make(a100, [np.ones((2, 2), np.int64)]).dtype == np.float64
+        b = make(a100, [np.ones((2, 2))], dtype=np.float32)
+        assert b.dtype == np.float32

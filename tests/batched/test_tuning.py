@@ -3,27 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.batched import IrrBatch, autotune_getrf, irr_getrf, \
-    size_distribution_summary
+from repro.batched import IrrBatch, autotune_getrf, irr_getrf
 from repro.device import A100, Device
 from repro.workloads import large_square_batch, random_square_batch
-
-
-class TestSummary:
-    def test_empty(self):
-        s = size_distribution_summary([], [])
-        assert s["count"] == 0
-
-    def test_statistics(self):
-        s = size_distribution_summary([10, 20, 30, 40], [40, 30, 20, 10])
-        # k = min(m, n) = [10, 20, 20, 10]
-        assert s["min"] == 10
-        assert s["max"] == 20
-        assert s["median"] == 15.0
-
-    def test_uniform_batch_zero_spread(self):
-        s = size_distribution_summary([32] * 8, [32] * 8)
-        assert s["spread"] == 0.0
 
 
 class TestAutotune:

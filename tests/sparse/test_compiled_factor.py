@@ -1,20 +1,25 @@
-"""Compiled level-schedule factorization for :class:`SparseLU` (§IV).
+"""The re-factor contract of ``update_values`` + ``factor`` (§V-B).
 
-``factor(engine="compiled")`` compiles the multifrontal level schedule
-into a :class:`FactorProgram` on the first call, then — after
-``update_values`` on the same structure — replays it: no re-planning,
-no new device allocations, results bitwise identical to the plain
-bucketed engine on every run.
+A time-stepping loop re-factors one sparsity structure with new values
+at every step.  :meth:`SparseLU.update_values` keeps the orderings, the
+symbolic analysis and the solve layout; the next
+``factor(backend="batched")`` runs the ordinary level loop and packs
+its factors into a fresh solve cache of that layout.  Every re-factor
+gives the bits of a fresh handle on the same values, brings device
+memory back to the level the first factor left, and leaves solves with
+zero factor uploads — also when the recovery ladder repairs a launch,
+allocation or corruption fault.  ``engine="compiled"`` is no engine of
+any backend.
 """
 
 import numpy as np
 import pytest
 
 from repro.device import A100, Device, FaultPlan, FaultRule, Node
+from repro.errors import FactorizationError
+from repro.sparse import multifrontal_factor_gpu, plan_traversals
 from repro.sparse.solver import SparseLU
 from repro.workloads.fronts import build_maxwell_workload
-
-pytestmark = pytest.mark.compiled
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +34,12 @@ def perturbed(a, seed, scale=0.05):
     return a2
 
 
-def factor_bucketed(a, rhs):
+def factor_fresh(a, rhs):
+    """The reference bits: a fresh handle on ``a``, factored and solved
+    on a new device."""
     dev = Device(A100())
     slu = SparseLU(a, use_mc64=False)
-    slu.factor(backend="batched", device=dev, engine="bucketed")
+    slu.factor(backend="batched", device=dev)
     x, _ = slu.solve(rhs, device=dev)
     return slu, x
 
@@ -52,26 +59,54 @@ def assert_fronts_equal(fb, fc, diagnostics=True):
             assert a1.growth == a2.growth
 
 
+def refactor(slu, dev, a_new, **kw):
+    """``update_values`` then ``factor`` on the default path.  Checks
+    that the solve layout is reused and that device memory returns to
+    the level the previous factor left."""
+    layout, held = slu.solve_cache.layout, dev.allocated_bytes
+    slu.update_values(a_new)
+    assert slu.solve_cache is None
+    slu.factor(backend="batched", device=dev, **kw)
+    assert slu.solve_cache.layout is layout
+    assert dev.allocated_bytes == held
+
+
+def assert_fresh_bits(slu, dev, a, rhs):
+    """A device solve uploads no factors, and the answer and factors
+    are bitwise those of a fresh handle on ``a``."""
+    slu_ref, x_ref = factor_fresh(a, rhs)
+    x, _ = slu.solve(rhs, device=dev)
+    assert slu.solve_cache.uploads == 0
+    np.testing.assert_array_equal(x_ref, x)
+    assert_fronts_equal(slu_ref.factors, slu.factors)
+
+
 class TestCompileParity:
     def test_first_factor_matches_bucketed_bitwise(self, maxwell):
-        slu_b, x_b = factor_bucketed(maxwell.matrix, maxwell.rhs)
-
+        """The first default-path factor keeps its factors on the
+        device; downloaded, they equal a direct bucketed
+        ``multifrontal_factor_gpu`` call's host factors."""
         dev = Device(A100())
-        slu_c = SparseLU(maxwell.matrix, use_mc64=False)
-        slu_c.factor(backend="batched", device=dev, engine="compiled")
-        assert slu_c._factor_program is not None
+        slu = SparseLU(maxwell.matrix, use_mc64=False)
+        slu.factor(backend="batched", device=dev)
+        assert slu.factors.store is slu.solve_cache
+        assert dev.allocated_bytes == slu.solve_cache.resident_nbytes > 0
 
-        assert_fronts_equal(slu_b.factor_result.factors,
-                            slu_c.factor_result.factors)
-        x_c, _ = slu_c.solve(maxwell.rhs, device=dev)
-        np.testing.assert_array_equal(x_b, x_c)
+        ref = multifrontal_factor_gpu(Device(A100()), slu.a_perm, slu.symb,
+                                      engine="bucketed")
+        assert_fronts_equal(ref.factors, slu.factors)
 
     def test_report_parity(self, maxwell):
-        slu_b, _ = factor_bucketed(maxwell.matrix, maxwell.rhs)
+        """A re-factor's report equals a fresh handle's on the same
+        values."""
+        a = maxwell.matrix
         dev = Device(A100())
-        slu_c = SparseLU(maxwell.matrix, use_mc64=False)
-        slu_c.factor(backend="batched", device=dev, engine="compiled")
-        rb, rc = slu_b.factor_report, slu_c.factor_report
+        slu = SparseLU(a, use_mc64=False)
+        slu.factor(backend="batched", device=dev)
+        a2 = perturbed(a, seed=11)
+        refactor(slu, dev, a2)
+        slu_ref, _ = factor_fresh(a2, maxwell.rhs)
+        rb, rc = slu_ref.factor_report, slu.factor_report
         np.testing.assert_array_equal(rb.n_replaced, rc.n_replaced)
         assert rb.max_growth == rc.max_growth
         assert rb.ok == rc.ok
@@ -79,96 +114,107 @@ class TestCompileParity:
 
 class TestReplay:
     def test_update_values_replays_program(self, maxwell):
+        """One re-factor: fresh bits, memory back at the post-factor
+        level, the layout reused and zero solve uploads."""
         a, rhs = maxwell.matrix, maxwell.rhs
         dev = Device(A100())
         slu = SparseLU(a, use_mc64=False)
-        slu.factor(backend="batched", device=dev, engine="compiled")
-        prog = slu._factor_program
-        alloc0 = dev.alloc_count
-
+        slu.factor(backend="batched", device=dev)
         a2 = perturbed(a, seed=7)
-        slu_ref, x_ref = factor_bucketed(a2, rhs)
-
-        slu.update_values(a2)
-        assert slu._factor_program is prog
-        slu.factor(backend="batched", device=dev, engine="compiled")
-        assert slu._factor_program is prog
-        assert prog.runs == 1
-        assert dev.alloc_count == alloc0
-        assert slu.factor_result.counters.get("compiled_replay") == 1
-
-        assert_fronts_equal(slu_ref.factor_result.factors,
-                            slu.factor_result.factors)
-        x, _ = slu.solve(rhs, device=dev)
-        np.testing.assert_array_equal(x_ref, x)
+        refactor(slu, dev, a2)
+        assert_fresh_bits(slu, dev, a2, rhs)
 
     def test_repeated_replays_stay_bitwise(self, maxwell):
+        """Three re-factors in a row: each gives fresh bits, and each
+        makes the same allocations."""
         a, rhs = maxwell.matrix, maxwell.rhs
         dev = Device(A100())
         slu = SparseLU(a, use_mc64=False)
-        slu.factor(backend="batched", device=dev, engine="compiled")
-        prog = slu._factor_program
+        slu.factor(backend="batched", device=dev)
+        allocs = []
         for i in range(3):
             a2 = perturbed(a, seed=20 + i)
-            slu_ref, x_ref = factor_bucketed(a2, rhs)
-            slu.update_values(a2)
-            slu.factor(backend="batched", device=dev, engine="compiled")
-            assert slu._factor_program is prog
-            assert prog.runs == i + 1
-            assert_fronts_equal(slu_ref.factor_result.factors,
-                                slu.factor_result.factors)
-            x, _ = slu.solve(rhs, device=dev)
-            np.testing.assert_array_equal(x_ref, x)
+            alloc0 = dev.alloc_count
+            refactor(slu, dev, a2)
+            allocs.append(dev.alloc_count - alloc0)
+            assert_fresh_bits(slu, dev, a2, rhs)
+        assert allocs[0] > 0 and len(set(allocs)) == 1
 
     def test_device_change_recompiles(self, maxwell):
-        a = maxwell.matrix
-        dev1 = Device(A100())
+        """A re-factor on another device moves the factors there: the
+        first device's memory returns to baseline."""
+        a, rhs = maxwell.matrix, maxwell.rhs
+        dev1, dev2 = Device(A100()), Device(A100())
         slu = SparseLU(a, use_mc64=False)
-        slu.factor(backend="batched", device=dev1, engine="compiled")
-        prog1 = slu._factor_program
-        slu.update_values(perturbed(a, seed=3))
-        dev2 = Device(A100())
-        slu.factor(backend="batched", device=dev2, engine="compiled")
-        assert slu._factor_program is not prog1
+        slu.factor(backend="batched", device=dev1)
+        layout = slu.solve_cache.layout
+        a2 = perturbed(a, seed=3)
+        slu.update_values(a2)
+        slu.factor(backend="batched", device=dev2)
+        assert dev1.allocated_bytes == 0
+        assert slu.solve_cache.device is dev2
+        assert slu.solve_cache.layout is layout
+        assert dev2.allocated_bytes == slu.solve_cache.resident_nbytes
+        assert_fresh_bits(slu, dev2, a2, rhs)
 
 
 class TestGuardFallback:
     def test_breakdown_falls_back_to_bucketed(self, maxwell):
+        """A re-factor whose values break down raises and releases its
+        store, or reports quarantined fronts; the next re-factor to good
+        values gives fresh bits again."""
         a, rhs = maxwell.matrix, maxwell.rhs
         dev = Device(A100())
         slu = SparseLU(a, use_mc64=False)
-        slu.factor(backend="batched", device=dev, engine="compiled")
+        slu.factor(backend="batched", device=dev)
+        held = dev.allocated_bytes
 
         a_bad = a.copy()
         a_bad.data = np.zeros_like(a_bad.data)
         slu.update_values(a_bad)
-        slu.factor(backend="batched", device=dev, engine="compiled",
-                   breakdown="report")
-        assert any(ev.action == "compiled-fallback"
-                   for ev in dev.recovery_log.events)
+        with pytest.raises(FactorizationError):
+            slu.factor(backend="batched", device=dev)
+        assert dev.allocated_bytes == 0
         assert slu.factor_report.n_failed > 0
 
-        # the fallback result matches a plain bucketed factorization on
-        # the same symbolic structure (the all-zero values would give a
-        # fresh SparseLU a different dissection tree)
+        slu.factor(backend="batched", device=dev, breakdown="report")
+        assert slu.factor_report.n_failed > 0
+        # the same re-factor on a second handle of this structure (the
+        # all-zero values would give a fresh SparseLU a different
+        # dissection tree)
         dev_b = Device(A100())
         slu_b = SparseLU(a, use_mc64=False)
-        slu_b.factor(backend="batched", device=dev_b, engine="bucketed")
+        slu_b.factor(backend="batched", device=dev_b)
         slu_b.update_values(a_bad)
-        slu_b.factor(backend="batched", device=dev_b, engine="bucketed",
-                     breakdown="report")
-        assert_fronts_equal(slu_b.factor_result.factors,
-                            slu.factor_result.factors)
+        slu_b.factor(backend="batched", device=dev_b, breakdown="report")
+        assert_fronts_equal(slu_b.factors, slu.factors)
+
+        a2 = perturbed(a, seed=13)
+        refactor(slu, dev, a2)
+        assert dev.allocated_bytes == held
+        assert_fresh_bits(slu, dev, a2, rhs)
 
 
 class TestCompiledGuards:
     def test_memory_budget_bypasses_compilation(self, maxwell):
+        """A re-factor under a ``memory_budget`` runs in several
+        traversals and keeps no store: its factors are on the host,
+        bitwise those of the in-core re-factor."""
+        a, rhs = maxwell.matrix, maxwell.rhs
         dev = Device(A100())
-        slu = SparseLU(maxwell.matrix, use_mc64=False)
-        slu.factor(backend="batched", device=dev, engine="compiled",
-                   memory_budget=1 << 30)
-        assert slu._factor_program is None
+        slu = SparseLU(a, use_mc64=False)
+        slu.factor(backend="batched", device=dev)
+        budget = max(8 * f.order ** 2 for f in slu.symb.fronts) * 2
+        assert len(plan_traversals(slu.symb, budget)) > 1
+        a2 = perturbed(a, seed=17)
+        slu.update_values(a2)
+        slu.factor(backend="batched", device=dev, memory_budget=budget)
+        assert slu.solve_cache is None and slu.factors.store is None
+        assert slu.factor_result.counters["traversals"] > 1
+        assert dev.allocated_bytes == 0
         assert slu.factor_report.ok
+        slu_ref, _ = factor_fresh(a2, rhs)
+        assert_fronts_equal(slu_ref.factors, slu.factors)
 
     def test_update_values_requires_no_mc64(self, maxwell):
         slu = SparseLU(maxwell.matrix, use_mc64=True)
@@ -186,20 +232,34 @@ class TestCompiledGuards:
         a2[i, j] = 1.0
         with pytest.raises(ValueError, match="structure"):
             slu.update_values(a2.tocsr())
+        with pytest.raises(ValueError, match="dtype"):
+            slu.update_values(a.astype(np.complex128))
 
-    @pytest.mark.parametrize("backend", ["looped", "strumpack", "sharded"])
+    @pytest.mark.parametrize("backend",
+                             ["batched", "looped", "strumpack", "sharded"])
     def test_other_backends_reject_compiled_engine(self, maxwell, backend):
         dev = Node(A100(), 2) if backend == "sharded" else Device(A100())
         slu = SparseLU(maxwell.matrix, use_mc64=False)
         with pytest.raises(ValueError, match="'bucketed', 'naive'"):
             slu.factor(backend=backend, device=dev, engine="compiled")
+        devices = list(dev) if backend == "sharded" else [dev]
+        assert all(d.allocated_bytes == 0 for d in devices)
 
     def test_non_batched_strategy_rejected(self, maxwell):
+        """``backend=`` picks the strategy: ``strategy=`` is rejected up
+        front, and the factors already there stay usable."""
         dev = Device(A100())
         slu = SparseLU(maxwell.matrix, use_mc64=False)
-        with pytest.raises(ValueError, match="batched"):
-            slu.factor(backend="batched", device=dev, engine="compiled",
-                       strategy="rightlooking")
+        slu.factor(backend="batched", device=dev)
+        x0, _ = slu.solve(maxwell.rhs, device=dev)
+        for backend, strategy in (("batched", "rightlooking"),
+                                  ("batched", "batched"),
+                                  ("looped", "looped")):
+            with pytest.raises(ValueError, match="backend="):
+                slu.factor(backend=backend, device=dev, strategy=strategy)
+        x, _ = slu.solve(maxwell.rhs, device=dev)
+        np.testing.assert_array_equal(x0, x)
+        assert slu.solve_cache.uploads == 0
 
 
 def one_fault(kind, match=""):
@@ -209,9 +269,9 @@ def one_fault(kind, match=""):
 @pytest.mark.chaos
 @pytest.mark.sdc
 class TestCompiledUnderFaults:
-    """The compile call is the ordinary traversal (recovery ladder and
-    ABFT included); replays fall back to it under verification or a
-    device fault.  Every answer stays bitwise the fault-free one."""
+    """The recovery ladder on the first factor and on a re-factor: a
+    repaired run gives the fault-free bits, device memory back at the
+    post-factor level and zero solve uploads."""
 
     def fresh(self, maxwell):
         dev = Device(A100())
@@ -219,58 +279,52 @@ class TestCompiledUnderFaults:
         return dev, slu
 
     def test_repaired_compile_yields_no_program(self, maxwell):
+        """A corruption the ABFT ladder repairs on the first factor
+        leaves no trace in later re-factors."""
         dev, slu = self.fresh(maxwell)
         with dev.fault_scope(one_fault("corrupt", "irrgemm")):
-            slu.factor(backend="batched", device=dev, engine="compiled")
+            slu.factor(backend="batched", device=dev)
         assert dev.recovery_log.count("kernel-reexec") >= 1
-        assert slu._factor_program is None
+        assert dev.allocated_bytes == slu.solve_cache.resident_nbytes
+        mark = dev.recovery_log.mark()
         for seed in (7, 8):
             a2 = perturbed(maxwell.matrix, seed=seed)
-            slu_ref, _ = factor_bucketed(a2, maxwell.rhs)
-            slu.update_values(a2)
-            slu.factor(backend="batched", device=dev, engine="compiled")
-            assert slu._factor_program is not None
-            assert_fronts_equal(slu_ref.factor_result.factors,
-                                slu.factor_result.factors)
-        assert slu._factor_program.runs == 1
+            refactor(slu, dev, a2)
+            assert_fresh_bits(slu, dev, a2, maxwell.rhs)
+        assert len(dev.recovery_log.since(mark)) == 0
 
     def test_launch_fault_on_compile_and_replay(self, maxwell):
         dev, slu = self.fresh(maxwell)
-        slu_ref, _ = factor_bucketed(maxwell.matrix, maxwell.rhs)
+        slu_ref, _ = factor_fresh(maxwell.matrix, maxwell.rhs)
         with dev.fault_scope(one_fault("launch")):
-            slu.factor(backend="batched", device=dev, engine="compiled")
+            slu.factor(backend="batched", device=dev)
         assert dev.recovery_log.count("launch-retry") == 1
-        assert_fronts_equal(slu_ref.factor_result.factors,
-                            slu.factor_result.factors)
-        slu.factor(backend="batched", device=dev, engine="compiled")
-        assert slu._factor_program is not None
+        assert_fronts_equal(slu_ref.factors, slu.factors)
         a2 = perturbed(maxwell.matrix, seed=5)
-        slu_ref, _ = factor_bucketed(a2, maxwell.rhs)
-        slu.update_values(a2)
         with dev.fault_scope(one_fault("launch")):
-            slu.factor(backend="batched", device=dev, engine="compiled")
-        assert dev.recovery_log.count("compiled-fallback") == 1
-        assert_fronts_equal(slu_ref.factor_result.factors,
-                            slu.factor_result.factors)
+            refactor(slu, dev, a2)
+        assert dev.recovery_log.count("launch-retry") == 2
+        assert_fresh_bits(slu, dev, a2, maxwell.rhs)
 
     def test_alloc_fault_on_compile(self, maxwell):
         dev, slu = self.fresh(maxwell)
-        slu_ref, _ = factor_bucketed(maxwell.matrix, maxwell.rhs)
+        slu_ref, _ = factor_fresh(maxwell.matrix, maxwell.rhs)
         with dev.fault_scope(one_fault("alloc")):
-            slu.factor(backend="batched", device=dev, engine="compiled")
+            slu.factor(backend="batched", device=dev)
         assert dev.recovery_log.count("chunk-shrink") == 1
-        assert_fronts_equal(slu_ref.factor_result.factors,
-                            slu.factor_result.factors)
+        assert dev.allocated_bytes == slu.solve_cache.resident_nbytes
+        assert_fronts_equal(slu_ref.factors, slu.factors)
+        a2 = perturbed(maxwell.matrix, seed=6)
+        with dev.fault_scope(one_fault("alloc")):
+            refactor(slu, dev, a2)
+        assert dev.recovery_log.count("chunk-shrink") == 2
+        assert_fresh_bits(slu, dev, a2, maxwell.rhs)
 
     def test_corrupt_fault_on_replay_falls_back(self, maxwell):
         dev, slu = self.fresh(maxwell)
-        slu.factor(backend="batched", device=dev, engine="compiled")
+        slu.factor(backend="batched", device=dev)
         a2 = perturbed(maxwell.matrix, seed=9)
-        slu_ref, _ = factor_bucketed(a2, maxwell.rhs)
-        slu.update_values(a2)
         with dev.fault_scope(one_fault("corrupt", "irrgemm")):
-            slu.factor(backend="batched", device=dev, engine="compiled")
-        assert dev.recovery_log.count("compiled-fallback") == 1
+            refactor(slu, dev, a2)
         assert dev.recovery_log.count("kernel-reexec") >= 1
-        assert_fronts_equal(slu_ref.factor_result.factors,
-                            slu.factor_result.factors)
+        assert_fresh_bits(slu, dev, a2, maxwell.rhs)

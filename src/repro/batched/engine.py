@@ -61,16 +61,14 @@ import threading
 
 import numpy as np
 
-from ..device.kernel import KernelCost, gemm_compute_ramp
+from ..device.kernel import TILE, KernelCost, gemm_compute_ramp, \
+    tile_blocks
 from .dcwi import WORKLOAD_NONE, infer_gemm_batch, infer_trsm_batch
 from .panel import PanelPivots, factor_panel_block
 
 __all__ = ["BatchEngine", "PlanCache", "resolve_engine",
-           "MIN_BUCKET", "PAD_BYTES_LIMIT", "GEMM_TILE"]
-
-#: logical tile edge used for GEMM block-count accounting (shared with
-#: the naive loop in :mod:`repro.batched.gemm`).
-GEMM_TILE = 32
+           "MIN_BUCKET", "PAD_BYTES_LIMIT", "solve_pivots_cost",
+           "solve_update_cost", "split_k_partials"]
 
 #: buckets smaller than this run the per-matrix fallback path — stacking
 #: a single matrix costs a copy and buys nothing.
@@ -178,6 +176,58 @@ def _ceil_div(x: np.ndarray, d: int) -> np.ndarray:
     return -(-x // d)
 
 
+# ----------------------------------------------------------------------
+# multifrontal solve-phase costs, shared by the naive closures in
+# repro.sparse.numeric.gpu_solve and the planned bodies below: both pass
+# the same integer totals, so their records agree bit for bit.
+# ----------------------------------------------------------------------
+
+def split_k_partials(rows, k) -> int:
+    """Partial-sum elements per right-hand side of split-K products.
+
+    A ``rows×k`` block times ``k×nrhs`` vectors, with one thread block
+    per ``TILE``×``TILE`` tile of the ``rows×k`` block, leaves ``⌈k/TILE⌉``
+    partial ``rows``-vectors per column whenever K spans more than one
+    tile; each is written once and read back once by the reduction.
+    Summed over array arguments, like :func:`~repro.device.kernel.
+    tile_blocks`.
+    """
+    kt = _ceil_div(np.asarray(k, dtype=np.int64), TILE)
+    return int(np.sum(np.where(kt > 1, kt * np.asarray(rows, np.int64), 0)))
+
+
+def solve_pivots_cost(swaps: int, sep_tiles: int, nrhs: int,
+                      itemsize: int) -> KernelCost:
+    """One ``solve:pivots`` launch: ``swaps`` row swaps across the
+    level's separator blocks of ``x``, one thread block per tile of each
+    ``sep×nrhs`` block (``sep_tiles`` = Σ ⌈sep/TILE⌉)."""
+    nbytes = 4.0 * nrhs * itemsize * swaps
+    return KernelCost(bytes_read=nbytes / 2, bytes_written=nbytes / 2,
+                      blocks=max(sep_tiles * tile_blocks(1, nrhs), 1),
+                      kernel_class="swap", memory_ramp=0.3)
+
+
+def solve_update_cost(sum_us: int, sum_rows: int, tiles: int,
+                      partials: int, nrhs: int,
+                      itemsize: int) -> KernelCost:
+    """One ``solve:scatter``/``solve:gather`` launch.
+
+    The level's fronts stream their update factor blocks (Σ u·s =
+    ``sum_us`` elements, ``tiles`` = Σ ⌈u/TILE⌉·⌈s/TILE⌉) against
+    ``nrhs`` columns and update ``sum_rows`` rows of ``x``.  The grid
+    splits K over the factor blocks' tiles, so it launches ``tiles``
+    blocks per ``TILE`` columns, and the ``partials`` elements per column
+    (:func:`split_k_partials`) cross memory twice more.
+    """
+    nbytes = float(sum_us + 2 * sum_rows * nrhs) * itemsize
+    pbytes = float(partials * nrhs) * itemsize
+    return KernelCost(flops=2.0 * sum_us * nrhs,
+                      bytes_read=nbytes * 0.7 + pbytes,
+                      bytes_written=nbytes * 0.3 + pbytes,
+                      blocks=max(tiles * tile_blocks(1, nrhs), 1),
+                      kernel_class="gemm_irr", memory_ramp=0.5)
+
+
 class _GemmPlan:
     __slots__ = ("mi", "ni", "ki", "buckets", "singles", "scales",
                  "flops_mult", "ramp_weighted", "ab_read_elems",
@@ -225,7 +275,7 @@ class _PanelChunk:
 
 class _LaswpPlan:
     __slots__ = ("length", "npiv", "c0", "c1", "lmax", "init_elems",
-                 "rehearse_elems")
+                 "rehearse_elems", "gather_blocks")
 
 
 class BatchEngine:
@@ -309,9 +359,7 @@ class BatchEngine:
                 mi[mult_idx] * ki[mult_idx] + ki[mult_idx] * ni[mult_idx]))
             p.c_mult_elems = int(np.sum(mi[mult_idx] * ni[mult_idx]))
             p.c_scale_elems = int(np.sum(mi[scale_idx] * ni[scale_idx]))
-            p.blocks = int(np.sum(
-                np.maximum(1, _ceil_div(mi[active], GEMM_TILE)) *
-                np.maximum(1, _ceil_div(ni[active], GEMM_TILE))))
+            p.blocks = tile_blocks(mi[active], ni[active])
 
             buckets: list = []
             single_parts: list = []
@@ -443,7 +491,7 @@ class BatchEngine:
             bytes_r += float(plan.c_scale_elems) * itemsize
             bytes_w += float(plan.c_scale_elems) * itemsize
         ramp = plan.ramp_weighted / flops if flops > 0 else 1.0
-        smem = min(2 * GEMM_TILE * GEMM_TILE * itemsize,
+        smem = min(2 * TILE * TILE * itemsize,
                    device.spec.max_shared_per_block)
         return KernelCost(
             flops=flops, bytes_read=bytes_r, bytes_written=bytes_w,
@@ -470,7 +518,7 @@ class BatchEngine:
             p.flops = float(np.sum(order * order * rhs))
             p.ord2_sum = int(np.sum(order * order))
             p.b_elems = int(np.sum(mi[idx] * ni[idx]))
-            p.blocks = int(np.sum(np.maximum(1, _ceil_div(rhs, 32))))
+            p.blocks = tile_blocks(1, rhs)
             return p
 
         return self.cache.get_or_build(key, build)
@@ -754,6 +802,8 @@ class BatchEngine:
             p.lmax = int(p.length.max()) if len(batch) else 0
             p.init_elems = int(np.sum(p.length))
             p.rehearse_elems = int(np.sum(p.npiv))
+            width = p.c1 - p.c0
+            p.gather_blocks = tile_blocks(1, width[(p.npiv > 0) & (width > 0)])
             return p
 
         return self.cache.get_or_build(key, build)
@@ -836,7 +886,6 @@ class BatchEngine:
         perm, _swaps = self._rehearse_permutation(pivots_list, f12.max_m)
         itemsize = f12.itemsize
         nbytes = 0
-        blocks = 0
         for i in range(len(f12)):
             s, u = f12.local_dims(i)
             if s == 0 or u == 0:
@@ -844,10 +893,9 @@ class BatchEngine:
             b = f12.arrays[i].data
             b[:s, :] = b[perm[i, :s], :]
             nbytes += 2 * s * u * itemsize
-            blocks += 1
         return KernelCost(bytes_read=nbytes / 2, bytes_written=nbytes / 2,
-                          blocks=max(blocks, 1), kernel_class="swap",
-                          memory_ramp=0.4)
+                          blocks=max(tile_blocks(f12.m_vec, f12.n_vec), 1),
+                          kernel_class="swap", memory_ramp=0.4)
 
     # ------------------------------------------------------------------
     # multifrontal solve phase (plan-driven level kernels)
@@ -855,9 +903,9 @@ class BatchEngine:
     # ``lp`` below is a LevelSolvePlan from repro.sparse.numeric.solve_plan
     # (duck-typed here to keep the dependency one-directional);
     # ``stacks`` the per-bucket 3-D DeviceArray factor stacks.  Costs
-    # reproduce the reference closures in gpu_solve bit-for-bit: the
-    # accumulators are integer-valued, so the precomputed sums equal the
-    # naive loop's sequential ``+=`` in IEEE double.
+    # come from the shared solve_*_cost functions over the level's
+    # precomputed integer totals, which the naive closures in gpu_solve
+    # recount front by front.
 
     def exec_solve_pivots(self, x, lp, nrhs: int,
                           itemsize: int) -> KernelCost:
@@ -870,10 +918,8 @@ class BatchEngine:
         """
         if len(lp.piv_dst):
             x[lp.piv_dst, :] = x[lp.piv_src, :]
-        nbytes = 4.0 * nrhs * itemsize * lp.swaps_total
-        return KernelCost(bytes_read=nbytes / 2, bytes_written=nbytes / 2,
-                          blocks=max(lp.nfronts, 1),
-                          kernel_class="swap", memory_ramp=0.3)
+        return solve_pivots_cost(lp.swaps_total, lp.sep_tiles, nrhs,
+                                 itemsize)
 
     def exec_solve_scatter(self, x, lp, stacks, nrhs: int,
                            itemsize: int) -> KernelCost:
@@ -907,12 +953,8 @@ class BatchEngine:
                         blocks3[j] @ x[s0:s0 + b.s, :]
         for rows, pos in lp.rounds:
             x[rows, :] -= delta[pos, :]
-        flops = 2.0 * lp.sum_us * nrhs
-        nbytes = float(lp.sum_us + 2 * lp.sum_u * nrhs) * itemsize
-        return KernelCost(flops=flops, bytes_read=nbytes * 0.7,
-                          bytes_written=nbytes * 0.3,
-                          blocks=max(lp.nfronts, 1),
-                          kernel_class="gemm_irr", memory_ramp=0.5)
+        return solve_update_cost(lp.sum_us, lp.sum_u, lp.upd_tiles,
+                                 lp.scatter_partials, nrhs, itemsize)
 
     def exec_solve_gather(self, x, lp, stacks, nrhs: int,
                           itemsize: int) -> KernelCost:
@@ -935,12 +977,8 @@ class BatchEngine:
                     g0 = int(b.seg_start[j])
                     xu = x[lp.upd_rows[g0:g0 + b.u], :]
                     x[s0:s0 + b.s, :] -= blocks3[j] @ xu
-        flops = 2.0 * lp.sum_us * nrhs
-        nbytes = float(lp.sum_us + 2 * lp.sum_s_active * nrhs) * itemsize
-        return KernelCost(flops=flops, bytes_read=nbytes * 0.7,
-                          bytes_written=nbytes * 0.3,
-                          blocks=max(lp.nfronts, 1),
-                          kernel_class="gemm_irr", memory_ramp=0.5)
+        return solve_update_cost(lp.sum_us, lp.sum_s_active, lp.upd_tiles,
+                                 lp.gather_partials, nrhs, itemsize)
 
 
 class _LaswpSession:
@@ -1010,7 +1048,6 @@ class _LaswpSession:
         touch = ((np.arange(lmax)[None, :] < plan.npiv[:, None]) |
                  ((aux != ident[None, :]) & valid))
         nbytes = 0
-        blocks = 0
         for i in range(len(batch)):
             np_i = int(plan.npiv[i])
             if np_i == 0:
@@ -1023,9 +1060,9 @@ class _LaswpSession:
             rel = np.nonzero(touch[i, :int(plan.length[i])])[0]
             a[rel + j, c0:c1] = a[aux[i, rel], c0:c1]
             nbytes += 2 * len(rel) * width * itemsize
-            blocks += max(1, -(-width // 32))
         return KernelCost(bytes_read=float(nbytes), bytes_written=float(nbytes),
-                          blocks=max(blocks, 1), threads_per_block=256,
+                          blocks=max(plan.gather_blocks, 1),
+                          threads_per_block=256,
                           shared_mem_per_block=min(
                               self.chunk_rows * 32 * 8,
                               batch.device.spec.max_shared_per_block),

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..device.kernel import KernelCost, gemm_compute_ramp
+from ..device.kernel import TILE, KernelCost, gemm_compute_ramp, \
+    tile_blocks
 from ..device.simulator import Device
 from .abft import gemm_check, verified_launch
 from .dcwi import Workload, infer_gemm
-from .engine import GEMM_TILE as _GEMM_TILE, resolve_engine
+from .engine import resolve_engine
 from .interface import IrrBatch, Offsets
 
 __all__ = ["irr_gemm"]
@@ -134,13 +135,13 @@ def irr_gemm(device: Device, transa: str, transb: str,
                     flops += mi * ni
                     bytes_r += mi * ni * itemsize
                     bytes_w += mi * ni * itemsize
-            blocks += max(1, -(-mi // _GEMM_TILE)) * max(1, -(-ni // _GEMM_TILE))
+            blocks += tile_blocks(mi, ni)
         # flop-weighted efficiency ramp: one tiny matrix must not drag the
         # whole batch, but a batch of tiny matrices runs far from peak.
         ramp = ramp_weighted / flops if flops > 0 else 1.0
         # tile buffers sized to the architecture (a real kernel picks a
         # smaller tiling on devices with little shared memory)
-        smem = min(2 * _GEMM_TILE * _GEMM_TILE * itemsize,
+        smem = min(2 * TILE * TILE * itemsize,
                    device.spec.max_shared_per_block)
         return KernelCost(
             flops=flops, bytes_read=bytes_r, bytes_written=bytes_w,

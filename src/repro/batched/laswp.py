@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..device.kernel import KernelCost
+from ..device.kernel import KernelCost, tile_blocks
 from ..device.simulator import Device
 from .interface import IrrBatch
 from .panel import PanelPivots
@@ -183,7 +183,7 @@ def rehearsed_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,
                 e = min(s + chunk_rows, len(dest_rows))
                 a[dest_rows[s:e], c0:c1] = gathered[s:e]
             nbytes += 2 * len(dest_rows) * width * batch.itemsize
-            blocks += max(1, -(-width // 32))
+            blocks += tile_blocks(1, width)
         return KernelCost(bytes_read=nbytes, bytes_written=nbytes,
                           blocks=max(blocks, 1), threads_per_block=256,
                           shared_mem_per_block=min(

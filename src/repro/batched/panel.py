@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..device.kernel import KernelCost
+from ..device.kernel import KernelCost, tile_blocks
 from ..device.simulator import Device
 from ..errors import InfeasibleConfig
 from .interface import IrrBatch
@@ -420,7 +420,7 @@ def columnwise_getf2(device: Device, batch: IrrBatch, pivots: PanelPivots,
                     # <=32-wide panel is mostly L2-resident between the
                     # per-column kernels; charge the DRAM-visible fraction.
                     nbytes += 2 * tr * batch.itemsize * 0.3
-                    blocks += max(1, -(-(width - c - 1) // 32))
+                    blocks += tile_blocks(1, width - c - 1)
             return KernelCost(flops=flops, bytes_read=nbytes / 2,
                               bytes_written=nbytes / 2,
                               blocks=max(blocks, 1), threads_per_block=128,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..device.kernel import KernelCost, gemm_compute_ramp
+from ..device.kernel import KernelCost, gemm_compute_ramp, tile_blocks
 from ..device.simulator import Device
 from .gemm import irr_gemm
 from .interface import IrrBatch
@@ -213,7 +213,7 @@ def _trapezoid_apply(device: Device, batch: IrrBatch, T: IrrBatch,
                 c1 -= v1 @ w
             flops += 2.0 * nref * nref * n2
             nbytes += 2.0 * nref * n2 * batch.itemsize
-            blocks += max(1, -(-n2 // 32))
+            blocks += tile_blocks(1, n2)
         return KernelCost(flops=flops, bytes_read=nbytes / 2,
                           bytes_written=nbytes / 2, blocks=max(blocks, 1),
                           threads_per_block=128, kernel_class="trsm_irr",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from ..device.kernel import KernelCost, gemm_compute_ramp
+from ..device.kernel import KernelCost, gemm_compute_ramp, tile_blocks
 from ..device.simulator import Device
 from .abft import trsm_check, verified_launch
 from .dcwi import Workload, infer_trsm
@@ -112,7 +112,7 @@ def _base_kernel(device: Device, side: str, uplo: str, trans: str, diag: str,
             flops += float(order) * order * rhs
             bytes_r += (order * order / 2 + mi * ni) * itemsize
             bytes_w += mi * ni * itemsize
-            blocks += max(1, -(-rhs // 32))
+            blocks += tile_blocks(1, rhs)
         smem = min(order_req * order_req * itemsize,
                    device.spec.max_shared_per_block)
         return KernelCost(
@@ -371,7 +371,7 @@ def magma_style_trsm(device: Device, side: str, uplo: str, trans: str,
                 x[j0:j1, :] = inv @ rhs
                 flops += 2.0 * (j1 - j0) ** 2 * ni
                 bytes_rw += ((j1 - j0) * (mi + 2 * ni)) * itemsize
-                blocks += max(1, -(-ni // 32))
+                blocks += tile_blocks(1, ni)
             return KernelCost(flops=flops, bytes_read=bytes_rw * 0.7,
                               bytes_written=bytes_rw * 0.3,
                               blocks=max(blocks, 1),

@@ -20,7 +20,7 @@ Quick use::
 from .faults import CORRUPT_MAGNITUDE, FAULT_KINDS, PERSISTENT, \
     FaultInjector, FaultPlan, FaultRule, InjectedFault
 from .kernel import KernelCost, LaunchRecord, gemm_compute_ramp, \
-    intrinsic_duration, sm_demand
+    intrinsic_duration, sm_demand, tile_blocks
 from .memory import MAX_TRANSFER_ATTEMPTS, DeviceArray, DeviceOutOfMemory, \
     pack_to_device, validate_memory_budget
 from .node import Link, Node, NVLINK, PCIE_STAGING
@@ -39,5 +39,5 @@ __all__ = [
     "A100", "MI100", "XEON_6140_2S", "Stream", "Event", "KernelCost",
     "LaunchRecord",
     "Profiler", "KernelSummary", "intrinsic_duration", "sm_demand",
-    "gemm_compute_ramp",
+    "gemm_compute_ramp", "tile_blocks",
 ]

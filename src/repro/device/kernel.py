@@ -10,8 +10,11 @@ threads/block, shared memory/block).  The device turns this into an
             + launch_overhead_device``
 
 where ``sm_frac`` is the fraction of the device's SMs the kernel can
-occupy given its block count and occupancy limits, and ``bw_frac``
-reflects that a handful of SMs cannot saturate HBM.  The efficiency
+occupy given its block count and occupancy limits, and ``bw_frac =
+min(1, sm_frac / sm_bw_saturation_frac)`` reflects that a handful of SMs
+cannot saturate HBM.  A kernel that streams a matrix block launches one
+thread block per ``TILE``×``TILE`` tile of it (:func:`tile_blocks`), so
+its SM share follows the work, not the number of matrices.  The efficiency
 factors ``eff_c`` / ``eff_m`` are per-kernel-family asymptotes from the
 :class:`~repro.device.spec.DeviceSpec`, optionally scaled by a size-
 dependent ramp supplied in the cost (small GEMMs don't hit the GEMM
@@ -28,7 +31,12 @@ import numpy as np
 from .spec import DeviceSpec
 
 __all__ = ["KernelCost", "LaunchRecord", "intrinsic_duration", "sm_demand",
-           "gemm_compute_ramp", "PEAK_SCALE", "peak_scale_for"]
+           "gemm_compute_ramp", "tile_blocks", "TILE", "PEAK_SCALE",
+           "peak_scale_for"]
+
+#: Edge of the square output tile one thread block owns (the irrGEMM
+#: tile; every tiled grid in the library counts in it).
+TILE = 32
 
 #: Arithmetic-peak multiplier per data type relative to FP64 (the single
 #: source of truth — the bucketed engine's ``IrrBatch.peak_scale`` and
@@ -68,9 +76,11 @@ class KernelCost:
     bytes_read, bytes_written:
         Global-memory traffic generated.
     blocks:
-        Thread blocks in the grid.  Batched kernels launch roughly one
-        block (row) per matrix; single-matrix kernels in the streamed
-        baseline launch few blocks and therefore occupy few SMs.
+        Thread blocks in the grid.  A kernel that streams matrix blocks
+        launches one block per ``TILE``×``TILE`` tile of each
+        (:func:`tile_blocks`); kernels whose blocks own a whole small
+        matrix (the panel, the getrs pivots) launch one per matrix.
+        DESIGN.md §5 tabulates the rule of every kernel.
     threads_per_block:
         Block size (occupancy input).
     shared_mem_per_block:
@@ -101,23 +111,6 @@ class KernelCost:
     def bytes_total(self) -> float:
         return self.bytes_read + self.bytes_written
 
-    def merged(self, other: "KernelCost") -> "KernelCost":
-        """Combine two costs as if executed by one fused kernel."""
-        return KernelCost(
-            flops=self.flops + other.flops,
-            bytes_read=self.bytes_read + other.bytes_read,
-            bytes_written=self.bytes_written + other.bytes_written,
-            blocks=max(self.blocks, other.blocks),
-            threads_per_block=max(self.threads_per_block,
-                                  other.threads_per_block),
-            shared_mem_per_block=max(self.shared_mem_per_block,
-                                     other.shared_mem_per_block),
-            kernel_class=self.kernel_class,
-            compute_ramp=min(self.compute_ramp, other.compute_ramp),
-            memory_ramp=min(self.memory_ramp, other.memory_ramp),
-            peak_scale=min(self.peak_scale, other.peak_scale),
-        )
-
 
 @dataclass
 class LaunchRecord:
@@ -139,6 +132,20 @@ class LaunchRecord:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+def tile_blocks(rows, cols) -> int:
+    """Thread blocks of a grid with one block per ``TILE``×``TILE`` tile.
+
+    ``rows``/``cols`` are the block dimensions, as ints or as arrays
+    (one entry per matrix); returns ``Σ ⌈rows/TILE⌉·⌈cols/TILE⌉``.  An
+    empty block needs no tile.
+    """
+    if isinstance(rows, int) and isinstance(cols, int):
+        return -(-rows // TILE) * -(-cols // TILE)
+    r = -(-np.asarray(rows, dtype=np.int64) // TILE)
+    c = -(-np.asarray(cols, dtype=np.int64) // TILE)
+    return int(np.sum(r * c))
 
 
 def sm_demand(cost: KernelCost, spec: DeviceSpec) -> int:

@@ -95,7 +95,9 @@ class Profiler:
             "host_launch_time": self.host_launch_time,
             "sync_count": self.sync_count,
             "sync_wait_time": self.sync_wait_time,
+            "transfer_count": self.transfer_count,
             "transfer_time": self.transfer_time,
+            "stall_count": self.stall_count,
             "stall_time": self.stall_time,
         }
 

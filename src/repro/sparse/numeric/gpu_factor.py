@@ -38,7 +38,7 @@ from ...batched.getrf import irr_getrf
 from ...batched.interface import IrrBatch
 from ...batched.trsm import irr_trsm
 from ...batched.vendor import vendor_gemm, vendor_getrf, vendor_trsm
-from ...device.kernel import KernelCost
+from ...device.kernel import KernelCost, tile_blocks
 from ...device.memory import DeviceArray, DeviceOutOfMemory, \
     validate_memory_budget
 from ...device.simulator import Device
@@ -711,7 +711,8 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
 
 def _assemble_level(device, a_perm, symb, fids, buffers, *,
                     host_schur=None) -> list[int]:
-    """One kernel: gather A entries + extend-add children Schur blocks.
+    """One kernel: gather A entries + extend-add children Schur blocks,
+    one thread block per 32×32 tile of each front.
 
     Children factored in an earlier traversal (out-of-core mode) have
     their Schur complements on the host; those are re-uploaded first
@@ -727,7 +728,6 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
     def kernel() -> KernelCost:
         nbytes_r = 0.0
         nbytes_w = 0.0
-        blocks = 0
         for fid, info in zip(fids, infos):
             F = buffers[fid].data
             idx = info.indices
@@ -753,9 +753,10 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
                                    dtype=np.int64)
                     F[np.ix_(loc, loc)] += schur
                     nbytes_r += schur.nbytes
-            blocks += 1
+        orders = [info.order for info in infos]
         return KernelCost(bytes_read=nbytes_r, bytes_written=nbytes_w,
-                          blocks=max(blocks, 1), threads_per_block=256,
+                          blocks=max(tile_blocks(orders, orders), 1),
+                          threads_per_block=256,
                           kernel_class="swap", memory_ramp=0.4)
 
     try:
@@ -796,13 +797,13 @@ def _make_block_batches(device, symb, fids, buffers):
 
 def _apply_pivots_to_f12(device, f12: IrrBatch, pivots: list[np.ndarray],
                          engine=None) -> None:
-    """One kernel: gather-apply each front's pivot swaps to its F12 rows."""
+    """One kernel: gather-apply each front's pivot swaps to its F12 rows,
+    one thread block per 32×32 tile of each F12 block."""
 
     def kernel() -> KernelCost:
         if engine is not None:
             return engine.exec_apply_pivots_f12(f12, pivots)
         nbytes = 0.0
-        blocks = 0
         for i in range(len(f12)):
             s, u = f12.local_dims(i)
             if s == 0 or u == 0:
@@ -813,10 +814,9 @@ def _apply_pivots_to_f12(device, f12: IrrBatch, pivots: list[np.ndarray],
                 if p != r:
                     b[[r, p], :] = b[[p, r], :]
             nbytes += 2 * s * u * f12.itemsize
-            blocks += 1
         return KernelCost(bytes_read=nbytes / 2, bytes_written=nbytes / 2,
-                          blocks=max(blocks, 1), kernel_class="swap",
-                          memory_ramp=0.4)
+                          blocks=max(tile_blocks(f12.m_vec, f12.n_vec), 1),
+                          kernel_class="swap", memory_ramp=0.4)
 
     device.launch("irrlaswp:f12", kernel)
 
@@ -834,7 +834,7 @@ def _quarantine_broken(device, bad, *batches) -> None:
     garbage in the columns at and beyond the breakdown; zeroing its
     F12/F21 factors and F22 Schur block keeps the extend-add (and any
     later solve attempt) finite.  Engine-independent, so both engines
-    emit the identical launch.
+    emit the identical launch: one thread block per 32×32 tile zeroed.
     """
 
     def kernel() -> KernelCost:
@@ -844,7 +844,8 @@ def _quarantine_broken(device, bad, *batches) -> None:
                 view = b.matrix(int(i))
                 view[...] = 0.0
                 nbytes += view.nbytes
-        return KernelCost(bytes_written=nbytes, blocks=max(len(bad), 1),
+        blocks = sum(tile_blocks(b.m_vec[bad], b.n_vec[bad]) for b in batches)
+        return KernelCost(bytes_written=nbytes, blocks=max(blocks, 1),
                           threads_per_block=256, kernel_class="swap",
                           memory_ramp=0.4)
 
@@ -975,14 +976,15 @@ def _level_looped(device, symb, fids, buffers, pivots_of, *,
             diag_of[fid] = (int(info_arr[0]), 0, np.inf, 1.0)
         if int(info_arr[0]) != 0:
             if u:
-                def zero_blocks(arr=arr, s=s) -> KernelCost:
+                def zero_blocks(arr=arr, s=s, u=u) -> KernelCost:
                     arr.data[:s, s:] = 0.0
                     arr.data[s:, :s] = 0.0
                     arr.data[s:, s:] = 0.0
                     return KernelCost(
                         bytes_written=float(arr.data.nbytes -
                                             s * s * arr.data.itemsize),
-                        blocks=1, kernel_class="swap", memory_ramp=0.4)
+                        blocks=tile_blocks([s, u, u], [u, s, u]),
+                        kernel_class="swap", memory_ramp=0.4)
 
                 device.launch("breakdown:quarantine", zero_blocks)
             continue
@@ -1005,7 +1007,8 @@ def _apply_pivots_single(device, b: np.ndarray, ipiv: np.ndarray) -> None:
             if p != r:
                 b[[r, p], :] = b[[p, r], :]
         return KernelCost(bytes_read=b.nbytes, bytes_written=b.nbytes,
-                          blocks=1, kernel_class="swap", memory_ramp=0.3)
+                          blocks=tile_blocks(*b.shape), kernel_class="swap",
+                          memory_ramp=0.3)
 
     device.launch("laswp:f12", kernel)
 

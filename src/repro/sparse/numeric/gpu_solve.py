@@ -34,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...batched.engine import resolve_engine
+from ...batched.engine import resolve_engine, solve_pivots_cost, \
+    solve_update_cost, split_k_partials
 from ...batched.interface import IrrBatch
 from ...batched.trsm import irr_trsm
-from ...device.kernel import KernelCost
+from ...device.kernel import KernelCost, tile_blocks
 from ...device.memory import DeviceOutOfMemory
 from ...device.simulator import Device
 from ...errors import ResourceExhausted
@@ -125,6 +126,16 @@ def _solve_naive(device: Device, factors: MultifrontalFactors,
         x_dev.free()
 
 
+def _update_dims(symb, fids) -> tuple[int, np.ndarray, np.ndarray]:
+    """Σ upd·sep and the (upd, sep) sizes of the fronts with an update
+    block, recounted per launch by the naive sweeps."""
+    dims = np.array([(symb.fronts[f].upd_size, symb.fronts[f].sep_size)
+                     for f in fids if symb.fronts[f].upd_size],
+                    dtype=np.int64).reshape(-1, 2)
+    u, s = dims[:, 0], dims[:, 1]
+    return int(np.sum(u * s)), u, s
+
+
 def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                   stream) -> tuple:
     symb = factors.symb
@@ -145,7 +156,7 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                                               dtype=np.int64))
 
             def apply_pivots(fids=fids) -> KernelCost:
-                nbytes = 0.0
+                swaps = 0
                 for f in fids:
                     info = symb.fronts[f]
                     fac = factors.fronts[f]
@@ -154,11 +165,10 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                         p = int(fac.ipiv[r])
                         if p != r:
                             blk[[r, p], :] = blk[[p, r], :]
-                            nbytes += 4 * nrhs * itemsize
-                return KernelCost(bytes_read=nbytes / 2,
-                                  bytes_written=nbytes / 2,
-                                  blocks=max(len(fids), 1),
-                                  kernel_class="swap", memory_ramp=0.3)
+                            swaps += 1
+                seps = [symb.fronts[f].sep_size for f in fids]
+                return solve_pivots_cost(swaps, tile_blocks(seps, 1), nrhs,
+                                         itemsize)
 
             device.launch("solve:pivots", apply_pivots, stream=stream)
             irr_trsm(device, "L", "L", "N", "U", int(f11.max_m), nrhs, 1.0,
@@ -166,8 +176,7 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                      name="irrtrsm:fwd")
 
             def scatter_update(fids=fids) -> KernelCost:
-                flops = 0.0
-                nbytes = 0.0
+                us, u, s = _update_dims(symb, fids)
                 for li, f in enumerate(fids):
                     info = symb.fronts[f]
                     if info.upd_size == 0:
@@ -176,13 +185,9 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                     upd = f21.arrays[li].data @ y_sep
                     # scatter-subtract into the global vector
                     np.subtract.at(x, info.upd, upd)
-                    flops += 2.0 * info.upd_size * info.sep_size * nrhs
-                    nbytes += (info.upd_size * info.sep_size +
-                               2 * info.upd_size * nrhs) * itemsize
-                return KernelCost(flops=flops, bytes_read=nbytes * 0.7,
-                                  bytes_written=nbytes * 0.3,
-                                  blocks=max(len(fids), 1),
-                                  kernel_class="gemm_irr", memory_ramp=0.5)
+                return solve_update_cost(us, int(u.sum()), tile_blocks(u, s),
+                                         split_k_partials(u, s), nrhs,
+                                         itemsize)
 
             device.launch("solve:scatter", scatter_update, stream=stream)
             f11.free()
@@ -202,8 +207,7 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                                               dtype=np.int64))
 
             def gather_update(fids=fids) -> KernelCost:
-                flops = 0.0
-                nbytes = 0.0
+                us, u, s = _update_dims(symb, fids)
                 for li, f in enumerate(fids):
                     info = symb.fronts[f]
                     if info.upd_size == 0:
@@ -211,13 +215,9 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                     x_upd = x[info.upd, :]
                     x[info.sep_begin:info.sep_end, :] -= \
                         f12.arrays[li].data @ x_upd
-                    flops += 2.0 * info.sep_size * info.upd_size * nrhs
-                    nbytes += (info.sep_size * info.upd_size +
-                               2 * info.sep_size * nrhs) * itemsize
-                return KernelCost(flops=flops, bytes_read=nbytes * 0.7,
-                                  bytes_written=nbytes * 0.3,
-                                  blocks=max(len(fids), 1),
-                                  kernel_class="gemm_irr", memory_ramp=0.5)
+                return solve_update_cost(us, int(s.sum()), tile_blocks(u, s),
+                                         split_k_partials(s, u), nrhs,
+                                         itemsize)
 
             device.launch("solve:gather", gather_update, stream=stream)
             irr_trsm(device, "L", "U", "N", "N", int(f11.max_m), nrhs, 1.0,

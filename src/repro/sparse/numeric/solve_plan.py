@@ -59,8 +59,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ...batched.engine import BatchEngine
+from ...batched.engine import BatchEngine, split_k_partials
 from ...batched.interface import IrrBatch
+from ...device.kernel import tile_blocks
 from ...device.memory import DeviceOutOfMemory, pack_to_device, \
     validate_memory_budget
 from ...device.simulator import Device
@@ -115,10 +116,14 @@ class LevelSolvePlan:
     upd_rows: np.ndarray      #: concatenated global update rows
     rounds: list[tuple[np.ndarray, np.ndarray]]  #: (rows, positions)
     buckets: list[SolveBucket] = field(default_factory=list)
-    # order-independent cost sums matching the naive loop's accumulators
+    # integer cost totals the naive loop recounts front by front
+    sep_tiles: int = 0        #: Σ ⌈sep/32⌉ (``solve:pivots`` grid)
     sum_us: int = 0           #: Σ upd·sep over active fronts
     sum_u: int = 0            #: Σ upd over active fronts
     sum_s_active: int = 0     #: Σ sep over active fronts
+    upd_tiles: int = 0        #: Σ ⌈upd/32⌉·⌈sep/32⌉ over active fronts
+    scatter_partials: int = 0  #: split-K partials of ``f21 @ y``
+    gather_partials: int = 0   #: split-K partials of ``f12 @ x``
     # rehearsed pivot application: one gather replaces the swap loops
     piv_dst: np.ndarray = field(      #: global rows that move
         default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -205,7 +210,7 @@ class SolveLayout:
 
         lp = LevelSolvePlan(
             fids=fids, sep_m=sep_m, sep_starts=sep_starts,
-            max_sep=int(sep_m.max()),
+            max_sep=int(sep_m.max()), sep_tiles=tile_blocks(sep_m, 1),
             upd_rows=upd_rows, rounds=_build_rounds(upd_rows))
         if act:
             shapes = np.array([[info.upd_size, info.sep_size]
@@ -227,9 +232,13 @@ class SolveLayout:
                     sep_mat=sep_mat, sep_flat=sep_mat.reshape(-1),
                     upd_mat=upd_rows[upd_pos],
                     out_pos=upd_pos.reshape(-1)))
-            lp.sum_us = int(np.sum(shapes[:, 0] * shapes[:, 1]))
-            lp.sum_u = int(np.sum(shapes[:, 0]))
-            lp.sum_s_active = int(np.sum(shapes[:, 1]))
+            u, s = shapes[:, 0], shapes[:, 1]
+            lp.sum_us = int(np.sum(u * s))
+            lp.sum_u = int(np.sum(u))
+            lp.sum_s_active = int(np.sum(s))
+            lp.upd_tiles = tile_blocks(u, s)
+            lp.scatter_partials = split_k_partials(u, s)
+            lp.gather_partials = split_k_partials(s, u)
         return lp
 
 

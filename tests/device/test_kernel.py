@@ -1,9 +1,10 @@
 """Tests for kernel cost descriptors and the roofline timing model."""
 
+import numpy as np
 import pytest
 
 from repro.device import A100, MI100, KernelCost, gemm_compute_ramp, \
-    intrinsic_duration, sm_demand
+    intrinsic_duration, sm_demand, tile_blocks
 
 
 class TestSmDemand:
@@ -89,16 +90,25 @@ class TestGemmComputeRamp:
         assert gemm_compute_ramp(1000, 1000, 4) == gemm_compute_ramp(4, 4, 4)
 
 
-class TestKernelCostMerge:
-    def test_merged_adds_work(self):
-        a = KernelCost(flops=10, bytes_read=5, blocks=3)
-        b = KernelCost(flops=20, bytes_written=7, blocks=9)
-        m = a.merged(b)
-        assert m.flops == 30
-        assert m.bytes_total == 12
-        assert m.blocks == 9
+class TestTileBlocks:
+    @pytest.mark.parametrize("rows,cols,blocks", [
+        (0, 0, 0), (0, 40, 0), (1, 1, 1), (32, 32, 1), (33, 32, 2),
+        (33, 33, 4), (1, 33, 2), (299, 299, 100)])
+    def test_scalar(self, rows, cols, blocks):
+        assert tile_blocks(rows, cols) == blocks
+        assert tile_blocks(np.int64(rows), np.int64(cols)) == blocks
 
-    def test_merged_keeps_worst_ramp(self):
-        a = KernelCost(compute_ramp=0.9)
-        b = KernelCost(compute_ramp=0.3)
-        assert a.merged(b).compute_ramp == 0.3
+    def test_arrays_sum_per_matrix_tiles(self):
+        rows = np.array([0, 1, 32, 33, 64])
+        cols = np.array([7, 1, 32, 33, 1])
+        assert tile_blocks(rows, cols) == 0 + 1 + 1 + 4 + 2
+        assert tile_blocks(list(rows), list(cols)) == 8
+        assert tile_blocks(rows, 33) == 2 * (0 + 1 + 1 + 2 + 2)
+
+    def test_empty_batch_has_no_tiles(self):
+        assert tile_blocks(np.empty(0, np.int64), np.empty(0, np.int64)) == 0
+
+    def test_never_negative(self):
+        # ceil-div spelled -(-n // 32) ** 2 squares before negating
+        n = np.arange(0, 200)
+        assert tile_blocks(n, n) == int(np.sum(np.ceil(n / 32) ** 2))

@@ -104,6 +104,16 @@ class TestProfilerAccounting:
         a100.synchronize()
         after = a100.profiler.snapshot()
         assert after["launch_count"] - snap["launch_count"] == 1
+        # every counter clear() resets is in the snapshot, so a timed
+        # region reports the transfer count beside the transfer time
+        with a100.timed_region() as region:
+            a100.from_host(np.ones(8)).free()
+            a100.profiler.note_stall(1e-6)
+        assert region["transfer_count"] == 1
+        assert region["transfer_time"] > 0
+        assert region["stall_count"] == 1
+        a100.profiler.clear()
+        assert all(v == 0 for v in a100.profiler.snapshot().values())
 
     def test_clear_resets_everything(self, a100):
         a100.launch("x", None, KernelCost(flops=1e6, blocks=4))
@@ -142,8 +152,3 @@ class TestPeakScaleRoofline:
         t64 = intrinsic_duration(KernelCost(peak_scale=1.0, **base), spec)
         tc = intrinsic_duration(KernelCost(peak_scale=0.25, **base), spec)
         assert tc > 3 * t64
-
-    def test_merged_takes_slower_dtype(self):
-        a = KernelCost(peak_scale=2.0)
-        b = KernelCost(peak_scale=0.25)
-        assert a.merged(b).peak_scale == 0.25

@@ -92,17 +92,35 @@ class TestGpuSolve:
 class TestEngineParity:
     """Planned (bucketed) path vs the streamed naive reference."""
 
-    @pytest.mark.parametrize("nrhs", [1, 3, 17])
-    def test_bitwise_and_cost_parity(self, rng, nrhs):
-        a = grid2d(13, 11)
+    @pytest.mark.parametrize("shape,nrhs", [
+        pytest.param((13, 11), 1, id="1"),
+        pytest.param((13, 11), 3, id="3"),
+        pytest.param((13, 11), 17, id="17"),
+        # separators, update sets and nrhs all above one 32-wide tile:
+        # partial tiles along both grid axes and split-K partial sums
+        pytest.param((40, 40), 40, id="wide-40"),
+    ])
+    def test_bitwise_and_cost_parity(self, rng, shape, nrhs):
+        a = grid2d(*shape)
+        n = a.shape[0]
         nd, fac = factored(a)
-        b = rng.standard_normal((143, nrhs)) if nrhs > 1 else \
-            rng.standard_normal(143)
+        if nrhs > 32:
+            assert max(f.sep_size for f in fac.symb.fronts) > 32
+            assert max(f.upd_size for f in fac.symb.fronts) > 32
+        b = rng.standard_normal((n, nrhs)) if nrhs > 1 else \
+            rng.standard_normal(n)
         rn, rb, dn, db = _both_engines(fac, b)
         assert np.array_equal(rn.x, rb.x)
         assert _records(dn) == _records(db)
         ref = multifrontal_solve(fac, b)
-        np.testing.assert_allclose(rb.x, ref, rtol=1e-12, atol=1e-14)
+        if nrhs > 32:
+            # the host reference sums in another order; on this larger
+            # system its tiniest entries differ by roundoff: compare
+            # normwise
+            err = np.linalg.norm(rb.x - ref) / np.linalg.norm(ref)
+            assert err < 1e-14
+        else:
+            np.testing.assert_allclose(rb.x, ref, rtol=1e-12, atol=1e-14)
 
     def test_complex128_parity(self, rng):
         a = (grid2d(8, 8) - (2.0 + 1.0j) * sp.eye(64)).tocsr()

@@ -10,6 +10,7 @@ from repro.device import A100, MI100, Device
 from repro.sparse import multifrontal_factor_cpu, multifrontal_factor_gpu, \
     multifrontal_solve, nested_dissection, symbolic_analysis
 from repro.sparse.numeric.cpu_factor import factor_front_blocks
+from repro.workloads.fronts import build_maxwell_workload
 
 from .util import grid2d, grid3d, random_sparse
 
@@ -19,6 +20,12 @@ def prepare(a, leaf_size=8):
     ap = a[nd.perm][:, nd.perm].tocsr()
     symb = symbolic_analysis(ap, nd)
     return nd, ap, symb
+
+
+def _records(dev):
+    return [(r.name, r.cost.flops, r.cost.bytes_read, r.cost.bytes_written,
+             r.cost.blocks, r.cost.compute_ramp, r.cost.kernel_class)
+            for r in dev.profiler.records]
 
 
 def solve_via(factors, nd, a, b):
@@ -166,6 +173,25 @@ class TestGpuFactorStrategies:
         b = rng.standard_normal(100)
         x = solve_via(res.factors, nd, a, b)
         assert np.abs(a @ x - b).max() < 1e-9
+
+    def test_engines_agree_on_maxwell(self):
+        # fronts up to order 299 span many 32x32 tiles in every tiled
+        # grid (assembly, F12 swaps, GEMM): both engines must make the
+        # same launches at the same cost and produce the same bits
+        wl = build_maxwell_workload(7)
+        assert max(f.order for f in wl.symb.fronts) == 299
+        runs = []
+        for engine in ("naive", "bucketed"):
+            dev = Device(A100())
+            res = multifrontal_factor_gpu(dev, wl.a_perm, wl.symb,
+                                          engine=engine)
+            runs.append((res.factors.fronts, _records(dev)))
+        (fronts_n, rec_n), (fronts_b, rec_b) = runs
+        assert rec_n == rec_b
+        assert max(r[4] for r in rec_b) > len(wl.symb.fronts)
+        for fn, fb in zip(fronts_n, fronts_b):
+            for blk in ("f11", "f12", "f21", "ipiv"):
+                assert np.array_equal(getattr(fn, blk), getattr(fb, blk))
 
 
 class TestTableIOrderings:

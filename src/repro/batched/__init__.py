@@ -31,8 +31,6 @@ from .laswp import irr_laswp, looped_laswp, rehearsed_laswp
 from .panel import PanelPivots, columnwise_getf2, factor_panel_block, \
     fused_getf2, panel_shared_bytes
 from .potrf import NotPositiveDefiniteError, irr_potrf, potrf_flops
-from .program import CompileError, GuardTripped, PayloadMismatch, \
-    ProgramResult, WorkloadProgram, compile_workload, fuse_costs
 from .qr import DEFAULT_QR_PANEL, QrTaus, apply_q, geqrf_flops, irr_geqrf, \
     qr_least_squares, qr_reconstruct
 from .streamed import streamed_getrf
@@ -61,6 +59,4 @@ __all__ = [
     "InterleaveError",
     "irr_getrs", "irr_potrf", "potrf_flops", "NotPositiveDefiniteError",
     "gemm_vbatched", "trsm_vbatched", "getrf_vbatched",
-    "compile_workload", "WorkloadProgram", "ProgramResult", "fuse_costs",
-    "CompileError", "GuardTripped", "PayloadMismatch",
 ]

@@ -277,7 +277,7 @@ class getrf_check:
     """Checksum invariant of one irrGETRF driver call.
 
     Takes ``snap``, the input matrices as they were before the
-    factorization (a snapshot, or a compiled program's staged payloads),
+    factorization (a snapshot),
     with their checksums ``A₀·w``; verifies ``Pᵀ·L·(U·w) = A₀·w`` over
     the final packed factors in ``batch``.  Broken members
     (``info != 0``) are excluded — they surface through the breakdown

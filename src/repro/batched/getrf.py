@@ -125,9 +125,9 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
     side = device.new_stream() if concurrent_swaps else None
     pivots = None
 
-    def start() -> None:
+    def run() -> PanelPivots:
         # per-run pivot state from the current values: built on the
-        # first run, reset on an ABFT re-execution or a compiled replay
+        # first run, reset on an ABFT re-execution
         nonlocal pivots
         if pivots is None:
             pivots = PanelPivots(batch, pivot_tol=pivot_tol,
@@ -135,18 +135,6 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
                                  replace_scale=replace_scale)
         else:
             pivots.reset(_batch_abs_max(batch))
-
-    def growth() -> None:
-        # Element growth factor max|LU| / max|A|, a stability diagnostic
-        # surfaced with the pivots.  Computed on the host after the last
-        # launch (engine-independent, so both engines report identical
-        # diagnostics); the guarded divide keeps empty matrices at 1.0.
-        ctrl = pivots.ctrl
-        np.divide(_batch_abs_max(batch), ctrl.anorm, out=ctrl.growth,
-                  where=ctrl.anorm > 0.0)
-
-    def run() -> PanelPivots:
-        device.host_step(start)
 
         for j in range(0, kmax, nb):
             ib = min(nb, kmax - j)
@@ -186,7 +174,13 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
                              batch, (j + ib, j + ib), stream=stream,
                              engine=engine)
 
-        device.host_step(growth)
+        # Element growth factor max|LU| / max|A|, a stability diagnostic
+        # surfaced with the pivots.  Computed on the host after the last
+        # launch (engine-independent, so both engines report identical
+        # diagnostics); the guarded divide keeps empty matrices at 1.0.
+        ctrl = pivots.ctrl
+        np.divide(_batch_abs_max(batch), ctrl.anorm, out=ctrl.growth,
+                  where=ctrl.anorm > 0.0)
         return pivots
 
     if not device.verify_kernels:

@@ -55,7 +55,7 @@ Fault kinds
     with a scale-dominant wrong value after the kernel's numerics ran —
     silent data corruption, invisible to launch/transfer checking.
     Only launches that register their outputs (the batched GETRF /
-    TRSM / GEMM drivers and the compiled replay steps do) are corrupt
+    TRSM / GEMM drivers do) are corrupt
     sites; the ABFT checksum layer (:mod:`repro.batched.abft`) detects
     the damage when kernel verification is on (the default inside a
     fault scope whose plan carries corrupt rules).  The perturbation is

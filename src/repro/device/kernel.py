@@ -39,12 +39,11 @@ __all__ = ["KernelCost", "LaunchRecord", "intrinsic_duration", "sm_demand",
 TILE = 32
 
 #: Arithmetic-peak multiplier per data type relative to FP64 (the single
-#: source of truth — the bucketed engine's ``IrrBatch.peak_scale`` and
-#: the compiled programs' cost lowering both read this table, so a new
-#: dtype cannot drift between the two cost paths).  FP32 doubles the
-#: peak on A100/MI100-class hardware; complex arithmetic costs ~4 real
-#: operations per counted flop, so complex128 runs at a quarter of the
-#: FP64 rate and complex64 at half.
+#: source of truth — ``IrrBatch.peak_scale`` and every kernel's cost
+#: read this table, so a new dtype cannot drift between cost paths).
+#: FP32 doubles the peak on A100/MI100-class hardware; complex
+#: arithmetic costs ~4 real operations per counted flop, so complex128
+#: runs at a quarter of the FP64 rate and complex64 at half.
 PEAK_SCALE = {
     "f4": 2.0,      # float32
     "f8": 1.0,      # float64

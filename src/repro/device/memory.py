@@ -78,23 +78,46 @@ def validate_memory_budget(memory_budget, *,
     return int(memory_budget)
 
 
-def _digest(data: np.ndarray) -> bytes:
-    """Payload checksum (order-exact bytes digest)."""
-    return hashlib.blake2b(data.tobytes(), digest_size=16).digest()
+def _digest(*arrays: np.ndarray) -> bytes:
+    """Payload checksum: an order-exact digest of the arrays' C-order
+    bytes laid back to back, built without joining them."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        h.update(np.ascontiguousarray(a))
+    return h.digest()
 
 
-def _transfer_h2d(device: "Device", dest: np.ndarray, src: np.ndarray, *,
+def _land(dest: np.ndarray, parts: list[np.ndarray]) -> None:
+    """Copy host ``parts`` into ``dest``: one part of ``dest``'s shape
+    straight in, else back to back in the flat (C-contiguous) ``dest``."""
+    if len(parts) == 1 and parts[0].shape == dest.shape:
+        dest[...] = parts[0]
+        return
+    flat, off = dest.reshape(-1), 0
+    for p in parts:
+        flat[off:off + p.size].reshape(p.shape)[...] = p
+        off += p.size
+
+
+def _transfer_h2d(device: "Device", dest: np.ndarray, src, *,
                   verify: bool, site: str) -> None:
-    """Copy ``src`` into device-resident ``dest`` with bounded retries.
+    """Copy host ``src`` into device-resident ``dest`` with bounded retries.
 
-    Each attempt pays the bus (latency + bandwidth) exactly like the
-    unchecked path; an installed fault injector may corrupt the landed
-    payload, which verification detects and repairs by re-transferring.
+    ``src`` is one array of ``dest``'s shape or a list of arrays that
+    land back to back in the C-contiguous ``dest``, each copied straight
+    into its slice.  Parts are cast to ``dest``'s dtype first, so the
+    checksum covers the bytes that land.  Each attempt is one transfer:
+    it pays the bus (latency + bandwidth) once for every part, and an
+    installed fault injector may corrupt the landed payload, which
+    verification detects and repairs by re-transferring.
     """
-    want = _digest(src) if verify else None
+    parts = [np.asarray(p, dtype=dest.dtype)
+             for p in (src if isinstance(src, (list, tuple)) else [src])]
+    nbytes = sum(p.nbytes for p in parts)
+    want = _digest(*parts) if verify else None
     for attempt in range(1, MAX_TRANSFER_ATTEMPTS + 1):
-        device._account_transfer(src.nbytes)
-        dest[...] = src
+        device._account_transfer(nbytes)
+        _land(dest, parts)
         if device._injector is not None and dest.size:
             device._injector.on_transfer("h2d", dest, site)
         if not verify or _digest(dest) == want:
@@ -187,6 +210,14 @@ class DeviceArray:
         return self.view(key)
 
     # -- host transfers ---------------------------------------------------
+    def _live_data(self) -> np.ndarray:
+        """Return ``data``; raise :class:`RuntimeError` once the
+        allocation it lives in was freed (its bytes belong to nobody)."""
+        if (self._base or self).freed:
+            raise RuntimeError(f"use after free: {self!r} lives in a "
+                               f"released device allocation")
+        return self.data
+
     def to_host(self, *, verify: bool | None = None) -> np.ndarray:
         """Copy to host (D2H); charges transfer time on the device clock.
 
@@ -195,19 +226,33 @@ class DeviceArray:
         """
         if verify is None:
             verify = self.device.verify_transfers
-        return _transfer_d2h(self.device, self.data, verify=verify,
+        return _transfer_d2h(self.device, self._live_data(), verify=verify,
                              site="to_host")
 
-    def copy_from_host(self, host: np.ndarray, *,
+    def copy_from_host(self, host, *,
                        verify: bool | None = None) -> "DeviceArray":
-        """Copy host data into this array (H2D), optionally checksummed."""
-        host = np.asarray(host)
-        if host.shape != self.data.shape:
-            raise ValueError(
-                f"shape mismatch: device {self.data.shape} vs host {host.shape}")
+        """Copy host data into this array (H2D), optionally checksummed.
+
+        ``host`` is one array of this array's shape, or a list of host
+        arrays that land back to back in this (C-contiguous) array in
+        ONE transfer, each copied straight into its slice.
+        """
+        dest = self._live_data()
+        if isinstance(host, (list, tuple)):
+            host = [np.asarray(h) for h in host]
+            size = sum(h.size for h in host)
+            if size != dest.size or not dest.flags.c_contiguous:
+                raise ValueError(
+                    f"parts of {size} elements do not fill a contiguous "
+                    f"device array of shape {dest.shape}")
+        else:
+            host = np.asarray(host)
+            if host.shape != dest.shape:
+                raise ValueError(f"shape mismatch: device {dest.shape} "
+                                 f"vs host {host.shape}")
         if verify is None:
             verify = self.device.verify_transfers
-        _transfer_h2d(self.device, self.data, host, verify=verify,
+        _transfer_h2d(self.device, dest, host, verify=verify,
                       site="copy_from_host")
         return self
 
@@ -247,10 +292,10 @@ def pack_to_device(device: "Device", blocks: Sequence,
     such lists, returned as a list of stacked views (one per inner
     list) into one allocation, each view's ``base`` owning it.
 
-    Host blocks are stacked host-side and uploaded in one H2D transfer:
-    a per-block ``from_host`` loop would charge the PCIE latency once
-    per block, a staged stack pays it once (the transfer pattern a
-    pinned staging buffer gives a real solver).  Blocks already on
+    Host blocks are uploaded in one H2D transfer, each copied straight
+    into its slice of the allocation (no host staging copy): a
+    per-block ``from_host`` loop would charge the PCIE latency once per
+    block, one transfer pays it once.  Blocks already on
     ``device`` (:class:`DeviceArray` views) are copied by one device
     kernel, ``solve:pack``, and nothing crosses the bus.  Empty or
     zero-sized blocks allocate without any transfer or launch.
@@ -289,16 +334,9 @@ def pack_to_device(device: "Device", blocks: Sequence,
     device._claim(nbytes, site="pack_to_device")
     try:
         buf = np.empty(sum(sizes), dtype=dt)
-
-        def copy(dest: np.ndarray) -> None:
-            off = 0
-            for d in data:
-                dest[off:off + d.size].reshape(d.shape)[...] = d
-                off += d.size
-
         if on_device and nbytes:
             def kernel() -> KernelCost:
-                copy(buf)
+                _land(buf, data)
                 # a streaming copy, one thread per element
                 return KernelCost(bytes_read=nbytes, bytes_written=nbytes,
                                   blocks=-(-sum(sizes) // 256),
@@ -306,9 +344,7 @@ def pack_to_device(device: "Device", blocks: Sequence,
 
             device.launch("solve:pack", kernel)
         elif nbytes:
-            staged = np.empty_like(buf)
-            copy(staged)
-            _transfer_h2d(device, buf, staged,
+            _transfer_h2d(device, buf, data,
                           verify=device.verify_transfers,
                           site="pack_to_device")
     except BaseException:

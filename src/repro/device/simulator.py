@@ -7,8 +7,7 @@ Execution model
 :class:`~repro.device.memory.DeviceArray` data, so every numerical result
 is real.  Callers must keep data-dependent kernels on one stream (FIFO
 semantics); the eager execution order then coincides with a legal device
-schedule.  ``Device.host_step(fn)`` runs host work a driver does between
-launches (no simulated cost).
+schedule.
 
 *Timing layer.*  Each launch appends a :class:`LaunchRecord` carrying its
 host issue time (the host clock advances by ``launch_overhead_host`` per
@@ -75,9 +74,9 @@ class Device:
         self.device_time = 0.0            # makespan of resolved kernels
         self.allocated_bytes = 0
         self.peak_allocated_bytes = 0
-        #: monotone count of successful capacity claims — compiled
-        #: workload programs assert replays perform zero new allocations
-        #: by differencing this counter across runs.
+        #: monotone count of successful capacity claims — tests check
+        #: that repeated runs make the same allocations by differencing
+        #: this counter.
         self.alloc_count = 0
         # Guards the capacity check-and-claim and the release so
         # concurrent workers can never over-commit the device or corrupt
@@ -164,20 +163,33 @@ class Device:
             raise
         return DeviceArray(self, arr)
 
-    def from_host(self, host: np.ndarray, *,
-                  verify: bool | None = None) -> DeviceArray:
-        """Allocate and copy a host array to the device (H2D transfer).
+    def from_host(self, host, *, verify: bool | None = None) -> DeviceArray:
+        """Allocate and copy host data to the device in ONE H2D transfer.
 
-        ``verify`` follows ``self.verify_transfers`` when ``None``; see
+        ``host`` is one array, or a list of host arrays of one dtype
+        that land back to back in one flat allocation (views of it
+        address each part; a list of mixed dtypes raises
+        :class:`ValueError`).  ``verify`` follows
+        ``self.verify_transfers`` when ``None``; see
         :meth:`DeviceArray.copy_from_host` for checksum/retry semantics.
         """
-        host = np.asarray(host)
-        self._claim(host.nbytes, site="from_host")
+        if isinstance(host, (list, tuple)):
+            host = [np.asarray(h) for h in host]
+            dtypes = {h.dtype for h in host}
+            if len(dtypes) > 1:
+                raise ValueError(f"mixed data types in one upload: {dtypes}")
+            dt = dtypes.pop() if dtypes else np.dtype(np.float64)
+            shape = (sum(h.size for h in host),)
+        else:
+            host = np.asarray(host)
+            dt, shape = host.dtype, host.shape
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
+        self._claim(nbytes, site="from_host")
         try:
-            arr = DeviceArray(self, np.empty(host.shape, dtype=host.dtype))
+            arr = DeviceArray(self, np.empty(shape, dtype=dt))
             arr.copy_from_host(host, verify=verify)
         except BaseException:
-            self._release(host.nbytes)
+            self._release(nbytes)
             raise
         return arr
 
@@ -331,19 +343,6 @@ class Device:
         stream.push(rec)
         self._pending.append(rec)
         return cost
-
-    def host_step(self, fn: Callable[[], object]) -> object:
-        """Run one step of a driver's per-run host work; return its value.
-
-        ``irr_getrf`` sends its pivot-state reset and growth epilogue
-        through here: the ordinary path just calls ``fn``, and a
-        :mod:`repro.batched.program` recorder captures each step in
-        order with the launches, so a compiled ``getrf`` replay repeats
-        it.  A step that a launch sequence branches on returns the plain
-        value it branches on (the replay guard); pure work returns
-        ``None``.
-        """
-        return fn()
 
     def host_compute(self, seconds: float) -> None:
         """Advance the host clock by CPU-side work (e.g. CPU panels)."""

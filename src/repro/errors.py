@@ -192,7 +192,7 @@ class CorruptionDetected(RuntimeError):
     """ABFT verification caught a corrupted kernel output it cannot repair.
 
     Raised by the checksum-verified batched kernels
-    (:mod:`repro.batched.abft`) and the compiled replay path after the
+    (:mod:`repro.batched.abft`) after the
     bounded re-execution budget (``kernel-reexec`` rungs in the
     :class:`~repro.recovery.RecoveryLog`) is spent on a checksum
     mismatch that keeps coming back — a persistently corrupting device.
@@ -203,7 +203,7 @@ class CorruptionDetected(RuntimeError):
     Attributes
     ----------
     site:
-        Name of the kernel launch (or program) whose output failed
+        Name of the kernel launch whose output failed
         verification.
     batch_index:
         Index of the first offending matrix within the launch's batch

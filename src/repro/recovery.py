@@ -37,7 +37,7 @@ Actions (the closed vocabulary used across the stack):
                           runtime kernel-launch failure
 ``alloc-retry``           a level transaction re-ran after a transient
                           allocation failure
-``kernel-reexec``         a launch group (or compiled program) re-executed
+``kernel-reexec``         a launch group re-executed
                           after ABFT checksum verification detected a
                           corrupted kernel output
 ``level-split``           a level's front batch was split into sub-batches

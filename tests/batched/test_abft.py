@@ -13,7 +13,6 @@ import pytest
 
 from repro.batched import IrrBatch, irr_getrf, lu_reconstruct
 from repro.batched.abft import ABFT_MAX_REEXEC
-from repro.batched.program import compile_workload
 from repro.device import A100, PERSISTENT, Device, FaultPlan, FaultRule
 from repro.errors import CorruptionDetected
 
@@ -138,30 +137,45 @@ class TestNoFalsePositives:
 
 
 class TestCompiledProgramABFT:
+    """The whole-factorization rung (``irrgetrf``) on a pooled batch,
+    whose members share one allocation and one checked download."""
+
     def test_program_replay_repairs_transient_corruption(self, rng):
+        # a corrupted fused panel and a corrupted download, both in one
+        # call: the re-run restores every member in place and the
+        # retried download returns the fault-free bits
         shapes = [(40, 40)] * 4
         hosts = mats(np.random.default_rng(3), shapes)
+        ref_dev = Device(A100())
+        ref_b = IrrBatch.from_host(ref_dev, hosts)
+        ref_piv = irr_getrf(ref_dev, ref_b)
+        ref = ref_b.to_host()
         dev = Device(A100())
-        prog = compile_workload(dev, "getrf", shapes)
-        ref = prog.run(a=[h.copy() for h in hosts])
-        with dev.fault_scope(corrupt("fused[")):
-            res = prog.run(a=[h.copy() for h in hosts])
+        b = IrrBatch.from_host(dev, hosts)
+        plan = FaultPlan([FaultRule("corrupt", at=0, match="irrgetf2"),
+                          FaultRule("d2h", at=0)], seed=7)
+        with dev.fault_scope(plan):
+            piv = irr_getrf(dev, b)
+            got = b.to_host()
         assert dev.recovery_log.count("kernel-reexec") >= 1
+        assert dev.recovery_log.count("transfer-retry") == 1
         for i in range(len(shapes)):
-            np.testing.assert_array_equal(res.factors[i], ref.factors[i])
-            np.testing.assert_array_equal(res.ipiv[i], ref.ipiv[i])
-        prog.free()
+            np.testing.assert_array_equal(got[i], ref[i])
+            np.testing.assert_array_equal(piv.ipiv[i], ref_piv.ipiv[i])
 
     def test_program_replay_persistent_corruption_raises(self, rng):
         shapes = [(40, 40)] * 4
         hosts = mats(np.random.default_rng(3), shapes)
         dev = Device(A100())
-        prog = compile_workload(dev, "getrf", shapes)
-        with dev.fault_scope(corrupt("fused[", times=PERSISTENT)):
+        b = IrrBatch.from_host(dev, hosts)
+        with dev.fault_scope(corrupt("irrgetf2", times=PERSISTENT)):
             with pytest.raises(CorruptionDetected) as ei:
-                prog.run(a=[h.copy() for h in hosts])
-        assert ei.value.site == "program:getrf"
-        # a later fault-free replay of the same program is clean
-        res = prog.run(a=[h.copy() for h in hosts])
-        assert (res.info == 0).all()
-        prog.free()
+                irr_getrf(dev, b)
+        assert ei.value.site == "irrgetrf"
+        b.free()
+        assert dev.allocated_bytes == 0
+        # a later fault-free upload of the same values is clean
+        b = IrrBatch.from_host(dev, hosts)
+        piv = irr_getrf(dev, b)
+        assert (piv.info == 0).all()
+        b.free()

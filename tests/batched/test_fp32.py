@@ -6,7 +6,6 @@ import pytest
 from repro.batched import IrrBatch, irr_gemm, irr_getrf, irr_getrs, \
     irr_trsm, lu_reconstruct
 from repro.batched.panel import DEFAULT_REPLACE_SCALE, default_replace_scale
-from repro.batched.program import compile_workload
 from repro.device import A100, Device
 
 
@@ -89,13 +88,23 @@ class TestFp32Numerics:
 
 @pytest.mark.precision
 class TestThreeWayParity:
-    """The reduced-precision kernel stack is engine-independent: the
-    naive per-matrix loop, the bucketed DCWI engine and a compiled
-    :class:`WorkloadProgram` replay must produce bitwise-identical
-    factors, pivots, solutions and breakdown diagnostics — in float32
-    and complex64 exactly as in double."""
+    """The reduced-precision kernel stack is engine- and
+    layout-independent: the naive per-matrix loop, the bucketed DCWI
+    engine on a pooled batch (one allocation, one transfer) and the
+    bucketed engine on individually uploaded members must produce
+    bitwise-identical factors, pivots, solutions and breakdown
+    diagnostics — in float32 and complex64 exactly as in double."""
 
     SHAPES = [(12, 12), (20, 20), (12, 12), (5, 5)]
+    RUNS = (("naive", True), ("bucketed", True), ("bucketed", False))
+
+    @staticmethod
+    def upload(dev, mats, pooled):
+        if pooled:
+            return IrrBatch.from_host(dev, [m.copy() for m in mats])
+        return IrrBatch(dev, [dev.from_host(m.copy()) for m in mats],
+                        [m.shape[0] for m in mats],
+                        [m.shape[1] for m in mats])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
     def test_getrf_getrs_parity(self, rng, dtype):
@@ -103,33 +112,21 @@ class TestThreeWayParity:
                 for m, n in self.SHAPES]
         rhss = [_well_conditioned(rng, n, 2, dtype)
                 for _, n in self.SHAPES]
-        runs = {}
-        for engine in ("naive", "bucketed"):
+        runs = []
+        for engine, pooled in self.RUNS:
             dev = Device(A100())
-            b = IrrBatch.from_host(dev, [m.copy() for m in mats])
+            b = self.upload(dev, mats, pooled)
             piv = irr_getrf(dev, b, engine=engine)
-            r = IrrBatch.from_host(dev, [m.copy() for m in rhss])
+            r = self.upload(dev, rhss, pooled)
             irr_getrs(dev, b, piv, r, engine=engine)
-            runs[engine] = (b.to_host(), piv, r.to_host())
-        dev = Device(A100())
-        prog = compile_workload(dev, "getrf", self.SHAPES, dtype=dtype)
-        res = prog.run(a=[m.copy() for m in mats])
-        prog.free()
-        # the compiled leg solves from the replayed factors and pivots
-        b = IrrBatch.from_host(dev, res.factors)
-        r = IrrBatch.from_host(dev, [m.copy() for m in rhss])
-        irr_getrs(dev, b, res, r)
-        sols = r.to_host()
-        ref_f, ref_piv, ref_x = runs["bucketed"]
-        for i in range(len(mats)):
-            assert res.factors[i].dtype == np.dtype(dtype)
-            np.testing.assert_array_equal(runs["naive"][0][i], ref_f[i])
-            np.testing.assert_array_equal(res.factors[i], ref_f[i])
-            np.testing.assert_array_equal(runs["naive"][1].ipiv[i],
-                                          ref_piv.ipiv[i])
-            np.testing.assert_array_equal(res.ipiv[i], ref_piv.ipiv[i])
-            np.testing.assert_array_equal(runs["naive"][2][i], ref_x[i])
-            np.testing.assert_array_equal(sols[i], ref_x[i])
+            runs.append((b.to_host(), piv, r.to_host()))
+        ref_f, ref_piv, ref_x = runs[1]
+        for fac, piv, x in (runs[0], runs[2]):
+            for i in range(len(mats)):
+                assert fac[i].dtype == np.dtype(dtype)
+                np.testing.assert_array_equal(fac[i], ref_f[i])
+                np.testing.assert_array_equal(piv.ipiv[i], ref_piv.ipiv[i])
+                np.testing.assert_array_equal(x[i], ref_x[i])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
     def test_breakdown_diagnostics_parity(self, rng, dtype):
@@ -140,30 +137,22 @@ class TestThreeWayParity:
         sing = mats[1].copy()
         sing[3] = sing[2]          # dependent rows: exact zero pivot
         mats[1] = sing
-        diags = {}
-        for engine in ("naive", "bucketed"):
+        diags = []
+        for engine, pooled in self.RUNS:
             dev = Device(A100())
-            b = IrrBatch.from_host(dev, [m.copy() for m in mats])
+            b = self.upload(dev, mats, pooled)
             piv = irr_getrf(dev, b, engine=engine, static_pivot=True)
-            diags[engine] = (piv.info.copy(), piv.n_replaced.copy(),
-                             piv.min_pivot.copy(), piv.growth.copy(),
-                             b.to_host())
-        dev = Device(A100())
-        prog = compile_workload(dev, "getrf", [(8, 8)] * 3, dtype=dtype,
-                                lu_kwargs={"static_pivot": True})
-        res = prog.run(a=[m.copy() for m in mats])
-        prog.free()
-        info, nrep, minp, growth, fac = diags["bucketed"]
+            diags.append((piv.info.copy(), piv.n_replaced.copy(),
+                          piv.min_pivot.copy(), piv.growth.copy(),
+                          b.to_host()))
+        info, nrep, minp, growth, fac = diags[1]
         assert nrep[1] >= 1 and np.all(info == 0)
-        for other in (diags["naive"][:4],
-                      (res.info, res.n_replaced, res.min_pivot,
-                       res.growth)):
+        for other in (diags[0], diags[2]):
             np.testing.assert_array_equal(other[0], info)
             np.testing.assert_array_equal(other[1], nrep)
             np.testing.assert_array_equal(other[2], minp)
             np.testing.assert_array_equal(other[3], growth)
-        for got in (diags["naive"][4], res.factors):
-            for a, ref in zip(got, fac):
+            for a, ref in zip(other[4], fac):
                 np.testing.assert_array_equal(a, ref)
 
     def test_replace_scale_tracks_working_eps(self):

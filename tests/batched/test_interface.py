@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.batched import IrrBatch
+from repro.batched import IrrBatch, irr_getrf
+from repro.device import A100, PERSISTENT, Device, FaultPlan, FaultRule
+from repro.errors import TransferError
 
 
 class TestConstruction:
@@ -151,3 +153,112 @@ class TestDtypeRule:
         assert make(a100, [np.ones((2, 2), np.int64)]).dtype == np.float64
         b = make(a100, [np.ones((2, 2))], dtype=np.float32)
         assert b.dtype == np.float32
+
+
+MIXED = [(1, 1), (5, 3), (64, 64), (2, 100), (0, 0), (17, 17)]
+
+
+def _mixed(rng):
+    return [rng.standard_normal(s) for s in MIXED]
+
+
+def _separate(dev, mats):
+    """A batch of individually uploaded members (one transfer each)."""
+    return IrrBatch(dev, [dev.from_host(m) for m in mats],
+                    [m.shape[0] for m in mats], [m.shape[1] for m in mats])
+
+
+class TestOneTransfer:
+    """``from_host`` moves a whole batch in ONE H2D transfer into one
+    allocation whose views are the members, and ``to_host`` brings it
+    back in ONE checked D2H transfer."""
+
+    def test_one_transfer_each_way(self, a100, rng):
+        mats = _mixed(rng)
+        b = IrrBatch.from_host(a100, mats)
+        assert a100.profiler.transfer_count == 1
+        assert a100.allocated_bytes == sum(m.nbytes for m in mats)
+        assert all(a.base is b.arrays[0].base for a in b.arrays)
+        out = b.to_host()
+        assert a100.profiler.transfer_count == 2
+        for got, want in zip(out, mats):
+            np.testing.assert_array_equal(got, want)
+        # each answer is its own host array
+        assert not any(np.shares_memory(out[i], out[j])
+                       for i in range(len(out)) for j in range(i))
+
+    def test_bitwise_equal_to_separate_uploads(self, rng):
+        sing = rng.standard_normal((6, 6))
+        sing[3] = sing[2]              # dependent rows: a replaced pivot
+        mats = _mixed(rng) + [sing]
+        runs = []
+        for up in (IrrBatch.from_host, _separate):
+            dev = Device(A100())
+            b = up(dev, mats)
+            piv = irr_getrf(dev, b, static_pivot=True)
+            dev.synchronize()
+            runs.append((b.to_host(), piv, [
+                (r.name, r.cost) for r in dev.profiler.records]))
+        (fa, pa, ra), (fb, pb, rb) = runs
+        for x, y in zip(fa, fb):
+            np.testing.assert_array_equal(x, y)
+        for x, y in zip(pa.ipiv, pb.ipiv):
+            np.testing.assert_array_equal(x, y)
+        for key in ("info", "n_replaced", "min_pivot", "growth"):
+            np.testing.assert_array_equal(getattr(pa, key), getattr(pb, key))
+        assert pa.n_replaced[-1] > 0
+        assert ra == rb
+
+    def test_transient_h2d_fault_repaired_bitwise(self, a100, rng):
+        mats = _mixed(rng)
+        with a100.fault_scope(FaultPlan([FaultRule("h2d", at=0)])):
+            b = IrrBatch.from_host(a100, mats)
+        assert a100.recovery_log.count("transfer-retry") == 1
+        assert a100.profiler.transfer_count == 2      # one per attempt
+        for i, m in enumerate(mats):
+            np.testing.assert_array_equal(b.matrix(i), m)
+
+    def test_persistent_h2d_fault_raises_and_frees(self, a100, rng):
+        base = a100.allocated_bytes
+        plan = FaultPlan([FaultRule("h2d", at=0, times=PERSISTENT)])
+        with a100.fault_scope(plan):
+            with pytest.raises(TransferError) as ei:
+                IrrBatch.from_host(a100, _mixed(rng))
+        assert ei.value.direction == "h2d"
+        assert a100.allocated_bytes == base
+
+    def test_transient_d2h_fault_repaired_bitwise(self, a100, rng):
+        mats = _mixed(rng)
+        b = IrrBatch.from_host(a100, mats)
+        with a100.fault_scope(FaultPlan([FaultRule("d2h", at=0)])):
+            out = b.to_host()
+        assert a100.recovery_log.count("transfer-retry") == 1
+        for got, want in zip(out, mats):
+            np.testing.assert_array_equal(got, want)
+
+    def test_persistent_d2h_fault_raises(self, a100, rng):
+        b = IrrBatch.from_host(a100, _mixed(rng))
+        plan = FaultPlan([FaultRule("d2h", at=0, times=PERSISTENT)])
+        with a100.fault_scope(plan):
+            with pytest.raises(TransferError) as ei:
+                b.to_host()
+        assert ei.value.direction == "d2h"
+
+    def test_separate_members_download_checked(self, a100, rng):
+        # a batch of separate allocations downloads one transfer per
+        # member, each through the same checked path
+        mats = _mixed(rng)
+        b = _separate(a100, mats)
+        n0 = a100.profiler.transfer_count
+        with a100.fault_scope(FaultPlan([FaultRule("d2h", at=2)])):
+            out = b.to_host()
+        assert a100.profiler.transfer_count - n0 == len(mats) + 1
+        assert a100.recovery_log.count("transfer-retry") == 1
+        for got, want in zip(out, mats):
+            np.testing.assert_array_equal(got, want)
+
+    def test_device_from_host_rejects_mixed_dtypes(self, a100):
+        with pytest.raises(ValueError, match="mixed data types"):
+            a100.from_host([np.ones((2, 2)), np.ones(3, dtype=np.float32)])
+        assert a100.allocated_bytes == 0
+        assert a100.profiler.transfer_count == 0

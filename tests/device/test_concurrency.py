@@ -138,11 +138,11 @@ class TestMemoryAccountingConcurrency:
 
 
 class TestPlanCacheConcurrency:
-    """Satellite of the compiled-workload PR: the service shares one
-    :class:`BatchEngine` (one :class:`PlanCache`) across submitters and
-    the dispatcher, and compiled programs assert *zero* misses on
-    replay — so the cache's counters must stay exact under racing
-    ``get_or_build`` calls, and its LRU bound must hold."""
+    """The service shares one :class:`BatchEngine` (one
+    :class:`PlanCache`) across submitters and the dispatcher, and tests
+    assert *zero* misses for recurring shapes — so the cache's counters
+    must stay exact under racing ``get_or_build`` calls, and its LRU
+    bound must hold."""
 
     def test_get_or_build_coherent_across_threads(self):
         cache = PlanCache()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.device import A100, Device, DeviceOutOfMemory, KernelCost, \
-    pack_to_device
+from repro.device import A100, Device, DeviceOutOfMemory, FaultPlan, \
+    FaultRule, KernelCost, pack_to_device
 from repro.device.memory import total_nbytes
 
 from .test_simulator import tiny_spec
@@ -93,6 +93,69 @@ class TestDeviceArraySemantics:
             pack_to_device(a100, [src[:2, :2], np.ones((2, 2))])
         with pytest.raises(ValueError, match="share a shape"):
             pack_to_device(a100, [src[:2, :2], src[:3, :2]])
+
+
+    def test_pack_to_device_checksums_the_cast_bytes(self):
+        # host blocks are cast to the allocation's dtype before the
+        # checksum, so a verified pack of float64 blocks into float32
+        # lands, and a corrupted landing is repaired to the cast bits
+        blocks = [np.full((2, 3), 0.1 * i) for i in range(4)]
+        dev = Device(A100())
+        plan = FaultPlan([FaultRule("h2d", at=0)], seed=3)
+        with dev.fault_scope(plan):
+            stack = pack_to_device(dev, blocks, dtype=np.float32)
+        assert dev.recovery_log.count("transfer-retry") == 1
+        assert dev.profiler.transfer_count == 2       # one per attempt
+        np.testing.assert_array_equal(
+            stack.data, np.stack(blocks).astype(np.float32))
+
+
+class TestUseAfterFree:
+    """A freed allocation's bytes belong to nobody: reading or writing
+    them through the array or any view of it raises, and no transfer
+    is charged."""
+
+    @pytest.mark.parametrize("via_view", [False, True])
+    def test_transfers_on_freed_memory_raise(self, a100, via_view):
+        arr = a100.from_host(np.arange(12.0).reshape(3, 4))
+        target = arr[1:, :] if via_view else arr
+        arr.free()
+        n0 = a100.profiler.transfer_count
+        with pytest.raises(RuntimeError, match="use after free"):
+            target.to_host()
+        with pytest.raises(RuntimeError, match="use after free"):
+            target.copy_from_host(np.zeros(target.shape))
+        assert a100.profiler.transfer_count == n0
+
+    def test_live_view_of_live_owner_transfers(self, a100):
+        arr = a100.from_host(np.arange(12.0).reshape(3, 4))
+        np.testing.assert_array_equal(arr[1:, 1:].to_host(),
+                                      np.arange(12.0).reshape(3, 4)[1:, 1:])
+
+
+class TestPartUploads:
+    """``Device.from_host`` of a part list: one flat allocation, the
+    parts back to back in it, one transfer."""
+
+    def test_parts_land_back_to_back_in_one_transfer(self, a100):
+        parts = [np.arange(6.0).reshape(2, 3), np.full((4, 1), 7.0),
+                 np.zeros((0, 5)), np.ones(2)]
+        flat = a100.from_host(parts)
+        assert flat.shape == (12,)
+        assert a100.profiler.transfer_count == 1
+        np.testing.assert_array_equal(
+            flat.data, np.concatenate([p.ravel() for p in parts]))
+        assert a100.allocated_bytes == 12 * 8
+
+    def test_copy_from_host_casts_before_the_checksum(self, a100):
+        # a float32 host array into a float64 device array under
+        # verification lands without a spurious checksum retry
+        arr = a100.zeros((2, 2))
+        host = np.array([[0.1, 0.2], [0.3, 0.4]], dtype=np.float32)
+        with a100.fault_scope(FaultPlan([])):
+            arr.copy_from_host(host)
+        assert a100.recovery_log.count("transfer-retry") == 0
+        np.testing.assert_array_equal(arr.data, host.astype(np.float64))
 
 
 class TestProfilerAccounting:

@@ -1,11 +1,11 @@
-"""Served dense groups against compiled ``getrf`` replay.
+"""Served dense groups against a direct factorization.
 
 :class:`SolverService` serves every dense group on the bucketed group
-runner and keeps no compiled program.  A
-:class:`~repro.batched.program.WorkloadProgram` recorded for a served
-group's shapes must still replay the served factors, pivots and
-diagnostics bitwise: that is the contract any later change relies on if
-it replays recurring group signatures.  The service's own plan cache is
+runner: one packed upload per operand, one checked download per result
+batch.  Its answers must equal, bit for bit, a direct bucketed
+factorization of the same matrices uploaded one by one — factors,
+pivots and diagnostics alike — also when a dispatch repairs a corrupted
+kernel or a corrupted download.  The service's own plan cache is
 checked here too: it is bounded by ``PLAN_CACHE_CAPACITY`` and its
 counters surface in the stats snapshot.
 """
@@ -13,12 +13,12 @@ counters surface in the stats snapshot.
 import numpy as np
 import pytest
 
+from repro.batched import IrrBatch, irr_getrf
 from repro.batched.engine import PlanCache
-from repro.batched.program import compile_workload
 from repro.device import A100, Device, FaultPlan, FaultRule
 from repro.serve import CoalescingPolicy, SolverService, service
 
-pytestmark = [pytest.mark.serve, pytest.mark.compiled]
+pytestmark = pytest.mark.serve
 
 SIZES = [8, 12, 16, 20, 24, 16, 8, 12]
 
@@ -55,52 +55,56 @@ def unpack(fut):
     return v if isinstance(v, tuple) else (None, v)
 
 
-def assert_replays_served(res, handles):
-    """The program's replay equals the served handles bit for bit."""
+def direct_getrf(mats, dtype=None):
+    """The reference: a fresh device, each matrix uploaded in its own
+    transfer, one bucketed factorization."""
+    dev = Device(A100())
+    mats = [np.asarray(a, dtype=dtype) for a in mats]
+    batch = IrrBatch(dev, [dev.from_host(a) for a in mats],
+                     [a.shape[0] for a in mats], [a.shape[1] for a in mats])
+    piv = irr_getrf(dev, batch)
+    return batch.to_host(), piv
+
+
+def assert_served_equals_direct(mats, handles):
+    """The served handles equal the direct factorization bit for bit."""
+    factors, piv = direct_getrf(mats, handles[0].lu.dtype)
     for i, h in enumerate(handles):
-        np.testing.assert_array_equal(res.factors[i], h.lu)
-        np.testing.assert_array_equal(res.ipiv[i], h.ipiv)
-        assert (res.info[i], res.n_replaced[i], res.min_pivot[i],
-                res.growth[i]) == (h.info, h.n_replaced, h.min_pivot,
-                                   h.growth)
+        np.testing.assert_array_equal(factors[i], h.lu)
+        np.testing.assert_array_equal(piv.ipiv[i], h.ipiv)
+        assert (piv.info[i], piv.ctrl.n_replaced[i], piv.ctrl.min_pivot[i],
+                piv.ctrl.growth[i]) == (h.info, h.n_replaced, h.min_pivot,
+                                        h.growth)
 
 
 class TestHotSignatureCompilation:
     def test_bitwise_identical_to_uncompiled_service(self):
         svc = inline_service()
-        prog = compile_workload(Device(A100()), "getrf",
-                                [(m, m) for m in SIZES])
         for rnd in range(5):
             mats, rhss = make_round(seed=rnd)
             served = [unpack(f) for f in submit_round(svc, mats, rhss)]
-            assert_replays_served(prog.run(a=mats),
-                                  [h for _, h in served])
-        prog.free()
+            assert_served_equals_direct(mats, [h for _, h in served])
         svc.close()
 
     def test_replay_zero_misses_zero_allocs(self):
         # recurring groups re-plan nothing on the service's engine, and
-        # a program recorded with that engine replays with no planning
-        # and no allocation
+        # each dispatch makes the same two allocations (one per packed
+        # operand) and four transfers: A and B up, X and LU down
         dev = Device(A100())
         svc = inline_service(device=dev)
         engine = svc._slots[0].engine
         submit_round(svc, *make_round(seed=0))
         misses0 = engine.cache.misses
-        for rnd in range(1, 3):
-            submit_round(svc, *make_round(seed=rnd))
+        for rnd in range(1, 4):
+            allocs0 = dev.alloc_count
+            n0 = dev.profiler.transfer_count
+            mats, rhss = make_round(seed=rnd)
+            futs = submit_round(svc, mats, rhss)
+            assert dev.alloc_count - allocs0 == 2
+            assert dev.profiler.transfer_count - n0 == 4
+            assert dev.allocated_bytes == 0
+            assert_served_equals_direct(mats, [unpack(f)[1] for f in futs])
         assert engine.cache.misses == misses0
-        prog = compile_workload(dev, "getrf", [(m, m) for m in SIZES],
-                                engine=engine)
-        prog.run(a=make_round(seed=3)[0])
-        misses0, allocs0 = engine.cache.misses, dev.alloc_count
-        mats, rhss = make_round(seed=77)
-        res = prog.run(a=mats)
-        assert engine.cache.misses == misses0
-        assert dev.alloc_count == allocs0
-        futs = submit_round(svc, mats, rhss)
-        assert_replays_served(res, [unpack(f)[1] for f in futs])
-        prog.free()
         svc.close()
 
     def test_cold_signatures_stay_uncompiled(self):
@@ -123,48 +127,38 @@ class TestHotSignatureCompilation:
 
     def test_getrf_only_group_compiles_and_matches(self):
         svc = inline_service()
-        prog = compile_workload(Device(A100()), "getrf",
-                                [(m, m) for m in SIZES])
         for rnd in range(4):
             mats, _ = make_round(seed=rnd)
             futs = [svc.submit_factor(a) for a in mats]
             svc.run_once()
-            assert_replays_served(prog.run(a=mats),
-                                  [f.result(0) for f in futs])
-        prog.free()
+            assert_served_equals_direct(mats, [f.result(0) for f in futs])
         svc.close()
 
 
 class TestRepairedRehearsal:
     @pytest.mark.sdc
     def test_repaired_compile_is_not_stored(self):
-        # a corrupt fault is repaired in a served dispatch and in a
-        # program's rehearsal alike: the served answers match the
-        # fault-free service, the repaired rehearsal keeps no program,
-        # and a later compile replays the served factors bitwise
+        # a corrupted kernel and a corrupted download are both repaired
+        # in one served dispatch: the answers match the fault-free
+        # service and the direct factorization bit for bit
         sizes = [40, 48, 40, 48]           # > 32: getrf runs irrGEMM
-        shapes = [(m, m) for m in sizes]
         svc_ref = inline_service()
         svc = inline_service()
         dev = svc._slots[0].device
-        plan = FaultPlan([FaultRule("corrupt", at=0, match="irrgemm")],
-                         seed=7)
+        plan = FaultPlan([FaultRule("corrupt", at=0, match="irrgemm"),
+                          FaultRule("d2h", at=0)], seed=7)
         mats, rhss = make_round(seed=1, sizes=sizes)
         ref = [unpack(f) for f in submit_round(svc_ref, mats, rhss)]
         with dev.fault_scope(plan):
             got = [unpack(f) for f in submit_round(svc, mats, rhss)]
         assert dev.recovery_log.count("kernel-reexec") >= 1
+        assert dev.recovery_log.count("transfer-retry") == 1
+        assert dev.allocated_bytes == 0
         for (xr, hr), (xg, hg) in zip(ref, got):
             if xr is not None:
                 np.testing.assert_array_equal(xr, xg)
             np.testing.assert_array_equal(hr.lu, hg.lu)
-        cdev = Device(A100())
-        with cdev.fault_scope(plan):
-            assert compile_workload(cdev, "getrf", shapes) is None
-        assert cdev.allocated_bytes == 0
-        prog = compile_workload(cdev, "getrf", shapes)
-        assert_replays_served(prog.run(a=mats), [h for _, h in got])
-        prog.free()
+        assert_served_equals_direct(mats, [h for _, h in got])
         svc.close()
         svc_ref.close()
 
@@ -199,20 +193,16 @@ class TestBoundedPlanCache:
 
 class TestServeReplayTraffic:
     def test_500_request_replay_parity(self):
-        """500 requests of one recurring signature: a program recorded
-        once replays every served round's factors bitwise."""
+        """500 requests of one recurring signature: every served round's
+        factors equal the direct factorization bitwise."""
         svc = inline_service()
-        prog = compile_workload(Device(A100()), "getrf",
-                                [(m, m) for m in SIZES])
         n_requests = 0
         rnd = 0
         while n_requests < 500:
             mats, rhss = make_round(seed=rnd % 7)
             served = [unpack(f) for f in submit_round(svc, mats, rhss)]
-            assert_replays_served(prog.run(a=mats),
-                                  [h for _, h in served])
+            assert_served_equals_direct(mats, [h for _, h in served])
             n_requests += len(mats)
             rnd += 1
         assert svc.stats.snapshot()["failed"] == 0
-        prog.free()
         svc.close()

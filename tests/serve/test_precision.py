@@ -14,7 +14,7 @@ place and bumping the ``precision_fallbacks`` counter.
 import numpy as np
 import pytest
 
-from repro.batched.program import compile_workload
+from repro.batched import IrrBatch, irr_getrf
 from repro.device import A100, Device
 from repro.serve import CoalescingPolicy, ServeSession, SolverService
 from repro.serve.scheduler import getrf_key, getrs_key
@@ -205,12 +205,11 @@ class TestDenseMixed:
 class TestCompiledMixed:
     def test_hot_mixed_signature_compiles_and_refines(self):
         # a recurring fp32 signature is served on the bucketed runner,
-        # refined to the FP64 target every round, and a float32 getrf
-        # program recorded for it replays the served reduced factors
+        # refined to the FP64 target every round, and its reduced
+        # factors equal a direct float32 factorization of the same
+        # matrices uploaded one by one
         sizes = [10, 18, 10]
         svc = inline_service(max_batch=8)
-        prog = compile_workload(Device(A100()), "getrf",
-                                [(n, n) for n in sizes], dtype=np.float32)
         for rnd in range(3):
             mats = [dense(n, seed=rnd * 10 + n) for n in sizes]
             rhss = [np.random.default_rng(rnd * 7 + n).standard_normal(n)
@@ -218,15 +217,18 @@ class TestCompiledMixed:
             futs = [svc.submit_factor_solve(a, b, precision="fp32")
                     for a, b in zip(mats, rhss)]
             svc.run_once()
-            res = prog.run(a=[a.astype(np.float32) for a in mats])
+            dev = Device(A100())
+            ref = IrrBatch(dev, [dev.from_host(a.astype(np.float32))
+                                 for a in mats], sizes, sizes)
+            piv = irr_getrf(dev, ref)
+            factors = ref.to_host()
             for i, (a, b, fut) in enumerate(zip(mats, rhss, futs)):
                 x, h = fut.result(0)
                 assert h.precision == "fp32"
                 assert backward_error(a, x, b) <= REFINE_TARGET
-                np.testing.assert_array_equal(res.factors[i], h.lu)
-                np.testing.assert_array_equal(res.ipiv[i], h.ipiv)
+                np.testing.assert_array_equal(factors[i], h.lu)
+                np.testing.assert_array_equal(piv.ipiv[i], h.ipiv)
         assert svc.stats.snapshot()["dispatches"] == 3
-        prog.free()
         svc.close()
 
 

@@ -9,8 +9,10 @@ ScaLAPACK or SLATE.  This walks the single-node, multi-GPU realisation:
 2. factor a 3-D problem **sharded** across the node
    (``SparseLU.factor(backend="sharded")``) and check the factors
    against the single-device run (bitwise on grid Laplacians like this
-   one);
-3. solve against the sharded factors as usual;
+   one); every level stays on the devices and merges into the solve
+   store on ``node[0]``, so the other devices end holding nothing;
+3. solve against the sharded factors on ``node[0]`` — the first solve
+   uploads no factors;
 4. serve a mixed workload through a
    :class:`~repro.serve.service.SolverService` built on the node and
    watch the per-device counters and the throughput scaling.
@@ -54,12 +56,17 @@ print(f"  makespan {res.elapsed * 1e3:.2f} ms  "
       f"(per device {[f'{s * 1e3:.2f}' for s in res.per_device_seconds]} ms,"
       f" top {res.top_seconds * 1e3:.2f} ms)")
 print(f"  {res.link_bytes / 1e3:.1f} kB over the links; "
-      f"bitwise identical to single device: {same}\n")
+      f"bitwise identical to single device: {same}")
+store = lu.solve_cache
+print(f"  levels resident on node[0]: {len(store.resident_levels)} of "
+      f"{len(store.layout.levels)} ({node[0].allocated_bytes / 1e6:.2f} MB); "
+      f"bytes on node[1:]: {[d.allocated_bytes for d in list(node)[1:]]}\n")
 
 # --- 3. solve against the sharded factors ---------------------------------
 b = rng.standard_normal(a.shape[0])
-x, info = lu.solve(b)
-print(f"solve: backward error {info.final_residual:.2e}\n")
+x, info = lu.solve(b, device=node[0])
+print(f"solve on node[0]: backward error {info.final_residual:.2e}, "
+      f"factor uploads {store.uploads}\n")
 
 # --- 4. serving on the node ----------------------------------------------
 work = []

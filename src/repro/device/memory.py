@@ -39,6 +39,7 @@ from ..errors import TransferError
 from .kernel import KernelCost
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .node import Node
     from .simulator import Device
 
 __all__ = ["DeviceArray", "DeviceOutOfMemory", "pack_to_device",
@@ -283,9 +284,10 @@ class DeviceArray:
                 f"shape={self.data.shape}, dtype={self.data.dtype})")
 
 
-def pack_to_device(device: "Device", blocks: Sequence,
-                   dtype=None) -> "DeviceArray | list[DeviceArray]":
-    """Stack blocks into ONE device allocation with ONE copy.
+def pack_to_device(device: "Device", blocks: Sequence, dtype=None, *,
+                   node: "Node | None" = None
+                   ) -> "DeviceArray | list[DeviceArray]":
+    """Stack blocks into ONE device allocation with ONE copy per source.
 
     ``blocks`` is a sequence of equal-shape blocks, returned as one
     ``(len(blocks), *block_shape)`` :class:`DeviceArray`; or a list of
@@ -297,8 +299,13 @@ def pack_to_device(device: "Device", blocks: Sequence,
     per-block ``from_host`` loop would charge the PCIE latency once per
     block, one transfer pays it once.  Blocks already on
     ``device`` (:class:`DeviceArray` views) are copied by one device
-    kernel, ``solve:pack``, and nothing crosses the bus.  Empty or
-    zero-sized blocks allocate without any transfer or launch.
+    kernel, ``solve:pack``, and nothing crosses the bus.  With
+    ``node`` (a :class:`~repro.device.node.Node` that ``device``
+    belongs to), blocks may also live on the node's other members:
+    each member's blocks move by one peer copy, charged on the node's
+    link on both clocks (:meth:`~repro.device.node.Node.transfer`),
+    and land in their slices.  Empty or zero-sized blocks allocate
+    without any transfer or launch.
 
     Capacity is claimed *before* the stack is built and released if
     stacking, the transfer or the copy kernel fails, so a failed pack
@@ -312,7 +319,12 @@ def pack_to_device(device: "Device", blocks: Sequence,
         raise ValueError("pack_to_device needs all-host or all-device "
                          "blocks")
     on_device = any(on_device)
-    if on_device and any(b.device is not device for b in flat):
+    sources = [device] if node is None else list(node)
+    if all(src is not device for src in sources):
+        raise ValueError("pack_to_device: the device is not a member of "
+                         "the node")
+    if on_device and any(all(b.device is not src for src in sources)
+                         for b in flat):
         raise ValueError("pack_to_device: a block lives on another device")
     data = [b.data if on_device else np.asarray(b) for b in flat]
     if dtype is not None:
@@ -335,14 +347,7 @@ def pack_to_device(device: "Device", blocks: Sequence,
     try:
         buf = np.empty(sum(sizes), dtype=dt)
         if on_device and nbytes:
-            def kernel() -> KernelCost:
-                _land(buf, data)
-                # a streaming copy, one thread per element
-                return KernelCost(bytes_read=nbytes, bytes_written=nbytes,
-                                  blocks=-(-sum(sizes) // 256),
-                                  threads_per_block=256, kernel_class="swap")
-
-            device.launch("solve:pack", kernel)
+            _copy_device_blocks(device, buf, flat, node)
         elif nbytes:
             _transfer_h2d(device, buf, data,
                           verify=device.verify_transfers,
@@ -359,6 +364,40 @@ def pack_to_device(device: "Device", blocks: Sequence,
                                  base=owner))
         off += size
     return views
+
+
+def _copy_device_blocks(device: "Device", buf: np.ndarray,
+                        blocks: list[DeviceArray], node) -> None:
+    """Land device-resident ``blocks`` back to back in ``device``'s flat
+    ``buf``: the blocks on ``device`` by one ``solve:pack`` kernel, each
+    other ``node`` member's by one peer copy over the node's link."""
+    ends = np.cumsum([b.data.size for b in blocks])
+    for src in [device] + [m for m in (node or ()) if m is not device]:
+        mine = [i for i, b in enumerate(blocks) if b.device is src]
+        size = sum(blocks[i].data.size for i in mine)
+        if not size:
+            continue
+
+        def land(mine=mine) -> None:
+            for i in mine:
+                d = blocks[i].data
+                buf[ends[i] - d.size:ends[i]].reshape(d.shape)[...] = d
+
+        if src is not device:
+            node.transfer(node.index_of(src), node.index_of(device),
+                          size * buf.itemsize)
+            land()
+            continue
+
+        def kernel(land=land, size=size) -> KernelCost:
+            land()
+            # a streaming copy, one thread per element
+            nbytes = size * buf.itemsize
+            return KernelCost(bytes_read=nbytes, bytes_written=nbytes,
+                              blocks=-(-size // 256), threads_per_block=256,
+                              kernel_class="swap")
+
+        device.launch("solve:pack", kernel)
 
 
 def total_nbytes(shapes: Iterable[Sequence[int]], dtype) -> int:

@@ -22,9 +22,11 @@ A transfer is a rendezvous: it starts when *both* endpoints reach it
 the receiving device cannot consume bytes the sender has not produced.
 Per-device link-byte counters feed the serving stats.
 
-Timing only: transfers move no numerics (the host store is the data
-plane, as in the rest of the simulator), so a transfer never changes
-the numbers it carries.
+:meth:`Node.transfer` charges time only and moves no numbers.  A peer
+copy that moves them is :func:`~repro.device.memory.pack_to_device`
+with ``node=``: it lands the blocks of each member in one allocation on
+the destination and charges each source's bytes here, so a copy never
+changes the numbers it carries.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ class Node:
         its completion.  Uses the p2p link when the node has one,
         otherwise two staged hops through host memory.  A same-device
         "transfer" is free (the data is already there).  Returns the
-        simulated seconds the copy occupied.
+        simulated seconds the copy occupied.  Timing only: the numbers
+        move with ``pack_to_device(..., node=)``, which calls this.
         """
         if nbytes < 0:
             raise ValueError(f"cannot transfer {nbytes} bytes")

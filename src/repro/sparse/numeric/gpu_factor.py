@@ -47,7 +47,7 @@ from ...errors import CorruptionDetected, FactorizationError, \
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
 from .report import FactorReport
-from .solve_plan import DeviceFactorCache
+from .solve_plan import DeviceFactorCache, pack_level
 
 __all__ = ["multifrontal_factor_gpu", "GpuFactorResult", "plan_traversals",
            "HYBRID_GEMM_CUTOFF", "STRUMPACK_BATCH_LIMIT"]
@@ -162,7 +162,7 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     """
     a_perm, a_dev_bytes = check_factor_args(
         a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
-        breakdown=breakdown, store=store, devices=(device,))
+        breakdown=breakdown, store=store, device=device)
     memory_budget = validate_memory_budget(memory_budget)
     engine = resolve_engine(engine)
     mark = device.recovery_log.mark()
@@ -234,10 +234,10 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
 
 
 def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
-                      store=None, devices=()) -> tuple[sp.csr_matrix, int]:
+                      store=None, device=None) -> tuple[sp.csr_matrix, int]:
     """Validate the options every device factorization shares; return
     ``a_perm`` as CSR and the bytes its device copy takes.  A ``store``
-    must be a fresh one on one of ``devices``, laid out for ``symb``."""
+    must be a fresh one on ``device``, laid out for ``symb``."""
     if strategy not in ("batched", "looped", "strumpack"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if gemm_mode not in ("irr", "vendor", "hybrid"):
@@ -249,11 +249,11 @@ def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
         raise ValueError("matrix size does not match the symbolic analysis")
     if store is not None and (store.factors is not None
                               or store.layout.symb is not symb
-                              or all(store.device is not d
-                                     for d in devices)):
+                              or store.device is not device):
         raise ValueError("store must be an empty DeviceFactorCache "
-                         "(factors=None) on the factorization's device, "
-                         "laid out by a SolveLayout of this analysis")
+                         "(factors=None) on the factorization's device "
+                         "(node[top_device] on a node), laid out by a "
+                         "SolveLayout of this analysis")
     return a_perm, (a_perm.data.nbytes + a_perm.indices.nbytes
                     + a_perm.indptr.nbytes)
 
@@ -311,66 +311,98 @@ def _front_record(fid, pivots_of, diag_of, *, f11, f12,
 
 
 def factor_levels(device, symb, fids, run_level, buffers, pivots_of,
-                  diag_of, host_factors, store=None) -> None:
+                  diag_of, host_factors, store=None, shares=None) -> None:
     """Factor ``fids`` level by level, deepest first, through
     ``run_level(level_fids)``.
 
-    With a ``store`` on ``device``, a tree level that runs here whole,
-    and whose parent level does too, is packed into the store once the
-    next level (its parents') has committed — a retried parent level
-    re-reads the children's Schur blocks, so not earlier.  Its fronts
-    then keep only pivots and diagnostics on the host, and its front
-    buffers are freed: at most two adjacent levels of fronts are alive
-    at once.  Other levels keep their buffers for the caller.
+    With a ``store``, a level's members whose parents ran here too (or
+    that have none) are packed once the next level has committed — a
+    retried parent level re-reads the children's Schur blocks, so not
+    earlier — and their buffers freed: at most two adjacent levels of
+    fronts are alive at once.  See :func:`pack_fronts` for where they
+    go.  The other fronts keep their buffers for the caller: members
+    whose parent did not run here (their Schur blocks feed it), and
+    every front that :func:`pack_fronts` has no place for.
     """
-    packs = store is not None and store.device is device
     in_run = set(fids)
-    by_depth = {symb.fronts[lev[0]].level: lev for lev in symb.levels()}
 
-    def whole(depth) -> bool:
-        return all(f in in_run for f in by_depth.get(depth, ()))
+    def finished(level_fids) -> None:
+        done = [f for f in level_fids if symb.fronts[f].parent < 0
+                or symb.fronts[f].parent in in_run]
+        if store is not None and done:
+            pack_fronts(device, symb, done, buffers, pivots_of, diag_of,
+                        host_factors, store, shares)
 
     pending = None
     for level_fids in _chunk_levels(symb, fids):
         run_level(level_fids)
         if pending is not None:
-            _pack_level(device, symb, pending, buffers, pivots_of, diag_of,
-                        host_factors, store)
-        depth = symb.fronts[level_fids[0]].level
-        pending = level_fids if packs and whole(depth) \
-            and whole(depth - 1) else None
+            finished(pending)
+        pending = level_fids
     if pending is not None:
-        _pack_level(device, symb, pending, buffers, pivots_of, diag_of,
-                    host_factors, store)
+        finished(pending)
 
 
-def _pack_level(device, symb, fids, buffers, pivots_of, diag_of,
-                host_factors, store) -> None:
-    """Pack one finished tree level into the store, record its fronts
-    (blocks pending in the store; a front without a separator has only
-    empty blocks) and free their buffers.  A rejected pack launch is
-    retried like a level transaction's."""
-    li = store.layout.level_of_depth.get(symb.fronts[fids[0]].level)
+def front_views(symb, buffers, fids) -> dict:
+    """Each front's ``(f11, f21, f12)`` views into its front buffer."""
+    out = {}
+    for f in fids:
+        s, arr = symb.fronts[f].sep_size, buffers[f]
+        out[f] = (arr[:s, :s], arr[s:, :s], arr[:s, s:])
+    return out
+
+
+def retry_launch(device, fn):
+    """Return ``fn()``, retrying a rejected kernel launch like a level
+    transaction's (``fn`` must leave nothing behind when it raises)."""
     for attempt in range(1, _MAX_LEVEL_RETRIES + 1):
         try:
-            if li is not None:
-                store.pack(li, buffers)
-            break
+            return fn()
         except KernelLaunchError as exc:
             if attempt >= _MAX_LEVEL_RETRIES:
                 raise
             device.recovery_log.record("launch-retry", site=exc.kernel,
                                        attempt=attempt, detail=str(exc))
+
+
+def pack_fronts(device, symb, fids, buffers, pivots_of, diag_of,
+                host_factors, store, shares=None) -> None:
+    """Pack finished fronts ``fids`` of one tree level on ``device``.
+
+    They go into ``store`` when it is on ``device`` and ``fids`` are the
+    whole tree level; else, given a ``shares`` map, into a share of the
+    level on ``device``, a :class:`~.solve_plan.LevelFactorBlocks`
+    appended to ``shares[li]`` that
+    :func:`~.shard.multifrontal_factor_sharded` later merges into the
+    store; else they stay in ``buffers``.  Packed fronts are recorded
+    (blocks pending in the store; a front without a separator has only
+    empty blocks) and their buffers freed.  A rejected pack launch is
+    retried like a level transaction's.
+    """
+    depth = symb.fronts[fids[0]].level
+    whole = len(fids) == len(symb.levels()[-1 - depth])
+    if (store.device is not device or not whole) and shares is None:
+        return
+    li = store.layout.level_of_depth.get(depth)
+    if li is not None:
+        blocks = front_views(symb, buffers,
+                             [f for f in fids if symb.fronts[f].sep_size])
+        if store.device is device and whole:
+            retry_launch(device, lambda: store.pack(li, blocks))
+        else:
+            shares.setdefault(li, []).append(retry_launch(
+                device, lambda: pack_level(device, store.layout.levels[li],
+                                           blocks)))
     for fid in fids:
         info = symb.fronts[fid]
         front = buffers.pop(fid)
         if info.sep_size:
-            blocks = dict(f11=None, f12=None, f21=None)
+            pending = dict(f11=None, f12=None, f21=None)
         else:
             u, dt = info.upd_size, front.dtype
-            blocks = dict(f11=np.empty((0, 0), dt), f12=np.empty((0, u), dt),
-                          f21=np.empty((u, 0), dt))
-        host_factors[fid] = _front_record(fid, pivots_of, diag_of, **blocks)
+            pending = dict(f11=np.empty((0, 0), dt),
+                           f12=np.empty((0, u), dt), f21=np.empty((u, 0), dt))
+        host_factors[fid] = _front_record(fid, pivots_of, diag_of, **pending)
         front.free()
 
 
@@ -522,15 +554,18 @@ def _chunk_levels(symb: SymbolicFactorization,
 
 def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                gemm_mode, hybrid_cutoff, laswp_variant, nb, *,
-               host_schur=None, engine=None, diag_of=None, pivot_tol=0.0,
-               static_pivot=False, replace_scale=None) -> None:
+               host_schur=None, dev_schur=None, engine=None, diag_of=None,
+               pivot_tol=0.0, static_pivot=False,
+               replace_scale=None) -> None:
     """Run one level as a transaction: bounded retries, then batch split.
 
     Level inputs are immutable while the level runs — children buffers
-    are only read by the extend-add, and a consumed host Schur block is
-    deleted only after the level commits — so a retry re-runs the level
-    from identical state and produces bitwise-identical factors.  A
-    failed attempt rolls back everything the level allocated or wrote.
+    are only read by the extend-add, and a consumed Schur block, from
+    ``host_schur`` or ``dev_schur`` (device arrays on ``device``), is
+    dropped (and freed) only after the level commits — so a retry
+    re-runs the level from identical state and produces
+    bitwise-identical factors.  A failed attempt rolls back everything
+    the level allocated or wrote.
 
     On a transient allocation failure the level is retried once (the
     fault layer's per-operation counters mean a transient rule passes on
@@ -562,9 +597,9 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     Every other kernel — irrTRSM included, which blocks each triangle on
     one fixed grid — gives a front the same bits in any batch.
     """
-    kw = dict(host_schur=host_schur, engine=engine, diag_of=diag_of,
-              pivot_tol=pivot_tol, static_pivot=static_pivot,
-              replace_scale=replace_scale)
+    kw = dict(host_schur=host_schur, dev_schur=dev_schur, engine=engine,
+              diag_of=diag_of, pivot_tol=pivot_tol,
+              static_pivot=static_pivot, replace_scale=replace_scale)
     launch_failures = alloc_failures = corrupt_failures = 0
     while True:
         try:
@@ -625,11 +660,14 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                        laswp_variant, nb, **kw)
             return
         else:
-            # Commit: only now do consumed cross-traversal Schur blocks
-            # leave the host store (they were needed for any retry).
-            if host_schur is not None:
-                for c in consumed:
+            # Commit: only now do consumed Schur blocks from another
+            # traversal or device go (they were needed for any retry).
+            for c in consumed:
+                if host_schur is not None:
                     host_schur.pop(c, None)
+                if dev_schur is not None and c in dev_schur:
+                    blk = dev_schur.pop(c)
+                    (blk.base or blk).free()
             return
 
 
@@ -675,8 +713,8 @@ def _rollback_level(fids, buffers, pivots_of, diag_of) -> None:
 
 def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                   gemm_mode, hybrid_cutoff, laswp_variant, nb, *,
-                  host_schur=None, engine=None, diag_of=None,
-                  pivot_tol=0.0, static_pivot=False,
+                  host_schur=None, dev_schur=None, engine=None,
+                  diag_of=None, pivot_tol=0.0, static_pivot=False,
                   replace_scale=None) -> list[int]:
     infos = [symb.fronts[f] for f in fids]
     for fid, info in zip(fids, infos):
@@ -686,11 +724,11 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     for fid in fids:
         buffers[fid].data[...] = 0.0
     consumed = _assemble_level(device, a_perm, symb, fids, buffers,
-                               host_schur=host_schur)
+                               host_schur=host_schur, dev_schur=dev_schur)
 
     # Children buffers stay alive until this level commits (a retry
-    # re-reads their Schur blocks); factor_levels then packs them into a
-    # store or keeps them for the download.
+    # re-reads their Schur blocks); factor_levels then packs them or
+    # keeps them for the caller.
 
     if strategy == "batched":
         _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
@@ -710,20 +748,24 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
 
 
 def _assemble_level(device, a_perm, symb, fids, buffers, *,
-                    host_schur=None) -> list[int]:
+                    host_schur=None, dev_schur=None) -> list[int]:
     """One kernel: gather A entries + extend-add children Schur blocks,
     one thread block per 32×32 tile of each front.
 
     Children factored in an earlier traversal (out-of-core mode) have
     their Schur complements on the host; those are re-uploaded first
     (H2D transfers the multi-traversal mode pays for) and used once.
-    Returns the consumed child ids — the *caller* deletes them from
-    ``host_schur`` once the level commits, so a retried level can
-    re-stage them.  Staged uploads are freed on any exit path.
+    Children factored on another device of a node have theirs in
+    ``dev_schur``, already on ``device``, and are read there.  Returns
+    the consumed child ids — the *caller* drops them from ``host_schur``
+    and ``dev_schur`` once the level commits, so a retried level can
+    re-read them.  Staged uploads are freed on any exit path.
     """
     infos = [symb.fronts[f] for f in fids]
 
     staged: dict[int, DeviceArray] = {}
+    resident = {c: dev_schur[c] for info in infos for c in info.children
+                if dev_schur and c in dev_schur}
 
     def kernel() -> KernelCost:
         nbytes_r = 0.0
@@ -747,6 +789,8 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
                         continue
                     if c in staged:
                         schur = staged[c].data
+                    elif c in resident:
+                        schur = resident[c].data
                     else:
                         schur = buffers[c].data[cs:, cs:]
                     loc = np.array([pos[int(g)] for g in cinfo.upd],
@@ -769,7 +813,7 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
     finally:
         for arr in staged.values():
             arr.free()
-    return list(staged)
+    return list(staged) + list(resident)
 
 
 def _make_block_batches(device, symb, fids, buffers):

@@ -10,47 +10,58 @@ This module is the single-node, multi-GPU realisation of that design:
 
 * :func:`partition_tree` splits the assembly tree into the top
   ``⌈log₂ P⌉`` levels plus rank-local subtrees, assigned to devices by
-  longest-processing-time on their flop counts;
+  longest-processing-time on their flop counts; the top device takes
+  the lightest share;
 * each device factors its subtrees with the *same* level transactions
   as the single-device path (:func:`~.gpu_factor._run_level`: bounded
   retries, batch splitting, corruption quarantine, and the full pivot
   policy — ``pivot_tol`` / ``static_pivot`` / ``replace_scale``), on
   its own simulated timeline;
 * subtree-root Schur contributions ship to the owner device over the
-  node's modeled links (:meth:`~repro.device.node.Node.transfer`), and
-  the top part is factored there with the batched kernels (the
-  SLATE-like path) or costed with a ScaLAPACK-style CPU model.
+  node's modeled links, and the top part is factored there with the
+  batched kernels (the SLATE-like path) or costed with a
+  ScaLAPACK-style CPU model;
+* with a solve store (``SparseLU`` passes one), the factors never leave
+  the devices: each device packs its share of every level into its own
+  memory, the Schur blocks land peer to peer in the owner's memory,
+  and once the top part is done each share is copied into the store
+  on the owner — peers' over the links
+  (:func:`~repro.device.memory.pack_to_device` with ``node=``).  The
+  first solve then uploads nothing.
 
 Parity with single-device execution: at any device count the factors
 are bitwise identical to :func:`~.gpu_factor.multifrontal_factor_gpu`
 (tested on grid Laplacians at 1–8 devices and on the Maxwell system at
-2 and 4).  That rests on three invariants: per-front numerics
-independent of which fronts share a batch (the engines' documented
-contract — irrTRSM blocks every triangle on one fixed grid; the one
-batch-level rule left, the fused-panel fit, matters only for pivot
-blocks too tall for shared memory), an extend-add that consumes
-children in ``info.children`` order whatever buffer they arrive
-through, and byte-exact host round trips of Schur blocks.
+2 and 4, with and without a store).  That rests on three invariants:
+per-front numerics independent of which fronts share a batch (the
+engines' documented contract — irrTRSM blocks every triangle on one
+fixed grid; the one batch-level rule left, the fused-panel fit, matters
+only for pivot blocks too tall for shared memory), an extend-add that
+consumes children in ``info.children`` order whatever buffer they
+arrive through, and byte-exact copies of Schur and factor blocks, over
+the host or peer to peer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from ...analysis.flops import gemm_flops, getrf_flops, trsm_flops
 from ...batched.engine import resolve_engine
+from ...device.memory import pack_to_device
 from ...device.node import Node
 from ...device.simulator import Device
 from ...device.spec import XEON_6140_2S
 from ...recovery import RecoveryLog
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
-from .gpu_factor import HYBRID_GEMM_CUTOFF, _run_level, \
-    check_factor_args, download_fronts, factor_levels, finish_factors
+from .gpu_factor import HYBRID_GEMM_CUTOFF, _chunk_levels, _run_level, \
+    check_factor_args, download_fronts, factor_levels, finish_factors, \
+    pack_fronts, retry_launch
 from .report import FactorReport
 from .solve_plan import DeviceFactorCache
 
@@ -155,8 +166,15 @@ class ShardedFactorResult:
     ``elapsed`` is this call's node makespan: from the latest member
     clock at entry to the latest once every device is idle (subtree
     phases overlap, so this is *not* the sum of the parts).
-    ``link_bytes`` counts the boundary Schur bytes that crossed a link;
-    the owner's own contributions never do.
+    ``per_device_seconds`` times each device's subtree phase.
+    ``gather_seconds`` is the top device's clock delta over the gather
+    of the boundary Schur blocks, so it includes that device's wait for
+    the slowest subtree device as well as the link time.
+    ``top_seconds`` times the top part.  On the store path the shares
+    merge into the store after the top part, on the top device's clock:
+    that time is in ``elapsed`` only.  ``link_bytes`` counts the bytes
+    that crossed a link: the boundary Schur blocks (the top device's own
+    never do) and, on the store path, every peer's share of every level.
     """
 
     factors: MultifrontalFactors
@@ -185,11 +203,13 @@ def multifrontal_factor_sharded(
     level transactions as :func:`multifrontal_factor_gpu` — the full
     pivot policy (``pivot_tol``/``static_pivot``/``replace_scale``),
     batch engine selection and the retry/level-split/quarantine ladder
-    all apply per device.  Boundary Schur contributions are shipped to
-    ``top_device`` over the node's modeled links; the top part is
-    factored there (``top_mode="slate"``, batched kernels) or costed
-    with the ScaLAPACK-style CPU model (``"scalapack"`` — the numerics
-    still run, on an untimed scratch device, so the factors are always
+    all apply per device.  ``top_device`` takes the lightest subtree
+    share, since it also factors the top part (and holds the store).
+    Boundary Schur contributions are shipped to ``top_device`` over the
+    node's modeled links; the top part is factored there
+    (``top_mode="slate"``, batched kernels) or costed with the
+    ScaLAPACK-style CPU model (``"scalapack"`` — the numerics still
+    run, on an untimed scratch device, so the factors are always
     complete).
 
     The aggregated :class:`FactorReport` (with every device's recovery
@@ -202,65 +222,80 @@ def multifrontal_factor_sharded(
 
     ``store`` is the output argument of
     :func:`~repro.sparse.numeric.gpu_factor.multifrontal_factor_gpu`,
-    on one of the node's devices (normally ``node[top_device]``).  The
-    rule is per level: a level whose fronts all ran on the store's
-    device, together with their parents, is packed there as on one
-    device; any other level is downloaded.  So on a 1-device node every
-    level is packed (the same launches as ``multifrontal_factor_gpu``),
-    on a 4-device node the top part's depths 0–1 are, and with
-    ``top_mode="scalapack"`` (the top part runs on a scratch device)
-    none is.
+    on ``node[top_device]`` (else a :class:`ValueError`).  With
+    ``top_mode="slate"`` every level stays on the devices:
+
+    * each device packs its share of a level (the level's fronts that
+      ran there) into its own memory, one ``pack_to_device`` per level
+      part, once their parents have committed there, and frees the
+      fronts; a level that ran whole on the top device goes straight
+      into the store, as on one device;
+    * the boundary Schur blocks go peer to peer into the top device's
+      memory, and the top part's assembly reads them there;
+    * once the top part has freed its fronts (and every device its copy
+      of A), each level's shares land in the store's level allocation,
+      one copy per level part and device (a ``solve:pack`` kernel for
+      the top device's own share, a peer copy over the node's link for
+      each peer's), and are freed.
+
+    So on a 1-device node every level is packed as by
+    ``multifrontal_factor_gpu`` (the same launches), and on any node
+    the first solve uploads nothing.  Without a store, and under
+    ``top_mode="scalapack"``, the subtree levels download to host
+    factors instead (under ``"scalapack"``, a level that ran whole on
+    the store's device is still packed there).  A raise frees every
+    share and releases the store, so each device's ``allocated_bytes``
+    returns to where it was.
     """
-    a_perm, a_dev_bytes = check_factor_args(
-        a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
-        breakdown=breakdown, store=store, devices=list(node))
-    if top_mode not in ("slate", "scalapack"):
-        raise ValueError(f"unknown top_mode {top_mode!r}")
     if not 0 <= top_device < len(node):
         raise ValueError(f"top_device {top_device} out of range for a "
                          f"{len(node)}-device node")
+    owner = node[top_device]
+    a_perm, a_dev_bytes = check_factor_args(
+        a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
+        breakdown=breakdown, store=store, device=owner)
+    if top_mode not in ("slate", "scalapack"):
+        raise ValueError(f"unknown top_mode {top_mode!r}")
 
-    assign = partition_tree(symb, len(node))
+    assign = _lightest_on(partition_tree(symb, len(node)), top_device)
     engine = resolve_engine(engine)
     marks = [dev.recovery_log.mark() for dev in node]
     start = node.makespan
     link_bytes0 = node.p2p_bytes + node.staged_bytes
 
+    # per level, the devices' packed shares (the store path only)
+    shares = {} if store is not None and top_mode == "slate" else None
     host_factors: dict[int, FrontFactors] = {}
+    pivots_of: dict = {}
+    diag_of: dict[int, tuple[int, int, float, float]] = {}
+    # boundary Schur blocks: on the host without shares, else on `owner`
     host_schur: dict[int, np.ndarray] = {}
+    dev_schur: dict = {}
+    buffers: list[dict] = [{} for _ in node]
 
-    def run_fronts(device: Device, fids: list[int]) -> float:
-        """Factor one device's fronts; stream results to the host store.
-
-        Identical level transactions to the single-device traversal
-        (same engine, same pivot policy, same recovery ladder, the same
-        packs into ``store``); the download/harvest of the other levels
-        happens outside the timed region, as the single-device path
-        does.
-        """
+    def run_fronts(device: Device, fids: list[int], bufs: dict) -> float:
+        """Factor one device's fronts with the same level transactions
+        as the single-device traversal (same engine, pivot policy,
+        recovery ladder and packs).  Without shares, the fronts then
+        download outside the timed region, as the single-device path's
+        do."""
         if not fids:
             return 0.0
-        buffers: dict = {}
-        pivots_of: dict = {}
-        diag_of: dict[int, tuple[int, int, float, float]] = {}
 
         def run_level(level_fids) -> None:
-            _run_level(device, a_perm, symb, level_fids, buffers,
-                       pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                       laswp_variant, nb, host_schur=host_schur,
+            _run_level(device, a_perm, symb, level_fids, bufs, pivots_of,
+                       strategy, gemm_mode, hybrid_cutoff, laswp_variant,
+                       nb, host_schur=host_schur, dev_schur=dev_schur,
                        engine=engine, diag_of=diag_of, pivot_tol=pivot_tol,
                        static_pivot=static_pivot,
                        replace_scale=replace_scale)
 
-        try:
-            with device.timed_region() as region:
-                factor_levels(device, symb, fids, run_level, buffers,
-                              pivots_of, diag_of, host_factors, store)
-            download_fronts(symb, fids, buffers, pivots_of, diag_of,
+        with device.timed_region() as region:
+            factor_levels(device, symb, fids, run_level, bufs, pivots_of,
+                          diag_of, host_factors, store, shares)
+        if shares is None:
+            download_fronts(symb, fids, bufs, pivots_of, diag_of,
                             host_factors, host_schur)
-        finally:
-            for arr in buffers.values():
-                arr.free()
         return region["elapsed"]
 
     # Each participating device holds its own copy of A for assembly
@@ -270,6 +305,11 @@ def multifrontal_factor_sharded(
             and top_device not in active:
         active.append(top_device)
     claimed: list[int] = []
+
+    def release_a() -> None:
+        while claimed:
+            node[claimed.pop()]._release(a_dev_bytes)
+
     try:
         for d in active:
             node[d]._claim(a_dev_bytes, site="shard:a_csr")
@@ -277,26 +317,31 @@ def multifrontal_factor_sharded(
             node[d]._account_transfer(a_dev_bytes)
 
         # --- phase 1: rank-local subtrees (concurrent timelines) ---------
-        per_device = [run_fronts(node[d], assign.rank_fronts[d])
+        per_device = [run_fronts(node[d], assign.rank_fronts[d], buffers[d])
                       for d in range(len(node))]
 
         # --- phase 2: gather boundary Schur contributions to the owner ---
         gather_seconds = 0.0
         if assign.top_fronts:
-            owner = node[top_device]
             t0 = owner.host_time
             for d in range(len(node)):
-                for f in assign.rank_fronts[d]:
-                    if f in host_schur:
-                        node.transfer(d, top_device, host_schur[f].nbytes)
+                if shares is None:
+                    for f in assign.rank_fronts[d]:
+                        if f in host_schur:
+                            node.transfer(d, top_device,
+                                          host_schur[f].nbytes)
+                elif buffers[d]:
+                    _send_boundary(node, d, top_device, symb, buffers[d],
+                                   pivots_of, diag_of, host_factors, store,
+                                   shares, dev_schur)
             gather_seconds = owner.host_time - t0
 
         # --- phase 3: the top part on the owner device -------------------
         top_seconds = 0.0
         if assign.top_fronts:
             if top_mode == "slate":
-                top_seconds = run_fronts(node[top_device],
-                                         assign.top_fronts)
+                top_seconds = run_fronts(owner, assign.top_fronts,
+                                         buffers[top_device])
             else:
                 # ScaLAPACK model: CPU-only 2D block-cyclic over all
                 # devices' host processes; the numerics run on an
@@ -309,15 +354,28 @@ def multifrontal_factor_sharded(
                 eff = cpu.getrf_efficiency(
                     max(symb.fronts[f].order for f in assign.top_fronts))
                 top_seconds = flops / (rate * max(eff, 1e-3))
-                run_fronts(Device(node.spec), assign.top_fronts)
-                node[top_device].host_compute(top_seconds)
+                run_fronts(Device(node.spec), assign.top_fronts, {})
+                owner.host_compute(top_seconds)
+
+        # --- phase 4: merge the shares into the store --------------------
+        release_a()
+        for li in sorted(shares or ()):
+            _merge_level(node, store, li, shares)
     except BaseException:
+        # a clean run has merged every share and consumed every block
+        for parts in (shares or {}).values():
+            for share in parts:
+                share.free()
+        for blk in dev_schur.values():
+            blk.base.free()
         if store is not None:
             store.release()
         raise
     finally:
-        for d in claimed:
-            node[d]._release(a_dev_bytes)
+        for bufs in buffers:
+            for arr in bufs.values():
+                arr.free()
+        release_a()
 
     events: list = []
     for dev, mark in zip(node, marks):
@@ -334,3 +392,52 @@ def multifrontal_factor_sharded(
         top_seconds=top_seconds,
         link_bytes=(node.p2p_bytes + node.staged_bytes) - link_bytes0,
         report=out.report)
+
+
+def _lightest_on(assign: RankAssignment, top: int) -> RankAssignment:
+    """``assign`` with its lightest rank's subtrees swapped onto device
+    ``top``, which also factors the top part and holds the store.  LPT
+    alone breaks its first tie toward device 0, which then gets the
+    heaviest subtree."""
+    light = int(np.argmin(assign.rank_flops))
+    if assign.rank_flops[light] >= assign.rank_flops[top]:
+        return assign
+    fronts, flops = list(assign.rank_fronts), list(assign.rank_flops)
+    fronts[light], fronts[top] = fronts[top], fronts[light]
+    flops[light], flops[top] = flops[top], flops[light]
+    rank_of = assign.rank_of_front.copy()
+    rank_of[assign.rank_of_front == light] = top
+    rank_of[assign.rank_of_front == top] = light
+    return replace(assign, rank_of_front=rank_of, rank_fronts=fronts,
+                   rank_flops=flops)
+
+
+def _send_boundary(node, d, top, symb, bufs, pivots_of, diag_of,
+                   host_factors, store, shares, dev_schur) -> None:
+    """Device ``d``'s part of the gather: copy each of its boundary
+    fronts' Schur blocks into ``node[top]``'s memory (a peer copy over
+    the node's link; a ``solve:pack`` on the top device itself), then
+    pack its share of their level and free them."""
+    owner = node[top]
+    for f in sorted(bufs):
+        s = symb.fronts[f].sep_size
+        if symb.fronts[f].upd_size:
+            schur = bufs[f][s:, s:]
+            dev_schur[f] = retry_launch(owner, lambda: pack_to_device(
+                owner, [schur], node=node))[0]
+    for level in _chunk_levels(symb, list(bufs)):
+        pack_fronts(node[d], symb, level, bufs, pivots_of, diag_of,
+                    host_factors, store, shares)
+    # the merge's peer copies start from this clock: the packs are done
+    node[d].synchronize()
+
+
+def _merge_level(node, store, li, shares) -> None:
+    """Land level ``li``'s shares in the store's level allocation — one
+    copy per level part and device: a ``solve:pack`` kernel for the
+    store device's own share, a peer copy over the node's link for each
+    peer's — and free them."""
+    blocks = {f: v for share in shares[li] for f, v in share.views.items()}
+    retry_launch(store.device, lambda: store.pack(li, blocks, node=node))
+    for share in shares.pop(li):
+        share.free()

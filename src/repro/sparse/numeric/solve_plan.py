@@ -26,9 +26,11 @@ This module precomputes everything that depends only on the factors:
   ``f21``/``f12`` blocks packed into contiguous per-bucket stacks.  It
   fills either from host factors (each level part uploaded on first
   use, one H2D transfer per bucket and per ``f11`` block) or, as the
-  *store* of a device factorization, by device-to-device packs of the
+  *store* of a device factorization, from device blocks: packs of the
   factorization's own fronts (one copy per level part, no transfer at
-  all).  A ``memory_budget`` keeps only the levels that fit resident;
+  all), or on a node the devices' packed shares of a level (one copy
+  per level part and source device, peers' over the node's link).  A
+  ``memory_budget`` keeps only the levels that fit resident;
   the rest fall back to the seed's streaming uploads (upload, use,
   free) — mirroring the out-of-core factorization mode.
 
@@ -303,13 +305,17 @@ class LevelFactorBlocks:
     / ``f12_stacks`` are per-bucket contiguous 3-D stacks, parallel to
     ``LevelSolvePlan.buckets``.  Parts are uploaded lazily: a streamed
     forward pass needs only ``f11`` + ``f21``.  A packed level part is
-    one allocation whose members are views (their ``base`` owns it).
+    one allocation whose members are views (their ``base`` owns it);
+    :func:`pack_level` also maps each packed front to its blocks in
+    :attr:`views`.
     """
 
     def __init__(self) -> None:
         self.f11: IrrBatch | None = None
         self.f21_stacks: list | None = None
         self.f12_stacks: list | None = None
+        #: front id -> its ``(f11, f21, f12)`` views (set by a pack)
+        self.views: dict = {}
 
     def free(self) -> None:
         """Release the level's device memory (idempotent)."""
@@ -319,12 +325,54 @@ class LevelFactorBlocks:
         for arr in arrays:
             (arr.base or arr).free()
         self.f11 = self.f21_stacks = self.f12_stacks = None
+        self.views = {}
 
     def __enter__(self) -> "LevelFactorBlocks":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.free()
+
+
+def pack_level(device: Device, lp: LevelSolvePlan, blocks: dict, *,
+               node=None) -> LevelFactorBlocks:
+    """Pack the fronts of level ``lp`` that ``blocks`` holds into
+    ``device`` memory, in layout order.
+
+    ``blocks`` maps a front id to its ``(f11, f21, f12)`` device views:
+    on ``device`` or, with ``node``, on any member of it.  Each level
+    part (the f11 blocks, the f21 stacks, the f12 stacks) takes one
+    :func:`pack_to_device` call: one allocation, filled by one copy per
+    source device (a ``solve:pack`` kernel here, a peer copy over the
+    node's link from a peer).  The result's ``views`` maps the same
+    fronts to their new blocks in the same form, so a device's share of
+    a level can itself be packed into a store.  A failed pack leaves
+    nothing behind.
+    """
+    at = [i for i, f in enumerate(lp.fids) if f in blocks]
+    fids = [lp.fids[i] for i in at]
+    members = [m for m in ([f for f in b.fids if f in blocks]
+                           for b in lp.buckets) if m]
+    out = LevelFactorBlocks()
+    try:
+        f11 = pack_to_device(device, [[blocks[f][0]] for f in fids],
+                             node=node)
+        out.f11 = IrrBatch(device, [st[0] for st in f11], lp.sep_m[at],
+                           lp.sep_m[at])
+        out.f21_stacks, out.f12_stacks = [], []
+        if members:
+            out.f21_stacks = pack_to_device(device, [
+                [blocks[f][1] for f in m] for m in members], node=node)
+            out.f12_stacks = pack_to_device(device, [
+                [blocks[f][2] for f in m] for m in members], node=node)
+    except BaseException:
+        out.free()
+        raise
+    out.views = {f: (a, None, None) for f, a in zip(fids, out.f11.arrays)}
+    for m, s21, s12 in zip(members, out.f21_stacks, out.f12_stacks):
+        for j, f in enumerate(m):
+            out.views[f] = (out.views[f][0], s21[j], s12[j])
+    return out
 
 
 class _ReleasedStore:
@@ -368,8 +416,9 @@ class DeviceFactorCache:
     multifrontal_factor_gpu` or :func:`~repro.sparse.numeric.shard.
     multifrontal_factor_sharded`), the cache is filled by
     :meth:`pack` instead: each level's blocks are copied device to
-    device from the factorization's fronts, and the cache then backs
-    the factors it returns.  Those levels exist only on the device until
+    device from the factorization's fronts (on a node, from each
+    device's share of the level, peers' over the node's link), and the
+    cache then backs the factors it returns.  Those levels exist only on the device until
     :meth:`download` brings them to the host factors — on the first read
     of ``factors.fronts``, and before :meth:`free`, a budget or device
     change (``SparseLU`` frees the old cache) or an :meth:`evict_lru`
@@ -478,34 +527,21 @@ class DeviceFactorCache:
         return sum(self._level_nbytes(li) for li in self._resident_set)
 
     # ------------------------------------------------------------------
-    def pack(self, li: int, buffers) -> None:
-        """Pack level ``li`` from a factorization's front buffers.
+    def pack(self, li: int, blocks: dict, *, node=None) -> None:
+        """Pack level ``li`` from a factorization's device blocks.
 
-        ``buffers`` maps front ids to their ``(order, order)`` device
-        arrays.  Each level part (the f11 blocks, the f21 stacks, the
-        f12 stacks) takes one :func:`pack_to_device` call: one
-        allocation, one device-to-device copy.  The level is then
-        resident and exists only here until :meth:`download`.  A failed
-        pack leaves nothing behind.
+        ``blocks`` maps every front of the level to its ``(f11, f21,
+        f12)`` device views: views into the factorization's front
+        buffers on the store's device, or, with ``node``, the devices'
+        shares of the level on any member of it (see
+        :func:`pack_level`: one allocation per level part, one copy per
+        source device).  The level is then resident and exists only here
+        until :meth:`download`.  A failed pack leaves nothing behind.
         """
         lp = self.layout.levels[li]
-        blocks = LevelFactorBlocks()
-        try:
-            f11 = pack_to_device(self.device, [
-                [buffers[f][:s, :s]] for f, s in zip(lp.fids, lp.sep_m)])
-            blocks.f11 = IrrBatch(self.device, [st[0] for st in f11],
-                                  lp.sep_m, lp.sep_m)
-            blocks.f21_stacks, blocks.f12_stacks = [], []
-            if lp.buckets:
-                blocks.f21_stacks = pack_to_device(self.device, [
-                    [buffers[f][b.s:, :b.s] for f in b.fids]
-                    for b in lp.buckets])
-                blocks.f12_stacks = pack_to_device(self.device, [
-                    [buffers[f][:b.s, b.s:] for f in b.fids]
-                    for b in lp.buckets])
-        except BaseException:
-            blocks.free()
-            raise
+        if any(f not in blocks for f in lp.fids):
+            raise ValueError(f"level {li}: blocks must cover every front")
+        blocks = pack_level(self.device, lp, blocks, node=node)
         with self._lock:
             self._resident[li] = blocks
             self._packed.add(li)

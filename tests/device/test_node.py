@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.device import A100, Device, Link, NVLINK, Node, PCIE_STAGING
+from repro.device.memory import pack_to_device
 
 pytestmark = pytest.mark.multidev
 
@@ -99,6 +100,41 @@ class TestTransfer:
     def test_rejects_negative_bytes(self):
         with pytest.raises(ValueError, match="transfer"):
             Node(A100(), 2).transfer(0, 1, -4)
+
+
+class TestPeerPack:
+    """``pack_to_device(..., node=)``: the peer copy that moves data."""
+
+    def test_blocks_from_every_member_land_bitwise(self, rng):
+        node = Node(A100(), 3)
+        host = [rng.standard_normal((4, 3)) for _ in range(5)]
+        blocks = [node[i % 3].from_host(h) for i, h in enumerate(host)]
+        launches = node[0].profiler.launch_count
+        copies = [d.profiler.transfer_count for d in node]
+        out = pack_to_device(node[0], [[b] for b in blocks], node=node)
+        assert all(np.array_equal(o.data[0], h) for o, h in zip(out, host))
+        # node[0]'s own blocks by one kernel, each peer's by one copy
+        assert node[0].profiler.launch_count == launches + 1
+        assert [d.profiler.transfer_count - c
+                for d, c in zip(node, copies)] == [2, 1, 1]
+        from_peer = [sum(h.nbytes for i, h in enumerate(host) if i % 3 == d)
+                     for d in (1, 2)]
+        assert node.p2p_bytes == sum(from_peer)
+        assert node.link_bytes == [sum(from_peer), *from_peer]
+        out[0].base.free()
+        for b in blocks:
+            b.free()
+        assert node.allocated_bytes == 0
+
+    def test_rejects_blocks_or_a_device_outside_the_node(self):
+        node = Node(A100(), 2)
+        other = Device(A100())
+        with other.from_host(np.ones((2, 2))) as blk:
+            with pytest.raises(ValueError, match="another device"):
+                pack_to_device(node[0], [blk], node=node)
+            with pytest.raises(ValueError, match="not a member"):
+                pack_to_device(other, [blk], node=node)
+        assert node.allocated_bytes == other.allocated_bytes == 0
 
 
 class TestAggregates:

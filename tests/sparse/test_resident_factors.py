@@ -4,7 +4,7 @@
 ``DeviceFactorCache`` that becomes ``solve_cache``; ``factors.fronts``
 downloads the host blocks only when read.  These tests pin that path:
 bitwise equality with host factors, zero factor uploads, the release
-rules, the recovery ladder and the sharded per-level rule.
+rules, the recovery ladder and the sharded store path.
 """
 
 import dataclasses
@@ -207,19 +207,19 @@ class TestRecovery:
 
 
 class TestSharded:
-    def test_four_devices_keep_depths_0_and_1_resident(self, rng):
+    def test_four_devices_keep_every_level_resident(self, rng):
         a = grid3d(8)
         s = SparseLU(a).analyze()
         node = Node(A100(), 4)
         s.factor(backend="sharded", device=node)
         cache = s.solve_cache
         assert cache.device is node[0]
-        top = {cache.layout.level_of_depth[d] for d in (0, 1)}
+        assert cache.resident_levels == set(range(len(cache.layout.levels)))
         assert node[0].allocated_bytes == sum(
-            8 * cache.layout.levels[li].elements for li in top)
+            8 * lp.elements for lp in cache.layout.levels)
         assert all(node[d].allocated_bytes == 0 for d in (1, 2, 3))
-        batched, _ = on_device(a)
-        assert_fronts_equal(s.factors.fronts, batched.factors.fronts)
         _, info = s.solve(rng.standard_normal(a.shape[0]), device=node[0])
         assert info.final_residual < 1e-13
-        assert cache.uploads == len(cache.layout.levels) - len(top)
+        assert cache.uploads == 0
+        batched, _ = on_device(a)
+        assert_fronts_equal(s.factors.fronts, batched.factors.fronts)

@@ -1,17 +1,20 @@
 """Sharded multifrontal factorization: bitwise parity with the
 single-device path on grid Laplacians at 1–8 devices, plus the
 multi-device execution profile (subtree makespan, link bytes, top
-modes)."""
+modes) and the store path that keeps every level on the devices."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.device import A100, Device, Link, Node
+from repro.device import A100, PERSISTENT, Device, FaultPlan, FaultRule, \
+    Link, Node
+from repro.device.memory import DeviceOutOfMemory
 from repro.errors import FactorizationError
 from repro.sparse import SparseLU, multifrontal_factor_gpu, \
     multifrontal_factor_sharded, multifrontal_solve, nested_dissection, \
     symbolic_analysis
+from repro.sparse.numeric.solve_plan import DeviceFactorCache, SolveLayout
 
 from .util import grid2d, grid3d, maxwell
 
@@ -126,6 +129,124 @@ class TestShardedParity:
                                           top_mode="scalapack")
         assert_factors_equal(ref.factors, res.factors)
         assert res.top_seconds > 0
+
+
+def store_bytes(lu):
+    return sum(lu.factors.dtype.itemsize * lp.elements
+               for lp in lu.solve_cache.layout.levels)
+
+
+class TestShardedStore:
+    """``SparseLU(backend="sharded")``: each device packs its share of
+    every level, and the shares merge into the store on ``node[0]``."""
+
+    @pytest.mark.parametrize("n_devices,system", [
+        pytest.param(4, "grid", id="4"),
+        *(pytest.param(n, "maxwell", id=f"maxwell-{n}") for n in (2, 4))])
+    def test_bitwise_parity_with_single_device(self, n_devices, system,
+                                               rng):
+        a = grid3d(7) if system == "grid" else maxwell(7)
+        dev = Device(A100())
+        ref = SparseLU(a).analyze().factor(backend="batched", device=dev)
+        node = Node(A100(), n_devices)
+        lu = SparseLU(a).analyze().factor(backend="sharded", device=node)
+        assert node[0].allocated_bytes == store_bytes(lu)
+        assert all(d.allocated_bytes == 0 for d in list(node)[1:])
+        b = rng.standard_normal(a.shape[0])
+        x, _ = lu.solve(b, device=node[0])
+        assert lu.solve_cache.uploads == 0
+        assert np.array_equal(x, ref.solve(b, device=dev)[0])
+        assert_factors_equal(ref.factors, lu.factors)
+        assert np.array_equal(lu.factor_report.info, ref.factor_report.info)
+
+    @pytest.mark.parametrize("top_device", [0, 2])
+    def test_top_device_takes_the_lightest_share(self, top_device):
+        _, ap, symb = prepare(maxwell(7), leaf_size=32)
+        ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
+        res = multifrontal_factor_sharded(Node(A100(), 4), ap, symb,
+                                          top_device=top_device)
+        flops = res.assignment.rank_flops
+        assert len(set(flops)) == 4        # four subtrees, no ties
+        assert flops[top_device] == min(flops)
+        for d, fids in enumerate(res.assignment.rank_fronts):
+            assert all(res.assignment.rank_of_front[f] == d for f in fids)
+        assert_factors_equal(ref.factors, res.factors)
+
+    def test_share_pack_launch_fault_is_retried_bitwise(self):
+        a = grid3d(8)
+        ref = SparseLU(a).analyze().factor(backend="batched",
+                                           device=Device(A100()))
+        node = Node(A100(), 4)
+        lu = SparseLU(a).analyze()
+        rule = FaultRule("launch", at=0, match="solve:pack")
+        with node[1].fault_scope(FaultPlan([rule])):
+            lu.factor(backend="sharded", device=node)
+        assert lu.factor_report.recovery.count("launch-retry") == 1
+        assert node[0].allocated_bytes == store_bytes(lu)
+        assert all(d.allocated_bytes == 0 for d in list(node)[1:])
+        assert_factors_equal(ref.factors, lu.factors)
+
+    def test_top_level_retry_rereads_the_peer_schur_blocks(self):
+        a = grid3d(8)
+        ref = SparseLU(a).analyze().factor(backend="batched",
+                                           device=Device(A100()))
+        clean = Node(A100(), 4)
+        SparseLU(a).analyze().factor(backend="sharded", device=clean)
+        n = sum(r.name == "assemble:extend_add"
+                for r in clean[0].profiler.records)
+        node = Node(A100(), 4)
+        lu = SparseLU(a).analyze()
+        # node[0]'s last two assemblies are the top part's depths 1 and
+        # 0; depth 1 reads the Schur blocks the peers sent
+        rule = FaultRule("launch", at=n - 2, match="assemble")
+        with node[0].fault_scope(FaultPlan([rule])):
+            lu.factor(backend="sharded", device=node)
+        assert lu.factor_report.recovery.count("launch-retry") == 1
+        assert node[0].allocated_bytes == store_bytes(lu)
+        assert_factors_equal(ref.factors, lu.factors)
+
+    def test_merge_alloc_fault_raises_typed_and_frees_every_device(self):
+        a = grid3d(8)
+        ref = SparseLU(a).analyze().factor(backend="batched",
+                                           device=Device(A100()))
+        node = Node(A100(), 4)
+        lu = SparseLU(a).analyze()
+        idle = FaultPlan([FaultRule("alloc", at=10 ** 9)])
+        with node[0].fault_scope(idle) as counted:
+            lu.factor(backend="sharded", device=node)
+        # the merge makes node[0]'s last allocations: three per level
+        # below the top part's two
+        n_allocs = counted.counters["alloc"]
+        merged = len(lu.solve_cache.layout.levels) - 2
+        lu.solve_cache.free()
+        rule = FaultRule("alloc", at=n_allocs - 3 * merged,
+                         times=PERSISTENT)
+        with node[0].fault_scope(FaultPlan([rule])) as inj:
+            with pytest.raises(DeviceOutOfMemory):
+                lu.factor(backend="sharded", device=node)
+        # a store pack, not a level transaction (that would retry)
+        assert inj.injected_of("alloc")[0].site == "pack_to_device"
+        assert node[0].recovery_log.count() == 0
+        assert lu.solve_cache is None
+        assert all(d.allocated_bytes == 0 for d in node)
+        lu.factor(backend="sharded", device=node)
+        assert_factors_equal(ref.factors, lu.factors)
+
+    def test_breakdown_raise_frees_every_device(self):
+        node = Node(A100(), 4)
+        lu = SparseLU(singular()).analyze()
+        with pytest.raises(FactorizationError):
+            lu.factor(backend="sharded", device=node)
+        assert all(d.allocated_bytes == 0 for d in node)
+        assert lu.solve_cache is None
+
+    def test_store_on_another_device_is_rejected(self):
+        _, ap, symb = prepare(grid2d(8, 8))
+        node = Node(A100(), 2)
+        store = DeviceFactorCache(node[1], None, SolveLayout(symb))
+        with pytest.raises(ValueError, match="store must"):
+            multifrontal_factor_sharded(node, ap, symb, store=store)
+        assert node.allocated_bytes == 0
 
 
 class TestSparseLUSharded:

@@ -12,8 +12,10 @@ matrix values on the same sparsity structure.  Each step calls
 ``update_values``, then ``factor``, then ``solve``.  The orderings,
 symbolic analysis and solve layout are kept from the first step, and
 the factors stay on the device from factor to solve.  Each step asserts
-its backward error, zero factor uploads in the solve, and device memory
-back at the level the first factor left.
+its backward error, zero factor uploads in the solve, five launches per
+level per substitution pass (pivots, triangle and update forward;
+update and triangle backward: every level's triangles take one irrTRSM
+launch), and device memory back at the level the first factor left.
 
 Run:  python examples/time_stepping.py
 """
@@ -48,7 +50,7 @@ solver = None
 held = None
 
 print(f"{'step':>4} {'h':>8} {'factor ms':>10} {'solve ms':>9} "
-      f"{'backward err':>13} {'device MB':>10}")
+      f"{'launches':>9} {'backward err':>13} {'device MB':>10}")
 for k in range(1, len(steps)):
     h, h_prev = steps[k], steps[k - 1]
     s = 2.0 / (h + h_prev)
@@ -67,14 +69,19 @@ for k in range(1, len(steps)):
         assert device.allocated_bytes == held, "factor memory drifted"
     factor_ms = solver.factor_result.elapsed * 1e3
 
+    launched = device.profiler.launch_count
     with device.timed_region() as t:
         x, info = solver.solve(b, device=device)
+    launched = device.profiler.launch_count - launched
     eta = backward_error(a, x, b)
     assert eta < 1e-12, f"step {k}: backward error {eta:.2e}"
     assert solver.solve_cache.uploads == 0, "solve uploaded factors"
     assert device.allocated_bytes == held, "solve memory drifted"
+    passes = len(info.residuals)     # the solve and its refinement steps
+    assert launched == 5 * len(solver.solve_plan.levels) * passes, \
+        f"step {k}: {launched} launches in {passes} substitution passes"
     print(f"{k:>4} {h:>8.4f} {factor_ms:>10.2f} {t['elapsed'] * 1e3:>9.2f} "
-          f"{eta:>13.2e} {held / 1e6:>10.2f}")
+          f"{launched:>9d} {eta:>13.2e} {held / 1e6:>10.2f}")
     e_prev, e = e, x
 
 print(f"\n{len(steps) - 1} steps on one analysis: every re-factor kept the "

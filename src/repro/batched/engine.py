@@ -68,7 +68,8 @@ from .panel import PanelPivots, factor_panel_block
 
 __all__ = ["BatchEngine", "PlanCache", "resolve_engine",
            "MIN_BUCKET", "PAD_BYTES_LIMIT", "solve_pivots_cost",
-           "solve_update_cost", "split_k_partials"]
+           "solve_update_cost", "split_k_partials", "trsm_base_work",
+           "trsm_base_smem", "trsm_base_cost"]
 
 #: buckets smaller than this run the per-matrix fallback path — stacking
 #: a single matrix costs a copy and buys nothing.
@@ -177,6 +178,69 @@ def _ceil_div(x: np.ndarray, d: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# irrTRSM base-case cost, shared by the naive loop in
+# repro.batched.trsm and exec_trsm_base below.
+# ----------------------------------------------------------------------
+
+def trsm_base_work(order, rhs) -> tuple[float, int, int, int, int]:
+    """Integer totals of one base launch over its written members.
+
+    ``order``/``rhs`` hold each member's triangle order and right-hand-
+    side count.  Returns ``(flops, Σ order², Σ order²·⌈rhs/TILE⌉,
+    Σ order·rhs, blocks)``: the second counts the triangle once, the
+    third once per 32-column tile of ``x`` (a streamed triangle is read
+    by every column tile's block), and ``blocks`` is
+    ``tile_blocks(1, rhs)``.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    rhs = np.asarray(rhs, dtype=np.int64)
+    ord2 = order * order
+    return (float(np.sum(ord2 * rhs)), int(np.sum(ord2)),
+            int(np.sum(ord2 * _ceil_div(rhs, TILE))),
+            int(np.sum(order * rhs)), tile_blocks(1, rhs))
+
+
+def trsm_base_smem(order_req: int, rhs_req: int, itemsize: int) -> int:
+    """Shared memory of a base launch whose order exceeds ``TILE``: one
+    diagonal tile plus the block's ``order×TILE`` column tile of ``x``.
+    The solve streams a level's triangles in one launch only where this
+    fits in ``max_shared_per_block``."""
+    return (TILE * TILE + order_req * min(rhs_req, TILE)) * itemsize
+
+
+def trsm_base_cost(spec, order_req: int, rhs_req: int, work,
+                   itemsize: int, kernel_class: str,
+                   peak_scale: float) -> KernelCost:
+    """One ``irr_trsm`` base launch from its :func:`trsm_base_work`.
+
+    A front's triangle is one chain of dependent substitution steps, so
+    it stays in one thread block per 32-column tile of ``x``.  Up to
+    ``TILE`` the whole triangle sits in shared memory.  Above it the
+    block *streams* the triangle from global memory: its column tile of
+    ``x`` and one diagonal tile stay in shared memory, the triangle is
+    read once per column tile, and the dependent diagonal-tile steps
+    run at one tile's GEMM ramp on the block's share of an SM.
+    """
+    flops, ord2, ord2_tiles, b_elems, blocks = work
+    if order_req <= TILE:
+        tri = ord2
+        smem = min(order_req * order_req * itemsize,
+                   spec.max_shared_per_block)
+        ramp = gemm_compute_ramp(order_req, order_req, order_req,
+                                 halfsize=32.0)
+    else:
+        tri = ord2_tiles
+        smem = trsm_base_smem(order_req, rhs_req, itemsize)
+        ramp = gemm_compute_ramp(TILE, TILE, TILE, halfsize=32.0)
+    return KernelCost(
+        flops=flops, bytes_read=tri * itemsize / 2 + float(b_elems) * itemsize,
+        bytes_written=float(b_elems) * itemsize,
+        blocks=max(blocks, 1), threads_per_block=128,
+        shared_mem_per_block=smem, kernel_class=kernel_class,
+        compute_ramp=ramp, peak_scale=peak_scale)
+
+
+# ----------------------------------------------------------------------
 # multifrontal solve-phase costs, shared by the naive closures in
 # repro.sparse.numeric.gpu_solve and the planned bodies below: both pass
 # the same integer totals, so their records agree bit for bit.
@@ -235,8 +299,7 @@ class _GemmPlan:
 
 
 class _TrsmPlan:
-    __slots__ = ("idx", "order", "mi", "ni", "flops", "ord2_sum",
-                 "b_elems", "blocks")
+    __slots__ = ("idx", "order", "mi", "ni", "work")
 
 
 class _PanelPlan:
@@ -515,10 +578,7 @@ class BatchEngine:
             p.idx = idx
             p.order = order
             p.mi, p.ni = mi[idx], ni[idx]
-            p.flops = float(np.sum(order * order * rhs))
-            p.ord2_sum = int(np.sum(order * order))
-            p.b_elems = int(np.sum(mi[idx] * ni[idx]))
-            p.blocks = tile_blocks(1, rhs)
+            p.work = trsm_base_work(order, rhs)
             return p
 
         return self.cache.get_or_build(key, build)
@@ -576,8 +636,6 @@ class BatchEngine:
         :meth:`_solve_fast` (same LAPACK call, no wrapper layers).
         """
         plan = self._trsm_plan(side, m, n, T, t_off, B, b_off)
-        itemsize = B.itemsize
-        order_req = m if side == "L" else n
         for b in range(len(plan.idx)):
             i = int(plan.idx[b])
             order = int(plan.order[b])
@@ -586,18 +644,9 @@ class BatchEngine:
             b_sub = B.sub(i, b_off[0], b_off[1], mi, ni)
             self._solve_fast(t_sub, b_sub, side, uplo, trans, diag, alpha,
                              solve)
-        bytes_r = plan.ord2_sum * itemsize / 2 + \
-            float(plan.b_elems) * itemsize
-        smem = min(order_req * order_req * itemsize,
-                   device.spec.max_shared_per_block)
-        return KernelCost(
-            flops=plan.flops, bytes_read=bytes_r,
-            bytes_written=float(plan.b_elems) * itemsize,
-            blocks=max(plan.blocks, 1), threads_per_block=128,
-            shared_mem_per_block=smem, kernel_class=kernel_class,
-            compute_ramp=gemm_compute_ramp(order_req, order_req, order_req,
-                                           halfsize=32.0),
-            peak_scale=B.peak_scale)
+        order_req, rhs_req = (m, n) if side == "L" else (n, m)
+        return trsm_base_cost(device.spec, order_req, rhs_req, plan.work,
+                              B.itemsize, kernel_class, B.peak_scale)
 
     # ------------------------------------------------------------------
     # fused panel factorization

@@ -24,18 +24,23 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from ..device.kernel import KernelCost, gemm_compute_ramp, tile_blocks
+from ..device.kernel import TILE, KernelCost, gemm_compute_ramp, \
+    tile_blocks
 from ..device.simulator import Device
 from .abft import trsm_check, verified_launch
 from .dcwi import Workload, infer_trsm
-from .engine import resolve_engine
+from .engine import resolve_engine, trsm_base_cost, trsm_base_smem, \
+    trsm_base_work
 from .gemm import irr_gemm
 from .interface import IrrBatch, Offsets
 
 __all__ = ["irr_trsm", "magma_style_trsm", "TRSM_BASE_NB"]
 
-#: base-case order below which the recursion stops and a single
-#: substitution kernel handles the whole triangle (fits in shared memory).
+#: default base-case order: at or below it the recursion stops and one
+#: substitution kernel holds each whole triangle in shared memory.  A
+#: caller may pass a larger ``base_nb`` where the streamed base launch
+#: fits in shared memory (:func:`~repro.batched.engine.trsm_base_smem`);
+#: the multifrontal solve does so per level.
 TRSM_BASE_NB = 32
 
 _MAGMA_IB = 16  # diagonal-block size inverted by the MAGMA-style baseline
@@ -86,44 +91,27 @@ def _base_kernel(device: Device, side: str, uplo: str, trans: str, diag: str,
                  m: int, n: int, alpha: float, T: IrrBatch, t_off: Offsets,
                  B: IrrBatch, b_off: Offsets, stream, kernel_class: str,
                  name: str, eng=None) -> KernelCost:
-    """One launch solving every matrix's (DCWI-inferred) small triangle."""
-    itemsize = B.itemsize
-    order_req = m if side == "L" else n
+    """One launch solving every matrix's (DCWI-inferred) triangle: held
+    in shared memory up to ``TILE``, streamed from global memory above
+    it (:func:`~repro.batched.engine.trsm_base_cost`)."""
+    order_req, rhs_req = (m, n) if side == "L" else (n, m)
 
     def kernel() -> KernelCost:
         if eng is not None:
             return eng.exec_trsm_base(device, side, uplo, trans, diag,
                                       m, n, alpha, T, t_off, B, b_off,
                                       kernel_class, _solve_small)
-        flops = 0.0
-        bytes_r = 0.0
-        bytes_w = 0.0
-        blocks = 0
-        for i in range(len(B)):
-            mi, ni, cls = infer_trsm(side, m, n, T.local_dims(i), t_off,
-                                     B.local_dims(i), b_off)
-            if cls is Workload.NONE:
-                continue
-            order = mi if side == "L" else ni
+        orders, rhs = [], []
+        for (i, mi, ni, order) in _trsm_targets(side, m, n, T, t_off,
+                                                B, b_off):
             t_sub = T.sub(i, t_off[0], t_off[1], order, order)
             b_sub = B.sub(i, b_off[0], b_off[1], mi, ni)
             _solve_small(t_sub, b_sub, side, uplo, trans, diag, alpha)
-            rhs = ni if side == "L" else mi
-            flops += float(order) * order * rhs
-            bytes_r += (order * order / 2 + mi * ni) * itemsize
-            bytes_w += mi * ni * itemsize
-            blocks += tile_blocks(1, rhs)
-        smem = min(order_req * order_req * itemsize,
-                   device.spec.max_shared_per_block)
-        return KernelCost(
-            flops=flops, bytes_read=bytes_r, bytes_written=bytes_w,
-            blocks=max(blocks, 1), threads_per_block=128,
-            shared_mem_per_block=smem,
-            kernel_class=kernel_class,
-            compute_ramp=gemm_compute_ramp(order_req, order_req, order_req,
-                                           halfsize=32.0),
-            peak_scale=B.peak_scale,
-        )
+            orders.append(order)
+            rhs.append(ni if side == "L" else mi)
+        return trsm_base_cost(device.spec, order_req, rhs_req,
+                              trsm_base_work(orders, rhs), B.itemsize,
+                              kernel_class, B.peak_scale)
 
     # Same fault-site / ABFT wiring as irr_gemm: B blocks are the
     # launch's outputs; with verification on, the in-place solve is
@@ -170,6 +158,18 @@ def irr_trsm(device: Device, side: str, uplo: str, trans: str, diag: str,
     losing bitwise parity.  (The §IV-E panel grid is anchored at
     multiples of ``nb`` for the same reason.)
 
+    The base case is one launch with one thread block per matrix per
+    32-column tile of ``B``.  Up to ``TILE`` = 32 (the default
+    ``base_nb``) each triangle fits in shared memory.  A larger
+    ``base_nb`` makes the base launch *stream* a bigger triangle from
+    global memory, holding only the block's column tile of ``B`` and
+    one diagonal tile in shared memory; a ``base_nb`` whose streamed
+    base launch would not fit (:func:`~repro.batched.engine.
+    trsm_base_smem` above ``max_shared_per_block``) raises
+    :class:`ValueError` before any launch.  Each matrix's triangle is
+    still one LAPACK ``trtrs`` call, so a member's bits depend on its
+    own order and ``base_nb`` only.
+
     ``engine`` selects the host execution path (see
     :mod:`repro.batched.engine`); the base-case numerics stay per-matrix
     in both engines — bucketing only removes inference/accounting
@@ -183,9 +183,17 @@ def irr_trsm(device: Device, side: str, uplo: str, trans: str, diag: str,
         raise ValueError(f"base_nb must be >= 1, got {base_nb}")
     if len(T) != len(B):
         raise ValueError("T and B batches must have equal batch size")
-    order = m if side == "L" else n
-    if order == 0 or (side == "L" and n == 0) or (side == "R" and m == 0):
+    order, rhs = (m, n) if side == "L" else (n, m)
+    if order == 0 or rhs == 0:
         return
+    base = min(order, base_nb)
+    if base > TILE and trsm_base_smem(base, rhs, B.itemsize) > \
+            device.spec.max_shared_per_block:
+        raise ValueError(
+            f"base_nb={base_nb}: a streamed base solve of order {base} "
+            f"with {rhs} right-hand sides needs "
+            f"{trsm_base_smem(base, rhs, B.itemsize)} B of shared memory "
+            f"({device.spec.max_shared_per_block} B per block)")
 
     if order <= base_nb:
         _base_kernel(device, side, uplo, trans, diag, m, n, alpha,

@@ -9,6 +9,14 @@ Because the permuted numbering gives every front's separator a
 views into the global solution vector; only the update sets need
 gather/scatter.
 
+The triangular solve is ONE irrTRSM base launch per level and sweep
+wherever it fits in shared memory: the level passes its largest
+separator as ``base_nb`` and each front's triangle streams through one
+thread block per 32-column tile of ``x``, so a level costs five launches
+per pass.  The recursion (§IV-D, built for the factorization's wide
+right-hand sides) remains only for levels whose column tile of ``x``
+does not fit (:func:`_level_base_nb`).
+
 Two host execution paths produce bitwise-identical solutions and
 identical simulated launch records:
 
@@ -35,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...batched.engine import resolve_engine, solve_pivots_cost, \
-    solve_update_cost, split_k_partials
+    solve_update_cost, split_k_partials, trsm_base_smem
 from ...batched.interface import IrrBatch
-from ...batched.trsm import irr_trsm
+from ...batched.trsm import TRSM_BASE_NB, irr_trsm
 from ...device.kernel import KernelCost, tile_blocks
 from ...device.memory import DeviceOutOfMemory
 from ...device.simulator import Device
@@ -66,23 +74,35 @@ class GpuSolveResult:
 
 def _upload_level(device: Device, factors: MultifrontalFactors,
                   fids: list[int], which: str) -> IrrBatch:
-    """Upload one factor block (f11/f12/f21) of a level as a batch.
+    """Upload one factor block (f11/f12/f21) of a level as a batch, in
+    ONE H2D transfer (:meth:`IrrBatch.from_host`).
 
-    Zero-sized blocks (a front with no update rows) allocate an empty
-    device array without crossing the bus — nothing to transfer, so no
-    PCIE latency is charged for them.
+    A part with no bytes (the level's fronts have no update rows)
+    allocates empty device arrays without crossing the bus — nothing to
+    transfer, so no PCIE latency is charged for it.
     """
-    arrays = []
-    m_vec, n_vec = [], []
-    for fid in fids:
-        block = getattr(factors.fronts[fid], which)
-        arrays.append(device.from_host(block) if block.size else
-                      device.empty(block.shape, dtype=block.dtype))
-        m_vec.append(block.shape[0])
-        n_vec.append(block.shape[1])
-    return IrrBatch(device, arrays,
-                    np.array(m_vec, dtype=np.int64),
-                    np.array(n_vec, dtype=np.int64))
+    blocks = [getattr(factors.fronts[fid], which) for fid in fids]
+    if any(block.size for block in blocks):
+        return IrrBatch.from_host(device, blocks, dtype=factors.dtype)
+    return IrrBatch(device, [device.empty(block.shape, dtype=block.dtype)
+                             for block in blocks],
+                    [block.shape[0] for block in blocks],
+                    [block.shape[1] for block in blocks])
+
+
+def _level_base_nb(device: Device, s_max: int, nrhs: int,
+                   itemsize: int) -> int:
+    """The ``base_nb`` of one level's triangle solves.
+
+    A level whose largest separator's streamed base launch fits in
+    shared memory (:func:`~repro.batched.engine.trsm_base_smem`) solves
+    every triangle in that one launch; any other level recurses on the
+    default blocking, as the factorization does.
+    """
+    if s_max > TRSM_BASE_NB and trsm_base_smem(s_max, nrhs, itemsize) \
+            <= device.spec.max_shared_per_block:
+        return s_max
+    return TRSM_BASE_NB
 
 
 def _promote_rhs(factors: MultifrontalFactors,
@@ -171,8 +191,10 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                                          itemsize)
 
             device.launch("solve:pivots", apply_pivots, stream=stream)
-            irr_trsm(device, "L", "L", "N", "U", int(f11.max_m), nrhs, 1.0,
+            s_max = int(f11.max_m)
+            irr_trsm(device, "L", "L", "N", "U", s_max, nrhs, 1.0,
                      f11, (0, 0), rhs, (0, 0), stream=stream,
+                     base_nb=_level_base_nb(device, s_max, nrhs, itemsize),
                      name="irrtrsm:fwd")
 
             def scatter_update(fids=fids) -> KernelCost:
@@ -220,8 +242,10 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                                          itemsize)
 
             device.launch("solve:gather", gather_update, stream=stream)
-            irr_trsm(device, "L", "U", "N", "N", int(f11.max_m), nrhs, 1.0,
+            s_max = int(f11.max_m)
+            irr_trsm(device, "L", "U", "N", "N", s_max, nrhs, 1.0,
                      f11, (0, 0), rhs, (0, 0), stream=stream,
+                     base_nb=_level_base_nb(device, s_max, nrhs, itemsize),
                      name="irrtrsm:bwd")
             f11.free()
             f12.free()
@@ -267,6 +291,8 @@ def _solve_planned(device: Device, factors: MultifrontalFactors,
                              lp.sep_m,
                              np.full(lp.nfronts, nrhs, dtype=np.int64))
                     for lp in levels]
+                base_nb = [_level_base_nb(device, lp.max_sep, nrhs,
+                                          itemsize) for lp in levels]
 
                 # ---- forward sweep: leaves -> root ---------------------
                 for li, lp in enumerate(levels):
@@ -277,8 +303,8 @@ def _solve_planned(device: Device, factors: MultifrontalFactors,
                             xb, lp, nrhs, itemsize), stream=stream)
                     irr_trsm(device, "L", "L", "N", "U", lp.max_sep, nrhs,
                              1.0, blocks.f11, (0, 0), rhs_batches[li],
-                             (0, 0), stream=stream, name="irrtrsm:fwd",
-                             engine=eng)
+                             (0, 0), stream=stream, base_nb=base_nb[li],
+                             name="irrtrsm:fwd", engine=eng)
                     device.launch(
                         "solve:scatter",
                         lambda lp=lp, st=blocks.f21_stacks:
@@ -299,8 +325,8 @@ def _solve_planned(device: Device, factors: MultifrontalFactors,
                         stream=stream)
                     irr_trsm(device, "L", "U", "N", "N", lp.max_sep, nrhs,
                              1.0, blocks.f11, (0, 0), rhs_batches[li],
-                             (0, 0), stream=stream, name="irrtrsm:bwd",
-                             engine=eng)
+                             (0, 0), stream=stream, base_nb=base_nb[li],
+                             name="irrtrsm:bwd", engine=eng)
                     release(blocks, owned)
 
         return x_dev.to_host(), region

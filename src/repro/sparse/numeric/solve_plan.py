@@ -520,11 +520,13 @@ class DeviceFactorCache:
 
     @property
     def resident_levels(self) -> set[int]:
-        return set(self._resident_set)
+        """Levels whose blocks are allocated on the device now."""
+        return set(self._resident)
 
     @property
     def resident_nbytes(self) -> int:
-        return sum(self._level_nbytes(li) for li in self._resident_set)
+        """Device bytes the allocated levels hold."""
+        return sum(self._level_nbytes(li) for li in self._resident)
 
     # ------------------------------------------------------------------
     def pack(self, li: int, blocks: dict, *, node=None) -> None:
@@ -711,6 +713,6 @@ class DeviceFactorCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"DeviceFactorCache(levels={len(self.layout.levels)}, "
-                f"resident={len(self._resident_set)}, "
+                f"resident={len(self._resident)}, "
                 f"packed={len(self._packed)}, uploads={self.uploads}, "
                 f"hits={self.hits}, evictions={self.evictions})")

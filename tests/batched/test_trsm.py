@@ -4,11 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import max_trsm_backward_error
 from repro.batched import IrrBatch, irr_trsm, magma_style_trsm
-from repro.device import A100, Device
+from repro.device import A100, MI100, Device
 
 
 def make_tri_problem(rng, sizes_rhs, side="L", diag="N"):
@@ -157,6 +158,60 @@ class TestSemantics:
         launches = a100.profiler.launch_count - n0
         # 128 -> 4 base solves of 32 + 3 gemm updates = 7 launches
         assert launches == 7
+
+
+class TestStreamedBase:
+    """A ``base_nb`` above one 32-wide tile: one base launch streams
+    every triangle, one thread block per matrix per column tile."""
+
+    SIZES = [(130, 40), (37, 1), (64, 33)]
+
+    def run(self, rng, engine, base_nb, sizes=SIZES, spec=A100):
+        dev = Device(spec())
+        ts, bs = make_tri_problem(rng, sizes)
+        T = IrrBatch.from_host(dev, ts)
+        B = IrrBatch.from_host(dev, [b.copy() for b in bs])
+        m = max(b.shape[0] for b in bs)
+        n = max(b.shape[1] for b in bs)
+        irr_trsm(dev, "L", "L", "N", "N", m, n, 1.0, T, (0, 0), B, (0, 0),
+                 base_nb=base_nb, engine=engine)
+        dev.synchronize()
+        return ts, bs, B.to_host(), dev.profiler.records
+
+    @pytest.mark.parametrize("engine", ["naive", "bucketed"])
+    def test_one_launch_one_trtrs_per_matrix(self, engine):
+        ts, bs, xs, recs = self.run(np.random.default_rng(3), engine, 130)
+        assert [r.name for r in recs] == ["irrtrsm:base"]
+        for t, b, x in zip(ts, bs, xs):
+            assert np.array_equal(x, sla.solve_triangular(
+                t, b, lower=True, check_finite=False))
+        c = recs[0].cost
+        tiles = [-(-r // 32) for _m, r in self.SIZES]
+        assert c.blocks == sum(tiles)
+        assert c.shared_mem_per_block == (32 * 32 + 130 * 32) * 8
+        assert c.flops == sum(m * m * r for m, r in self.SIZES)
+        # the triangle once per column tile, B read and written once
+        assert c.bytes_read == sum((m * m / 2 * k + m * r) * 8
+                                   for (m, r), k in zip(self.SIZES, tiles))
+        assert c.bytes_written == sum(m * r * 8 for m, r in self.SIZES)
+        assert c.compute_ramp == 0.5
+
+    def test_order_within_a_tile_keeps_its_record(self):
+        sizes = [(20, 40), (7, 3)]
+        _, _, x32, r32 = self.run(np.random.default_rng(5), None, 32, sizes)
+        _, _, x64, r64 = self.run(np.random.default_rng(5), None, 64, sizes)
+        assert all(np.array_equal(a, b) for a, b in zip(x32, x64))
+        assert [r.cost for r in r32] == [r.cost for r in r64]
+
+    def test_base_that_does_not_fit_raises_before_launching(self):
+        # 300 rows of a 32-column tile plus a diagonal tile: 84 KB of
+        # doubles against the MI100's 64 KB per block
+        with pytest.raises(ValueError, match="shared memory"):
+            self.run(np.random.default_rng(6), None, 300, [(300, 40)],
+                     spec=MI100)
+        _, _, _, recs = self.run(np.random.default_rng(6), None, 300,
+                                 [(300, 1)], spec=MI100)
+        assert [r.name for r in recs] == ["irrtrsm:base"]
 
 
 class TestMagmaStyleBaseline:

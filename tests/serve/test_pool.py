@@ -178,12 +178,45 @@ class TestBudgetsAndStats:
         svc = make(1, sparse_memory_budget=4096)
         s, = drain(svc, [svc.submit_factor(sparse_grid(12, 9))])
         slot = svc._slots[0]
-        assert s.solver.solve_cache.resident_nbytes > slot.arbiter.share()
+        cache = s.solver.solve_cache
+        layout_nbytes = cache.factors.dtype.itemsize * sum(
+            lp.elements for lp in cache.layout.levels)
+        assert layout_nbytes > slot.arbiter.share()
         assert slot.device.allocated_bytes == 0
         (x, info), = drain(svc, [svc.submit_solve(s, rng.standard_normal(
             108))])
         assert info.final_residual < 1e-13
         s.close()
+        svc.close()
+
+    def test_resident_bytes_follow_the_device(self):
+        # residency reports what is allocated, not the levels the cache
+        # would keep: a session over its share holds nothing, and
+        # neither does a freed or released cache
+        def resident(svc):
+            return svc.stats.snapshot()["devices"][0][
+                "resident_factor_bytes"]
+
+        svc = make(1, sparse_memory_budget=4096)
+        s, = drain(svc, [svc.submit_factor(sparse_grid(12, 9))])
+        assert svc._slots[0].device.allocated_bytes == 0
+        assert s.solver.solve_cache.resident_nbytes == 0
+        assert resident(svc) == 0
+        s.close()
+        svc.close()
+        svc = make(1)
+        dev = svc._slots[0].device
+        for drop in ("free", "release"):
+            s, = drain(svc, [svc.submit_factor(sparse_grid(12, 9))])
+            cache = s.solver.solve_cache
+            assert resident(svc) == cache.resident_nbytes == \
+                dev.allocated_bytes > 0
+            getattr(cache, drop)()
+            drain(svc, [svc.submit_factor_solve(*dense_workload(1)[0])])
+            assert cache.resident_nbytes == dev.allocated_bytes == 0
+            assert cache.resident_levels == set()
+            assert resident(svc) == 0
+            s.close()
         svc.close()
 
     def test_snapshot_device_schema(self):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.device import A100, Device
+from repro.device import A100, MI100, Device, FaultPlan, FaultRule
 from repro.sparse import DeviceFactorCache, SolvePlan, SparseLU, \
     multifrontal_factor_cpu, multifrontal_solve, multifrontal_solve_gpu, \
     nested_dissection, symbolic_analysis
 
-from .util import grid2d, grid3d
+from .util import grid2d, grid3d, maxwell
 
 
 def factored(a, leaf_size=8):
@@ -25,11 +25,29 @@ def _records(dev):
             for r in dev.profiler.records]
 
 
-def _both_engines(fac, b, **kw):
-    d_naive, d_buck = Device(A100()), Device(A100())
+def _both_engines(fac, b, spec=A100, **kw):
+    d_naive, d_buck = Device(spec()), Device(spec())
     rn = multifrontal_solve_gpu(d_naive, fac, b, engine="naive")
     rb = multifrontal_solve_gpu(d_buck, fac, b, engine="bucketed", **kw)
     return rn, rb, d_naive, d_buck
+
+
+def _level_trsm_names(dev):
+    """The irrTRSM launch names of each level's triangle solve, in sweep
+    order: a forward level opens with ``solve:pivots``, a backward one
+    with ``solve:gather``."""
+    runs = []
+    for r in dev.profiler.records:
+        if r.name in ("solve:pivots", "solve:gather"):
+            runs.append([])
+        elif r.name.startswith("irrtrsm:"):
+            runs[-1].append(r.name)
+    return runs
+
+
+def _solve_levels(fac):
+    return [lev for lev in fac.symb.levels()
+            if any(fac.symb.fronts[f].sep_size for f in lev)]
 
 
 class TestGpuSolve:
@@ -65,15 +83,19 @@ class TestGpuSolve:
             multifrontal_solve_gpu(a100, fac, np.zeros(7))
 
     def test_batched_launch_structure(self, a100, rng):
-        # per level (with nonzero pivots): fwd = 3 launches, bwd = 2.
-        a = grid2d(12, 12)
-        nd, fac = factored(a)
-        levels = [lev for lev in fac.symb.levels()
-                  if any(fac.symb.fronts[f].sep_size for f in lev)]
-        n0 = a100.profiler.launch_count
-        multifrontal_solve_gpu(a100, fac, rng.standard_normal(144))
-        launches = a100.profiler.launch_count - n0
-        assert launches == 5 * len(levels)
+        # per level (with nonzero pivots): fwd = 3 launches, bwd = 2 —
+        # also where separators exceed one 32-wide tile (Maxwell n=6:
+        # root separator 138), because each level's triangles stream in
+        # one irrTRSM launch per sweep instead of recursing
+        for a, leaf_size in ((grid2d(12, 12), 8), (maxwell(6), 32)):
+            nd, fac = factored(a, leaf_size)
+            levels = _solve_levels(fac)
+            n0 = a100.profiler.launch_count
+            multifrontal_solve_gpu(a100, fac,
+                                   rng.standard_normal(a.shape[0]))
+            launches = a100.profiler.launch_count - n0
+            assert launches == 5 * len(levels)
+        assert max(f.sep_size for f in fac.symb.fronts) == 138
 
     def test_no_device_memory_leak(self, a100, rng):
         a = grid2d(9, 9)
@@ -92,26 +114,58 @@ class TestGpuSolve:
 class TestEngineParity:
     """Planned (bucketed) path vs the streamed naive reference."""
 
-    @pytest.mark.parametrize("shape,nrhs", [
-        pytest.param((13, 11), 1, id="1"),
-        pytest.param((13, 11), 3, id="3"),
-        pytest.param((13, 11), 17, id="17"),
+    @pytest.mark.parametrize("system,nrhs,spec", [
+        pytest.param((13, 11), 1, A100, id="1"),
+        pytest.param((13, 11), 3, A100, id="3"),
+        pytest.param((13, 11), 17, A100, id="17"),
         # separators, update sets and nrhs all above one 32-wide tile:
         # partial tiles along both grid axes and split-K partial sums
-        pytest.param((40, 40), 40, id="wide-40"),
+        pytest.param((40, 40), 40, A100, id="wide-40"),
+        # Maxwell n=8, separators 17..297, on the MI100's 64 KB blocks:
+        # with one right-hand side every level streams its triangles in
+        # one launch; with 40 the root's column tile (297×32 doubles
+        # plus a diagonal tile, 84 KB) does not fit, so the root
+        # recurses while the levels below it stream
+        pytest.param("maxwell-8", 1, MI100, id="maxwell8-mi100-1"),
+        pytest.param("maxwell-8", 40, MI100, id="maxwell8-mi100-40"),
     ])
-    def test_bitwise_and_cost_parity(self, rng, shape, nrhs):
-        a = grid2d(*shape)
+    def test_bitwise_and_cost_parity(self, rng, system, nrhs, spec):
+        if system == "maxwell-8":
+            a, leaf_size = maxwell(8), 32
+        else:
+            a, leaf_size = grid2d(*system), 8
         n = a.shape[0]
-        nd, fac = factored(a)
+        nd, fac = factored(a, leaf_size)
         if nrhs > 32:
             assert max(f.sep_size for f in fac.symb.fronts) > 32
             assert max(f.upd_size for f in fac.symb.fronts) > 32
         b = rng.standard_normal((n, nrhs)) if nrhs > 1 else \
             rng.standard_normal(n)
-        rn, rb, dn, db = _both_engines(fac, b)
+        rn, rb, dn, db = _both_engines(fac, b, spec)
         assert np.array_equal(rn.x, rb.x)
         assert _records(dn) == _records(db)
+        if system == "maxwell-8":
+            nlev = len(_solve_levels(fac))
+            runs = _level_trsm_names(dn)
+            assert runs == _level_trsm_names(db)
+            # forward sweep leaves -> root, then backward root -> leaves
+            recursed = {nlev - 1, nlev} if nrhs == 40 else set()
+            for i, names in enumerate(runs):
+                sweep = "fwd" if i < nlev else "bwd"
+                if i in recursed:
+                    assert f"irrtrsm:{sweep}:gemm" in names
+                    assert len(names) > 1
+                else:
+                    assert names == [f"irrtrsm:{sweep}:base"]
+            # indefinite: the host reference's other summation order
+            # moves x by the condition number, so judge x against the
+            # matrix instead
+            ap = a[nd.perm][:, nd.perm]
+            r = np.abs(ap @ rb.x - b).max()
+            anorm = abs(ap).sum(axis=1).max()
+            assert r / (anorm * np.abs(rb.x).max() + np.abs(b).max()) \
+                < 1e-13
+            return
         ref = multifrontal_solve(fac, b)
         if nrhs > 32:
             # the host reference sums in another order; on this larger
@@ -164,6 +218,42 @@ class TestEngineParity:
             np.testing.assert_allclose(res.x, ref, rtol=1e-12, atol=1e-14)
 
 
+class TestStreamedSolve:
+    """Each level's triangles in one irrTRSM launch per sweep."""
+
+    def test_naive_pass_uploads_each_level_part_once(self, rng):
+        # Maxwell n=6: 4 levels, the root's f21/f12 parts hold no bytes,
+        # so 7 non-empty parts per sweep, plus x up and down
+        a = maxwell(6)
+        nd, fac = factored(a, 32)
+        b = rng.standard_normal(a.shape[0])
+        rn, rb, dn, db = _both_engines(fac, b)
+        assert dn.profiler.transfer_count == 16
+        assert np.array_equal(rn.x, rb.x)
+        assert _records(dn) == _records(db)
+        assert dn.allocated_bytes == 0
+
+    @pytest.mark.sdc
+    @pytest.mark.parametrize("engine", ["naive", "bucketed"])
+    def test_corrupt_streamed_launch_repaired_bitwise(self, rng, engine):
+        # leaves of 48: the first forward base launch streams separators
+        # of up to 47 rows
+        a = grid2d(30, 30)
+        nd, fac = factored(a, 48)
+        first = _solve_levels(fac)[0]
+        assert max(fac.symb.fronts[f].sep_size for f in first) > 32
+        b = rng.standard_normal(a.shape[0])
+        ref = multifrontal_solve_gpu(Device(A100()), fac, b, engine=engine)
+        dev = Device(A100())
+        plan = FaultPlan([FaultRule("corrupt", at=0,
+                                    match="irrtrsm:fwd:base")], seed=7)
+        with dev.fault_scope(plan) as inj:
+            res = multifrontal_solve_gpu(dev, fac, b, engine=engine)
+        assert [f.kind for f in inj.injected] == ["corrupt"]
+        assert res.recovery.count("kernel-reexec") >= 1
+        assert np.array_equal(res.x, ref.x)
+
+
 class TestSolvePlanCache:
     def test_warm_cache_matches_cold_path(self, rng):
         a = grid2d(12, 12)
@@ -193,12 +283,12 @@ class TestSolvePlanCache:
         total = plan.total_nbytes()
         dev = Device(A100())
         cache = DeviceFactorCache(dev, fac, plan, memory_budget=total // 2)
-        assert 0 < len(cache.resident_levels) < len(plan.levels)
-        assert cache.resident_nbytes <= total // 2
         res = multifrontal_solve_gpu(dev, fac, b, plan=plan, cache=cache)
         full = multifrontal_solve_gpu(Device(A100()), fac, b)
         assert np.array_equal(res.x, full.x)
-        # evicted levels stream per sweep; device holds only residents
+        # the levels that fit the budget stay; the rest stream per sweep
+        assert 0 < len(cache.resident_levels) < len(plan.levels)
+        assert cache.resident_nbytes <= total // 2
         assert dev.allocated_bytes == cache.resident_nbytes
         cache.free()
         assert dev.allocated_bytes == 0

@@ -149,6 +149,16 @@ class TestRelease:
         s.update_values(a)
         assert factors.fronts is fronts
 
+    @pytest.mark.parametrize("drop", ["free", "release"])
+    def test_residency_reads_the_device(self, drop):
+        s, dev = on_device(maxwell(5))
+        cache = s.solve_cache
+        assert cache.resident_nbytes == dev.allocated_bytes > 0
+        assert cache.resident_levels == set(range(len(cache.layout.levels)))
+        getattr(cache, drop)()
+        assert cache.resident_nbytes == dev.allocated_bytes == 0
+        assert cache.resident_levels == set()
+
     def test_breakdown_raise_leaves_memory_at_baseline(self):
         a = grid2d(9, 9).tolil()
         a[40, :] = 0.0

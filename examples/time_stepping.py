@@ -16,6 +16,10 @@ its backward error, zero factor uploads in the solve, five launches per
 level per substitution pass (pivots, triangle and update forward;
 update and triangle backward: every level's triangles take one irrTRSM
 launch), and device memory back at the level the first factor left.
+Each factor streams every level's F12 and F21 triangles in one irrTRSM
+base launch per solve (no recursion GEMMs), and its left swaps and F21
+solve share the device's one side stream: the device never holds more
+than two streams.
 
 Run:  python examples/time_stepping.py
 """
@@ -49,8 +53,9 @@ device = Device(A100())
 solver = None
 held = None
 
-print(f"{'step':>4} {'h':>8} {'factor ms':>10} {'solve ms':>9} "
-      f"{'launches':>9} {'backward err':>13} {'device MB':>10}")
+print(f"{'step':>4} {'h':>8} {'factor ms':>10} {'launches':>9} "
+      f"{'solve ms':>9} {'launches':>9} {'backward err':>13} "
+      f"{'device MB':>10}")
 for k in range(1, len(steps)):
     h, h_prev = steps[k], steps[k - 1]
     s = 2.0 / (h + h_prev)
@@ -58,6 +63,7 @@ for k in range(1, len(steps)):
     a = (K + c * M).tocsr()
     b = f + M @ (c * e + d * (e - e_prev))
 
+    first = len(device.profiler.records)
     if solver is None:
         # first step: orderings, symbolic analysis and the first factor
         solver = SparseLU(a)
@@ -68,6 +74,11 @@ for k in range(1, len(steps)):
         solver.factor(backend="batched", device=device)
         assert device.allocated_bytes == held, "factor memory drifted"
     factor_ms = solver.factor_result.elapsed * 1e3
+    factored = [r.name for r in device.profiler.records[first:]]
+    recursed = {"irrtrsm:f12:gemm", "irrtrsm:f21:gemm"} & set(factored)
+    assert not recursed, f"step {k}: F12/F21 solves recursed: {recursed}"
+    assert len(device._streams) <= 2, \
+        f"step {k}: the device holds {len(device._streams)} streams"
 
     launched = device.profiler.launch_count
     with device.timed_region() as t:
@@ -80,8 +91,11 @@ for k in range(1, len(steps)):
     passes = len(info.residuals)     # the solve and its refinement steps
     assert launched == 5 * len(solver.solve_plan.levels) * passes, \
         f"step {k}: {launched} launches in {passes} substitution passes"
-    print(f"{k:>4} {h:>8.4f} {factor_ms:>10.2f} {t['elapsed'] * 1e3:>9.2f} "
-          f"{launched:>9d} {eta:>13.2e} {held / 1e6:>10.2f}")
+    assert len(device._streams) <= 2, \
+        f"step {k}: the device holds {len(device._streams)} streams"
+    print(f"{k:>4} {h:>8.4f} {factor_ms:>10.2f} {len(factored):>9d} "
+          f"{t['elapsed'] * 1e3:>9.2f} {launched:>9d} {eta:>13.2e} "
+          f"{held / 1e6:>10.2f}")
     e_prev, e = e, x
 
 print(f"\n{len(steps) - 1} steps on one analysis: every re-factor kept the "

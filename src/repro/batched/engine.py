@@ -69,7 +69,7 @@ from .panel import PanelPivots, factor_panel_block
 __all__ = ["BatchEngine", "PlanCache", "resolve_engine",
            "MIN_BUCKET", "PAD_BYTES_LIMIT", "solve_pivots_cost",
            "solve_update_cost", "split_k_partials", "trsm_base_work",
-           "trsm_base_smem", "trsm_base_cost"]
+           "trsm_base_smem", "trsm_stream_order", "trsm_base_cost"]
 
 #: buckets smaller than this run the per-matrix fallback path — stacking
 #: a single matrix costs a copy and buys nothing.
@@ -202,10 +202,22 @@ def trsm_base_work(order, rhs) -> tuple[float, int, int, int, int]:
 
 def trsm_base_smem(order_req: int, rhs_req: int, itemsize: int) -> int:
     """Shared memory of a base launch whose order exceeds ``TILE``: one
-    diagonal tile plus the block's ``order×TILE`` column tile of ``x``.
-    The solve streams a level's triangles in one launch only where this
-    fits in ``max_shared_per_block``."""
+    diagonal tile plus the block's ``order×TILE`` column tile of ``x``."""
     return (TILE * TILE + order_req * min(rhs_req, TILE)) * itemsize
+
+
+def trsm_stream_order(spec, rhs_req: int, itemsize: int) -> int:
+    """The largest triangle order whose streamed base launch with
+    ``rhs_req`` right-hand sides fits in ``spec.max_shared_per_block``
+    (:func:`trsm_base_smem`'s inequality, solved for the order).
+
+    The one fit rule behind every ``base_nb`` above ``TILE``: the
+    factorization's F12/F21 solves (``rhs_req = TILE``, so any width
+    fits) and the solve's per-level rule.  FP64 with 32 right-hand
+    sides: 620 rows on the A100, 224 on the MI100.
+    """
+    return (spec.max_shared_per_block // itemsize - TILE * TILE) \
+        // min(max(rhs_req, 1), TILE)
 
 
 def trsm_base_cost(spec, order_req: int, rhs_req: int, work,

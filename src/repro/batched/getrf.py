@@ -87,11 +87,15 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
         ``sqrt(eps) ≈ 1.5e-8``, small enough for iterative refinement to
         absorb, large enough that ``1/pivot`` cannot overwhelm it).
     concurrent_swaps:
-        The §VI extension: run the *left* row interchanges on a secondary
-        stream, overlapped with the right swaps / TRSM / GEMM of the same
+        The §VI extension: run the *left* row interchanges on the
+        device's side stream (:attr:`~repro.device.Device.side_stream`),
+        overlapped with the right swaps / TRSM / GEMM of the same
         iteration.  Correct because nothing on the main stream reads
         columns left of the panel again; the side stream waits (via an
         event) for each iteration's panel, whose pivots it consumes.
+        Before returning, the caller's stream waits for the last left
+        swap (:meth:`~repro.device.Device.wait_event`), so the factors
+        are complete for whatever it launches next.
     engine:
         Host execution path: ``"bucketed"`` (default — plan-cached,
         shape-bucketed vectorized launch bodies), ``"naive"``/``None``
@@ -122,7 +126,8 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
 
     m_req = batch.max_m
     n_req = batch.max_n
-    side = device.new_stream() if concurrent_swaps else None
+    main = stream if stream is not None else 0
+    side = device.side_stream if concurrent_swaps else None
     pivots = None
 
     def run() -> PanelPivots:
@@ -147,8 +152,7 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
             # -- 2. row interchanges outside the panel ------------------
             if j > 0:
                 if side is not None:
-                    after_panel = device.record_event(
-                        stream=stream if stream is not None else 0)
+                    after_panel = device.record_event(stream=main)
                     irr_laswp(device, batch, pivots, j, ib, "left",
                               variant=laswp_variant, stream=side,
                               wait_events=[after_panel], engine=engine)
@@ -173,6 +177,10 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
                              batch, (j, j + ib), 1.0,
                              batch, (j + ib, j + ib), stream=stream,
                              engine=engine)
+
+        if side is not None and kmax > nb:
+            # join: L is final only once the last left swap has run
+            device.wait_event(main, device.record_event(stream=side))
 
         # Element growth factor max|LU| / max|A|, a stability diagnostic
         # surfaced with the pivots.  Computed on the host after the last

@@ -30,7 +30,7 @@ from ..device.simulator import Device
 from .abft import trsm_check, verified_launch
 from .dcwi import Workload, infer_trsm
 from .engine import resolve_engine, trsm_base_cost, trsm_base_smem, \
-    trsm_base_work
+    trsm_base_work, trsm_stream_order
 from .gemm import irr_gemm
 from .interface import IrrBatch, Offsets
 
@@ -38,9 +38,10 @@ __all__ = ["irr_trsm", "magma_style_trsm", "TRSM_BASE_NB"]
 
 #: default base-case order: at or below it the recursion stops and one
 #: substitution kernel holds each whole triangle in shared memory.  A
-#: caller may pass a larger ``base_nb`` where the streamed base launch
-#: fits in shared memory (:func:`~repro.batched.engine.trsm_base_smem`);
-#: the multifrontal solve does so per level.
+#: caller may pass a larger ``base_nb`` up to
+#: :func:`~repro.batched.engine.trsm_stream_order`, where the streamed
+#: base launch still fits in shared memory; the multifrontal
+#: factorization and solve do so.
 TRSM_BASE_NB = 32
 
 _MAGMA_IB = 16  # diagonal-block size inverted by the MAGMA-style baseline
@@ -164,11 +165,10 @@ def irr_trsm(device: Device, side: str, uplo: str, trans: str, diag: str,
     ``base_nb`` makes the base launch *stream* a bigger triangle from
     global memory, holding only the block's column tile of ``B`` and
     one diagonal tile in shared memory; a ``base_nb`` whose streamed
-    base launch would not fit (:func:`~repro.batched.engine.
-    trsm_base_smem` above ``max_shared_per_block``) raises
-    :class:`ValueError` before any launch.  Each matrix's triangle is
-    still one LAPACK ``trtrs`` call, so a member's bits depend on its
-    own order and ``base_nb`` only.
+    base launch would not fit (above :func:`~repro.batched.engine.
+    trsm_stream_order`) raises :class:`ValueError` before any launch.
+    Each matrix's triangle is still one LAPACK ``trtrs`` call, so a
+    member's bits depend on its own order and ``base_nb`` only.
 
     ``engine`` selects the host execution path (see
     :mod:`repro.batched.engine`); the base-case numerics stay per-matrix
@@ -187,8 +187,8 @@ def irr_trsm(device: Device, side: str, uplo: str, trans: str, diag: str,
     if order == 0 or rhs == 0:
         return
     base = min(order, base_nb)
-    if base > TILE and trsm_base_smem(base, rhs, B.itemsize) > \
-            device.spec.max_shared_per_block:
+    if base > TILE and base > trsm_stream_order(device.spec, rhs,
+                                                B.itemsize):
         raise ValueError(
             f"base_nb={base_nb}: a streamed base solve of order {base} "
             f"with {rhs} right-hand sides needs "

@@ -44,6 +44,9 @@ from .stream import Stream
 
 __all__ = ["Device"]
 
+#: id of :attr:`Device.side_stream` (no caller numbers a stream below 0)
+_SIDE_STREAM = -1
+
 _PCIE_BANDWIDTH = 25e9      # bytes/s
 _PCIE_LATENCY = 10e-6       # seconds per transfer
 
@@ -87,7 +90,10 @@ class Device:
         self.verify_transfers = False
         self.verify_kernels = False
         self._injector = None             # installed by fault_scope()
-        self._streams: dict[int, Stream] = {0: Stream(0)}
+        # Stream 0 and the side stream exist for the device's whole life
+        # and cost no host time to create.
+        self._streams: dict[int, Stream] = {
+            0: Stream(0), _SIDE_STREAM: Stream(_SIDE_STREAM)}
         self._seq = 0
         self._pending: list[LaunchRecord] = []
 
@@ -268,6 +274,19 @@ class Device:
     def default_stream(self) -> Stream:
         return self._streams[0]
 
+    def _as_stream(self, stream: Stream | int | None) -> Stream:
+        """A stream argument as a :class:`Stream` (``None``: stream 0)."""
+        if isinstance(stream, int):
+            return self.stream(stream)
+        return self.default_stream if stream is None else stream
+
+    @property
+    def side_stream(self) -> Stream:
+        """The device's one secondary stream for work that overlaps the
+        main stream's (the §VI left swaps, a level's F21 solve).  Callers
+        order it with :meth:`record_event` and :meth:`wait_event`."""
+        return self._streams[_SIDE_STREAM]
+
     def record_event(self, stream: Stream | int | None = None) -> "Event":
         """Capture a stream's current position (cudaEventRecord).
 
@@ -276,12 +295,16 @@ class Device:
         completed.
         """
         from .stream import Event
-        if isinstance(stream, int):
-            stream = self.stream(stream)
-        elif stream is None:
-            stream = self.default_stream
+        stream = self._as_stream(stream)
         self.host_time += self.spec.sync_overhead_host
         return Event(stream=stream.sid, seq=stream.last_seq)
+
+    def wait_event(self, stream: Stream | int | None, event: "Event") -> None:
+        """Make ``stream``'s next launch wait on ``event``
+        (cudaStreamWaitEvent); later launches follow it in FIFO order."""
+        stream = self._as_stream(stream)
+        self.host_time += self.spec.sync_overhead_host
+        stream.waits.append(event)
 
     def launch(self, name: str, fn: Callable[[], KernelCost | None] | None,
                cost: KernelCost | None = None, *,
@@ -304,10 +327,7 @@ class Device:
         computes wrong bytes.  Launches without registered outputs are
         never corrupted.
         """
-        if isinstance(stream, int):
-            stream = self.stream(stream)
-        elif stream is None:
-            stream = self.default_stream
+        stream = self._as_stream(stream)
 
         # Fault site: an injected launch failure (or stream stall) fires
         # before the kernel's numerics run, so device state is unchanged
@@ -338,7 +358,8 @@ class Device:
 
         rec = LaunchRecord(name=name, stream=stream.sid, cost=cost,
                            seq=self._seq, host_issue=self.host_time,
-                           wait_events=list(wait_events or ()))
+                           wait_events=[*stream.waits, *(wait_events or ())])
+        stream.waits.clear()
         self._seq += 1
         stream.push(rec)
         self._pending.append(rec)
@@ -513,6 +534,7 @@ class Device:
         for s in self._streams.values():
             s.tail = 0.0
             s.pending_stall = 0.0
+            s.waits.clear()
         self.profiler.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -32,6 +32,8 @@ class Stream:
     #: injected stall (seconds) delaying the next resolution of this
     #: stream's kernel chain; consumed (reset to 0) by the simulator
     pending_stall: float = 0.0
+    #: events the next launch waits on (``Device.wait_event``)
+    waits: list = field(default_factory=list)
 
     def push(self, rec: LaunchRecord) -> None:
         self.queue.append(rec)

@@ -13,6 +13,9 @@ We regenerate the comparison on the actual per-level front batches of the
 Maxwell factorization: for each assembly-tree level, the three operations
 (LU of the pivot blocks, the two triangular solves, the Schur GEMM) are
 timed with the batched irr kernels and with the per-front vendor loop.
+The two irrTRSMs use the factorization's own blocking
+(:func:`~repro.sparse.numeric.gpu_factor.offdiag_base_nb`), so the
+figure times the solves as the solver runs them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from ..batched.trsm import irr_trsm
 from ..batched.vendor import vendor_gemm, vendor_getrf, vendor_trsm
 from ..device.simulator import Device
 from ..device.spec import A100
+from ..sparse.numeric.gpu_factor import offdiag_base_nb
 from ..workloads.fronts import build_maxwell_workload, level_front_dims, \
     synthetic_front_batch
 from .common import resolve_fast
@@ -59,11 +63,12 @@ def _time_batched(dims, fronts) -> dict[str, float]:
         irr_getrf(device, f11)
     out["lu"] = t["elapsed"]
     if smax and umax:
+        base_nb = offdiag_base_nb(device.spec, f11.itemsize)
         with device.timed_region() as t:
             irr_trsm(device, "L", "L", "N", "U", smax, umax, 1.0,
-                     f11, (0, 0), f12, (0, 0))
+                     f11, (0, 0), f12, (0, 0), base_nb=base_nb)
             irr_trsm(device, "R", "U", "N", "N", umax, smax, 1.0,
-                     f11, (0, 0), f21, (0, 0))
+                     f11, (0, 0), f21, (0, 0), base_nb=base_nb)
         out["trsm"] = t["elapsed"]
         with device.timed_region() as t:
             irr_gemm(device, "N", "N", umax, umax, smax, -1.0, f21, (0, 0),

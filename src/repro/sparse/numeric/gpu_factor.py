@@ -8,10 +8,12 @@ level."
 Three kernel strategies, matching the paper's comparisons:
 
 * ``"batched"`` — the paper's contribution: per level, one assembly
-  kernel, then irrLU on the pivot blocks, one pivot-application kernel,
-  two irrTRSMs and the Schur irrGEMM.  ``gemm_mode`` selects pure
-  irrGEMM, a pure vendor-GEMM loop, or the paper's hybrid (irrGEMM for
-  fronts ≤ 256, cuBLAS-style loop above — Fig 14).
+  kernel, then irrLU on the pivot blocks (left swaps on the device's
+  side stream, §VI), one pivot-application kernel, two streamed
+  irrTRSMs (F21's on the side stream) and the Schur irrGEMM.
+  ``gemm_mode`` selects pure irrGEMM, a pure vendor-GEMM loop, or the
+  paper's hybrid (irrGEMM for fronts ≤ 256, cuBLAS-style loop above —
+  Fig 14).
 * ``"looped"`` — the naive comparator: cuSOLVER/cuBLAS called in a loop
   over the fronts of each level.
 * ``"strumpack"`` — the STRUMPACK v6.3.1 model: a naive batched kernel
@@ -32,13 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ...batched.engine import resolve_engine
+from ...batched.engine import resolve_engine, trsm_stream_order
 from ...batched.gemm import irr_gemm
 from ...batched.getrf import irr_getrf
 from ...batched.interface import IrrBatch
-from ...batched.trsm import irr_trsm
+from ...batched.trsm import TRSM_BASE_NB, irr_trsm
 from ...batched.vendor import vendor_gemm, vendor_getrf, vendor_trsm
-from ...device.kernel import KernelCost, tile_blocks
+from ...device.kernel import TILE, KernelCost, tile_blocks
 from ...device.memory import DeviceArray, DeviceOutOfMemory, \
     validate_memory_budget
 from ...device.simulator import Device
@@ -594,8 +596,10 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     tall for the fused ``irrGETF2`` panel in shared memory, every front
     of the batch takes the recursive panel split sized on that largest
     block, so a sub-batch without it may block its panels differently.
-    Every other kernel — irrTRSM included, which blocks each triangle on
-    one fixed grid — gives a front the same bits in any batch.
+    Every other kernel gives a front the same bits in any batch: the
+    F12/F21 solves block each triangle on one grid whose ``base_nb``
+    (:func:`offdiag_base_nb`) is fixed per device and dtype.
+    docs/API.md, "Batch-independent blocking", states the contract.
     """
     kw = dict(host_schur=host_schur, dev_schur=dev_schur, engine=engine,
               diag_of=diag_of, pivot_tol=pivot_tol,
@@ -915,8 +919,9 @@ def _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
         device, symb, fids, buffers)
 
     piv = irr_getrf(device, f11, nb=nb, laswp_variant=laswp_variant,
-                    pivot_tol=pivot_tol, static_pivot=static_pivot,
-                    replace_scale=replace_scale, engine=engine)
+                    concurrent_swaps=True, pivot_tol=pivot_tol,
+                    static_pivot=static_pivot, replace_scale=replace_scale,
+                    engine=engine)
     for fid, ip in zip(fids, piv.ipiv):
         pivots_of[fid] = ip
     _record_level_diag(diag_of, fids, piv)
@@ -924,11 +929,25 @@ def _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
                    piv, gemm_mode, hybrid_cutoff, engine=engine)
 
 
+def offdiag_base_nb(spec, itemsize: int) -> int:
+    """irrTRSM's ``base_nb`` for the F12 and F21 solves: the largest
+    order whose streamed base launch fits at any update width
+    (:func:`~repro.batched.engine.trsm_stream_order` at ``TILE``
+    right-hand sides), 620 on the A100 and 224 on the MI100 in FP64.
+    One value per device and dtype, so a front's bits never depend on
+    the batch it is factored in."""
+    return max(TRSM_BASE_NB, trsm_stream_order(spec, TILE, itemsize))
+
+
 def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
                    piv, gemm_mode, hybrid_cutoff, *, engine=None) -> None:
     """The off-diagonal updates of one batched level (everything after
     the pivot-block LU): breakdown gating, pivot application to F12, the
-    two TRSMs and the Schur GEMM."""
+    two TRSMs and the Schur GEMM.
+
+    The F21 solve reads only U, so it runs on the device's side stream
+    while the F12 pivots and solve (which read L) run on the main one;
+    the Schur GEMM waits for both."""
     smax = int(s_vec.max()) if len(s_vec) else 0
     umax = int(u_vec.max()) if len(u_vec) else 0
     if umax == 0 or smax == 0:
@@ -956,11 +975,18 @@ def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
         if umax == 0 or smax == 0:
             return
 
+    base_nb = offdiag_base_nb(device.spec, f11.itemsize)
+    side = device.side_stream
+    device.wait_event(side, device.record_event())
+    irr_trsm(device, "R", "U", "N", "N", umax, smax, 1.0,
+             f11, (0, 0), f21, (0, 0), stream=side, base_nb=base_nb,
+             name="irrtrsm:f21", engine=engine)
+    f21_done = device.record_event(side)
     _apply_pivots_to_f12(device, f12, piv_list, engine=engine)
     irr_trsm(device, "L", "L", "N", "U", smax, umax, 1.0,
-             f11, (0, 0), f12, (0, 0), name="irrtrsm:f12", engine=engine)
-    irr_trsm(device, "R", "U", "N", "N", umax, smax, 1.0,
-             f11, (0, 0), f21, (0, 0), name="irrtrsm:f21", engine=engine)
+             f11, (0, 0), f12, (0, 0), base_nb=base_nb,
+             name="irrtrsm:f12", engine=engine)
+    device.wait_event(None, f21_done)
 
     if gemm_mode == "irr":
         irr_gemm(device, "N", "N", umax, umax, smax, -1.0, f21, (0, 0),

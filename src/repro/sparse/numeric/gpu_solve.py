@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...batched.engine import resolve_engine, solve_pivots_cost, \
-    solve_update_cost, split_k_partials, trsm_base_smem
+    solve_update_cost, split_k_partials, trsm_stream_order
 from ...batched.interface import IrrBatch
 from ...batched.trsm import TRSM_BASE_NB, irr_trsm
 from ...device.kernel import KernelCost, tile_blocks
@@ -95,12 +95,12 @@ def _level_base_nb(device: Device, s_max: int, nrhs: int,
     """The ``base_nb`` of one level's triangle solves.
 
     A level whose largest separator's streamed base launch fits in
-    shared memory (:func:`~repro.batched.engine.trsm_base_smem`) solves
-    every triangle in that one launch; any other level recurses on the
-    default blocking, as the factorization does.
+    shared memory (:func:`~repro.batched.engine.trsm_stream_order`)
+    solves every triangle in that one launch; any other level recurses
+    on the default blocking.
     """
-    if s_max > TRSM_BASE_NB and trsm_base_smem(s_max, nrhs, itemsize) \
-            <= device.spec.max_shared_per_block:
+    if TRSM_BASE_NB < s_max <= trsm_stream_order(device.spec, nrhs,
+                                                 itemsize):
         return s_max
     return TRSM_BASE_NB
 

@@ -29,17 +29,18 @@ This module is the single-node, multi-GPU realisation of that design:
   (:func:`~repro.device.memory.pack_to_device` with ``node=``).  The
   first solve then uploads nothing.
 
-Parity with single-device execution: at any device count the factors
-are bitwise identical to :func:`~.gpu_factor.multifrontal_factor_gpu`
-(tested on grid Laplacians at 1–8 devices and on the Maxwell system at
-2 and 4, with and without a store).  That rests on three invariants:
-per-front numerics independent of which fronts share a batch (the
-engines' documented contract — irrTRSM blocks every triangle on one
-fixed grid; the one batch-level rule left, the fused-panel fit, matters
-only for pivot blocks too tall for shared memory), an extend-add that
-consumes children in ``info.children`` order whatever buffer they
-arrive through, and byte-exact copies of Schur and factor blocks, over
-the host or peer to peer.
+Parity with single-device execution: the factors are bitwise identical
+to :func:`~.gpu_factor.multifrontal_factor_gpu` wherever the fused-panel
+fit blocks every front's panels as the single-device level does (tested
+on grid Laplacians at 1–8 devices and on the Maxwell system at 2 and 4
+A100 devices, with and without a store).  That rests on three
+invariants: per-front numerics independent of which fronts share a
+batch, an extend-add that consumes children in ``info.children`` order
+whatever buffer they arrive through, and byte-exact copies of Schur and
+factor blocks, over the host or peer to peer.  The first has one
+exception, the fused-panel fit: on the MI100, Maxwell n=12 at 2 devices
+differs in 2 of 103 fronts.  docs/API.md, "Batch-independent blocking",
+states the contract.
 """
 
 from __future__ import annotations

@@ -203,8 +203,10 @@ class SparseLU:
         contributions over the node's modeled links — see
         :func:`~repro.sparse.numeric.shard.multifrontal_factor_sharded`);
         the factors are bitwise identical to ``backend="batched"`` on a
-        single device, and :meth:`solve` works as usual (pass one of the
-        node's member devices, or no device for the host path).
+        single device except where the fused-panel fit splits a level
+        differently (docs/API.md, "Batch-independent blocking"), and
+        :meth:`solve` works as usual (pass one of the node's member
+        devices, or no device for the host path).
 
         ``backend`` picks the kernel strategy, so ``strategy=`` is
         rejected (:class:`ValueError`).  ``engine=``, on the backends

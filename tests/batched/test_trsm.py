@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import max_trsm_backward_error
 from repro.batched import IrrBatch, irr_trsm, magma_style_trsm
+from repro.batched.engine import trsm_base_smem, trsm_stream_order
 from repro.device import A100, MI100, Device
 
 
@@ -212,6 +213,17 @@ class TestStreamedBase:
         _, _, _, recs = self.run(np.random.default_rng(6), None, 300,
                                  [(300, 1)], spec=MI100)
         assert [r.name for r in recs] == ["irrtrsm:base"]
+
+    @pytest.mark.parametrize("spec", [A100, MI100])
+    def test_stream_order_is_the_largest_that_fits(self, spec):
+        limit = spec().max_shared_per_block
+        for itemsize, rhs in itertools.product((4, 8, 16),
+                                               (1, 7, 32, 500)):
+            order = trsm_stream_order(spec(), rhs, itemsize)
+            assert trsm_base_smem(order, rhs, itemsize) <= limit
+            assert trsm_base_smem(order + 1, rhs, itemsize) > limit
+        assert trsm_stream_order(spec(), 32, 8) == \
+            {A100: 620, MI100: 224}[spec]
 
 
 class TestMagmaStyleBaseline:

@@ -1,15 +1,22 @@
 """Tests for the numeric factorization phases (CPU and GPU backends)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from repro.device import A100, MI100, Device
+from repro.batched.engine import resolve_engine
+from repro.batched.panel import panel_shared_bytes
+from repro.device import A100, MI100, Device, Node
 from repro.sparse import multifrontal_factor_cpu, multifrontal_factor_gpu, \
-    multifrontal_solve, nested_dissection, symbolic_analysis
+    multifrontal_factor_sharded, multifrontal_solve, nested_dissection, \
+    symbolic_analysis
 from repro.sparse.numeric.cpu_factor import factor_front_blocks
+from repro.sparse.numeric.gpu_factor import HYBRID_GEMM_CUTOFF, \
+    _level_batched, offdiag_base_nb
 from repro.workloads.fronts import build_maxwell_workload
 
 from .util import grid2d, grid3d, random_sparse
@@ -192,6 +199,140 @@ class TestGpuFactorStrategies:
         for fn, fb in zip(fronts_n, fronts_b):
             for blk in ("f11", "f12", "f21", "ipiv"):
                 assert np.array_equal(getattr(fn, blk), getattr(fb, blk))
+
+
+def _timed_records(dev):
+    return [(r.name, r.stream, r.cost, r.start, r.end)
+            for r in sorted(dev.profiler.records, key=lambda r: r.seq)]
+
+
+def _assert_fronts_equal(fa, fb):
+    for x, y in zip(fa, fb, strict=True):
+        for blk in ("f11", "f12", "f21", "ipiv"):
+            assert np.array_equal(getattr(x, blk), getattr(y, blk)), blk
+
+
+class TestStreamedOffdiag:
+    """Each level's F12 and F21 triangles stream in one irrTRSM base
+    launch each where they fit (``offdiag_base_nb``), the left swaps and
+    the F21 solve run on the device's side stream, and the Schur update
+    waits for both solves."""
+
+    def test_base_nb_per_device_and_dtype(self):
+        assert offdiag_base_nb(A100(), 8) == 620
+        assert offdiag_base_nb(MI100(), 8) == 224
+        assert offdiag_base_nb(MI100(), 16) == 96
+        assert offdiag_base_nb(MI100(), 4) == 480
+
+    def test_launch_structure(self):
+        wl = build_maxwell_workload(8)
+        dev = Device(A100())
+        multifrontal_factor_gpu(dev, wl.a_perm, wl.symb)
+        side = dev.side_stream.sid
+        assert sorted(dev._streams) == [side, 0]
+        recs = sorted(dev.profiler.records, key=lambda r: r.seq)
+        levels = []
+        for r in recs:       # every level opens with its assembly
+            if r.name == "assemble:extend_add":
+                levels.append([])
+            levels[-1].append(r)
+        fids_by_level = wl.symb.levels()
+        assert len(levels) == len(fids_by_level)
+        swapped = 0
+        for lev, fids in zip(levels, fids_by_level):
+            names = [r.name for r in lev]
+            assert not any(n.startswith(("irrtrsm:f12:gemm",
+                                         "irrtrsm:f21:gemm")) for n in names)
+            has_f12 = any(wl.symb.fronts[f].sep_size and
+                          wl.symb.fronts[f].upd_size for f in fids)
+            if not has_f12:
+                assert "irrtrsm:f12:base" not in names
+                continue
+            assert names.count("irrtrsm:f12:base") == 1
+            assert names.count("irrtrsm:f21:base") == 1
+            f12 = next(r for r in lev if r.name == "irrtrsm:f12:base")
+            f21 = next(r for r in lev if r.name == "irrtrsm:f21:base")
+            assert (f12.stream, f21.stream) == (0, side)
+            # F21 reads U: it waits on the LU's last main-stream launch;
+            # the Schur update waits on the F21 solve
+            lu_end = max(r.seq for r in lev if r.stream == 0
+                         and r.seq < f21.seq)
+            assert any(e.stream == 0 and e.seq >= lu_end
+                       for e in f21.wait_events)
+            schur = next(r for r in lev if r.name.endswith("gemm:schur"))
+            assert schur.stream == 0
+            assert any(e.stream == side and e.seq >= f21.seq
+                       for e in schur.wait_events)
+            assert schur.start >= max(f12.end, f21.end)
+            left = [r for r in lev if r.name.startswith("irrlaswp:left")]
+            assert all(r.stream == side for r in left)
+            if left:
+                swapped += 1
+                assert f12.start >= max(r.end for r in left)
+        assert swapped >= 2
+
+    @pytest.mark.parametrize("spec,n", [
+        pytest.param(A100, 8, id="a100-maxwell8"),
+        pytest.param(MI100, 8, id="mi100-maxwell8"),
+        pytest.param(MI100, 10, id="mi100-maxwell10")])
+    def test_engine_parity(self, spec, n):
+        wl = build_maxwell_workload(n)
+        runs = []
+        for engine in ("naive", "bucketed"):
+            dev = Device(spec())
+            res = multifrontal_factor_gpu(dev, wl.a_perm, wl.symb,
+                                          engine=engine)
+            runs.append((res.factors.fronts, _timed_records(dev)))
+        (fronts_n, rec_n), (fronts_b, rec_b) = runs
+        assert rec_n == rec_b
+        _assert_fronts_equal(fronts_n, fronts_b)
+        names = {r[0] for r in rec_b}
+        # MI100 n=10: the 262-row level recurses on the 224·2^k grid
+        recursed = spec is MI100 and n == 10
+        assert ("irrtrsm:f12:gemm" in names) == recursed
+        assert ("irrtrsm:f21:gemm" in names) == recursed
+
+    def test_split_level_keeps_every_front_bitwise(self):
+        # separators on both sides of the MI100's 224-row stream order,
+        # both short enough for the fused panel
+        dims = [(240, 64), (200, 48)]
+        spec = MI100()
+        assert all(panel_shared_bytes(s, 0, 32, 8) <=
+                   spec.max_shared_per_block for s, _ in dims)
+        rng = np.random.default_rng(3)
+        fronts = [rng.standard_normal((s + u, s + u)) for s, u in dims]
+        symb = SimpleNamespace(fronts=[SimpleNamespace(sep_size=s,
+                                                       upd_size=u)
+                                       for s, u in dims])
+
+        def run(batches):
+            dev = Device(spec)
+            buffers = {i: dev.from_host(f) for i, f in enumerate(fronts)}
+            pivots_of = {}
+            for fids in batches:
+                _level_batched(dev, symb, fids, buffers, pivots_of,
+                               "hybrid", HYBRID_GEMM_CUTOFF, "rehearsed",
+                               32, engine=resolve_engine("bucketed"))
+            return [buffers[i].data.copy() for i in range(len(dims))], \
+                pivots_of
+
+        (whole, piv_w), (split, piv_s) = run([[0, 1]]), run([[0], [1]])
+        for i, ((s, _), fw, fs) in enumerate(zip(dims, whole, split)):
+            assert np.array_equal(piv_w[i], piv_s[i])
+            assert np.array_equal(fw[:s, s:], fs[:s, s:])       # F12
+            assert np.array_equal(fw[s:, :s], fs[s:, :s])       # F21
+            assert np.array_equal(fw, fs)
+
+    @pytest.mark.multidev
+    @pytest.mark.parametrize("n_devices", [2, 4])
+    def test_sharded_parity(self, n_devices):
+        wl = build_maxwell_workload(8)
+        ref = multifrontal_factor_gpu(Device(A100()), wl.a_perm, wl.symb)
+        node = Node(A100(), n_devices)
+        res = multifrontal_factor_sharded(node, wl.a_perm, wl.symb)
+        _assert_fronts_equal(ref.factors.fronts, res.factors.fronts)
+        for dev in node:
+            assert len(dev._streams) == 2
 
 
 class TestTableIOrderings:

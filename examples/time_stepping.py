@@ -19,7 +19,9 @@ launch), and device memory back at the level the first factor left.
 Each factor streams every level's F12 and F21 triangles in one irrTRSM
 base launch per solve (no recursion GEMMs), and its left swaps and F21
 solve share the device's one side stream: the device never holds more
-than two streams.
+than two streams.  The handle builds its DCWI plans once: from the
+second step on, neither the factor nor the solve adds a plan-cache
+miss, and the assembly replays the map built at the first factor.
 
 Run:  python examples/time_stepping.py
 """
@@ -69,10 +71,13 @@ for k in range(1, len(steps)):
         solver = SparseLU(a)
         solver.factor(backend="batched", device=device)
         held = device.allocated_bytes
+        caches = solver.factor_engine.cache, solver.solve_engine.cache
     else:
+        built = caches[0].misses
         solver.update_values(a)
         solver.factor(backend="batched", device=device)
         assert device.allocated_bytes == held, "factor memory drifted"
+        assert caches[0].misses == built, f"step {k}: the factor planned"
     factor_ms = solver.factor_result.elapsed * 1e3
     factored = [r.name for r in device.profiler.records[first:]]
     recursed = {"irrtrsm:f12:gemm", "irrtrsm:f21:gemm"} & set(factored)
@@ -80,10 +85,11 @@ for k in range(1, len(steps)):
     assert len(device._streams) <= 2, \
         f"step {k}: the device holds {len(device._streams)} streams"
 
-    launched = device.profiler.launch_count
+    launched, built = device.profiler.launch_count, caches[1].misses
     with device.timed_region() as t:
         x, info = solver.solve(b, device=device)
     launched = device.profiler.launch_count - launched
+    assert k == 1 or caches[1].misses == built, f"step {k}: the solve planned"
     eta = backward_error(a, x, b)
     assert eta < 1e-12, f"step {k}: backward error {eta:.2e}"
     assert solver.solve_cache.uploads == 0, "solve uploaded factors"

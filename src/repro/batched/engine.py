@@ -67,7 +67,8 @@ from .dcwi import WORKLOAD_NONE, infer_gemm_batch, infer_trsm_batch
 from .panel import PanelPivots, factor_panel_block
 
 __all__ = ["BatchEngine", "PlanCache", "resolve_engine",
-           "MIN_BUCKET", "PAD_BYTES_LIMIT", "solve_pivots_cost",
+           "MIN_BUCKET", "PAD_BYTES_LIMIT", "PLAN_CACHE_CAPACITY",
+           "solve_pivots_cost",
            "solve_update_cost", "split_k_partials", "trsm_base_work",
            "trsm_base_smem", "trsm_stream_order", "trsm_base_cost"]
 
@@ -83,6 +84,12 @@ PAD_BYTES_LIMIT = 1 << 28  # 256 MiB
 #: to the next multiple of this many rows, bounding padding waste while
 #: keeping the group count (and per-group dispatch overhead) small.
 ROW_CLASS = 32
+
+#: LRU bound of a long-lived engine's plan cache (a service device's,
+#: or a ``SparseLU`` handle's).  One Maxwell n=12 re-factor and its
+#: solves use 239 plans; coalesced traffic rarely repeats a size vector,
+#: so an unbounded cache would grow with it.
+PLAN_CACHE_CAPACITY = 1024
 
 #: element count of one padded-panel batch chunk (~4 MiB of doubles).
 #: The chunk and its rank-1 product scratch (at most the same size) stay

@@ -55,7 +55,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from ..batched.engine import BatchEngine, PlanCache
+from ..batched.engine import PLAN_CACHE_CAPACITY, BatchEngine, PlanCache
 from ..batched.getrf import irr_getrf
 from ..batched.getrs import PivotView, irr_getrs
 from ..batched.interface import IrrBatch
@@ -84,10 +84,6 @@ _SYSTEM_ERRORS = (KernelLaunchError, TransferError, DeviceOutOfMemory,
 #: Whole-batch retries (from pristine host inputs) on a transient device
 #: fault before a group falls back to per-request isolation runs.
 DISPATCH_RETRIES = 2
-
-#: LRU bound of each device's DCWI plan cache.  Coalesced groups rarely
-#: repeat a size vector, so an unbounded cache grows with traffic.
-PLAN_CACHE_CAPACITY = 1024
 
 #: LU policy keywords a dense factor request may carry (all pass through
 #: to :func:`~repro.batched.getrf.irr_getrf` and are part of the

@@ -46,11 +46,14 @@ def superlu_like_factor(device: Device, a_perm: sp.spmatrix,
                         static_pivot: bool = False,
                         replace_scale: float | None = None,
                         breakdown: str = "raise") -> GpuFactorResult:
-    """Factor with the SuperLU-style CPU-panel + GPU-GEMM schedule."""
+    """Factor with the SuperLU-style CPU-panel + GPU-GEMM schedule.
+
+    A nonzero that no front gathers raises :class:`ValueError`, as on
+    every backend."""
     if breakdown not in ("raise", "report"):
         raise ValueError(f"unknown breakdown mode {breakdown!r}; "
                          "choose 'raise' or 'report'")
-    a_perm = sp.csr_matrix(a_perm)
+    a_perm = symb.assembly.conform(a_perm)
     cpu = cpu or XEON_6140_2S()
     out = MultifrontalFactors(symb=symb)
     out.fronts = [None] * len(symb.fronts)  # type: ignore[list-item]

@@ -31,7 +31,8 @@ from .numeric.factors import assemble_front
 from .numeric.gpu_factor import GpuFactorResult, _assemble_level
 from .ordering.nested_dissection import DEFAULT_LEAF_SIZE, nested_dissection
 from .solver import SolveInfo
-from .symbolic.analysis import SymbolicFactorization, symbolic_analysis
+from .symbolic.analysis import SymbolicFactorization, canonical_csr, \
+    symbolic_analysis
 
 __all__ = ["SparseCholesky", "CholeskyFactors"]
 
@@ -178,7 +179,7 @@ class SparseCholesky:
 
     def analyze(self) -> "SparseCholesky":
         self.nd = nested_dissection(self.a, leaf_size=self.leaf_size)
-        self.a_perm = self.a[self.nd.perm][:, self.nd.perm].tocsr()
+        self.a_perm = canonical_csr(self.a[self.nd.perm][:, self.nd.perm])
         self.symb = symbolic_analysis(self.a_perm, self.nd)
         self._analyzed = True
         return self
@@ -188,14 +189,15 @@ class SparseCholesky:
                ) -> "SparseCholesky":
         if not self._analyzed:
             self.analyze()
+        a_perm = self.symb.assembly.conform(self.a_perm)
         if backend == "cpu":
-            self.factors = _factor_cpu(self.a_perm, self.symb)
+            self.factors = _factor_cpu(a_perm, self.symb)
             self.factor_result = None
         elif backend == "batched":
             if device is None:
                 raise ValueError("backend 'batched' needs a device")
             self.factors, self.factor_result = _factor_gpu(
-                device, self.a_perm, self.symb, nb)
+                device, a_perm, self.symb, nb)
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self._factored = True

@@ -105,10 +105,12 @@ def multifrontal_factor_cpu(a_perm: sp.spmatrix,
     :class:`~repro.errors.FactorizationError` carrying the report when
     any front broke down un-recovered; ``breakdown="report"`` returns
     the (quarantined) factors with ``report.ok == False`` instead.
+    A nonzero that no front gathers raises :class:`ValueError`
+    (:meth:`~repro.sparse.symbolic.analysis.AssemblyMap.conform`).
     """
     if breakdown not in ("raise", "report"):
         raise ValueError(f"unknown breakdown mode {breakdown!r}")
-    a_perm = sp.csr_matrix(a_perm)
+    a_perm = symb.assembly.conform(a_perm)
     schur: list[tuple[np.ndarray, np.ndarray] | None] = \
         [None] * len(symb.fronts)
     out = MultifrontalFactors(symb=symb)

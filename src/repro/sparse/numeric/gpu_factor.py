@@ -109,6 +109,10 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     The strategies that *model* naive implementations (``"looped"``,
     ``"strumpack"``) always run their reference loops.
 
+    ``a_perm`` is checked against the analysis first
+    (:func:`check_factor_args`): a nonzero that no front gathers raises
+    :class:`ValueError` before any device work.
+
     ``memory_budget`` (bytes) enables the paper's §III-A out-of-core
     mode: "if the entire assembly tree does not fit in the device memory,
     then the factorization is split in multiple traversals of subtrees
@@ -238,17 +242,20 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
 def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
                       store=None, device=None) -> tuple[sp.csr_matrix, int]:
     """Validate the options every device factorization shares; return
-    ``a_perm`` as CSR and the bytes its device copy takes.  A ``store``
-    must be a fresh one on ``device``, laid out for ``symb``."""
+    ``a_perm`` on the analyzed pattern
+    (:meth:`~repro.sparse.symbolic.analysis.AssemblyMap.conform`, which
+    raises for a nonzero no front gathers) and the bytes its device copy
+    takes.  A ``store`` must be a fresh one on ``device``, laid out for
+    ``symb``."""
     if strategy not in ("batched", "looped", "strumpack"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if gemm_mode not in ("irr", "vendor", "hybrid"):
         raise ValueError(f"unknown gemm_mode {gemm_mode!r}")
     if breakdown not in ("raise", "report"):
         raise ValueError(f"unknown breakdown mode {breakdown!r}")
-    a_perm = sp.csr_matrix(a_perm)
-    if a_perm.shape[0] != symb.n:
-        raise ValueError("matrix size does not match the symbolic analysis")
+    a_csr = sp.csr_matrix(a_perm)
+    a_bytes = a_csr.data.nbytes + a_csr.indices.nbytes + a_csr.indptr.nbytes
+    a_perm = symb.assembly.conform(a_csr)
     if store is not None and (store.factors is not None
                               or store.layout.symb is not symb
                               or store.device is not device):
@@ -256,8 +263,7 @@ def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
                          "(factors=None) on the factorization's device "
                          "(node[top_device] on a node), laid out by a "
                          "SolveLayout of this analysis")
-    return a_perm, (a_perm.data.nbytes + a_perm.indices.nbytes
-                    + a_perm.indptr.nbytes)
+    return a_perm, a_bytes
 
 
 def finish_factors(symb, host_factors, recovery, *, pivot_tol,
@@ -756,6 +762,14 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
     """One kernel: gather A entries + extend-add children Schur blocks,
     one thread block per 32×32 tile of each front.
 
+    It replays the analysis's
+    :class:`~repro.sparse.symbolic.analysis.AssemblyMap`, so ``a_perm``
+    must be on the analyzed pattern (``AssemblyMap.conform``), and the
+    fronts' buffers zeroed.  Each front adds its gathered entries into
+    its buffer, then its children's Schur blocks in ``info.children``
+    order: the host oracle's values and additions
+    (:func:`~.factors.assemble_front`), so the same bits.
+
     Children factored in an earlier traversal (out-of-core mode) have
     their Schur complements on the host; those are re-uploaded first
     (H2D transfers the multi-traversal mode pays for) and used once.
@@ -766,6 +780,7 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
     re-read them.  Staged uploads are freed on any exit path.
     """
     infos = [symb.fronts[f] for f in fids]
+    amap, values = symb.assembly, a_perm.data
 
     staged: dict[int, DeviceArray] = {}
     resident = {c: dev_schur[c] for info in infos for c in info.children
@@ -776,31 +791,23 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
         nbytes_w = 0.0
         for fid, info in zip(fids, infos):
             F = buffers[fid].data
-            idx = info.indices
-            s = info.sep_size
             if info.order == 0:
                 continue
-            F[:s, :] = a_perm[idx[:s], :][:, idx].toarray()
-            if info.upd_size and s:
-                F[s:, :s] = a_perm[idx[s:], :][:, idx[:s]].toarray()
+            F.reshape(-1)[amap.dst[fid]] += values[amap.src[fid]]
             nbytes_w += F.nbytes
-            if info.children:
-                pos = {int(g): l for l, g in enumerate(idx)}
-                for c in info.children:
-                    cinfo = symb.fronts[c]
-                    cs = cinfo.sep_size
-                    if cinfo.upd_size == 0:
-                        continue
-                    if c in staged:
-                        schur = staged[c].data
-                    elif c in resident:
-                        schur = resident[c].data
-                    else:
-                        schur = buffers[c].data[cs:, cs:]
-                    loc = np.array([pos[int(g)] for g in cinfo.upd],
-                                   dtype=np.int64)
-                    F[np.ix_(loc, loc)] += schur
-                    nbytes_r += schur.nbytes
+            for c in info.children:
+                loc = amap.loc[c]
+                if loc is None:
+                    continue
+                if c in staged:
+                    schur = staged[c].data
+                elif c in resident:
+                    schur = resident[c].data
+                else:
+                    cs = symb.fronts[c].sep_size
+                    schur = buffers[c].data[cs:, cs:]
+                F[np.ix_(loc, loc)] += schur
+                nbytes_r += schur.nbytes
         orders = [info.order for info in infos]
         return KernelCost(bytes_read=nbytes_r, bytes_written=nbytes_w,
                           blocks=max(tile_blocks(orders, orders), 1),

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..batched.engine import resolve_engine
+from ..batched.engine import PLAN_CACHE_CAPACITY, BatchEngine, PlanCache, \
+    resolve_engine
 from ..device.memory import DeviceOutOfMemory, validate_memory_budget
 from ..device.node import Node
 from ..device.simulator import Device
@@ -48,7 +49,7 @@ from .numeric.solve_plan import DeviceFactorCache, SolveLayout, SolvePlan
 from .numeric.triangular import multifrontal_solve
 from .ordering.mc64 import mc64
 from .ordering.nested_dissection import DEFAULT_LEAF_SIZE, nested_dissection
-from .symbolic.analysis import symbolic_analysis
+from .symbolic.analysis import canonical_csr, symbolic_analysis
 
 __all__ = ["SparseLU", "SolveInfo"]
 
@@ -113,6 +114,21 @@ class SolveInfo:
         return self.residuals[-1] if self.residuals else float("nan")
 
 
+def _permuted(a: sp.csr_matrix, perm: np.ndarray) -> tuple:
+    """``a[perm][:, perm]`` as canonical CSR, and the position in
+    ``a.data`` of each of its entries (``None`` unless ``a`` is
+    canonical: a summed duplicate has no one position)."""
+    if not a.has_canonical_format:
+        return canonical_csr(a[perm][:, perm]), None
+    pos = sp.csr_matrix((np.arange(a.nnz), a.indices, a.indptr),
+                        shape=a.shape)[perm][:, perm]
+    pos.sort_indices()
+    a_perm = sp.csr_matrix((a.data[pos.data], pos.indices, pos.indptr),
+                           shape=a.shape)
+    a_perm.has_canonical_format = True
+    return a_perm, pos.data
+
+
 class SparseLU:
     """Multifrontal sparse LU with selectable numeric backends."""
 
@@ -132,6 +148,10 @@ class SparseLU:
         self._analyzed = False
         self._factored = False
         self._layout: SolveLayout | None = None
+        #: plan-cached engines of this analysis (set by :meth:`analyze`):
+        #: one for the factorizations, one for the solve plans
+        self.factor_engine: BatchEngine | None = None
+        self.solve_engine: BatchEngine | None = None
         self.factor_result: GpuFactorResult | None = None
         self.factor_report: FactorReport | None = None
         self._solve_state: tuple | None = None
@@ -152,7 +172,17 @@ class SparseLU:
     # phase 1
     # ------------------------------------------------------------------
     def analyze(self) -> "SparseLU":
-        """Orderings, scalings and symbolic factorization."""
+        """Orderings, scalings and symbolic factorization.
+
+        Also builds what every factorization of this structure replays:
+        the fronts' assembly map (``symb.assembly``, on first use), one
+        plan-cached :class:`~repro.batched.engine.BatchEngine` for the
+        factorizations (:attr:`factor_engine`) and one for the solve
+        plans (:attr:`solve_engine`), each bounded by
+        ``PLAN_CACHE_CAPACITY``, and where each entry of ``a.data``
+        lands in :attr:`a_perm` (canonical CSR).  :meth:`update_values`
+        keeps all of them; calling this method again starts afresh.
+        """
         a = self.a
         if self.use_mc64:
             self._mc64 = mc64(a.tocsc())
@@ -162,8 +192,12 @@ class SparseLU:
         self.a_pre = a.tocsr()
 
         self.nd = nested_dissection(self.a_pre, leaf_size=self.leaf_size)
-        self.a_perm = self.a_pre[self.nd.perm][:, self.nd.perm].tocsr()
+        self.a_perm, self._perm_src = _permuted(self.a_pre, self.nd.perm)
         self.symb = symbolic_analysis(self.a_perm, self.nd)
+        self.factor_engine = BatchEngine(
+            "bucketed", cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
+        self.solve_engine = BatchEngine(
+            "bucketed", cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
         self._layout = None
         self._analyzed = True
         return self
@@ -210,8 +244,10 @@ class SparseLU:
 
         ``backend`` picks the kernel strategy, so ``strategy=`` is
         rejected (:class:`ValueError`).  ``engine=``, on the backends
-        that take one, is ``"bucketed"`` (default), ``"naive"`` or a
-        :class:`~repro.batched.engine.BatchEngine`.
+        that take one, is ``"bucketed"``, ``"naive"`` or a
+        :class:`~repro.batched.engine.BatchEngine`; without one,
+        ``"batched"`` and ``"sharded"`` run on :attr:`factor_engine`,
+        so a re-factor of the same structure builds no DCWI plan.
 
         ``backend="batched"`` (without a ``memory_budget``) and
         ``backend="sharded"`` keep the factors on the device, already in
@@ -318,6 +354,8 @@ class SparseLU:
             self.factor_result = None
             return
         store = None
+        if backend in ("batched", "sharded"):
+            kw.setdefault("engine", self.factor_engine)
         if backend == "sharded":
             if not isinstance(device, Node):
                 raise ValueError(
@@ -375,7 +413,10 @@ class SparseLU:
         """Install new numeric values on the same sparsity structure.
 
         The orderings and symbolic analysis are value-independent, so
-        they are kept (the solve layout too); the solver drops back to
+        they are kept (the solve layout, the assembly map and both
+        plan-cached engines too, and :attr:`a_perm`'s ``indptr`` and
+        ``indices``: the new values are written through the permutation
+        :meth:`analyze` recorded); the solver drops back to
         un-factored, releasing the solve cache without a download.  The
         next :meth:`factor` call re-factors on the kept analysis: on
         the default device path its factors land in a fresh solve cache
@@ -402,7 +443,13 @@ class SparseLU:
         self.a = a
         if self._analyzed:
             self.a_pre = a
-            self.a_perm = self.a_pre[self.nd.perm][:, self.nd.perm].tocsr()
+            if self._perm_src is None:
+                self.a_perm, self._perm_src = _permuted(a, self.nd.perm)
+            else:
+                self.a_perm = sp.csr_matrix(
+                    (a.data[self._perm_src], self.a_perm.indices,
+                     self.a_perm.indptr), shape=self.a_perm.shape)
+                self.a_perm.has_canonical_format = True
         self._drop_solve_state()
         self._factored = False
         self.factor_result = None
@@ -562,7 +609,10 @@ class SparseLU:
         :class:`SolvePlan` + :class:`DeviceFactorCache` on first use and
         reuse them for every later solve against the same factors —
         including the refinement passes of this call — so repeated
-        solves pay no per-solve setup.  After a device factorization
+        solves pay no per-solve setup.  The plan runs on
+        :attr:`solve_engine`, whose DCWI plans outlive the factors, so
+        the first solve after a re-factor builds none either.  After a
+        device factorization
         that cache is the factorization's own store, so solves on its
         device upload no factors at all.  ``memory_budget`` bounds the
         cache's device bytes (``None`` = keep all factor levels
@@ -644,7 +694,8 @@ class SparseLU:
             with self._solve_lock:
                 self.factors.fronts
         with self._solve_lock if device is not None else nullcontext():
-            eng = resolve_engine(engine)
+            eng = self.solve_engine if engine == "bucketed" \
+                else resolve_engine(engine)
             mark = device.recovery_log.mark() if device is not None else 0
             reduced = self.precision == "fp32"
             # The device is dropped for the rest of this call (all

@@ -5,18 +5,15 @@ runner: one packed upload per operand, one checked download per result
 batch.  Its answers must equal, bit for bit, a direct bucketed
 factorization of the same matrices uploaded one by one — factors,
 pivots and diagnostics alike — also when a dispatch repairs a corrupted
-kernel or a corrupted download.  The service's own plan cache is
-checked here too: it is bounded by ``PLAN_CACHE_CAPACITY`` and its
-counters surface in the stats snapshot.
+kernel or a corrupted download.
 """
 
 import numpy as np
 import pytest
 
 from repro.batched import IrrBatch, irr_getrf
-from repro.batched.engine import PlanCache
 from repro.device import A100, Device, FaultPlan, FaultRule
-from repro.serve import CoalescingPolicy, SolverService, service
+from repro.serve import CoalescingPolicy, SolverService
 
 pytestmark = pytest.mark.serve
 
@@ -161,34 +158,6 @@ class TestRepairedRehearsal:
         assert_served_equals_direct(mats, [h for _, h in got])
         svc.close()
         svc_ref.close()
-
-
-class TestBoundedPlanCache:
-    def test_capacity_and_counters_in_snapshot(self, monkeypatch):
-        monkeypatch.setattr(service, "PLAN_CACHE_CAPACITY", 2)
-        svc = inline_service()
-        rng = np.random.default_rng(0)
-        for m in (8, 12, 16, 20, 24):
-            svc.factor(rng.standard_normal((m, m)) + 3.0 * m * np.eye(m))
-        snap = svc.stats.snapshot()["plan_cache"]
-        assert snap["capacity"] == 2
-        assert snap["size"] <= 2
-        assert snap["evictions"] > 0
-        assert snap["misses"] > 0
-        svc.close()
-
-    def test_bounded_by_default(self):
-        svc = inline_service()
-        rng = np.random.default_rng(0)
-        svc.factor(rng.standard_normal((8, 8)) + 24 * np.eye(8))
-        snap = svc.stats.snapshot()["plan_cache"]
-        assert snap["capacity"] == service.PLAN_CACHE_CAPACITY
-        assert snap["evictions"] == 0
-        svc.close()
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            PlanCache(capacity=0)
 
 
 class TestServeReplayTraffic:

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.batched.engine import PlanCache
 from repro.device import A100, Device
 from repro.errors import (DeadlineExceeded, FactorizationError,
                           RequestCancelled, ServiceOverloaded)
 from repro.serve import (CoalescingPolicy, FactorHandle, LatencyHistogram,
-                         ServeSession, SolverService)
+                         ServeSession, SolverService, service)
 from repro.sparse import SparseLU
 
 from ..sparse.util import grid2d
@@ -441,3 +442,31 @@ class TestStats:
         assert snap["exec"]["count"] == 1
         assert snap["queue_peak"] == 1 and snap["queue_depth"] == 0
         svc.close()
+
+
+class TestBoundedPlanCache:
+    def test_capacity_and_counters_in_snapshot(self, monkeypatch):
+        monkeypatch.setattr(service, "PLAN_CACHE_CAPACITY", 2)
+        svc = inline_service()
+        rng = np.random.default_rng(0)
+        for m in (8, 12, 16, 20, 24):
+            svc.factor(rng.standard_normal((m, m)) + 3.0 * m * np.eye(m))
+        snap = svc.stats.snapshot()["plan_cache"]
+        assert snap["capacity"] == 2
+        assert snap["size"] <= 2
+        assert snap["evictions"] > 0
+        assert snap["misses"] > 0
+        svc.close()
+
+    def test_bounded_by_default(self):
+        svc = inline_service()
+        rng = np.random.default_rng(0)
+        svc.factor(rng.standard_normal((8, 8)) + 24 * np.eye(8))
+        snap = svc.stats.snapshot()["plan_cache"]
+        assert snap["capacity"] == service.PLAN_CACHE_CAPACITY
+        assert snap["evictions"] == 0
+        svc.close()
+
+    def test_policy_validation(self):
+        with pytest.raises(ValueError, match="capacity"):
+            PlanCache(capacity=0)

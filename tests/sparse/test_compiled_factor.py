@@ -328,3 +328,77 @@ class TestCompiledUnderFaults:
             refactor(slu, dev, a2)
         assert dev.recovery_log.count("kernel-reexec") >= 1
         assert_fresh_bits(slu, dev, a2, maxwell.rhs)
+
+
+def launch_records(devices):
+    return [(r.name, r.stream, r.cost, r.start, r.end)
+            for d in devices for r in d.profiler.records]
+
+
+class TestPlansOncePerAnalysis:
+    """A handle builds its DCWI plans once per analysis: the re-factor
+    and the first solve after it build none, and move no bit."""
+
+    @pytest.mark.parametrize("backend", ["batched", "sharded"])
+    def test_refactor_builds_no_plan(self, maxwell, backend):
+        a, rhs = maxwell.matrix, maxwell.rhs
+
+        def target():
+            return Node(A100(), 2) if backend == "sharded" \
+                else Device(A100())
+
+        def solve_device(t):
+            return t[0] if backend == "sharded" else t
+
+        slu = SparseLU(a, use_mc64=False)
+        t = target()
+        slu.factor(backend=backend, device=t)
+        slu.solve(rhs, device=solve_device(t))
+        fcache = slu.factor_engine.cache
+        scache = slu.solve_engine.cache
+        assert fcache.misses > 0 and scache.misses > 0
+
+        a2 = perturbed(a, seed=31)
+        slu.update_values(a2)
+        t = target()
+        misses = fcache.misses
+        slu.factor(backend=backend, device=t)
+        assert fcache.misses == misses
+        misses = scache.misses
+        x, _ = slu.solve(rhs, device=solve_device(t))
+        assert scache.misses == misses
+        assert slu.solve_plan.engine is slu.solve_engine
+
+        # the bits and launch records of a fresh handle on the same values
+        ref = SparseLU(a2, use_mc64=False)
+        t_ref = target()
+        ref.factor(backend=backend, device=t_ref)
+        x_ref, _ = ref.solve(rhs, device=solve_device(t_ref))
+        devices = list(t) if backend == "sharded" else [t]
+        devices_ref = list(t_ref) if backend == "sharded" else [t_ref]
+        assert launch_records(devices) == launch_records(devices_ref)
+        assert x.tobytes() == x_ref.tobytes()
+        assert_fronts_equal(ref.factors, slu.factors)
+
+    def test_explicit_engine_wins(self, maxwell):
+        slu = SparseLU(maxwell.matrix, use_mc64=False)
+        slu.analyze()
+        slu.factor(backend="batched", device=Device(A100()),
+                   engine="naive")
+        assert slu.factor_engine.cache.misses == 0
+
+    def test_analyze_again_starts_fresh(self, maxwell):
+        """A new analysis starts new plan caches and a new assembly map;
+        ``update_values`` keeps them."""
+        slu = SparseLU(maxwell.matrix, use_mc64=False)
+        slu.factor(backend="batched", device=Device(A100()))
+        engines = slu.factor_engine, slu.solve_engine
+        symb, amap = slu.symb, slu.symb.assembly
+        slu.update_values(perturbed(maxwell.matrix, seed=5))
+        assert (slu.factor_engine, slu.solve_engine) == engines
+        assert slu.symb is symb and slu.symb.assembly is amap
+        slu.analyze()
+        assert slu.factor_engine is not engines[0]
+        assert slu.solve_engine is not engines[1]
+        assert len(slu.factor_engine.cache) == 0
+        assert slu.symb is not symb and slu.symb.assembly is not amap

@@ -1,4 +1,4 @@
-"""Gates: coalesced serving, and autotuned serving under per-class SLOs.
+"""Gates: coalesced serving, and two fixed policies under per-class SLOs.
 
 A solver service amortizes kernel launch overhead by coalescing the
 compatible requests waiting in its admission queue into one irregular
@@ -16,14 +16,13 @@ device memory back at zero, and coalesced throughput at least 1.5x solo
 (2x with ``REPRO_FULL=1``).
 
 ``test_gate_serve_slo`` replays the standard traffic mixes
-(:data:`repro.workloads.traffic.STANDARD_MIXES`) in virtual time
-against the default ``CoalescingPolicy()``, once static and once with
-the :class:`~repro.serve.autotune.OnlineAutotuner` hot-swapping refined
-policies.  Gates, per mix: the tuned run meets every per-class p99 SLO,
-its results are bitwise identical to the static run's (tuning changes
-launch shapes, never bits), and its simulated throughput is never lower
-(strictly higher with ``REPRO_FULL=1``; the default workload is too
-short for the tuner to converge).
+(:data:`repro.workloads.traffic.STANDARD_MIXES`) in virtual time under
+two fixed policies that group very differently: the default
+``CoalescingPolicy()`` (2 ms hold) and a 62.5 µs hold, which
+dispatches three to six times as often.  Gates, per mix: every request's
+result is bitwise identical across the two (a policy changes launch
+shapes, never bits), and every class meets its p99 SLO under both.
+Both simulated throughputs are archived.
 """
 
 import time
@@ -33,13 +32,13 @@ import numpy as np
 from repro.analysis.report import format_table
 from repro.device import A100, Device
 from repro.experiments.common import is_fast_mode
-from repro.serve import AutotuneConfig, CoalescingPolicy, \
-    OnlineAutotuner, SolverService
+from repro.serve import CoalescingPolicy, SolverService
 from repro.workloads.traffic import STANDARD_MIXES, run_mix
 
 SPEEDUP = 2.0           # REPRO_FULL=1: coalesced over solo throughput
 FAST_SPEEDUP = 1.5      # the default, smaller workload
 SLO_SEED = 7
+SHORT_WAIT = 62.5e-6    # test_gate_serve_slo's second policy's max_wait
 
 
 def _workload(n_requests, lo, hi, seed=0):
@@ -103,47 +102,39 @@ def test_gate_serve(archive):
     assert speedup >= gate
 
 
-def _same_results(static, tuned):
+def _same_results(one, other):
     """Every request's result bitwise equal across the two replays (both
     submitted byte-identical payloads)."""
     return all((a is None) == (b is None)
                and (a is None or np.array_equal(a, b))
-               for a, b in zip(static.results, tuned.results))
+               for a, b in zip(one.results, other.results))
 
 
 def test_gate_serve_slo(archive):
     fast = is_fast_mode()
-    policy = CoalescingPolicy(max_queue=4096)
-    cfg = AutotuneConfig(min_requests=12, min_dispatches=2)
-
-    def tuner(svc, clock):
-        return OnlineAutotuner(svc, clock=clock, config=cfg)
+    policies = (CoalescingPolicy(max_queue=4096),
+                CoalescingPolicy(max_wait=SHORT_WAIT, max_queue=4096))
 
     rows, missed = [], {}
     for name, mix in STANDARD_MIXES.items():
         if fast:
             mix = type(mix)(**{**mix.__dict__,
                                "count": max(64, mix.count // 3)})
-        static = run_mix(mix, policy=policy, seed=SLO_SEED)
-        tuned = run_mix(mix, policy=policy, seed=SLO_SEED, autotuner=tuner,
-                        tune_every=1e-2)
-        beat = tuned.throughput >= static.throughput if fast \
-            else tuned.throughput > static.throughput
-        missed[name] = {k: v for k, v in tuned.per_class.items()
-                        if not v["met"]}
-        rows.append([name, f"{static.throughput:.1f}",
-                     f"{tuned.throughput:.1f}",
-                     f"{tuned.throughput / static.throughput:.3f}x",
-                     "yes" if beat else "NO",
-                     "yes" if _same_results(static, tuned) else "NO",
-                     "met" if tuned.slo_met() else "MISS",
-                     tuned.tuner["swaps"], tuned.tuner["rollbacks"]])
+        runs = [run_mix(mix, policy=p, seed=SLO_SEED) for p in policies]
+        missed[name] = [{k: v for k, v in r.per_class.items()
+                         if not v["met"]} for r in runs]
+        base, short = runs
+        rows.append([name, f"{base.throughput:.1f}",
+                     f"{short.throughput:.1f}",
+                     f"{short.throughput / base.throughput:.3f}x",
+                     base.dispatches, short.dispatches,
+                     "yes" if _same_results(base, short) else "NO",
+                     "met" if all(r.slo_met() for r in runs) else "MISS"])
     archive("bench_serve_slo", format_table(
-        ["mix", "static r/s", "tuned r/s", "gain", "beat", "parity", "slo",
-         "swaps", "rollbacks"], rows,
-        title="static CoalescingPolicy() vs online autotuner "
-              f"(virtual-time replay, seed {SLO_SEED})"))
+        ["mix", "2 ms r/s", "62.5 us r/s", "ratio", "2 ms disp",
+         "62.5 us disp", "parity", "slo"], rows,
+        title="CoalescingPolicy(max_queue=4096): default max_wait 2 ms vs "
+              f"62.5 us (virtual-time replay, seed {SLO_SEED})"))
 
-    assert all(r[5] == "yes" for r in rows)
-    assert all(r[6] == "met" for r in rows), missed
-    assert all(r[4] == "yes" for r in rows)
+    assert all(r[6] == "yes" for r in rows)
+    assert all(r[7] == "met" for r in rows), missed

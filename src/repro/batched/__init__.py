@@ -30,7 +30,6 @@ from .interleaved import INTERLEAVED_MAX_N, InterleaveError, deinterleave, \
 from .laswp import irr_laswp, looped_laswp, rehearsed_laswp
 from .panel import PanelPivots, columnwise_getf2, factor_panel_block, \
     fused_getf2, panel_shared_bytes
-from .potrf import NotPositiveDefiniteError, irr_potrf, potrf_flops
 from .qr import DEFAULT_QR_PANEL, QrTaus, apply_q, geqrf_flops, irr_geqrf, \
     qr_least_squares, qr_reconstruct
 from .streamed import streamed_getrf
@@ -57,6 +56,6 @@ __all__ = [
     "autotune_getrf", "TuningResult",
     "interleave", "deinterleave", "interleaved_getrf", "INTERLEAVED_MAX_N",
     "InterleaveError",
-    "irr_getrs", "irr_potrf", "potrf_flops", "NotPositiveDefiniteError",
+    "irr_getrs",
     "gemm_vbatched", "trsm_vbatched", "getrf_vbatched",
 ]

@@ -282,8 +282,8 @@ class ServiceDegraded(RuntimeError):
     degraded: on a node, placement skips the device; at severity 2, new
     sparse sessions factor on the host.  The instance is surfaced
     through ``ServiceStats.snapshot()`` (``breaker_state`` /
-    ``degraded_reason``) so operators and the online autotuner can
-    observe *why* the service is degraded.
+    ``degraded_reason``) so operators can observe *why* the service is
+    degraded.
 
     Attributes
     ----------
@@ -311,7 +311,8 @@ class InfeasibleConfig(ValueError):
     e.g. ``panel="fused"`` on a panel that does not fit the per-block
     shared memory.  Subclasses :class:`ValueError` for backward
     compatibility, but gives tuners a way to tell "this candidate can
-    never work here" apart from an argument-validation bug: the
-    autotuner skips :class:`InfeasibleConfig` candidates and propagates
-    every other :class:`ValueError`.
+    never work here" apart from an argument-validation bug:
+    :func:`~repro.batched.tuning.autotune_getrf` skips
+    :class:`InfeasibleConfig` candidates and propagates every other
+    :class:`ValueError`.
     """

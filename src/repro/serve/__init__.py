@@ -14,12 +14,10 @@ Public surface::
 See :class:`~repro.serve.service.SolverService` for the threading and
 isolation contracts, :class:`~repro.serve.scheduler.CoalescingPolicy`
 for the three hot-swappable batching knobs (see
-:meth:`SolverService.set_policy`),
-:class:`~repro.serve.autotune.OnlineAutotuner` for closed-loop policy
-tuning, and :class:`~repro.serve.stats.ServiceStats` for observability.
+:meth:`SolverService.set_policy`), and
+:class:`~repro.serve.stats.ServiceStats` for observability.
 """
 
-from .autotune import AutotuneConfig, OnlineAutotuner, TuneAction, Window
 from .health import CircuitBreaker, HealthMonitor
 from .scheduler import AdmissionQueue, CoalescingPolicy, ServiceFuture
 from .service import FactorHandle, SolverService
@@ -29,6 +27,5 @@ from .stats import DispatchRecord, LatencyHistogram, ServiceStats
 __all__ = ["SolverService", "CoalescingPolicy", "ServiceFuture",
            "FactorHandle", "ServeSession",
            "MemoryArbiter", "ServiceStats", "DispatchRecord",
-           "LatencyHistogram", "AdmissionQueue", "OnlineAutotuner",
-           "AutotuneConfig", "TuneAction", "Window",
+           "LatencyHistogram", "AdmissionQueue",
            "CircuitBreaker", "HealthMonitor"]

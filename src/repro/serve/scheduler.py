@@ -26,10 +26,10 @@ by a compatibility key computed at admission:
 
 *How many requests to group and how long to hold them* are the two
 batching knobs of :class:`CoalescingPolicy` (``max_batch``,
-``max_wait``; ``max_queue`` bounds admission).  The online autotuner
-(:mod:`repro.serve.autotune`) swaps refined instances in atomically
-between dispatches (:meth:`~repro.serve.service.SolverService.set_policy`)
-without dropping queued work.  Admission is SLO-aware: a request
+``max_wait``; ``max_queue`` bounds admission).  An operator swaps a new
+policy in atomically between dispatches
+(:meth:`~repro.serve.service.SolverService.set_policy`) without
+dropping queued work.  Admission is SLO-aware: a request
 submitted with ``slo=`` caps its own hold time at
 :data:`SLO_HOLD_FRACTION` of ``slo``, so batching never spends a
 request's whole latency budget waiting for company.
@@ -68,11 +68,11 @@ SLO_HOLD_FRACTION = 0.5
 class CoalescingPolicy:
     """The service's batching knobs (a pure value; safe to share).
 
-    The online autotuner derives refined instances via :meth:`replace`
-    and installs them with ``SolverService.set_policy``.  No knob
-    changes the bits of a served answer: the admission keys make any
-    grouping bitwise-safe, so any two policies produce bitwise-identical
-    per-request results.  That is what makes hot-swapping safe.
+    Derive a changed instance with :meth:`replace` and install it with
+    ``SolverService.set_policy``.  No knob changes the bits of a served
+    answer: the admission keys make any grouping bitwise-safe, so any
+    two policies produce bitwise-identical per-request results.  That is
+    what makes hot-swapping safe.
 
     Attributes
     ----------

@@ -592,7 +592,7 @@ class SolverService:
         Returns the :class:`DispatchRecord`, stamped with the
         *simulated* device seconds the dispatch consumed (host-clock
         delta across a final ``synchronize()``) — the currency the
-        traffic simulator and the autotuner's objective run on.
+        traffic replay runs on.
         """
         slot = self._place(group)
         device, breaker = slot.device, slot.breaker

@@ -22,11 +22,6 @@ occupancy/launch/sim-time sums) are updated on every dispatch so the
 derived numbers — :attr:`~ServiceStats.coalescing_ratio`,
 :attr:`~ServiceStats.mean_occupancy`, :meth:`~ServiceStats.snapshot` —
 stay exact over the *full* history, not just the retained window.
-
-:meth:`ServiceStats.snapshot` is the observation surface the online
-autotuner (:mod:`repro.serve.autotune`) diffs: it includes the raw
-latency-histogram bin counts and totals, so two snapshots subtract into
-an exact windowed histogram.
 """
 
 from __future__ import annotations
@@ -104,28 +99,21 @@ class LatencyHistogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        return self.quantile_of(self.counts, self.count, q, self.max)
-
-    @classmethod
-    def quantile_of(cls, counts, count: int, q: float,
-                    fallback: float = 0.0) -> float:
-        """Quantile over an externally supplied bin-count vector (used by
-        the autotuner on windowed count deltas)."""
-        if count <= 0:
+        if self.count <= 0:
             return 0.0
-        rank = q * count
+        rank = q * self.count
         seen = 0
-        for b, c in enumerate(counts):
+        for b, c in enumerate(self.counts):
             if not c:
                 continue
             seen += c
             if seen >= rank:
-                return cls.BASE * cls.FACTOR ** b
-        return fallback
+                return self.bin_edge(b)
+        return self.max
 
     def snapshot(self) -> dict:
         return {"count": self.count, "mean": self.mean, "max": self.max,
-                "total": self.total, "counts": list(self.counts),
+                "total": self.total,
                 "p50": self.quantile(0.5), "p95": self.quantile(0.95),
                 "p99": self.quantile(0.99)}
 
@@ -377,9 +365,8 @@ class ServiceStats:
     def snapshot(self) -> dict:
         """Point-in-time copy of every counter (safe to serialize).
 
-        Includes the raw latency bin counts so two snapshots diff into
-        an exact window; every aggregate is exact over the full history
-        even after the dispatch ring has wrapped.
+        Every aggregate is exact over the full history even after the
+        dispatch ring has wrapped.
         """
         with self._lock:
             caches = self._plan_caches

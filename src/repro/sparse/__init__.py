@@ -20,7 +20,6 @@ from .numeric.triangular import multifrontal_solve
 from .ordering.mc64 import Mc64Result, StructurallySingularError, mc64
 from .ordering.nested_dissection import NestedDissection, \
     SeparatorTreeNode, nested_dissection
-from .cholesky import CholeskyFactors, SparseCholesky
 from .solver import SolveInfo, SparseLU
 from .symbolic.analysis import FrontInfo, SymbolicFactorization, \
     symbolic_analysis
@@ -39,5 +38,4 @@ __all__ = [
     "SolvePlan", "DeviceFactorCache",
     "multifrontal_factor_sharded", "ShardedFactorResult",
     "partition_tree", "RankAssignment",
-    "SparseCholesky", "CholeskyFactors",
 ]

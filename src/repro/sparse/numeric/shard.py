@@ -6,7 +6,8 @@ rank and corresponding GPU, while the top log P levels of the tree are
 distributed ... and then processed using either ScaLAPACK (CPU-only) or
 SLATE."
 
-This module is the single-node, multi-GPU realisation of that design:
+This module is the single-node, multi-GPU realisation of that design,
+with the SLATE-like top only (the top levels run on a GPU):
 
 * :func:`partition_tree` splits the assembly tree into the top
   ``⌈log₂ P⌉`` levels plus rank-local subtrees, assigned to devices by
@@ -19,8 +20,7 @@ This module is the single-node, multi-GPU realisation of that design:
   its own simulated timeline;
 * subtree-root Schur contributions ship to the owner device over the
   node's modeled links, and the top part is factored there with the
-  batched kernels (the SLATE-like path) or costed with a
-  ScaLAPACK-style CPU model;
+  batched kernels;
 * with a solve store (``SparseLU`` passes one), the factors never leave
   the devices: each device packs its share of every level into its own
   memory, the Schur blocks land peer to peer in the owner's memory,
@@ -56,7 +56,6 @@ from ...batched.engine import resolve_engine
 from ...device.memory import pack_to_device
 from ...device.node import Node
 from ...device.simulator import Device
-from ...device.spec import XEON_6140_2S
 from ...recovery import RecoveryLog
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
@@ -195,8 +194,7 @@ def multifrontal_factor_sharded(
         laswp_variant: str = "rehearsed", nb: int = 32,
         pivot_tol: float = 0.0, static_pivot: bool = False,
         replace_scale: float | None = None, breakdown: str = "raise",
-        engine="bucketed", top_mode: str = "slate",
-        top_device: int = 0,
+        engine="bucketed", top_device: int = 0,
         store: DeviceFactorCache | None = None) -> ShardedFactorResult:
     """Factor the permuted sparse matrix across the node's devices.
 
@@ -207,11 +205,8 @@ def multifrontal_factor_sharded(
     all apply per device.  ``top_device`` takes the lightest subtree
     share, since it also factors the top part (and holds the store).
     Boundary Schur contributions are shipped to ``top_device`` over the
-    node's modeled links; the top part is factored there
-    (``top_mode="slate"``, batched kernels) or costed with the
-    ScaLAPACK-style CPU model (``"scalapack"`` — the numerics still
-    run, on an untimed scratch device, so the factors are always
-    complete).
+    node's modeled links, and the top part is factored there with the
+    batched kernels.
 
     The aggregated :class:`FactorReport` (with every device's recovery
     slice merged in) is attached to ``result.report`` and
@@ -223,8 +218,8 @@ def multifrontal_factor_sharded(
 
     ``store`` is the output argument of
     :func:`~repro.sparse.numeric.gpu_factor.multifrontal_factor_gpu`,
-    on ``node[top_device]`` (else a :class:`ValueError`).  With
-    ``top_mode="slate"`` every level stays on the devices:
+    on ``node[top_device]`` (else a :class:`ValueError`).  With a store
+    every level stays on the devices:
 
     * each device packs its share of a level (the level's fronts that
       ran there) into its own memory, one ``pack_to_device`` per level
@@ -241,10 +236,8 @@ def multifrontal_factor_sharded(
 
     So on a 1-device node every level is packed as by
     ``multifrontal_factor_gpu`` (the same launches), and on any node
-    the first solve uploads nothing.  Without a store, and under
-    ``top_mode="scalapack"``, the subtree levels download to host
-    factors instead (under ``"scalapack"``, a level that ran whole on
-    the store's device is still packed there).  A raise frees every
+    the first solve uploads nothing.  Without a store, the levels
+    download to host factors instead.  A raise frees every
     share and releases the store, so each device's ``allocated_bytes``
     returns to where it was.
     """
@@ -255,8 +248,6 @@ def multifrontal_factor_sharded(
     a_perm, a_dev_bytes = check_factor_args(
         a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
         breakdown=breakdown, store=store, device=owner)
-    if top_mode not in ("slate", "scalapack"):
-        raise ValueError(f"unknown top_mode {top_mode!r}")
 
     assign = _lightest_on(partition_tree(symb, len(node)), top_device)
     engine = resolve_engine(engine)
@@ -265,7 +256,7 @@ def multifrontal_factor_sharded(
     link_bytes0 = node.p2p_bytes + node.staged_bytes
 
     # per level, the devices' packed shares (the store path only)
-    shares = {} if store is not None and top_mode == "slate" else None
+    shares = {} if store is not None else None
     host_factors: dict[int, FrontFactors] = {}
     pivots_of: dict = {}
     diag_of: dict[int, tuple[int, int, float, float]] = {}
@@ -302,8 +293,7 @@ def multifrontal_factor_sharded(
     # Each participating device holds its own copy of A for assembly
     # (uploaded outside the timed regions, like the single-device path).
     active = [d for d in range(len(node)) if assign.rank_fronts[d]]
-    if assign.top_fronts and top_mode == "slate" \
-            and top_device not in active:
+    if assign.top_fronts and top_device not in active:
         active.append(top_device)
     claimed: list[int] = []
 
@@ -340,23 +330,8 @@ def multifrontal_factor_sharded(
         # --- phase 3: the top part on the owner device -------------------
         top_seconds = 0.0
         if assign.top_fronts:
-            if top_mode == "slate":
-                top_seconds = run_fronts(owner, assign.top_fronts,
-                                         buffers[top_device])
-            else:
-                # ScaLAPACK model: CPU-only 2D block-cyclic over all
-                # devices' host processes; the numerics run on an
-                # untimed scratch device so the factors stay complete.
-                cpu = XEON_6140_2S()
-                flops = sum(_front_flops(symb, f)
-                            for f in assign.top_fronts)
-                rate = len(node) * 16 * cpu.freq_hz * \
-                    cpu.flops_per_cycle_per_core
-                eff = cpu.getrf_efficiency(
-                    max(symb.fronts[f].order for f in assign.top_fronts))
-                top_seconds = flops / (rate * max(eff, 1e-3))
-                run_fronts(Device(node.spec), assign.top_fronts, {})
-                owner.host_compute(top_seconds)
+            top_seconds = run_fronts(owner, assign.top_fronts,
+                                     buffers[top_device])
 
         # --- phase 4: merge the shares into the store --------------------
         release_a()

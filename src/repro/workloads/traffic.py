@@ -1,9 +1,9 @@
 """Traffic generation and virtual-time replay for the solver service.
 
 The serving benchmarks need *arrival processes*, not just batches: the
-value of a batching policy (and of tuning one online) only shows against
-traffic with temporal structure — steady trickles, bursts, heavy-tailed
-size mixes, closed feedback loops.  This module provides both halves:
+value of a batching policy only shows against traffic with temporal
+structure — steady trickles, bursts, heavy-tailed size mixes, closed
+feedback loops.  This module provides both halves:
 
 * **Generators** — :class:`TrafficMix` describes a workload as weighted
   :class:`RequestClass`\\ es (kind, size distribution, per-class soft
@@ -11,9 +11,9 @@ size mixes, closed feedback loops.  This module provides both halves:
   at a fixed rate), open-loop ``burst`` (a storm-modulated Poisson — long
   quiet valleys, short high-rate storms), or ``closed`` (K clients, each
   submitting, waiting for its result, thinking an exponential time, and
-  submitting again — arrival rate adapts to service rate).  Three standard
-  mixes (:data:`STANDARD_MIXES`: steady, bursty, heavy-tail) are the
-  acceptance surface of ``benchmarks/test_gate_serve.py``.
+  submitting again — arrival rate adapts to service rate).  Four standard
+  mixes (:data:`STANDARD_MIXES`: steady, bursty, heavy-tail, closed-loop)
+  are the acceptance surface of ``benchmarks/test_gate_serve.py``.
 * **Replay** — :func:`run_mix` replays a mix against a fresh
   :class:`~repro.serve.service.SolverService` in *virtual time*: a
   :class:`VirtualClock` is injected as the service clock, arrivals are
@@ -29,9 +29,9 @@ size mixes, closed feedback loops.  This module provides both halves:
 
 Every request payload is a pure function of ``(mix, seed, request
 index)`` — never of the policy, the clock, or what happened to earlier
-requests — so a static-policy run and an autotuned run solve the exact
-same problems in a possibly different grouping, and their per-request
-results must match bit for bit.
+requests — so runs under two policies solve the exact same problems in
+a possibly different grouping, and their per-request results must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -179,7 +179,6 @@ class MixResult:
     makespan: float = 0.0
     dispatches: int = 0
     stats: dict = field(default_factory=dict)
-    tuner: dict | None = None
     policy: dict = field(default_factory=dict)
 
     @property
@@ -209,20 +208,17 @@ class MixResult:
 
 
 def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
-            autotuner=None, tune_every: float = 2e-2,
             seed: int = 0) -> MixResult:
     """Replay ``mix`` against a fresh service in virtual time.
 
-    ``policy`` seeds the service (default :class:`CoalescingPolicy`);
-    ``autotuner`` is an optional callable ``service, clock ->
-    OnlineAutotuner`` — when given, its ``step()`` runs every
-    ``tune_every`` virtual seconds, hot-swapping the policy mid-replay.
-    Deterministic: same arguments, same decisions, same bits.
+    ``policy`` is the service's policy for the whole replay (default
+    :class:`CoalescingPolicy`).  Deterministic: same arguments, same
+    decisions, same bits.
     """
     clock = VirtualClock()
     device = Device(spec or A100())
     svc = SolverService(device, policy=policy, start=False, clock=clock)
-    tuner = autotuner(svc, clock) if autotuner is not None else None
+    policy = svc.policy
 
     # -- request stream -------------------------------------------------
     rng = np.random.default_rng(seed)
@@ -248,7 +244,6 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
 
     outstanding: dict[int, object] = {}   # index -> future
     first_arrival = events[0][0] if events else 0.0
-    last_tune = 0.0
 
     def submit(i: int, t_arr: float) -> None:
         cls, a, b = _payload(mix, seed, i)
@@ -292,13 +287,12 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
 
     # -- discrete-event loop -------------------------------------------
     while events or len(svc._queue):
-        policy_now = svc.policy
         if events and events[0][0] <= clock.now:
             t_arr, i = heapq.heappop(events)
             arrival_t[i] = t_arr
             submit(i, t_arr)
             continue
-        ripe_t = svc._queue.next_ripe(policy_now, clock.now)
+        ripe_t = svc._queue.next_ripe(policy, clock.now)
         next_a = events[0][0] if events else None
         if ripe_t is None:
             if next_a is None:
@@ -309,7 +303,7 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
             clock.now = next_a
             continue
         clock.now = max(clock.now, ripe_t)
-        group = svc._queue.collect_ready(policy_now, clock.now)
+        group = svc._queue.collect_ready(policy, clock.now)
         if group is not None:
             record = svc._safe_dispatch(group)
             clock.advance(record.sim_seconds)
@@ -319,25 +313,20 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
             # float rounding can leave (now - t_submit) one ulp short
             # of the hold budget next_ripe promised; nudge past it
             clock.advance(1e-9)
-        if tuner is not None and clock.now - last_tune >= tune_every:
-            tuner.step()
-            last_tune = clock.now
 
     harvest()
     res.makespan = max(clock.now - first_arrival, 0.0)
     res.stats = svc.stats.snapshot()
-    res.policy = svc.policy.describe()
-    if tuner is not None:
-        res.tuner = tuner.summary()
+    res.policy = policy.describe()
     svc.close()
     return res
 
 
-#: The three acceptance traffic mixes of ``test_gate_serve_slo`` plus the
-#: closed-loop feedback mix.  Rates/SLOs are calibrated to the simulated
-#: device's cost model: steady fills groups by arrival, bursty stresses
-#: the hold budget, heavy-tail stresses group composition, closed-loop
-#: couples arrivals to service rate.
+#: The four acceptance traffic mixes of ``test_gate_serve_slo``, the
+#: closed-loop feedback mix among them.  Rates/SLOs are calibrated to
+#: the simulated device's cost model: steady fills groups by arrival,
+#: bursty stresses the hold budget, heavy-tail stresses group
+#: composition, closed-loop couples arrivals to service rate.
 STANDARD_MIXES: dict[str, TrafficMix] = {
     "steady": TrafficMix(
         name="steady", count=240, arrival="poisson", rate=2000.0,

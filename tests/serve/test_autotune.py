@@ -1,7 +1,6 @@
-"""Online autotuner, SLO-aware admission, hardened scheduler/stats layer.
+"""SLO-aware admission, hot-swappable policies, hardened scheduler/stats.
 
-Regression coverage for the five hardening fixes that ride with the
-autotuner PR —
+Regression coverage for five hardening fixes —
 
 * ``autotune_getrf`` degrades (instead of crashing) when every candidate
   is infeasible, and only :class:`~repro.errors.InfeasibleConfig` is
@@ -16,10 +15,8 @@ autotuner PR —
 * :meth:`~repro.serve.scheduler.ServiceFuture.result` raises a fresh,
   context-chained copy per waiter —
 
-plus feature tests for the tentpole: hot-swappable ``CoalescingPolicy``
-knobs, SLO-aware hold budgets, the virtual-time traffic replay, and the
-:class:`~repro.serve.autotune.OnlineAutotuner` decision loop
-(hysteresis, swap, rollback, cooldown).
+plus feature tests for hot-swappable ``CoalescingPolicy`` knobs,
+SLO-aware hold budgets and the virtual-time traffic replay.
 """
 
 import threading
@@ -33,9 +30,7 @@ from repro.batched.tuning import autotune_getrf
 from repro.device import A100, Device
 from repro.errors import (DeadlineExceeded, InfeasibleConfig,
                           RequestCancelled, ServiceOverloaded)
-from repro.serve import (AutotuneConfig, CoalescingPolicy, LatencyHistogram,
-                         OnlineAutotuner, SolverService)
-from repro.serve.autotune import Window, default_objective
+from repro.serve import CoalescingPolicy, LatencyHistogram, SolverService
 from repro.serve.scheduler import (AdmissionQueue, Request, ServiceFuture,
                                    getrs_key)
 from repro.serve.stats import DispatchRecord, ServiceStats
@@ -67,7 +62,7 @@ def fresh_queue(clock=None):
 
 
 # ----------------------------------------------------------------------
-# satellite 1: autotune_getrf degrades on all-infeasible grids
+# autotune_getrf degrades on all-infeasible grids
 # ----------------------------------------------------------------------
 class TestTunerInfeasibility:
     #: 400×400 with a forced 64-wide fused panel needs 400·64·8 =
@@ -113,7 +108,7 @@ class TestTunerInfeasibility:
 
 
 # ----------------------------------------------------------------------
-# satellite 2: bounded dispatch history with exact aggregates
+# bounded dispatch history with exact aggregates
 # ----------------------------------------------------------------------
 class TestStatsRing:
     def test_ring_bounds_history_but_aggregates_stay_exact(self):
@@ -151,7 +146,7 @@ class TestStatsRing:
 
 
 # ----------------------------------------------------------------------
-# satellite 3: histogram bin edges and quantile(0.0)
+# histogram bin edges and quantile(0.0)
 # ----------------------------------------------------------------------
 class TestLatencyHistogram:
     def test_samples_on_a_bin_edge_stay_in_that_bin(self):
@@ -211,7 +206,7 @@ class TestLatencyHistogram:
 
 
 # ----------------------------------------------------------------------
-# satellite 4: iterative collect + wait anchors
+# iterative collect + wait anchors
 # ----------------------------------------------------------------------
 class TestAdmissionHardening:
     KEY = ("getrf", "<f8", ())
@@ -328,7 +323,7 @@ class TestAdmissionHardening:
 
 
 # ----------------------------------------------------------------------
-# satellite 5: per-waiter exception copies
+# per-waiter exception copies
 # ----------------------------------------------------------------------
 class TestFutureExceptionIsolation:
     def test_each_waiter_gets_a_fresh_copy(self):
@@ -388,7 +383,7 @@ class TestFutureExceptionIsolation:
 
 
 # ----------------------------------------------------------------------
-# tentpole: hot-swappable CoalescingPolicy knobs
+# hot-swappable CoalescingPolicy knobs
 # ----------------------------------------------------------------------
 class TestPolicyHotSwap:
     def test_coalescing_policy_satisfies_protocol(self):
@@ -501,7 +496,7 @@ class TestPolicyHotSwap:
 
 
 # ----------------------------------------------------------------------
-# tentpole: virtual-time traffic replay
+# virtual-time traffic replay
 # ----------------------------------------------------------------------
 def mini_mix(arrival="poisson", count=40, **kw):
     classes = (RequestClass("mini", "factor_solve", 8, 16,
@@ -552,152 +547,143 @@ class TestTrafficReplay:
         assert res.per_class["mini"]["count"] == 32
 
     def test_autotuned_replay_keeps_parity(self):
+        """The short fixed hold that out-served the retired online tuner
+        on every standard mix groups far less than the default policy,
+        and keeps every bit."""
         mix = mini_mix(count=64)
-        base = CoalescingPolicy(max_queue=4096)
-        static = run_mix(mix, policy=base, seed=11)
-        cfg = AutotuneConfig(min_requests=8, min_dispatches=2)
-        tuned = run_mix(
-            mix, policy=base, seed=11, tune_every=5e-3,
-            autotuner=lambda svc, clock: OnlineAutotuner(
-                svc, clock=clock, config=cfg))
-        assert tuned.tuner is not None
-        assert tuned.tuner["windows"] > 0
-        assert tuned.completed == static.completed == mix.count
-        # tuning changes launch shapes, never bits
-        for a, b in zip(static.results, tuned.results):
+        base = run_mix(mix, policy=CoalescingPolicy(max_queue=4096), seed=11)
+        short = run_mix(mix, seed=11, policy=CoalescingPolicy(
+            max_wait=62.5e-6, max_queue=4096))
+        assert base.completed == short.completed == mix.count
+        assert short.dispatches > 2 * base.dispatches
+        for a, b in zip(base.results, short.results):
             assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
-# tentpole: the online tuner's decision loop
+# operator policy changes
 # ----------------------------------------------------------------------
-def make_window(**kw):
-    defaults = dict(seconds=0.1, sim_seconds=0.09, submitted=50,
-                    completed=50, failed=0, expired=0, rejected=0,
-                    dispatches=10, coalesced=100, launches=40,
-                    occupancy=0.8, wait_p50=1e-3, wait_p99=1e-3,
-                    exec_p50=1e-3, queue_depth=0)
-    defaults.update(kw)
-    return Window(**defaults)
-
-
 class TestOnlineAutotuner:
-    CFG = AutotuneConfig(min_requests=1, min_dispatches=1, hysteresis=2,
-                         cooldown=2, rollback_tolerance=0.15)
-
-    def tuner_with_windows(self, svc, windows):
-        tuner = OnlineAutotuner(svc, config=self.CFG)
-        it = iter(windows)
-        tuner._observe = lambda: next(it)
-        return tuner
+    """No policy moves by itself: the online tuner is retired, since a
+    fixed policy served every standard mix at least as well.  An
+    operator changes a live service's policy with ``set_policy``; these
+    cases pin what such a change does, and what a replay reports."""
 
     def test_window_derived_rates(self):
-        w = make_window(seconds=0.5, submitted=100, completed=80,
-                        dispatches=20, coalesced=60, sim_seconds=0.25)
-        assert w.arrival_rate == pytest.approx(200.0)
-        assert w.throughput == pytest.approx(160.0)
-        assert w.mean_group == pytest.approx(3.0)
-        assert w.utilization == pytest.approx(0.5)
-        assert default_objective(w) > 0
-        assert default_objective(make_window(completed=0)) == 0.0
+        mix = mini_mix(count=40)
+        res = run_mix(mix, seed=4)
+        assert res.completed == mix.count
+        assert res.throughput == pytest.approx(res.completed / res.makespan)
+        lats = [lat for lat in res.latencies if lat is not None]
+        entry = res.per_class["mini"]
+        assert entry["count"] == len(lats) == mix.count
+        assert entry["p50"] == pytest.approx(np.percentile(lats, 50))
+        assert entry["p99"] == pytest.approx(np.percentile(lats, 99))
+        assert 0 < entry["p50"] <= entry["p99"]
+        assert res.stats["submitted"] == res.stats["coalesced_requests"] \
+            == mix.count
+        assert res.stats["dispatches"] == res.dispatches
 
     def test_objective_penalizes_shed_work(self):
-        clean = make_window()
-        shed = make_window(expired=3)
-        assert default_objective(shed) < default_objective(clean)
+        """Shed work never counts as served: a queue bound that rejects
+        part of a burst lowers ``completed``; every request is completed
+        or rejected, and the served answers keep their bits."""
+        mix = mini_mix(arrival="burst", count=48, rate=400.0,
+                       burst_factor=200.0, burst_period=5e-2,
+                       storm_len=5e-3)
+        full = run_mix(mix, seed=6, policy=CoalescingPolicy(max_queue=4096))
+        shed = run_mix(mix, seed=6, policy=CoalescingPolicy(max_queue=2))
+        assert full.rejected == 0 and full.completed == mix.count
+        assert shed.rejected > 0 and shed.completed < full.completed
+        assert shed.completed + shed.rejected == mix.count
+        assert shed.stats["rejected"] == shed.rejected
+        assert sum(x is None for x in shed.results) == shed.rejected
+        for a, b in zip(full.results, shed.results):
+            assert b is None or np.array_equal(a, b)
 
     def test_small_windows_hold(self):
-        svc = inline_service()
-        tuner = self.tuner_with_windows(svc, [make_window(submitted=0)])
-        assert tuner.step().kind == "hold"
-        assert svc.stats.policy_swaps == 0
-        svc.close()
+        """A replay holds the one policy it is given from the first
+        arrival to the last completion."""
+        policy = CoalescingPolicy(max_batch=4, max_wait=1e-3, max_queue=512)
+        res = run_mix(mini_mix(count=32), seed=8, policy=policy)
+        assert res.policy == policy.describe()
+        assert res.stats["policy_swaps"] == 0
+        assert res.dispatches >= 32 // 4
+        assert res.stats["coalescing_ratio"] <= 4
 
     def test_hysteresis_then_swap(self):
-        svc = inline_service(max_wait=2e-3)
-        shed = [make_window(expired=2) for _ in range(2)]
-        tuner = self.tuner_with_windows(svc, shed)
-        # one noisy window never moves a knob...
-        assert tuner.step().kind == "hold"
-        assert svc.policy.max_wait == 2e-3
-        # ...the second agreeing window does
-        act = tuner.step()
-        assert act.kind == "swap"
-        assert act.changes == {"max_wait": 1e-3}
-        assert svc.policy.max_wait == 1e-3
+        """A swap to a shorter hold applies to work already queued: the
+        oldest request ripens at the new budget, not the old one."""
+        clock = VirtualClock()
+        svc = SolverService(Device(A100()), start=False, clock=clock,
+                            policy=CoalescingPolicy(max_wait=2e-3))
+        fut = svc.submit_factor(dense(8, seed=1))
+        assert svc._queue.next_ripe(svc.policy, clock.now) == \
+            pytest.approx(2e-3)
+        svc.set_policy(svc.policy.replace(max_wait=5e-4))
+        assert svc._queue.next_ripe(svc.policy, clock.now) == \
+            pytest.approx(5e-4)
         assert svc.stats.policy_swaps == 1
-        svc.close()
-
-    def test_disagreeing_windows_reset_votes(self):
-        svc = inline_service(max_wait=2e-3)
-        windows = [make_window(expired=2), make_window(),
-                   make_window(expired=2)]
-        tuner = self.tuner_with_windows(svc, windows)
-        for _ in range(3):
-            assert tuner.step().kind == "hold"
-        assert svc.stats.policy_swaps == 0
+        assert svc.run_once() == 1
+        assert fut.result(0).lu.shape == (8, 8)
         svc.close()
 
     def test_rollback_and_cooldown(self):
+        """Rolling back is one more swap: ``set_policy`` returns the
+        policy it replaced, and installing that again restores every
+        knob."""
         svc = inline_service(max_wait=2e-3)
-        good = make_window(expired=2)
-        # post-swap window: objective collapses by far more than the
-        # 15% tolerance
-        bad = make_window(completed=2, wait_p99=1e-3)
-        after = [make_window(expired=2) for _ in range(3)]
-        tuner = self.tuner_with_windows(svc, [good, good, bad] + after)
-
-        tuner.step()                      # vote
-        assert tuner.step().kind == "swap"
-        assert svc.policy.max_wait == 1e-3
-
-        act = tuner.step()                # regression: roll back
-        assert act.kind == "rollback"
-        assert svc.policy.max_wait == 2e-3
-        assert svc.stats.policy_swaps == 2   # swap + restore
-
-        # cooldown: two windows of strong signal change nothing
-        assert tuner.step().kind == "hold"
-        assert tuner.step().kind == "hold"
-        assert svc.policy.max_wait == 2e-3
-        summary = tuner.summary()
-        assert summary["swaps"] == 1
-        assert summary["rollbacks"] == 1
-        assert summary["windows"] == 5
+        before = svc.policy
+        old = svc.set_policy(before.replace(max_wait=1e-3, max_batch=8))
+        assert old is before
+        assert svc.policy.describe() == {**before.describe(),
+                                         "max_wait": 1e-3, "max_batch": 8}
+        assert svc.set_policy(old).max_wait == 1e-3
+        assert svc.policy == before
+        assert svc.stats.snapshot()["policy_swaps"] == 2
         svc.close()
 
     def test_good_swap_is_kept(self):
-        svc = inline_service(max_wait=2e-3)
-        good = make_window(expired=2)
-        better = make_window()            # no shed: objective improves
-        tuner = self.tuner_with_windows(svc, [good, good, better])
-        tuner.step()
-        assert tuner.step().kind == "swap"
-        assert tuner.step().kind == "hold"     # guard passes, no revert
-        assert svc.policy.max_wait == 1e-3
+        """A swapped-in policy stays installed across dispatches and
+        shapes every later group."""
+        svc = inline_service(max_batch=32, max_wait=0.0)
+        svc.set_policy(svc.policy.replace(max_batch=2))
+        for rnd in range(2):
+            futs = [svc.submit_factor(dense(n, seed=40 + 6 * rnd + i))
+                    for i, n in enumerate((8, 12, 16, 8, 12, 16))]
+            assert svc.run_once() == 3
+            assert all(f.done() for f in futs)
+        assert svc.policy.max_batch == 2
+        assert svc.stats.policy_swaps == 1
         svc.close()
 
     def test_saturated_groups_grow_max_batch(self):
-        svc = inline_service(max_batch=8)
-        full = make_window(dispatches=10, coalesced=78, queue_depth=5)
-        tuner = self.tuner_with_windows(svc, [full, full])
-        tuner.step()
-        act = tuner.step()
-        assert act.kind == "swap"
-        assert act.changes == {"max_batch": 16}
-        svc.close()
+        """Raising ``max_batch`` on a saturated queue collects the rest
+        of the backlog in one group."""
+        q, _ = fresh_queue()
+        small = CoalescingPolicy(max_batch=4, max_wait=0.0, max_queue=64)
+        reqs = [Request("factor", ("getrf", "<f8", ()), {}, None)
+                for _ in range(12)]
+        for r in reqs:
+            q.push(r, small.max_queue)
+        assert q.collect(small, block=False) == reqs[:4]
+        assert q.collect(small.replace(max_batch=16), block=False) \
+            == reqs[4:]
+        assert len(q) == 0
 
     def test_mixed_order_window_moves_no_solve_grouping_knob(self):
-        # solves of any orders share one group per dtype, so the tuner
-        # has no grouping knob to move: two calm windows (no shed work,
-        # no backlog, groups far from the cap) hold every knob still
-        svc = inline_service()
+        # solves of any orders share one group per dtype, and serving
+        # them moves no knob: the policy after is the policy before
+        svc = inline_service(max_wait=0.0)
         before = svc.policy.describe()
-        tuner = self.tuner_with_windows(svc, [make_window(),
-                                              make_window()])
-        assert tuner.step().kind == "hold"
-        act = tuner.step()
-        assert act.kind == "hold" and act.changes == {}
+        mats = [dense(n, seed=900 + n) for n in (8, 20, 40, 100)]
+        handles = [svc.submit_factor(a) for a in mats]
+        svc.run_once()
+        futs = [svc.submit_solve(f.result(0), np.ones(a.shape[0]))
+                for f, a in zip(handles, mats)]
+        assert svc.run_once() == 1
+        for a, f in zip(mats, futs):
+            assert np.abs(a @ f.result(0) - 1.0).max() < 1e-10
         assert svc.policy.describe() == before
         assert svc.stats.policy_swaps == 0
         svc.close()

@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.device import A100, Device, Node
-from repro.sparse import SparseCholesky, SparseLU, multifrontal_factor_cpu, \
+from repro.sparse import SparseLU, multifrontal_factor_cpu, \
     multifrontal_factor_gpu, multifrontal_factor_sharded, \
     naive_loop_factor, strumpack_like_factor, superlu_like_factor, \
     symbolic_analysis
@@ -235,15 +235,21 @@ class TestNonzerosOutsideFronts:
         assert dev.profiler.launch_count == 0
 
     def test_cholesky_checks_its_matrix(self):
-        chol = SparseCholesky(grid3d(5, diag=8.0) +
-                              grid3d(5, diag=8.0).T).analyze()
-        chol.factor()
-        n = chol.a_perm.shape[0]
-        bad = chol.a_perm.tolil()
-        owner = next(f for f in chol.symb.fronts if f.sep_begin == 0)
+        """``SparseLU.factor`` on an SPD system (the retired Cholesky
+        variant's niche) checks the handle's matrix too: a symmetric
+        pair of nonzeros outside the analyzed pattern raises, on the CPU
+        and the batched backend, before any device work."""
+        lu = SparseLU(grid3d(5, diag=8.0) + grid3d(5, diag=8.0).T).analyze()
+        lu.factor()
+        n = lu.a_perm.shape[0]
+        bad = lu.a_perm.tolil()
+        owner = next(f for f in lu.symb.fronts if f.sep_begin == 0)
         col = next(c for c in range(n - 1, 0, -1) if c not in owner.indices)
         bad[0, col] = bad[col, 0] = 1.0
-        chol.a_perm = bad.tocsr()
-        for backend, dev in (("cpu", None), ("batched", Device(A100()))):
+        lu.a_perm = bad.tocsr()
+        dev = Device(A100())
+        for backend, device in (("cpu", None), ("batched", dev)):
             with pytest.raises(ValueError, match="outside the pattern"):
-                chol.factor(backend=backend, device=dev)
+                lu.factor(backend=backend, device=device)
+        assert dev.allocated_bytes == 0
+        assert dev.profiler.launch_count == 0

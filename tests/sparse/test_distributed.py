@@ -83,7 +83,12 @@ class TestDistributedFactorization:
             np.testing.assert_array_equal(f1.ipiv, f2.ipiv)
 
     def test_invalid_top_mode(self, rng):
+        """The top part always runs on ``node[top_device]``; a device
+        the node lacks raises before any device work."""
         _, ap, symb = prepare(grid2d(6, 6))
-        with pytest.raises(ValueError, match="top_mode"):
-            multifrontal_factor_sharded(mpi_node(2), ap, symb,
-                                        top_mode="mpi")
+        node = mpi_node(2)
+        for top in (-1, 2):
+            with pytest.raises(ValueError, match="top_device"):
+                multifrontal_factor_sharded(node, ap, symb, top_device=top)
+        assert node.allocated_bytes == 0
+        assert all(d.profiler.launch_count == 0 for d in node)

@@ -1,7 +1,7 @@
 """Sharded multifrontal factorization: bitwise parity with the
 single-device path on grid Laplacians at 1–8 devices, plus the
-multi-device execution profile (subtree makespan, link bytes, top
-modes) and the store path that keeps every level on the devices."""
+multi-device execution profile (subtree makespan, link bytes) and the
+store path that keeps every level on the devices."""
 
 import numpy as np
 import pytest
@@ -117,18 +117,24 @@ class TestShardedParity:
         node = Node(A100(), 2)
         with pytest.raises(ValueError, match="strategy"):
             multifrontal_factor_sharded(node, ap, symb, strategy="nope")
-        with pytest.raises(ValueError, match="top_mode"):
-            multifrontal_factor_sharded(node, ap, symb, top_mode="mpi")
-        with pytest.raises(ValueError, match="top_device"):
-            multifrontal_factor_sharded(node, ap, symb, top_device=5)
+        for top in (-1, 5):
+            with pytest.raises(ValueError, match="top_device"):
+                multifrontal_factor_sharded(node, ap, symb, top_device=top)
 
     def test_scalapack_top_matches_numerics(self):
+        """The top part has one mode, the SLATE-like one: it runs with
+        the batched kernels on ``node[top_device]`` (the ScaLAPACK-style
+        CPU model is retired), bitwise as on one device, on any top
+        device."""
         _, ap, symb = prepare(grid3d(6))
         ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
-        res = multifrontal_factor_sharded(Node(A100(), 4), ap, symb,
-                                          top_mode="scalapack")
-        assert_factors_equal(ref.factors, res.factors)
-        assert res.top_seconds > 0
+        for top in (0, 3):
+            node = Node(A100(), 4)
+            res = multifrontal_factor_sharded(node, ap, symb,
+                                              top_device=top)
+            assert_factors_equal(ref.factors, res.factors)
+            assert 0 < res.top_seconds < res.elapsed
+            assert node.allocated_bytes == 0
 
 
 def store_bytes(lu):
@@ -333,10 +339,12 @@ class TestShardedExecution:
         assert res.gather_seconds > 0
 
     def test_scalapack_top_mode_solves(self, rng):
+        """Host factors from a direct call without a store (the top part
+        on a device other than 0) solve."""
         a = grid3d(6)
         nd, ap, symb = prepare(a)
         res = multifrontal_factor_sharded(Node(A100(), 4), ap, symb,
-                                          top_mode="scalapack")
+                                          top_device=1)
         assert res.top_seconds > 0
         assert solve_residual(a, nd, res.factors, rng) < 1e-10
 

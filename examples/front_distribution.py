@@ -17,7 +17,7 @@ from repro.sparse import nested_dissection, symbolic_analysis
 def laplacian_3d(n: int) -> sp.csr_matrix:
     """7-point Laplacian on an n^3 grid — a typical PDE sparsity."""
     one = sp.eye(n)
-    d1 = sp.diags([-1, 2, -1], [-1, 0, 1], shape=(n, n))
+    d1 = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
     return (sp.kron(sp.kron(d1, one), one) +
             sp.kron(sp.kron(one, d1), one) +
             sp.kron(sp.kron(one, one), d1)).tocsr()

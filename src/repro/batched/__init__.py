@@ -34,7 +34,6 @@ from .qr import DEFAULT_QR_PANEL, QrTaus, apply_q, geqrf_flops, irr_geqrf, \
     qr_least_squares, qr_reconstruct
 from .streamed import streamed_getrf
 from .trsm import TRSM_BASE_NB, irr_trsm, magma_style_trsm
-from .tuning import TuningResult, autotune_getrf
 from .vbatched import gemm_vbatched, getrf_vbatched, trsm_vbatched
 from .vendor import VENDOR_PANEL_NB, vendor_gemm, vendor_getrf, vendor_trsm
 
@@ -53,7 +52,6 @@ __all__ = [
     "VENDOR_PANEL_NB", "cpu_getrf_batch", "CpuBatchResult",
     "irr_geqrf", "QrTaus", "apply_q", "qr_reconstruct",
     "qr_least_squares", "geqrf_flops", "DEFAULT_QR_PANEL",
-    "autotune_getrf", "TuningResult",
     "interleave", "deinterleave", "interleaved_getrf", "INTERLEAVED_MAX_N",
     "InterleaveError",
     "irr_getrs",

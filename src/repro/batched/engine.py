@@ -80,6 +80,10 @@ MIN_BUCKET = 2
 #: it the engine falls back to the scalar per-matrix elimination.
 PAD_BYTES_LIMIT = 1 << 28  # 256 MiB
 
+#: rows a rehearsed-LASWP gather block moves through shared memory at
+#: once (a ``_LASWP_CHUNK_ROWS × 32`` tile of doubles).
+_LASWP_CHUNK_ROWS = 32
+
 #: row-class granularity of the padded panel groups: matrices are padded
 #: to the next multiple of this many rows, bounding padding waste while
 #: keeping the group count (and per-group dispatch overhead) small.
@@ -165,17 +169,16 @@ def resolve_engine(engine) -> "BatchEngine | None":
     """Normalize an ``engine=`` argument to a :class:`BatchEngine` or None.
 
     ``None`` / ``"naive"`` → None (per-matrix reference path);
-    ``"bucketed"`` → a fresh bucketed engine; a :class:`BatchEngine`
-    instance is passed through (or mapped to None when its mode is
-    ``"naive"``), so drivers can share one plan cache across many kernel
-    calls.
+    ``"bucketed"`` → a fresh engine; a :class:`BatchEngine` instance is
+    passed through, so drivers can share one plan cache across many
+    kernel calls.
     """
     if engine is None or engine == "naive":
         return None
     if isinstance(engine, BatchEngine):
-        return engine if engine.bucketed else None
+        return engine
     if engine == "bucketed":
-        return BatchEngine(engine)
+        return BatchEngine()
     raise ValueError(f"unknown engine {engine!r}; choose 'bucketed', "
                      f"'naive', None or a BatchEngine")
 
@@ -366,19 +369,10 @@ class BatchEngine:
     One engine instance carries one :class:`PlanCache`; drivers create a
     single engine per factorization (or share one across a multifrontal
     traversal) so every panel iteration after the first reuses its plans.
-    ``mode="naive"`` makes :func:`resolve_engine` discard the engine,
-    forcing the per-matrix reference path everywhere.
+    The per-matrix reference path is ``engine="naive"`` (no engine).
     """
 
-    def __init__(self, mode: str = "bucketed", *,
-                 min_bucket: int = MIN_BUCKET,
-                 pad_bytes_limit: int = PAD_BYTES_LIMIT,
-                 cache: PlanCache | None = None) -> None:
-        if mode not in ("bucketed", "naive"):
-            raise ValueError(f"unknown engine mode {mode!r}")
-        self.mode = mode
-        self.min_bucket = int(min_bucket)
-        self.pad_bytes_limit = int(pad_bytes_limit)
+    def __init__(self, *, cache: PlanCache | None = None) -> None:
         self.cache = PlanCache() if cache is None else cache
         self._bufs: dict = {}
         self._lapack: dict = {}
@@ -407,12 +401,8 @@ class BatchEngine:
             self._bufs[name] = buf
         return buf[:n]
 
-    @property
-    def bucketed(self) -> bool:
-        return self.mode == "bucketed"
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"BatchEngine(mode={self.mode!r}, plans={len(self.cache)}, "
+        return (f"BatchEngine(plans={len(self.cache)}, "
                 f"hits={self.cache.hits}, misses={self.cache.misses})")
 
     # ------------------------------------------------------------------
@@ -460,7 +450,7 @@ class BatchEngine:
                     # takes a strided-dot route whose summation order
                     # differs from the stacked 3-D dgemm, so bucketing it
                     # would break bitwise identity with the naive loop.
-                    if len(members) >= self.min_bucket and \
+                    if len(members) >= MIN_BUCKET and \
                             not (shape[0] == 1 and shape[1] == 1):
                         buckets.append((shape, members))
                     else:
@@ -696,15 +686,15 @@ class BatchEngine:
                 R, W, P = (int(rows[members].max()),
                            int(width[members].max()),
                            int(npiv[members].max()))
-                if len(members) < self.min_bucket or \
+                if len(members) < MIN_BUCKET or \
                         R * W * len(members) * batch.itemsize > \
-                        self.pad_bytes_limit:
+                        PAD_BYTES_LIMIT:
                     scalar_parts.append(members)
                     continue
                 # Batch-axis chunks sized to stay cache-resident across
                 # the whole column loop (matrices are independent, so
                 # chunking cannot change any value).
-                step = max(self.min_bucket, _PANEL_CHUNK_ELEMS // (R * W))
+                step = max(MIN_BUCKET, _PANEL_CHUNK_ELEMS // (R * W))
                 for s in range(0, len(members), step):
                     p.chunks.append(_PanelChunk(
                         j, members[s:s + step], rows, width, npiv, R, W, P))
@@ -876,22 +866,24 @@ class BatchEngine:
 
         return self.cache.get_or_build(key, build)
 
-    def laswp_session(self, batch, pivots, j: int, ib: int, part,
-                      chunk_rows: int = 32) -> "_LaswpSession":
-        return _LaswpSession(self, batch, pivots, j, ib, part, chunk_rows)
+    def laswp_session(self, batch, pivots, j: int, ib: int,
+                      part) -> "_LaswpSession":
+        return _LaswpSession(self, batch, pivots, j, ib, part)
 
     # ------------------------------------------------------------------
     # pivot application (getrs / multifrontal F12)
     # ------------------------------------------------------------------
     @staticmethod
-    def _rehearse_permutation(pivots_list, nrows: int
+    def _rehearse_permutation(pivots_list, nrows: int, base: int = 0
                               ) -> tuple[np.ndarray, np.ndarray]:
         """Replay every matrix's swap sequence on an index matrix.
 
         Returns ``(perm, swaps)``: ``perm[i, r]`` is the source row that
         ends up at row ``r`` of matrix ``i`` after its swaps, and
         ``swaps[i]`` the number of off-diagonal pivots (the count the
-        naive loop's traffic accounting depends on).
+        naive loop's traffic accounting depends on).  A sequence that
+        is a window ``ipiv[base:base+k]`` of a longer one replays with
+        its rows counted from ``base``.
         """
         bs = len(pivots_list)
         klen = np.array([len(pv) for pv in pivots_list], dtype=np.int64)
@@ -899,6 +891,8 @@ class BatchEngine:
         ip_pad = np.zeros((bs, max(kmax, 1)), dtype=np.int64)
         for i, pv in enumerate(pivots_list):
             ip_pad[i, :len(pv)] = pv
+        if base:
+            ip_pad -= base
         perm = np.broadcast_to(np.arange(max(nrows, 1), dtype=np.int64),
                                (bs, max(nrows, 1))).copy()
         binx = np.arange(bs)
@@ -1009,7 +1003,7 @@ class BatchEngine:
             # The (u=1, nrhs=1) product is the inner-product shape whose
             # 2-D summation order differs from stacked matmul (the GEMM
             # bucketing rule); it and sub-MIN_BUCKET buckets stay 2-D.
-            if bs >= self.min_bucket and not (b.u == 1 and nrhs == 1):
+            if bs >= MIN_BUCKET and not (b.u == 1 and nrhs == 1):
                 y = x[b.sep_mat, :]
                 prod = np.matmul(blocks3, y)
                 delta[b.out_pos, :] = prod.reshape(bs * b.u, nrhs)
@@ -1035,7 +1029,7 @@ class BatchEngine:
         for b, stack in zip(lp.buckets, stacks):
             bs = len(b.fids)
             blocks3 = stack.data
-            if bs >= self.min_bucket and not (b.s == 1 and nrhs == 1):
+            if bs >= MIN_BUCKET and not (b.s == 1 and nrhs == 1):
                 xu = x[b.upd_mat, :]
                 prod = np.matmul(blocks3, xu)
                 x[b.sep_flat, :] -= prod.reshape(bs * b.s, nrhs)
@@ -1053,56 +1047,40 @@ class _LaswpSession:
     """Shared state of one rehearsed-LASWP call's three launches.
 
     The auxiliary index columns of every matrix live in one padded
-    ``(batch, Lmax)`` matrix so the rehearsal — the naive path's
-    O(batch × npiv) Python hotspot — becomes ``ib`` vectorized row-swap
-    steps across the whole batch.
+    ``(batch, Lmax)`` matrix, and the rehearsal — the naive path's
+    O(batch × npiv) Python hotspot — replays every matrix's pivot window
+    through :meth:`BatchEngine._rehearse_permutation`, vectorized over
+    the batch.  That replay starts from the identity columns, so the
+    ``init`` launch only accounts for writing them.
     """
 
     def __init__(self, engine: BatchEngine, batch, pivots, j: int, ib: int,
-                 part, chunk_rows: int = 32) -> None:
+                 part) -> None:
         self.plan = engine._laswp_plan(batch, j, ib, part)
         self.batch = batch
         self.pivots = pivots
         self.j = j
-        self.ib = ib
-        self.chunk_rows = chunk_rows
         self.aux: np.ndarray | None = None
 
     def init(self) -> KernelCost:
-        plan = self.plan
-        self.aux = self.j + np.broadcast_to(
-            np.arange(max(plan.lmax, 1), dtype=np.int64),
-            (len(self.batch), max(plan.lmax, 1))).copy()
-        return KernelCost(bytes_written=float(plan.init_elems) * 8,
+        return KernelCost(bytes_written=float(self.plan.init_elems) * 8,
                           blocks=max(len(self.batch), 1),
                           threads_per_block=256, kernel_class="swap")
 
     def rehearse(self) -> KernelCost:
+        """Replay each matrix's pivot window ``ipiv[j:j+npiv]`` from row
+        ``j``: ``aux = j + perm``."""
         plan = self.plan
-        bs = len(self.batch)
-        aux = self.aux
-        npiv = plan.npiv
-        ip_pad = np.zeros((bs, max(self.ib, 1)), dtype=np.int64)
-        for i in range(bs):
-            np_i = int(npiv[i])
-            if np_i:
-                ip_pad[i, :np_i] = self.pivots.ipiv[i][self.j:self.j + np_i]
-        binx = np.arange(bs)
-        for r in range(self.ib):
-            if r >= plan.lmax:
-                break
-            act = npiv > r
-            if not act.any():
-                continue
-            p = np.where(act, ip_pad[:, r] - self.j, r)
-            col_r = aux[:, r].copy()
-            col_p = aux[binx, p]
-            aux[binx, p] = np.where(act, col_r, col_p)
-            aux[:, r] = np.where(act, col_p, col_r)
+        j = self.j
+        windows = [self.pivots.ipiv[i][j:j + k]
+                   for i, k in enumerate(plan.npiv.tolist())]
+        self.aux, _swaps = BatchEngine._rehearse_permutation(
+            windows, plan.lmax, base=j)
+        self.aux += j
         return KernelCost(bytes_read=float(plan.rehearse_elems) * 16,
                           bytes_written=float(plan.rehearse_elems) * 16,
-                          blocks=max(bs, 1), threads_per_block=64,
-                          kernel_class="swap")
+                          blocks=max(len(self.batch), 1),
+                          threads_per_block=64, kernel_class="swap")
 
     def gather(self) -> KernelCost:
         plan = self.plan
@@ -1132,7 +1110,7 @@ class _LaswpSession:
                           blocks=max(plan.gather_blocks, 1),
                           threads_per_block=256,
                           shared_mem_per_block=min(
-                              self.chunk_rows * 32 * 8,
+                              _LASWP_CHUNK_ROWS * 32 * 8,
                               batch.device.spec.max_shared_per_block),
                           kernel_class="swap", memory_ramp=0.85)
 

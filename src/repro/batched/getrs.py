@@ -41,13 +41,12 @@ def _check_info(pivots) -> None:
         raise FactorizationError(
             f"cannot solve from broken-down LU factors: matrices "
             f"{bad.tolist()} reported an unrecovered pivot breakdown "
-            "(pivots.info != 0); re-factor with static_pivot=True or "
-            "pass check_info=False")
+            "(pivots.info != 0); re-factor with static_pivot=True")
 
 
 def irr_getrs(device: Device, factored: IrrBatch, pivots: PanelPivots,
               rhs: IrrBatch, *, trans: str = "N", stream=None,
-              engine="bucketed", check_info: bool = True) -> None:
+              engine="bucketed") -> None:
     """Solve ``A_i·X_i = B_i`` in place in ``rhs`` for every matrix.
 
     ``factored`` holds the packed LU of square matrices; ``rhs`` the
@@ -55,12 +54,11 @@ def irr_getrs(device: Device, factored: IrrBatch, pivots: PanelPivots,
     counts may differ per matrix).  Only ``trans='N'`` is supported (the
     transposed solve is a trivial composition left to the caller).
 
-    ``check_info=True`` (default) refuses factors whose ``pivots.info``
-    reports an unrecovered pivot breakdown with a typed
+    Factors whose ``pivots.info`` reports an unrecovered pivot breakdown
+    are refused, before any launch, with a typed
     :class:`~repro.errors.FactorizationError` — substituting through a
-    singular ``U`` would silently fill the solutions with Inf/NaN.  Pass
-    ``check_info=False`` to reproduce LAPACK ``getrs``, which does not
-    re-examine ``info``.
+    singular ``U`` would silently fill the solutions with Inf/NaN
+    (LAPACK ``getrs`` does not re-examine ``info``; this does, always).
 
     ``engine`` selects the host execution path (see
     :func:`~repro.batched.engine.resolve_engine`): the bucketed engine
@@ -72,8 +70,7 @@ def irr_getrs(device: Device, factored: IrrBatch, pivots: PanelPivots,
         raise NotImplementedError("only trans='N' is supported")
     if len(factored) != len(rhs):
         raise ValueError("factor and rhs batches must have equal size")
-    if check_info:
-        _check_info(pivots)
+    _check_info(pivots)
     if np.any(factored.m_vec != factored.n_vec) or \
             np.any(rhs.m_vec != factored.m_vec):
         for i in range(len(factored)):

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..device.kernel import KernelCost, tile_blocks
 from ..device.simulator import Device
+from .engine import _LASWP_CHUNK_ROWS, resolve_engine
 from .interface import IrrBatch
 from .panel import PanelPivots
 
@@ -69,7 +70,7 @@ def _part_label(part) -> str:
 
 def looped_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,
                  j: int, ib: int, part: str, *, stream=None,
-                 wait_events=None, name: str = "irrswap") -> None:
+                 wait_events=None) -> None:
     """Reference: one strided-row irrSWAP launch per pivot row."""
     for r in range(ib):
         def kernel(r=r) -> KernelCost:
@@ -94,31 +95,31 @@ def looped_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,
                               blocks=max(blocks, 1), threads_per_block=128,
                               kernel_class="swap", memory_ramp=0.08)
 
-        device.launch(f"{name}:{_part_label(part)}", kernel, stream=stream,
+        device.launch(f"irrswap:{_part_label(part)}", kernel, stream=stream,
                       wait_events=wait_events if r == 0 else None)
 
 
 def rehearsed_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,
                     j: int, ib: int, part: str, *, stream=None,
-                    wait_events=None, chunk_rows: int = 32,
-                    name: str = "irrlaswp", engine=None) -> None:
-    """Rehearse swaps on an index column, then move rows in chunks.
+                    wait_events=None, engine=None) -> None:
+    """Rehearse swaps on an index column, then move rows in chunks of
+    ``_LASWP_CHUNK_ROWS`` (32).
 
     With a bucketed ``engine`` the three launches keep their names and
     costs, but the auxiliary columns live in one padded matrix and the
-    rehearsal runs as ``ib`` vectorized swap steps across the batch
+    rehearsal is one permutation replay vectorized across the batch
     instead of a per-matrix per-pivot Python loop.
     """
-    from .engine import resolve_engine  # deferred: engine imports panel
     eng = resolve_engine(engine)
+    label = _part_label(part)
     if eng is not None:
-        sess = eng.laswp_session(batch, pivots, j, ib, part, chunk_rows)
-        label = _part_label(part)
-        device.launch(f"{name}:{label}:init", sess.init, stream=stream,
+        sess = eng.laswp_session(batch, pivots, j, ib, part)
+        device.launch(f"irrlaswp:{label}:init", sess.init, stream=stream,
                       wait_events=wait_events)
-        device.launch(f"{name}:{label}:rehearse", sess.rehearse,
+        device.launch(f"irrlaswp:{label}:rehearse", sess.rehearse,
                       stream=stream)
-        device.launch(f"{name}:{label}:gather", sess.gather, stream=stream)
+        device.launch(f"irrlaswp:{label}:gather", sess.gather,
+                      stream=stream)
         return
 
     bs = len(batch)
@@ -179,23 +180,23 @@ def rehearsed_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,
             src_rows = aux[i][touched]
             gathered = a[src_rows, c0:c1].copy()
             # Chunked write-back: contiguous blocks via shared memory.
-            for s in range(0, len(dest_rows), chunk_rows):
-                e = min(s + chunk_rows, len(dest_rows))
+            for s in range(0, len(dest_rows), _LASWP_CHUNK_ROWS):
+                e = min(s + _LASWP_CHUNK_ROWS, len(dest_rows))
                 a[dest_rows[s:e], c0:c1] = gathered[s:e]
             nbytes += 2 * len(dest_rows) * width * batch.itemsize
             blocks += tile_blocks(1, width)
         return KernelCost(bytes_read=nbytes, bytes_written=nbytes,
                           blocks=max(blocks, 1), threads_per_block=256,
                           shared_mem_per_block=min(
-                              chunk_rows * 32 * _ITEM,
+                              _LASWP_CHUNK_ROWS * 32 * _ITEM,
                               device.spec.max_shared_per_block),
                           kernel_class="swap", memory_ramp=0.85)
 
-    label = _part_label(part)
-    device.launch(f"{name}:{label}:init", init_kernel, stream=stream,
+    device.launch(f"irrlaswp:{label}:init", init_kernel, stream=stream,
                   wait_events=wait_events)
-    device.launch(f"{name}:{label}:rehearse", rehearse_kernel, stream=stream)
-    device.launch(f"{name}:{label}:gather", gather_kernel, stream=stream)
+    device.launch(f"irrlaswp:{label}:rehearse", rehearse_kernel,
+                  stream=stream)
+    device.launch(f"irrlaswp:{label}:gather", gather_kernel, stream=stream)
 
 
 def irr_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,

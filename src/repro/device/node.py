@@ -12,10 +12,11 @@ see ``Device._account_transfer``).
 Two link classes model the two physical paths of a real node:
 
 * ``p2p_link`` — direct device↔device copies (NVLink-class by default);
-* ``staging_link`` — device↔host staging (PCIe-class by default).  When
-  a node is built without peer-to-peer capability (``p2p_link=None``),
-  a device-to-device transfer pays **two** staged hops (D2H then H2D),
-  which is what ``cudaMemcpyPeer`` degenerates to without GPUDirect.
+* :data:`PCIE_STAGING` — device↔host staging, the single-device
+  H2D/D2H model.  When a node is built without peer-to-peer capability
+  (``p2p_link=None``), a device-to-device transfer pays **two** staged
+  hops (D2H then H2D), which is what ``cudaMemcpyPeer`` degenerates to
+  without GPUDirect.
 
 A transfer is a rendezvous: it starts when *both* endpoints reach it
 (``max`` of the two host clocks) and both clocks advance to its end —
@@ -93,21 +94,16 @@ class Node:
     p2p_link:
         Device↔device link (:data:`NVLINK` by default).  Pass ``None``
         for a node without peer-to-peer: device-to-device transfers
-        then pay two ``staging_link`` hops.
-    staging_link:
-        Device↔host link (:data:`PCIE_STAGING` by default).
+        then pay two :data:`PCIE_STAGING` hops.
     """
 
     def __init__(self, spec: DeviceSpec, n_devices: int, *,
-                 p2p_link: Link | None = NVLINK,
-                 staging_link: Link | None = None):
+                 p2p_link: Link | None = NVLINK):
         if n_devices < 1:
             raise ValueError(f"need at least one device, got {n_devices}")
         self.spec = spec
         self.devices = [Device(spec) for _ in range(n_devices)]
         self.p2p_link = p2p_link
-        self.staging_link = staging_link if staging_link is not None \
-            else PCIE_STAGING
         #: bytes shipped over the p2p link / via host staging (totals).
         self.p2p_bytes = 0
         self.staged_bytes = 0
@@ -157,7 +153,7 @@ class Node:
             self.p2p_bytes += nbytes
         else:
             # no peer access: D2H on the source, H2D on the destination
-            seconds = 2 * self.staging_link.seconds(nbytes)
+            seconds = 2 * PCIE_STAGING.seconds(nbytes)
             self.staged_bytes += nbytes
         start = max(s.host_time, d.host_time)
         end = start + seconds

@@ -310,9 +310,7 @@ class InfeasibleConfig(ValueError):
     Raised when a *forced* configuration violates a hard device limit —
     e.g. ``panel="fused"`` on a panel that does not fit the per-block
     shared memory.  Subclasses :class:`ValueError` for backward
-    compatibility, but gives tuners a way to tell "this candidate can
-    never work here" apart from an argument-validation bug:
-    :func:`~repro.batched.tuning.autotune_getrf` skips
-    :class:`InfeasibleConfig` candidates and propagates every other
-    :class:`ValueError`.
+    compatibility, but lets a caller that sweeps configurations tell
+    "this one can never run here" apart from an argument-validation
+    bug, which raises a plain :class:`ValueError`.
     """

@@ -92,7 +92,7 @@ _LU_KWARGS = frozenset({"nb", "panel", "laswp_variant", "concurrent_swaps",
                         "pivot_tol", "static_pivot", "replace_scale"})
 
 #: Solve keywords a sparse solve request may carry.
-_SPARSE_SOLVE_KWARGS = frozenset({"refine_steps", "rhs_block"})
+_SPARSE_SOLVE_KWARGS = frozenset({"refine_steps"})
 
 #: Keywords a sparse factor request may carry (``SparseLU`` constructor
 #: + factor backend + breakdown policy + working precision).
@@ -182,7 +182,7 @@ class _Slot:
         # One engine for the service's lifetime: every dispatch reuses
         # the same DCWI plan cache, so recurring shapes re-plan nothing.
         self.engine = BatchEngine(
-            "bucketed", cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
+            cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
         self.breaker = breaker
         self.arbiter = arbiter
         self.sessions: list[ServeSession] = []

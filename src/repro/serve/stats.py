@@ -16,7 +16,7 @@ The numbers the acceptance tests key on:
   to the admission mix.
 
 Long-lived services get bounded memory: the per-dispatch record history
-is a capped ring buffer (:attr:`ServiceStats.dispatch_history` records),
+is a capped ring buffer (the newest 1024 records, ``_DISPATCH_HISTORY``),
 while *running aggregates* (dispatch count, coalesced-request total,
 occupancy/launch/sim-time sums) are updated on every dispatch so the
 derived numbers — :attr:`~ServiceStats.coalescing_ratio`,
@@ -32,6 +32,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = ["LatencyHistogram", "DispatchRecord", "ServiceStats"]
+
+#: ring-buffer bound on the dispatch records a :class:`ServiceStats`
+#: retains (its aggregates cover every dispatch).
+_DISPATCH_HISTORY = 1024
 
 
 class LatencyHistogram:
@@ -143,7 +147,7 @@ class ServiceStats:
     """Aggregated service counters; every mutator is thread-safe.
 
     Per-dispatch :class:`DispatchRecord` history is a bounded ring
-    (newest ``dispatch_history`` records, exposed through
+    (newest ``_DISPATCH_HISTORY`` records, exposed through
     :attr:`dispatches` as a list snapshot); the derived aggregates are
     maintained as running sums and stay exact over the full history.
     """
@@ -165,7 +169,6 @@ class ServiceStats:
     degraded_dispatches: int = 0  #: dispatches run with the breaker open
     breaker_state: str = "closed"  #: circuit-breaker state after dispatch
     degraded_reason: str | None = None  #: str(ServiceDegraded) while open
-    dispatch_history: int = 1024  #: ring-buffer bound on retained records
     wait: LatencyHistogram = field(default_factory=LatencyHistogram)
     exec: LatencyHistogram = field(default_factory=LatencyHistogram)
     # -- exact running aggregates over the FULL dispatch history --------
@@ -183,10 +186,7 @@ class ServiceStats:
                                   repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dispatch_history < 1:
-            raise ValueError(f"dispatch_history must be >= 1, "
-                             f"got {self.dispatch_history}")
-        self._ring = deque(maxlen=self.dispatch_history)
+        self._ring = deque(maxlen=_DISPATCH_HISTORY)
         self._plan_caches = []
         self._devices = {}
 

@@ -86,9 +86,6 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                             symb: SymbolicFactorization, *,
                             strategy: str = "batched",
                             gemm_mode: str = "hybrid",
-                            hybrid_cutoff: int = HYBRID_GEMM_CUTOFF,
-                            laswp_variant: str = "rehearsed",
-                            nb: int = 32,
                             memory_budget: int | None = None,
                             pivot_tol: float = 0.0,
                             static_pivot: bool = False,
@@ -166,9 +163,12 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     Either way the store then backs the returned factors, ready to
     serve solves; a factorization that raises releases it.
     """
+    if strategy not in ("batched", "looped", "strumpack"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if gemm_mode not in ("irr", "vendor", "hybrid"):
+        raise ValueError(f"unknown gemm_mode {gemm_mode!r}")
     a_perm, a_dev_bytes = check_factor_args(
-        a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
-        breakdown=breakdown, store=store, device=device)
+        a_perm, symb, breakdown=breakdown, store=store, device=device)
     memory_budget = validate_memory_budget(memory_budget)
     engine = resolve_engine(engine)
     mark = device.recovery_log.mark()
@@ -188,8 +188,8 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
         try:
             host_factors, region, n_chunks = _attempt_factorization(
                 device, a_perm, symb, budget, a_dev_bytes, strategy,
-                gemm_mode, hybrid_cutoff, laswp_variant, nb, engine,
-                pivot_tol, static_pivot, replace_scale, store)
+                gemm_mode, engine, pivot_tol, static_pivot, replace_scale,
+                store)
             break
         except KernelLaunchError as exc:
             failure = exc       # already retried per level: persistent,
@@ -239,18 +239,14 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                            report=out.report)
 
 
-def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
-                      store=None, device=None) -> tuple[sp.csr_matrix, int]:
+def check_factor_args(a_perm, symb, *, breakdown, store=None,
+                      device=None) -> tuple[sp.csr_matrix, int]:
     """Validate the options every device factorization shares; return
     ``a_perm`` on the analyzed pattern
     (:meth:`~repro.sparse.symbolic.analysis.AssemblyMap.conform`, which
     raises for a nonzero no front gathers) and the bytes its device copy
     takes.  A ``store`` must be a fresh one on ``device``, laid out for
     ``symb``."""
-    if strategy not in ("batched", "looped", "strumpack"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if gemm_mode not in ("irr", "vendor", "hybrid"):
-        raise ValueError(f"unknown gemm_mode {gemm_mode!r}")
     if breakdown not in ("raise", "report"):
         raise ValueError(f"unknown breakdown mode {breakdown!r}")
     a_csr = sp.csr_matrix(a_perm)
@@ -261,7 +257,7 @@ def check_factor_args(a_perm, symb, *, strategy, gemm_mode, breakdown,
                               or store.device is not device):
         raise ValueError("store must be an empty DeviceFactorCache "
                          "(factors=None) on the factorization's device "
-                         "(node[top_device] on a node), laid out by a "
+                         "(node[0] on a node), laid out by a "
                          "SolveLayout of this analysis")
     return a_perm, a_bytes
 
@@ -378,19 +374,17 @@ def pack_fronts(device, symb, fids, buffers, pivots_of, diag_of,
     """Pack finished fronts ``fids`` of one tree level on ``device``.
 
     They go into ``store`` when it is on ``device`` and ``fids`` are the
-    whole tree level; else, given a ``shares`` map, into a share of the
+    whole tree level (always so on one device); else into a share of the
     level on ``device``, a :class:`~.solve_plan.LevelFactorBlocks`
     appended to ``shares[li]`` that
-    :func:`~.shard.multifrontal_factor_sharded` later merges into the
-    store; else they stay in ``buffers``.  Packed fronts are recorded
-    (blocks pending in the store; a front without a separator has only
-    empty blocks) and their buffers freed.  A rejected pack launch is
-    retried like a level transaction's.
+    :func:`~.shard.multifrontal_factor_sharded` (the one caller that
+    passes ``shares``) later merges into the store.  Packed fronts are
+    recorded (blocks pending in the store; a front without a separator
+    has only empty blocks) and their buffers freed.  A rejected pack
+    launch is retried like a level transaction's.
     """
     depth = symb.fronts[fids[0]].level
     whole = len(fids) == len(symb.levels()[-1 - depth])
-    if (store.device is not device or not whole) and shares is None:
-        return
     li = store.layout.level_of_depth.get(depth)
     if li is not None:
         blocks = front_views(symb, buffers,
@@ -415,9 +409,9 @@ def pack_fronts(device, symb, fids, buffers, pivots_of, diag_of,
 
 
 def _attempt_factorization(device, a_perm, symb, memory_budget,
-                           a_dev_bytes, strategy, gemm_mode, hybrid_cutoff,
-                           laswp_variant, nb, engine, pivot_tol,
-                           static_pivot, replace_scale, store) -> tuple:
+                           a_dev_bytes, strategy, gemm_mode, engine,
+                           pivot_tol, static_pivot, replace_scale,
+                           store) -> tuple:
     """One full traversal under a given budget; exception-safe accounting.
 
     Any failure releases every device allocation this attempt made (the
@@ -440,8 +434,8 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
 
     def run_level(level_fids) -> None:
         _run_level(device, a_perm, symb, level_fids, buffers, pivots_of,
-                   strategy, gemm_mode, hybrid_cutoff, laswp_variant, nb,
-                   host_schur=host_schur, engine=engine, diag_of=diag_of,
+                   strategy, gemm_mode, host_schur=host_schur,
+                   engine=engine, diag_of=diag_of,
                    pivot_tol=pivot_tol, static_pivot=static_pivot,
                    replace_scale=replace_scale)
 
@@ -561,9 +555,8 @@ def _chunk_levels(symb: SymbolicFactorization,
 # ----------------------------------------------------------------------
 
 def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
-               gemm_mode, hybrid_cutoff, laswp_variant, nb, *,
-               host_schur=None, dev_schur=None, engine=None, diag_of=None,
-               pivot_tol=0.0, static_pivot=False,
+               gemm_mode, *, host_schur=None, dev_schur=None, engine=None,
+               diag_of=None, pivot_tol=0.0, static_pivot=False,
                replace_scale=None) -> None:
     """Run one level as a transaction: bounded retries, then batch split.
 
@@ -610,12 +603,22 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     kw = dict(host_schur=host_schur, dev_schur=dev_schur, engine=engine,
               diag_of=diag_of, pivot_tol=pivot_tol,
               static_pivot=static_pivot, replace_scale=replace_scale)
+
+    def split(why: str) -> None:
+        """Run the level as two sub-batch transactions."""
+        half = (len(fids) + 1) // 2
+        device.recovery_log.record(
+            "level-split", site=f"level[{len(fids)} fronts]",
+            detail=f"{why}sub-batches of {half} and {len(fids) - half}")
+        for part in (fids[:half], fids[half:]):
+            _run_level(device, a_perm, symb, part, buffers, pivots_of,
+                       strategy, gemm_mode, **kw)
+
     launch_failures = alloc_failures = corrupt_failures = 0
     while True:
         try:
             consumed = _factor_level(device, a_perm, symb, fids, buffers,
-                                     pivots_of, strategy, gemm_mode,
-                                     hybrid_cutoff, laswp_variant, nb, **kw)
+                                     pivots_of, strategy, gemm_mode, **kw)
         except CorruptionDetected as exc:
             _rollback_level(fids, buffers, pivots_of, diag_of)
             corrupt_failures += 1
@@ -625,17 +628,7 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                     attempt=corrupt_failures, detail=str(exc))
                 continue
             if len(fids) > 1:
-                half = (len(fids) + 1) // 2
-                device.recovery_log.record(
-                    "level-split", site=f"level[{len(fids)} fronts]",
-                    detail=f"corruption isolation: sub-batches of "
-                           f"{half} and {len(fids) - half}")
-                _run_level(device, a_perm, symb, fids[:half], buffers,
-                           pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                           laswp_variant, nb, **kw)
-                _run_level(device, a_perm, symb, fids[half:], buffers,
-                           pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                           laswp_variant, nb, **kw)
+                split("corruption isolation: ")
                 return
             _quarantine_corrupt_front(device, a_perm, symb, fids[0],
                                       buffers, pivots_of, diag_of, exc)
@@ -658,16 +651,7 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                 continue
             if len(fids) <= 1:
                 raise               # cannot split a single front
-            half = (len(fids) + 1) // 2
-            device.recovery_log.record(
-                "level-split", site=f"level[{len(fids)} fronts]",
-                detail=f"sub-batches of {half} and {len(fids) - half}")
-            _run_level(device, a_perm, symb, fids[:half], buffers,
-                       pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                       laswp_variant, nb, **kw)
-            _run_level(device, a_perm, symb, fids[half:], buffers,
-                       pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                       laswp_variant, nb, **kw)
+            split("")
             return
         else:
             # Commit: only now do consumed Schur blocks from another
@@ -722,10 +706,9 @@ def _rollback_level(fids, buffers, pivots_of, diag_of) -> None:
 
 
 def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
-                  gemm_mode, hybrid_cutoff, laswp_variant, nb, *,
-                  host_schur=None, dev_schur=None, engine=None,
-                  diag_of=None, pivot_tol=0.0, static_pivot=False,
-                  replace_scale=None) -> list[int]:
+                  gemm_mode, *, host_schur=None, dev_schur=None,
+                  engine=None, diag_of=None, pivot_tol=0.0,
+                  static_pivot=False, replace_scale=None) -> list[int]:
     infos = [symb.fronts[f] for f in fids]
     for fid, info in zip(fids, infos):
         buffers[fid] = device.empty((info.order, info.order),
@@ -742,8 +725,7 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
 
     if strategy == "batched":
         _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
-                       hybrid_cutoff, laswp_variant, nb, engine=engine,
-                       diag_of=diag_of, pivot_tol=pivot_tol,
+                       engine=engine, diag_of=diag_of, pivot_tol=pivot_tol,
                        static_pivot=static_pivot,
                        replace_scale=replace_scale)
     elif strategy == "looped":
@@ -751,8 +733,8 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                       diag_of=diag_of)
     else:
         _level_strumpack(device, symb, fids, buffers, pivots_of,
-                         laswp_variant, nb, diag_of=diag_of,
-                         pivot_tol=pivot_tol, static_pivot=static_pivot,
+                         diag_of=diag_of, pivot_tol=pivot_tol,
+                         static_pivot=static_pivot,
                          replace_scale=replace_scale)
     return consumed
 
@@ -907,6 +889,34 @@ def _quarantine_broken(device, bad, *batches) -> None:
     device.launch("breakdown:quarantine", kernel)
 
 
+def _gate_broken(device, piv, s_vec, u_vec, f11, f12, f21, f22, *,
+                 sync: bool = False):
+    """Gate broken-down fronts out of a level's off-diagonal updates.
+
+    Returns ``(s_vec, u_vec, f11, f12, f21, f22, ipiv)`` of the fronts
+    left to update, or ``None`` when no front has an update to make.
+    The blocks of fronts whose pivot block broke down unrecovered are
+    zeroed first, in one quarantine launch (followed by a synchronize
+    when ``sync``, the STRUMPACK model's), and the clean survivors come
+    back as sub-batches.  ``piv.info`` is bitwise identical between
+    engines, so the gating, and every launch after it, is too.
+    """
+    if not (len(s_vec) and s_vec.max() and u_vec.max()):
+        return None
+    bad = np.nonzero(piv.info != 0)[0]
+    if not len(bad):
+        return s_vec, u_vec, f11, f12, f21, f22, piv.ipiv
+    _quarantine_broken(device, bad, f12, f21, f22)
+    if sync:
+        device.synchronize()
+    good = np.setdiff1d(np.arange(len(s_vec), dtype=np.int64), bad)
+    if not (len(good) and s_vec[good].max() and u_vec[good].max()):
+        return None
+    return (s_vec[good], u_vec[good],
+            *(_sub_batch(device, b, good) for b in (f11, f12, f21, f22)),
+            [piv.ipiv[int(i)] for i in good])
+
+
 def _record_level_diag(diag_of, fids, piv) -> None:
     """Propagate each front's per-matrix pivot diagnostics (satellite of
     the robustness layer: the level loop previously never read
@@ -918,22 +928,20 @@ def _record_level_diag(diag_of, fids, piv) -> None:
                         float(piv.min_pivot[i]), float(piv.growth[i]))
 
 
-def _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
-                   hybrid_cutoff, laswp_variant, nb, *, engine=None,
-                   diag_of=None, pivot_tol=0.0, static_pivot=False,
-                   replace_scale=None) -> None:
+def _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode, *,
+                   engine=None, diag_of=None, pivot_tol=0.0,
+                   static_pivot=False, replace_scale=None) -> None:
     s_vec, u_vec, f11, f12, f21, f22 = _make_block_batches(
         device, symb, fids, buffers)
 
-    piv = irr_getrf(device, f11, nb=nb, laswp_variant=laswp_variant,
-                    concurrent_swaps=True, pivot_tol=pivot_tol,
+    piv = irr_getrf(device, f11, concurrent_swaps=True, pivot_tol=pivot_tol,
                     static_pivot=static_pivot, replace_scale=replace_scale,
                     engine=engine)
     for fid, ip in zip(fids, piv.ipiv):
         pivots_of[fid] = ip
     _record_level_diag(diag_of, fids, piv)
-    _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
-                   piv, gemm_mode, hybrid_cutoff, engine=engine)
+    _level_offdiag(device, s_vec, u_vec, f11, f12, f21, f22, piv, gemm_mode,
+                   engine=engine)
 
 
 def offdiag_base_nb(spec, itemsize: int) -> int:
@@ -946,41 +954,20 @@ def offdiag_base_nb(spec, itemsize: int) -> int:
     return max(TRSM_BASE_NB, trsm_stream_order(spec, TILE, itemsize))
 
 
-def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
-                   piv, gemm_mode, hybrid_cutoff, *, engine=None) -> None:
+def _level_offdiag(device, s_vec, u_vec, f11, f12, f21, f22, piv,
+                   gemm_mode, *, engine=None) -> None:
     """The off-diagonal updates of one batched level (everything after
-    the pivot-block LU): breakdown gating, pivot application to F12, the
-    two TRSMs and the Schur GEMM.
+    the pivot-block LU): breakdown gating (:func:`_gate_broken`), pivot
+    application to F12, the two TRSMs and the Schur GEMM.
 
     The F21 solve reads only U, so it runs on the device's side stream
     while the F12 pivots and solve (which read L) run on the main one;
     the Schur GEMM waits for both."""
-    smax = int(s_vec.max()) if len(s_vec) else 0
-    umax = int(u_vec.max()) if len(u_vec) else 0
-    if umax == 0 or smax == 0:
+    gated = _gate_broken(device, piv, s_vec, u_vec, f11, f12, f21, f22)
+    if gated is None:
         return
-
-    # Gate broken-down fronts out of the off-diagonal updates: zero their
-    # blocks, then run TRSM/GEMM on the clean survivors only.  piv.info
-    # is bitwise identical between engines, so the gating (and every
-    # downstream launch) is too.
-    bad = np.nonzero(piv.info != 0)[0]
-    piv_list = piv.ipiv
-    if len(bad):
-        _quarantine_broken(device, bad, f12, f21, f22)
-        good = np.setdiff1d(np.arange(len(fids), dtype=np.int64), bad)
-        if not len(good):
-            return
-        s_vec, u_vec = s_vec[good], u_vec[good]
-        f11 = _sub_batch(device, f11, good)
-        f12 = _sub_batch(device, f12, good)
-        f21 = _sub_batch(device, f21, good)
-        f22 = _sub_batch(device, f22, good)
-        piv_list = [piv.ipiv[int(i)] for i in good]
-        smax = int(s_vec.max())
-        umax = int(u_vec.max())
-        if umax == 0 or smax == 0:
-            return
+    s_vec, u_vec, f11, f12, f21, f22, piv_list = gated
+    smax, umax = int(s_vec.max()), int(u_vec.max())
 
     base_nb = offdiag_base_nb(device.spec, f11.itemsize)
     side = device.side_stream
@@ -1000,13 +987,12 @@ def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
                  f12, (0, 0), 1.0, f22, (0, 0), name="irrgemm:schur",
                  engine=engine)
     elif gemm_mode == "vendor":
-        _vendor_gemm_loop(device, fids, symb, f12, f21, f22,
-                          range(len(f12)))
+        _vendor_gemm_loop(device, f12, f21, f22, range(len(f12)))
     else:  # hybrid (Fig 14)
         small = [i for i in range(len(f12))
-                 if max(s_vec[i], u_vec[i]) <= hybrid_cutoff]
+                 if max(s_vec[i], u_vec[i]) <= HYBRID_GEMM_CUTOFF]
         large = [i for i in range(len(f12))
-                 if max(s_vec[i], u_vec[i]) > hybrid_cutoff]
+                 if max(s_vec[i], u_vec[i]) > HYBRID_GEMM_CUTOFF]
         if small:
             sel = np.array(small, dtype=np.int64)
             irr_gemm(device, "N", "N",
@@ -1016,10 +1002,10 @@ def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
                      _sub_batch(device, f12, sel), (0, 0), 1.0,
                      _sub_batch(device, f22, sel), (0, 0),
                      name="irrgemm:schur", engine=engine)
-        _vendor_gemm_loop(device, fids, symb, f12, f21, f22, large)
+        _vendor_gemm_loop(device, f12, f21, f22, large)
 
 
-def _vendor_gemm_loop(device, fids, symb, f12, f21, f22, which) -> None:
+def _vendor_gemm_loop(device, f12, f21, f22, which) -> None:
     for i in which:
         s, u = f12.local_dims(i)
         if s == 0 or u == 0:
@@ -1090,9 +1076,9 @@ def _apply_pivots_single(device, b: np.ndarray, ipiv: np.ndarray) -> None:
     device.launch("laswp:f12", kernel)
 
 
-def _level_strumpack(device, symb, fids, buffers, pivots_of,
-                     laswp_variant, nb, *, diag_of=None, pivot_tol=0.0,
-                     static_pivot=False, replace_scale=None) -> None:
+def _level_strumpack(device, symb, fids, buffers, pivots_of, *,
+                     diag_of=None, pivot_tol=0.0, static_pivot=False,
+                     replace_scale=None) -> None:
     """STRUMPACK v6.3.1 model: naive batch kernels for pivot blocks
     ≤ 32×32, looped vendor calls above, and a synchronization after every
     operation."""
@@ -1106,33 +1092,19 @@ def _level_strumpack(device, symb, fids, buffers, pivots_of,
             device, symb, small, buffers)
         # the naive batch kernel: unblocked, column-wise, a launch per
         # elementary operation (this is what "naive" costs).
-        piv = irr_getrf(device, f11, nb=max(1, nb // 4),
-                        panel="columnwise", laswp_variant="looped",
-                        pivot_tol=pivot_tol, static_pivot=static_pivot,
+        piv = irr_getrf(device, f11, nb=8, panel="columnwise",
+                        laswp_variant="looped", pivot_tol=pivot_tol,
+                        static_pivot=static_pivot,
                         replace_scale=replace_scale)
         device.synchronize()
         for fid, ip in zip(small, piv.ipiv):
             pivots_of[fid] = ip
         _record_level_diag(diag_of, small, piv)
-        smax = int(s_vec.max()) if len(s_vec) else 0
-        umax = int(u_vec.max()) if len(u_vec) else 0
-        if smax and umax:
-            bad = np.nonzero(piv.info != 0)[0]
-            piv_list = piv.ipiv
-            good = np.arange(len(small), dtype=np.int64)
-            if len(bad):
-                _quarantine_broken(device, bad, f12, f21, f22)
-                device.synchronize()
-                good = np.setdiff1d(good, bad)
-                s_vec, u_vec = s_vec[good], u_vec[good]
-                f11 = _sub_batch(device, f11, good)
-                f12 = _sub_batch(device, f12, good)
-                f21 = _sub_batch(device, f21, good)
-                f22 = _sub_batch(device, f22, good)
-                piv_list = [piv.ipiv[int(i)] for i in good]
-                smax = int(s_vec.max()) if len(s_vec) else 0
-                umax = int(u_vec.max()) if len(u_vec) else 0
-        if smax and umax and len(good):
+        gated = _gate_broken(device, piv, s_vec, u_vec, f11, f12, f21, f22,
+                             sync=True)
+        if gated is not None:
+            s_vec, u_vec, f11, f12, f21, f22, piv_list = gated
+            smax, umax = int(s_vec.max()), int(u_vec.max())
             _apply_pivots_to_f12(device, f12, piv_list)
             device.synchronize()
             irr_trsm(device, "L", "L", "N", "U", smax, umax, 1.0,

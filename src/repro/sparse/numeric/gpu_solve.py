@@ -31,9 +31,8 @@ identical simulated launch records:
   or omit them for a self-contained one-shot solve (which streams, so it
   leaves no device allocations behind).
 
-``rhs_block`` caps how many right-hand-side columns flow through the
-sweeps per pass — many-RHS solves trade one pass over the factors for
-bounded per-level scratch, like a blocked LAPACK ``getrs``.
+Every column of a many-column right-hand side goes through one pass of
+the sweeps, so each level's factors are read once per solve.
 """
 
 from __future__ import annotations
@@ -256,12 +255,12 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
 
 def _solve_planned(device: Device, factors: MultifrontalFactors,
                    bh: np.ndarray, stream, plan: SolvePlan,
-                   cache: DeviceFactorCache, rhs_block: int | None) -> tuple:
-    """Plan-driven path: cached factors, vectorized level kernels."""
+                   cache: DeviceFactorCache) -> tuple:
+    """Plan-driven path: cached factors, vectorized level kernels.  A
+    right-hand side without columns makes no launch."""
     eng = plan.engine
-    nrhs_total = bh.shape[1]
+    nrhs = bh.shape[1]
     itemsize = bh.dtype.itemsize
-    block = max(nrhs_total if rhs_block is None else int(rhs_block), 1)
 
     x_dev = device.from_host(bh)
     levels = plan.levels
@@ -280,13 +279,11 @@ def _solve_planned(device: Device, factors: MultifrontalFactors,
 
     try:
         with device.timed_region() as region:
-            for c0 in range(0, nrhs_total, block):
-                c1 = min(c0 + block, nrhs_total)
-                nrhs = c1 - c0
-                xb = x_dev.data[:, c0:c1]
+            if nrhs:
+                xb = x_dev.data
                 rhs_batches = [
                     IrrBatch(device,
-                             [x_dev[int(s):int(s + m), c0:c1]
+                             [x_dev[int(s):int(s + m), :]
                               for s, m in zip(lp.sep_starts, lp.sep_m)],
                              lp.sep_m,
                              np.full(lp.nfronts, nrhs, dtype=np.int64))
@@ -340,8 +337,8 @@ def multifrontal_solve_gpu(device: Device, factors: MultifrontalFactors,
                            b: np.ndarray, *, stream=None,
                            engine="bucketed",
                            plan: SolvePlan | None = None,
-                           cache: DeviceFactorCache | None = None,
-                           rhs_block: int | None = None) -> GpuSolveResult:
+                           cache: DeviceFactorCache | None = None
+                           ) -> GpuSolveResult:
     """Solve the permuted system on the device with per-level batching.
 
     ``engine="naive"`` (or ``None``) runs the streamed per-front
@@ -381,7 +378,7 @@ def multifrontal_solve_gpu(device: Device, factors: MultifrontalFactors,
                                           _stream_all=True)
             try:
                 out, region = _solve_planned(device, factors, bh, stream,
-                                             plan, cache, rhs_block)
+                                             plan, cache)
             finally:
                 if one_shot:
                     cache.free()

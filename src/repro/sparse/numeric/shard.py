@@ -11,21 +11,21 @@ with the SLATE-like top only (the top levels run on a GPU):
 
 * :func:`partition_tree` splits the assembly tree into the top
   ``⌈log₂ P⌉`` levels plus rank-local subtrees, assigned to devices by
-  longest-processing-time on their flop counts; the top device takes
-  the lightest share;
+  longest-processing-time on their flop counts; ``node[0]``, the top
+  device, takes the lightest share;
 * each device factors its subtrees with the *same* level transactions
   as the single-device path (:func:`~.gpu_factor._run_level`: bounded
   retries, batch splitting, corruption quarantine, and the full pivot
   policy — ``pivot_tol`` / ``static_pivot`` / ``replace_scale``), on
   its own simulated timeline;
-* subtree-root Schur contributions ship to the owner device over the
+* subtree-root Schur contributions ship to ``node[0]`` over the
   node's modeled links, and the top part is factored there with the
-  batched kernels;
+  batched kernels and the hybrid Schur GEMM;
 * with a solve store (``SparseLU`` passes one), the factors never leave
   the devices: each device packs its share of every level into its own
-  memory, the Schur blocks land peer to peer in the owner's memory,
+  memory, the Schur blocks land peer to peer in ``node[0]``'s memory,
   and once the top part is done each share is copied into the store
-  on the owner — peers' over the links
+  there — peers' over the links
   (:func:`~repro.device.memory.pack_to_device` with ``node=``).  The
   first solve then uploads nothing.
 
@@ -59,9 +59,9 @@ from ...device.simulator import Device
 from ...recovery import RecoveryLog
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
-from .gpu_factor import HYBRID_GEMM_CUTOFF, _chunk_levels, _run_level, \
-    check_factor_args, download_fronts, factor_levels, finish_factors, \
-    pack_fronts, retry_launch
+from .gpu_factor import _chunk_levels, _run_level, check_factor_args, \
+    download_fronts, factor_levels, finish_factors, pack_fronts, \
+    retry_launch
 from .report import FactorReport
 from .solve_plan import DeviceFactorCache
 
@@ -189,24 +189,22 @@ class ShardedFactorResult:
 
 def multifrontal_factor_sharded(
         node: Node, a_perm: sp.spmatrix, symb: SymbolicFactorization, *,
-        strategy: str = "batched", gemm_mode: str = "hybrid",
-        hybrid_cutoff: int = HYBRID_GEMM_CUTOFF,
-        laswp_variant: str = "rehearsed", nb: int = 32,
         pivot_tol: float = 0.0, static_pivot: bool = False,
         replace_scale: float | None = None, breakdown: str = "raise",
-        engine="bucketed", top_device: int = 0,
+        engine="bucketed",
         store: DeviceFactorCache | None = None) -> ShardedFactorResult:
     """Factor the permuted sparse matrix across the node's devices.
 
     Subtrees run on concurrent per-device timelines through the same
-    level transactions as :func:`multifrontal_factor_gpu` — the full
+    level transactions as :func:`multifrontal_factor_gpu` with its
+    default ``strategy="batched"`` and ``gemm_mode="hybrid"`` — the full
     pivot policy (``pivot_tol``/``static_pivot``/``replace_scale``),
     batch engine selection and the retry/level-split/quarantine ladder
-    all apply per device.  ``top_device`` takes the lightest subtree
-    share, since it also factors the top part (and holds the store).
-    Boundary Schur contributions are shipped to ``top_device`` over the
-    node's modeled links, and the top part is factored there with the
-    batched kernels.
+    all apply per device.  ``node[0]`` takes the lightest subtree share,
+    since it also factors the top part (and holds the store).  Boundary
+    Schur contributions are shipped to ``node[0]`` over the node's
+    modeled links, and the top part is factored there with the same
+    kernels.
 
     The aggregated :class:`FactorReport` (with every device's recovery
     slice merged in) is attached to ``result.report`` and
@@ -218,7 +216,7 @@ def multifrontal_factor_sharded(
 
     ``store`` is the output argument of
     :func:`~repro.sparse.numeric.gpu_factor.multifrontal_factor_gpu`,
-    on ``node[top_device]`` (else a :class:`ValueError`).  With a store
+    on ``node[0]`` (else a :class:`ValueError`).  With a store
     every level stays on the devices:
 
     * each device packs its share of a level (the level's fronts that
@@ -241,15 +239,11 @@ def multifrontal_factor_sharded(
     share and releases the store, so each device's ``allocated_bytes``
     returns to where it was.
     """
-    if not 0 <= top_device < len(node):
-        raise ValueError(f"top_device {top_device} out of range for a "
-                         f"{len(node)}-device node")
-    owner = node[top_device]
+    owner = node[0]
     a_perm, a_dev_bytes = check_factor_args(
-        a_perm, symb, strategy=strategy, gemm_mode=gemm_mode,
-        breakdown=breakdown, store=store, device=owner)
+        a_perm, symb, breakdown=breakdown, store=store, device=owner)
 
-    assign = _lightest_on(partition_tree(symb, len(node)), top_device)
+    assign = _lightest_first(partition_tree(symb, len(node)))
     engine = resolve_engine(engine)
     marks = [dev.recovery_log.mark() for dev in node]
     start = node.makespan
@@ -276,10 +270,9 @@ def multifrontal_factor_sharded(
 
         def run_level(level_fids) -> None:
             _run_level(device, a_perm, symb, level_fids, bufs, pivots_of,
-                       strategy, gemm_mode, hybrid_cutoff, laswp_variant,
-                       nb, host_schur=host_schur, dev_schur=dev_schur,
-                       engine=engine, diag_of=diag_of, pivot_tol=pivot_tol,
-                       static_pivot=static_pivot,
+                       "batched", "hybrid", host_schur=host_schur,
+                       dev_schur=dev_schur, engine=engine, diag_of=diag_of,
+                       pivot_tol=pivot_tol, static_pivot=static_pivot,
                        replace_scale=replace_scale)
 
         with device.timed_region() as region:
@@ -293,8 +286,8 @@ def multifrontal_factor_sharded(
     # Each participating device holds its own copy of A for assembly
     # (uploaded outside the timed regions, like the single-device path).
     active = [d for d in range(len(node)) if assign.rank_fronts[d]]
-    if assign.top_fronts and top_device not in active:
-        active.append(top_device)
+    if assign.top_fronts and 0 not in active:
+        active.append(0)
     claimed: list[int] = []
 
     def release_a() -> None:
@@ -319,19 +312,17 @@ def multifrontal_factor_sharded(
                 if shares is None:
                     for f in assign.rank_fronts[d]:
                         if f in host_schur:
-                            node.transfer(d, top_device,
-                                          host_schur[f].nbytes)
+                            node.transfer(d, 0, host_schur[f].nbytes)
                 elif buffers[d]:
-                    _send_boundary(node, d, top_device, symb, buffers[d],
-                                   pivots_of, diag_of, host_factors, store,
-                                   shares, dev_schur)
+                    _send_boundary(node, d, symb, buffers[d], pivots_of,
+                                   diag_of, host_factors, store, shares,
+                                   dev_schur)
             gather_seconds = owner.host_time - t0
 
         # --- phase 3: the top part on the owner device -------------------
         top_seconds = 0.0
         if assign.top_fronts:
-            top_seconds = run_fronts(owner, assign.top_fronts,
-                                     buffers[top_device])
+            top_seconds = run_fronts(owner, assign.top_fronts, buffers[0])
 
         # --- phase 4: merge the shares into the store --------------------
         release_a()
@@ -370,31 +361,31 @@ def multifrontal_factor_sharded(
         report=out.report)
 
 
-def _lightest_on(assign: RankAssignment, top: int) -> RankAssignment:
+def _lightest_first(assign: RankAssignment) -> RankAssignment:
     """``assign`` with its lightest rank's subtrees swapped onto device
-    ``top``, which also factors the top part and holds the store.  LPT
-    alone breaks its first tie toward device 0, which then gets the
-    heaviest subtree."""
+    0, which also factors the top part and holds the store.  LPT alone
+    breaks its first tie toward device 0, which then gets the heaviest
+    subtree."""
     light = int(np.argmin(assign.rank_flops))
-    if assign.rank_flops[light] >= assign.rank_flops[top]:
+    if assign.rank_flops[light] >= assign.rank_flops[0]:
         return assign
     fronts, flops = list(assign.rank_fronts), list(assign.rank_flops)
-    fronts[light], fronts[top] = fronts[top], fronts[light]
-    flops[light], flops[top] = flops[top], flops[light]
+    fronts[light], fronts[0] = fronts[0], fronts[light]
+    flops[light], flops[0] = flops[0], flops[light]
     rank_of = assign.rank_of_front.copy()
-    rank_of[assign.rank_of_front == light] = top
-    rank_of[assign.rank_of_front == top] = light
+    rank_of[assign.rank_of_front == light] = 0
+    rank_of[assign.rank_of_front == 0] = light
     return replace(assign, rank_of_front=rank_of, rank_fronts=fronts,
                    rank_flops=flops)
 
 
-def _send_boundary(node, d, top, symb, bufs, pivots_of, diag_of,
-                   host_factors, store, shares, dev_schur) -> None:
+def _send_boundary(node, d, symb, bufs, pivots_of, diag_of, host_factors,
+                   store, shares, dev_schur) -> None:
     """Device ``d``'s part of the gather: copy each of its boundary
-    fronts' Schur blocks into ``node[top]``'s memory (a peer copy over
-    the node's link; a ``solve:pack`` on the top device itself), then
-    pack its share of their level and free them."""
-    owner = node[top]
+    fronts' Schur blocks into ``node[0]``'s memory (a peer copy over the
+    node's link; a ``solve:pack`` on ``node[0]`` itself), then pack its
+    share of their level and free them."""
+    owner = node[0]
     for f in sorted(bufs):
         s = symb.fronts[f].sep_size
         if symb.fronts[f].upd_size:

@@ -195,9 +195,9 @@ class SparseLU:
         self.a_perm, self._perm_src = _permuted(self.a_pre, self.nd.perm)
         self.symb = symbolic_analysis(self.a_perm, self.nd)
         self.factor_engine = BatchEngine(
-            "bucketed", cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
+            cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
         self.solve_engine = BatchEngine(
-            "bucketed", cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
+            cache=PlanCache(capacity=PLAN_CACHE_CAPACITY))
         self._layout = None
         self._analyzed = True
         return self
@@ -253,7 +253,7 @@ class SparseLU:
         ``backend="sharded"`` keep the factors on the device, already in
         the layout the solve reads: the factorization packs each level
         into the :class:`DeviceFactorCache` that becomes
-        :attr:`solve_cache` (on ``node[top_device]`` for a node), so
+        :attr:`solve_cache` (on ``node[0]`` for a node), so
         device solves there upload nothing.  ``factors.fronts``
         downloads the host blocks on first read; see
         :class:`~repro.sparse.numeric.factors.MultifrontalFactors`.
@@ -361,9 +361,7 @@ class SparseLU:
                 raise ValueError(
                     "backend 'sharded' needs a multi-device Node "
                     "(repro.device.Node) as its device")
-            top = kw.get("top_device", 0)
-            if 0 <= top < len(device):
-                store = self._new_store(device[top])
+            store = self._new_store(device[0])
             res = multifrontal_factor_sharded(device, a_num, self.symb,
                                               store=store, **kw)
         else:
@@ -496,8 +494,7 @@ class SparseLU:
         return self._solve_state[3] if self._solve_state else None
 
     def _solve_once(self, b: np.ndarray, device: Device | None = None, *,
-                    engine="bucketed", rhs_block: int | None = None,
-                    plan: SolvePlan | None = None,
+                    engine="bucketed", plan: SolvePlan | None = None,
                     cache: DeviceFactorCache | None = None,
                     work_dtype=None) -> np.ndarray:
         """One substitution pass: undo scalings/permutations around the
@@ -517,9 +514,8 @@ class SparseLU:
             cp = cp.astype(work_dtype, copy=False)
         if device is not None:
             z = multifrontal_solve_gpu(device, self.factors, cp,
-                                       engine=engine,
-                                       plan=plan, cache=cache,
-                                       rhs_block=rhs_block).x
+                                       engine=engine, plan=plan,
+                                       cache=cache).x
         else:
             z = multifrontal_solve(self.factors, cp)
         y = np.empty_like(z)
@@ -598,8 +594,7 @@ class SparseLU:
 
     def solve(self, b: np.ndarray, *, refine_steps: int = 1,
               device: Device | None = None, engine="bucketed",
-              memory_budget: int | None = None,
-              rhs_block: int | None = None
+              memory_budget: int | None = None
               ) -> tuple[np.ndarray, SolveInfo]:
         """Solve ``A·x = b`` with optional iterative refinement.
 
@@ -616,9 +611,9 @@ class SparseLU:
         that cache is the factorization's own store, so solves on its
         device upload no factors at all.  ``memory_budget`` bounds the
         cache's device bytes (``None`` = keep all factor levels
-        resident); ``rhs_block`` blocks many-column ``b`` through the
-        sweeps.  ``engine="naive"`` streams factors per solve (the
-        bitwise-identical reference path).  ``device`` must be one
+        resident); every column of a many-column ``b`` goes through one
+        pass of the sweeps.  ``engine="naive"`` streams factors per
+        solve (the bitwise-identical reference path).  ``device`` must be one
         :class:`Device`; on a :class:`~repro.device.node.Node`, pass
         one of its devices (``node[i]``).  ``b`` must have ``n`` rows
         (1-D, or 2-D with any number of columns, zero included); both
@@ -716,7 +711,6 @@ class SparseLU:
                 if dev is not None:
                     try:
                         y = self._solve_once(rhs, dev, engine=engine,
-                                             rhs_block=rhs_block,
                                              plan=state["plan"],
                                              cache=state["cache"],
                                              work_dtype=state["work"])
@@ -727,11 +721,9 @@ class SparseLU:
                             "host-fallback", site="SparseLU.solve",
                             detail=f"{type(exc).__name__}: {exc}")
                         y = self._solve_once(rhs, None, engine=engine,
-                                             rhs_block=rhs_block,
                                              work_dtype=state["work"])
                 else:
                     y = self._solve_once(rhs, None, engine=engine,
-                                         rhs_block=rhs_block,
                                          work_dtype=state["work"])
                 if not np.all(np.isfinite(y)):
                     raise FactorizationError(

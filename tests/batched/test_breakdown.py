@@ -208,11 +208,14 @@ class TestGetrsRefusal:
             irr_getrs(a100, b, piv, rhs)
 
     def test_check_info_false_opts_out(self, a100, rng):
+        # the info check always runs: a flagged member is refused even
+        # when its factors are usable, by index, before any launch
         mats = [rng.standard_normal((4, 4)), rng.standard_normal((3, 3))]
         b = IrrBatch.from_host(a100, mats)
         piv = irr_getrf(a100, b)
         piv.info[1] = 1  # simulate a flagged member with usable factors
         rhs = IrrBatch.from_host(a100, [np.ones((4, 1)), np.ones((3, 1))])
-        with pytest.raises(FactorizationError):
+        launches = a100.profiler.launch_count
+        with pytest.raises(FactorizationError, match=r"matrices \[1\]"):
             irr_getrs(a100, b, piv, rhs)
-        irr_getrs(a100, b, piv, rhs, check_info=False)
+        assert a100.profiler.launch_count == launches

@@ -81,7 +81,7 @@ def _solve_subbatch(dev, batch, pivots, idxs, rhs_payloads):
                    batch.m_vec[idx], batch.n_vec[idx])
     view = _View([pivots.ipiv[i] for i in idxs], pivots.info[idx])
     rb = IrrBatch.from_host(dev, rhs_payloads)
-    irr_getrs(dev, sub, view, rb, check_info=False)
+    irr_getrs(dev, sub, view, rb)
     dev.synchronize()
     out = rb.to_host()
     rb.free()
@@ -133,7 +133,7 @@ class TestGetrfParity:
         # recurring shapes re-plan nothing on a shared engine, and each
         # upload makes one allocation, released on free()
         dev = Device(A100())
-        engine = BatchEngine("bucketed")
+        engine = BatchEngine()
         base = dev.allocated_bytes
 
         def run():

@@ -201,13 +201,13 @@ class TestPlanCacheConcurrency:
             batch.free()
             return out, [ip.copy() for ip in piv.ipiv]
 
-        ref_lu, ref_ipiv = factor_once(BatchEngine("bucketed"))
+        ref_lu, ref_ipiv = factor_once(BatchEngine())
 
         shared_cache = PlanCache()
         results = [None] * N_THREADS
 
         def worker(tid):
-            engine = BatchEngine("bucketed", cache=shared_cache)
+            engine = BatchEngine(cache=shared_cache)
             results[tid] = factor_once(engine)
 
         _run_threads(worker)

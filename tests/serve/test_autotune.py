@@ -2,9 +2,10 @@
 
 Regression coverage for five hardening fixes —
 
-* ``autotune_getrf`` degrades (instead of crashing) when every candidate
-  is infeasible, and only :class:`~repro.errors.InfeasibleConfig` is
-  treated as "skip this candidate";
+* a forced configuration that cannot fit the device raises
+  :class:`~repro.errors.InfeasibleConfig`, while an argument bug raises
+  a plain :class:`ValueError`, so a sweep can skip the one and not the
+  other;
 * :class:`~repro.serve.stats.ServiceStats` keeps a bounded dispatch ring
   while its derived aggregates stay exact over the full history;
 * :class:`~repro.serve.stats.LatencyHistogram` is exact at bin edges and
@@ -26,14 +27,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.batched.tuning import autotune_getrf
+from repro.batched import IrrBatch, irr_getrf
 from repro.device import A100, Device
 from repro.errors import (DeadlineExceeded, InfeasibleConfig,
                           RequestCancelled, ServiceOverloaded)
 from repro.serve import CoalescingPolicy, LatencyHistogram, SolverService
 from repro.serve.scheduler import (AdmissionQueue, Request, ServiceFuture,
                                    getrs_key)
-from repro.serve.stats import DispatchRecord, ServiceStats
+from repro.serve.stats import _DISPATCH_HISTORY, DispatchRecord, \
+    ServiceStats
 from repro.workloads import (RequestClass, TrafficMix, VirtualClock,
                              run_mix)
 
@@ -62,45 +64,40 @@ def fresh_queue(clock=None):
 
 
 # ----------------------------------------------------------------------
-# autotune_getrf degrades on all-infeasible grids
+# infeasible configurations are typed apart from argument bugs
 # ----------------------------------------------------------------------
 class TestTunerInfeasibility:
     #: 400×400 with a forced 64-wide fused panel needs 400·64·8 =
     #: 204 800 shared bytes > the A100 model's per-block limit.
     BIG = 400
 
+    @classmethod
+    def factor(cls, seed, **cfg):
+        dev = Device(A100())
+        batch = IrrBatch.from_host(dev, [dense(cls.BIG, seed=seed)])
+        return dev, irr_getrf(dev, batch, **cfg)
+
     def test_all_candidates_infeasible_degrades_to_default(self):
-        mats = [dense(self.BIG, seed=1)]
-        result = autotune_getrf(
-            A100(), mats, sample_size=1,
-            candidates=[{"panel": "fused", "nb": 64},
-                        {"panel": "fused", "nb": 128}])
-        assert result.exhausted
-        assert result.trials == []
-        assert result.best == {"nb": "auto", "laswp_variant": "rehearsed",
-                               "concurrent_swaps": False}
-        assert result.infeasible == [{"panel": "fused", "nb": 64},
-                                     {"panel": "fused", "nb": 128}]
-        # degraded result still ranks as "no speedup measured"
-        assert result.speedup_over_worst() == 1.0
+        # every forced fused panel too wide for shared memory raises
+        # before any launch; the defaults self-select a feasible path
+        for nb in (64, 128):
+            with pytest.raises(InfeasibleConfig):
+                self.factor(1, panel="fused", nb=nb)
+        dev, piv = self.factor(1)
+        assert int(piv.info[0]) == 0
+        assert dev.profiler.launch_count > 0
 
     def test_infeasible_candidates_skipped_not_fatal(self):
-        mats = [dense(self.BIG, seed=2)]
-        result = autotune_getrf(
-            A100(), mats, sample_size=1,
-            candidates=[{"panel": "fused", "nb": 64},
-                        {"panel": "columnwise", "nb": 32}])
-        assert not result.exhausted
-        assert result.best == {"panel": "columnwise", "nb": 32}
-        assert result.infeasible == [{"panel": "fused", "nb": 64}]
-        assert len(result.trials) == 1
+        with pytest.raises(InfeasibleConfig):
+            self.factor(2, panel="fused", nb=64)
+        _dev, piv = self.factor(2, panel="columnwise", nb=32)
+        assert int(piv.info[0]) == 0
 
     def test_argument_bugs_still_propagate(self):
-        # a malformed candidate is a bug, not an infeasibility — it must
-        # raise, never be silently recorded as "skipped"
-        with pytest.raises(ValueError, match="unknown panel mode"):
-            autotune_getrf(A100(), [dense(16, seed=3)], sample_size=1,
-                           candidates=[{"panel": "bogus"}])
+        # a malformed configuration is a bug, not an infeasibility
+        with pytest.raises(ValueError, match="unknown panel mode") as err:
+            self.factor(3, panel="bogus")
+        assert not isinstance(err.value, InfeasibleConfig)
 
     def test_infeasible_is_a_valueerror_subclass(self):
         # backward compatibility: callers catching ValueError still work
@@ -110,39 +107,52 @@ class TestTunerInfeasibility:
 # ----------------------------------------------------------------------
 # bounded dispatch history with exact aggregates
 # ----------------------------------------------------------------------
+def record(i):
+    return DispatchRecord(kind="getrf", batch_size=i + 1, launches=3,
+                          occupancy=0.5, retries=i % 2, isolated=(i == 0),
+                          sim_seconds=1e-3)
+
+
 class TestStatsRing:
     def test_ring_bounds_history_but_aggregates_stay_exact(self):
-        s = ServiceStats(dispatch_history=4)
-        for i in range(10):
-            s.on_dispatch(DispatchRecord(
-                kind="getrf", batch_size=i + 1, launches=3,
-                occupancy=0.5, retries=i % 2, isolated=(i == 0),
-                sim_seconds=1e-3), [2e-4])
-        # the ring keeps only the newest 4 records...
-        assert len(s.dispatches) == 4
-        assert [r.batch_size for r in s.dispatches] == [7, 8, 9, 10]
-        # ...while every derived number covers all 10 dispatches
-        assert s.coalescing_ratio == pytest.approx(55 / 10)
+        s = ServiceStats()
+        n = _DISPATCH_HISTORY + 6
+        for i in range(n):
+            s.on_dispatch(record(i), [2e-4])
+        # the ring keeps only the newest _DISPATCH_HISTORY records...
+        assert len(s.dispatches) == _DISPATCH_HISTORY
+        assert [r.batch_size for r in s.dispatches[:2]] == [7, 8]
+        assert s.dispatches[-1].batch_size == n
+        # ...while every derived number covers all n dispatches
+        assert s.coalescing_ratio == pytest.approx((n + 1) / 2)
         assert s.mean_occupancy == pytest.approx(0.5)
         snap = s.snapshot()
-        assert snap["dispatches"] == 10
-        assert snap["coalesced_requests"] == 55
-        assert snap["launches"] == 30
-        assert snap["retries"] == 5
+        assert snap["dispatches"] == n
+        assert snap["coalesced_requests"] == n * (n + 1) // 2
+        assert snap["launches"] == 3 * n
+        assert snap["retries"] == n // 2
         assert snap["isolated_dispatches"] == 1
-        assert snap["sim_seconds"] == pytest.approx(1e-2)
-        assert snap["wait"]["count"] == 10
+        assert snap["sim_seconds"] == pytest.approx(1e-3 * n)
+        assert snap["wait"]["count"] == n
 
     def test_dispatches_returns_a_snapshot(self):
-        s = ServiceStats(dispatch_history=8)
+        s = ServiceStats()
         s.on_dispatch(DispatchRecord("getrf", 1, 3, 1.0, 0, False), [])
         view = s.dispatches
         view.clear()
         assert len(s.dispatches) == 1
 
     def test_history_bound_validated(self):
-        with pytest.raises(ValueError, match="dispatch_history"):
-            ServiceStats(dispatch_history=0)
+        # the bound is fixed: a fresh ring is empty, and the oldest
+        # record goes exactly when one more than the bound arrives
+        s = ServiceStats()
+        assert s.dispatches == []
+        for i in range(_DISPATCH_HISTORY):
+            s.on_dispatch(record(i), [])
+        assert s.dispatches[0].batch_size == 1
+        s.on_dispatch(record(_DISPATCH_HISTORY), [])
+        assert len(s.dispatches) == _DISPATCH_HISTORY
+        assert s.dispatches[0].batch_size == 2
 
 
 # ----------------------------------------------------------------------

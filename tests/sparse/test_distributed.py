@@ -82,13 +82,12 @@ class TestDistributedFactorization:
             np.testing.assert_array_equal(f1.f21, f2.f21)
             np.testing.assert_array_equal(f1.ipiv, f2.ipiv)
 
-    def test_invalid_top_mode(self, rng):
-        """The top part always runs on ``node[top_device]``; a device
-        the node lacks raises before any device work."""
-        _, ap, symb = prepare(grid2d(6, 6))
-        node = mpi_node(2)
-        for top in (-1, 2):
-            with pytest.raises(ValueError, match="top_device"):
-                multifrontal_factor_sharded(node, ap, symb, top_device=top)
+    def test_top_part_runs_on_first_device(self, rng):
+        """The top part always runs on ``node[0]``: every boundary Schur
+        block crosses the network to it, and nothing else does."""
+        _, ap, symb = prepare(grid3d(6))
+        node = mpi_node(4)
+        res = multifrontal_factor_sharded(node, ap, symb)
+        assert res.top_seconds > 0
+        assert node.link_bytes[0] == sum(node.link_bytes[1:]) > 0
         assert node.allocated_bytes == 0
-        assert all(d.profiler.launch_count == 0 for d in node)

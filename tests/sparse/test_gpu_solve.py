@@ -309,16 +309,20 @@ class TestSolvePlanCache:
         assert res.elapsed > 0
 
     def test_rhs_block_matches_full_pass(self, rng):
+        # every column goes through one pass of the sweeps: a 7-column
+        # solve makes the launches of a 1-column one, and matches the
+        # column-by-column solves to rounding (the update GEMMs' column
+        # counts differ, so not bitwise)
         a = grid2d(11, 9)
         nd, fac = factored(a)
         B = rng.standard_normal((99, 7))
-        full = multifrontal_solve_gpu(Device(A100()), fac, B)
-        blocked = multifrontal_solve_gpu(Device(A100()), fac, B,
-                                         rhs_block=3)
-        # blocking changes the GEMM column counts, so identity is to
-        # rounding, not bitwise
-        np.testing.assert_allclose(blocked.x, full.x, rtol=1e-12,
-                                   atol=1e-14)
+        dev = Device(A100())
+        full = multifrontal_solve_gpu(dev, fac, B)
+        per_col = Device(A100())
+        cols = np.stack([multifrontal_solve_gpu(per_col, fac, B[:, j]).x
+                         for j in range(7)], axis=1)
+        np.testing.assert_allclose(full.x, cols, rtol=1e-12, atol=1e-14)
+        assert 7 * dev.profiler.launch_count == per_col.profiler.launch_count
 
     def test_plan_reports_nbytes(self, rng):
         a = grid2d(8, 8)

@@ -15,8 +15,8 @@ from repro.sparse import multifrontal_factor_cpu, multifrontal_factor_gpu, \
     multifrontal_factor_sharded, multifrontal_solve, nested_dissection, \
     symbolic_analysis
 from repro.sparse.numeric.cpu_factor import factor_front_blocks
-from repro.sparse.numeric.gpu_factor import HYBRID_GEMM_CUTOFF, \
-    _level_batched, offdiag_base_nb
+from repro.sparse.numeric.gpu_factor import _level_batched, \
+    offdiag_base_nb
 from repro.workloads.fronts import build_maxwell_workload
 
 from .util import grid2d, grid3d, random_sparse
@@ -140,14 +140,19 @@ class TestGpuFactorStrategies:
 
     @pytest.mark.parametrize("gemm_mode", ["irr", "vendor", "hybrid"])
     def test_gemm_modes_agree(self, rng, gemm_mode):
-        a = grid2d(12, 12)
-        nd, ap, symb = prepare(a)
+        # Maxwell n=8 has Schur updates on both sides of the fixed 256
+        # cutoff (Fig 14), so the hybrid launches both kernel families
+        wl = build_maxwell_workload(8)
         dev = Device(A100())
-        res = multifrontal_factor_gpu(dev, ap, symb, strategy="batched",
-                                      gemm_mode=gemm_mode,
-                                      hybrid_cutoff=16)
-        b = np.random.default_rng(0).standard_normal(144)
-        x = solve_via(res.factors, nd, a, b)
+        res = multifrontal_factor_gpu(dev, wl.a_perm, wl.symb,
+                                      strategy="batched",
+                                      gemm_mode=gemm_mode)
+        names = {r.name for r in dev.profiler.records}
+        assert ("irrgemm:schur" in names) == (gemm_mode != "vendor")
+        assert ("cublas_gemm:schur" in names) == (gemm_mode != "irr")
+        a = wl.matrix
+        b = np.random.default_rng(0).standard_normal(a.shape[0])
+        x = solve_via(res.factors, SimpleNamespace(perm=wl.perm), a, b)
         assert np.abs(a @ x - b).max() < 1e-9
 
     def test_invalid_strategy(self, rng):
@@ -311,8 +316,7 @@ class TestStreamedOffdiag:
             pivots_of = {}
             for fids in batches:
                 _level_batched(dev, symb, fids, buffers, pivots_of,
-                               "hybrid", HYBRID_GEMM_CUTOFF, "rehearsed",
-                               32, engine=resolve_engine("bucketed"))
+                               "hybrid", engine=resolve_engine("bucketed"))
             return [buffers[i].data.copy() for i in range(len(dims))], \
                 pivots_of
 

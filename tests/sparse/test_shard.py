@@ -85,7 +85,7 @@ class TestShardedParity:
     @pytest.mark.parametrize("kw", [
         dict(static_pivot=True, pivot_tol=1e-10),
         dict(pivot_tol=1e-12, replace_scale=1e4),
-        dict(gemm_mode="vendor", nb=16),
+        dict(engine="naive"),
     ])
     def test_pivot_policy_parity(self, kw):
         _, ap, symb = prepare(grid2d(11, 10))
@@ -115,26 +115,25 @@ class TestShardedParity:
     def test_rejects_bad_arguments(self):
         _, ap, symb = prepare(grid2d(6, 6))
         node = Node(A100(), 2)
-        with pytest.raises(ValueError, match="strategy"):
-            multifrontal_factor_sharded(node, ap, symb, strategy="nope")
-        for top in (-1, 5):
-            with pytest.raises(ValueError, match="top_device"):
-                multifrontal_factor_sharded(node, ap, symb, top_device=top)
+        with pytest.raises(ValueError, match="breakdown"):
+            multifrontal_factor_sharded(node, ap, symb, breakdown="nope")
+        with pytest.raises(ValueError, match="engine"):
+            multifrontal_factor_sharded(node, ap, symb, engine="nope")
+        assert node.allocated_bytes == 0
 
-    def test_scalapack_top_matches_numerics(self):
-        """The top part has one mode, the SLATE-like one: it runs with
-        the batched kernels on ``node[top_device]`` (the ScaLAPACK-style
-        CPU model is retired), bitwise as on one device, on any top
-        device."""
+    def test_top_part_on_first_device_matches_numerics(self):
+        """The top part runs with the batched kernels on ``node[0]``,
+        after the gather, bitwise as on one device: ``node[0]`` is the
+        last device to finish."""
         _, ap, symb = prepare(grid3d(6))
         ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
-        for top in (0, 3):
-            node = Node(A100(), 4)
-            res = multifrontal_factor_sharded(node, ap, symb,
-                                              top_device=top)
-            assert_factors_equal(ref.factors, res.factors)
-            assert 0 < res.top_seconds < res.elapsed
-            assert node.allocated_bytes == 0
+        node = Node(A100(), 4)
+        res = multifrontal_factor_sharded(node, ap, symb)
+        assert_factors_equal(ref.factors, res.factors)
+        assert 0 < res.top_seconds < res.elapsed
+        assert node[0].host_time == node.makespan
+        assert all(d.host_time < node.makespan for d in list(node)[1:])
+        assert node.allocated_bytes == 0
 
 
 def store_bytes(lu):
@@ -165,15 +164,18 @@ class TestShardedStore:
         assert_factors_equal(ref.factors, lu.factors)
         assert np.array_equal(lu.factor_report.info, ref.factor_report.info)
 
-    @pytest.mark.parametrize("top_device", [0, 2])
-    def test_top_device_takes_the_lightest_share(self, top_device):
+    @pytest.mark.parametrize("busy", [0, 2])
+    def test_top_device_takes_the_lightest_share(self, busy):
+        """``node[0]`` takes the lightest subtree share whichever device
+        is ahead in time: the assignment follows flops, not clocks."""
         _, ap, symb = prepare(maxwell(7), leaf_size=32)
         ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
-        res = multifrontal_factor_sharded(Node(A100(), 4), ap, symb,
-                                          top_device=top_device)
+        node = Node(A100(), 4)
+        node[busy].host_compute(1.0)
+        res = multifrontal_factor_sharded(node, ap, symb)
         flops = res.assignment.rank_flops
         assert len(set(flops)) == 4        # four subtrees, no ties
-        assert flops[top_device] == min(flops)
+        assert flops[0] == min(flops)
         for d, fids in enumerate(res.assignment.rank_fronts):
             assert all(res.assignment.rank_of_front[f] == d for f in fids)
         assert_factors_equal(ref.factors, res.factors)
@@ -338,14 +340,15 @@ class TestShardedExecution:
         assert res.link_bytes == expected == node.p2p_bytes
         assert res.gather_seconds > 0
 
-    def test_scalapack_top_mode_solves(self, rng):
-        """Host factors from a direct call without a store (the top part
-        on a device other than 0) solve."""
+    def test_host_factors_without_store_solve(self, rng):
+        """Host factors from a direct call without a store solve, and
+        every device is back at 0 bytes."""
         a = grid3d(6)
         nd, ap, symb = prepare(a)
-        res = multifrontal_factor_sharded(Node(A100(), 4), ap, symb,
-                                          top_device=1)
+        node = Node(A100(), 4)
+        res = multifrontal_factor_sharded(node, ap, symb)
         assert res.top_seconds > 0
+        assert node.allocated_bytes == 0
         assert solve_residual(a, nd, res.factors, rng) < 1e-10
 
     def test_one_device_sends_nothing(self):

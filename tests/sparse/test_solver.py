@@ -211,11 +211,13 @@ class TestReuseOfFactorization:
         assert np.array_equal(xb, xn)
 
     def test_memory_budget_and_rhs_block_kwargs(self, rng):
+        # a 5-column b in one pass, every level streamed under a 1-byte
+        # budget, matches the host solve
         a = grid2d(9, 9)
         B = rng.standard_normal((81, 5))
         s = SparseLU(a).factor()
         dev = Device(A100())
-        x1, info = s.solve(B, device=dev, memory_budget=1, rhs_block=2)
+        x1, info = s.solve(B, device=dev, memory_budget=1)
         assert s.solve_cache.resident_levels == set()
         assert dev.allocated_bytes == 0
         assert info.final_residual < 1e-13

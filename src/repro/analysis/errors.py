@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..batched.laswp import apply_interchanges
+
 __all__ = ["trsm_backward_error", "lu_backward_error", "relative_residual",
            "max_trsm_backward_error"]
 
@@ -37,10 +39,7 @@ def lu_backward_error(a: np.ndarray, factored: np.ndarray,
     m, n = a.shape
     k = min(m, n)
     pa = a.copy()
-    for r in range(k):
-        p = int(ipiv[r])
-        if p != r:
-            pa[[r, p], :] = pa[[p, r], :]
+    apply_interchanges(pa, ipiv[:k])
     lower = np.tril(factored[:, :k], -1) + np.eye(m, k)
     upper = np.triu(factored[:k, :])
     denom = np.abs(a).max()

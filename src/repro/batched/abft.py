@@ -53,6 +53,7 @@ import numpy as np
 
 from ..device.kernel import KernelCost
 from ..errors import CorruptionDetected
+from .laswp import apply_interchanges
 
 __all__ = ["ABFT_MAX_REEXEC", "verified_launch", "verified_getrf",
            "gemm_check", "trsm_check", "getrf_check"]
@@ -266,10 +267,7 @@ def _lu_checksum(fac: np.ndarray, ipiv: np.ndarray,
     y[:k] = uw                                          # unit diagonal of L
     if k:
         y += np.tril(f[:, :k], -1) @ uw
-    for r in range(k - 1, -1, -1):                      # undo P·A = L·U
-        p = int(ipiv[r])
-        if p != r:
-            y[[r, p]] = y[[p, r]]
+    apply_interchanges(y, ipiv[:k], reverse=True)       # undo P·A = L·U
     return y
 
 

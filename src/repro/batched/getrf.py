@@ -32,7 +32,7 @@ from .abft import verified_getrf
 from .engine import resolve_engine
 from .gemm import irr_gemm
 from .interface import IrrBatch
-from .laswp import irr_laswp
+from .laswp import apply_interchanges, irr_laswp
 from .panel import PanelPivots, _batch_abs_max, columnwise_getf2, \
     fused_getf2, panel_shared_bytes
 from .trsm import irr_trsm
@@ -45,7 +45,7 @@ DEFAULT_PANEL_WIDTH = 32
 
 
 def irr_getrf(device: Device, batch: IrrBatch, *,
-              nb: int | str = "auto",
+              nb: int | str = DEFAULT_PANEL_WIDTH,
               panel: str = "auto", laswp_variant: str = "rehearsed",
               concurrent_swaps: bool = False,
               pivot_tol: float = 0.0, static_pivot: bool = False,
@@ -59,10 +59,11 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
         Matrices of arbitrary, independent sizes (including 0×0 and 1×1).
         Overwritten with the packed LU factors.
     nb:
-        Panel width (the paper's 16–32 column design parameter).
-        ``"auto"`` is :data:`DEFAULT_PANEL_WIDTH` (32) for every batch;
-        the shared-memory-capacity dependence §IV-E describes is handled
-        per panel instead (see ``panel``).
+        Panel width (the paper's 16–32 column design parameter;
+        :data:`DEFAULT_PANEL_WIDTH`, 32, for every batch by default, and
+        ``"auto"`` names that default).  The shared-memory-capacity
+        dependence §IV-E describes is handled per panel instead (see
+        ``panel``).
     panel:
         ``"auto"`` switches from the fused shared-memory kernel to the
         column-wise path when the largest panel no longer fits (the
@@ -266,10 +267,7 @@ def lu_reconstruct(factored: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
     lower = np.tril(factored[:, :k], -1) + np.eye(m, k, dtype=factored.dtype)
     upper = np.triu(factored[:k, :])
     a = lower @ upper
-    for r in range(k - 1, -1, -1):
-        p = int(ipiv[r])
-        if p != r:
-            a[[r, p], :] = a[[p, r], :]
+    apply_interchanges(a, ipiv[:k], reverse=True)
     return a
 
 
@@ -283,10 +281,7 @@ def lu_solve_factored(factored: np.ndarray, ipiv: np.ndarray,
                  copy=True)
     if x.ndim == 1:
         x = x[:, None]
-    for r in range(n):
-        p = int(ipiv[r])
-        if p != r:
-            x[[r, p], :] = x[[p, r], :]
+    apply_interchanges(x, ipiv[:n])
     x = sla.solve_triangular(factored, x, lower=True, unit_diagonal=True,
                              check_finite=False)
     x = sla.solve_triangular(factored, x, lower=False, check_finite=False)

@@ -19,6 +19,7 @@ from ..device.simulator import Device
 from ..errors import FactorizationError
 from .engine import resolve_engine
 from .interface import IrrBatch
+from .laswp import apply_interchanges
 from .panel import PanelPivots
 from .trsm import irr_trsm
 
@@ -93,12 +94,8 @@ def irr_getrs(device: Device, factored: IrrBatch, pivots: PanelPivots,
             n, k = rhs.local_dims(i)
             if n == 0 or k == 0:
                 continue
-            b = rhs.matrix(i)
-            for r in range(len(pivots.ipiv[i])):
-                p = int(pivots.ipiv[i][r])
-                if p != r:
-                    b[[r, p], :] = b[[p, r], :]
-                    nbytes += 4 * k * itemsize
+            swaps = apply_interchanges(rhs.matrix(i), pivots.ipiv[i])
+            nbytes += 4 * k * itemsize * swaps
             blocks += 1
         return KernelCost(bytes_read=nbytes / 2, bytes_written=nbytes / 2,
                           blocks=max(blocks, 1), kernel_class="swap",

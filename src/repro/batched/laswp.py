@@ -34,9 +34,28 @@ from .engine import _LASWP_CHUNK_ROWS, resolve_engine
 from .interface import IrrBatch
 from .panel import PanelPivots
 
-__all__ = ["looped_laswp", "rehearsed_laswp", "irr_laswp"]
+__all__ = ["looped_laswp", "rehearsed_laswp", "irr_laswp",
+           "apply_interchanges"]
 
 _ITEM = 8
+
+
+def apply_interchanges(a: np.ndarray, ipiv, *, reverse: bool = False
+                       ) -> int:
+    """LAPACK's row-interchange loop on a host array, in place: for each
+    position ``r`` of ``ipiv`` in turn, row ``r`` of ``a`` trades places
+    with row ``ipiv[r]`` (rows are the first axis, so ``a`` may be a
+    vector).  ``reverse=True`` walks the positions backwards, which
+    undoes a forward pass.  Returns the number of rows that moved, the
+    count the swap kernels are costed by."""
+    order = range(len(ipiv) - 1, -1, -1) if reverse else range(len(ipiv))
+    swaps = 0
+    for r in order:
+        p = int(ipiv[r])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+            swaps += 1
+    return swaps
 
 
 def _pivot_count(batch: IrrBatch, i: int, j: int, ib: int) -> int:

@@ -74,15 +74,19 @@ class Profiler:
             s.total_time += rec.duration
         return out
 
-    def by_prefix(self, sep: str = ":") -> dict[str, float]:
+    def by_prefix(self, sep: str = ":", *, since: int = 0
+                  ) -> dict[str, float]:
         """Total durations grouped by the kernel-name prefix before ``sep``.
 
         Kernel names follow ``family:detail`` (e.g. ``irrgemm:update``),
-        so this gives the Fig 14-style operation breakdown.
+        so this gives the Fig 14-style operation breakdown.  ``since``
+        keeps the launches whose ``seq`` is at or past it — one call's
+        own, given :attr:`~repro.device.Device.launch_seq` at its entry.
         """
         out: dict[str, float] = defaultdict(float)
         for rec in self.records:
-            out[rec.name.split(sep, 1)[0]] += rec.duration
+            if rec.seq >= since:
+                out[rec.name.split(sep, 1)[0]] += rec.duration
         return dict(out)
 
     def total_kernel_time(self) -> float:

@@ -287,6 +287,14 @@ class Device:
         order it with :meth:`record_event` and :meth:`wait_event`."""
         return self._streams[_SIDE_STREAM]
 
+    @property
+    def launch_seq(self) -> int:
+        """The ``seq`` the next launch's record gets.  Launch sequence
+        numbers only grow (:meth:`reset` does not rewind them), so the
+        records of launches issued after reading this have ``seq`` at or
+        past it."""
+        return self._seq
+
     def record_event(self, stream: Stream | int | None = None) -> "Event":
         """Capture a stream's current position (cudaEventRecord).
 

@@ -4,16 +4,16 @@ The scheduler answers one question: *which pending requests may share a
 single batched launch group without changing anyone's bits?*  Grouping is
 by a compatibility key computed at admission:
 
-* **Dense factorizations** group by ``(dtype, LU-policy kwargs)`` — any
+* **Dense factorizations** group by ``(dtype, pivot policy)`` — any
   mix of sizes — as long as every matrix stays in the *fused-panel
-  regime* (``panel_shared_bytes(m, 0, nb, itemsize)`` within the
-  device's per-block shared memory).  In that regime the blocked driver's
-  panel grid and per-matrix kernels are independent of the batch's
-  required dimensions, so the coalesced factors are bitwise-identical to
-  a one-request batch.  A matrix too tall for the fused panel would pull
-  the whole batch into the recursive panel split, whose blocking depends
-  on ``max_m`` across the batch — those requests get singleton keys and
-  dispatch alone.
+  regime* (a 32-column panel, ``panel_shared_bytes(m, 0, 32,
+  itemsize)``, within the device's per-block shared memory).  In that
+  regime the blocked driver's panel grid and per-matrix kernels are
+  independent of the batch's required dimensions, so the coalesced
+  factors are bitwise-identical to a one-request batch.  A matrix too
+  tall for the fused panel would pull the whole batch into the recursive
+  panel split, whose blocking depends on ``max_m`` across the batch —
+  those requests get singleton keys and dispatch alone.
 * **Dense solves** group by dtype alone — any mix of orders.  The
   irrTRSM recursion cuts every triangle on one fixed power-of-two grid,
   so a member's blocking depends on its own order, never on the
@@ -42,6 +42,7 @@ and dropped during collection, never dispatched.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import asdict, dataclass, replace as _dc_replace
@@ -263,12 +264,9 @@ def getrf_key(m: int, n: int, dtype: np.dtype, lu_kwargs: dict,
     coalesce with natively single-precision requests of the same device
     dtype.
     """
-    nb = lu_kwargs.get("nb", DEFAULT_PANEL_WIDTH)
-    if nb == "auto":
-        nb = DEFAULT_PANEL_WIDTH
     itemsize = np.dtype(dtype).itemsize
-    fused = panel_shared_bytes(max(m, n), 0, nb, itemsize) <= \
-        spec.max_shared_per_block
+    fused = panel_shared_bytes(max(m, n), 0, DEFAULT_PANEL_WIDTH,
+                               itemsize) <= spec.max_shared_per_block
     policy = tuple(sorted(lu_kwargs.items()))
     key = ("getrf", np.dtype(dtype).str, policy)
     if mixed:
@@ -302,10 +300,13 @@ def sparse_key(session_id: int, solve_kwargs: tuple, *,
 class AdmissionQueue:
     """Bounded FIFO with compatibility-key group collection.
 
-    ``clock`` is the monotonic time source every wait/deadline/SLO
-    computation uses (``time.monotonic`` by default; the traffic
-    simulator injects a virtual clock so admission dynamics replay
-    deterministically in virtual time).
+    Every group is picked by one rule, :meth:`_take_ripe_locked`, for
+    the dispatcher thread and the inline drain (:meth:`collect`) and
+    for the virtual-time replay (:meth:`collect_ready` at
+    :meth:`next_ripe`) alike.  ``clock`` is the monotonic time source
+    of every wait, deadline and SLO (``time.monotonic`` by default; the
+    traffic simulator injects a virtual clock so admission dynamics
+    replay deterministically in virtual time).
     """
 
     def __init__(self, stats, clock=time.monotonic):
@@ -370,6 +371,25 @@ class AdmissionQueue:
             budget = min(budget, SLO_HOLD_FRACTION * req.slo)
         return budget
 
+    def _groups_locked(self) -> list[list[Request]]:
+        """The queue split by key, each group in FIFO order and the
+        groups ordered by their oldest member (lock held)."""
+        groups: dict = {}
+        for r in self._q:
+            groups.setdefault(r.key, []).append(r)
+        return list(groups.values())
+
+    def _ripe_at(self, group: list[Request],
+                 policy: CoalescingPolicy) -> float:
+        """When ``group`` ripens: at once when full, else when its head
+        has spent its hold budget.  :meth:`_take_ripe_locked` compares
+        ``now`` against this very value, so a group is ripe at the time
+        :meth:`next_ripe` reports, to the last bit."""
+        if len(group) >= policy.max_batch:
+            return -math.inf
+        head = group[0]
+        return head.t_submit + self._hold_budget(head, policy)
+
     def _take_locked(self, group: list[Request]) -> list[Request]:
         """Claim and remove ``group`` from the queue (lock held)."""
         taken = []
@@ -383,120 +403,84 @@ class AdmissionQueue:
         self._stats.on_depth(len(self._q))
         return taken
 
-    def collect(self, policy: CoalescingPolicy, *, block: bool = True
+    def _take_ripe_locked(self, policy: CoalescingPolicy, now: float, *,
+                          any_group: bool) -> list[Request] | None:
+        """The one group-selection rule (lock held): purge, then claim
+        the first ``max_batch`` members of the oldest group *ripe* at
+        ``now`` (:meth:`_ripe_at`: full, or its head's hold budget
+        spent) — or of the oldest group at all when ``any_group``.
+        ``None`` when no group qualifies.  A group whose every member
+        lost a cancellation race restarts the scan (a loop, never a
+        recursion, however many are cancelled)."""
+        while True:
+            self._purge_locked(now)
+            for group in self._groups_locked():
+                if any_group or now >= self._ripe_at(group, policy):
+                    taken = self._take_locked(group[:policy.max_batch])
+                    if taken:
+                        return taken
+                    break
+            else:
+                return None
+
+    def collect(self, policy, *, block: bool = True
                 ) -> list[Request] | None:
-        """Remove and return the next dispatchable group, FIFO by oldest.
+        """Remove and return the next dispatchable group.
 
-        Blocks (when ``block``) until work arrives or :meth:`stop`.
-        Holds the oldest compatible request at most its hold budget
-        (``policy.max_wait`` capped by the request's SLO) while waiting
-        for the group to fill to ``policy.max_batch``.
-        Returns ``None`` when stopped (or, with ``block=False``, when
-        the queue is empty).
+        ``policy`` is a :class:`CoalescingPolicy`, or a zero-argument
+        callable returning the live one: the service passes its policy
+        reader, which is read again every time the collector wakes, so
+        a swap (:meth:`kick`) governs a hold already in progress.
 
-        Every restart path — the queue emptying while we waited, or all
-        claimed members losing a cancellation race — *iterates* back to
-        the head scan.  (The old implementation recursed while holding
-        the condition; a cancellation storm could push it past the
-        recursion limit.)
+        With ``block`` (the dispatcher thread) this takes the group
+        ripe now, or else sleeps until :meth:`next_ripe`, an arrival or
+        a kick, and looks again; once :meth:`stop` is called it drains
+        the oldest group at once and returns ``None`` when the queue is
+        empty.  With ``block=False`` (the inline drain) it takes the
+        oldest group at once, ripe or not, and returns ``None`` on an
+        empty queue.
         """
+        read = policy if callable(policy) else (lambda: policy)
         with self._cond:
-            while True:      # one iteration per head-scan attempt
-                self._purge_locked(self._clock())
-                if not self._q:
-                    if self._stopped or not block:
-                        self._stats.on_depth(0)
-                        return None
-                    self._cond.wait()
-                    continue
-
-                head = self._q[0]
-                while True:   # grow head's group until full/ripe
-                    now = self._clock()
-                    group = [r for r in self._q if r.key == head.key]
-                    if len(group) >= policy.max_batch:
-                        break
-                    remaining = self._hold_budget(head, policy) - \
-                        (now - head.t_submit)
-                    if remaining <= 0 or self._stopped or not block:
-                        break
-                    self._cond.wait(timeout=remaining)
-                    self._purge_locked(self._clock())
-                    if not self._q:
-                        group = []
-                        break     # everything expired/cancelled: rescan
-                    if self._q[0] is not head:
-                        # head purged: adopt the new oldest request and
-                        # account the wait it has *already* served — its
-                        # own t_submit anchors the budget, so an old
-                        # request adopted late never waits from zero.
-                        head = self._q[0]
-                if not group:
-                    continue      # iterate, never recurse
-
-                taken = self._take_locked(group[:policy.max_batch])
-                if not taken:     # every member lost a cancellation race
-                    continue      # iterate, never recurse
-                return taken
+            while True:
+                live, now = read(), self._clock()
+                group = self._take_ripe_locked(
+                    live, now, any_group=self._stopped or not block)
+                if group is not None:
+                    return group
+                if not self._q and (self._stopped or not block):
+                    self._stats.on_depth(0)
+                    return None
+                wake = self.next_ripe(live, now)    # the lock re-enters
+                self._cond.wait(None if wake is None else wake - now)
 
     # -- virtual-time collection (traffic simulation) -------------------
     def collect_ready(self, policy: CoalescingPolicy,
                       now: float | None = None) -> list[Request] | None:
-        """Non-blocking: the oldest group that is *ripe* at ``now`` —
-        full to ``max_batch``, or its head's hold budget spent.
-        ``None`` when nothing is ripe yet.
-
-        This is the discrete-event twin of :meth:`collect`: the traffic
-        simulator advances a virtual clock to :meth:`next_ripe` and
-        drains ripe groups here, reproducing exactly the decisions the
-        blocking dispatcher would make in real time.
-        """
+        """Non-blocking: the oldest group ripe at ``now`` (default: the
+        queue's clock), by the rule :meth:`collect` applies; ``None``
+        when nothing is ripe yet.  The traffic replay advances its
+        virtual clock to :meth:`next_ripe` and takes groups here."""
         with self._cond:
-            while True:
-                if now is None:
-                    now = self._clock()
-                self._purge_locked(now)
-                seen: set = set()
-                for head in list(self._q):
-                    if head.key in seen:
-                        continue
-                    seen.add(head.key)
-                    group = [r for r in self._q if r.key == head.key]
-                    ripe = len(group) >= policy.max_batch or \
-                        (now - head.t_submit) >= \
-                        self._hold_budget(head, policy)
-                    if not ripe:
-                        continue
-                    taken = self._take_locked(group[:policy.max_batch])
-                    if taken:
-                        return taken
-                    break         # cancellation race: rescan from top
-                else:
-                    return None
+            return self._take_ripe_locked(
+                policy, self._clock() if now is None else now,
+                any_group=False)
 
     def next_ripe(self, policy: CoalescingPolicy,
                   now: float | None = None) -> float | None:
-        """Earliest time at which some queued group becomes ripe
-        (``now`` for already-full groups); ``None`` when the queue is
-        empty.  Purges nothing and takes nothing."""
+        """Earliest time, no earlier than ``now``, at which
+        :meth:`collect_ready` takes a group or purges an expired head;
+        ``None`` when the queue is empty.  Purges nothing and takes
+        nothing."""
         with self._cond:
-            if now is None:
-                now = self._clock()
+            now = self._clock() if now is None else now
             best = None
-            seen: set = set()
-            counts: dict = {}
-            for r in self._q:
-                counts[r.key] = counts.get(r.key, 0) + 1
-            for head in self._q:
-                if head.key in seen:
-                    continue
-                seen.add(head.key)
-                if counts[head.key] >= policy.max_batch:
-                    t = now
-                else:
-                    t = head.t_submit + self._hold_budget(head, policy)
+            for group in self._groups_locked():
+                t = self._ripe_at(group, policy)
+                head = group[0]
                 if head.t_deadline is not None:
-                    # an expired request becomes purgeable — also an event
-                    t = min(t, head.t_deadline)
+                    # a head becomes purgeable at the first float past
+                    # its deadline (Request.expired) — also an event
+                    t = min(t, math.nextafter(head.t_deadline, math.inf))
                 best = t if best is None else min(best, t)
-            return best
+            return None if best is None else max(best, now)

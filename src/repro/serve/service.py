@@ -85,11 +85,10 @@ _SYSTEM_ERRORS = (KernelLaunchError, TransferError, DeviceOutOfMemory,
 #: fault before a group falls back to per-request isolation runs.
 DISPATCH_RETRIES = 2
 
-#: LU policy keywords a dense factor request may carry (all pass through
-#: to :func:`~repro.batched.getrf.irr_getrf` and are part of the
+#: Pivot-policy keywords a dense factor request may carry (all pass
+#: through to :func:`~repro.batched.getrf.irr_getrf` and are part of the
 #: compatibility key — requests with different policies never coalesce).
-_LU_KWARGS = frozenset({"nb", "panel", "laswp_variant", "concurrent_swaps",
-                        "pivot_tol", "static_pivot", "replace_scale"})
+_LU_KWARGS = frozenset({"pivot_tol", "static_pivot", "replace_scale"})
 
 #: Solve keywords a sparse solve request may carry.
 _SPARSE_SOLVE_KWARGS = frozenset({"refine_steps"})
@@ -290,13 +289,14 @@ class SolverService:
         the policy it replaced (``TypeError`` unless ``new`` is a
         :class:`~repro.serve.scheduler.CoalescingPolicy`).
 
-        Safe at any time, from any thread, with work in flight: every
-        admission and collection cycle reads the policy reference
-        exactly once, so a collection never sees half of one policy and
-        half of another.  Queued requests are **not** dropped or
-        re-keyed — compatibility keys are fixed at admission and no
-        policy knob enters them.  The swap takes full effect from the
-        next collection cycle.
+        Safe at any time, from any thread, with work in flight: an
+        admission reads the policy reference once, and the dispatcher
+        reads it once each time it wakes, so no decision sees half of
+        one policy and half of another.  Queued requests are **not**
+        dropped or re-keyed — compatibility keys are fixed at admission
+        and no policy knob enters them.  The swap wakes a dispatcher
+        holding a group, so a shorter hold applies to that group at
+        once.
         """
         if not isinstance(new, CoalescingPolicy):
             raise TypeError(f"policy must be a CoalescingPolicy, got "
@@ -358,7 +358,7 @@ class SolverService:
 
     def _run(self) -> None:
         while True:
-            group = self._queue.collect(self.policy)
+            group = self._queue.collect(lambda: self.policy)
             if group is None:
                 return
             self._safe_dispatch(group)
@@ -764,7 +764,7 @@ class SolverService:
                                    [r.payload["a"] for r in group],
                                    dtype=dtype)
         try:
-            occupancy = self._occupancy(batch)
+            occupancy = self._occupancy(batch.m_vec, batch.n_vec)
             pivots = irr_getrf(device, batch, engine=engine,
                                **group[0].payload["lu_kwargs"])
             # factor_solve members with clean factors: one solve over all
@@ -774,19 +774,9 @@ class SolverService:
                      if r.kind == "factor_solve" and pivots.info[i] == 0]
             xs: dict[int, np.ndarray] = {}
             if clean:
-                fsub = IrrBatch(device, [batch.arrays[i] for i in clean],
-                                batch.m_vec[clean], batch.n_vec[clean])
-                rhs = IrrBatch.from_host_packed(
-                    device, [group[i].payload["b2"] for i in clean],
-                    dtype=dtype)
-                try:
-                    view = PivotView([pivots.ipiv[i] for i in clean],
-                                     pivots.info[clean])
-                    irr_getrs(device, fsub, view, rhs, engine=engine)
-                    device.synchronize()
-                    xs = dict(zip(clean, rhs.to_host()))
-                finally:
-                    rhs.free()
+                xs = dict(zip(clean, self._device_solve(
+                    slot, batch, pivots.ipiv, clean,
+                    [group[i].payload["b2"] for i in clean])))
             # the finisher refines against the still-resident factors
             self._finish_getrf(slot, group, batch, pivots, xs)
         finally:
@@ -866,29 +856,22 @@ class SolverService:
         mixed = "mixed" in group[0].key
         launch0 = device.profiler.launch_count
         handles = [r.payload["handle"] for r in group]
+        ipivs = [h.ipiv for h in handles]
+        bs = [r.payload["b2"] for r in group]
+        occupancy = self._occupancy([b.shape[0] for b in bs],
+                                    [b.shape[1] for b in bs])
         factored = IrrBatch.from_host_packed(device,
                                             [h.lu for h in handles],
                                       dtype=dtype)
         bad: list[int] = []
         try:
-            rhs = IrrBatch.from_host_packed(device,
-                                     [r.payload["b2"] for r in group],
-                                     dtype=dtype)
-            try:
-                occupancy = self._occupancy(rhs)
-                view = PivotView([h.ipiv for h in handles],
-                                 np.zeros(len(handles), dtype=np.int64))
-                irr_getrs(device, factored, view, rhs, engine=slot.engine)
-                device.synchronize()
-                sols = rhs.to_host()
-            finally:
-                rhs.free()
+            sols = self._device_solve(slot, factored, ipivs,
+                                      range(len(group)), bs)
             if mixed:
                 items = [(i, handles[i].a_ref,
                           group[i].payload["b_ref"], sols[i])
                          for i in range(len(group))]
-                xs, bad = self._refine_members(
-                    slot, factored, [h.ipiv for h in handles], items)
+                xs, bad = self._refine_members(slot, factored, ipivs, items)
                 sols = [xs[i] for i in range(len(group))]
         finally:
             factored.free()
@@ -910,9 +893,33 @@ class SolverService:
         return launches, occupancy
 
     @staticmethod
-    def _occupancy(batch: IrrBatch) -> float:
-        denom = len(batch) * batch.max_m * batch.max_n
-        return float(batch.total_elements()) / denom if denom else 1.0
+    def _occupancy(m_vec, n_vec) -> float:
+        """The share of a group's padded ``max m × max n`` grid its
+        members fill."""
+        m, n = np.asarray(m_vec), np.asarray(n_vec)
+        denom = len(m) * int(m.max()) * int(n.max()) if len(m) else 0
+        return float(np.sum(m * n)) / denom if denom else 1.0
+
+    @staticmethod
+    def _device_solve(slot: _Slot, factored: IrrBatch, ipiv, members,
+                      rhs: list[np.ndarray]) -> list[np.ndarray]:
+        """Solve the ``members`` of the device-resident ``factored``
+        batch (pivots ``ipiv``, indexed like it) for the host
+        right-hand sides ``rhs``: one upload, one ``irr_getrs``, one
+        synchronize and one download, the uploaded copy freed on every
+        path.  Returns the host solutions, one per member."""
+        device, idx = slot.device, np.asarray(members)
+        fsub = IrrBatch(device, [factored.arrays[i] for i in idx],
+                        factored.m_vec[idx], factored.n_vec[idx])
+        batch = IrrBatch.from_host_packed(device, rhs, dtype=factored.dtype)
+        try:
+            view = PivotView([ipiv[i] for i in idx],
+                             np.zeros(len(idx), dtype=np.int64))
+            irr_getrs(device, fsub, view, batch, engine=slot.engine)
+            device.synchronize()
+            return batch.to_host()
+        finally:
+            batch.free()
 
     # -- mixed-precision finisher ----------------------------------------
     def _refine_members(self, slot: _Slot, batch: IrrBatch, ipiv,
@@ -937,7 +944,6 @@ class SolverService:
         still above it after :data:`ESCALATED_REFINE_STEPS` passes are
         returned as stagnated (the caller runs the FP64 fallback).
         """
-        device = slot.device
         work = batch.dtype
         xs, arefs, brefs, denoms = {}, {}, {}, {}
         for i, a_ref, b_ref, x0 in items:
@@ -956,22 +962,11 @@ class SolverService:
             if not active:
                 break
             self.stats.on_refine_pass(len(active))
-            idxs = np.asarray(active)
-            fsub = IrrBatch(device, [batch.arrays[i] for i in active],
-                            batch.m_vec[idxs], batch.n_vec[idxs])
             rs = [(brefs[i] - arefs[i] @ xs[i]).astype(work)
                   for i in active]
-            rhs = IrrBatch.from_host_packed(device, rs, dtype=work)
-            try:
-                view = PivotView([ipiv[i] for i in active],
-                                 np.zeros(len(active), dtype=np.int64))
-                irr_getrs(device, fsub, view, rhs, engine=slot.engine)
-                device.synchronize()
-                cs = rhs.to_host()
-                for j, i in enumerate(active):
-                    xs[i] = xs[i] + np.asarray(cs[j], dtype=xs[i].dtype)
-            finally:
-                rhs.free()
+            cs = self._device_solve(slot, batch, ipiv, active, rs)
+            for j, i in enumerate(active):
+                xs[i] = xs[i] + np.asarray(cs[j], dtype=xs[i].dtype)
         bad = [i for i in active if err(i) > REFINE_TARGET]
         return xs, bad
 
@@ -995,15 +990,8 @@ class SolverService:
             pivots = irr_getrf(device, batch, engine=slot.engine,
                                **(lu_kwargs or {}))
             if b_ref is not None and pivots.info[0] == 0:
-                rhs = IrrBatch.from_host_packed(device, [b_ref],
-                                                dtype=a64.dtype)
-                try:
-                    view = PivotView([pivots.ipiv[0]], pivots.info[:1])
-                    irr_getrs(device, batch, view, rhs, engine=slot.engine)
-                    device.synchronize()
-                    x = rhs.to_host()[0]
-                finally:
-                    rhs.free()
+                x = self._device_solve(slot, batch, pivots.ipiv, [0],
+                                       [b_ref])[0]
             lu_host = batch.to_host()[0]
         finally:
             batch.free()

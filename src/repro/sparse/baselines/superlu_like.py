@@ -59,6 +59,7 @@ def superlu_like_factor(device: Device, a_perm: sp.spmatrix,
     out.fronts = [None] * len(symb.fronts)  # type: ignore[list-item]
     schur: list = [None] * len(symb.fronts)
 
+    seq0 = device.launch_seq
     with device.timed_region() as region:
         for fid, info in enumerate(symb.fronts):
             contribs = [schur[c] for c in info.children]
@@ -93,4 +94,4 @@ def superlu_like_factor(device: Device, a_perm: sp.spmatrix,
     counters = {k: region[k] for k in region if k != "elapsed"}
     return GpuFactorResult(factors=out, elapsed=region["elapsed"],
                            counters=counters, report=out.report,
-                           breakdown=device.profiler.by_prefix())
+                           breakdown=device.profiler.by_prefix(since=seq0))

@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from ...batched.laswp import apply_interchanges
 from ...batched.panel import PivotControl, factor_panel_block
 from ...errors import FactorizationError
 from ..symbolic.analysis import SymbolicFactorization
@@ -67,10 +68,7 @@ def factor_front_blocks(F: np.ndarray, s: int, *,
     f21 = F[s:, :s]
     if nf > s and s > 0:
         # apply the pivot-block row interchanges to F12
-        for r in range(s):
-            p = int(ipiv[r])
-            if p != r:
-                f12[[r, p], :] = f12[[p, r], :]
+        apply_interchanges(f12, ipiv[:s])
         f12[...] = sla.solve_triangular(f11, f12, lower=True,
                                         unit_diagonal=True,
                                         check_finite=False)

@@ -38,6 +38,7 @@ from ...batched.engine import resolve_engine, trsm_stream_order
 from ...batched.gemm import irr_gemm
 from ...batched.getrf import irr_getrf
 from ...batched.interface import IrrBatch
+from ...batched.laswp import apply_interchanges
 from ...batched.trsm import TRSM_BASE_NB, irr_trsm
 from ...batched.vendor import vendor_gemm, vendor_getrf, vendor_trsm
 from ...device.kernel import TILE, KernelCost, tile_blocks
@@ -171,7 +172,7 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
         a_perm, symb, breakdown=breakdown, store=store, device=device)
     memory_budget = validate_memory_budget(memory_budget)
     engine = resolve_engine(engine)
-    mark = device.recovery_log.mark()
+    mark, seq0 = device.recovery_log.mark(), device.launch_seq
 
     # Static infeasibility ("largest front needs X bytes") is a contract
     # violation of the requested budget: it raises eagerly, before any
@@ -235,7 +236,7 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     counters["traversals"] = n_chunks
     return GpuFactorResult(factors=out, elapsed=region["elapsed"],
                            counters=counters,
-                           breakdown=device.profiler.by_prefix(),
+                           breakdown=device.profiler.by_prefix(since=seq0),
                            report=out.report)
 
 
@@ -845,11 +846,7 @@ def _apply_pivots_to_f12(device, f12: IrrBatch, pivots: list[np.ndarray],
             s, u = f12.local_dims(i)
             if s == 0 or u == 0:
                 continue
-            b = f12.arrays[i].data
-            for r in range(len(pivots[i])):
-                p = int(pivots[i][r])
-                if p != r:
-                    b[[r, p], :] = b[[p, r], :]
+            apply_interchanges(f12.arrays[i].data, pivots[i])
             nbytes += 2 * s * u * f12.itemsize
         return KernelCost(bytes_read=nbytes / 2, bytes_written=nbytes / 2,
                           blocks=max(tile_blocks(f12.m_vec, f12.n_vec), 1),
@@ -1065,10 +1062,7 @@ def _level_looped(device, symb, fids, buffers, pivots_of, *,
 
 def _apply_pivots_single(device, b: np.ndarray, ipiv: np.ndarray) -> None:
     def kernel() -> KernelCost:
-        for r in range(len(ipiv)):
-            p = int(ipiv[r])
-            if p != r:
-                b[[r, p], :] = b[[p, r], :]
+        apply_interchanges(b, ipiv)
         return KernelCost(bytes_read=b.nbytes, bytes_written=b.nbytes,
                           blocks=tile_blocks(*b.shape), kernel_class="swap",
                           memory_ramp=0.3)

@@ -44,6 +44,7 @@ import numpy as np
 from ...batched.engine import resolve_engine, solve_pivots_cost, \
     solve_update_cost, split_k_partials, trsm_stream_order
 from ...batched.interface import IrrBatch
+from ...batched.laswp import apply_interchanges
 from ...batched.trsm import TRSM_BASE_NB, irr_trsm
 from ...device.kernel import KernelCost, tile_blocks
 from ...device.memory import DeviceOutOfMemory
@@ -179,12 +180,9 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                 for f in fids:
                     info = symb.fronts[f]
                     fac = factors.fronts[f]
-                    blk = x[info.sep_begin:info.sep_end, :]
-                    for r in range(info.sep_size):
-                        p = int(fac.ipiv[r])
-                        if p != r:
-                            blk[[r, p], :] = blk[[p, r], :]
-                            swaps += 1
+                    swaps += apply_interchanges(
+                        x[info.sep_begin:info.sep_end, :],
+                        fac.ipiv[:info.sep_size])
                 seps = [symb.fronts[f].sep_size for f in fids]
                 return solve_pivots_cost(swaps, tile_blocks(seps, 1), nrhs,
                                          itemsize)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
+from ...batched.laswp import apply_interchanges
 from .factors import MultifrontalFactors
 from .report import check_factors_ok
 
@@ -45,10 +46,7 @@ def multifrontal_solve(factors: MultifrontalFactors,
         fac = factors.fronts[fid]
         sl = slice(info.sep_begin, info.sep_end)
         bs = x[sl]
-        for r in range(s):
-            p = int(fac.ipiv[r])
-            if p != r:
-                bs[[r, p], :] = bs[[p, r], :]
+        apply_interchanges(bs, fac.ipiv[:s])
         bs[...] = sla.solve_triangular(fac.f11, bs, lower=True,
                                        unit_diagonal=True,
                                        check_finite=False)

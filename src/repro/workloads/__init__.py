@@ -7,7 +7,7 @@ from .gallery import GALLERY, GalleryEntry, gallery_entry, gallery_names, \
 from .random_batch import large_square_batch, panel_batch, \
     random_square_batch, triangular_batch, uniform_random_sizes
 from .traffic import MixResult, RequestClass, STANDARD_MIXES, TrafficMix, \
-    VirtualClock, run_mix, standard_mix
+    VirtualClock, run_mix
 
 __all__ = [
     "uniform_random_sizes", "random_square_batch", "large_square_batch",
@@ -17,5 +17,5 @@ __all__ = [
     "GalleryEntry", "GALLERY", "gallery_entry", "gallery_names",
     "run_gallery",
     "RequestClass", "TrafficMix", "VirtualClock", "MixResult",
-    "run_mix", "STANDARD_MIXES", "standard_mix",
+    "run_mix", "STANDARD_MIXES",
 ]

@@ -19,13 +19,14 @@ feedback loops.  This module provides both halves:
   :class:`VirtualClock` is injected as the service clock, arrivals are
   submitted at their generated timestamps (backdated when they land
   inside a dispatch busy period, exactly as a caller thread would have
-  enqueued them), groups are collected with the queue's discrete-event
-  hooks (:meth:`~repro.serve.scheduler.AdmissionQueue.next_ripe` /
-  :meth:`collect_ready`), and the clock advances by each dispatch's
-  *simulated* device seconds.  No threads, no sleeps: the same seed
-  replays the same decisions, and two runs under different policies see
-  byte-identical request payloads — which is what makes the benchmark's
-  bitwise parity gate meaningful.
+  enqueued them), the clock jumps to the next arrival or to the time
+  :meth:`~repro.serve.scheduler.AdmissionQueue.next_ripe` reports, where
+  :meth:`~repro.serve.scheduler.AdmissionQueue.collect_ready` takes the
+  group the dispatcher thread would take by the same rule, and the clock
+  advances by each dispatch's *simulated* device seconds.  No threads,
+  no sleeps: the same seed replays the same decisions, and two runs
+  under different policies see byte-identical request payloads — which
+  is what makes the benchmark's bitwise parity gate meaningful.
 
 Every request payload is a pure function of ``(mix, seed, request
 index)`` — never of the policy, the clock, or what happened to earlier
@@ -47,7 +48,7 @@ from ..serve.service import SolverService
 from ..errors import ServiceOverloaded
 
 __all__ = ["RequestClass", "TrafficMix", "VirtualClock", "MixResult",
-           "run_mix", "STANDARD_MIXES", "standard_mix"]
+           "run_mix", "STANDARD_MIXES"]
 
 
 @dataclass(frozen=True)
@@ -302,17 +303,13 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
         if next_a is not None and next_a < ripe_t:
             clock.now = next_a
             continue
-        clock.now = max(clock.now, ripe_t)
+        clock.now = ripe_t
         group = svc._queue.collect_ready(policy, clock.now)
-        if group is not None:
+        if group is not None:      # else an expired head was purged
             record = svc._safe_dispatch(group)
             clock.advance(record.sim_seconds)
             res.dispatches += 1
             harvest()
-        else:
-            # float rounding can leave (now - t_submit) one ulp short
-            # of the hold budget next_ripe promised; nudge past it
-            clock.advance(1e-9)
 
     harvest()
     res.makespan = max(clock.now - first_arrival, 0.0)
@@ -359,11 +356,3 @@ STANDARD_MIXES: dict[str, TrafficMix] = {
                          weight=1.0, slo=3e-2),
         )),
 }
-
-
-def standard_mix(name: str) -> TrafficMix:
-    try:
-        return STANDARD_MIXES[name]
-    except KeyError:
-        raise ValueError(f"unknown traffic mix {name!r}; choose from "
-                         f"{sorted(STANDARD_MIXES)}") from None

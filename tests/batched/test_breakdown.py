@@ -207,7 +207,7 @@ class TestGetrsRefusal:
         with pytest.raises(FactorizationError, match="broken-down"):
             irr_getrs(a100, b, piv, rhs)
 
-    def test_check_info_false_opts_out(self, a100, rng):
+    def test_flagged_member_refused_before_launch(self, a100, rng):
         # the info check always runs: a flagged member is refused even
         # when its factors are usable, by index, before any launch
         mats = [rng.standard_normal((4, 4)), rng.standard_normal((3, 3))]

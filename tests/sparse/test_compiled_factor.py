@@ -140,6 +140,25 @@ class TestReplay:
             assert_fresh_bits(slu, dev, a2, rhs)
         assert allocs[0] > 0 and len(set(allocs)) == 1
 
+    def test_refactor_breakdown_covers_its_own_launches(self, maxwell):
+        """Two identical re-factors on one device, with a solve between
+        them, report the same per-operation kernel time: each breakdown
+        sums its own call's launches, not the device's history."""
+        a, rhs = maxwell.matrix, maxwell.rhs
+        dev = Device(A100())
+        slu = SparseLU(a, use_mc64=False)
+        slu.factor(backend="batched", device=dev)
+        results = []
+        for _ in range(2):
+            refactor(slu, dev, a)
+            results.append(slu.factor_result)
+            slu.solve(rhs, device=dev)
+        first, second = results
+        assert second.elapsed == pytest.approx(first.elapsed, rel=1e-9)
+        assert set(first.breakdown) == set(second.breakdown)
+        for op, t in first.breakdown.items():
+            assert second.breakdown[op] == pytest.approx(t, rel=1e-9), op
+
     def test_device_change_recompiles(self, maxwell):
         """A re-factor on another device moves the factors there: the
         first device's memory returns to baseline."""

@@ -308,7 +308,7 @@ class TestSolvePlanCache:
         assert cache.uploads == 2 * len(plan.levels)
         assert res.elapsed > 0
 
-    def test_rhs_block_matches_full_pass(self, rng):
+    def test_many_columns_take_one_pass(self, rng):
         # every column goes through one pass of the sweeps: a 7-column
         # solve makes the launches of a 1-column one, and matches the
         # column-by-column solves to rounding (the update GEMMs' column

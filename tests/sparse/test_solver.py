@@ -210,7 +210,7 @@ class TestReuseOfFactorization:
         xn, _ = s.solve(b, device=Device(A100()), engine="naive")
         assert np.array_equal(xb, xn)
 
-    def test_memory_budget_and_rhs_block_kwargs(self, rng):
+    def test_zero_byte_budget_streams_every_level(self, rng):
         # a 5-column b in one pass, every level streamed under a 1-byte
         # budget, matches the host solve
         a = grid2d(9, 9)

@@ -75,6 +75,9 @@ for p in (1, 2, 4, 8):
                  res.gather_seconds * 1e3, res.top_seconds * 1e3,
                  res.elapsed * 1e3, res.link_bytes // 1024,
                  f"{res.assignment.imbalance:.2f}", same])
+    if p == 1:
+        # one rank runs the single-device factorization: same makespan
+        assert res.elapsed <= 1.25 * ref.elapsed, (res.elapsed, ref.elapsed)
 print()
 print(format_table(
     ["ranks", "local ms (max)", "gather ms", "top ms", "makespan ms",

@@ -45,7 +45,7 @@ DEFAULT_PANEL_WIDTH = 32
 
 
 def irr_getrf(device: Device, batch: IrrBatch, *,
-              nb: int | str = DEFAULT_PANEL_WIDTH,
+              nb: int = DEFAULT_PANEL_WIDTH,
               panel: str = "auto", laswp_variant: str = "rehearsed",
               concurrent_swaps: bool = False,
               pivot_tol: float = 0.0, static_pivot: bool = False,
@@ -60,10 +60,9 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
         Overwritten with the packed LU factors.
     nb:
         Panel width (the paper's 16–32 column design parameter;
-        :data:`DEFAULT_PANEL_WIDTH`, 32, for every batch by default, and
-        ``"auto"`` names that default).  The shared-memory-capacity
-        dependence §IV-E describes is handled per panel instead (see
-        ``panel``).
+        :data:`DEFAULT_PANEL_WIDTH`, 32, for every batch by default).
+        The shared-memory-capacity dependence §IV-E describes is handled
+        per panel instead (see ``panel``).
     panel:
         ``"auto"`` switches from the fused shared-memory kernel to the
         column-wise path when the largest panel no longer fits (the
@@ -113,10 +112,8 @@ def irr_getrf(device: Device, batch: IrrBatch, *,
     """
     if panel not in ("auto", "fused", "columnwise"):
         raise ValueError(f"unknown panel mode {panel!r}")
-    if nb == "auto":
-        nb = DEFAULT_PANEL_WIDTH
     if not isinstance(nb, int) or nb < 1:
-        raise ValueError("panel width must be a positive integer or 'auto'")
+        raise ValueError("panel width must be a positive integer")
     engine = resolve_engine(engine)
 
     kmax = batch.max_min_mn

@@ -469,18 +469,15 @@ class AdmissionQueue:
     def next_ripe(self, policy: CoalescingPolicy,
                   now: float | None = None) -> float | None:
         """Earliest time, no earlier than ``now``, at which
-        :meth:`collect_ready` takes a group or purges an expired head;
-        ``None`` when the queue is empty.  Purges nothing and takes
-        nothing."""
+        :meth:`collect_ready` takes a group or purges an expired
+        request, wherever it is queued; ``None`` when the queue is
+        empty.  Purges nothing and takes nothing."""
         with self._cond:
             now = self._clock() if now is None else now
-            best = None
-            for group in self._groups_locked():
-                t = self._ripe_at(group, policy)
-                head = group[0]
-                if head.t_deadline is not None:
-                    # a head becomes purgeable at the first float past
-                    # its deadline (Request.expired) — also an event
-                    t = min(t, math.nextafter(head.t_deadline, math.inf))
-                best = t if best is None else min(best, t)
-            return None if best is None else max(best, now)
+            # a request becomes purgeable at the first float past its
+            # deadline (Request.expired) — also an event
+            times = [math.nextafter(r.t_deadline, math.inf)
+                     for r in self._q if r.t_deadline is not None]
+            times += [self._ripe_at(group, policy)
+                      for group in self._groups_locked()]
+            return max(min(times), now) if times else None

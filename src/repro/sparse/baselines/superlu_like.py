@@ -12,18 +12,16 @@ fronts.
 
 from __future__ import annotations
 
-import numpy as np
 import scipy.sparse as sp
 
 from ...analysis.flops import getrf_flops, trsm_flops
 from ...batched.vendor import vendor_gemm
 from ...device.simulator import Device
 from ...device.spec import CpuSpec, XEON_6140_2S
-from ...errors import FactorizationError
 from ..numeric.cpu_factor import factor_front_blocks
 from ..numeric.factors import MultifrontalFactors, assemble_front
 from ..numeric.gpu_factor import GpuFactorResult
-from ..numeric.report import FactorReport
+from ..numeric.report import finish_factors
 from ..symbolic.analysis import SymbolicFactorization
 
 __all__ = ["superlu_like_factor"]
@@ -86,11 +84,8 @@ def superlu_like_factor(device: Device, a_perm: sp.spmatrix,
             if info.parent >= 0:
                 schur[fid] = (S, info.upd)
 
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
-    if breakdown == "raise" and not out.report.ok:
-        raise FactorizationError(out.report.summary(), out.report)
+    finish_factors(out, pivot_tol=pivot_tol, static_pivot=static_pivot,
+                   replace_scale=replace_scale, breakdown=breakdown)
     counters = {k: region[k] for k in region if k != "elapsed"}
     return GpuFactorResult(factors=out, elapsed=region["elapsed"],
                            counters=counters, report=out.report,

@@ -15,7 +15,7 @@ from ...batched.panel import PivotControl, factor_panel_block
 from ...errors import FactorizationError
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors, assemble_front
-from .report import FactorReport
+from .report import finish_factors
 
 __all__ = ["multifrontal_factor_cpu", "factor_front_blocks"]
 
@@ -126,9 +126,6 @@ def multifrontal_factor_cpu(a_perm: sp.spmatrix,
         out.fronts.append(fac)
         if info.parent >= 0:
             schur[fid] = (S, info.upd)
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
-    if breakdown == "raise" and not out.report.ok:
-        raise FactorizationError(out.report.summary(), out.report)
-    return out
+    return finish_factors(out, pivot_tol=pivot_tol,
+                          static_pivot=static_pivot,
+                          replace_scale=replace_scale, breakdown=breakdown)

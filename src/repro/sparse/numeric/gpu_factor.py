@@ -49,7 +49,7 @@ from ...errors import CorruptionDetected, FactorizationError, \
     KernelLaunchError, ResourceExhausted
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
-from .report import FactorReport
+from .report import FactorReport, finish_factors
 from .solve_plan import DeviceFactorCache, pack_level
 
 __all__ = ["multifrontal_factor_gpu", "GpuFactorResult", "plan_traversals",
@@ -183,11 +183,11 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     floor = max((itemsize * f.order ** 2 for f in symb.fronts), default=0)
 
     budget = memory_budget
-    host_factors = region = failure = None
+    records = region = failure = None
     n_chunks = 0
     for _round in range(_MAX_CHUNK_SHRINKS + 1):
         try:
-            host_factors, region, n_chunks = _attempt_factorization(
+            records, region, n_chunks = _attempt_factorization(
                 device, a_perm, symb, budget, a_dev_bytes, strategy,
                 gemm_mode, engine, pivot_tol, static_pivot, replace_scale,
                 store)
@@ -211,7 +211,7 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                 engine.clear_plan_caches()
             budget = smaller
 
-    if host_factors is None:
+    if records is None:
         recovery = device.recovery_log.since(mark)
         if host_fallback:
             device.recovery_log.record(
@@ -228,10 +228,13 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
             f"device factorization failed after exhausting its recovery "
             f"options ({recovery.summary()})", log=recovery) from failure
 
-    out = finish_factors(symb, host_factors, device.recovery_log.since(mark),
-                         pivot_tol=pivot_tol, static_pivot=static_pivot,
-                         replace_scale=replace_scale, breakdown=breakdown,
-                         dtype=a_perm.dtype, store=store)
+    out = finish_factors(
+        MultifrontalFactors(symb, [records[f] for f in
+                                   range(len(symb.fronts))],
+                            dtype=a_perm.dtype),
+        pivot_tol=pivot_tol, static_pivot=static_pivot,
+        replace_scale=replace_scale, breakdown=breakdown,
+        recovery=device.recovery_log.since(mark), store=store)
     counters = {k: region[k] for k in region if k != "elapsed"}
     counters["traversals"] = n_chunks
     return GpuFactorResult(factors=out, elapsed=region["elapsed"],
@@ -263,62 +266,36 @@ def check_factor_args(a_perm, symb, *, breakdown, store=None,
     return a_perm, a_bytes
 
 
-def finish_factors(symb, host_factors, recovery, *, pivot_tol,
-                   static_pivot, replace_scale, breakdown, dtype,
-                   store) -> MultifrontalFactors:
-    """The factors of a finished traversal with their report and its
-    ``recovery`` log.  Under ``breakdown="raise"`` a breakdown raises
-    and releases the ``store``; else the store backs the factors."""
-    out = MultifrontalFactors(
-        symb, [host_factors[fid] for fid in range(len(symb.fronts))],
-        dtype=dtype)
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
-    out.report.recovery = recovery
-    if breakdown == "raise" and not out.report.ok:
-        if store is not None:
-            store.release()
-        raise FactorizationError(out.report.summary(), out.report)
-    if store is not None:
-        store.bind(out)
-    return out
-
-
-def download_fronts(symb, fids, buffers, pivots_of, diag_of,
-                    host_factors, host_schur=None) -> None:
-    """Bring finished fronts' factors and diagnostics to the host (the
-    Schur blocks a later traversal needs into ``host_schur``) and free
-    each front's buffer once it is down.  Fronts already in
-    ``host_factors`` (packed into a store) are skipped."""
+def download_fronts(symb, fids, buffers, records, host_schur=None) -> None:
+    """Fill finished fronts' records with their blocks from the device
+    (the Schur blocks a later traversal needs into ``host_schur``) and
+    free each front's buffer once it is down.  Fronts with no buffer
+    left were packed into a store and are skipped."""
     fid_set = set(fids)
     for fid in fids:
-        if fid in host_factors:
+        if fid not in buffers:
             continue
         info = symb.fronts[fid]
         s = info.sep_size
         data = buffers[fid].to_host()
-        host_factors[fid] = _front_record(
-            fid, pivots_of, diag_of, f11=data[:s, :s].copy(),
-            f12=data[:s, s:].copy(), f21=data[s:, :s].copy())
+        rec = records[fid]
+        rec.f11, rec.f12, rec.f21 = (data[:s, :s].copy(),
+                                     data[:s, s:].copy(),
+                                     data[s:, :s].copy())
         if host_schur is not None and info.parent >= 0 \
                 and info.parent not in fid_set and info.upd_size:
             host_schur[fid] = data[s:, s:].copy()
         buffers.pop(fid).free()
 
 
-def _front_record(fid, pivots_of, diag_of, *, f11, f12,
-                  f21) -> FrontFactors:
-    d_info, d_rep, d_minp, d_growth = diag_of.get(fid, (0, 0, np.inf, 1.0))
-    return FrontFactors(f11=f11, ipiv=pivots_of[fid].copy(), f12=f12,
-                        f21=f21, info=d_info, n_replaced=d_rep,
-                        min_pivot=d_minp, growth=d_growth)
-
-
-def factor_levels(device, symb, fids, run_level, buffers, pivots_of,
-                  diag_of, host_factors, store=None, shares=None) -> None:
+def factor_levels(device, symb, fids, run_level, buffers, records,
+                  store=None, shares=None) -> None:
     """Factor ``fids`` level by level, deepest first, through
-    ``run_level(level_fids)``.
+    ``run_level(level_fids)``, whose kernels write each front's one
+    :class:`FrontFactors` record into ``records``: its pivots and
+    diagnostics.  The record's blocks start empty; :func:`download_fronts`
+    fills them from the front's buffer, or the store's download does for
+    a front :func:`pack_fronts` packed.
 
     With a ``store``, a level's members whose parents ran here too (or
     that have none) are packed once the next level has committed — a
@@ -335,8 +312,8 @@ def factor_levels(device, symb, fids, run_level, buffers, pivots_of,
         done = [f for f in level_fids if symb.fronts[f].parent < 0
                 or symb.fronts[f].parent in in_run]
         if store is not None and done:
-            pack_fronts(device, symb, done, buffers, pivots_of, diag_of,
-                        host_factors, store, shares)
+            pack_fronts(device, symb, done, buffers, records, store,
+                        shares)
 
     pending = None
     for level_fids in _chunk_levels(symb, fids):
@@ -370,8 +347,8 @@ def retry_launch(device, fn):
                                        attempt=attempt, detail=str(exc))
 
 
-def pack_fronts(device, symb, fids, buffers, pivots_of, diag_of,
-                host_factors, store, shares=None) -> None:
+def pack_fronts(device, symb, fids, buffers, records, store,
+                shares=None) -> None:
     """Pack finished fronts ``fids`` of one tree level on ``device``.
 
     They go into ``store`` when it is on ``device`` and ``fids`` are the
@@ -379,10 +356,10 @@ def pack_fronts(device, symb, fids, buffers, pivots_of, diag_of,
     level on ``device``, a :class:`~.solve_plan.LevelFactorBlocks`
     appended to ``shares[li]`` that
     :func:`~.shard.multifrontal_factor_sharded` (the one caller that
-    passes ``shares``) later merges into the store.  Packed fronts are
-    recorded (blocks pending in the store; a front without a separator
-    has only empty blocks) and their buffers freed.  A rejected pack
-    launch is retried like a level transaction's.
+    passes ``shares``) later merges into the store.  Packed fronts'
+    buffers are freed; their records' blocks stay pending in the store,
+    except a front without a separator, whose blocks are empty.  A
+    rejected pack launch is retried like a level transaction's.
     """
     depth = symb.fronts[fids[0]].level
     whole = len(fids) == len(symb.levels()[-1 - depth])
@@ -399,13 +376,11 @@ def pack_fronts(device, symb, fids, buffers, pivots_of, diag_of,
     for fid in fids:
         info = symb.fronts[fid]
         front = buffers.pop(fid)
-        if info.sep_size:
-            pending = dict(f11=None, f12=None, f21=None)
-        else:
-            u, dt = info.upd_size, front.dtype
-            pending = dict(f11=np.empty((0, 0), dt),
-                           f12=np.empty((0, u), dt), f21=np.empty((u, 0), dt))
-        host_factors[fid] = _front_record(fid, pivots_of, diag_of, **pending)
+        if not info.sep_size:
+            u, dt, rec = info.upd_size, front.dtype, records[fid]
+            rec.f11, rec.f12, rec.f21 = (np.empty((0, 0), dt),
+                                         np.empty((0, u), dt),
+                                         np.empty((u, 0), dt))
         front.free()
 
 
@@ -428,17 +403,14 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
         store = None
 
     buffers: dict[int, DeviceArray] = {}
-    pivots_of: dict[int, np.ndarray] = {}
-    diag_of: dict[int, tuple[int, int, float, float]] = {}
+    records: dict[int, FrontFactors] = {}
     host_schur: dict[int, np.ndarray] = {}
-    host_factors: dict[int, FrontFactors] = {}
 
     def run_level(level_fids) -> None:
-        _run_level(device, a_perm, symb, level_fids, buffers, pivots_of,
+        _run_level(device, a_perm, symb, level_fids, buffers, records,
                    strategy, gemm_mode, host_schur=host_schur,
-                   engine=engine, diag_of=diag_of,
-                   pivot_tol=pivot_tol, static_pivot=static_pivot,
-                   replace_scale=replace_scale)
+                   engine=engine, pivot_tol=pivot_tol,
+                   static_pivot=static_pivot, replace_scale=replace_scale)
 
     # Upload the sparse matrix (outside the timed factorization region,
     # as a solver would hold A on the device already).
@@ -448,17 +420,16 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
         with device.timed_region() as region:
             for chunk in chunks:
                 factor_levels(device, symb, chunk, run_level, buffers,
-                              pivots_of, diag_of, host_factors, store)
+                              records, store)
                 if streaming:
                     # stream the finished traversal back to the host
-                    download_fronts(symb, chunk, buffers, pivots_of,
-                                    diag_of, host_factors, host_schur)
+                    download_fronts(symb, chunk, buffers, records,
+                                    host_schur)
         if not streaming:
             # Factors stayed resident (as a solver keeping them for the
             # solve phase would); download outside the measured region.
-            download_fronts(symb, chunks[0], buffers, pivots_of, diag_of,
-                            host_factors)
-        return host_factors, region, len(chunks)
+            download_fronts(symb, chunks[0], buffers, records)
+        return records, region, len(chunks)
     except BaseException:
         if store is not None:
             store.release()
@@ -555,9 +526,9 @@ def _chunk_levels(symb: SymbolicFactorization,
 # level processing
 # ----------------------------------------------------------------------
 
-def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
+def _run_level(device, a_perm, symb, fids, buffers, records, strategy,
                gemm_mode, *, host_schur=None, dev_schur=None, engine=None,
-               diag_of=None, pivot_tol=0.0, static_pivot=False,
+               pivot_tol=0.0, static_pivot=False,
                replace_scale=None) -> None:
     """Run one level as a transaction: bounded retries, then batch split.
 
@@ -602,8 +573,8 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     docs/API.md, "Batch-independent blocking", states the contract.
     """
     kw = dict(host_schur=host_schur, dev_schur=dev_schur, engine=engine,
-              diag_of=diag_of, pivot_tol=pivot_tol,
-              static_pivot=static_pivot, replace_scale=replace_scale)
+              pivot_tol=pivot_tol, static_pivot=static_pivot,
+              replace_scale=replace_scale)
 
     def split(why: str) -> None:
         """Run the level as two sub-batch transactions."""
@@ -612,16 +583,16 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
             "level-split", site=f"level[{len(fids)} fronts]",
             detail=f"{why}sub-batches of {half} and {len(fids) - half}")
         for part in (fids[:half], fids[half:]):
-            _run_level(device, a_perm, symb, part, buffers, pivots_of,
+            _run_level(device, a_perm, symb, part, buffers, records,
                        strategy, gemm_mode, **kw)
 
     launch_failures = alloc_failures = corrupt_failures = 0
     while True:
         try:
             consumed = _factor_level(device, a_perm, symb, fids, buffers,
-                                     pivots_of, strategy, gemm_mode, **kw)
+                                     records, strategy, gemm_mode, **kw)
         except CorruptionDetected as exc:
-            _rollback_level(fids, buffers, pivots_of, diag_of)
+            _rollback_level(fids, buffers, records)
             corrupt_failures += 1
             if corrupt_failures < 2:
                 device.recovery_log.record(
@@ -632,10 +603,10 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                 split("corruption isolation: ")
                 return
             _quarantine_corrupt_front(device, a_perm, symb, fids[0],
-                                      buffers, pivots_of, diag_of, exc)
+                                      buffers, records, exc)
             return
         except (DeviceOutOfMemory, KernelLaunchError) as exc:
-            _rollback_level(fids, buffers, pivots_of, diag_of)
+            _rollback_level(fids, buffers, records)
             if isinstance(exc, KernelLaunchError):
                 launch_failures += 1
                 if launch_failures >= _MAX_LEVEL_RETRIES:
@@ -672,14 +643,14 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
 CORRUPT_FRONT_INFO = -2
 
 
-def _quarantine_corrupt_front(device, a_perm, symb, fid, buffers,
-                              pivots_of, diag_of, exc) -> None:
+def _quarantine_corrupt_front(device, a_perm, symb, fid, buffers, records,
+                              exc) -> None:
     """Terminal corruption rung for one front: zero it out and flag it.
 
     The front's buffer is replaced by zeros (its Schur block then
     extend-adds nothing into the parent, keeping ancestors finite and
     *their* factors identical to a run where this front contributed a
-    zero update), pivots become the identity, and the diagnostics carry
+    zero update), pivots become the identity, and the record carries
     :data:`CORRUPT_FRONT_INFO` so the aggregated
     :class:`FactorReport` reports the front as failed — the caller sees
     a typed per-front failure, never silently wrong factors.
@@ -687,29 +658,27 @@ def _quarantine_corrupt_front(device, a_perm, symb, fid, buffers,
     info = symb.fronts[fid]
     buffers[fid] = device.zeros((info.order, info.order),
                                 dtype=a_perm.dtype)
-    pivots_of[fid] = np.arange(info.sep_size, dtype=np.int64)
-    if diag_of is not None:
-        diag_of[fid] = (CORRUPT_FRONT_INFO, 0, 0.0, 1.0)
+    records[fid] = FrontFactors(
+        f11=None, ipiv=np.arange(info.sep_size, dtype=np.int64), f12=None,
+        f21=None, info=CORRUPT_FRONT_INFO, min_pivot=0.0)
     device.recovery_log.record(
         "front-quarantine", site=f"front[{fid}]",
         detail=f"persistent corruption: {exc}")
 
 
-def _rollback_level(fids, buffers, pivots_of, diag_of) -> None:
-    """Undo a failed level attempt: free its buffers, drop its outputs."""
+def _rollback_level(fids, buffers, records) -> None:
+    """Undo a failed level attempt: free its buffers, drop its records."""
     for fid in fids:
         arr = buffers.pop(fid, None)
         if arr is not None:
             arr.free()
-        pivots_of.pop(fid, None)
-        if diag_of is not None:
-            diag_of.pop(fid, None)
+        records.pop(fid, None)
 
 
-def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
+def _factor_level(device, a_perm, symb, fids, buffers, records, strategy,
                   gemm_mode, *, host_schur=None, dev_schur=None,
-                  engine=None, diag_of=None, pivot_tol=0.0,
-                  static_pivot=False, replace_scale=None) -> list[int]:
+                  engine=None, pivot_tol=0.0, static_pivot=False,
+                  replace_scale=None) -> list[int]:
     infos = [symb.fronts[f] for f in fids]
     for fid, info in zip(fids, infos):
         buffers[fid] = device.empty((info.order, info.order),
@@ -725,17 +694,15 @@ def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     # keeps them for the caller.
 
     if strategy == "batched":
-        _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
-                       engine=engine, diag_of=diag_of, pivot_tol=pivot_tol,
+        _level_batched(device, symb, fids, buffers, records, gemm_mode,
+                       engine=engine, pivot_tol=pivot_tol,
                        static_pivot=static_pivot,
                        replace_scale=replace_scale)
     elif strategy == "looped":
-        _level_looped(device, symb, fids, buffers, pivots_of,
-                      diag_of=diag_of)
+        _level_looped(device, symb, fids, buffers, records)
     else:
-        _level_strumpack(device, symb, fids, buffers, pivots_of,
-                         diag_of=diag_of, pivot_tol=pivot_tol,
-                         static_pivot=static_pivot,
+        _level_strumpack(device, symb, fids, buffers, records,
+                         pivot_tol=pivot_tol, static_pivot=static_pivot,
                          replace_scale=replace_scale)
     return consumed
 
@@ -914,29 +881,27 @@ def _gate_broken(device, piv, s_vec, u_vec, f11, f12, f21, f22, *,
             [piv.ipiv[int(i)] for i in good])
 
 
-def _record_level_diag(diag_of, fids, piv) -> None:
-    """Propagate each front's per-matrix pivot diagnostics (satellite of
-    the robustness layer: the level loop previously never read
-    ``pivots.info``)."""
-    if diag_of is None:
-        return
+def _record_fronts(records, fids, piv) -> None:
+    """Write each front's record from the batched LU's pivots and
+    per-matrix diagnostics; its blocks stay empty until
+    :func:`pack_fronts` or :func:`download_fronts`."""
     for i, fid in enumerate(fids):
-        diag_of[fid] = (int(piv.info[i]), int(piv.n_replaced[i]),
-                        float(piv.min_pivot[i]), float(piv.growth[i]))
+        records[fid] = FrontFactors(
+            f11=None, ipiv=piv.ipiv[i].copy(), f12=None, f21=None,
+            info=int(piv.info[i]), n_replaced=int(piv.n_replaced[i]),
+            min_pivot=float(piv.min_pivot[i]), growth=float(piv.growth[i]))
 
 
-def _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode, *,
-                   engine=None, diag_of=None, pivot_tol=0.0,
-                   static_pivot=False, replace_scale=None) -> None:
+def _level_batched(device, symb, fids, buffers, records, gemm_mode, *,
+                   engine=None, pivot_tol=0.0, static_pivot=False,
+                   replace_scale=None) -> None:
     s_vec, u_vec, f11, f12, f21, f22 = _make_block_batches(
         device, symb, fids, buffers)
 
     piv = irr_getrf(device, f11, concurrent_swaps=True, pivot_tol=pivot_tol,
                     static_pivot=static_pivot, replace_scale=replace_scale,
                     engine=engine)
-    for fid, ip in zip(fids, piv.ipiv):
-        pivots_of[fid] = ip
-    _record_level_diag(diag_of, fids, piv)
+    _record_fronts(records, fids, piv)
     _level_offdiag(device, s_vec, u_vec, f11, f12, f21, f22, piv, gemm_mode,
                    engine=engine)
 
@@ -1012,14 +977,14 @@ def _vendor_gemm_loop(device, f12, f21, f22, which) -> None:
                     name="cublas_gemm:schur")
 
 
-def _level_looped(device, symb, fids, buffers, pivots_of, *,
-                  diag_of=None) -> None:
+def _level_looped(device, symb, fids, buffers, records) -> None:
     """cuSOLVER/cuBLAS called in a loop over the level's fronts.
 
     The vendor model has no static-pivot mode (cuSOLVER does not), but
     its ``devInfo`` status is checked per front: a broken-down front is
-    quarantined (F12/F21/F22 zeroed, off-diagonal updates skipped) and
-    reported through ``diag_of`` instead of feeding garbage onward.
+    quarantined (:func:`_quarantine_broken`, off-diagonal updates
+    skipped) and its record carries the status instead of feeding
+    garbage onward.
     """
     info_arr = np.zeros(1, dtype=np.int64)
     for fid in fids:
@@ -1027,26 +992,18 @@ def _level_looped(device, symb, fids, buffers, pivots_of, *,
         s, u = info.sep_size, info.upd_size
         arr = buffers[fid]
         if s == 0:
-            pivots_of[fid] = np.empty(0, dtype=np.int64)
+            records[fid] = FrontFactors(f11=None, ipiv=np.empty(0, np.int64),
+                                        f12=None, f21=None)
             continue
         info_arr[0] = 0
         ipiv = vendor_getrf(device, arr[:s, :s], info_out=info_arr)
-        pivots_of[fid] = ipiv
-        if diag_of is not None:
-            diag_of[fid] = (int(info_arr[0]), 0, np.inf, 1.0)
+        records[fid] = FrontFactors(f11=None, ipiv=ipiv.copy(), f12=None,
+                                    f21=None, info=int(info_arr[0]))
         if int(info_arr[0]) != 0:
             if u:
-                def zero_blocks(arr=arr, s=s, u=u) -> KernelCost:
-                    arr.data[:s, s:] = 0.0
-                    arr.data[s:, :s] = 0.0
-                    arr.data[s:, s:] = 0.0
-                    return KernelCost(
-                        bytes_written=float(arr.data.nbytes -
-                                            s * s * arr.data.itemsize),
-                        blocks=tile_blocks([s, u, u], [u, s, u]),
-                        kernel_class="swap", memory_ramp=0.4)
-
-                device.launch("breakdown:quarantine", zero_blocks)
+                _, _, _, f12, f21, f22 = _make_block_batches(
+                    device, symb, [fid], buffers)
+                _quarantine_broken(device, [0], f12, f21, f22)
             continue
         if u == 0:
             continue
@@ -1070,8 +1027,8 @@ def _apply_pivots_single(device, b: np.ndarray, ipiv: np.ndarray) -> None:
     device.launch("laswp:f12", kernel)
 
 
-def _level_strumpack(device, symb, fids, buffers, pivots_of, *,
-                     diag_of=None, pivot_tol=0.0, static_pivot=False,
+def _level_strumpack(device, symb, fids, buffers, records, *,
+                     pivot_tol=0.0, static_pivot=False,
                      replace_scale=None) -> None:
     """STRUMPACK v6.3.1 model: naive batch kernels for pivot blocks
     ≤ 32×32, looped vendor calls above, and a synchronization after every
@@ -1091,9 +1048,7 @@ def _level_strumpack(device, symb, fids, buffers, pivots_of, *,
                         static_pivot=static_pivot,
                         replace_scale=replace_scale)
         device.synchronize()
-        for fid, ip in zip(small, piv.ipiv):
-            pivots_of[fid] = ip
-        _record_level_diag(diag_of, small, piv)
+        _record_fronts(records, small, piv)
         gated = _gate_broken(device, piv, s_vec, u_vec, f11, f12, f21, f22,
                              sync=True)
         if gated is not None:
@@ -1112,6 +1067,5 @@ def _level_strumpack(device, symb, fids, buffers, pivots_of, *,
             device.synchronize()
 
     for fid in large:
-        _level_looped(device, symb, [fid], buffers, pivots_of,
-                      diag_of=diag_of)
+        _level_looped(device, symb, [fid], buffers, records)
         device.synchronize()

@@ -179,3 +179,27 @@ class FactorReport:
                 f"max growth = {self.max_growth:.3e} "
                 f"(pivot_tol={self.pivot_tol:g}, "
                 f"static_pivot={self.static_pivot})")
+
+
+def finish_factors(factors, *, pivot_tol: float, static_pivot: bool,
+                   replace_scale: float | None, breakdown: str,
+                   recovery: RecoveryLog | None = None, store=None):
+    """The one epilogue of every multifrontal factorization: attach the
+    :class:`FactorReport` of ``factors`` (with ``recovery``, the device
+    recovery-log slice of the call, ``None`` off the device) and return
+    them.  Under ``breakdown="raise"`` an unrecovered breakdown raises
+    :class:`~repro.errors.FactorizationError` carrying the report, after
+    releasing ``store``; else the ``store`` (a device factorization's
+    solve store) backs the factors."""
+    report = FactorReport.from_factors(
+        factors, pivot_tol=pivot_tol, static_pivot=static_pivot,
+        replace_scale=replace_scale)
+    report.recovery = recovery
+    factors.report = report
+    if breakdown == "raise" and not report.ok:
+        if store is not None:
+            store.release()
+        raise FactorizationError(report.summary(), report)
+    if store is not None:
+        store.bind(factors)
+    return factors

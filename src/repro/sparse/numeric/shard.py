@@ -18,16 +18,19 @@ with the SLATE-like top only (the top levels run on a GPU):
   retries, batch splitting, corruption quarantine, and the full pivot
   policy — ``pivot_tol`` / ``static_pivot`` / ``replace_scale``), on
   its own simulated timeline;
-* subtree-root Schur contributions ship to ``node[0]`` over the
-  node's modeled links, and the top part is factored there with the
-  batched kernels and the hybrid Schur GEMM;
+* subtree-root Schur contributions are copied into ``node[0]``'s
+  memory, peers' over the node's modeled links
+  (:func:`~repro.device.memory.pack_to_device` with ``node=``), and the
+  top part is factored there with the batched kernels and the hybrid
+  Schur GEMM, its assembly reading them in place;
+* without a solve store, every front stays on its device through the
+  top part and downloads to host factors once the node is idle, as the
+  single-device path downloads after its measured region;
 * with a solve store (``SparseLU`` passes one), the factors never leave
   the devices: each device packs its share of every level into its own
-  memory, the Schur blocks land peer to peer in ``node[0]``'s memory,
-  and once the top part is done each share is copied into the store
-  there — peers' over the links
-  (:func:`~repro.device.memory.pack_to_device` with ``node=``).  The
-  first solve then uploads nothing.
+  memory, and once the top part is done each share is copied into the
+  store there, peers' over the links.  The first solve then uploads
+  nothing.
 
 Parity with single-device execution: the factors are bitwise identical
 to :func:`~.gpu_factor.multifrontal_factor_gpu` wherever the fused-panel
@@ -60,9 +63,8 @@ from ...recovery import RecoveryLog
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
 from .gpu_factor import _chunk_levels, _run_level, check_factor_args, \
-    download_fronts, factor_levels, finish_factors, pack_fronts, \
-    retry_launch
-from .report import FactorReport
+    download_fronts, factor_levels, pack_fronts, retry_launch
+from .report import FactorReport, finish_factors
 from .solve_plan import DeviceFactorCache
 
 __all__ = ["partition_tree", "RankAssignment",
@@ -164,12 +166,15 @@ class ShardedFactorResult:
     """Factors plus the simulated multi-device execution profile.
 
     ``elapsed`` is this call's node makespan: from the latest member
-    clock at entry to the latest once every device is idle (subtree
-    phases overlap, so this is *not* the sum of the parts).
+    clock at entry to the latest once every device is idle after the
+    top part (subtree phases overlap, so this is *not* the sum of the
+    parts).  Without a store the fronts download to host factors after
+    that, outside ``elapsed``, as in ``multifrontal_factor_gpu``.
     ``per_device_seconds`` times each device's subtree phase.
     ``gather_seconds`` is the top device's clock delta over the gather
-    of the boundary Schur blocks, so it includes that device's wait for
-    the slowest subtree device as well as the link time.
+    of the boundary Schur blocks into its memory, so it includes that
+    device's wait for the slowest subtree device as well as the link
+    time.
     ``top_seconds`` times the top part.  On the store path the shares
     merge into the store after the top part, on the top device's clock:
     that time is in ``elapsed`` only.  ``link_bytes`` counts the bytes
@@ -202,9 +207,10 @@ def multifrontal_factor_sharded(
     batch engine selection and the retry/level-split/quarantine ladder
     all apply per device.  ``node[0]`` takes the lightest subtree share,
     since it also factors the top part (and holds the store).  Boundary
-    Schur contributions are shipped to ``node[0]`` over the node's
-    modeled links, and the top part is factored there with the same
-    kernels.
+    Schur blocks are copied into ``node[0]``'s memory (peer to peer over
+    the node's modeled links, a ``solve:pack`` for ``node[0]``'s own),
+    and the top part is factored there with the same kernels, its
+    assembly reading them in place.
 
     The aggregated :class:`FactorReport` (with every device's recovery
     slice merged in) is attached to ``result.report`` and
@@ -224,8 +230,6 @@ def multifrontal_factor_sharded(
       part, once their parents have committed there, and frees the
       fronts; a level that ran whole on the top device goes straight
       into the store, as on one device;
-    * the boundary Schur blocks go peer to peer into the top device's
-      memory, and the top part's assembly reads them there;
     * once the top part has freed its fronts (and every device its copy
       of A), each level's shares land in the store's level allocation,
       one copy per level part and device (a ``solve:pack`` kernel for
@@ -234,10 +238,11 @@ def multifrontal_factor_sharded(
 
     So on a 1-device node every level is packed as by
     ``multifrontal_factor_gpu`` (the same launches), and on any node
-    the first solve uploads nothing.  Without a store, the levels
-    download to host factors instead.  A raise frees every
-    share and releases the store, so each device's ``allocated_bytes``
-    returns to where it was.
+    the first solve uploads nothing.  Without a store, every front
+    stays on its device until the node is idle (``elapsed`` stops
+    there) and then downloads to host factors, as on one device.  A
+    raise frees every share and releases the store, so each device's
+    ``allocated_bytes`` returns to where it was.
     """
     owner = node[0]
     a_perm, a_dev_bytes = check_factor_args(
@@ -251,36 +256,28 @@ def multifrontal_factor_sharded(
 
     # per level, the devices' packed shares (the store path only)
     shares = {} if store is not None else None
-    host_factors: dict[int, FrontFactors] = {}
-    pivots_of: dict = {}
-    diag_of: dict[int, tuple[int, int, float, float]] = {}
-    # boundary Schur blocks: on the host without shares, else on `owner`
-    host_schur: dict[int, np.ndarray] = {}
+    records: dict[int, FrontFactors] = {}
+    # the boundary Schur blocks, gathered into `owner`'s memory
     dev_schur: dict = {}
     buffers: list[dict] = [{} for _ in node]
 
     def run_fronts(device: Device, fids: list[int], bufs: dict) -> float:
         """Factor one device's fronts with the same level transactions
         as the single-device traversal (same engine, pivot policy,
-        recovery ladder and packs).  Without shares, the fronts then
-        download outside the timed region, as the single-device path's
-        do."""
+        recovery ladder and packs)."""
         if not fids:
             return 0.0
 
         def run_level(level_fids) -> None:
-            _run_level(device, a_perm, symb, level_fids, bufs, pivots_of,
-                       "batched", "hybrid", host_schur=host_schur,
-                       dev_schur=dev_schur, engine=engine, diag_of=diag_of,
-                       pivot_tol=pivot_tol, static_pivot=static_pivot,
+            _run_level(device, a_perm, symb, level_fids, bufs, records,
+                       "batched", "hybrid", dev_schur=dev_schur,
+                       engine=engine, pivot_tol=pivot_tol,
+                       static_pivot=static_pivot,
                        replace_scale=replace_scale)
 
         with device.timed_region() as region:
-            factor_levels(device, symb, fids, run_level, bufs, pivots_of,
-                          diag_of, host_factors, store, shares)
-        if shares is None:
-            download_fronts(symb, fids, bufs, pivots_of, diag_of,
-                            host_factors, host_schur)
+            factor_levels(device, symb, fids, run_level, bufs, records,
+                          store, shares)
         return region["elapsed"]
 
     # Each participating device holds its own copy of A for assembly
@@ -304,19 +301,14 @@ def multifrontal_factor_sharded(
         per_device = [run_fronts(node[d], assign.rank_fronts[d], buffers[d])
                       for d in range(len(node))]
 
-        # --- phase 2: gather boundary Schur contributions to the owner ---
+        # --- phase 2: gather boundary Schur blocks into the owner ------
         gather_seconds = 0.0
         if assign.top_fronts:
             t0 = owner.host_time
             for d in range(len(node)):
-                if shares is None:
-                    for f in assign.rank_fronts[d]:
-                        if f in host_schur:
-                            node.transfer(d, 0, host_schur[f].nbytes)
-                elif buffers[d]:
-                    _send_boundary(node, d, symb, buffers[d], pivots_of,
-                                   diag_of, host_factors, store, shares,
-                                   dev_schur)
+                if buffers[d]:
+                    _send_boundary(node, d, symb, buffers[d], records,
+                                   store, shares, dev_schur)
             gather_seconds = owner.host_time - t0
 
         # --- phase 3: the top part on the owner device -------------------
@@ -328,6 +320,11 @@ def multifrontal_factor_sharded(
         release_a()
         for li in sorted(shares or ()):
             _merge_level(node, store, li, shares)
+        elapsed = node.synchronize() - start
+
+        # without a store, the fronts download once the node is idle
+        for bufs in buffers:
+            download_fronts(symb, sorted(bufs), bufs, records)
     except BaseException:
         # a clean run has merged every share and consumed every block
         for parts in (shares or {}).values():
@@ -347,14 +344,16 @@ def multifrontal_factor_sharded(
     events: list = []
     for dev, mark in zip(node, marks):
         events.extend(dev.recovery_log.since(mark).events)
-    out = finish_factors(symb, host_factors, RecoveryLog(events),
-                         pivot_tol=pivot_tol, static_pivot=static_pivot,
-                         replace_scale=replace_scale, breakdown=breakdown,
-                         dtype=a_perm.dtype, store=store)
+    out = finish_factors(
+        MultifrontalFactors(symb, [records[f] for f in
+                                   range(len(symb.fronts))],
+                            dtype=a_perm.dtype),
+        pivot_tol=pivot_tol, static_pivot=static_pivot,
+        replace_scale=replace_scale, breakdown=breakdown,
+        recovery=RecoveryLog(events), store=store)
 
     return ShardedFactorResult(
-        factors=out, assignment=assign,
-        elapsed=node.synchronize() - start,
+        factors=out, assignment=assign, elapsed=elapsed,
         per_device_seconds=per_device, gather_seconds=gather_seconds,
         top_seconds=top_seconds,
         link_bytes=(node.p2p_bytes + node.staged_bytes) - link_bytes0,
@@ -379,22 +378,28 @@ def _lightest_first(assign: RankAssignment) -> RankAssignment:
                    rank_flops=flops)
 
 
-def _send_boundary(node, d, symb, bufs, pivots_of, diag_of, host_factors,
-                   store, shares, dev_schur) -> None:
-    """Device ``d``'s part of the gather: copy each of its boundary
-    fronts' Schur blocks into ``node[0]``'s memory (a peer copy over the
-    node's link; a ``solve:pack`` on ``node[0]`` itself), then pack its
-    share of their level and free them."""
+def _send_boundary(node, d, symb, bufs, records, store, shares,
+                   dev_schur) -> None:
+    """Device ``d``'s part of the gather: copy the Schur block of each
+    of its boundary fronts (those whose parent did not run there) into
+    ``node[0]``'s memory: a peer copy over the node's link, a
+    ``solve:pack`` on ``node[0]`` itself.  With a ``store``, then pack
+    ``d``'s share of their level and free them (on that path they are
+    all ``d`` still holds); without one, every front stays on ``d``
+    until the download."""
     owner = node[0]
-    for f in sorted(bufs):
+    boundary = [f for f in sorted(bufs) if symb.fronts[f].parent >= 0
+                and symb.fronts[f].parent not in bufs]
+    for f in boundary:
         s = symb.fronts[f].sep_size
         if symb.fronts[f].upd_size:
             schur = bufs[f][s:, s:]
             dev_schur[f] = retry_launch(owner, lambda: pack_to_device(
                 owner, [schur], node=node))[0]
-    for level in _chunk_levels(symb, list(bufs)):
-        pack_fronts(node[d], symb, level, bufs, pivots_of, diag_of,
-                    host_factors, store, shares)
+    if store is None:
+        return
+    for level in _chunk_levels(symb, boundary):
+        pack_fronts(node[d], symb, level, bufs, records, store, shares)
     # the merge's peer copies start from this clock: the packs are done
     node[d].synchronize()
 

@@ -305,7 +305,7 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
             continue
         clock.now = ripe_t
         group = svc._queue.collect_ready(policy, clock.now)
-        if group is not None:      # else an expired head was purged
+        if group is not None:      # else an expired request was purged
             record = svc._safe_dispatch(group)
             clock.advance(record.sim_seconds)
             res.dispatches += 1

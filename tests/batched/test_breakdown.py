@@ -168,9 +168,9 @@ class TestEngineParityOnBreakdown:
         return [np.array([[1.0, np.inf], [0.5, 2.0]]),
                 rng.standard_normal((5, 5))]
 
-    BATCHES = {"mixed": (_mixed_batch, "auto"),
+    BATCHES = {"mixed": (_mixed_batch, 32),
                "uniform-nonfinite": (_uniform_nonfinite_batch, 8),
-               "padding-nonfinite": (_padding_nonfinite_batch, "auto")}
+               "padding-nonfinite": (_padding_nonfinite_batch, 32)}
 
     @pytest.mark.parametrize("case", sorted(BATCHES))
     @pytest.mark.parametrize("static", [False, True])

@@ -66,7 +66,7 @@ def fresh_queue(clock=None):
 # ----------------------------------------------------------------------
 # infeasible configurations are typed apart from argument bugs
 # ----------------------------------------------------------------------
-class TestTunerInfeasibility:
+class TestInfeasibleConfig:
     #: 400×400 with a forced 64-wide fused panel needs 400·64·8 =
     #: 204 800 shared bytes > the A100 model's per-block limit.
     BIG = 400

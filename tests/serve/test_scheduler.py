@@ -7,7 +7,8 @@ The dispatcher thread (blocking ``collect``), the inline drain
 * a full group is taken at once, even behind an older group of another
   key that is still filling;
 * a policy swap reaches a hold already in progress;
-* a group is ripe at exactly the time ``next_ripe`` reports.
+* a group is ripe at exactly the time ``next_ripe`` reports;
+* a deadline wakes the dispatcher wherever its request is queued.
 """
 
 import time
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.device import A100, Device
+from repro.errors import DeadlineExceeded
 from repro.serve import CoalescingPolicy, SolverService
 from repro.serve.scheduler import AdmissionQueue, Request
 from repro.serve.stats import ServiceStats
@@ -53,6 +55,22 @@ def test_policy_swap_shortens_a_hold_in_progress():
         assert time.monotonic() - t0 < 0.5
     finally:
         svc.close()
+
+
+def test_deadline_behind_a_head_without_one_wakes_the_dispatcher():
+    svc = SolverService(Device(A100()),
+                        policy=CoalescingPolicy(max_wait=1.0))
+    a = np.random.default_rng(5).standard_normal((8, 8)) + 8 * np.eye(8)
+    try:
+        head = svc.submit_factor(a)
+        t0 = time.monotonic()
+        late = svc.submit_factor(a, deadline=0.05)   # same key, queued 2nd
+        with pytest.raises(DeadlineExceeded):
+            late.result(timeout=5.0)
+        assert time.monotonic() - t0 < 0.5    # the group holds for 1 s
+    finally:
+        svc.close()
+    assert head.result(timeout=5.0).lu.shape == (8, 8)
 
 
 def test_group_is_ripe_when_next_ripe_says():

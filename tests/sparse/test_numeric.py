@@ -313,16 +313,16 @@ class TestStreamedOffdiag:
         def run(batches):
             dev = Device(spec)
             buffers = {i: dev.from_host(f) for i, f in enumerate(fronts)}
-            pivots_of = {}
+            records = {}
             for fids in batches:
-                _level_batched(dev, symb, fids, buffers, pivots_of,
+                _level_batched(dev, symb, fids, buffers, records,
                                "hybrid", engine=resolve_engine("bucketed"))
             return [buffers[i].data.copy() for i in range(len(dims))], \
-                pivots_of
+                records
 
-        (whole, piv_w), (split, piv_s) = run([[0, 1]]), run([[0], [1]])
+        (whole, rec_w), (split, rec_s) = run([[0, 1]]), run([[0], [1]])
         for i, ((s, _), fw, fs) in enumerate(zip(dims, whole, split)):
-            assert np.array_equal(piv_w[i], piv_s[i])
+            assert np.array_equal(rec_w[i].ipiv, rec_s[i].ipiv)
             assert np.array_equal(fw[:s, s:], fs[:s, s:])       # F12
             assert np.array_equal(fw[s:, :s], fs[s:, :s])       # F21
             assert np.array_equal(fw, fs)

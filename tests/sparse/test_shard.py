@@ -359,6 +359,33 @@ class TestShardedExecution:
         assert res.gather_seconds == 0.0 and res.top_seconds == 0.0
         assert res.elapsed >= res.per_device_seconds[0] > 0
 
+    def test_one_device_times_the_single_device_factorization(self):
+        """Without a store a 1-device node runs the single-device
+        factorization and times it the same way: the fronts download
+        after ``elapsed`` stops."""
+        _, ap, symb = prepare(maxwell(8), leaf_size=32)
+        ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
+        res = multifrontal_factor_sharded(Node(A100(), 1), ap, symb)
+        assert res.elapsed == pytest.approx(ref.elapsed, rel=0.1)
+        assert_factors_equal(ref.factors, res.factors)
+
+    @pytest.mark.parametrize("n_devices", [2, 4])
+    def test_no_store_run_is_no_slower_than_the_store_run(self, n_devices):
+        """Both runs gather the boundary Schur blocks device to device
+        into ``node[0]``; only the store run also merges the shares."""
+        _, ap, symb = prepare(maxwell(8), leaf_size=32)
+        runs = []
+        for keep in (False, True):
+            node = Node(A100(), n_devices)
+            store = DeviceFactorCache(node[0], None, SolveLayout(symb)) \
+                if keep else None
+            runs.append(multifrontal_factor_sharded(node, ap, symb,
+                                                    store=store))
+        plain, stored = runs
+        assert plain.elapsed <= stored.elapsed
+        assert plain.link_bytes < stored.link_bytes
+        assert_factors_equal(stored.factors, plain.factors)
+
     def test_elapsed_is_per_call_on_a_reused_node(self):
         a = grid2d(12, 11)
         node = Node(A100(), 4)

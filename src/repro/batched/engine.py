@@ -95,6 +95,14 @@ ROW_CLASS = 32
 #: so an unbounded cache would grow with it.
 PLAN_CACHE_CAPACITY = 1024
 
+#: a pivot replay (:meth:`BatchEngine._rehearse_permutation`) with
+#: fewer moves than this per row that some member moves swaps member by
+#: member in Python (~0.25 µs a move); with more, one vectorized step
+#: per such row moves every member at once (~8 NumPy calls, ~10 µs).
+#: Maxwell's LASWP windows, F12 pivots and solve plans fall below it;
+#: Fig 10's 500-matrix LASWP windows (~480 moves a row) stay above.
+_REPLAY_MOVES_PER_ROW = 40
+
 #: element count of one padded-panel batch chunk (~4 MiB of doubles).
 #: The chunk and its rank-1 product scratch (at most the same size) stay
 #: cache-resident across every column of the elimination, so the slab is
@@ -284,8 +292,8 @@ def split_k_partials(rows, k) -> int:
 
 def solve_pivots_cost(swaps: int, sep_tiles: int, nrhs: int,
                       itemsize: int) -> KernelCost:
-    """One ``solve:pivots`` launch: ``swaps`` row swaps across the
-    level's separator blocks of ``x``, one thread block per tile of each
+    """One ``solve:pivots`` launch: ``swaps`` row swaps across every
+    front's separator block of ``x``, one thread block per tile of each
     ``sep×nrhs`` block (``sep_tiles`` = Σ ⌈sep/TILE⌉)."""
     nbytes = 4.0 * nrhs * itemsize * swaps
     return KernelCost(bytes_read=nbytes / 2, bytes_written=nbytes / 2,
@@ -438,14 +446,16 @@ class BatchEngine:
             ramp_of = np.empty(0)
             inv = np.empty(0, dtype=np.int64)
             if len(mult_idx):
-                shapes = np.stack(
-                    [mi[mult_idx], ni[mult_idx], ki[mult_idx]], axis=1)
-                uniq, inv = np.unique(shapes, axis=0, return_inverse=True)
-                inv = inv.ravel()
-                for u in range(len(uniq)):
+                # one integer key per (m, n, k), ordered lexicographically
+                dims = (mi[mult_idx], ni[mult_idx], ki[mult_idx])
+                key = np.ravel_multi_index(
+                    dims, tuple(int(d.max()) + 1 for d in dims))
+                _keys, first, inv = np.unique(key, return_index=True,
+                                              return_inverse=True)
+                uniq = [(int(mi[i]), int(ni[i]), int(ki[i]))
+                        for i in mult_idx[first]]
+                for u, shape in enumerate(uniq):
                     members = mult_idx[inv == u]
-                    shape = (int(uniq[u, 0]), int(uniq[u, 1]),
-                             int(uniq[u, 2]))
                     # m=n=1 is the inner-product shape: NumPy's 2-D path
                     # takes a strided-dot route whose summation order
                     # differs from the stacked 3-D dgemm, so bucketing it
@@ -455,9 +465,7 @@ class BatchEngine:
                         buckets.append((shape, members))
                     else:
                         single_parts.append(members)
-                ramp_of = np.array(
-                    [gemm_compute_ramp(int(u[0]), int(u[1]), int(u[2]))
-                     for u in uniq])
+                ramp_of = np.array([gemm_compute_ramp(*u) for u in uniq])
             p.buckets = [(shape, members.tolist()) for shape, members
                          in buckets]
             singles = (np.sort(np.concatenate(single_parts))
@@ -884,32 +892,53 @@ class BatchEngine:
         naive loop's traffic accounting depends on).  A sequence that
         is a window ``ipiv[base:base+k]`` of a longer one replays with
         its rows counted from ``base``.
+
+        Only the off-diagonal pivots move rows, so the replay visits
+        them alone: member by member while few members move per row
+        (:data:`_REPLAY_MOVES_PER_ROW`), else one vectorized step per
+        row that some member moves.
         """
         bs = len(pivots_list)
         klen = np.array([len(pv) for pv in pivots_list], dtype=np.int64)
         kmax = int(klen.max()) if bs else 0
-        ip_pad = np.zeros((bs, max(kmax, 1)), dtype=np.int64)
-        for i, pv in enumerate(pivots_list):
-            ip_pad[i, :len(pv)] = pv
+        cols = np.arange(max(kmax, 1), dtype=np.int64)
+        valid = cols[None, :] < klen[:, None]
+        ip_pad = np.zeros((bs, len(cols)), dtype=np.int64)
+        if kmax:
+            ip_pad[valid] = np.concatenate(pivots_list)
         if base:
             ip_pad -= base
-        perm = np.broadcast_to(np.arange(max(nrows, 1), dtype=np.int64),
-                               (bs, max(nrows, 1))).copy()
+        moves = (ip_pad != cols[None, :]) & valid
+        swaps = np.sum(moves, axis=1)
+        ncols = max(nrows, 1)
+        perm = np.broadcast_to(np.arange(ncols, dtype=np.int64),
+                               (bs, ncols)).copy()
+        moves = moves[:, :ncols]      # a pivot past the rows moves none
+        rows = np.nonzero(moves.any(axis=0))[0]
+        if len(rows) == 0:
+            return perm, swaps
+        mi, mr = np.nonzero(moves)
+        if len(mi) < _REPLAY_MOVES_PER_ROW * len(rows):
+            # Swap source rows in a dict keyed by flat position in
+            # ``perm``; a position not yet touched holds its own row.
+            mp = ip_pad[mi, mr]
+            at: dict = {}
+            for fr, r, fp, p in zip((mi * ncols + mr).tolist(), mr.tolist(),
+                                    (mi * ncols + mp).tolist(), mp.tolist()):
+                src = at.get(fr, r)
+                at[fr] = at.get(fp, p)
+                at[fp] = src
+            perm.reshape(-1)[np.fromiter(at, np.int64, len(at))] = \
+                np.fromiter(at.values(), np.int64, len(at))
+            return perm, swaps
         binx = np.arange(bs)
-        for r in range(kmax):
-            if r >= perm.shape[1]:
-                break
-            act = klen > r
-            if not act.any():
-                continue
+        for r in rows.tolist():
+            act = moves[:, r]
             p = np.where(act, ip_pad[:, r], r)
             col_r = perm[:, r].copy()
             col_p = perm[binx, p]
             perm[binx, p] = np.where(act, col_r, col_p)
             perm[:, r] = np.where(act, col_p, col_r)
-        valid = np.arange(max(kmax, 1))[None, :] < klen[:, None]
-        swaps = np.sum(
-            (ip_pad != np.arange(max(kmax, 1))[None, :]) & valid, axis=1)
         return perm, swaps
 
     def exec_apply_pivots(self, rhs, pivots) -> KernelCost:
@@ -969,18 +998,19 @@ class BatchEngine:
     # precomputed integer totals, which the naive closures in gpu_solve
     # recount front by front.
 
-    def exec_solve_pivots(self, x, lp, nrhs: int,
+    def exec_solve_pivots(self, x, plan, nrhs: int,
                           itemsize: int) -> KernelCost:
-        """Planned body of the ``solve:pivots`` launch.
+        """Planned body of the ``solve:pivots`` launch (every front).
 
-        The per-front swap loops were rehearsed at plan-build time into
-        one global ``(dst, src)`` row gather; the fancy-index read
-        completes before any write, so permutation cycles resolve to the
-        same rows as the sequential swaps they replay.
+        ``plan`` is the :class:`~repro.sparse.numeric.solve_plan.
+        SolvePlan`: its per-front swap loops were rehearsed at build
+        time into one global ``(dst, src)`` row gather; the fancy-index
+        read completes before any write, so permutation cycles resolve
+        to the same rows as the sequential swaps they replay.
         """
-        if len(lp.piv_dst):
-            x[lp.piv_dst, :] = x[lp.piv_src, :]
-        return solve_pivots_cost(lp.swaps_total, lp.sep_tiles, nrhs,
+        if len(plan.piv_dst):
+            x[plan.piv_dst, :] = x[plan.piv_src, :]
+        return solve_pivots_cost(plan.swaps_total, plan.sep_tiles, nrhs,
                                  itemsize)
 
     def exec_solve_scatter(self, x, lp, stacks, nrhs: int,

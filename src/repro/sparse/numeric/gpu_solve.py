@@ -1,28 +1,32 @@
 """GPU triangular solve through the assembly tree (phase 3, batched).
 
 The solve mirrors the factorization's batching: all fronts of a level are
-handled with one kernel sequence — a pivot/gather kernel, a batched
-triangular solve (:func:`~repro.batched.trsm.irr_trsm`) on the pivot
-blocks, and a scatter-update kernel — instead of per-front launches.
-Because the permuted numbering gives every front's separator a
-*contiguous* index range, the per-front right-hand-side blocks are plain
-views into the global solution vector; only the update sets need
-gather/scatter.
+handled with one kernel sequence — a batched triangular solve
+(:func:`~repro.batched.trsm.irr_trsm`) on the pivot blocks and a
+scatter-update (forward) or gather-update (backward) kernel — instead of
+per-front launches.  Because the permuted numbering gives every front's
+separator a *contiguous* index range, the per-front right-hand-side
+blocks are plain views into the global solution vector; only the update
+sets need gather/scatter.  Those ranges are also disjoint, so the
+forward sweep applies every front's row interchanges in ONE
+``solve:pivots`` launch before its first level, and each front's
+updates then land where its ancestors' pivoted rows sit.
 
 The triangular solve is ONE irrTRSM base launch per level and sweep
 wherever it fits in shared memory: the level passes its largest
 separator as ``base_nb`` and each front's triangle streams through one
-thread block per 32-column tile of ``x``, so a level costs five launches
-per pass.  The recursion (§IV-D, built for the factorization's wide
-right-hand sides) remains only for levels whose column tile of ``x``
-does not fit (:func:`_level_base_nb`).
+thread block per 32-column tile of ``x``, so a substitution pass costs
+four launches per level plus its one pivot launch.  The recursion
+(§IV-D, built for the factorization's wide right-hand sides) remains
+only for levels whose column tile of ``x`` does not fit
+(:func:`_level_base_nb`).
 
 Two host execution paths produce bitwise-identical solutions and
 identical simulated launch records:
 
 * ``engine="naive"`` — the reference: factors are streamed level-by-level
-  (upload, use, free), pivots applied row-by-row, updates scattered
-  front-by-front.
+  (upload, use, free), pivots applied row-by-row, front by front,
+  updates scattered front-by-front.
 * ``engine="bucketed"`` (default) — a :class:`SolvePlan` precomputes the
   per-level gather/scatter index structure once and a
   :class:`DeviceFactorCache` keeps factor blocks device-resident across
@@ -162,32 +166,36 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
     nrhs = x.shape[1]
     itemsize = x.dtype.itemsize
 
+    levels = [[f for f in fids if symb.fronts[f].sep_size > 0]
+              for fids in levels]
+    levels = [fids for fids in levels if fids]
+    posmap = np.arange(len(x))
+
+    def apply_pivots() -> KernelCost:
+        """Every front's interchanges, front by front, and ``posmap``:
+        where each row's value then sits."""
+        at = np.arange(len(x))     # at[r]: the row whose value is at r
+        swaps = 0
+        for f in (f for fids in levels for f in fids):
+            info = symb.fronts[f]
+            ipiv = factors.fronts[f].ipiv[:info.sep_size]
+            swaps += apply_interchanges(x[info.sep_begin:info.sep_end, :],
+                                        ipiv)
+            apply_interchanges(at[info.sep_begin:info.sep_end], ipiv)
+        posmap[at] = np.arange(len(x))
+        seps = [symb.fronts[f].sep_size for fids in levels for f in fids]
+        return solve_pivots_cost(swaps, tile_blocks(seps, 1), nrhs, itemsize)
+
     with device.timed_region() as region:
         # ---- forward sweep: y = L^{-1} (block-P) b, leaves -> root -----
+        device.launch("solve:pivots", apply_pivots, stream=stream)
         for fids in levels:
-            fids = [f for f in fids if symb.fronts[f].sep_size > 0]
-            if not fids:
-                continue
             f11, f21 = stream_level(fids, "f11", "f21")
             rhs_views = [x_dev[symb.fronts[f].sep_begin:
                                symb.fronts[f].sep_end, :] for f in fids]
             rhs = IrrBatch(device, rhs_views,
                            f11.m_vec, np.full(len(fids), nrhs,
                                               dtype=np.int64))
-
-            def apply_pivots(fids=fids) -> KernelCost:
-                swaps = 0
-                for f in fids:
-                    info = symb.fronts[f]
-                    fac = factors.fronts[f]
-                    swaps += apply_interchanges(
-                        x[info.sep_begin:info.sep_end, :],
-                        fac.ipiv[:info.sep_size])
-                seps = [symb.fronts[f].sep_size for f in fids]
-                return solve_pivots_cost(swaps, tile_blocks(seps, 1), nrhs,
-                                         itemsize)
-
-            device.launch("solve:pivots", apply_pivots, stream=stream)
             s_max = int(f11.max_m)
             irr_trsm(device, "L", "L", "N", "U", s_max, nrhs, 1.0,
                      f11, (0, 0), rhs, (0, 0), stream=stream,
@@ -202,8 +210,8 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                         continue
                     y_sep = x[info.sep_begin:info.sep_end, :]
                     upd = f21.arrays[li].data @ y_sep
-                    # scatter-subtract into the global vector
-                    np.subtract.at(x, info.upd, upd)
+                    # scatter-subtract where the pivoted rows now sit
+                    np.subtract.at(x, posmap[info.upd], upd)
                 return solve_update_cost(us, int(u.sum()), tile_blocks(u, s),
                                          split_k_partials(u, s), nrhs,
                                          itemsize)
@@ -215,9 +223,6 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
 
         # ---- backward sweep: x = U^{-1} y, root -> leaves ---------------
         for fids in reversed(levels):
-            fids = [f for f in fids if symb.fronts[f].sep_size > 0]
-            if not fids:
-                continue
             f11, f12 = stream_level(fids, "f11", "f12")
             rhs_views = [x_dev[symb.fronts[f].sep_begin:
                                symb.fronts[f].sep_end, :] for f in fids]
@@ -290,12 +295,12 @@ def _solve_planned(device: Device, factors: MultifrontalFactors,
                                           itemsize) for lp in levels]
 
                 # ---- forward sweep: leaves -> root ---------------------
+                device.launch(
+                    "solve:pivots",
+                    lambda: eng.exec_solve_pivots(xb, plan, nrhs, itemsize),
+                    stream=stream)
                 for li, lp in enumerate(levels):
                     blocks, owned = acquire(li, "fwd")
-                    device.launch(
-                        "solve:pivots",
-                        lambda lp=lp: eng.exec_solve_pivots(
-                            xb, lp, nrhs, itemsize), stream=stream)
                     irr_trsm(device, "L", "L", "N", "U", lp.max_sep, nrhs,
                              1.0, blocks.f11, (0, 0), rhs_batches[li],
                              (0, 0), stream=stream, base_nb=base_nb[li],

@@ -20,9 +20,10 @@ with the SLATE-like top only (the top levels run on a GPU):
   its own simulated timeline;
 * subtree-root Schur contributions are copied into ``node[0]``'s
   memory, peers' over the node's modeled links
-  (:func:`~repro.device.memory.pack_to_device` with ``node=``), and the
-  top part is factored there with the batched kernels and the hybrid
-  Schur GEMM, its assembly reading them in place;
+  (:func:`~repro.device.memory.pack_to_device` with ``node=``; without
+  a store ``node[0]``'s own stay in their fronts), and the top part is
+  factored there with the batched kernels and the hybrid Schur GEMM,
+  its assembly reading them in place;
 * without a solve store, every front stays on its device through the
   top part and downloads to host factors once the node is idle, as the
   single-device path downloads after its measured region;
@@ -166,10 +167,11 @@ class ShardedFactorResult:
     """Factors plus the simulated multi-device execution profile.
 
     ``elapsed`` is this call's node makespan: from the latest member
-    clock at entry to the latest once every device is idle after the
-    top part (subtree phases overlap, so this is *not* the sum of the
-    parts).  Without a store the fronts download to host factors after
-    that, outside ``elapsed``, as in ``multifrontal_factor_gpu``.
+    clock once every device holds its copy of A to the latest once
+    every device is idle after the top part (subtree phases overlap, so
+    this is *not* the sum of the parts).  Without a store the fronts
+    download to host factors after that, outside ``elapsed``, as in
+    ``multifrontal_factor_gpu``.
     ``per_device_seconds`` times each device's subtree phase.
     ``gather_seconds`` is the top device's clock delta over the gather
     of the boundary Schur blocks into its memory, so it includes that
@@ -208,9 +210,10 @@ def multifrontal_factor_sharded(
     all apply per device.  ``node[0]`` takes the lightest subtree share,
     since it also factors the top part (and holds the store).  Boundary
     Schur blocks are copied into ``node[0]``'s memory (peer to peer over
-    the node's modeled links, a ``solve:pack`` for ``node[0]``'s own),
-    and the top part is factored there with the same kernels, its
-    assembly reading them in place.
+    the node's modeled links; with a store, a ``solve:pack`` for
+    ``node[0]``'s own, which without one stay in their fronts), and the
+    top part is factored there with the same kernels, its assembly
+    reading them in place.
 
     The aggregated :class:`FactorReport` (with every device's recovery
     slice merged in) is attached to ``result.report`` and
@@ -251,7 +254,6 @@ def multifrontal_factor_sharded(
     assign = _lightest_first(partition_tree(symb, len(node)))
     engine = resolve_engine(engine)
     marks = [dev.recovery_log.mark() for dev in node]
-    start = node.makespan
     link_bytes0 = node.p2p_bytes + node.staged_bytes
 
     # per level, the devices' packed shares (the store path only)
@@ -281,7 +283,8 @@ def multifrontal_factor_sharded(
         return region["elapsed"]
 
     # Each participating device holds its own copy of A for assembly
-    # (uploaded outside the timed regions, like the single-device path).
+    # (uploaded before ``start``, like the single-device path's upload
+    # outside its timed region).
     active = [d for d in range(len(node)) if assign.rank_fronts[d]]
     if assign.top_fronts and 0 not in active:
         active.append(0)
@@ -296,6 +299,7 @@ def multifrontal_factor_sharded(
             node[d]._claim(a_dev_bytes, site="shard:a_csr")
             claimed.append(d)
             node[d]._account_transfer(a_dev_bytes)
+        start = node.makespan
 
         # --- phase 1: rank-local subtrees (concurrent timelines) ---------
         per_device = [run_fronts(node[d], assign.rank_fronts[d], buffers[d])
@@ -386,7 +390,10 @@ def _send_boundary(node, d, symb, bufs, records, store, shares,
     ``solve:pack`` on ``node[0]`` itself.  With a ``store``, then pack
     ``d``'s share of their level and free them (on that path they are
     all ``d`` still holds); without one, every front stays on ``d``
-    until the download."""
+    until the download, so ``node[0]``'s top part reads its own boundary
+    fronts' Schur blocks in place and only peers copy."""
+    if store is None and d == 0:
+        return
     owner = node[0]
     boundary = [f for f in sorted(bufs) if symb.fronts[f].parent >= 0
                 and symb.fronts[f].parent not in bufs]

@@ -16,9 +16,12 @@ This module precomputes everything that depends only on the factors:
   before any pivot is known.
 
 * :class:`SolvePlan` — built once per factorization over a layout.  It
-  adds the *rehearsed* pivot permutation per level (the row-by-row swap
-  loop becomes one fancy-index gather, reusing the rehearsal machinery
-  of :class:`~repro.batched.engine.BatchEngine`).
+  holds the *rehearsed* pivot permutation of the whole tree (every
+  front's row-by-row swap loop becomes part of one fancy-index gather,
+  reusing the rehearsal machinery of
+  :class:`~repro.batched.engine.BatchEngine`), the ``posmap`` of where
+  each row's value sits once it is applied, and its copy of each
+  level's scatter rounds remapped through that map.
 
 * :class:`DeviceFactorCache` — keeps the factor blocks device-resident
   across solves: per level, the ``f11`` pivot blocks as an
@@ -41,6 +44,12 @@ per-front reference in :mod:`repro.sparse.numeric.gpu_solve`:
 
 * the rehearsed permutation replays the exact swap sequence, so the
   single gather equals the row-by-row swaps;
+* both paths apply every front's interchanges before the forward
+  sweep's first level (the separator ranges are disjoint), so a front's
+  updates subtract into ``posmap`` of its ancestors' rows: each row
+  receives the same subtractions in the same order as when its front
+  pivots just before its own triangle solve, and the backward sweep
+  reads the fully permuted vector either way;
 * stacked 3-D ``np.matmul`` equals the per-matrix 2-D product (the
   engine's contract); the inner-product shape (``m = nrhs = 1``) stays
   per-matrix;
@@ -107,7 +116,8 @@ class LevelSolvePlan:
     """Precomputed execution structure of one assembly-tree level.
 
     A :class:`SolveLayout` level carries the structure only; its
-    :class:`SolvePlan` copy adds the rehearsed pivot gather.
+    :class:`SolvePlan` copy remaps the scatter ``rounds`` to where the
+    pivoted rows sit (:attr:`SolvePlan.posmap`).
     """
 
     fids: list[int]           #: fronts with ``sep_size > 0``, front order
@@ -119,19 +129,12 @@ class LevelSolvePlan:
     rounds: list[tuple[np.ndarray, np.ndarray]]  #: (rows, positions)
     buckets: list[SolveBucket] = field(default_factory=list)
     # integer cost totals the naive loop recounts front by front
-    sep_tiles: int = 0        #: Σ ⌈sep/32⌉ (``solve:pivots`` grid)
     sum_us: int = 0           #: Σ upd·sep over active fronts
     sum_u: int = 0            #: Σ upd over active fronts
     sum_s_active: int = 0     #: Σ sep over active fronts
     upd_tiles: int = 0        #: Σ ⌈upd/32⌉·⌈sep/32⌉ over active fronts
     scatter_partials: int = 0  #: split-K partials of ``f21 @ y``
     gather_partials: int = 0   #: split-K partials of ``f12 @ x``
-    # rehearsed pivot application: one gather replaces the swap loops
-    piv_dst: np.ndarray = field(      #: global rows that move
-        default_factory=lambda: np.empty(0, dtype=np.int64))
-    piv_src: np.ndarray = field(      #: their source rows after all swaps
-        default_factory=lambda: np.empty(0, dtype=np.int64))
-    swaps_total: int = 0      #: off-diagonal pivot count (cost parity)
 
     @property
     def nfronts(self) -> int:
@@ -212,7 +215,7 @@ class SolveLayout:
 
         lp = LevelSolvePlan(
             fids=fids, sep_m=sep_m, sep_starts=sep_starts,
-            max_sep=int(sep_m.max()), sep_tiles=tile_blocks(sep_m, 1),
+            max_sep=int(sep_m.max()),
             upd_rows=upd_rows, rounds=_build_rounds(upd_rows))
         if act:
             shapes = np.array([[info.upd_size, info.sep_size]
@@ -248,9 +251,14 @@ class SolvePlan:
     """Per-level execution plan built once from the numeric factors.
 
     Rehearses the factors' pivots over a :class:`SolveLayout` (built
-    here unless one is passed).  Owns a
-    :class:`~repro.batched.engine.BatchEngine` so the TRSM/DCWI plans
-    cached during the first solve are reused by every later solve
+    here unless one is passed) into one global row gather: the
+    separator ranges are disjoint, so every front's interchanges apply
+    in the forward sweep's single ``solve:pivots`` launch.  ``posmap``
+    says where each row's value sits once they have, and the plan's
+    copy of each level remaps its scatter ``rounds`` through it, so a
+    front's updates land on its ancestors' rows after their pivoting.
+    Owns a :class:`~repro.batched.engine.BatchEngine` so the TRSM/DCWI
+    plans cached during the first solve are reused by every later solve
     (including the refinement passes of one ``SparseLU.solve`` call).
     """
 
@@ -269,21 +277,29 @@ class SolvePlan:
         self.engine = engine if isinstance(engine, BatchEngine) \
             else BatchEngine()
         self.dtype = factors.dtype
-        self.levels = [self._rehearse(lp) for lp in layout.levels]
 
-    def _rehearse(self, lp: LevelSolvePlan) -> LevelSolvePlan:
-        """The layout level plus its rehearsed pivot gather: every
-        front's swap sequence becomes one permutation."""
-        perm, swaps = BatchEngine._rehearse_permutation(
-            self.factors.pivots(lp.fids), lp.max_sep)
-        dst_parts, src_parts = [], []
-        for i, (s, start) in enumerate(zip(lp.sep_m, lp.sep_starts)):
-            moved = np.nonzero(perm[i, :s] != np.arange(s))[0]
-            if len(moved):
-                dst_parts.append(start + moved)
-                src_parts.append(start + perm[i, moved])
-        return replace(lp, piv_dst=_cat(dst_parts), piv_src=_cat(src_parts),
-                       swaps_total=int(swaps.sum()))
+        # Each level's swap sequences replayed at once: row ``r`` of its
+        # front ``i`` ends up holding the front's row ``perm[i, r]``.
+        dst, src, swaps = [], [], 0
+        for lp in layout.levels:
+            perm, sw = BatchEngine._rehearse_permutation(
+                factors.pivots(lp.fids), lp.max_sep)
+            fi, r = np.nonzero(perm != np.arange(lp.max_sep))
+            dst.append(lp.sep_starts[fi] + r)
+            src.append(lp.sep_starts[fi] + perm[fi, r])
+            swaps += int(sw.sum())
+        #: global rows that move, and their source rows after all swaps
+        self.piv_dst, self.piv_src = _cat(dst), _cat(src)
+        self.swaps_total = swaps    #: off-diagonal pivots (cost parity)
+        #: Σ ⌈sep/32⌉ over every front (the ``solve:pivots`` grid)
+        self.sep_tiles = sum(tile_blocks(lp.sep_m, 1)
+                             for lp in layout.levels)
+        #: where each row's value sits once the interchanges are applied
+        self.posmap = np.arange(self.symb.n, dtype=np.int64)
+        self.posmap[self.piv_src] = self.piv_dst
+        self.levels = [replace(lp, rounds=[(self.posmap[rows], pos)
+                                           for rows, pos in lp.rounds])
+                       for lp in layout.levels]
 
     # ------------------------------------------------------------------
     def level_nbytes(self, lp: LevelSolvePlan) -> int:

@@ -225,9 +225,7 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
     rng = np.random.default_rng(seed)
     n_req = mix.count
     res = MixResult(name=mix.name, results=[None] * n_req,
-                    latencies=[None] * n_req,
-                    classes=[_payload(mix, seed, i)[0]
-                             for i in range(n_req)])
+                    latencies=[None] * n_req, classes=[None] * n_req)
     # (t_arrival, index) heap; closed-loop pushes from completions
     events: list[tuple[float, int]] = []
     closed = mix.arrival == "closed"
@@ -248,6 +246,7 @@ def run_mix(mix: TrafficMix, *, policy=None, spec: DeviceSpec | None = None,
 
     def submit(i: int, t_arr: float) -> None:
         cls, a, b = _payload(mix, seed, i)
+        res.classes[i] = cls
         saved = clock.now
         clock.now = t_arr          # backdate: arrivals during a busy
         try:                       # period still queue at arrival time

@@ -1,10 +1,16 @@
 """Tests for irrLASWP: looped vs rehearsed row interchanges."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.batched import IrrBatch, PanelPivots, fused_getf2, irr_laswp, \
     looped_laswp, rehearsed_laswp
+from repro.batched import engine as engine_mod
+from repro.batched.engine import BatchEngine
+from repro.batched.laswp import apply_interchanges
 from repro.device import A100, Device
 
 
@@ -141,3 +147,37 @@ class TestCostModel:
                            for r in dev.profiler.records[n0:]
                            if r.name.endswith("gather"))
         assert gather_bytes > 0
+
+
+class TestRehearsedPermutation:
+    """``BatchEngine._rehearse_permutation`` is the sequential interchange
+    loop replayed on row indices, on its member-by-member branch and on
+    its vectorized one alike."""
+
+    @pytest.mark.parametrize("cutoff", [0, None, 10 ** 9],
+                             ids=["vectorized", "default", "member"])
+    @settings(max_examples=40, deadline=None)
+    @given(bs=st.integers(0, 90), nrows=st.integers(1, 24),
+           keep=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+           base=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_sequential_replay(self, cutoff, bs, nrows, keep, base,
+                                      seed):
+        # each member a window of k <= nrows pivots counted from `base`:
+        # none, mostly identity (keep near 1) or mostly swaps (keep 0)
+        rng = np.random.default_rng(seed)
+        pivots = []
+        for _ in range(bs):
+            k = int(rng.integers(0, nrows + 1))
+            moved = rng.random(k) >= keep
+            pivots.append(base + np.where(moved, rng.integers(0, nrows, k),
+                                          np.arange(k)))
+        want = np.tile(np.arange(nrows), (bs, 1))
+        want_swaps = [apply_interchanges(want[i], pv - base)
+                      for i, pv in enumerate(pivots)]
+        if cutoff is None:
+            cutoff = engine_mod._REPLAY_MOVES_PER_ROW
+        with mock.patch.object(engine_mod, "_REPLAY_MOVES_PER_ROW", cutoff):
+            perm, swaps = BatchEngine._rehearse_permutation(pivots, nrows,
+                                                            base=base)
+        assert np.array_equal(perm, want.reshape(bs, nrows))
+        assert swaps.tolist() == want_swaps

@@ -37,7 +37,7 @@ from repro.serve.scheduler import (AdmissionQueue, Request, ServiceFuture,
 from repro.serve.stats import _DISPATCH_HISTORY, DispatchRecord, \
     ServiceStats
 from repro.workloads import (RequestClass, TrafficMix, VirtualClock,
-                             run_mix)
+                             run_mix, traffic)
 
 pytestmark = [pytest.mark.serve, pytest.mark.autotune]
 
@@ -547,6 +547,31 @@ class TestTrafficReplay:
         assert res.rejected == 0
         assert res.slo_met() is not None      # per-class report exists
         assert set(res.per_class) == {"mini"}
+
+    @pytest.mark.parametrize("arrival,max_queue", [("poisson", 4096),
+                                                   ("closed", 2)])
+    def test_replay_draws_each_request_once(self, monkeypatch, arrival,
+                                            max_queue):
+        """Each request's payload is drawn once, when it is submitted,
+        and every request is submitted: a rejected one too, and a
+        closed-loop client's requests after another's rejection."""
+        calls = []
+        payload = traffic._payload
+
+        def counted(mix, seed, index):
+            calls.append(index)
+            return payload(mix, seed, index)
+
+        monkeypatch.setattr(traffic, "_payload", counted)
+        mix = mini_mix(arrival=arrival, count=32, clients=8)
+        res = run_mix(mix, seed=4, policy=CoalescingPolicy(
+            max_queue=max_queue))
+        assert sorted(calls) == list(range(mix.count))
+        assert [c.name for c in res.classes] == ["mini"] * mix.count
+        assert res.per_class["mini"]["count"] == \
+            sum(lat is not None for lat in res.latencies)
+        assert res.completed + res.rejected == mix.count
+        assert (res.rejected > 0) == (arrival == "closed")
 
     def test_burst_arrivals_replay(self):
         mix = mini_mix(arrival="burst", count=32, rate=400.0,

@@ -34,14 +34,17 @@ def _both_engines(fac, b, spec=A100, **kw):
 
 def _level_trsm_names(dev):
     """The irrTRSM launch names of each level's triangle solve, in sweep
-    order: a forward level opens with ``solve:pivots``, a backward one
-    with ``solve:gather``."""
-    runs = []
+    order: each level's solve is one run of ``irrtrsm:`` launches, after
+    the sweep's ``solve:pivots`` or the previous level's
+    ``solve:scatter`` going forward, after the level's ``solve:gather``
+    going backward."""
+    runs, prev = [], ""
     for r in dev.profiler.records:
-        if r.name in ("solve:pivots", "solve:gather"):
-            runs.append([])
-        elif r.name.startswith("irrtrsm:"):
+        if r.name.startswith("irrtrsm:"):
+            if not prev.startswith("irrtrsm:"):
+                runs.append([])
             runs[-1].append(r.name)
+        prev = r.name
     return runs
 
 
@@ -83,10 +86,11 @@ class TestGpuSolve:
             multifrontal_solve_gpu(a100, fac, np.zeros(7))
 
     def test_batched_launch_structure(self, a100, rng):
-        # per level (with nonzero pivots): fwd = 3 launches, bwd = 2 —
-        # also where separators exceed one 32-wide tile (Maxwell n=6:
-        # root separator 138), because each level's triangles stream in
-        # one irrTRSM launch per sweep instead of recursing
+        # one pivot launch for every front, then per level: fwd = 2
+        # launches, bwd = 2 — also where separators exceed one 32-wide
+        # tile (Maxwell n=6: root separator 138), because each level's
+        # triangles stream in one irrTRSM launch per sweep instead of
+        # recursing
         for a, leaf_size in ((grid2d(12, 12), 8), (maxwell(6), 32)):
             nd, fac = factored(a, leaf_size)
             levels = _solve_levels(fac)
@@ -94,7 +98,7 @@ class TestGpuSolve:
             multifrontal_solve_gpu(a100, fac,
                                    rng.standard_normal(a.shape[0]))
             launches = a100.profiler.launch_count - n0
-            assert launches == 5 * len(levels)
+            assert launches == 4 * len(levels) + 1
         assert max(f.sep_size for f in fac.symb.fronts) == 138
 
     def test_no_device_memory_leak(self, a100, rng):

@@ -14,6 +14,7 @@ from repro.errors import FactorizationError
 from repro.sparse import SparseLU, multifrontal_factor_gpu, \
     multifrontal_factor_sharded, multifrontal_solve, nested_dissection, \
     symbolic_analysis
+from repro.sparse.numeric import shard
 from repro.sparse.numeric.solve_plan import DeviceFactorCache, SolveLayout
 
 from .util import grid2d, grid3d, maxwell
@@ -361,12 +362,35 @@ class TestShardedExecution:
 
     def test_one_device_times_the_single_device_factorization(self):
         """Without a store a 1-device node runs the single-device
-        factorization and times it the same way: the fronts download
-        after ``elapsed`` stops."""
+        factorization and times it the same way: A uploads before
+        ``elapsed`` starts and the fronts download after it stops."""
         _, ap, symb = prepare(maxwell(8), leaf_size=32)
         ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
         res = multifrontal_factor_sharded(Node(A100(), 1), ap, symb)
-        assert res.elapsed == pytest.approx(ref.elapsed, rel=0.1)
+        assert res.elapsed == pytest.approx(ref.elapsed, rel=0.01)
+        assert_factors_equal(ref.factors, res.factors)
+
+    def test_no_store_top_device_reads_its_own_schur_in_place(
+            self, monkeypatch):
+        """Without a store ``node[0]``'s boundary fronts stay resident,
+        so the gather copies only the peers' Schur blocks into it: no
+        ``solve:pack`` there, and its memory grows by the link bytes."""
+        _, ap, symb = prepare(maxwell(8), leaf_size=32)
+        node = Node(A100(), 4)
+        grown = []
+        send = shard._send_boundary
+
+        def counted(node, *args):
+            before = node[0].allocated_bytes
+            send(node, *args)
+            grown.append(node[0].allocated_bytes - before)
+
+        monkeypatch.setattr(shard, "_send_boundary", counted)
+        res = multifrontal_factor_sharded(node, ap, symb)
+        assert not any(r.name == "solve:pack"
+                       for r in node[0].profiler.records)
+        assert res.link_bytes > 0 and sum(grown) == res.link_bytes
+        ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
         assert_factors_equal(ref.factors, res.factors)
 
     @pytest.mark.parametrize("n_devices", [2, 4])

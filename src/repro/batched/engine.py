@@ -322,6 +322,28 @@ def solve_update_cost(sum_us: int, sum_rows: int, tiles: int,
                       kernel_class="gemm_irr", memory_ramp=0.5)
 
 
+def laswp_cost(spec, row_bytes: int, window_bytes: int, blocks: int,
+               ib: int) -> KernelCost:
+    """One rehearsed ``irrlaswp`` launch, the same on both engines.
+
+    The grid has one block per 32-column strip of every matrix with
+    pivots in the window and columns in the part (``blocks`` = Σ
+    ⌈width/TILE⌉).  Each block reads its matrix's pivot window
+    (``window_bytes`` = 8 bytes per pivot per block) and replays it in
+    shared memory: an 8-byte source index for each of the at most
+    ``2·ib`` rows the window touches, beside one ``_LASWP_CHUNK_ROWS ×
+    32`` tile of doubles.  Then it moves its strip of those rows
+    (``row_bytes``) through that tile.
+    """
+    return KernelCost(bytes_read=float(row_bytes + window_bytes),
+                      bytes_written=float(row_bytes),
+                      blocks=max(blocks, 1), threads_per_block=256,
+                      shared_mem_per_block=min(
+                          (_LASWP_CHUNK_ROWS * 32 + 2 * ib) * 8,
+                          spec.max_shared_per_block),
+                      kernel_class="swap", memory_ramp=0.85)
+
+
 class _GemmPlan:
     __slots__ = ("mi", "ni", "ki", "buckets", "singles", "scales",
                  "flops_mult", "ramp_weighted", "ab_read_elems",
@@ -367,8 +389,8 @@ class _PanelChunk:
 
 
 class _LaswpPlan:
-    __slots__ = ("length", "npiv", "c0", "c1", "lmax", "init_elems",
-                 "rehearse_elems", "gather_blocks")
+    __slots__ = ("length", "npiv", "c0", "c1", "lmax", "blocks",
+                 "window_bytes")
 
 
 class BatchEngine:
@@ -866,17 +888,48 @@ class BatchEngine:
             else:
                 raise ValueError(f"invalid part {part!r}")
             p.lmax = int(p.length.max()) if len(batch) else 0
-            p.init_elems = int(np.sum(p.length))
-            p.rehearse_elems = int(np.sum(p.npiv))
             width = p.c1 - p.c0
-            p.gather_blocks = tile_blocks(1, width[(p.npiv > 0) & (width > 0)])
+            act = (p.npiv > 0) & (width > 0)
+            strips = _ceil_div(width, TILE) * act
+            p.blocks = int(np.sum(strips))
+            p.window_bytes = 8 * int(np.sum(strips * p.npiv))
             return p
 
         return self.cache.get_or_build(key, build)
 
-    def laswp_session(self, batch, pivots, j: int, ib: int,
-                      part) -> "_LaswpSession":
-        return _LaswpSession(self, batch, pivots, j, ib, part)
+    def exec_laswp(self, batch, pivots, j: int, ib: int,
+                   part) -> KernelCost:
+        """Bucketed body of the ``irrlaswp:{part}`` launch.
+
+        Every matrix's pivot window ``ipiv[j:j+npiv]`` replays through
+        :meth:`_rehearse_permutation`, vectorized over the batch: ``aux[i,
+        r]`` is the row that ends up at row ``j + r``.  Then each matrix
+        moves the window's rows and every row a pivot displaced.  The
+        naive path replays and moves matrix by matrix
+        (:func:`~repro.batched.laswp.rehearsed_laswp`).
+        """
+        plan = self._laswp_plan(batch, j, ib, part)
+        windows = [pivots.ipiv[i][j:j + k]
+                   for i, k in enumerate(plan.npiv.tolist())]
+        aux, _swaps = self._rehearse_permutation(windows, plan.lmax, base=j)
+        lmax = aux.shape[1]
+        rel_all = np.arange(lmax, dtype=np.int64)
+        touch = ((rel_all[None, :] < plan.npiv[:, None]) |
+                 ((aux != rel_all[None, :]) &
+                  (rel_all[None, :] < plan.length[:, None])))
+        nbytes = 0
+        for i in range(len(batch)):
+            np_i = int(plan.npiv[i])
+            c0, c1 = int(plan.c0[i]), int(plan.c1[i])
+            width = c1 - c0
+            if np_i == 0 or width <= 0:
+                continue
+            a = batch.arrays[i].data
+            rel = np.nonzero(touch[i, :int(plan.length[i])])[0]
+            a[rel + j, c0:c1] = a[aux[i, rel] + j, c0:c1]
+            nbytes += 2 * len(rel) * width * batch.itemsize
+        return laswp_cost(batch.device.spec, nbytes, plan.window_bytes,
+                          plan.blocks, ib)
 
     # ------------------------------------------------------------------
     # pivot application (getrs / multifrontal F12)
@@ -1071,78 +1124,6 @@ class BatchEngine:
                     x[s0:s0 + b.s, :] -= blocks3[j] @ xu
         return solve_update_cost(lp.sum_us, lp.sum_s_active, lp.upd_tiles,
                                  lp.gather_partials, nrhs, itemsize)
-
-
-class _LaswpSession:
-    """Shared state of one rehearsed-LASWP call's three launches.
-
-    The auxiliary index columns of every matrix live in one padded
-    ``(batch, Lmax)`` matrix, and the rehearsal — the naive path's
-    O(batch × npiv) Python hotspot — replays every matrix's pivot window
-    through :meth:`BatchEngine._rehearse_permutation`, vectorized over
-    the batch.  That replay starts from the identity columns, so the
-    ``init`` launch only accounts for writing them.
-    """
-
-    def __init__(self, engine: BatchEngine, batch, pivots, j: int, ib: int,
-                 part) -> None:
-        self.plan = engine._laswp_plan(batch, j, ib, part)
-        self.batch = batch
-        self.pivots = pivots
-        self.j = j
-        self.aux: np.ndarray | None = None
-
-    def init(self) -> KernelCost:
-        return KernelCost(bytes_written=float(self.plan.init_elems) * 8,
-                          blocks=max(len(self.batch), 1),
-                          threads_per_block=256, kernel_class="swap")
-
-    def rehearse(self) -> KernelCost:
-        """Replay each matrix's pivot window ``ipiv[j:j+npiv]`` from row
-        ``j``: ``aux = j + perm``."""
-        plan = self.plan
-        j = self.j
-        windows = [self.pivots.ipiv[i][j:j + k]
-                   for i, k in enumerate(plan.npiv.tolist())]
-        self.aux, _swaps = BatchEngine._rehearse_permutation(
-            windows, plan.lmax, base=j)
-        self.aux += j
-        return KernelCost(bytes_read=float(plan.rehearse_elems) * 16,
-                          bytes_written=float(plan.rehearse_elems) * 16,
-                          blocks=max(len(self.batch), 1),
-                          threads_per_block=64, kernel_class="swap")
-
-    def gather(self) -> KernelCost:
-        plan = self.plan
-        batch = self.batch
-        aux = self.aux
-        itemsize = batch.itemsize
-        j = self.j
-        lmax = max(plan.lmax, 1)
-        ident = j + np.arange(lmax, dtype=np.int64)
-        valid = np.arange(lmax)[None, :] < plan.length[:, None]
-        touch = ((np.arange(lmax)[None, :] < plan.npiv[:, None]) |
-                 ((aux != ident[None, :]) & valid))
-        nbytes = 0
-        for i in range(len(batch)):
-            np_i = int(plan.npiv[i])
-            if np_i == 0:
-                continue
-            c0, c1 = int(plan.c0[i]), int(plan.c1[i])
-            width = c1 - c0
-            if width <= 0:
-                continue
-            a = batch.arrays[i].data
-            rel = np.nonzero(touch[i, :int(plan.length[i])])[0]
-            a[rel + j, c0:c1] = a[aux[i, rel], c0:c1]
-            nbytes += 2 * len(rel) * width * itemsize
-        return KernelCost(bytes_read=float(nbytes), bytes_written=float(nbytes),
-                          blocks=max(plan.gather_blocks, 1),
-                          threads_per_block=256,
-                          shared_mem_per_block=min(
-                              _LASWP_CHUNK_ROWS * 32 * 8,
-                              batch.device.spec.max_shared_per_block),
-                          kernel_class="swap", memory_ramp=0.85)
 
 
 def _apply_op2(a: np.ndarray, trans: str) -> np.ndarray:

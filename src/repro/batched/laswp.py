@@ -15,13 +15,14 @@ Two implementations with identical numerics:
   notes this variant can win in the (rare) mostly-diagonal-pivot corner
   case.
 
-* :func:`rehearsed_laswp` — the paper's optimization: (1) initialize a
-  one-column auxiliary vector ``0, 1, …``, (2) *rehearse* the swap
-  sequence on it (cheap: single column), (3) gather the affected rows
-  through shared-memory-sized chunks and write them back contiguously.
-  Three launches total, high bandwidth efficiency, but the cost is
-  *independent of the pivot pattern* (rows that stayed in place are moved
-  anyway).
+* :func:`rehearsed_laswp` — the paper's optimization in ONE launch: each
+  thread block *rehearses* its matrix's swap sequence on a row-index
+  column in shared memory (a window of at most ``ib`` pivots touches at
+  most ``2·ib`` rows), then gathers the affected rows of its 32-column
+  strip through shared-memory-sized chunks and writes them back
+  contiguously.  No auxiliary launch does index arithmetic (§IV-A); the
+  bandwidth efficiency is high, but the cost is *independent of the pivot
+  pattern* (rows that stayed in place are moved anyway).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..device.kernel import KernelCost, tile_blocks
 from ..device.simulator import Device
-from .engine import _LASWP_CHUNK_ROWS, resolve_engine
+from .engine import _LASWP_CHUNK_ROWS, laswp_cost, resolve_engine
 from .interface import IrrBatch
 from .panel import PanelPivots
 
@@ -121,101 +122,63 @@ def looped_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,
 def rehearsed_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,
                     j: int, ib: int, part: str, *, stream=None,
                     wait_events=None, engine=None) -> None:
-    """Rehearse swaps on an index column, then move rows in chunks of
-    ``_LASWP_CHUNK_ROWS`` (32).
+    """One ``irrlaswp:{part}`` launch: each block replays its matrix's
+    pivot window on a row-index column, then moves the rows it touches
+    in chunks of ``_LASWP_CHUNK_ROWS`` (32).
 
-    With a bucketed ``engine`` the three launches keep their names and
-    costs, but the auxiliary columns live in one padded matrix and the
-    rehearsal is one permutation replay vectorized across the batch
-    instead of a per-matrix per-pivot Python loop.
+    With a bucketed ``engine`` the launch keeps its name and cost, but
+    the replay is one permutation rehearsal vectorized across the batch
+    (:meth:`~repro.batched.engine.BatchEngine.exec_laswp`) instead of a
+    per-matrix per-pivot Python loop.
     """
     eng = resolve_engine(engine)
-    label = _part_label(part)
+    name = f"irrlaswp:{_part_label(part)}"
     if eng is not None:
-        sess = eng.laswp_session(batch, pivots, j, ib, part)
-        device.launch(f"irrlaswp:{label}:init", sess.init, stream=stream,
-                      wait_events=wait_events)
-        device.launch(f"irrlaswp:{label}:rehearse", sess.rehearse,
-                      stream=stream)
-        device.launch(f"irrlaswp:{label}:gather", sess.gather,
-                      stream=stream)
+        device.launch(name, lambda: eng.exec_laswp(batch, pivots, j, ib,
+                                                   part),
+                      stream=stream, wait_events=wait_events)
         return
 
-    bs = len(batch)
-    # The auxiliary one-column matrices: aux[i][r] = source row that must
-    # end up at row r.  Rehearsal only involves rows >= j that the current
-    # pivot window can touch.
-    aux: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * bs
-
-    def init_kernel() -> KernelCost:
-        nbytes = 0.0
+    def kernel() -> KernelCost:
+        nbytes = 0
+        window_bytes = 0
         blocks = 0
-        for i in range(bs):
-            m, _n = batch.local_dims(i)
-            aux[i] = np.arange(j, m, dtype=np.int64)
-            nbytes += max(0, m - j) * _ITEM
-            blocks += 1
-        return KernelCost(bytes_written=nbytes, blocks=max(blocks, 1),
-                          threads_per_block=256, kernel_class="swap")
-
-    def rehearse_kernel() -> KernelCost:
-        nbytes = 0.0
-        blocks = 0
-        for i in range(bs):
+        for i in range(len(batch)):
             npiv = _pivot_count(batch, i, j, ib)
-            a = aux[i]
+            c0, c1 = _col_range(batch, i, j, ib, part)
+            width = c1 - c0
+            if npiv == 0 or width <= 0:
+                continue
+            m, _n = batch.local_dims(i)
+            # The rehearsal: aux[r] = source row that must end up at row
+            # j + r.  Only rows >= j can take part in this window.
+            aux = np.arange(j, m, dtype=np.int64)
             for r in range(npiv):
                 p = int(pivots.ipiv[i][j + r]) - j
                 if p != r:
-                    a[r], a[p] = a[p], a[r]
-            nbytes += 2 * npiv * _ITEM
-            blocks += 1
-        return KernelCost(bytes_read=nbytes, bytes_written=nbytes,
-                          blocks=max(blocks, 1), threads_per_block=64,
-                          kernel_class="swap")
-
-    def gather_kernel() -> KernelCost:
-        nbytes = 0.0
-        blocks = 0
-        for i in range(bs):
-            npiv = _pivot_count(batch, i, j, ib)
-            if npiv == 0:
-                continue
-            c0, c1 = _col_range(batch, i, j, ib, part)
-            width = c1 - c0
-            if width <= 0:
-                continue
+                    aux[r], aux[p] = aux[p], aux[r]
             a = batch.arrays[i].data
-            # Rows the rehearsal says participate: the pivot window plus
-            # any row a pivot displaced (aux entry differs from identity).
-            # The cost model charges the whole participating set
-            # regardless of how many actually moved — the
-            # pattern-independence the paper describes.
-            rel = np.arange(len(aux[i]), dtype=np.int64)
-            moved = np.nonzero(aux[i] != rel + j)[0]
+            # Rows that participate: the pivot window plus any row a
+            # pivot displaced (aux entry differs from identity).  The
+            # cost model charges the whole participating set regardless
+            # of how many actually moved — the pattern-independence the
+            # paper describes.
+            moved = np.nonzero(aux != np.arange(j, m))[0]
             touched = np.unique(np.concatenate(
                 [np.arange(npiv, dtype=np.int64), moved]))
             dest_rows = touched + j
-            src_rows = aux[i][touched]
-            gathered = a[src_rows, c0:c1].copy()
+            gathered = a[aux[touched], c0:c1].copy()
             # Chunked write-back: contiguous blocks via shared memory.
             for s in range(0, len(dest_rows), _LASWP_CHUNK_ROWS):
                 e = min(s + _LASWP_CHUNK_ROWS, len(dest_rows))
                 a[dest_rows[s:e], c0:c1] = gathered[s:e]
+            strips = tile_blocks(1, width)
             nbytes += 2 * len(dest_rows) * width * batch.itemsize
-            blocks += tile_blocks(1, width)
-        return KernelCost(bytes_read=nbytes, bytes_written=nbytes,
-                          blocks=max(blocks, 1), threads_per_block=256,
-                          shared_mem_per_block=min(
-                              _LASWP_CHUNK_ROWS * 32 * _ITEM,
-                              device.spec.max_shared_per_block),
-                          kernel_class="swap", memory_ramp=0.85)
+            window_bytes += strips * npiv * _ITEM
+            blocks += strips
+        return laswp_cost(device.spec, nbytes, window_bytes, blocks, ib)
 
-    device.launch(f"irrlaswp:{label}:init", init_kernel, stream=stream,
-                  wait_events=wait_events)
-    device.launch(f"irrlaswp:{label}:rehearse", rehearse_kernel,
-                  stream=stream)
-    device.launch(f"irrlaswp:{label}:gather", gather_kernel, stream=stream)
+    device.launch(name, kernel, stream=stream, wait_events=wait_events)
 
 
 def irr_laswp(device: Device, batch: IrrBatch, pivots: PanelPivots,

@@ -924,7 +924,9 @@ def _level_offdiag(device, s_vec, u_vec, f11, f12, f21, f22, piv,
 
     The F21 solve reads only U, so it runs on the device's side stream
     while the F12 pivots and solve (which read L) run on the main one;
-    the Schur GEMM waits for both."""
+    the Schur GEMM waits for both.  The side stream also carries every
+    other per-front cuBLAS Schur GEMM of the hybrid's large fronts
+    (:func:`_vendor_gemm_loop`)."""
     gated = _gate_broken(device, piv, s_vec, u_vec, f11, f12, f21, f22)
     if gated is None:
         return
@@ -968,13 +970,22 @@ def _level_offdiag(device, s_vec, u_vec, f11, f12, f21, f22, piv,
 
 
 def _vendor_gemm_loop(device, f12, f21, f22, which) -> None:
-    for i in which:
-        s, u = f12.local_dims(i)
-        if s == 0 or u == 0:
-            continue
+    """One cuBLAS Schur GEMM per front, alternating between the main
+    stream and the side stream: the fronts' updates are independent, so
+    two run side by side.  The side stream starts after everything the
+    main stream launched before the first GEMM, and the main stream
+    resumes after the side stream's last."""
+    live = [i for i in which if 0 not in f12.local_dims(i)]
+    side = device.side_stream if len(live) > 1 else None
+    if side is not None:
+        device.wait_event(side, device.record_event())
+    for k, i in enumerate(live):
         vendor_gemm(device, "N", "N", -1.0, f21.arrays[i].data,
                     f12.arrays[i].data, 1.0, f22.arrays[i].data,
+                    stream=side if k % 2 else None,
                     name="cublas_gemm:schur")
+    if side is not None:
+        device.wait_event(None, device.record_event(side))
 
 
 def _level_looped(device, symb, fids, buffers, records) -> None:

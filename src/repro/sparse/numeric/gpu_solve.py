@@ -16,7 +16,9 @@ The triangular solve is ONE irrTRSM base launch per level and sweep
 wherever it fits in shared memory: the level passes its largest
 separator as ``base_nb`` and each front's triangle streams through one
 thread block per 32-column tile of ``x``, so a substitution pass costs
-four launches per level plus its one pivot launch.  The recursion
+four launches per level plus its one pivot launch, less the update
+launches of levels whose fronts have no update rows (the root's), which
+would do no work.  The recursion
 (§IV-D, built for the factorization's wide right-hand sides) remains
 only for levels whose column tile of ``x`` does not fit
 (:func:`_level_base_nb`).
@@ -152,7 +154,8 @@ def _solve_naive(device: Device, factors: MultifrontalFactors,
 
 def _update_dims(symb, fids) -> tuple[int, np.ndarray, np.ndarray]:
     """Σ upd·sep and the (upd, sep) sizes of the fronts with an update
-    block, recounted per launch by the naive sweeps."""
+    block, recounted per level and sweep by the naive sweeps (a level
+    whose Σ is 0 makes no update launch)."""
     dims = np.array([(symb.fronts[f].upd_size, symb.fronts[f].sep_size)
                      for f in fids if symb.fronts[f].upd_size],
                     dtype=np.int64).reshape(-1, 2)
@@ -202,8 +205,9 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                      base_nb=_level_base_nb(device, s_max, nrhs, itemsize),
                      name="irrtrsm:fwd")
 
-            def scatter_update(fids=fids) -> KernelCost:
-                us, u, s = _update_dims(symb, fids)
+            us, u, s = _update_dims(symb, fids)
+
+            def scatter_update(fids=fids, us=us, u=u, s=s) -> KernelCost:
                 for li, f in enumerate(fids):
                     info = symb.fronts[f]
                     if info.upd_size == 0:
@@ -216,7 +220,8 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                                          split_k_partials(u, s), nrhs,
                                          itemsize)
 
-            device.launch("solve:scatter", scatter_update, stream=stream)
+            if us:      # a level without update rows makes no launch
+                device.launch("solve:scatter", scatter_update, stream=stream)
             f11.free()
             f21.free()
             live.clear()
@@ -230,8 +235,9 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                            f11.m_vec, np.full(len(fids), nrhs,
                                               dtype=np.int64))
 
-            def gather_update(fids=fids) -> KernelCost:
-                us, u, s = _update_dims(symb, fids)
+            us, u, s = _update_dims(symb, fids)
+
+            def gather_update(fids=fids, us=us, u=u, s=s) -> KernelCost:
                 for li, f in enumerate(fids):
                     info = symb.fronts[f]
                     if info.upd_size == 0:
@@ -243,7 +249,8 @@ def _naive_sweeps(device, factors, x_dev, x, levels, stream_level, live,
                                          split_k_partials(s, u), nrhs,
                                          itemsize)
 
-            device.launch("solve:gather", gather_update, stream=stream)
+            if us:
+                device.launch("solve:gather", gather_update, stream=stream)
             s_max = int(f11.max_m)
             irr_trsm(device, "L", "U", "N", "N", s_max, nrhs, 1.0,
                      f11, (0, 0), rhs, (0, 0), stream=stream,
@@ -305,24 +312,26 @@ def _solve_planned(device: Device, factors: MultifrontalFactors,
                              1.0, blocks.f11, (0, 0), rhs_batches[li],
                              (0, 0), stream=stream, base_nb=base_nb[li],
                              name="irrtrsm:fwd", engine=eng)
-                    device.launch(
-                        "solve:scatter",
-                        lambda lp=lp, st=blocks.f21_stacks:
-                            eng.exec_solve_scatter(xb, lp, st, nrhs,
-                                                   itemsize),
-                        stream=stream)
+                    if lp.sum_us:
+                        device.launch(
+                            "solve:scatter",
+                            lambda lp=lp, st=blocks.f21_stacks:
+                                eng.exec_solve_scatter(xb, lp, st, nrhs,
+                                                       itemsize),
+                            stream=stream)
                     release(blocks, owned)
 
                 # ---- backward sweep: root -> leaves --------------------
                 for li in range(len(levels) - 1, -1, -1):
                     lp = levels[li]
                     blocks, owned = acquire(li, "bwd")
-                    device.launch(
-                        "solve:gather",
-                        lambda lp=lp, st=blocks.f12_stacks:
-                            eng.exec_solve_gather(xb, lp, st, nrhs,
-                                                  itemsize),
-                        stream=stream)
+                    if lp.sum_us:
+                        device.launch(
+                            "solve:gather",
+                            lambda lp=lp, st=blocks.f12_stacks:
+                                eng.exec_solve_gather(xb, lp, st, nrhs,
+                                                      itemsize),
+                            stream=stream)
                     irr_trsm(device, "L", "U", "N", "N", lp.max_sep, nrhs,
                              1.0, blocks.f11, (0, 0), rhs_batches[li],
                              (0, 0), stream=stream, base_nb=base_nb[li],

@@ -1,13 +1,14 @@
 """Tests for irrLASWP: looped vs rehearsed row interchanges."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.batched import IrrBatch, PanelPivots, fused_getf2, irr_laswp, \
-    looped_laswp, rehearsed_laswp
+from repro.batched import IrrBatch, PanelPivots, fused_getf2, irr_getrf, \
+    irr_laswp, looped_laswp, rehearsed_laswp
 from repro.batched import engine as engine_mod
 from repro.batched.engine import BatchEngine
 from repro.batched.laswp import apply_interchanges
@@ -108,11 +109,14 @@ class TestCostModel:
         looped_laswp(a100, b, piv, 0, 16, "right")
         assert a100.profiler.launch_count - n0 == 16
 
-    def test_rehearsed_always_three_launches(self, a100, rng):
+    def test_rehearsed_is_one_launch(self, a100, rng):
         b, piv = make_pivoted_batch(a100, rng, [(64, 64)], 0, 16)
-        n0 = a100.profiler.launch_count
+        a100.synchronize()
+        n0 = len(a100.profiler.records)
         rehearsed_laswp(a100, b, piv, 0, 16, "right")
-        assert a100.profiler.launch_count - n0 == 3
+        a100.synchronize()
+        assert [r.name for r in a100.profiler.records[n0:]] == \
+            ["irrlaswp:right"]
 
     def test_looped_free_when_pivots_on_diagonal(self, rng):
         # The §IV-F corner case: diagonally dominant matrices pivot on the
@@ -145,8 +149,97 @@ class TestCostModel:
         dev.synchronize()
         gather_bytes = sum(r.cost.bytes_total
                            for r in dev.profiler.records[n0:]
-                           if r.name.endswith("gather"))
+                           if r.name == "irrlaswp:right")
         assert gather_bytes > 0
+
+
+def _random_pivots(rng, batch, j, ib):
+    """Pivots of a panel at (j, j): every row of the window trades with
+    a row at or below it (LAPACK's ``ipiv[r] >= r``), some with itself."""
+    piv = PanelPivots(batch)
+    for i, ip in enumerate(piv.ipiv):
+        m = int(batch.m_vec[i])
+        for r in range(j, min(j + ib, len(ip))):
+            ip[r] = r if rng.random() < 0.3 else rng.integers(r, m)
+    return piv
+
+
+class TestOneLaunch:
+    """The rehearsed LASWP is ONE launch on either engine: every block
+    replays its own matrix's pivot window, so no launch of its own
+    rehearses an index column, and both engines move the same rows under
+    the same record."""
+
+    # (rows, cols) at j=8, ib=8: a square member, a tall one, a wide one,
+    # one finished before the panel (no pivots), one whose columns end
+    # inside the panel (no right width), one ending at the window's
+    # start (no window width) and a one-row one
+    SHAPES = [(40, 40), (70, 33), (12, 50), (6, 6), (30, 12), (25, 16),
+              (1, 64)]
+
+    @pytest.mark.parametrize("smem", [None, 4096], ids=["a100", "smem4k"])
+    @pytest.mark.parametrize("part", ["left", "right", (16, 24)],
+                             ids=["left", "right", "window"])
+    def test_engines_match_the_sequential_swaps(self, part, smem):
+        spec = A100() if smem is None else \
+            dataclasses.replace(A100(), max_shared_per_block=smem)
+        j, ib = 8, 8
+        rng = np.random.default_rng(11)
+        mats = [rng.standard_normal(s) for s in self.SHAPES]
+        runs = []
+        for engine in ("naive", "bucketed"):
+            dev = Device(spec)
+            b = IrrBatch.from_host(dev, mats)
+            piv = _random_pivots(np.random.default_rng(5), b, j, ib)
+            dev.synchronize()
+            rehearsed_laswp(dev, b, piv, j, ib, part, engine=engine)
+            dev.synchronize()
+            rec = [(r.name, r.stream, r.cost, r.start, r.end)
+                   for r in dev.profiler.records]
+            runs.append(([a.data.copy() for a in b.arrays], rec, piv))
+        (out_n, rec_n, piv), (out_b, rec_b, _) = runs
+        assert rec_n == rec_b
+        label = part if isinstance(part, str) else "win16:24"
+        assert [r[0] for r in rec_b] == [f"irrlaswp:{label}"]
+        cost = rec_b[0][2]
+        assert cost.shared_mem_per_block <= spec.max_shared_per_block
+        for i, (a0, a_n, a_b) in enumerate(zip(mats, out_n, out_b)):
+            n = a0.shape[1]
+            c0, c1 = {"left": (0, min(j, n)),
+                      "right": (min(j + ib, n), n)}.get(
+                          part, (min(16, n), min(24, n)))
+            want = apply_reference_swaps(a0, piv.ipiv[i], j, ib,
+                                         slice(c0, c1))
+            assert np.array_equal(a_n, want), i
+            assert np.array_equal(a_b, want), i
+
+    def test_factor_bitwise_on_both_engines_under_small_shared_memory(self):
+        # 4 KB blocks: the fused panel holds 16 rows, so taller members
+        # take the recursive panel split and its window swaps
+        spec = dataclasses.replace(A100(), max_shared_per_block=4096)
+        rng = np.random.default_rng(2)
+        mats = [rng.standard_normal((m, n)) for m, n in
+                [(48, 48), (30, 30), (64, 40), (5, 5), (20, 52), (1, 1)]]
+        runs = []
+        for engine in ("naive", "bucketed"):
+            dev = Device(spec)
+            b = IrrBatch.from_host(dev, mats)
+            piv = irr_getrf(dev, b, engine=engine)
+            dev.synchronize()
+            rec = [(r.name, r.stream, r.cost, r.start, r.end)
+                   for r in dev.profiler.records]
+            runs.append(([a.data.copy() for a in b.arrays], piv.ipiv, rec))
+        (f_n, p_n, rec_n), (f_b, p_b, rec_b) = runs
+        assert rec_n == rec_b
+        names = {r[0] for r in rec_b}
+        assert {"irrlaswp:left", "irrlaswp:right"} <= names
+        assert any(n.startswith("irrlaswp:win") for n in names)
+        assert not any(n.endswith((":init", ":rehearse", ":gather"))
+                       for n in names)
+        for x, y in zip(f_n, f_b, strict=True):
+            assert np.array_equal(x, y)
+        for x, y in zip(p_n, p_b, strict=True):
+            assert np.array_equal(x, y)
 
 
 class TestRehearsedPermutation:

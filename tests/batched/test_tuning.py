@@ -44,7 +44,7 @@ def fastest(mats, grid):
     return grid[times[0][1]], grid[times[-1][1]], times
 
 
-class TestAutotune:
+class TestPanelParameterGrid:
     def test_returns_feasible_best(self, rng):
         # with panel="auto" every point of the grid is feasible: the
         # fused/column-wise panel choice self-selects per panel

@@ -37,11 +37,14 @@ def _level_trsm_names(dev):
     order: each level's solve is one run of ``irrtrsm:`` launches, after
     the sweep's ``solve:pivots`` or the previous level's
     ``solve:scatter`` going forward, after the level's ``solve:gather``
-    going backward."""
+    going backward.  A level without update rows (the root) makes no
+    update launch, so its backward run also starts where the sweep
+    turns from ``fwd`` to ``bwd``."""
     runs, prev = [], ""
     for r in dev.profiler.records:
         if r.name.startswith("irrtrsm:"):
-            if not prev.startswith("irrtrsm:"):
+            if not prev.startswith("irrtrsm:") or \
+                    prev.split(":")[1] != r.name.split(":")[1]:
                 runs.append([])
             runs[-1].append(r.name)
         prev = r.name
@@ -90,15 +93,19 @@ class TestGpuSolve:
         # launches, bwd = 2 — also where separators exceed one 32-wide
         # tile (Maxwell n=6: root separator 138), because each level's
         # triangles stream in one irrTRSM launch per sweep instead of
-        # recursing
+        # recursing; a level without update rows (the root) makes only
+        # its two triangle launches
         for a, leaf_size in ((grid2d(12, 12), 8), (maxwell(6), 32)):
             nd, fac = factored(a, leaf_size)
             levels = _solve_levels(fac)
+            no_upd = sum(not any(fac.symb.fronts[f].upd_size for f in lev)
+                         for lev in levels)
+            assert no_upd >= 1
             n0 = a100.profiler.launch_count
             multifrontal_solve_gpu(a100, fac,
                                    rng.standard_normal(a.shape[0]))
             launches = a100.profiler.launch_count - n0
-            assert launches == 4 * len(levels) + 1
+            assert launches == 4 * len(levels) + 1 - 2 * no_upd
         assert max(f.sep_size for f in fac.symb.fronts) == 138
 
     def test_no_device_memory_leak(self, a100, rng):

@@ -297,6 +297,43 @@ class TestStreamedOffdiag:
         assert ("irrtrsm:f12:gemm" in names) == recursed
         assert ("irrtrsm:f21:gemm" in names) == recursed
 
+    def test_vendor_schur_gemms_alternate_streams(self):
+        # Maxwell n=10 has levels with 2 to 4 fronts above the hybrid
+        # cutoff: their cuBLAS Schur GEMMs alternate between the main
+        # and the side stream, and the main stream's next launch starts
+        # after the last of them ends
+        wl = build_maxwell_workload(10)
+        dev = Device(A100())
+        multifrontal_factor_gpu(dev, wl.a_perm, wl.symb)
+        side = dev.side_stream.sid
+        recs = sorted(dev.profiler.records, key=lambda r: r.seq)
+        groups, prev = [], ""
+        for r in recs:
+            if r.name == "cublas_gemm:schur":
+                if prev != r.name:
+                    groups.append([])
+                groups[-1].append(r)
+            prev = r.name
+        wide = [g for g in groups if len(g) >= 2]
+        assert len(wide) >= 3
+        for g in wide:
+            assert [r.stream for r in g] == \
+                [0 if k % 2 == 0 else side for k in range(len(g))]
+            nxt = next(r for r in recs if r.seq > g[-1].seq and r.stream == 0)
+            assert nxt.start >= max(r.end for r in g)
+            # the two streams' GEMMs run side by side
+            assert g[1].start < g[0].end
+        assert all(g[0].stream == 0 for g in groups if len(g) == 1)
+
+    def test_looped_backend_stays_on_one_stream(self):
+        # Table I's cuBLAS/cuSOLVER loop is the one-stream comparator
+        wl = build_maxwell_workload(10)
+        dev = Device(A100())
+        multifrontal_factor_gpu(dev, wl.a_perm, wl.symb, strategy="looped")
+        recs = dev.profiler.records
+        assert sum(r.name == "cublas_gemm:schur" for r in recs) >= 10
+        assert {r.stream for r in recs} == {0}
+
     def test_split_level_keeps_every_front_bitwise(self):
         # separators on both sides of the MI100's 224-row stream order,
         # both short enough for the fused panel
